@@ -1,7 +1,7 @@
 //! Typed construction of a [`BaseStationSim`].
 //!
-//! [`StationBuilder`] replaces the old two-argument constructor with a
-//! fluent API that names each policy explicitly, validates the
+//! [`StationBuilder`] is the one construction path: a fluent API that
+//! names each policy explicitly, validates the
 //! configuration once at build time (returning [`crate::error::Error`]
 //! instead of panicking mid-simulation), and wires in the observability
 //! [`Recorder`] — [`NullRecorder`] by default, which keeps the
@@ -34,9 +34,9 @@ use crate::station::{BaseStationSim, Estimation, Policy};
 ///
 /// Exactly one policy method (or the [`StationBuilder::policy`] escape
 /// hatch) must be called before [`StationBuilder::build`]; calling
-/// another replaces the previous choice. Everything else has the same
-/// defaults the old constructor had: oracle recency estimation, the
-/// paper's decay model and inverse-ratio scoring, and a no-op recorder.
+/// another replaces the previous choice. Everything else defaults to
+/// the paper's model: oracle recency estimation, the paper's decay
+/// model and inverse-ratio scoring, and a no-op recorder.
 #[derive(Debug)]
 pub struct StationBuilder {
     catalog: Catalog,
@@ -293,30 +293,5 @@ mod tests {
             2,
             "round robin won: refreshes 2 per tick regardless of requests"
         );
-    }
-
-    #[test]
-    fn builder_defaults_match_the_legacy_constructor() {
-        let reqs = [basecache_workload::GeneratedRequest {
-            object: basecache_net::ObjectId(0),
-            target_recency: 1.0,
-        }];
-        let mut built = StationBuilder::new(Catalog::uniform_unit(4))
-            .on_demand(OnDemandPlanner::paper_default(), 10)
-            .build()
-            .unwrap();
-        #[allow(deprecated)]
-        let mut legacy = BaseStationSim::new(
-            Catalog::uniform_unit(4),
-            Policy::OnDemand {
-                planner: OnDemandPlanner::paper_default(),
-                budget_units: 10,
-            },
-        );
-        for _ in 0..3 {
-            assert_eq!(built.step(&reqs), legacy.step(&reqs));
-            built.apply_update_wave();
-            legacy.apply_update_wave();
-        }
     }
 }

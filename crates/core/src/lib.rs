@@ -23,10 +23,13 @@
 //!   tables with incremental (dirty-set) instance build and sharded
 //!   rescoring, for million-request rounds.
 //! * [`asynch`] — the asynchronous round-robin refresh baseline.
+//! * `policy` — [`Policy`]: the download policies behind one seam — a
+//!   budget and a `plan` — that the station's round kernel consults.
 //! * [`bound`] — download-budget selection from the DP solution-space
 //!   trace (the paper's Section 6 future work).
 //! * [`station`] — [`BaseStationSim`]: the time-stepped base-station
-//!   simulation gluing cache, server, policy and downlink together.
+//!   simulation gluing cache, server, policy and downlink together —
+//!   one round kernel behind `step` (batch) and `step_engine` (engine).
 //! * [`outcome`] — [`RoundOutcome`]: the unified per-round outcome shared
 //!   by every round-step surface (station, engine, latency pipeline).
 //! * [`builder`] — [`StationBuilder`]: typed, validating construction of
@@ -72,6 +75,7 @@ pub mod estimator;
 pub mod outcome;
 pub mod pipeline;
 pub mod planner;
+mod policy;
 pub mod profit;
 pub mod recency;
 pub mod request;
@@ -84,8 +88,6 @@ pub use engine::{ActiveObject, RoundEngine};
 pub use error::{ConfigError, Error};
 pub use estimator::{RateEstimator, RecencyEstimator, ReportEstimator, TtlEstimator};
 pub use outcome::RoundOutcome;
-#[allow(deprecated)]
-pub use outcome::{LatencyStepOutcome, StepOutcome};
 pub use pipeline::{LatencyAwareSim, LatencyStats};
 pub use planner::{DownloadPlan, LowestRecencyFirst, OnDemandPlanner, SolverChoice};
 pub use recency::{DecayModel, ScoringFunction};

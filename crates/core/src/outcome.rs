@@ -2,19 +2,11 @@
 //! `step` contract shared by `BaseStationSim::step`, `step_engine`, and
 //! the latency-aware pipeline.
 //!
-//! Historically the instantaneous station returned a `StepOutcome` and
-//! the latency pipeline a divergent near-copy (`LatencyStepOutcome`);
-//! the in-flight download subsystem would have forced a third. Instead
-//! every round-step surface now returns this superset: the instantaneous
+//! Every round-step surface returns this superset: the instantaneous
 //! path simply leaves the in-flight fields at their identities (`arrived
 //! == objects_downloaded`, `launched == objects_downloaded`, zero joins,
 //! everything served immediately, nothing still waiting), so the union
 //! costs the fast path nothing.
-//!
-//! The old names survive for one release as deprecated type aliases
-//! below. Because an alias *is* the unified type, no `From` conversion
-//! is needed — existing `let o: StepOutcome = sim.step(..)` code
-//! compiles (with a deprecation warning) against the exact same struct.
 
 /// What one scheduling round did, returned by every round-step surface
 /// ([`crate::BaseStationSim::step`], [`crate::BaseStationSim::step_engine`],
@@ -61,22 +53,6 @@ pub struct RoundOutcome {
     pub still_waiting: usize,
 }
 
-/// Deprecated name for [`RoundOutcome`] — the instantaneous station's
-/// round outcome before the step surfaces were unified.
-#[deprecated(
-    since = "0.7.0",
-    note = "use RoundOutcome: the step surfaces now share one outcome type"
-)]
-pub type StepOutcome = RoundOutcome;
-
-/// Deprecated name for [`RoundOutcome`] — the latency pipeline's round
-/// outcome before the step surfaces were unified.
-#[deprecated(
-    since = "0.7.0",
-    note = "use RoundOutcome: the step surfaces now share one outcome type"
-)]
-pub type LatencyStepOutcome = RoundOutcome;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -87,21 +63,5 @@ mod tests {
         assert_eq!(o.served, 0);
         assert_eq!(o.average_recency, 0.0);
         assert_eq!(o.still_waiting, 0);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_aliases_are_the_unified_type() {
-        // An alias is the same type: assignment in both directions needs
-        // no conversion, which is the whole migration story.
-        let unified = RoundOutcome {
-            tick: 3,
-            served: 7,
-            ..RoundOutcome::default()
-        };
-        let legacy_station: StepOutcome = unified;
-        let legacy_pipeline: LatencyStepOutcome = legacy_station;
-        let back: RoundOutcome = legacy_pipeline;
-        assert_eq!(back, unified);
     }
 }

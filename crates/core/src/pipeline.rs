@@ -26,9 +26,7 @@ use std::collections::HashSet;
 
 use basecache_cache::CacheStore;
 use basecache_net::{Catalog, Downlink, Link, ObjectId, RemoteServer, SharedLink, Version};
-use basecache_obs::{
-    Event, LifecycleEvent, NullRecorder, Recorder, Sample, Snapshot, Span, Stage, Transition,
-};
+use basecache_obs::{Event, LifecycleEvent, Recorder, Sample, Snapshot, Span, Stage, Transition};
 use basecache_sim::metrics::Welford;
 use basecache_sim::{P2Quantile, Scheduler, SimTime};
 use basecache_workload::GeneratedRequest;
@@ -112,66 +110,16 @@ pub struct LatencyAwareSim {
 }
 
 impl LatencyAwareSim {
-    /// Build a latency-aware station.
+    /// The one constructor, reached through the validating
+    /// [`crate::builder::StationBuilder::build_latency_aware`].
     ///
-    /// `fixed_net` carries downloads (bandwidth + latency); `downlink`
-    /// carries deliveries to clients; `refresh_budget` bounds the data
-    /// units of *stale-refresh* downloads per tick (mandatory fetches of
-    /// uncached requested objects are not charged against it, matching
-    /// the paper's "any object that is not in the cache must be
+    /// `fixed_net` carries downloads (bandwidth + latency; share it
+    /// across stations for the multi-cell backbone); `downlink` carries
+    /// deliveries to clients; `refresh_budget` bounds the data units of
+    /// *stale-refresh* downloads per tick (mandatory fetches of uncached
+    /// requested objects are not charged against it, matching the
+    /// paper's "any object that is not in the cache must be
     /// downloaded").
-    #[deprecated(
-        since = "0.7.0",
-        note = "construct via StationBuilder::new(..).on_demand(..).build_latency_aware(..)"
-    )]
-    pub fn new(
-        catalog: Catalog,
-        planner: OnDemandPlanner,
-        refresh_budget: u64,
-        fixed_net: Link,
-        downlink: Downlink,
-    ) -> Self {
-        Self::assemble(
-            catalog,
-            planner,
-            refresh_budget,
-            SharedLink::new(fixed_net),
-            downlink,
-            DecayModel::default(),
-            ScoringFunction::InverseRatio,
-            Box::new(NullRecorder),
-        )
-    }
-
-    /// Like [`Self::new`], but downloading over a [`SharedLink`] backbone
-    /// that other base stations contend on (the multi-cell extension).
-    #[deprecated(
-        since = "0.7.0",
-        note = "construct via StationBuilder::new(..).on_demand(..).build_latency_aware(..)"
-    )]
-    pub fn with_backbone(
-        catalog: Catalog,
-        planner: OnDemandPlanner,
-        refresh_budget: u64,
-        fixed_net: SharedLink,
-        downlink: Downlink,
-    ) -> Self {
-        Self::assemble(
-            catalog,
-            planner,
-            refresh_budget,
-            fixed_net,
-            downlink,
-            DecayModel::default(),
-            ScoringFunction::InverseRatio,
-            Box::new(NullRecorder),
-        )
-    }
-
-    /// The one true constructor, reached through the validating
-    /// [`crate::builder::StationBuilder::build_latency_aware`] (and, for
-    /// one release, the deprecated [`Self::new`]/[`Self::with_backbone`]
-    /// shims, which pass the historical defaults).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn assemble(
         catalog: Catalog,
@@ -204,8 +152,8 @@ impl LatencyAwareSim {
     }
 
     /// Install an observability recorder (default: the no-op
-    /// [`NullRecorder`]). Fetch launches, fetch latencies and the
-    /// per-tick fetch-ingest stage are recorded as the simulation runs;
+    /// [`basecache_obs::NullRecorder`]). Fetch launches, fetch latencies
+    /// and the per-tick fetch-ingest stage are recorded as the simulation runs;
     /// call [`Self::observe_infrastructure`] once at the end of a run to
     /// add the cumulative link/downlink/scheduler figures.
     pub fn with_recorder(mut self, recorder: Box<dyn Recorder>) -> Self {
@@ -238,7 +186,7 @@ impl LatencyAwareSim {
     }
 
     /// Materialize everything the installed recorder observed (empty
-    /// under the default [`NullRecorder`]).
+    /// under the default [`basecache_obs::NullRecorder`]).
     pub fn obs_snapshot(&self) -> Snapshot {
         self.recorder.snapshot()
     }
@@ -259,7 +207,7 @@ impl LatencyAwareSim {
     }
 
     /// The fixed-network link (locked view; shared with other stations
-    /// when constructed via [`Self::with_backbone`]).
+    /// when they were built over clones of one [`SharedLink`]).
     pub fn fixed_net(&self) -> std::sync::MutexGuard<'_, Link> {
         self.fixed_net.lock()
     }
@@ -557,29 +505,6 @@ mod tests {
                 Downlink::new(100, SimDuration::ZERO),
             )
             .expect("valid latency configuration")
-    }
-
-    /// Pins the one-release deprecated constructor shims to the builder
-    /// path, step for step (the PR 2 `builder_shim` precedent).
-    #[test]
-    #[allow(deprecated)]
-    fn constructor_shims_match_the_builder() {
-        let mut built = sim(2, 3);
-        let mut legacy = LatencyAwareSim::new(
-            Catalog::uniform_unit(10),
-            OnDemandPlanner::new(ScoringFunction::InverseRatio, SolverChoice::ExactDp),
-            100,
-            Link::new(3, SimDuration::from_ticks(2)),
-            Downlink::new(100, SimDuration::ZERO),
-        );
-        for t in 0..8u32 {
-            let reqs = [req(t % 5), req((t + 1) % 5)];
-            assert_eq!(built.step(&reqs), legacy.step(&reqs));
-            if t == 3 {
-                built.apply_update_wave();
-                legacy.apply_update_wave();
-            }
-        }
     }
 
     #[test]

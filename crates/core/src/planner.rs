@@ -190,10 +190,11 @@ impl OnDemandPlanner {
 
     /// The aggregation half of [`Self::plan_requests_recorded`]: build
     /// the knapsack instance into `scratch.items`/`scratch.objects`
-    /// without solving it. The in-flight station step uses this seam to
-    /// adjust the assembled instance (subtract committed bandwidth from
-    /// the budget, amortize profits over arrival rounds) before handing
-    /// it to [`Self::solve_assembled`]. `assemble` followed immediately
+    /// without solving it. The station's round kernel uses this seam to
+    /// adjust the assembled instance (drop single-flight and regionally
+    /// excluded objects, subtract committed bandwidth from the budget,
+    /// amortize profits over arrival rounds) before handing it to
+    /// [`Self::solve_assembled`]. `assemble` followed immediately
     /// by `solve` is exactly `plan_requests_recorded` — both halves stay
     /// `#[inline]` so the fused instantaneous round optimizes as one
     /// unit (the `planner/round/*` benches gate it).
@@ -420,6 +421,21 @@ impl OnDemandPlanner {
         scratch: &mut PlannerScratch,
         recorder: &R,
     ) {
+        self.assemble_engine_into(engine, recency, scratch, recorder);
+        self.solve_assembled(budget, scratch, recorder);
+    }
+
+    /// The aggregation half of [`Self::plan_engine_recorded`] — the
+    /// engine-source twin of [`Self::assemble_requests_into`], and the
+    /// same seam: the station's round kernel adjusts the assembled
+    /// instance before [`Self::solve_assembled`].
+    pub(crate) fn assemble_engine_into<R: Recorder + ?Sized>(
+        &self,
+        engine: &mut RoundEngine,
+        recency: &[f64],
+        scratch: &mut PlannerScratch,
+        recorder: &R,
+    ) {
         assert_eq!(
             engine.scoring(),
             self.scoring,
@@ -430,7 +446,6 @@ impl OnDemandPlanner {
         recorder.sample(Sample::DirtyObjects, engine.dirty_objects() as f64);
         recorder.sample(Sample::RescoredRequests, engine.rescored_requests() as f64);
         engine.assemble_into(scratch);
-        self.solve_assembled(budget, scratch, recorder);
     }
 
     /// Allocation-free planning round through the adaptive reduction

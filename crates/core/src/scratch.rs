@@ -103,6 +103,22 @@ impl PlannerScratch {
         &self.items
     }
 
+    /// Drop every item of the assembled instance whose object `keep`
+    /// rejects, preserving order — how the round kernel takes objects it
+    /// must not fetch out of the knapsack before the solve.
+    pub(crate) fn retain_objects(&mut self, mut keep: impl FnMut(ObjectId) -> bool) {
+        let mut kept = 0usize;
+        for i in 0..self.items.len() {
+            if keep(self.objects[i]) {
+                self.items[kept] = self.items[i];
+                self.objects[kept] = self.objects[i];
+                kept += 1;
+            }
+        }
+        self.items.truncate(kept);
+        self.objects.truncate(kept);
+    }
+
     /// Objects the last planning round decided to download, ascending.
     pub fn downloads(&self) -> &[ObjectId] {
         &self.downloads

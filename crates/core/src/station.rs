@@ -2,21 +2,31 @@
 //!
 //! [`BaseStationSim`] glues the substrates together exactly as the
 //! paper's analyses do: a versioned [`RemoteServer`], the base-station
-//! [`CacheStore`], a download policy, and per-tick client request
-//! batches. Each simulated time unit the station (1) receives a batch,
-//! (2) decides what to download under the policy, (3) refreshes the cache
-//! with the downloaded copies, and (4) serves every request, recording
-//! the recency and score delivered to each client.
+//! [`CacheStore`], a download [`Policy`], and per-tick client requests.
+//! Each simulated time unit is one pass through a single round kernel
+//! whose stages run once each, in order: land the transfers that
+//! arrive this round → observe the recency of every cached copy → plan
+//! (assemble the knapsack instance, adjust it, solve it) → launch the
+//! chosen downloads and refresh the cache → serve every request,
+//! recording the recency and score delivered to each client.
+//!
+//! Two things vary a round, and only where they must. The *request
+//! source* — a flat batch ([`BaseStationSim::step`]) or a
+//! [`RoundEngine`]'s standing tables ([`BaseStationSim::step_engine`])
+//! — decides how the instance is assembled and how requests are served.
+//! The *transfer model* — instantaneous (the paper's), or an in-flight
+//! ledger with real durations and single-flight coalescing
+//! ([`crate::builder::StationBuilder::in_flight`]) — is an
+//! `Option<FlightState>` the shared stages read.
 //!
 //! The driver (experiment harness or example) owns the clock: it calls
 //! [`BaseStationSim::apply_update_wave`] (or per-object updates) whenever
-//! the remote objects change, and [`BaseStationSim::step`] once per time
-//! unit.
+//! the remote objects change, and steps once per time unit.
 
 use basecache_cache::CacheStore;
 use basecache_knapsack::Item;
 use basecache_net::{
-    Catalog, InFlightConfig, InFlightLedger, InvalidationReport, ObjectId, ParkedWaiter,
+    Arrived, Catalog, InFlightConfig, InFlightLedger, InvalidationReport, ObjectId, ParkedWaiter,
     RemoteServer, Version,
 };
 use basecache_obs::{
@@ -27,11 +37,11 @@ use basecache_sim::SimTime;
 use basecache_workload::GeneratedRequest;
 
 use crate::asynch::AsyncRefresher;
+use crate::engine::RoundEngine;
 use crate::estimator::RecencyEstimator;
 use crate::outcome::RoundOutcome;
-use crate::planner::{LowestRecencyFirst, OnDemandPlanner};
+pub use crate::policy::Policy;
 use crate::recency::{DecayModel, ScoringFunction};
-use crate::request::RequestBatch;
 use crate::scratch::PlannerScratch;
 
 /// How the station learns the recency of its cached copies when making
@@ -44,55 +54,6 @@ pub enum Estimation {
     Oracle,
     /// A pluggable estimator (TTL aging, invalidation reports, …).
     Estimator(Box<dyn RecencyEstimator + Send>),
-}
-
-/// The download policy the base station runs each time unit.
-#[derive(Debug, Clone, Copy)]
-pub enum Policy {
-    /// The paper's on-demand knapsack planner under a per-tick unit
-    /// budget.
-    OnDemand {
-        /// The planner (scoring function + solver).
-        planner: OnDemandPlanner,
-        /// Download budget per time unit, in data units.
-        budget_units: u64,
-    },
-    /// Section 3.2's unit-size on-demand policy: the `k` requested
-    /// objects with the lowest cached recency.
-    OnDemandLowestRecency {
-        /// Objects downloaded per time unit.
-        k_objects: usize,
-    },
-    /// The asynchronous baseline: round-robin refresh of `k` objects per
-    /// time unit, independent of requests.
-    AsyncRoundRobin {
-        /// Objects refreshed per time unit.
-        k_objects: usize,
-    },
-    /// Push–pull hybrid (extension; cf. Acharya et al.'s "balancing push
-    /// and pull"): run the on-demand planner first, then spend whatever
-    /// budget it left over on background refresh of the stalest cached
-    /// objects, requested or not.
-    Hybrid {
-        /// The on-demand planner for the pull half.
-        planner: OnDemandPlanner,
-        /// Total download budget per time unit, in data units.
-        budget_units: u64,
-    },
-    /// Adaptive budget (the paper's Section 6 future work, closed-loop):
-    /// each round, read the DP solution-space trace and spend only up to
-    /// the knee — the budget where the marginal recency gain per unit
-    /// drops below `threshold` over the next `window` units.
-    OnDemandAdaptive {
-        /// The on-demand planner (knee selection forces the exact DP).
-        planner: OnDemandPlanner,
-        /// Hard ceiling on the per-tick budget, in data units.
-        max_budget: u64,
-        /// Averaging window for the marginal gain, in data units.
-        window: u64,
-        /// Minimum acceptable marginal gain per data unit.
-        threshold: f64,
-    },
 }
 
 /// Accumulated measurements since construction or the last
@@ -122,18 +83,72 @@ pub struct StationStats {
 }
 
 /// In-flight download state: the ledger plus the reusable buffers the
-/// flight step needs, so steady-state rounds stay off the heap.
+/// round needs beside it, so steady-state rounds stay off the heap.
 #[derive(Debug)]
 struct FlightState {
     ledger: InFlightLedger,
-    /// Requests entering the planner instance (single-flight joiners
-    /// excluded), rebuilt each round.
-    active_buf: Vec<GeneratedRequest>,
     /// Waiters drained from arriving transfers, rebuilt per arrival.
     waiters: Vec<ParkedWaiter>,
-    /// `(object, launched_at)` of this round's arrivals, sorted by
-    /// object — the engine serve's merge input.
+    /// `(object, launched_at)` of the transfers that landed at the start
+    /// of this round — the columnar serve's merge input.
     arrived: Vec<(ObjectId, u64)>,
+}
+
+impl FlightState {
+    /// Pop the next transfer landing this round, appending the requests
+    /// parked on it to `waiters`; an observed round also sees the
+    /// arrival's lifecycle event.
+    fn pop_arrival(&mut self, round: &Round<'_>) -> Option<Arrived> {
+        if round.observing {
+            self.ledger
+                .pop_arrival_recorded(round.tick, &mut self.waiters, round.recorder)
+        } else {
+            self.ledger.pop_arrival(round.tick, &mut self.waiters)
+        }
+    }
+}
+
+/// Where a round's requests come from. Only the assemble half of the
+/// plan stage and the serve stage look inside.
+enum Source<'a> {
+    /// A flat per-tick batch ([`BaseStationSim::step`]).
+    Batch(&'a [GeneratedRequest]),
+    /// A standing request population
+    /// ([`BaseStationSim::step_engine`]).
+    Engine(&'a mut RoundEngine),
+}
+
+/// One round's recorder, clock and running tallies, threaded through
+/// the kernel's stages and closed by [`BaseStationSim::finish_round`].
+struct Round<'r> {
+    recorder: &'r dyn Recorder,
+    /// `recorder.enabled()`, read once: gates every event only an
+    /// observer pays for.
+    observing: bool,
+    tick: u64,
+    recency: Welford,
+    score: Welford,
+    /// The outcome under construction: the stages count arrivals,
+    /// launches, joins, hits, serves and waits straight into it.
+    out: RoundOutcome,
+}
+
+impl Round<'_> {
+    /// A lifecycle event of this round.
+    fn event(&self, transition: Transition, object: ObjectId, version: u64) -> LifecycleEvent {
+        LifecycleEvent::new(transition, object.0, version, self.tick)
+    }
+
+    /// Charge the staleness an object's clients were served at, in
+    /// thousandths per request: a request served at recency 0.4 adds
+    /// 600 to its object's tally.
+    fn attribute_staleness(&self, object: ObjectId, recency: f64, requests: u64) {
+        let staleness = ((1.0 - recency) * 1_000.0).round() as u64;
+        if staleness > 0 {
+            self.recorder
+                .attribute(Attr::ServeStalenessByObject, object.0, staleness * requests);
+        }
+    }
 }
 
 /// The base-station simulation.
@@ -167,26 +182,9 @@ pub struct BaseStationSim {
 }
 
 impl BaseStationSim {
-    /// Build a station over `catalog` with the given policy. The cache
-    /// starts empty ("we started with an empty cache"); the server starts
-    /// with every object at version 0.
-    #[deprecated(
-        note = "use `basecache_core::builder::StationBuilder`, which validates the \
-                configuration and can wire in an observability recorder"
-    )]
-    pub fn new(catalog: Catalog, policy: Policy) -> Self {
-        Self::assemble(
-            catalog,
-            policy,
-            Estimation::Oracle,
-            DecayModel::default(),
-            ScoringFunction::InverseRatio,
-            Box::new(NullRecorder),
-        )
-    }
-
-    /// The one true constructor, fed by [`crate::builder::StationBuilder`]
-    /// (and the deprecated [`BaseStationSim::new`] shim).
+    /// The one constructor, fed by [`crate::builder::StationBuilder`].
+    /// The cache starts empty ("we started with an empty cache"); the
+    /// server starts with every object at version 0.
     pub(crate) fn assemble(
         catalog: Catalog,
         policy: Policy,
@@ -204,14 +202,7 @@ impl BaseStationSim {
         // the catalog's total size are equivalent to it (every solver
         // clamps the capacity), so the reserve clamps too.
         let mut scratch = PlannerScratch::new();
-        let budget = match &policy {
-            Policy::OnDemand { budget_units, .. } | Policy::Hybrid { budget_units, .. } => {
-                Some(*budget_units)
-            }
-            Policy::OnDemandAdaptive { max_budget, .. } => Some(*max_budget),
-            Policy::OnDemandLowestRecency { .. } | Policy::AsyncRoundRobin { .. } => None,
-        };
-        if let Some(budget) = budget {
+        if let Some(budget) = policy.unit_budget() {
             scratch.reserve(catalog.len(), budget.min(catalog.total_size()));
         }
         Self {
@@ -241,7 +232,6 @@ impl BaseStationSim {
         ledger.reserve(self.catalog.len(), 0);
         self.flight = Some(FlightState {
             ledger,
-            active_buf: Vec::new(),
             waiters: Vec::new(),
             arrived: Vec::new(),
         });
@@ -251,25 +241,6 @@ impl BaseStationSim {
     /// (see [`crate::builder::StationBuilder::in_flight`]).
     pub fn flight_ledger(&self) -> Option<&InFlightLedger> {
         self.flight.as_ref().map(|f| &f.ledger)
-    }
-
-    /// Replace the recency estimation used for *planning* (default:
-    /// oracle). Measurements always use the true staleness.
-    pub fn with_estimation(mut self, estimation: Estimation) -> Self {
-        self.estimation = estimation;
-        self
-    }
-
-    /// Replace the decay model (default: `x' = x/(1+x)`).
-    pub fn with_decay(mut self, decay: DecayModel) -> Self {
-        self.decay = decay;
-        self
-    }
-
-    /// Replace the scoring function (default: inverse-ratio).
-    pub fn with_scoring(mut self, scoring: ScoringFunction) -> Self {
-        self.scoring = scoring;
-        self
     }
 
     /// The current time unit (number of steps taken).
@@ -309,10 +280,10 @@ impl BaseStationSim {
     /// The version of the cached copy of `id` (falling back to the
     /// server's current version when nothing is cached) — the key
     /// lifecycle serve events correlate spans by.
-    fn serve_version(&self, id: ObjectId) -> u64 {
-        match self.cache.peek(id) {
+    fn serve_version(cache: &CacheStore, server: &RemoteServer, id: ObjectId) -> u64 {
+        match cache.peek(id) {
             Some(entry) => entry.version.0,
-            None => self.server.version_of(id).0,
+            None => server.version_of(id).0,
         }
     }
 
@@ -330,15 +301,7 @@ impl BaseStationSim {
     /// budgeted policies, objects for the `k`-object ones (identical on
     /// unit-size catalogs).
     pub fn download_budget(&self) -> u64 {
-        match self.policy {
-            Policy::OnDemand { budget_units, .. } | Policy::Hybrid { budget_units, .. } => {
-                budget_units
-            }
-            Policy::OnDemandAdaptive { max_budget, .. } => max_budget,
-            Policy::OnDemandLowestRecency { k_objects } | Policy::AsyncRoundRobin { k_objects } => {
-                k_objects as u64
-            }
-        }
+        self.policy.budget()
     }
 
     /// Re-budget the policy for the next tick without rebuilding the
@@ -346,15 +309,7 @@ impl BaseStationSim {
     /// global allocation into the cell's local knapsack capacity. The
     /// value is interpreted per [`Self::download_budget`].
     pub fn set_download_budget(&mut self, budget: u64) {
-        match &mut self.policy {
-            Policy::OnDemand { budget_units, .. } | Policy::Hybrid { budget_units, .. } => {
-                *budget_units = budget;
-            }
-            Policy::OnDemandAdaptive { max_budget, .. } => *max_budget = budget,
-            Policy::OnDemandLowestRecency { k_objects } | Policy::AsyncRoundRobin { k_objects } => {
-                *k_objects = budget as usize;
-            }
-        }
+        self.policy.set_budget(budget);
     }
 
     /// Materialize everything the installed recorder observed (empty
@@ -377,6 +332,18 @@ impl BaseStationSim {
             .apply_simultaneous_update(SimTime::from_ticks(self.tick));
     }
 
+    /// True current recency of `id`'s cached copy: decayed once per
+    /// missed server update; 0.0 when the object is not cached.
+    #[inline]
+    fn true_recency(&self, id: ObjectId) -> f64 {
+        match self.cache.peek(id) {
+            Some(entry) => self
+                .decay
+                .recency_for_lag(entry.lag(self.server.version_of(id))),
+            None => 0.0,
+        }
+    }
+
     /// True current recency of every object's cached copy: decayed once
     /// per missed server update; 0.0 when the object is not cached.
     pub fn recency_vec(&self) -> Vec<f64> {
@@ -389,33 +356,22 @@ impl BaseStationSim {
     /// [`Estimation::Oracle`], the estimator's belief otherwise.
     pub fn estimated_recency_vec(&self) -> Vec<f64> {
         let mut out = Vec::new();
-        self.fill_estimated_recency(&mut out);
+        self.estimated_recency_into(&mut out);
         out
-    }
-
-    /// Fill `out` with [`Self::estimated_recency_vec`] without
-    /// allocating beyond `out`'s own capacity growth. Per-round callers
-    /// (the cluster's demand probe) reuse one buffer across ticks.
-    pub fn estimated_recency_into(&self, out: &mut Vec<f64>) {
-        self.fill_estimated_recency(out);
     }
 
     /// Fill `out` with [`Self::recency_vec`] without allocating (beyond
     /// `out`'s own first growth).
     fn fill_recency(&self, out: &mut Vec<f64>) {
         out.clear();
-        out.extend(self.catalog.ids().map(|id| {
-            match self.cache.peek(id) {
-                Some(entry) => self
-                    .decay
-                    .recency_for_lag(entry.lag(self.server.version_of(id))),
-                None => 0.0,
-            }
-        }));
+        out.extend(self.catalog.ids().map(|id| self.true_recency(id)));
     }
 
-    /// Fill `out` with [`Self::estimated_recency_vec`] without allocating.
-    fn fill_estimated_recency(&self, out: &mut Vec<f64>) {
+    /// Fill `out` with [`Self::estimated_recency_vec`] without
+    /// allocating beyond `out`'s own capacity growth. Per-round callers
+    /// (the round kernel, the cluster's demand probe) reuse one buffer
+    /// across ticks.
+    pub fn estimated_recency_into(&self, out: &mut Vec<f64>) {
         match &self.estimation {
             Estimation::Oracle => self.fill_recency(out),
             Estimation::Estimator(est) => {
@@ -429,18 +385,19 @@ impl BaseStationSim {
         }
     }
 
-    /// The objects the most recent [`Self::step`] downloaded, ascending.
+    /// The objects the most recent round chose to download, ascending.
     /// Empty before the first step.
     pub fn last_downloaded(&self) -> &[ObjectId] {
         &self.downloaded
     }
 
-    /// Forbid the next step's planner from origin-fetching `objects`
+    /// Forbid the next round's planner from origin-fetching `objects`
     /// (the regional L2 tier already holds — or is fetching — their
-    /// current versions). The list is copied, sorted and deduplicated
-    /// into a reusable buffer; it stays in force until
-    /// [`Self::clear_plan_exclusions`]. With an empty list the planning
-    /// path is exactly the unfiltered one, bit for bit.
+    /// current versions), whichever request source the round runs on.
+    /// The list is copied, sorted and deduplicated into a reusable
+    /// buffer; it stays in force until [`Self::clear_plan_exclusions`].
+    /// With an empty list the planning path is exactly the unfiltered
+    /// one, bit for bit.
     pub fn set_plan_exclusions(&mut self, objects: &[ObjectId]) {
         self.plan_exclusions.clear();
         self.plan_exclusions.extend_from_slice(objects);
@@ -501,260 +458,14 @@ impl BaseStationSim {
     /// across ticks.
     ///
     /// In in-flight mode ([`crate::builder::StationBuilder::in_flight`])
-    /// the round runs through the in-flight ledger instead of
-    /// refreshing downloads instantly; with `bandwidth_per_round == 0`
-    /// that path degenerates bit-identically to this one (pinned by
-    /// `tests/inflight_invariants.rs`).
+    /// downloads are launched onto the ledger instead of landing at
+    /// once, and a request whose object is on the wire at the current
+    /// version parks on that transfer until it arrives. With
+    /// `bandwidth_per_round == 0` every transfer lands inside its launch
+    /// round and the round is bit-identical to the instantaneous one
+    /// (pinned by `tests/inflight_invariants.rs`).
     pub fn step(&mut self, requests: &[GeneratedRequest]) -> RoundOutcome {
-        if self.flight.is_some() {
-            return self.step_flight(requests);
-        }
-        let policy = self.policy;
-        let recorder: &dyn Recorder = &*self.recorder;
-        let observing = recorder.enabled();
-        let _step_span = Span::enter(recorder, Stage::Step);
-        recorder.begin_round(self.tick);
-        recorder.incr(Event::Rounds);
-        recorder.sample(Sample::BatchSize, requests.len() as f64);
-
-        let mut recency = std::mem::take(&mut self.recency_buf);
-        {
-            let _recency_span = Span::enter(recorder, Stage::Recency);
-            self.fill_estimated_recency(&mut recency);
-        }
-        let mut downloaded = std::mem::take(&mut self.downloaded);
-        downloaded.clear();
-
-        let plan_span = Span::enter(recorder, Stage::Plan);
-        match policy {
-            Policy::OnDemand {
-                planner,
-                budget_units,
-            } => {
-                if self.plan_exclusions.is_empty() {
-                    planner.plan_requests_recorded(
-                        requests,
-                        &self.catalog,
-                        &recency,
-                        budget_units,
-                        &mut self.scratch,
-                        recorder,
-                    );
-                } else {
-                    // Same two halves as `plan_requests_recorded`, with
-                    // the L2-excluded objects compacted out of the
-                    // assembled instance before the solve — the region
-                    // already holds (or is fetching) their current
-                    // versions, so this cell must not pay origin.
-                    planner.assemble_requests_into(
-                        requests,
-                        &self.catalog,
-                        &recency,
-                        &mut self.scratch,
-                    );
-                    let mut keep = 0usize;
-                    for i in 0..self.scratch.items.len() {
-                        let o = self.scratch.objects[i];
-                        if self.plan_exclusions.binary_search(&o).is_err() {
-                            self.scratch.items[keep] = self.scratch.items[i];
-                            self.scratch.objects[keep] = self.scratch.objects[i];
-                            keep += 1;
-                        }
-                    }
-                    self.scratch.items.truncate(keep);
-                    self.scratch.objects.truncate(keep);
-                    planner.solve_assembled(budget_units, &mut self.scratch, recorder);
-                }
-                downloaded.extend_from_slice(self.scratch.downloads());
-            }
-            Policy::OnDemandLowestRecency { k_objects } => {
-                let batch = RequestBatch::from_generated(requests);
-                downloaded.extend(LowestRecencyFirst.select(&batch, &recency, k_objects));
-            }
-            Policy::AsyncRoundRobin { k_objects } => {
-                downloaded.extend(self.refresher.next_batch(k_objects));
-            }
-            Policy::OnDemandAdaptive {
-                planner,
-                max_budget,
-                window,
-                threshold,
-            } => {
-                let batch = RequestBatch::from_generated(requests);
-                let (_, mapped, trace) =
-                    planner.plan_with_trace(&batch, &self.catalog, &recency, max_budget);
-                let budget = crate::bound::knee_budget(&trace, window, threshold);
-                let solution = trace.solution_at(mapped.instance(), budget);
-                let mut chosen = mapped.selected_objects(&solution);
-                chosen.sort_unstable();
-                downloaded.extend(chosen);
-            }
-            Policy::Hybrid {
-                planner,
-                budget_units,
-            } => {
-                let batch = RequestBatch::from_generated(requests);
-                let plan = planner.plan(&batch, &self.catalog, &recency, budget_units);
-                let mut chosen = plan.downloads().to_vec();
-                let mut leftover = budget_units.saturating_sub(plan.download_size());
-                // Spend the leftover pushing fresh copies of the stalest
-                // cached objects (requested or not).
-                let mut background: Vec<ObjectId> = self
-                    .catalog
-                    .ids()
-                    .filter(|&id| recency[id.index()] < 1.0 && !chosen.contains(&id))
-                    .collect();
-                background.sort_by(|a, b| {
-                    recency[a.index()]
-                        .partial_cmp(&recency[b.index()])
-                        .expect("recency values are never NaN")
-                        .then_with(|| a.cmp(b))
-                });
-                for id in background {
-                    let size = self.catalog.size_of(id);
-                    if size <= leftover {
-                        leftover -= size;
-                        chosen.push(id);
-                    }
-                    if leftover == 0 {
-                        break;
-                    }
-                }
-                chosen.sort_unstable();
-                downloaded.extend(chosen);
-            }
-        }
-        drop(plan_span);
-        if observing {
-            for &id in &downloaded {
-                recorder.lifecycle(LifecycleEvent::new(
-                    Transition::Planned,
-                    id.0,
-                    self.server.version_of(id).0,
-                    self.tick,
-                ));
-            }
-        }
-
-        let refresh_span = Span::enter(recorder, Stage::Refresh);
-        let now = SimTime::from_ticks(self.tick);
-        let mut units = 0u64;
-        for &id in &downloaded {
-            let size = self.catalog.size_of(id);
-            let version = self.server.version_of(id);
-            self.cache
-                .insert(id, size, version, now)
-                .expect("unbounded cache never refuses");
-            if let Estimation::Estimator(est) = &mut self.estimation {
-                est.on_refresh(id, now);
-            }
-            units += size;
-            if observing {
-                recorder.attribute(Attr::DownlinkUnitsByObject, id.0, size);
-                // Instantaneous downloads launch and land in one tick.
-                recorder.lifecycle(
-                    LifecycleEvent::new(Transition::Arrived, id.0, version.0, self.tick)
-                        .at_launch(self.tick),
-                );
-            }
-        }
-        drop(refresh_span);
-        recorder.add(Event::ObjectsDownloaded, downloaded.len() as u64);
-        recorder.add(Event::UnitsDownloaded, units);
-        if observing {
-            let budget = match policy {
-                Policy::OnDemand { budget_units, .. } | Policy::Hybrid { budget_units, .. } => {
-                    Some(budget_units)
-                }
-                Policy::OnDemandAdaptive { max_budget, .. } => Some(max_budget),
-                Policy::OnDemandLowestRecency { .. } | Policy::AsyncRoundRobin { .. } => None,
-            };
-            if let Some(budget) = budget.filter(|&b| b > 0) {
-                recorder.sample(Sample::DownlinkUtilization, units as f64 / budget as f64);
-            }
-        }
-
-        // Serve every request from the (possibly just refreshed) cache.
-        let serve_span = Span::enter(recorder, Stage::Serve);
-        let mut recency_acc = Welford::new();
-        let mut score_acc = Welford::new();
-        // `downloaded` is sorted ascending for the planner policies but
-        // not guaranteed for the round-robin refresher, so pick the hit
-        // probe accordingly. Hits are counted unconditionally: they feed
-        // the outcome (and cluster-level aggregation), not just the
-        // recorder, and outcomes must not depend on observation.
-        let downloads_sorted = downloaded.windows(2).all(|w| w[0] <= w[1]);
-        let mut hits = 0usize;
-        for r in requests {
-            let x = match self.cache.peek(r.object) {
-                Some(entry) => self
-                    .decay
-                    .recency_for_lag(entry.lag(self.server.version_of(r.object))),
-                None => 0.0,
-            };
-            let score = self.scoring.score(x, r.target_recency);
-            recency_acc.push(x);
-            score_acc.push(score);
-            self.stats.recency.push(x);
-            self.stats.score.push(score);
-            let downloaded_now = if downloads_sorted {
-                downloaded.binary_search(&r.object).is_ok()
-            } else {
-                downloaded.contains(&r.object)
-            };
-            if !downloaded_now {
-                hits += 1;
-            }
-            if observing {
-                // Staleness charged in thousandths, so a request served
-                // at recency 0.4 adds 600 to its object's tally.
-                let staleness = ((1.0 - x) * 1_000.0).round() as u64;
-                if staleness > 0 {
-                    recorder.attribute(Attr::ServeStalenessByObject, r.object.0, staleness);
-                }
-                recorder.lifecycle(LifecycleEvent::new(
-                    Transition::Served,
-                    r.object.0,
-                    self.serve_version(r.object),
-                    self.tick,
-                ));
-            }
-        }
-        drop(serve_span);
-        recorder.add(Event::RequestsServed, requests.len() as u64);
-        if observing && !requests.is_empty() {
-            recorder.sample(Sample::CacheHitRatio, hits as f64 / requests.len() as f64);
-        }
-
-        self.stats.units_downloaded += units;
-        self.stats.objects_downloaded += downloaded.len() as u64;
-        self.stats.requests_served += requests.len() as u64;
-
-        let outcome = RoundOutcome {
-            tick: self.tick,
-            objects_downloaded: downloaded.len(),
-            units_downloaded: units,
-            average_recency: recency_acc.mean().unwrap_or(1.0),
-            average_score: score_acc.mean().unwrap_or(1.0),
-            served: requests.len(),
-            cache_hits: hits,
-            arrived: downloaded.len(),
-            launched: downloaded.len(),
-            joined: 0,
-            served_immediately: requests.len(),
-            served_after_wait: 0,
-            still_waiting: 0,
-        };
-        recorder.sample(Sample::AverageRecency, outcome.average_recency);
-        recorder.sample(Sample::AverageScore, outcome.average_score);
-        if observing {
-            recorder.sample(Sample::CachedUnits, self.cache.used() as f64);
-        }
-        recorder.end_round(self.tick);
-        self.downloaded = downloaded;
-        self.recency_buf = recency;
-        self.tick += 1;
-        outcome
+        self.round(Source::Batch(requests))
     }
 
     /// Simulate one time unit against a [`RoundEngine`]'s standing
@@ -765,9 +476,12 @@ impl BaseStationSim {
     /// objects) instead of O(requests), off the engine's per-object
     /// score sums.
     ///
-    /// Emits the same span/round/event/sample structure as
-    /// [`Self::step`], so flight recordings of engine rounds are
-    /// row-compatible with batch rounds. Allocation-free in steady
+    /// Runs the same round kernel as [`Self::step`] — same stages, same
+    /// span/round/event/sample structure, so flight recordings of engine
+    /// rounds are row-compatible with batch rounds. In in-flight mode
+    /// the requests of an object on the wire count as waiting rather
+    /// than being parked one by one: the population persists, so they
+    /// re-serve columnar in the arrival round. Allocation-free in steady
     /// state on the sequential rescore path (see `tests/alloc_free.rs`);
     /// attaching a pool to the engine trades allocations for fan-out.
     ///
@@ -776,15 +490,13 @@ impl BaseStationSim {
     /// Panics unless the station runs [`Policy::OnDemand`] under
     /// [`Estimation::Oracle`] — the columnar serve reads the recency
     /// column the planner observed, which must be the truth — and the
-    /// engine's table matches the station's catalog.
-    pub fn step_engine(&mut self, engine: &mut crate::engine::RoundEngine) -> RoundOutcome {
-        let (planner, budget_units) = match self.policy {
-            Policy::OnDemand {
-                planner,
-                budget_units,
-            } => (planner, budget_units),
-            _ => panic!("step_engine requires Policy::OnDemand"),
-        };
+    /// engine's table matches the station's catalog and the planner's
+    /// scoring function.
+    pub fn step_engine(&mut self, engine: &mut RoundEngine) -> RoundOutcome {
+        assert!(
+            matches!(self.policy, Policy::OnDemand { .. }),
+            "step_engine requires Policy::OnDemand"
+        );
         assert!(
             matches!(self.estimation, Estimation::Oracle),
             "step_engine requires Estimation::Oracle: the columnar serve \
@@ -795,475 +507,376 @@ impl BaseStationSim {
             self.catalog.len(),
             "engine table must cover the station's catalog"
         );
-        if self.flight.is_some() {
-            return self.step_engine_flight(engine, planner, budget_units);
-        }
-        let recorder: &dyn Recorder = &*self.recorder;
-        let observing = recorder.enabled();
-        let _step_span = Span::enter(recorder, Stage::Step);
-        recorder.begin_round(self.tick);
-        recorder.incr(Event::Rounds);
-        recorder.sample(Sample::BatchSize, engine.total_requests() as f64);
+        self.round(Source::Engine(engine))
+    }
 
+    /// The round kernel: every stage of a scheduling round, once, in
+    /// order. What varies is read where it matters — the request source
+    /// in the plan stage's assemble half and in the serve stage, the
+    /// transfer model (`self.flight`) inside the shared stages.
+    ///
+    /// A ledger only *carries* transfers across rounds when it has a
+    /// bandwidth. An instant one (`bandwidth_per_round == 0`) lands
+    /// every launch inside the refresh stage, so no arrival is pending
+    /// at round start, no request is joinable, the budget loses nothing
+    /// and no profit is amortized: each stage degenerates to the
+    /// ledger-free round, the same float operations in the same order.
+    fn round(&mut self, mut source: Source<'_>) -> RoundOutcome {
+        // Lift the recorder, the flight state and the round's two
+        // buffers out of `self` so the stages can borrow the station
+        // mutably beside them. (A boxed `NullRecorder` is zero-sized:
+        // the stand-in allocates nothing.)
+        let recorder = std::mem::replace(&mut self.recorder, Box::new(NullRecorder));
+        let mut flight = self.flight.take();
         let mut recency = std::mem::take(&mut self.recency_buf);
-        {
-            let _recency_span = Span::enter(recorder, Stage::Recency);
-            self.fill_estimated_recency(&mut recency);
-        }
         let mut downloaded = std::mem::take(&mut self.downloaded);
         downloaded.clear();
 
-        let plan_span = Span::enter(recorder, Stage::Plan);
-        planner.plan_engine_recorded(engine, &recency, budget_units, &mut self.scratch, recorder);
-        downloaded.extend_from_slice(self.scratch.downloads());
-        drop(plan_span);
-        if observing {
-            for &id in &downloaded {
-                recorder.lifecycle(LifecycleEvent::new(
-                    Transition::Planned,
-                    id.0,
-                    self.server.version_of(id).0,
-                    self.tick,
-                ));
-            }
-        }
-
-        let refresh_span = Span::enter(recorder, Stage::Refresh);
-        let now = SimTime::from_ticks(self.tick);
-        let mut units = 0u64;
-        for &id in &downloaded {
-            let size = self.catalog.size_of(id);
-            let version = self.server.version_of(id);
-            self.cache
-                .insert(id, size, version, now)
-                .expect("unbounded cache never refuses");
-            units += size;
-            if observing {
-                recorder.attribute(Attr::DownlinkUnitsByObject, id.0, size);
-                // Instantaneous downloads launch and land in one tick.
-                recorder.lifecycle(
-                    LifecycleEvent::new(Transition::Arrived, id.0, version.0, self.tick)
-                        .at_launch(self.tick),
-                );
-            }
-        }
-        drop(refresh_span);
-        recorder.add(Event::ObjectsDownloaded, downloaded.len() as u64);
-        recorder.add(Event::UnitsDownloaded, units);
-        if observing && budget_units > 0 {
-            recorder.sample(
-                Sample::DownlinkUtilization,
-                units as f64 / budget_units as f64,
-            );
-        }
-
-        // Columnar serve: one visit per requested object, using the
-        // engine's per-object score sums instead of rescoring every
-        // request. A downloaded object serves all its clients at
-        // recency (and hence score) 1.0 — the cache was just refreshed
-        // to the current version, so the lag is 0; every other object
-        // serves at the recency the planner observed, which under the
-        // oracle is the truth.
-        let serve_span = Span::enter(recorder, Stage::Serve);
-        let mut recency_acc = Welford::new();
-        let mut score_acc = Welford::new();
-        let mut hits = 0u64;
-        let served = engine.total_requests();
-        {
-            let stats = &mut self.stats;
-            let cache = &self.cache;
-            let server = &self.server;
-            let tick = self.tick;
-            // Merge cursor over `downloaded`: both walks are ascending.
-            let mut dl = 0usize;
-            engine.for_each_active(|a| {
-                while dl < downloaded.len() && downloaded[dl] < a.object {
-                    dl += 1;
-                }
-                let downloaded_now = dl < downloaded.len() && downloaded[dl] == a.object;
-                let n = a.requests;
-                if downloaded_now {
-                    recency_acc.push_n(1.0, n);
-                    score_acc.push_n(1.0, n);
-                    stats.recency.push_n(1.0, n);
-                    stats.score.push_n(1.0, n);
-                } else {
-                    hits += n;
-                    recency_acc.push_n(a.recency, n);
-                    stats.recency.push_n(a.recency, n);
-                    let scores = Welford::from_sums(n, a.score_sum, a.score_sq);
-                    score_acc.merge(&scores);
-                    stats.score.merge(&scores);
-                    if observing {
-                        // Staleness charged in thousandths per request,
-                        // attributed once per object for the whole batch.
-                        let staleness = ((1.0 - a.recency) * 1_000.0).round() as u64;
-                        if staleness > 0 {
-                            recorder.attribute(
-                                Attr::ServeStalenessByObject,
-                                a.object.0,
-                                staleness * n,
-                            );
-                        }
-                    }
-                }
-                if observing && n > 0 {
-                    let version = match cache.peek(a.object) {
-                        Some(entry) => entry.version.0,
-                        None => server.version_of(a.object).0,
-                    };
-                    recorder.lifecycle(
-                        LifecycleEvent::new(Transition::Served, a.object.0, version, tick)
-                            .times(n.min(u64::from(u32::MAX)) as u32),
-                    );
-                }
-            });
-        }
-        drop(serve_span);
-        recorder.add(Event::RequestsServed, served);
-        if observing && served > 0 {
-            recorder.sample(Sample::CacheHitRatio, hits as f64 / served as f64);
-        }
-
-        self.stats.units_downloaded += units;
-        self.stats.objects_downloaded += downloaded.len() as u64;
-        self.stats.requests_served += served;
-
-        let outcome = RoundOutcome {
+        let mut round = Round {
+            recorder: &*recorder,
+            observing: recorder.enabled(),
             tick: self.tick,
-            objects_downloaded: downloaded.len(),
-            units_downloaded: units,
-            average_recency: recency_acc.mean().unwrap_or(1.0),
-            average_score: score_acc.mean().unwrap_or(1.0),
-            served: served as usize,
-            cache_hits: hits as usize,
-            arrived: downloaded.len(),
-            launched: downloaded.len(),
-            joined: 0,
-            served_immediately: served as usize,
-            served_after_wait: 0,
-            still_waiting: 0,
+            recency: Welford::new(),
+            score: Welford::new(),
+            out: RoundOutcome {
+                tick: self.tick,
+                ..RoundOutcome::default()
+            },
         };
-        recorder.sample(Sample::AverageRecency, outcome.average_recency);
-        recorder.sample(Sample::AverageScore, outcome.average_score);
-        if observing {
-            recorder.sample(Sample::CachedUnits, self.cache.used() as f64);
+        let step_span = Span::enter(round.recorder, Stage::Step);
+        recorder.begin_round(self.tick);
+        recorder.incr(Event::Rounds);
+        let batch_size = match &source {
+            Source::Batch(requests) => requests.len() as u64,
+            Source::Engine(engine) => engine.total_requests(),
+        };
+        recorder.sample(Sample::BatchSize, batch_size as f64);
+
+        let mut carrying = flight.as_mut().filter(|f| !f.ledger.is_instant());
+        if let Some(flight) = carrying.as_deref_mut() {
+            self.land_arrivals(&mut round, flight);
         }
-        recorder.end_round(self.tick);
-        self.downloaded = downloaded;
+        {
+            // The recency the planner sees (post-arrival cache state).
+            let _recency_span = Span::enter(round.recorder, Stage::Recency);
+            self.estimated_recency_into(&mut recency);
+        }
+        let ledger = carrying.as_deref().map(|f| &f.ledger);
+        self.plan(&round, &mut source, ledger, &recency, &mut downloaded);
+        self.launch(&mut round, flight.as_mut(), &downloaded);
+        let carrying = flight.as_mut().filter(|f| !f.ledger.is_instant());
+        match source {
+            Source::Batch(requests) => {
+                let ledger = carrying.map(|f| &mut f.ledger);
+                self.serve_batch(&mut round, requests, ledger, &downloaded);
+            }
+            Source::Engine(engine) => self.serve_engine(&mut round, engine, carrying, &downloaded),
+        }
+        let outcome = self.finish_round(round);
+
+        drop(step_span);
+        self.recorder = recorder;
+        self.flight = flight;
         self.recency_buf = recency;
+        self.downloaded = downloaded;
         self.tick += 1;
         outcome
     }
 
-    /// The in-flight round: land earlier rounds' transfers, plan around
-    /// committed bandwidth, launch this round's transfers, park
-    /// single-flight joiners, serve the rest from the cache.
-    ///
-    /// With `bandwidth_per_round == 0` (instant) every stage degenerates
-    /// to the instantaneous [`Self::step`]: no arrivals are pending at
-    /// round start, no request is joinable, the budget loses nothing and
-    /// no profit is amortized, and launches land inside the refresh
-    /// stage in ascending object order — the same float operations in
-    /// the same order, bit for bit (`tests/inflight_invariants.rs`).
-    fn step_flight(&mut self, requests: &[GeneratedRequest]) -> RoundOutcome {
-        let (planner, budget_units) = match self.policy {
+    /// The round's single cache-insert site: a fresh copy of `id` lands
+    /// — from a direct download or an arriving transfer alike — and is
+    /// counted against the round.
+    fn refresh_copy(&mut self, round: &mut Round<'_>, id: ObjectId, size: u64, version: Version) {
+        let now = SimTime::from_ticks(round.tick);
+        self.cache
+            .insert(id, size, version, now)
+            .expect("unbounded cache never refuses");
+        if let Estimation::Estimator(est) = &mut self.estimation {
+            est.on_refresh(id, now);
+        }
+        round.out.units_downloaded += size;
+        round.out.arrived += 1;
+        if round.observing {
+            round
+                .recorder
+                .attribute(Attr::DownlinkUnitsByObject, id.0, size);
+        }
+    }
+
+    /// Stage 1 (carrying ledger only): land the transfers launched in
+    /// earlier rounds — refresh the cache with what arrived, answer the
+    /// requests parked on each transfer, and note the arrival for the
+    /// columnar serve (an engine round parks nobody: its standing
+    /// requests re-serve off the rescored columns).
+    fn land_arrivals(&mut self, round: &mut Round<'_>, flight: &mut FlightState) {
+        let recorder = round.recorder;
+        let _fetch_span = Span::enter(recorder, Stage::Fetch);
+        flight.arrived.clear();
+        loop {
+            flight.waiters.clear();
+            let Some(a) = flight.pop_arrival(round) else {
+                break;
+            };
+            self.refresh_copy(round, a.object, a.size, a.version);
+            flight.arrived.push((a.object, a.launched_at));
+            if round.observing {
+                if a.version != self.server.version_of(a.object) {
+                    // The copy was invalidated while on the wire.
+                    recorder.incr(Event::StaleArrivals);
+                    let stale = round.event(Transition::InvalidatedStale, a.object, a.version.0);
+                    recorder.lifecycle(stale.at_launch(a.launched_at));
+                }
+                if !flight.waiters.is_empty() {
+                    let served = round.event(Transition::ServedFromWait, a.object, a.version.0);
+                    let times = flight.waiters.len().min(u32::MAX as usize) as u32;
+                    recorder.lifecycle(served.at_launch(a.launched_at).times(times));
+                }
+            }
+            // Waiters are served at the landed copy's *true* recency:
+            // if the version was invalidated while on the wire, they
+            // get (and are scored on) what actually arrived.
+            let x = self.true_recency(a.object);
+            for w in &flight.waiters {
+                let score = self.scoring.score(x, w.target_recency);
+                round.recency.push(x);
+                round.score.push(score);
+                self.stats.recency.push(x);
+                self.stats.score.push(score);
+                let wait = (round.tick - w.issued_at) as f64;
+                self.stats.wait_ticks.push(wait);
+                self.stats.waited += 1;
+                round.out.served_after_wait += 1;
+                recorder.sample(Sample::FetchLatencyTicks, wait);
+                if round.observing {
+                    // Decompose the wait: ticks spent before the
+                    // transfer launched (queueing) vs. riding the
+                    // wire; the serve itself is same-round (0 ticks),
+                    // kept as a channel so the model stays explicit.
+                    let queueing = a.launched_at.saturating_sub(w.issued_at);
+                    let on_wire = round.tick - w.issued_at.max(a.launched_at);
+                    recorder.sample(Sample::WaitQueueingTicks, queueing as f64);
+                    recorder.sample(Sample::WaitOnWireTicks, on_wire as f64);
+                    recorder.sample(Sample::WaitServeTicks, 0.0);
+                    round.attribute_staleness(a.object, x, 1);
+                }
+            }
+        }
+    }
+
+    /// Stage 3: choose this round's downloads into `downloaded`,
+    /// ascending. [`Policy::OnDemand`] is planned here, in three steps
+    /// — assemble the knapsack instance from the request source, adjust
+    /// it to what the round may fetch, solve it; every other policy
+    /// plans itself ([`Policy::plan`]).
+    fn plan(
+        &mut self,
+        round: &Round<'_>,
+        source: &mut Source<'_>,
+        ledger: Option<&InFlightLedger>,
+        recency: &[f64],
+        downloaded: &mut Vec<ObjectId>,
+    ) {
+        let recorder = round.recorder;
+        let plan_span = Span::enter(recorder, Stage::Plan);
+        match self.policy {
             Policy::OnDemand {
                 planner,
                 budget_units,
-            } => (planner, budget_units),
-            _ => unreachable!("the builder gates in-flight mode to Policy::OnDemand"),
-        };
-        let mut flight = self
-            .flight
-            .take()
-            .expect("step_flight requires flight state");
-        let recorder: &dyn Recorder = &*self.recorder;
-        let observing = recorder.enabled();
-        let _step_span = Span::enter(recorder, Stage::Step);
-        recorder.begin_round(self.tick);
-        recorder.incr(Event::Rounds);
-        recorder.sample(Sample::BatchSize, requests.len() as f64);
-
-        let now_tick = self.tick;
-        let now = SimTime::from_ticks(now_tick);
-        let instant = flight.ledger.is_instant();
-        let coalesce = flight.ledger.coalesce();
-
-        let mut recency_acc = Welford::new();
-        let mut score_acc = Welford::new();
-        let mut units = 0u64;
-        let mut arrived_count = 0usize;
-        let mut served_after_wait = 0usize;
-
-        // (1) Land transfers launched in earlier rounds: refresh the
-        // cache with what arrived and answer the waiters parked on each
-        // transfer. Instant mode never has pending arrivals here —
-        // everything lands inside its own launch round below.
-        if !instant {
-            let fetch_span = Span::enter(recorder, Stage::Fetch);
-            loop {
-                flight.waiters.clear();
-                let popped = if observing {
-                    flight
-                        .ledger
-                        .pop_arrival_recorded(now_tick, &mut flight.waiters, recorder)
-                } else {
-                    flight.ledger.pop_arrival(now_tick, &mut flight.waiters)
-                };
-                let Some(a) = popped else {
-                    break;
-                };
-                self.cache
-                    .insert(a.object, a.size, a.version, now)
-                    .expect("unbounded cache never refuses");
-                if let Estimation::Estimator(est) = &mut self.estimation {
-                    est.on_refresh(a.object, now);
-                }
-                units += a.size;
-                arrived_count += 1;
-                if observing {
-                    recorder.attribute(Attr::DownlinkUnitsByObject, a.object.0, a.size);
-                    if a.version != self.server.version_of(a.object) {
-                        // The copy was invalidated while on the wire.
-                        recorder.incr(Event::StaleArrivals);
-                        recorder.lifecycle(
-                            LifecycleEvent::new(
-                                Transition::InvalidatedStale,
-                                a.object.0,
-                                a.version.0,
-                                now_tick,
-                            )
-                            .at_launch(a.launched_at),
-                        );
-                    }
-                    if !flight.waiters.is_empty() {
-                        recorder.lifecycle(
-                            LifecycleEvent::new(
-                                Transition::ServedFromWait,
-                                a.object.0,
-                                a.version.0,
-                                now_tick,
-                            )
-                            .at_launch(a.launched_at)
-                            .times(flight.waiters.len().min(u32::MAX as usize) as u32),
-                        );
+            } => {
+                match source {
+                    Source::Batch(requests) => planner.assemble_requests_into(
+                        requests,
+                        &self.catalog,
+                        recency,
+                        &mut self.scratch,
+                    ),
+                    // Arrivals dirtied themselves through the recency
+                    // observation (their bits moved), so the incremental
+                    // build pays only for what landed or the driver
+                    // touched.
+                    Source::Engine(engine) => {
+                        planner.assemble_engine_into(engine, recency, &mut self.scratch, recorder)
                     }
                 }
-                // Waiters are served at the landed copy's *true* recency:
-                // if the version was invalidated while on the wire, they
-                // get (and are scored on) what actually arrived.
-                let x = match self.cache.peek(a.object) {
-                    Some(entry) => self
-                        .decay
-                        .recency_for_lag(entry.lag(self.server.version_of(a.object))),
-                    None => 0.0,
+                let budget = self.adjust_instance(round, ledger, budget_units);
+                planner.solve_assembled(budget, &mut self.scratch, recorder);
+                downloaded.extend_from_slice(self.scratch.downloads());
+            }
+            policy => {
+                let Source::Batch(requests) = source else {
+                    unreachable!("step_engine gates engine rounds to Policy::OnDemand")
                 };
-                for w in &flight.waiters {
-                    let score = self.scoring.score(x, w.target_recency);
-                    recency_acc.push(x);
-                    score_acc.push(score);
-                    self.stats.recency.push(x);
-                    self.stats.score.push(score);
-                    let wait = (now_tick - w.issued_at) as f64;
-                    self.stats.wait_ticks.push(wait);
-                    self.stats.waited += 1;
-                    served_after_wait += 1;
-                    recorder.sample(Sample::FetchLatencyTicks, wait);
-                    if observing {
-                        // Decompose the wait: ticks spent before the
-                        // transfer launched (queueing) vs. riding the
-                        // wire; the serve itself is same-round (0 ticks),
-                        // kept as a channel so the model stays explicit.
-                        let queueing = a.launched_at.saturating_sub(w.issued_at);
-                        let on_wire = now_tick - w.issued_at.max(a.launched_at);
-                        recorder.sample(Sample::WaitQueueingTicks, queueing as f64);
-                        recorder.sample(Sample::WaitOnWireTicks, on_wire as f64);
-                        recorder.sample(Sample::WaitServeTicks, 0.0);
-                        let staleness = ((1.0 - x) * 1_000.0).round() as u64;
-                        if staleness > 0 {
-                            recorder.attribute(Attr::ServeStalenessByObject, a.object.0, staleness);
-                        }
-                    }
-                }
+                policy.plan(
+                    requests,
+                    &self.catalog,
+                    recency,
+                    &mut self.refresher,
+                    downloaded,
+                );
             }
-            drop(fetch_span);
         }
-
-        // (2) The recency the planner sees (post-arrival cache state).
-        let mut recency = std::mem::take(&mut self.recency_buf);
-        {
-            let _recency_span = Span::enter(recorder, Stage::Recency);
-            self.fill_estimated_recency(&mut recency);
-        }
-        let mut downloaded = std::mem::take(&mut self.downloaded);
-        downloaded.clear();
-
-        // (3) Plan. Single-flight keeps requests that can ride an
-        // in-flight transfer out of the instance; the budget loses what
-        // the link already committed; candidates landing rounds away
-        // have their profit amortized over the arrival delay.
-        let plan_span = Span::enter(recorder, Stage::Plan);
-        let planner_input: &[GeneratedRequest] = if coalesce && !instant {
-            flight.active_buf.clear();
-            for r in requests {
-                let rides = flight
-                    .ledger
-                    .joinable(r.object, self.server.version_of(r.object))
-                    && recency[r.object.index()] < 1.0;
-                if !rides {
-                    flight.active_buf.push(*r);
-                }
-            }
-            &flight.active_buf
-        } else {
-            requests
-        };
-        planner.assemble_requests_into(planner_input, &self.catalog, &recency, &mut self.scratch);
-        let excluding = !self.plan_exclusions.is_empty();
-        if (coalesce && !instant) || excluding {
-            // A joinable object can still reach the instance as a
-            // zero-profit item (fresh cache, redundant transfer active);
-            // drop such items so the single-flight contract holds no
-            // matter how the solver tie-breaks zero profit. L2-excluded
-            // objects (the region already holds or is fetching their
-            // current versions) are compacted out in the same pass.
-            let mut keep = 0usize;
-            for i in 0..self.scratch.items.len() {
-                let o = self.scratch.objects[i];
-                let dropped =
-                    (coalesce && !instant && flight.ledger.joinable(o, self.server.version_of(o)))
-                        || (excluding && self.plan_exclusions.binary_search(&o).is_ok());
-                if !dropped {
-                    self.scratch.items[keep] = self.scratch.items[i];
-                    self.scratch.objects[keep] = self.scratch.objects[i];
-                    keep += 1;
-                }
-            }
-            self.scratch.items.truncate(keep);
-            self.scratch.objects.truncate(keep);
-        }
-        let effective_budget = if instant {
-            budget_units
-        } else {
-            let committed = flight.ledger.committed_at(now_tick);
-            if observing {
-                recorder.sample(Sample::CommittedUnits, committed as f64);
-            }
-            for i in 0..self.scratch.items.len() {
-                let item = self.scratch.items[i];
-                let delay = flight.ledger.arrival_delay(item.size(), now_tick);
-                if delay > 1 {
-                    self.scratch.items[i] = Item::new(item.size(), item.profit() / delay as f64);
-                }
-            }
-            budget_units.saturating_sub(committed)
-        };
-        planner.solve_assembled(effective_budget, &mut self.scratch, recorder);
-        downloaded.extend_from_slice(self.scratch.downloads());
         drop(plan_span);
-        if observing {
-            for &id in &downloaded {
-                recorder.lifecycle(LifecycleEvent::new(
-                    Transition::Planned,
-                    id.0,
-                    self.server.version_of(id).0,
-                    now_tick,
-                ));
+        if round.observing {
+            for &id in downloaded.iter() {
+                let version = self.server.version_of(id).0;
+                recorder.lifecycle(round.event(Transition::Planned, id, version));
             }
         }
+    }
 
-        // (4) Launch the chosen transfers. Instant ones land right away,
-        // popping back in launch (= ascending object) order, so the
-        // refresh below replays the instantaneous path's loop exactly.
-        let refresh_span = Span::enter(recorder, Stage::Refresh);
-        let launched_count = downloaded.len();
-        for &id in &downloaded {
-            if flight.ledger.is_object_active(id) {
-                recorder.incr(Event::DuplicateFetches);
-            }
-            let version = self.server.version_of(id);
-            let size = self.catalog.size_of(id);
-            if observing {
-                flight
-                    .ledger
-                    .launch_recorded(id, version, size, now_tick, recorder);
-            } else {
-                flight.ledger.launch(id, version, size, now_tick);
+    /// Fit the assembled instance to what this round may actually
+    /// fetch, and return the budget left to fetch it with. Each step is
+    /// skipped when it has nothing to do, so a ledger-free round with no
+    /// exclusions solves exactly the instance it assembled.
+    ///
+    /// * Single-flight: an object on the wire at the current version
+    ///   leaves the instance — its requests ride that transfer. (It can
+    ///   reach the instance even as a zero-profit item, fresh cache and
+    ///   redundant transfer active; dropping it keeps the contract no
+    ///   matter how the solver tie-breaks zero profit.)
+    /// * Regional single-flight: so does an L2-excluded object — the
+    ///   region already holds, or is fetching, its current version, so
+    ///   this cell must not pay origin for it.
+    /// * Commitment: the budget loses what the link already promised to
+    ///   earlier transfers this round.
+    /// * Amortization: a candidate that would land `d > 1` rounds away
+    ///   has its profit divided by `d`.
+    fn adjust_instance(
+        &mut self,
+        round: &Round<'_>,
+        ledger: Option<&InFlightLedger>,
+        budget_units: u64,
+    ) -> u64 {
+        let single_flight = ledger.filter(|l| l.coalesce());
+        if single_flight.is_some() || !self.plan_exclusions.is_empty() {
+            let (server, exclusions) = (&self.server, &self.plan_exclusions);
+            self.scratch.retain_objects(|o| {
+                !single_flight.is_some_and(|l| l.joinable(o, server.version_of(o)))
+                    && exclusions.binary_search(&o).is_err()
+            });
+        }
+        let Some(ledger) = ledger else {
+            return budget_units;
+        };
+        let committed = ledger.committed_at(round.tick);
+        if round.observing {
+            round
+                .recorder
+                .sample(Sample::CommittedUnits, committed as f64);
+        }
+        for item in &mut self.scratch.items {
+            let delay = ledger.arrival_delay(item.size(), round.tick);
+            if delay > 1 {
+                *item = Item::new(item.size(), item.profit() / delay as f64);
             }
         }
-        recorder.add(Event::FetchesIssued, launched_count as u64);
-        if instant {
-            flight.waiters.clear();
-            while let Some(a) = if observing {
-                flight
-                    .ledger
-                    .pop_arrival_recorded(now_tick, &mut flight.waiters, recorder)
-            } else {
-                flight.ledger.pop_arrival(now_tick, &mut flight.waiters)
-            } {
-                self.cache
-                    .insert(a.object, a.size, a.version, now)
-                    .expect("unbounded cache never refuses");
-                if let Estimation::Estimator(est) = &mut self.estimation {
-                    est.on_refresh(a.object, now);
-                }
-                units += a.size;
-                arrived_count += 1;
-                if observing {
-                    recorder.attribute(Attr::DownlinkUnitsByObject, a.object.0, a.size);
+        budget_units.saturating_sub(committed)
+    }
+
+    /// Stage 4: fetch what the plan chose. Without a ledger a download
+    /// lands in the round that chose it (the paper's model); with one
+    /// it is launched onto the wire, and an instant ledger pops it
+    /// straight back in launch (= ascending object) order, replaying the
+    /// direct loop exactly.
+    fn launch(
+        &mut self,
+        round: &mut Round<'_>,
+        flight: Option<&mut FlightState>,
+        downloaded: &[ObjectId],
+    ) {
+        let recorder = round.recorder;
+        let refresh_span = Span::enter(recorder, Stage::Refresh);
+        round.out.launched = downloaded.len();
+        match flight {
+            None => {
+                for &id in downloaded {
+                    let version = self.server.version_of(id);
+                    self.refresh_copy(round, id, self.catalog.size_of(id), version);
+                    if round.observing {
+                        // The transfer launches and lands in one tick.
+                        let arrived = round.event(Transition::Arrived, id, version.0);
+                        recorder.lifecycle(arrived.at_launch(round.tick));
+                    }
                 }
             }
-            debug_assert!(
-                flight.waiters.is_empty(),
-                "instant transfers never park waiters"
-            );
+            Some(flight) => {
+                for &id in downloaded {
+                    if flight.ledger.is_object_active(id) {
+                        recorder.incr(Event::DuplicateFetches);
+                    }
+                    let version = self.server.version_of(id);
+                    let size = self.catalog.size_of(id);
+                    if round.observing {
+                        flight
+                            .ledger
+                            .launch_recorded(id, version, size, round.tick, recorder);
+                    } else {
+                        flight.ledger.launch(id, version, size, round.tick);
+                    }
+                }
+                recorder.add(Event::FetchesIssued, downloaded.len() as u64);
+                if flight.ledger.is_instant() {
+                    while let Some(a) = flight.pop_arrival(round) {
+                        self.refresh_copy(round, a.object, a.size, a.version);
+                    }
+                    debug_assert!(
+                        flight.waiters.is_empty(),
+                        "instant transfers never park waiters"
+                    );
+                }
+            }
         }
         drop(refresh_span);
-        recorder.add(Event::ObjectsDownloaded, arrived_count as u64);
+        let units = round.out.units_downloaded;
+        recorder.add(Event::ObjectsDownloaded, round.out.arrived as u64);
         recorder.add(Event::UnitsDownloaded, units);
-        if observing && budget_units > 0 {
-            recorder.sample(
-                Sample::DownlinkUtilization,
-                units as f64 / budget_units as f64,
-            );
+        if round.observing {
+            if let Some(budget) = self.policy.unit_budget().filter(|&b| b > 0) {
+                recorder.sample(Sample::DownlinkUtilization, units as f64 / budget as f64);
+            }
         }
+    }
 
-        // (5) Serve: a request whose object is on the wire at the
-        // current version parks on that transfer (the naive mode parks
-        // too — the comparison is about duplicate launches, not serving
-        // rules); everything else is answered from the cache exactly as
-        // in the instantaneous step.
-        let serve_span = Span::enter(recorder, Stage::Serve);
+    /// Stage 5, batch source: answer every request from the (possibly
+    /// just refreshed) cache — except that, under a carrying ledger, a
+    /// request whose object is on the wire at the current version parks
+    /// on that transfer (the naive mode parks too — the comparison is
+    /// about duplicate launches, not serving rules).
+    fn serve_batch(
+        &mut self,
+        round: &mut Round<'_>,
+        requests: &[GeneratedRequest],
+        mut ledger: Option<&mut InFlightLedger>,
+        downloaded: &[ObjectId],
+    ) {
+        let recorder = round.recorder;
+        let _serve_span = Span::enter(recorder, Stage::Serve);
+        // `downloaded` is sorted ascending for the planner policies but
+        // not guaranteed for the round-robin refresher, so pick the hit
+        // probe accordingly. Hits are counted unconditionally: they feed
+        // the outcome (and cluster-level aggregation), not just the
+        // recorder, and outcomes must not depend on observation.
         let downloads_sorted = downloaded.windows(2).all(|w| w[0] <= w[1]);
-        let mut hits = 0usize;
-        let mut served_immediately = 0usize;
-        let mut joined = 0usize;
+        // The per-request loop runs on locals — accumulators behind
+        // `round` cost it a tenth of its speed — folded back below.
+        let (observing, tick) = (round.observing, round.tick);
+        let (mut recency_acc, mut score_acc) = (round.recency, round.score);
+        let (mut hits, mut served, mut joined) = (0usize, 0usize, 0usize);
         for r in requests {
-            let x = match self.cache.peek(r.object) {
-                Some(entry) => self
-                    .decay
-                    .recency_for_lag(entry.lag(self.server.version_of(r.object))),
-                None => 0.0,
-            };
-            if !instant
-                && x < 1.0
-                && flight
-                    .ledger
-                    .joinable(r.object, self.server.version_of(r.object))
-            {
-                let launched_at = if observing {
-                    flight
-                        .ledger
-                        .join_recorded(r.object, r.target_recency, now_tick, recorder)
-                } else {
-                    flight.ledger.join(r.object, r.target_recency, now_tick)
-                };
-                if launched_at < now_tick {
-                    joined += 1;
-                    recorder.incr(Event::FetchesCoalesced);
+            let x = self.true_recency(r.object);
+            if let Some(ledger) = ledger.as_deref_mut() {
+                if x < 1.0 && ledger.joinable(r.object, self.server.version_of(r.object)) {
+                    let launched_at = if observing {
+                        ledger.join_recorded(r.object, r.target_recency, tick, recorder)
+                    } else {
+                        ledger.join(r.object, r.target_recency, tick)
+                    };
+                    if launched_at < tick {
+                        joined += 1;
+                        recorder.incr(Event::FetchesCoalesced);
+                    }
+                    continue;
                 }
-                continue;
             }
             let score = self.scoring.score(x, r.target_recency);
             recency_acc.push(x);
@@ -1278,436 +891,162 @@ impl BaseStationSim {
             if !downloaded_now {
                 hits += 1;
             }
-            served_immediately += 1;
+            served += 1;
             if observing {
-                let staleness = ((1.0 - x) * 1_000.0).round() as u64;
-                if staleness > 0 {
-                    recorder.attribute(Attr::ServeStalenessByObject, r.object.0, staleness);
-                }
-                recorder.lifecycle(LifecycleEvent::new(
-                    Transition::Served,
-                    r.object.0,
-                    self.serve_version(r.object),
-                    now_tick,
-                ));
+                round.attribute_staleness(r.object, x, 1);
+                let version = Self::serve_version(&self.cache, &self.server, r.object);
+                recorder.lifecycle(round.event(Transition::Served, r.object, version));
             }
         }
-        drop(serve_span);
-        let served = served_immediately + served_after_wait;
-        recorder.add(Event::RequestsServed, served as u64);
-        if observing && served > 0 {
-            recorder.sample(Sample::CacheHitRatio, hits as f64 / served as f64);
-        }
-
-        self.stats.units_downloaded += units;
-        self.stats.objects_downloaded += arrived_count as u64;
-        self.stats.requests_served += served as u64;
-        self.stats.joined += joined as u64;
-
-        let outcome = RoundOutcome {
-            tick: self.tick,
-            objects_downloaded: arrived_count,
-            units_downloaded: units,
-            average_recency: recency_acc.mean().unwrap_or(1.0),
-            average_score: score_acc.mean().unwrap_or(1.0),
-            served,
-            cache_hits: hits,
-            arrived: arrived_count,
-            launched: launched_count,
-            joined,
-            served_immediately,
-            served_after_wait,
-            still_waiting: flight.ledger.waiting() as usize,
-        };
-        recorder.sample(Sample::AverageRecency, outcome.average_recency);
-        recorder.sample(Sample::AverageScore, outcome.average_score);
-        if observing {
-            recorder.sample(Sample::CachedUnits, self.cache.used() as f64);
-        }
-        recorder.end_round(self.tick);
-        self.downloaded = downloaded;
-        self.recency_buf = recency;
-        self.flight = Some(flight);
-        self.tick += 1;
-        outcome
+        (round.recency, round.score) = (recency_acc, score_acc);
+        round.out.cache_hits += hits;
+        round.out.served_immediately += served;
+        round.out.joined += joined;
+        round.out.still_waiting = ledger.map_or(0, |l| l.waiting() as usize);
     }
 
-    /// The in-flight engine round: the standing-population version of
-    /// [`Self::step_flight`]. Requests of in-flight objects count as
-    /// waiting rather than being parked individually (the population
-    /// persists, so they re-serve columnar in the arrival round), and
-    /// arrivals enter the engine's dirty set through the recency
-    /// observation — the incremental build rescores exactly what landed
-    /// plus whatever the driver touched, so the million-client path gets
-    /// coalescing for free.
-    fn step_engine_flight(
+    /// Stage 5, engine source: one visit per requested object, off the
+    /// engine's per-object score sums instead of rescoring every
+    /// request, with merge cursors over this round's downloads and (under
+    /// a carrying ledger) this round's arrivals. Per object, the whole
+    /// population is in exactly one state:
+    ///
+    /// * downloaded and landed — served at recency (hence score) 1.0:
+    ///   the cache was just refreshed to the current version;
+    /// * launched this round, or riding a transfer launched earlier —
+    ///   waiting (the latter coalesced);
+    /// * otherwise served at the recency the planner observed, which
+    ///   under the oracle is the truth — after its wait, when the
+    ///   object's transfer arrived this round.
+    fn serve_engine(
         &mut self,
-        engine: &mut crate::engine::RoundEngine,
-        planner: OnDemandPlanner,
-        budget_units: u64,
-    ) -> RoundOutcome {
-        assert_eq!(
-            engine.scoring(),
-            planner.scoring(),
-            "engine and planner must agree on the scoring function"
-        );
-        let mut flight = self
-            .flight
-            .take()
-            .expect("step_engine_flight requires flight state");
-        let recorder: &dyn Recorder = &*self.recorder;
-        let observing = recorder.enabled();
-        let _step_span = Span::enter(recorder, Stage::Step);
-        recorder.begin_round(self.tick);
-        recorder.incr(Event::Rounds);
-        recorder.sample(Sample::BatchSize, engine.total_requests() as f64);
-
-        let now_tick = self.tick;
-        let now = SimTime::from_ticks(now_tick);
-        let instant = flight.ledger.is_instant();
-        let coalesce = flight.ledger.coalesce();
-
-        // (1) Land earlier rounds' transfers; the standing requests they
-        // answer serve columnar below, off the freshly rescored columns.
-        let mut units = 0u64;
-        let mut arrived_count = 0usize;
-        flight.arrived.clear();
-        if !instant {
-            let fetch_span = Span::enter(recorder, Stage::Fetch);
-            flight.waiters.clear();
-            while let Some(a) = if observing {
-                flight
-                    .ledger
-                    .pop_arrival_recorded(now_tick, &mut flight.waiters, recorder)
-            } else {
-                flight.ledger.pop_arrival(now_tick, &mut flight.waiters)
-            } {
-                self.cache
-                    .insert(a.object, a.size, a.version, now)
-                    .expect("unbounded cache never refuses");
-                units += a.size;
-                arrived_count += 1;
-                if observing {
-                    recorder.attribute(Attr::DownlinkUnitsByObject, a.object.0, a.size);
-                    if a.version != self.server.version_of(a.object) {
-                        // The copy was invalidated while on the wire.
-                        recorder.incr(Event::StaleArrivals);
-                        recorder.lifecycle(
-                            LifecycleEvent::new(
-                                Transition::InvalidatedStale,
-                                a.object.0,
-                                a.version.0,
-                                now_tick,
-                            )
-                            .at_launch(a.launched_at),
-                        );
-                    }
-                }
-                flight.arrived.push((a.object, a.launched_at));
+        round: &mut Round<'_>,
+        engine: &RoundEngine,
+        carrying: Option<&mut FlightState>,
+        downloaded: &[ObjectId],
+    ) {
+        let recorder = round.recorder;
+        let _serve_span = Span::enter(recorder, Stage::Serve);
+        let (ledger, arrived) = match carrying {
+            Some(flight) => {
+                // Pop order is launch order; the merge needs object order.
+                flight.arrived.sort_unstable();
+                (Some(&flight.ledger), flight.arrived.as_slice())
             }
-            debug_assert!(
-                flight.waiters.is_empty(),
-                "the engine path parks no waiters"
-            );
-            // Pop order is launch order; the serve merge needs object
-            // order.
-            flight.arrived.sort_unstable();
-            drop(fetch_span);
-        }
-
-        let mut recency = std::mem::take(&mut self.recency_buf);
-        {
-            let _recency_span = Span::enter(recorder, Stage::Recency);
-            self.fill_estimated_recency(&mut recency);
-        }
-        let mut downloaded = std::mem::take(&mut self.downloaded);
-        downloaded.clear();
-
-        // (2) Plan: arrivals dirtied themselves through the recency
-        // observation (their bits moved), so the incremental build pays
-        // only for what landed; under single-flight, objects already on
-        // the wire at the current version stay out of the instance.
-        let plan_span = Span::enter(recorder, Stage::Plan);
-        engine.observe_recency(&recency);
-        engine.rescore();
-        recorder.sample(Sample::DirtyObjects, engine.dirty_objects() as f64);
-        recorder.sample(Sample::RescoredRequests, engine.rescored_requests() as f64);
-        engine.assemble_into(&mut self.scratch);
-        if coalesce && !instant {
-            let mut keep = 0usize;
-            for i in 0..self.scratch.items.len() {
-                let o = self.scratch.objects[i];
-                if !flight.ledger.joinable(o, self.server.version_of(o)) {
-                    self.scratch.items[keep] = self.scratch.items[i];
-                    self.scratch.objects[keep] = self.scratch.objects[i];
-                    keep += 1;
-                }
-            }
-            self.scratch.items.truncate(keep);
-            self.scratch.objects.truncate(keep);
-        }
-        let effective_budget = if instant {
-            budget_units
-        } else {
-            let committed = flight.ledger.committed_at(now_tick);
-            if observing {
-                recorder.sample(Sample::CommittedUnits, committed as f64);
-            }
-            for i in 0..self.scratch.items.len() {
-                let item = self.scratch.items[i];
-                let delay = flight.ledger.arrival_delay(item.size(), now_tick);
-                if delay > 1 {
-                    self.scratch.items[i] = Item::new(item.size(), item.profit() / delay as f64);
-                }
-            }
-            budget_units.saturating_sub(committed)
+            None => (None, &[][..]),
         };
-        planner.solve_assembled(effective_budget, &mut self.scratch, recorder);
-        downloaded.extend_from_slice(self.scratch.downloads());
-        drop(plan_span);
-        if observing {
-            for &id in &downloaded {
-                recorder.lifecycle(LifecycleEvent::new(
-                    Transition::Planned,
-                    id.0,
-                    self.server.version_of(id).0,
-                    now_tick,
-                ));
+        let (stats, cache, server) = (&mut self.stats, &self.cache, &self.server);
+        let observing = round.observing;
+        let tick = round.tick;
+        let mut dl = 0usize;
+        let mut ar = 0usize;
+        engine.for_each_active(|a| {
+            while dl < downloaded.len() && downloaded[dl] < a.object {
+                dl += 1;
             }
-        }
-
-        // (3) Launch; instant transfers land immediately, replaying the
-        // instantaneous refresh loop.
-        let refresh_span = Span::enter(recorder, Stage::Refresh);
-        let launched_count = downloaded.len();
-        for &id in &downloaded {
-            if flight.ledger.is_object_active(id) {
-                recorder.incr(Event::DuplicateFetches);
+            let downloaded_now = dl < downloaded.len() && downloaded[dl] == a.object;
+            while ar < arrived.len() && arrived[ar].0 < a.object {
+                ar += 1;
             }
-            let version = self.server.version_of(id);
-            let size = self.catalog.size_of(id);
-            if observing {
-                flight
-                    .ledger
-                    .launch_recorded(id, version, size, now_tick, recorder);
+            let mut launched_at = None;
+            while ar < arrived.len() && arrived[ar].0 == a.object {
+                launched_at = launched_at.max(Some(arrived[ar].1));
+                ar += 1;
+            }
+            let (n, count) = (a.requests, a.requests as usize);
+            let observed = observing && n > 0;
+            let event = |transition, version: u64| {
+                LifecycleEvent::new(transition, a.object.0, version, tick)
+                    .times(n.min(u64::from(u32::MAX)) as u32)
+            };
+            let cached_version = || Self::serve_version(cache, server, a.object);
+            if downloaded_now && ledger.is_none() {
+                round.recency.push_n(1.0, n);
+                round.score.push_n(1.0, n);
+                stats.recency.push_n(1.0, n);
+                stats.score.push_n(1.0, n);
+                round.out.served_immediately += count;
+                if observed {
+                    recorder.lifecycle(event(Transition::Served, cached_version()));
+                }
+            } else if downloaded_now {
+                round.out.still_waiting += count;
+                if observed {
+                    let version = server.version_of(a.object).0;
+                    recorder.lifecycle(event(Transition::Requested, version));
+                }
+            } else if a.recency < 1.0
+                && ledger.is_some_and(|l| l.joinable(a.object, server.version_of(a.object)))
+            {
+                recorder.add(Event::FetchesCoalesced, n);
+                round.out.joined += count;
+                round.out.still_waiting += count;
+                if observed {
+                    let version = server.version_of(a.object).0;
+                    recorder.lifecycle(event(Transition::Joined, version));
+                }
             } else {
-                flight.ledger.launch(id, version, size, now_tick);
-            }
-        }
-        recorder.add(Event::FetchesIssued, launched_count as u64);
-        if instant {
-            flight.waiters.clear();
-            while let Some(a) = if observing {
-                flight
-                    .ledger
-                    .pop_arrival_recorded(now_tick, &mut flight.waiters, recorder)
-            } else {
-                flight.ledger.pop_arrival(now_tick, &mut flight.waiters)
-            } {
-                self.cache
-                    .insert(a.object, a.size, a.version, now)
-                    .expect("unbounded cache never refuses");
-                units += a.size;
-                arrived_count += 1;
-                if observing {
-                    recorder.attribute(Attr::DownlinkUnitsByObject, a.object.0, a.size);
-                }
-            }
-        }
-        drop(refresh_span);
-        recorder.add(Event::ObjectsDownloaded, arrived_count as u64);
-        recorder.add(Event::UnitsDownloaded, units);
-        if observing && budget_units > 0 {
-            recorder.sample(
-                Sample::DownlinkUtilization,
-                units as f64 / budget_units as f64,
-            );
-        }
-
-        // (4) Columnar serve with merge cursors over this round's
-        // launches (waiting), this round's arrivals (served after their
-        // wait) and in-flight joins (waiting, coalesced); everything
-        // else serves exactly as in the instantaneous engine round.
-        let serve_span = Span::enter(recorder, Stage::Serve);
-        let mut recency_acc = Welford::new();
-        let mut score_acc = Welford::new();
-        let mut hits = 0u64;
-        let mut served_after_wait = 0u64;
-        let mut joined = 0u64;
-        let mut waiting = 0u64;
-        let total = engine.total_requests();
-        {
-            let stats = &mut self.stats;
-            let server = &self.server;
-            let cache = &self.cache;
-            let ledger = &flight.ledger;
-            let arrived = &flight.arrived;
-            let mut dl = 0usize;
-            let mut ar = 0usize;
-            engine.for_each_active(|a| {
-                while dl < downloaded.len() && downloaded[dl] < a.object {
-                    dl += 1;
-                }
-                let downloaded_now = dl < downloaded.len() && downloaded[dl] == a.object;
-                while ar < arrived.len() && arrived[ar].0 < a.object {
-                    ar += 1;
-                }
-                let mut arrived_now = false;
-                let mut launched_at = 0u64;
-                while ar < arrived.len() && arrived[ar].0 == a.object {
-                    arrived_now = true;
-                    launched_at = launched_at.max(arrived[ar].1);
-                    ar += 1;
-                }
-                let n = a.requests;
-                let times = n.min(u64::from(u32::MAX)) as u32;
-                let cached_version = || match cache.peek(a.object) {
-                    Some(entry) => entry.version.0,
-                    None => server.version_of(a.object).0,
-                };
-                if downloaded_now && instant {
-                    recency_acc.push_n(1.0, n);
-                    score_acc.push_n(1.0, n);
-                    stats.recency.push_n(1.0, n);
-                    stats.score.push_n(1.0, n);
-                    if observing && n > 0 {
-                        recorder.lifecycle(
-                            LifecycleEvent::new(
-                                Transition::Served,
-                                a.object.0,
-                                cached_version(),
-                                now_tick,
-                            )
-                            .times(times),
-                        );
-                    }
-                } else if downloaded_now {
-                    // Launched this round: the population waits for it.
-                    waiting += n;
-                    if observing && n > 0 {
-                        recorder.lifecycle(
-                            LifecycleEvent::new(
-                                Transition::Requested,
-                                a.object.0,
-                                server.version_of(a.object).0,
-                                now_tick,
-                            )
-                            .times(times),
-                        );
-                    }
-                } else if !instant
-                    && a.recency < 1.0
-                    && ledger.joinable(a.object, server.version_of(a.object))
-                {
-                    // Riding a transfer launched in an earlier round.
-                    recorder.add(Event::FetchesCoalesced, n);
-                    joined += n;
-                    waiting += n;
-                    if observing && n > 0 {
-                        recorder.lifecycle(
-                            LifecycleEvent::new(
-                                Transition::Joined,
-                                a.object.0,
-                                server.version_of(a.object).0,
-                                now_tick,
-                            )
-                            .times(times),
-                        );
+                round.recency.push_n(a.recency, n);
+                stats.recency.push_n(a.recency, n);
+                let scores = Welford::from_sums(n, a.score_sum, a.score_sq);
+                round.score.merge(&scores);
+                stats.score.merge(&scores);
+                if let Some(launched_at) = launched_at {
+                    let wait = (tick - launched_at) as f64;
+                    stats.wait_ticks.push_n(wait, n);
+                    stats.waited += n;
+                    round.out.served_after_wait += count;
+                    recorder.sample(Sample::FetchLatencyTicks, wait);
+                    if observed {
+                        // Standing requests wait from the launch round,
+                        // so the whole wait rides the wire; the serve is
+                        // same-round.
+                        recorder.sample(Sample::WaitQueueingTicks, 0.0);
+                        recorder.sample(Sample::WaitOnWireTicks, wait);
+                        recorder.sample(Sample::WaitServeTicks, 0.0);
+                        let served = event(Transition::ServedFromWait, cached_version());
+                        recorder.lifecycle(served.at_launch(launched_at));
                     }
                 } else {
-                    recency_acc.push_n(a.recency, n);
-                    stats.recency.push_n(a.recency, n);
-                    let scores = Welford::from_sums(n, a.score_sum, a.score_sq);
-                    score_acc.merge(&scores);
-                    stats.score.merge(&scores);
-                    if arrived_now {
-                        let wait = (now_tick - launched_at) as f64;
-                        stats.wait_ticks.push_n(wait, n);
-                        stats.waited += n;
-                        served_after_wait += n;
-                        recorder.sample(Sample::FetchLatencyTicks, wait);
-                        if observing && n > 0 {
-                            // Standing requests wait from the launch round,
-                            // so the whole wait rides the wire; the serve is
-                            // same-round.
-                            recorder.sample(Sample::WaitQueueingTicks, 0.0);
-                            recorder.sample(Sample::WaitOnWireTicks, wait);
-                            recorder.sample(Sample::WaitServeTicks, 0.0);
-                            recorder.lifecycle(
-                                LifecycleEvent::new(
-                                    Transition::ServedFromWait,
-                                    a.object.0,
-                                    cached_version(),
-                                    now_tick,
-                                )
-                                .at_launch(launched_at)
-                                .times(times),
-                            );
-                        }
-                    } else {
-                        hits += n;
-                        if observing && n > 0 {
-                            recorder.lifecycle(
-                                LifecycleEvent::new(
-                                    Transition::Served,
-                                    a.object.0,
-                                    cached_version(),
-                                    now_tick,
-                                )
-                                .times(times),
-                            );
-                        }
-                    }
-                    if observing {
-                        let staleness = ((1.0 - a.recency) * 1_000.0).round() as u64;
-                        if staleness > 0 {
-                            recorder.attribute(
-                                Attr::ServeStalenessByObject,
-                                a.object.0,
-                                staleness * n,
-                            );
-                        }
+                    round.out.cache_hits += count;
+                    round.out.served_immediately += count;
+                    if observed {
+                        recorder.lifecycle(event(Transition::Served, cached_version()));
                     }
                 }
-            });
-        }
-        drop(serve_span);
-        let served = total - waiting;
-        recorder.add(Event::RequestsServed, served);
-        if observing && served > 0 {
-            recorder.sample(Sample::CacheHitRatio, hits as f64 / served as f64);
+                if observing {
+                    round.attribute_staleness(a.object, a.recency, n);
+                }
+            }
+        });
+    }
+
+    /// Close the round: derive the served total and the means, fold the
+    /// outcome into [`StationStats`], and emit the closing samples.
+    fn finish_round(&mut self, round: Round<'_>) -> RoundOutcome {
+        let recorder = round.recorder;
+        let mut outcome = round.out;
+        outcome.objects_downloaded = outcome.arrived;
+        outcome.served = outcome.served_immediately + outcome.served_after_wait;
+        outcome.average_recency = round.recency.mean().unwrap_or(1.0);
+        outcome.average_score = round.score.mean().unwrap_or(1.0);
+        recorder.add(Event::RequestsServed, outcome.served as u64);
+        if round.observing && outcome.served > 0 {
+            let hit_ratio = outcome.cache_hits as f64 / outcome.served as f64;
+            recorder.sample(Sample::CacheHitRatio, hit_ratio);
         }
 
-        self.stats.units_downloaded += units;
-        self.stats.objects_downloaded += arrived_count as u64;
-        self.stats.requests_served += served;
-        self.stats.joined += joined;
+        self.stats.units_downloaded += outcome.units_downloaded;
+        self.stats.objects_downloaded += outcome.arrived as u64;
+        self.stats.requests_served += outcome.served as u64;
+        self.stats.joined += outcome.joined as u64;
 
-        let outcome = RoundOutcome {
-            tick: self.tick,
-            objects_downloaded: arrived_count,
-            units_downloaded: units,
-            average_recency: recency_acc.mean().unwrap_or(1.0),
-            average_score: score_acc.mean().unwrap_or(1.0),
-            served: served as usize,
-            cache_hits: hits as usize,
-            arrived: arrived_count,
-            launched: launched_count,
-            joined: joined as usize,
-            served_immediately: (served - served_after_wait) as usize,
-            served_after_wait: served_after_wait as usize,
-            still_waiting: waiting as usize,
-        };
         recorder.sample(Sample::AverageRecency, outcome.average_recency);
         recorder.sample(Sample::AverageScore, outcome.average_score);
-        if observing {
+        if round.observing {
             recorder.sample(Sample::CachedUnits, self.cache.used() as f64);
         }
-        recorder.end_round(self.tick);
-        self.downloaded = downloaded;
-        self.recency_buf = recency;
-        self.flight = Some(flight);
-        self.tick += 1;
+        recorder.end_round(round.tick);
         outcome
     }
 }
@@ -1715,7 +1054,8 @@ impl BaseStationSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::planner::SolverChoice;
+    use crate::builder::StationBuilder;
+    use crate::planner::{OnDemandPlanner, SolverChoice};
 
     fn req(id: u32) -> GeneratedRequest {
         GeneratedRequest {
@@ -1725,7 +1065,7 @@ mod tests {
     }
 
     fn station(catalog: Catalog, policy: Policy) -> BaseStationSim {
-        crate::builder::StationBuilder::new(catalog)
+        StationBuilder::new(catalog)
             .policy(policy)
             .build()
             .expect("test configurations are valid")
@@ -1952,24 +1292,17 @@ mod tests {
     #[test]
     fn ttl_estimation_drives_planning_but_not_measurement() {
         use crate::estimator::TtlEstimator;
-        use crate::recency::DecayModel;
 
         // TTL assumes updates every 1000 ticks: the estimator believes
         // everything stays fresh, so after the real update wave the
         // planner downloads nothing — and the *measured* score honestly
         // reports the resulting staleness.
         let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio, SolverChoice::ExactDp);
-        let mut s = station(
-            Catalog::uniform_unit(4),
-            Policy::OnDemand {
-                planner,
-                budget_units: 100,
-            },
-        )
-        .with_estimation(Estimation::Estimator(Box::new(TtlEstimator::new(
-            1000,
-            DecayModel::default(),
-        ))));
+        let mut s = StationBuilder::new(Catalog::uniform_unit(4))
+            .on_demand(planner, 100)
+            .estimator(Box::new(TtlEstimator::new(1000, DecayModel::default())))
+            .build()
+            .expect("test configurations are valid");
         s.step(&[req(0)]);
         s.apply_update_wave();
         let out = s.step(&[req(0)]);
@@ -1983,23 +1316,16 @@ mod tests {
     #[test]
     fn report_estimation_restores_oracle_behaviour_when_complete() {
         use crate::estimator::ReportEstimator;
-        use crate::recency::DecayModel;
         use basecache_net::ReportLog;
 
         let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio, SolverChoice::ExactDp);
         let catalog = Catalog::uniform_unit(4);
         let mut log = ReportLog::new(&catalog);
-        let mut s = station(
-            catalog,
-            Policy::OnDemand {
-                planner,
-                budget_units: 100,
-            },
-        )
-        .with_estimation(Estimation::Estimator(Box::new(ReportEstimator::new(
-            4,
-            DecayModel::default(),
-        ))));
+        let mut s = StationBuilder::new(catalog)
+            .on_demand(planner, 100)
+            .estimator(Box::new(ReportEstimator::new(4, DecayModel::default())))
+            .build()
+            .expect("test configurations are valid");
         s.step(&[req(0)]);
         // Server updates; the report reaches the station.
         s.apply_update_wave();

@@ -310,6 +310,36 @@ fn engine_round_downloads_uncached_requested_objects() {
     assert_eq!(out.average_score, 1.0);
 }
 
+#[test]
+fn engine_rounds_honour_plan_exclusions() {
+    // The region-wide single-flight contract (`set_plan_exclusions`)
+    // holds whichever request source the round runs on: an excluded
+    // object is never origin-fetched, however stale and however wanted.
+    let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio, SolverChoice::Adaptive);
+    let mut station = StationBuilder::new(Catalog::from_sizes(&[3, 2, 1]))
+        .on_demand(planner, 100)
+        .build()
+        .expect("valid configuration");
+    let mut engine = RoundEngine::new(station.catalog(), ScoringFunction::InverseRatio);
+    engine.push_columns(&[ObjectId(0), ObjectId(0), ObjectId(1)], &[1.0, 1.0, 1.0]);
+    station.step_engine(&mut engine);
+    assert_eq!(station.last_downloaded(), &[ObjectId(0), ObjectId(1)]);
+
+    // Both cached copies go stale; the region is already fetching 0.
+    station.apply_update_wave();
+    station.set_plan_exclusions(&[ObjectId(0)]);
+    let out = station.step_engine(&mut engine);
+    assert_eq!(station.last_downloaded(), &[ObjectId(1)]);
+    assert_eq!(out.units_downloaded, 2, "object 0's 3 units stay unspent");
+    assert!(out.average_score < 1.0, "object 0 is served stale");
+
+    station.clear_plan_exclusions();
+    let out = station.step_engine(&mut engine);
+    assert_eq!(station.last_downloaded(), &[ObjectId(0)]);
+    assert_eq!(out.units_downloaded, 3);
+    assert_eq!(out.average_score, 1.0);
+}
+
 /// Strip the solver-work telemetry the expanding-core endgame is
 /// *supposed* to change — DP cell counts, core sizes, fixing counts,
 /// method codes, expansion rounds — plus wall-clock spans. Every

@@ -127,12 +127,18 @@ fn assert_single_flight(station: &BaseStationSim, label: &str) {
     });
 }
 
+/// A non-empty planner exclusion list (what a regional L2 tier sets):
+/// parity must hold around it too, on either request source.
+const EXCLUDED: [ObjectId; 3] = [ObjectId(2), ObjectId(7), ObjectId(19)];
+
 /// Drive both stations over the same deterministic script and compare
 /// bit-for-bit (invariant 1).
-fn assert_instant_parity(seed: u64, config: InFlightConfig) {
+fn assert_instant_parity(seed: u64, config: InFlightConfig, exclusions: &[ObjectId]) {
     assert_eq!(config.bandwidth_per_round, 0, "parity is the instant case");
     let mut plain = station(catalog(), None);
     let mut flight = station(catalog(), Some(config));
+    plain.set_plan_exclusions(exclusions);
+    flight.set_plan_exclusions(exclusions);
     let mut rng = RngStreams::new(seed).stream("inflight/parity");
     for t in 0..40u64 {
         if t % 7 == 3 {
@@ -154,6 +160,9 @@ fn assert_instant_parity(seed: u64, config: InFlightConfig) {
             flight.last_downloaded(),
             "t={t}: chosen sets"
         );
+        for o in exclusions {
+            assert!(!plain.last_downloaded().contains(o), "t={t}: fetched {o:?}");
+        }
     }
     assert_eq!(plain.stats(), flight.stats(), "stats diverge");
     assert_eq!(
@@ -168,16 +177,24 @@ fn assert_instant_parity(seed: u64, config: InFlightConfig) {
 
 #[test]
 fn transfer_time_zero_is_bit_identical_to_step() {
-    assert_instant_parity(41, InFlightConfig::coalescing(0));
+    assert_instant_parity(41, InFlightConfig::coalescing(0), &[]);
     // Instant naive degenerates identically: nothing is ever in flight
     // across rounds, so there is nothing to duplicate or join.
-    assert_instant_parity(42, InFlightConfig::naive(0));
+    assert_instant_parity(42, InFlightConfig::naive(0), &[]);
+    assert_instant_parity(43, InFlightConfig::coalescing(0), &EXCLUDED);
 }
 
 #[test]
 fn transfer_time_zero_engine_is_bit_identical_to_step_engine() {
+    assert_instant_engine_parity(&[]);
+    assert_instant_engine_parity(&EXCLUDED);
+}
+
+fn assert_instant_engine_parity(exclusions: &[ObjectId]) {
     let mut plain = station(catalog(), None);
     let mut flight = station(catalog(), Some(InFlightConfig::coalescing(0)));
+    plain.set_plan_exclusions(exclusions);
+    flight.set_plan_exclusions(exclusions);
     let mut eng_a = RoundEngine::new(&catalog(), ScoringFunction::InverseRatio);
     let mut eng_b = RoundEngine::new(&catalog(), ScoringFunction::InverseRatio);
     let mut rng = RngStreams::new(7).stream("inflight/engine-parity");
@@ -201,6 +218,9 @@ fn transfer_time_zero_engine_is_bit_identical_to_step_engine() {
         let a = plain.step_engine(&mut eng_a);
         let b = flight.step_engine(&mut eng_b);
         assert_eq!(outcome_bits(&a), outcome_bits(&b), "t={t}: outcomes");
+        for o in exclusions {
+            assert!(!plain.last_downloaded().contains(o), "t={t}: fetched {o:?}");
+        }
     }
     assert_eq!(plain.stats(), flight.stats(), "stats diverge");
     assert_eq!(
@@ -405,7 +425,8 @@ mod properties {
             } else {
                 InFlightConfig::naive(0)
             };
-            assert_instant_parity(rng.next_u64(), config);
+            let exclusions: &[ObjectId] = if i % 4 < 2 { &[] } else { &EXCLUDED };
+            assert_instant_parity(rng.next_u64(), config, exclusions);
         });
     }
 

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Full local gate: formatting, lints, tier-1 build+tests, property
-# suites, and the planner bench (which records BENCH_planner.json at the
-# repo root). Everything runs offline — the workspace has no external
-# dependencies.
+# suites, the golden results, and the planner bench (which records
+# BENCH_planner.json at the repo root). Everything runs offline — the
+# workspace has no external dependencies.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -12,59 +12,23 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (workspace, -D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> tier-1: cargo build --release && cargo test -q"
+echo "==> tier-1: cargo build --release && cargo test -q (whole workspace: default-members)"
 cargo build --release
 cargo test -q
 
-echo "==> workspace tests (+ property suites)"
-cargo test --workspace -q
+echo "==> property suites"
 cargo test --workspace --features proptest -q
 
-echo "==> builder migration lint (no deprecated BaseStationSim::new outside the shim)"
-# The deprecated constructor may appear only where it is defined, where the
-# builder delegates to it, and in the one shim test that pins its behavior.
-violations=$(grep -rn "BaseStationSim::new(" \
-    --include='*.rs' \
-    crates/ tests/ examples/ src/ \
-    | grep -v "crates/core/src/station.rs" \
-    | grep -v "crates/core/src/builder.rs" \
-    | grep -v "crates/core/tests/builder_shim.rs" \
-    || true)
-if [ -n "$violations" ]; then
-    echo "error: deprecated BaseStationSim::new used outside the builder shim:" >&2
-    echo "$violations" >&2
-    exit 1
-fi
-
-echo "==> outcome migration lint (no deprecated StepOutcome/LatencyStepOutcome)"
-# The deprecated aliases may appear only where they are defined (and in
-# their own pin test) and on the deprecated re-export line in lib.rs.
-violations=$(grep -rnE '\bStepOutcome\b|\bLatencyStepOutcome\b' \
-    --include='*.rs' \
-    crates/ tests/ examples/ src/ \
-    | grep -v "crates/core/src/outcome.rs" \
-    | grep -v "crates/core/src/lib.rs" \
-    || true)
-if [ -n "$violations" ]; then
-    echo "error: deprecated StepOutcome/LatencyStepOutcome used outside the alias shim (use RoundOutcome):" >&2
-    echo "$violations" >&2
-    exit 1
-fi
-
-echo "==> latency-pipeline migration lint (no ad-hoc LatencyAwareSim constructors)"
-# Construction goes through StationBuilder::build_latency_aware; the
-# deprecated constructors may appear only in pipeline.rs (definition and
-# the shim-parity pin test).
-violations=$(grep -rnE 'LatencyAwareSim::(new|with_backbone)\(' \
-    --include='*.rs' \
-    crates/ tests/ examples/ src/ \
-    | grep -v "crates/core/src/pipeline.rs" \
-    || true)
-if [ -n "$violations" ]; then
-    echo "error: deprecated LatencyAwareSim constructor used outside the shim (use StationBuilder::build_latency_aware):" >&2
-    echo "$violations" >&2
-    exit 1
-fi
+echo "==> golden results (every experiment reproduces results/*.csv byte for byte)"
+# The seeds are fixed, so the five policy arms, the estimators, the
+# in-flight ledger, the cluster and the latency pipeline are all pinned
+# by the checked-in CSVs. A change that means to move a number
+# regenerates them (`-- all --csv results`) and says so.
+golden_out=$(mktemp -d)
+cargo run -q -p basecache-experiments --release -- all --csv "$golden_out" >/dev/null
+diff -r results "$golden_out" \
+    || { echo "error: experiment output differs from results/" >&2; exit 1; }
+rm -rf "$golden_out"
 
 echo "==> flash-crowd smoke test (ext-flash-crowd quick run)"
 crowd_out=$(mktemp -d)
