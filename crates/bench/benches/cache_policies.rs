@@ -1,10 +1,15 @@
+//! The cache crate's bench record, `BENCH_cache.json`.
+//!
 //! Bounded-cache ablation (the paper's future-work direction): replace-
 //! ment policies under Zipf churn, measuring throughput and — via the
-//! summary printed at the end — hit ratios.
+//! summary printed at the end — hit ratios. Beside it, the two things
+//! the station's round does to its unbounded store: `peek` every object
+//! for the recency column, and refresh copies in place. Every entry times one
+//! pass over the same 50 000-access Zipf stream on 2 000 objects.
 
 use std::hint::black_box;
 
-use basecache_bench::harness::bench_n;
+use basecache_bench::harness::{bench_n, write_record};
 use basecache_cache::{
     CacheStore, GreedyDualSize, Lfu, Lru, ProfitAware, ReplacementPolicy, SizeAware,
 };
@@ -53,17 +58,43 @@ fn zipf_accesses(n_objects: usize, n_accesses: usize) -> Vec<u32> {
 
 fn main() {
     let accesses = zipf_accesses(2000, 50_000);
+    let mut results = Vec::new();
     for (name, make) in policies() {
-        bench_n(&format!("cache/churn_50k/{name}"), 10, || {
+        results.push(bench_n(&format!("cache/churn_50k/{name}"), 10, || {
             let mut cache = CacheStore::bounded(1500, make());
             black_box(churn(&mut cache, &accesses))
-        });
+        }));
     }
 
-    bench_n("cache/unbounded_churn_50k", 10, || {
+    results.push(bench_n("cache/unbounded_churn_50k", 10, || {
         let mut cache = CacheStore::unbounded();
         black_box(churn(&mut cache, &accesses))
-    });
+    }));
+
+    // A warm unbounded store, as the station holds it in steady state:
+    // every object the stream touches is resident.
+    let mut warm = CacheStore::unbounded();
+    churn(&mut warm, &accesses);
+    results.push(bench_n("cache/unbounded/peek", 10, || {
+        let mut resident_units = 0u64;
+        for &obj in &accesses {
+            if let Some(entry) = warm.peek(black_box(ObjectId(obj))) {
+                resident_units += entry.size;
+            }
+        }
+        resident_units
+    }));
+    let mut version = 0u64;
+    results.push(bench_n("cache/unbounded/refresh_insert", 10, || {
+        version += 1;
+        let now = SimTime::from_ticks(version);
+        for &obj in &accesses {
+            let size = u64::from(obj % 9 + 1);
+            let _ = black_box(warm.insert(ObjectId(obj), size, Version(version), now));
+        }
+        warm.stats().refreshes
+    }));
+    write_record("cache", &results);
 
     // Print the ablation table once (hit ratios per policy) so `cargo
     // bench` output doubles as the ablation report.

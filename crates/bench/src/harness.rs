@@ -76,6 +76,28 @@ impl Measurement {
     }
 }
 
+/// The body of a bench record's `"results"` array: one measurement per
+/// line, the shape `basecache-trace diff` reads.
+pub fn results_json(results: &[Measurement]) -> String {
+    let lines: Vec<String> = results
+        .iter()
+        .map(|m| format!("    {}", m.to_json()))
+        .collect();
+    lines.join(",\n")
+}
+
+/// Write `BENCH_<bench>.json` at the repo root: the record of a suite
+/// that has measurements and nothing else to say.
+pub fn write_record(bench: &str, results: &[Measurement]) {
+    let path = format!("{}/../../BENCH_{bench}.json", env!("CARGO_MANIFEST_DIR"));
+    let out = format!(
+        "{{\n  \"bench\": \"{bench}\",\n  \"results\": [\n{}\n  ]\n}}\n",
+        results_json(results)
+    );
+    std::fs::write(&path, out).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    println!("\nwrote {path}");
+}
+
 /// Time `f` with the default sample count and print a report line.
 pub fn bench<T>(name: &str, f: impl FnMut() -> T) -> Measurement {
     bench_n(name, DEFAULT_SAMPLES, f)
@@ -157,6 +179,10 @@ mod tests {
         assert_eq!(m.mean_ns(), 4.0);
         assert_eq!(m.min_ns(), 1.0);
         assert!(m.to_json().contains("\"median_ns\": 2.5"));
+        let two = results_json(&[m.clone(), m]);
+        assert_eq!(two.lines().count(), 2);
+        assert!(two.lines().next().unwrap().ends_with("},"));
+        assert!(two.ends_with('}'));
     }
 
     #[test]

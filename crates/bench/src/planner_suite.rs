@@ -442,11 +442,8 @@ fn write_json(results: &[Measurement], headlines: &Headlines, stages: &Snapshot)
         massive.massive_solve_speedup
     ));
     out.push_str("  \"results\": [\n");
-    for (i, m) in results.iter().enumerate() {
-        let comma = if i + 1 < results.len() { "," } else { "" };
-        out.push_str(&format!("    {}{comma}\n", m.to_json()));
-    }
-    out.push_str("  ],\n");
+    out.push_str(&crate::harness::results_json(results));
+    out.push_str("\n  ],\n");
     // Per-stage breakdown of the instrumented round (span clocks) and
     // per-round knapsack shape, averaged over the sampled rounds (solved
     // at half the headline budget so the DP actually sweeps).

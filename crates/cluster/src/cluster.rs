@@ -4,7 +4,7 @@
 use std::fmt;
 
 use basecache_core::{BaseStationSim, RoundOutcome};
-use basecache_net::{BackhaulArbiter, CellId};
+use basecache_net::{ArbiterScratch, BackhaulArbiter, CellId};
 use basecache_obs::{Attr, Event, NullRecorder, Recorder, Sample, Snapshot};
 use basecache_sim::WorkerPool;
 use basecache_workload::{ClusterWorkload, GeneratedRequest};
@@ -158,6 +158,7 @@ pub struct ClusterSim {
     tick: u64,
     demands: Vec<u64>,
     budgets: Vec<u64>,
+    arbiter_scratch: ArbiterScratch,
     last_outcomes: Vec<RoundOutcome>,
     /// The regional L2 tier; `None` (the default) is the exact PR 8
     /// cluster, bit for bit.
@@ -190,6 +191,7 @@ impl ClusterSim {
             tick: 0,
             demands: vec![0; n],
             budgets: vec![0; n],
+            arbiter_scratch: ArbiterScratch::default(),
             last_outcomes: Vec::with_capacity(n),
             l2: None,
         })
@@ -299,7 +301,8 @@ impl ClusterSim {
         for cell in &mut self.cells {
             self.demands.push(cell.declared_demand());
         }
-        self.arbiter.allocate_into(&self.demands, &mut self.budgets);
+        self.arbiter
+            .allocate_with(&self.demands, &mut self.budgets, &mut self.arbiter_scratch);
         for (cell, &budget) in self.cells.iter_mut().zip(&self.budgets) {
             cell.station.set_download_budget(budget);
         }

@@ -132,10 +132,12 @@ impl LatencyAwareSim {
         recorder: Box<dyn Recorder>,
     ) -> Self {
         let server = RemoteServer::new(&catalog);
+        let mut cache = CacheStore::unbounded();
+        cache.reserve_objects(catalog.len());
         Self {
             catalog,
             server,
-            cache: CacheStore::unbounded(),
+            cache,
             planner,
             refresh_budget,
             fixed_net,

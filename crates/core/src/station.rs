@@ -170,6 +170,10 @@ pub struct BaseStationSim {
     scratch: PlannerScratch,
     recency_buf: Vec<f64>,
     downloaded: Vec<ObjectId>,
+    /// Per-object "downloaded this round" mark, all false between
+    /// rounds: the batch serve sets it from `downloaded`, reads it once
+    /// per request, and clears it from `downloaded` again.
+    downloaded_mark: Vec<bool>,
     /// Objects the planner must not origin-fetch this round (sorted
     /// ascending): a regional L2 tier sets these when another cell
     /// already fetched — or is fetching — the current version, so the
@@ -205,10 +209,17 @@ impl BaseStationSim {
         if let Some(budget) = policy.unit_budget() {
             scratch.reserve(catalog.len(), budget.min(catalog.total_size()));
         }
+        // Everything per-object — the cache's tables, the recency and
+        // download buffers, the downloaded mark — is sized from the
+        // catalog here, once: no round grows any of it, whichever object
+        // is first requested when.
+        let objects = catalog.len();
+        let mut cache = CacheStore::unbounded();
+        cache.reserve_objects(objects);
         Self {
             catalog,
             server,
-            cache: CacheStore::unbounded(),
+            cache,
             policy,
             refresher,
             decay,
@@ -218,8 +229,9 @@ impl BaseStationSim {
             stats: StationStats::default(),
             recorder,
             scratch,
-            recency_buf: Vec::new(),
-            downloaded: Vec::new(),
+            recency_buf: Vec::with_capacity(objects),
+            downloaded: Vec::with_capacity(objects),
+            downloaded_mark: vec![false; objects],
             plan_exclusions: Vec::new(),
             flight: None,
         }
@@ -568,7 +580,7 @@ impl BaseStationSim {
         match source {
             Source::Batch(requests) => {
                 let ledger = carrying.map(|f| &mut f.ledger);
-                self.serve_batch(&mut round, requests, ledger, &downloaded);
+                self.serve_batch(&mut round, requests, ledger, &mut recency, &downloaded);
             }
             Source::Engine(engine) => self.serve_engine(&mut round, engine, carrying, &downloaded),
         }
@@ -842,28 +854,44 @@ impl BaseStationSim {
     /// request whose object is on the wire at the current version parks
     /// on that transfer (the naive mode parks too — the comparison is
     /// about duplicate launches, not serving rules).
+    ///
+    /// The loop probes nothing per request: it reads two per-object
+    /// columns. `recency` arrives holding what the planner saw and is
+    /// turned into the *true* recency served — under the oracle it
+    /// already is the truth everywhere but at this round's downloads,
+    /// which are re-read; an estimator's belief is overwritten in one
+    /// pass. The downloaded mark tells a hit from a fetch.
     fn serve_batch(
         &mut self,
         round: &mut Round<'_>,
         requests: &[GeneratedRequest],
         mut ledger: Option<&mut InFlightLedger>,
+        recency: &mut Vec<f64>,
         downloaded: &[ObjectId],
     ) {
         let recorder = round.recorder;
         let _serve_span = Span::enter(recorder, Stage::Serve);
-        // `downloaded` is sorted ascending for the planner policies but
-        // not guaranteed for the round-robin refresher, so pick the hit
-        // probe accordingly. Hits are counted unconditionally: they feed
-        // the outcome (and cluster-level aggregation), not just the
-        // recorder, and outcomes must not depend on observation.
-        let downloads_sorted = downloaded.windows(2).all(|w| w[0] <= w[1]);
+        match self.estimation {
+            Estimation::Oracle => {
+                for &id in downloaded {
+                    recency[id.index()] = self.true_recency(id);
+                }
+            }
+            Estimation::Estimator(_) => self.fill_recency(recency),
+        }
+        for &id in downloaded {
+            self.downloaded_mark[id.index()] = true;
+        }
+        // Hits are counted unconditionally: they feed the outcome (and
+        // cluster-level aggregation), not just the recorder, and
+        // outcomes must not depend on observation.
         // The per-request loop runs on locals — accumulators behind
         // `round` cost it a tenth of its speed — folded back below.
         let (observing, tick) = (round.observing, round.tick);
         let (mut recency_acc, mut score_acc) = (round.recency, round.score);
         let (mut hits, mut served, mut joined) = (0usize, 0usize, 0usize);
         for r in requests {
-            let x = self.true_recency(r.object);
+            let x = recency[r.object.index()];
             if let Some(ledger) = ledger.as_deref_mut() {
                 if x < 1.0 && ledger.joinable(r.object, self.server.version_of(r.object)) {
                     let launched_at = if observing {
@@ -883,12 +911,7 @@ impl BaseStationSim {
             score_acc.push(score);
             self.stats.recency.push(x);
             self.stats.score.push(score);
-            let downloaded_now = if downloads_sorted {
-                downloaded.binary_search(&r.object).is_ok()
-            } else {
-                downloaded.contains(&r.object)
-            };
-            if !downloaded_now {
+            if !self.downloaded_mark[r.object.index()] {
                 hits += 1;
             }
             served += 1;
@@ -897,6 +920,9 @@ impl BaseStationSim {
                 let version = Self::serve_version(&self.cache, &self.server, r.object);
                 recorder.lifecycle(round.event(Transition::Served, r.object, version));
             }
+        }
+        for &id in downloaded {
+            self.downloaded_mark[id.index()] = false;
         }
         (round.recency, round.score) = (recency_acc, score_acc);
         round.out.cache_hits += hits;
@@ -1339,6 +1365,101 @@ mod tests {
             "report reveals the staleness"
         );
         assert_eq!(out.average_score, 1.0);
+    }
+
+    /// Drive `s` for 240 rounds of random batches with irregular update
+    /// waves, checking every round's serve against the naive loop the
+    /// column-driven one replaced: a cache probe (`true_recency`) and a
+    /// `contains` scan of the download list per request, in request
+    /// order. Nothing mutates the cache or the server between the serve
+    /// stage and the end of `step`, so probing afterwards reads exactly
+    /// what the serve stage saw.
+    fn assert_serve_matches_per_request_reference(mut s: BaseStationSim, label: &str) {
+        let objects = s.catalog().len() as u32;
+        let mut rng = basecache_sim::RngStreams::new(0x5E27E).stream(label);
+        let (mut recency_total, mut score_total) = (Welford::new(), Welford::new());
+        let mut unsorted_rounds = 0;
+        for round in 0..240u32 {
+            if round % 3 == 1 || round % 7 == 0 {
+                s.apply_update_wave();
+            }
+            // Objects in the top quarter are first requested late, so
+            // uncached (0.0) and freshly cached copies both show up.
+            let reach = if round < 60 { objects * 3 / 4 } else { objects };
+            let requests: Vec<GeneratedRequest> = (0..rng.random_range(0..=80usize))
+                .map(|_| GeneratedRequest {
+                    object: ObjectId(rng.random_range(0..reach)),
+                    target_recency: rng.random_range(0.05f64..=1.0),
+                })
+                .collect();
+            let out = s.step(&requests);
+
+            let downloaded = s.last_downloaded();
+            unsorted_rounds += usize::from(downloaded.windows(2).any(|w| w[0] > w[1]));
+            let (mut recency, mut score) = (Welford::new(), Welford::new());
+            let mut hits = 0;
+            for r in &requests {
+                let x = s.true_recency(r.object);
+                let served_score = s.scoring.score(x, r.target_recency);
+                recency.push(x);
+                score.push(served_score);
+                recency_total.push(x);
+                score_total.push(served_score);
+                hits += usize::from(!downloaded.contains(&r.object));
+            }
+            let bits = |mean: Option<f64>| mean.unwrap_or(1.0).to_bits();
+            assert_eq!(
+                out.average_recency.to_bits(),
+                bits(recency.mean()),
+                "{label} round {round}"
+            );
+            assert_eq!(
+                out.average_score.to_bits(),
+                bits(score.mean()),
+                "{label} round {round}"
+            );
+            assert_eq!(
+                (out.served, out.served_immediately, out.cache_hits),
+                (requests.len(), requests.len(), hits),
+                "{label} round {round}"
+            );
+            assert!(
+                s.downloaded_mark.iter().all(|&marked| !marked),
+                "{label} round {round}: marks must be cleared between rounds"
+            );
+        }
+        assert_eq!(s.stats().recency, recency_total, "{label}");
+        assert_eq!(s.stats().score, score_total, "{label}");
+        if matches!(s.policy, Policy::AsyncRoundRobin { .. }) {
+            assert!(unsorted_rounds > 0, "{label}: the refresher wrapped around");
+        }
+    }
+
+    #[test]
+    fn serve_columns_match_per_request_probes_when_the_planner_is_misled() {
+        use crate::estimator::TtlEstimator;
+
+        // The TTL believes in an update every 4 ticks; the waves come
+        // irregularly and more often, so the recency the planner is
+        // handed is not the recency served.
+        let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio, SolverChoice::ExactDp);
+        let s = StationBuilder::new(Catalog::from_sizes(&[1, 3, 2, 5, 1, 4, 2, 2, 3, 1, 6, 2]))
+            .on_demand(planner, 7)
+            .estimator(Box::new(TtlEstimator::new(4, DecayModel::default())))
+            .build()
+            .expect("test configurations are valid");
+        assert_serve_matches_per_request_reference(s, "serve-parity/ttl");
+    }
+
+    #[test]
+    fn serve_columns_match_per_request_probes_for_unsorted_downloads() {
+        // 5 of 12 objects a round: the round-robin cursor wraps inside a
+        // round's download list, which is then not ascending.
+        let s = station(
+            Catalog::uniform_unit(12),
+            Policy::AsyncRoundRobin { k_objects: 5 },
+        );
+        assert_serve_matches_per_request_reference(s, "serve-parity/round-robin");
     }
 
     #[test]

@@ -105,6 +105,46 @@ fn on_demand_steady_state_steps_do_not_allocate() {
         assert!(outcome.objects_downloaded > 0, "wave forces redownloads");
     }
 
+    // One-time sizing: an object first requested (hence first cached)
+    // long after warm-up must find its cache slot already there. The
+    // catalog is three times the id range the warm-up batch touches; the
+    // late batch then moves object 0's requests onto the highest id, so
+    // no buffer sees a larger round than it already has — only an id
+    // far past anything a table grown on demand would have reached.
+    {
+        let wide = sizes.repeat(3);
+        let last = ObjectId(wide.len() as u32 - 1);
+        let mut late = requests.clone();
+        for r in late.iter_mut().filter(|r| r.object == ObjectId(0)) {
+            r.object = last;
+        }
+        let mut station = StationBuilder::new(Catalog::from_sizes(&wide))
+            .on_demand(OnDemandPlanner::paper_default(), 5000)
+            .build()
+            .expect("valid configuration");
+        for _ in 0..3 {
+            station.step(&requests);
+        }
+        station.apply_update_wave();
+        for _ in 0..3 {
+            station.step(&requests);
+        }
+        assert!(station.cached_version_of(last).is_none());
+        for round in 0..4 {
+            station.apply_update_wave();
+            let before = allocation_count();
+            station.step(&late);
+            let after = allocation_count();
+            assert_eq!(
+                after - before,
+                0,
+                "late-object round {round}: step() allocated {} time(s)",
+                after - before
+            );
+        }
+        assert!(station.cached_version_of(last).is_some());
+    }
+
     // Even with a live StatsRecorder the steady state stays off the
     // heap: counters are `Cell`s and the distributions are fixed-size
     // streaming estimators — only `snapshot()` allocates.
@@ -370,6 +410,72 @@ fn on_demand_steady_state_steps_do_not_allocate() {
                 "{label} round {round}: steady state must rescore incrementally"
             );
         }
+    }
+
+    // The cluster round on top: sixteen cells sharing one backhaul
+    // under proportional arbitration, with the regional L2 tier on —
+    // demand probe, largest-remainder split, L2 exchange and sixteen
+    // station rounds, all on reused memory. Roaming keeps nudging the
+    // per-cell peaks (batch size, exclusion list, budget), so buffers
+    // still double now and then after any fixed warm-up; what steady
+    // state means here is that such growth dies out. A round that
+    // allocates every time — the arbiter's per-call `Vec` did — never
+    // produces the quiet window below.
+    {
+        use basecache_cluster::{ClusterSim, L2Config};
+        use basecache_net::{ArbiterPolicy, BackhaulArbiter};
+        use basecache_workload::{ClusterWorkload, MobilityModel, Popularity, TargetRecency};
+
+        let cells = 16u32;
+        let objects = 200usize;
+        let cell_sizes: Vec<u64> = (0..objects as u64).map(|i| 1 + i % 5).collect();
+        let stations = (0..cells)
+            .map(|_| {
+                StationBuilder::new(Catalog::from_sizes(&cell_sizes))
+                    .on_demand(OnDemandPlanner::paper_default(), 0)
+                    .build()
+                    .expect("valid configuration")
+            })
+            .collect();
+        let workload = ClusterWorkload::new(
+            cells,
+            40 * cells,
+            Popularity::Uniform,
+            Popularity::ZIPF1.build(objects),
+            TargetRecency::Uniform { lo: 0.4, hi: 1.0 },
+            2,
+            MobilityModel::MarkovRing { move_prob: 0.2 },
+            &RngStreams::new(0xC1A5),
+        );
+        let arbiter = BackhaulArbiter::new(ArbiterPolicy::ProportionalToDemand, 480);
+        let mut cluster = ClusterSim::new(stations, workload, arbiter)
+            .expect("one station per cell")
+            .with_l2(L2Config {
+                intercell_units_per_round: 480,
+                ..L2Config::default()
+            });
+        let (mut round, mut quiet, mut l2_transfers) = (0, 0, 0);
+        while quiet < 40 {
+            assert!(
+                round < 800,
+                "cluster step() was still allocating after {round} rounds"
+            );
+            if round % 5 == 0 {
+                cluster.apply_update_wave();
+            }
+            let before = allocation_count();
+            let outcome = cluster.step();
+            let after = allocation_count();
+            assert_eq!(outcome.served, 2 * 40 * cells as usize);
+            if after == before {
+                quiet += 1;
+                l2_transfers += outcome.l2_transfers;
+            } else {
+                (quiet, l2_transfers) = (0, 0);
+            }
+            round += 1;
+        }
+        assert!(l2_transfers > 0, "the quiet rounds exercised the L2 tier");
     }
 
     // The expanding-core endgame at the solver level: sub-margin profit

@@ -51,6 +51,16 @@ pub struct BackhaulArbiter {
     total_budget: u64,
 }
 
+/// Working memory for [`BackhaulArbiter::allocate_with`]: a per-round
+/// caller keeps one and the split stays off the heap once it has grown
+/// to the cell count.
+#[derive(Debug, Default)]
+pub struct ArbiterScratch {
+    /// `(fractional remainder, cell)` per cell, for largest-remainder
+    /// rounding.
+    remainders: Vec<(u128, usize)>,
+}
+
 impl BackhaulArbiter {
     /// An arbiter distributing `total_budget` data units per round.
     pub fn new(policy: ArbiterPolicy, total_budget: u64) -> Self {
@@ -81,6 +91,13 @@ impl BackhaulArbiter {
     /// water-filling's integer fill remainder (strictly less than the
     /// number of unsatisfied cells).
     pub fn allocate_into(&self, demands: &[u64], out: &mut Vec<u64>) {
+        self.allocate_with(demands, out, &mut ArbiterScratch::default());
+    }
+
+    /// [`Self::allocate_into`] on caller-owned working memory: the same
+    /// allocations, and no heap traffic once `out` and `scratch` have
+    /// grown to the cell count.
+    pub fn allocate_with(&self, demands: &[u64], out: &mut Vec<u64>, scratch: &mut ArbiterScratch) {
         out.clear();
         out.resize(demands.len(), 0);
         if demands.is_empty() || self.total_budget == 0 {
@@ -99,7 +116,8 @@ impl BackhaulArbiter {
                 // remainders (ties to lower cell ids).
                 let budget = u128::from(self.total_budget);
                 let mut assigned = 0u64;
-                let mut remainders: Vec<(u128, usize)> = Vec::with_capacity(demands.len());
+                let remainders = &mut scratch.remainders;
+                remainders.clear();
                 for (i, &d) in demands.iter().enumerate() {
                     let numer = u128::from(d) * budget;
                     let share = (numer / total_demand) as u64;
@@ -109,7 +127,7 @@ impl BackhaulArbiter {
                 }
                 let mut leftover = self.total_budget - assigned;
                 remainders.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-                for (_, i) in remainders {
+                for &(_, i) in remainders.iter() {
                     if leftover == 0 {
                         break;
                     }
@@ -276,6 +294,25 @@ mod tests {
         let water = BackhaulArbiter::new(ArbiterPolicy::WaterFilling, 42);
         assert_eq!(water.allocate(&[999]), vec![42]);
         assert_eq!(water.allocate(&[7]), vec![7], "capped at demand");
+    }
+
+    #[test]
+    fn allocate_with_matches_allocate_into_across_reuse() {
+        // One scratch carried across calls of different widths must not
+        // leak a previous call's remainders into the next split.
+        let mut scratch = ArbiterScratch::default();
+        let mut reused = Vec::new();
+        for policy in [
+            ArbiterPolicy::Static,
+            ArbiterPolicy::ProportionalToDemand,
+            ArbiterPolicy::WaterFilling,
+        ] {
+            let arb = BackhaulArbiter::new(policy, 101);
+            for demands in [&[7u64, 7, 7, 900, 0][..], &[3, 1], &[0, 0, 0], &[5; 9]] {
+                arb.allocate_with(demands, &mut reused, &mut scratch);
+                assert_eq!(reused, arb.allocate(demands), "{policy:?} {demands:?}");
+            }
+        }
     }
 
     #[test]

@@ -62,7 +62,7 @@ pub mod object;
 pub mod server;
 pub mod topology;
 
-pub use backhaul::{ArbiterPolicy, BackhaulArbiter};
+pub use backhaul::{ArbiterPolicy, ArbiterScratch, BackhaulArbiter};
 pub use broadcast::BroadcastSchedule;
 pub use downlink::Downlink;
 pub use inflight::{
