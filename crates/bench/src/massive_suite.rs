@@ -2,7 +2,7 @@
 //! requests, a 2000-unit downlink — the scale the struct-of-arrays
 //! [`RoundEngine`] exists for, far past the paper's Table-1 regime.
 //!
-//! Three measurements, written as `planner/massive/*`:
+//! Measurements, written as `planner/massive/*`:
 //!
 //! - `build_full_rebuild` — the pinned reference build: mark the whole
 //!   table dirty, fold every one of the million targets, assemble the
@@ -16,10 +16,11 @@
 //!   recency observation, incremental rescore, adaptive solve, refresh,
 //!   columnar serve), from which the `requests_per_second` figure in
 //!   `BENCH_planner.json` is derived.
-//! - `solve_only/{expanding_core,full_core}` — the assembled massive
-//!   instance solved in isolation with the certified expanding-core
-//!   endgame on (default) vs off; their ratio is the
-//!   `massive_solve_speedup` figure in `BENCH_planner.json`.
+//! - `solve_only/expanding_core` — the assembled massive instance
+//!   solved in isolation by the adaptive solver, an absolute median.
+//!   (The entry keeps the name it was first recorded under; this
+//!   instance is tied, so the solve is the forced-out reduction plus
+//!   the bounded DP over the survivors.)
 //!
 //! The `--smoke` variant runs the identical pipeline at 1/50 scale so
 //! `scripts/check.sh` can execute it on every run.
@@ -34,7 +35,7 @@ use basecache_core::planner::OnDemandPlanner;
 use basecache_core::recency::ScoringFunction;
 use basecache_core::scratch::PlannerScratch;
 use basecache_core::StationBuilder;
-use basecache_knapsack::{AdaptiveScratch, AdaptiveSolver};
+use basecache_knapsack::{AdaptiveScratch, AdaptiveSolver, DpScratch};
 use basecache_net::{Catalog, ObjectId};
 use basecache_sim::{RngStreams, SimTime, WorkerPool};
 use basecache_workload::{ChurnOp, Popularity, StandingWorkload, TargetRecency};
@@ -78,7 +79,7 @@ pub const SMOKE: MassiveScale = MassiveScale {
     shards: 4,
 };
 
-/// The two headline figures derived from the massive benches.
+/// The headline figures derived from the massive benches.
 pub struct MassiveReport {
     /// Standing requests served per second of round time
     /// (`requests * 1e9 / round_median_ns`).
@@ -86,10 +87,6 @@ pub struct MassiveReport {
     /// Full-rebuild median over incremental-build median at the
     /// configured churn.
     pub incremental_build_speedup: f64,
-    /// Solve-only A/B on the assembled massive instance: full-sweep
-    /// median (`with_endgame(0, _)`, the pre-endgame solve) over the
-    /// default certified expanding-core median.
-    pub massive_solve_speedup: f64,
 }
 
 /// Deterministic catalog + standing population + cache recency for a
@@ -179,7 +176,7 @@ pub fn bench_massive(scale: &MassiveScale, results: &mut Vec<Measurement>) -> Ma
             engine.observe_recency(&recency);
             engine.rescore();
             engine.assemble_into(&mut scratch);
-            black_box(scratch.base_score_sum())
+            black_box(scratch.items().len())
         },
     );
 
@@ -207,7 +204,7 @@ pub fn bench_massive(scale: &MassiveScale, results: &mut Vec<Measurement>) -> Ma
                 engine.observe_recency(&recency);
                 engine.rescore();
                 engine.assemble_into(scratch);
-                black_box(scratch.base_score_sum())
+                black_box(scratch.items().len())
             },
         )
     };
@@ -218,8 +215,8 @@ pub fn bench_massive(scale: &MassiveScale, results: &mut Vec<Measurement>) -> Ma
 
     // --- round_incremental: the complete station round — churn, a
     // handful of server-side updates, oracle recency observation,
-    // incremental rescore, warm-started adaptive solve, refresh and
-    // columnar serve of the whole standing population.
+    // incremental rescore, adaptive solve, refresh and columnar serve
+    // of the whole standing population.
     let mut station = StationBuilder::new(catalog.clone())
         .on_demand(OnDemandPlanner::paper_default(), scale.budget)
         .build()
@@ -245,44 +242,30 @@ pub fn bench_massive(scale: &MassiveScale, results: &mut Vec<Measurement>) -> Ma
     );
     let requests_per_second = scale.requests as f64 * 1e9 / round.median_ns();
 
-    // --- solve_only A/B: the instance the station round just solved,
-    // re-solved in isolation with the certified expanding-core endgame
-    // (plus tied-instance certified pruning) on — the default — and
-    // off (`with_endgame(0, _)` restores the pre-endgame full sweep,
-    // which on this instance degenerates to the full-table DP). Both
-    // answers are bit-identical (`tests/engine_parity.rs` pins that);
-    // only the work differs, and the ratio is the
-    // `massive_solve_speedup` headline.
+    // --- solve_only: the instance the station round just solved,
+    // re-solved in isolation (`tests/engine_parity.rs` pins its answer
+    // to the exact DP's).
     engine.assemble_into(&mut scratch);
     let items = scratch.items().to_vec();
     let mut ad = AdaptiveScratch::new();
-    let on_solver = AdaptiveSolver::default();
-    let solve_on = bench_n(
+    let mut dp = DpScratch::new();
+    let solve = bench_n(
         &format!(
             "planner/massive/solve_only/expanding_core/{}",
             scale.objects
         ),
         scale.samples,
-        || black_box(on_solver.solve_into(&items, scale.budget, &mut ad)),
+        || black_box(AdaptiveSolver.solve_into(&items, scale.budget, &mut ad, &mut dp)),
     );
-    let off_solver = AdaptiveSolver::default().with_endgame(0, 8);
-    let solve_off = bench_n(
-        &format!("planner/massive/solve_only/full_core/{}", scale.objects),
-        scale.samples,
-        || black_box(off_solver.solve_into(&items, scale.budget, &mut ad)),
-    );
-    let massive_solve_speedup = solve_off.median_ns() / solve_on.median_ns();
 
     results.push(full);
     results.push(incr);
     results.push(incr_zipf);
     results.push(round);
-    results.push(solve_on);
-    results.push(solve_off);
+    results.push(solve);
     MassiveReport {
         requests_per_second,
         incremental_build_speedup,
-        massive_solve_speedup,
     }
 }
 
@@ -295,12 +278,7 @@ pub fn run_standalone(smoke: bool) {
     let report = bench_massive(scale, &mut results);
     println!(
         "\nmassive round engine at {} objects / {} requests: \
-         {:.2e} requests/s, incremental build {:.2}x faster than full rebuild, \
-         certified expanding-core solve {:.2}x faster than the full sweep",
-        scale.objects,
-        scale.requests,
-        report.requests_per_second,
-        report.incremental_build_speedup,
-        report.massive_solve_speedup
+         {:.2e} requests/s, incremental build {:.2}x faster than full rebuild",
+        scale.objects, scale.requests, report.requests_per_second, report.incremental_build_speedup
     );
 }

@@ -52,12 +52,9 @@
 //! # Parity contract
 //!
 //! Incremental vs full-rebuild parity is engine-vs-engine: both paths
-//! fold each object's targets in storage order and fold the base score
-//! over objects ascending. The flat request paths
-//! (`plan_requests_into`) fold the base score per *request* in
-//! counting-sorted order instead, so their sums may differ from the
-//! engine's in the last bits — the engine pins its own reference, the
-//! request paths pin theirs.
+//! fold each object's targets in storage order, so every per-object
+//! profit and score sum — and with them the assembled instance — agree
+//! bit for bit.
 
 use basecache_knapsack::Item;
 use basecache_net::{Catalog, ObjectId};
@@ -457,9 +454,8 @@ impl RoundEngine {
     }
 
     /// Emit the current knapsack instance into `scratch`: one item per
-    /// requested object with positive profit, objects ascending, base
-    /// score folded over per-object sums across *all* requested objects
-    /// in that same order. Call after [`Self::rescore`].
+    /// requested object with positive profit, objects ascending. Call
+    /// after [`Self::rescore`].
     ///
     /// Fully satisfied objects (every requesting client already at or
     /// above its target, profit exactly `0.0`) are kept out of the
@@ -472,14 +468,9 @@ impl RoundEngine {
     pub fn assemble_into(&self, scratch: &mut PlannerScratch) {
         scratch.items.clear();
         scratch.objects.clear();
-        let mut base_score = 0.0;
         for shard in &self.shards {
             for (l, targets) in shard.targets.iter().enumerate() {
-                if targets.is_empty() {
-                    continue;
-                }
-                base_score += shard.score_sum[l];
-                if shard.profit[l] > 0.0 {
+                if !targets.is_empty() && shard.profit[l] > 0.0 {
                     scratch
                         .items
                         .push(Item::new(shard.sizes[l], shard.profit[l]));
@@ -487,8 +478,6 @@ impl RoundEngine {
                 }
             }
         }
-        scratch.base_score_sum = base_score;
-        scratch.total_clients = self.total_requests;
     }
 
     /// Visit every requested object in ascending id order with its
@@ -528,6 +517,14 @@ mod tests {
         scratch
     }
 
+    /// Per-object `(requests, score-sum bits)` of every requested
+    /// object, ascending.
+    fn score_sums(e: &RoundEngine) -> Vec<(u64, u64)> {
+        let mut sums = Vec::new();
+        e.for_each_active(|a| sums.push((a.requests, a.score_sum.to_bits())));
+        sums
+    }
+
     #[test]
     fn push_rescore_assemble_builds_the_expected_instance() {
         let mut e = engine(5);
@@ -540,14 +537,16 @@ mod tests {
         assert_eq!(e.rescored_requests(), 3);
         let scratch = assemble(&e);
         assert_eq!(scratch.objects, vec![ObjectId(1), ObjectId(3)]);
-        assert_eq!(scratch.total_clients, 3);
         let s = ScoringFunction::InverseRatio;
         let profit_1 = 1.0 - s.score(0.4, 0.5);
         let profit_3 = (1.0 - s.score(0.2, 1.0)) + (1.0 - s.score(0.2, 0.8));
         assert_eq!(scratch.items[0].profit().to_bits(), profit_1.to_bits());
         assert_eq!(scratch.items[1].profit().to_bits(), profit_3.to_bits());
-        let base = s.score(0.4, 0.5) + (s.score(0.2, 1.0) + s.score(0.2, 0.8));
-        assert_eq!(scratch.base_score_sum.to_bits(), base.to_bits());
+        let sum_3 = s.score(0.2, 1.0) + s.score(0.2, 0.8);
+        assert_eq!(
+            score_sums(&e),
+            vec![(1, s.score(0.4, 0.5).to_bits()), (2, sum_3.to_bits())]
+        );
     }
 
     #[test]
@@ -615,7 +614,7 @@ mod tests {
         assert_eq!(e.dirty_objects(), 2, "both previously requested objects");
         let scratch = assemble(&e);
         assert!(scratch.items.is_empty());
-        assert_eq!(scratch.base_score_sum, 0.0);
+        assert!(score_sums(&e).is_empty());
     }
 
     #[test]
@@ -643,7 +642,7 @@ mod tests {
                     .iter()
                     .map(|i| (i.size(), i.profit().to_bits()))
                     .collect::<Vec<_>>(),
-                scratch.base_score_sum.to_bits(),
+                score_sums(&e),
             )
         };
         let reference = build(1, false);
@@ -663,14 +662,12 @@ mod tests {
         e.observe_recency(&recency);
         e.rescore();
         let before = assemble(&e);
+        let sums_before = score_sums(&e);
         e.mark_all_dirty();
         e.rescore();
         assert_eq!(e.dirty_objects(), 10);
         let after = assemble(&e);
-        assert_eq!(
-            before.base_score_sum.to_bits(),
-            after.base_score_sum.to_bits()
-        );
+        assert_eq!(sums_before, score_sums(&e));
         for (a, b) in before.items.iter().zip(after.items.iter()) {
             assert_eq!(a.profit().to_bits(), b.profit().to_bits());
         }

@@ -46,12 +46,7 @@ pub enum SolverChoice {
 }
 
 impl SolverChoice {
-    fn solve(
-        self,
-        mapped: &MappedInstance,
-        budget: u64,
-        adaptive: AdaptiveSolver,
-    ) -> basecache_knapsack::Solution {
+    fn solve(self, mapped: &MappedInstance, budget: u64) -> basecache_knapsack::Solution {
         match self {
             SolverChoice::ExactDp => DpByCapacity.solve(mapped.instance(), budget),
             SolverChoice::Greedy => GreedyDensity.solve(mapped.instance(), budget),
@@ -59,7 +54,7 @@ impl SolverChoice {
             SolverChoice::BranchAndBound => {
                 BranchAndBound::default().solve(mapped.instance(), budget)
             }
-            SolverChoice::Adaptive => adaptive.solve(mapped.instance(), budget),
+            SolverChoice::Adaptive => AdaptiveSolver.solve(mapped.instance(), budget),
         }
     }
 }
@@ -69,26 +64,12 @@ impl SolverChoice {
 pub struct OnDemandPlanner {
     scoring: ScoringFunction,
     solver: SolverChoice,
-    adaptive: AdaptiveSolver,
 }
 
 impl OnDemandPlanner {
     /// Create a planner.
     pub fn new(scoring: ScoringFunction, solver: SolverChoice) -> Self {
-        Self {
-            scoring,
-            solver,
-            adaptive: AdaptiveSolver::default(),
-        }
-    }
-
-    /// Replace the configured [`AdaptiveSolver`] (node budgets, core
-    /// window parameters) used by [`SolverChoice::Adaptive`] rounds.
-    /// The solver stays exact under any configuration — this only moves
-    /// work between its terminal strategies.
-    pub fn with_adaptive_solver(mut self, adaptive: AdaptiveSolver) -> Self {
-        self.adaptive = adaptive;
-        self
+        Self { scoring, solver }
     }
 
     /// The paper's configuration: inverse-ratio scoring with an exact
@@ -117,7 +98,7 @@ impl OnDemandPlanner {
         budget: u64,
     ) -> DownloadPlan {
         let mapped = build_instance(batch, catalog, recency, self.scoring);
-        let solution = self.solver.solve(&mapped, budget, self.adaptive);
+        let solution = self.solver.solve(&mapped, budget);
         let mut download = mapped.selected_objects(&solution);
         download.sort_unstable();
         DownloadPlan {
@@ -142,10 +123,9 @@ impl OnDemandPlanner {
     /// …) instead of a freshly allocated [`DownloadPlan`].
     ///
     /// Float results are bit-identical to the batch path: per-object
-    /// profit/base sums accumulate in arrival order and the base-score
-    /// sum folds over objects ascending, matching the `BTreeMap`
-    /// iteration of [`RequestBatch`]. Non-exact solvers still allocate
-    /// (they run on a freshly built [`Instance`]).
+    /// profits accumulate in arrival order, exactly as each object's
+    /// targets do in a [`RequestBatch`]. Non-exact solvers still
+    /// allocate (they run on a freshly built [`Instance`]).
     ///
     /// # Panics
     ///
@@ -216,7 +196,6 @@ impl OnDemandPlanner {
         if scratch.per_profit.len() < n {
             scratch.per_profit.resize(n, 0.0);
             scratch.per_count.resize(n, 0);
-            scratch.cursor.resize(n, 0);
         }
         // Only the previously touched entries are dirty.
         for &o in &scratch.touched {
@@ -224,7 +203,6 @@ impl OnDemandPlanner {
             scratch.per_count[o as usize] = 0;
         }
         scratch.touched.clear();
-        scratch.scores.clear();
 
         // Aggregate in arrival order: within one object this is exactly
         // the order its targets accumulate in the RequestBatch path.
@@ -240,41 +218,19 @@ impl OnDemandPlanner {
                 scratch.touched.push(o as u32);
             }
             scratch.per_count[o] += 1;
-            let score = self.scoring.score(recency[o], r.target_recency);
-            scratch.scores.push(score);
-            scratch.per_profit[o] += 1.0 - score;
+            scratch.per_profit[o] += 1.0 - self.scoring.score(recency[o], r.target_recency);
         }
         scratch.touched.sort_unstable();
 
         scratch.items.clear();
         scratch.objects.clear();
-        let mut offset = 0u32;
         for &o in &scratch.touched {
-            scratch.cursor[o as usize] = offset;
-            offset += scratch.per_count[o as usize];
             scratch.items.push(Item::new(
                 catalog.size_of(ObjectId(o)),
                 scratch.per_profit[o as usize],
             ));
             scratch.objects.push(ObjectId(o));
         }
-
-        // Counting-sort the per-request scores into (object ascending,
-        // arrival) order — the RequestBatch iteration order — and fold
-        // the base score in that exact order so the sum is bit-identical
-        // to the batch path's.
-        scratch.bucketed.resize(requests.len(), 0.0);
-        for (k, r) in requests.iter().enumerate() {
-            let slot = &mut scratch.cursor[r.object.index()];
-            scratch.bucketed[*slot as usize] = scratch.scores[k];
-            *slot += 1;
-        }
-        let mut base = 0.0;
-        for &s in &scratch.bucketed {
-            base += s;
-        }
-        scratch.base_score_sum = base;
-        scratch.total_clients = requests.len() as u64;
     }
 
     /// Solve the instance already assembled into `scratch.items` /
@@ -323,24 +279,11 @@ impl OnDemandPlanner {
                     recorder.add(Event::DpCellsTouched, scratch.dp.cells_touched());
                 }
                 SolverChoice::Adaptive => {
-                    // Warm-start hint: the previous round's downloads,
-                    // remapped to this round's item indices. Both lists
-                    // are ascending, so one linear merge suffices.
-                    scratch.hint.clear();
-                    let mut p = 0usize;
-                    for (i, &o) in scratch.objects.iter().enumerate() {
-                        while p < scratch.prev_downloads.len() && scratch.prev_downloads[p] < o {
-                            p += 1;
-                        }
-                        if p < scratch.prev_downloads.len() && scratch.prev_downloads[p] == o {
-                            scratch.hint.push(i);
-                        }
-                    }
-                    let value = self.adaptive.solve_with_hint_into(
+                    let value = AdaptiveSolver.solve_into(
                         &scratch.items,
                         budget,
-                        &scratch.hint,
                         &mut scratch.adaptive,
+                        &mut scratch.dp,
                     );
                     scratch.achieved_value = value;
                     let mut size = 0u64;
@@ -352,8 +295,6 @@ impl OnDemandPlanner {
                         scratch.downloads.push(scratch.objects[i]);
                     }
                     scratch.download_size = size;
-                    scratch.prev_downloads.clear();
-                    scratch.prev_downloads.extend_from_slice(&scratch.downloads);
                     recorder.add(Event::DpCellsTouched, scratch.adaptive.cells_touched());
                     recorder.sample(Sample::CoreSize, scratch.adaptive.core_size() as f64);
                     recorder.sample(Sample::ItemsFixed, scratch.adaptive.items_fixed() as f64);
@@ -393,42 +334,19 @@ impl OnDemandPlanner {
         recorder.sample(Sample::PlanProfit, scratch.achieved_value);
     }
 
-    /// Plan a round from a [`RoundEngine`]'s standing tables instead of a
-    /// flat request stream: absorb this round's recency vector, rescore
-    /// exactly the dirty objects, assemble the instance incrementally,
-    /// and solve it through the same (warm-started) solver seam as
-    /// [`Self::plan_requests_recorded`].
+    /// The engine-source twin of [`Self::assemble_requests_into`], and
+    /// the same seam: absorb this round's recency vector, rescore
+    /// exactly the dirty objects and assemble the instance from the
+    /// [`RoundEngine`]'s standing tables; the station's round kernel
+    /// adjusts it before [`Self::solve_assembled`].
     ///
     /// Emits [`Sample::DirtyObjects`] and [`Sample::RescoredRequests`] so
     /// flight recordings show how much work the dirty-set actually saved.
-    ///
-    /// Engine rounds are bit-identical to the engine's own full-rebuild
-    /// reference ([`RoundEngine::mark_all_dirty`] before every plan); they
-    /// are *not* bit-comparable to [`Self::plan_requests_recorded`], whose
-    /// base-score fold runs per request rather than per object (same
-    /// mathematics, different summation order — see the engine module
-    /// docs).
     ///
     /// # Panics
     ///
     /// Panics if the engine's scoring function differs from this
     /// planner's, or if `recency` is shorter than the engine's table.
-    pub fn plan_engine_recorded<R: Recorder + ?Sized>(
-        &self,
-        engine: &mut RoundEngine,
-        recency: &[f64],
-        budget: u64,
-        scratch: &mut PlannerScratch,
-        recorder: &R,
-    ) {
-        self.assemble_engine_into(engine, recency, scratch, recorder);
-        self.solve_assembled(budget, scratch, recorder);
-    }
-
-    /// The aggregation half of [`Self::plan_engine_recorded`] — the
-    /// engine-source twin of [`Self::assemble_requests_into`], and the
-    /// same seam: the station's round kernel adjusts the assembled
-    /// instance before [`Self::solve_assembled`].
     pub(crate) fn assemble_engine_into<R: Recorder + ?Sized>(
         &self,
         engine: &mut RoundEngine,
@@ -446,33 +364,6 @@ impl OnDemandPlanner {
         recorder.sample(Sample::DirtyObjects, engine.dirty_objects() as f64);
         recorder.sample(Sample::RescoredRequests, engine.rescored_requests() as f64);
         engine.assemble_into(scratch);
-    }
-
-    /// Allocation-free planning round through the adaptive reduction
-    /// pipeline, regardless of this planner's configured solver.
-    ///
-    /// Identical results to [`Self::plan_requests_into`] under
-    /// [`SolverChoice::Adaptive`] (and therefore — by the parity
-    /// guarantee — under [`SolverChoice::ExactDp`] too): same downloads,
-    /// same profit bits. Each round's incumbent is warm-started from the
-    /// previous round's plan held in `scratch`; the reduction statistics
-    /// land in [`PlannerScratch::adaptive`].
-    pub fn plan_requests_adaptive_into(
-        &self,
-        requests: &[GeneratedRequest],
-        catalog: &Catalog,
-        recency: &[f64],
-        budget: u64,
-        scratch: &mut PlannerScratch,
-    ) {
-        Self::new(self.scoring, SolverChoice::Adaptive).plan_requests_recorded(
-            requests,
-            catalog,
-            recency,
-            budget,
-            scratch,
-            &NullRecorder,
-        );
     }
 
     /// Like [`Self::plan`], but also return the exact DP's full

@@ -217,7 +217,7 @@ fn on_demand_steady_state_steps_do_not_allocate() {
 
     // The adaptive reduction pipeline (the `paper_default` solve path)
     // is held to the same bar: once its scratch is warm — reduction
-    // buffers, warm-start hint, core DP table, B&B stacks — every
+    // buffers, core DP table, endgame window lists — every
     // steady-state step is allocation-free, with no recorder, with a
     // StatsRecorder, and with the full FlightRecorder alike.
     let recorders: [(&str, Option<Box<dyn basecache_obs::Recorder>>); 3] = [
@@ -479,26 +479,25 @@ fn on_demand_steady_state_steps_do_not_allocate() {
     }
 
     // The expanding-core endgame at the solver level: sub-margin profit
-    // gaps defeat every certification attempt, so each solve expands
-    // the window geometrically until it degenerates to the full core —
-    // the maximum number of in-round expansions the solver can do. Once
+    // gaps defeat every certification attempt, so each solve widens
+    // its first window until it degenerates to the full core. Once
     // the scratch has seen the largest shape, re-solving (window
     // rebuilds, pending-list compaction, per-window DP tables included)
     // must never touch the heap.
     {
-        use basecache_knapsack::{AdaptiveScratch, AdaptiveSolver, Item};
+        use basecache_knapsack::{AdaptiveScratch, AdaptiveSolver, DpScratch, Item};
         let items: Vec<Item> = (0..300)
             .map(|i| Item::new(2, 1.0 + i as f64 * 1e-13))
             .collect();
-        let solver = AdaptiveSolver::default().with_endgame(8, 2);
         let mut scratch = AdaptiveScratch::new();
+        let mut dp = DpScratch::new();
         let caps = [151u64, 251, 201];
         for cap in caps {
-            solver.solve_into(&items, cap, &mut scratch);
+            AdaptiveSolver.solve_into(&items, cap, &mut scratch, &mut dp);
         }
         for (round, cap) in caps.iter().cycle().take(9).enumerate() {
             let before = allocation_count();
-            solver.solve_into(&items, *cap, &mut scratch);
+            AdaptiveSolver.solve_into(&items, *cap, &mut scratch, &mut dp);
             let after = allocation_count();
             assert_eq!(
                 after - before,

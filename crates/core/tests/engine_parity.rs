@@ -21,7 +21,6 @@ use basecache_core::recency::ScoringFunction;
 use basecache_core::station::BaseStationSim;
 use basecache_core::RoundOutcome;
 use basecache_core::StationBuilder;
-use basecache_knapsack::AdaptiveSolver;
 use basecache_net::{Catalog, ObjectId};
 use basecache_obs::{FlightRecorder, Snapshot};
 use basecache_sim::{RngStreams, SimTime, WorkerPool};
@@ -340,7 +339,7 @@ fn engine_rounds_honour_plan_exclusions() {
     assert_eq!(out.average_score, 1.0);
 }
 
-/// Strip the solver-work telemetry the expanding-core endgame is
+/// Strip the solver-work telemetry the adaptive reduction is
 /// *supposed* to change — DP cell counts, core sizes, fixing counts,
 /// method codes, expansion rounds — plus wall-clock spans. Every
 /// remaining observable must match bit-for-bit.
@@ -357,21 +356,21 @@ fn solver_blind(snapshot: &Snapshot) -> Snapshot {
     s
 }
 
-/// The certified expanding-core endgame (and its tied-instance
-/// certified pruning) must be invisible in the massive round's
-/// observables: at 100k-object scale under real churn, a station +
-/// engine pair with the endgame on and one with it off
-/// (`with_endgame(0, _)` restores the pre-endgame full sweep) produce
-/// bit-identical round outcomes, download sets, accumulated stats,
-/// flight-recorder round series and recorder snapshots — modulo the
-/// solver-work telemetry the endgame exists to shrink.
+/// The adaptive solver's reduction must be invisible in the massive
+/// round's observables: at 100k-object scale under real churn, a
+/// station + engine pair on the default adaptive solve and one on
+/// [`SolverChoice::ExactDp`] (the independent reference: the full-table
+/// DP over every item) produce bit-identical round outcomes, download
+/// sets, accumulated stats, flight-recorder round series and recorder
+/// snapshots — modulo the solver-work telemetry the reduction exists to
+/// shrink.
 ///
 /// This is the massive-bench fixture scaled down in requests and
-/// budget only (the object count — the axis the endgame's claim is
-/// about — stays at 100k) so the endgame-off reference's full DP stays
-/// affordable in debug builds.
+/// budget only (the object count — the axis the reduction's claim is
+/// about — stays at 100k) so the reference's full DP stays affordable
+/// in debug builds.
 #[test]
-fn massive_round_is_bit_identical_with_the_endgame_on_and_off() {
+fn massive_round_is_bit_identical_to_the_exact_dp_station() {
     const MASSIVE_OBJECTS: usize = 100_000;
     const REQUESTS: usize = 150_000;
     const MASSIVE_BUDGET: u64 = 600;
@@ -405,8 +404,8 @@ fn massive_round_is_bit_identical_with_the_endgame_on_and_off() {
             .collect()
     };
 
-    let rig = |solver: AdaptiveSolver| {
-        let planner = OnDemandPlanner::paper_default().with_adaptive_solver(solver);
+    let rig = |solver: SolverChoice| {
+        let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio, solver);
         let station = StationBuilder::new(catalog.clone())
             .on_demand(planner, MASSIVE_BUDGET)
             .recorder(Box::new(FlightRecorder::new(512, 64, 8)))
@@ -416,8 +415,8 @@ fn massive_round_is_bit_identical_with_the_endgame_on_and_off() {
         engine.push_columns(&objs, &targets);
         (station, engine)
     };
-    let (mut on_station, mut on_engine) = rig(AdaptiveSolver::default());
-    let (mut off_station, mut off_engine) = rig(AdaptiveSolver::default().with_endgame(0, 8));
+    let (mut on_station, mut on_engine) = rig(SolverChoice::Adaptive);
+    let (mut off_station, mut off_engine) = rig(SolverChoice::ExactDp);
 
     for round in 0..ROUNDS {
         for op in &ops[round * CHURN..(round + 1) * CHURN] {

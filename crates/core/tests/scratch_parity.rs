@@ -54,17 +54,7 @@ fn aggregated_exact_dp_plan_is_bit_identical_to_batch_path() {
             "round {round}"
         );
         let mapped = build_instance(&batch, &catalog, &recency, planner.scoring());
-        assert_eq!(
-            scratch.base_score_sum(),
-            mapped.base_score_sum(),
-            "round {round}"
-        );
-        assert_eq!(scratch.total_clients(), mapped.total_clients());
-        assert_eq!(
-            scratch.average_score(),
-            mapped.average_score_for_value(plan.achieved_value()),
-            "round {round}"
-        );
+        assert_eq!(scratch.items(), mapped.instance().items(), "round {round}");
     }
 }
 
@@ -104,8 +94,13 @@ fn empty_round_scores_one_and_downloads_nothing() {
     let planner = OnDemandPlanner::paper_default();
     let mut scratch = PlannerScratch::new();
     let catalog = Catalog::from_sizes(&[3, 5]);
-    planner.plan_requests_into(&[], &catalog, &[0.0, 0.0], 10, &mut scratch);
+    let recency = [0.0, 0.0];
+    planner.plan_requests_into(&[], &catalog, &recency, 10, &mut scratch);
+    assert!(scratch.items().is_empty());
     assert!(scratch.downloads().is_empty());
-    assert_eq!(scratch.total_clients(), 0);
-    assert_eq!(scratch.average_score(), 1.0);
+    let mapped = build_instance(&RequestBatch::new(), &catalog, &recency, planner.scoring());
+    assert_eq!(
+        mapped.average_score_for_value(scratch.achieved_value()),
+        1.0
+    );
 }

@@ -2,8 +2,10 @@
 //! paper's full-table DP.
 //!
 //! The adaptive front-end (capacity clamp, zero-profit/oversized drop,
-//! same-size dominance pruning, bound-based variable fixing, then a
-//! certified greedy / branch-and-bound / core-DP endgame) promises the
+//! one reduction routine — same-size dominance pruning and bound-based
+//! variable fixing — then a bound certificate, the bounded DP on the
+//! surviving core, or the certified expanding-core window for cores
+//! over 64 items) promises the
 //! *same plan, bit for bit* for a fraction of the DP work. This
 //! experiment runs paired base stations — one planning through the
 //! exact DP, one through the adaptive pipeline — over bit-identical
@@ -15,14 +17,17 @@
 //!
 //! The workload matters here: client target recencies are drawn from a
 //! continuous range and the catalog is size-heterogeneous, so item
-//! profits are pairwise bit-distinct and the reduction's fast paths
-//! engage. Discrete workloads (a unit catalog where every client
-//! demands perfect freshness) duplicate profit bits across objects, and
-//! the pipeline then *deliberately* declines to reduce — bit-equal
-//! profits make the DP's tie resolution an accumulation-order artifact
-//! no shortcut can reproduce — running the full DP instead. That
-//! regime is exact but saves nothing, so it is not what this figure
-//! measures.
+//! profits are pairwise bit-distinct and the reduction runs two-sided
+//! (dominance, forced-in and forced-out fixing). Discrete workloads (a
+//! unit catalog where every client demands perfect freshness) duplicate
+//! profit bits across objects, and the same routine then runs
+//! one-sided: bit-equal profits make the DP's tie resolution an
+//! accumulation-order artifact that dominance and forced-in fixing
+//! would disturb, so only items certified to be in *no* optimum are
+//! removed and the bounded DP sweeps the survivors (the full instance
+//! when nothing can be removed). That regime — 94 % of the solves
+//! behind the golden CSVs — still saves most of the table, but less,
+//! and it is not what this figure measures.
 
 use basecache_core::planner::{OnDemandPlanner, SolverChoice};
 use basecache_core::recency::ScoringFunction;
@@ -246,7 +251,7 @@ mod tests {
             }
         }
         // The surviving core is a small fraction of the instance
-        // whenever a DP (or B&B) endgame was needed at all.
+        // whenever a DP terminal was needed at all.
         for &(budget, core) in &fig.series[2].points {
             assert!(
                 core <= params.objects as f64,

@@ -4,23 +4,28 @@
 //! scale the exact DP dominates round time. Most of that work is
 //! provably unnecessary: classic instance reduction (Martello & Toth)
 //! fixes the bulk of the variables *before* any DP column is filled.
-//! [`AdaptiveSolver`] runs that pipeline on reusable scratch:
+//! [`AdaptiveSolver`] is one parameter-free pipeline on reusable scratch:
 //!
-//! 1. **Reduction** — clamp capacity to `min(B, Σ usable sizes)`, drop
-//!    zero-profit and oversized items, dominance-prune within equal
-//!    sizes (a capacity-`C` solution uses at most `⌊C/s⌋` items of size
-//!    `s`, so only the top profits of each size class can participate),
-//!    then compute a greedy lower bound and a per-item Dantzig upper
-//!    bound to *fix* variables: an item whose "forced in" bound falls
-//!    below the lower bound can never be chosen; an item whose "forced
-//!    out" bound falls below it must always be chosen.
-//! 2. **Adaptive solve** — if every usable item fits (`LB == UB`, the
-//!    certificate case) return the greedy solution immediately; else run
-//!    depth-first branch-and-bound over the surviving core, seeded with
-//!    the greedy incumbent (and, optionally, a warm-start hint from the
-//!    previous round's solution); if the search is cut off or cannot
-//!    certify a strictly unique optimum, fall back to the bounded DP
-//!    ([`DpByCapacity::solve_into`]) on the reduced core only.
+//! 1. **Classify** — exactly as the DP does: drop zero-profit and
+//!    oversized items, take free (size-0) items, clamp capacity to
+//!    `min(B, Σ usable sizes)`. If every usable item fits, taking all of
+//!    them is the certified optimum and nothing else runs.
+//! 2. **Reduce** — one routine, one flag. Density order and prefix sums,
+//!    a greedy / best-single-item lower bound, the Dantzig upper bound,
+//!    then per-item bound fixing: an item whose "forced in" bound falls
+//!    below the lower bound can never be chosen. When no two usable
+//!    profits share their bits the reduction is *two-sided*: it also
+//!    dominance-prunes within equal sizes (a capacity-`C` solution uses
+//!    at most `⌊C/s⌋` items of size `s`, so only the top profits of each
+//!    size class can participate) and fixes an item *in* when its
+//!    "forced out" bound falls below the lower bound. Under duplicate
+//!    profit bits both are switched off (see *Tie safety*).
+//! 3. **Terminal** — an empty core is a certificate; a core of at most
+//!    64 items (and every tied core) is swept by the bounded DP
+//!    ([`DpByCapacity::solve_into`], on the [`DpScratch`] the caller
+//!    lends) on the core only; a larger untied
+//!    core goes to the expanding-core endgame, which worst case
+//!    degenerates to exactly that sweep.
 //!
 //! The result is always exact-optimal with the *same canonical
 //! tie-breaking as the full-table DP*: the chosen item set, the achieved
@@ -36,40 +41,62 @@
 //! **Tie safety.** When two usable items carry bit-identical profits,
 //! the full DP resolves the resulting solution ties through the
 //! accumulation order of its table cells — an artifact no shortcut can
-//! reproduce. The pipeline detects bit-equal profit pairs up front and
-//! declines *two-sided* fixing on those instances. One direction does
-//! survive ties: removing an item certified (margin-strictly) to sit in
-//! **no** optimal solution leaves the DP's backtrack path — and with it
-//! the canonical tie resolution — bit-identical, so tied instances are
-//! pruned forced-out-only and swept by the bounded DP over the
-//! survivors ([`AdaptiveSolver::solve_tied_certified`] documents the
-//! argument). Everything else on a tied instance runs the full DP
-//! wholesale, exactly as before.
+//! reproduce, and one that dominance (which would drop one of two equal
+//! profits) and forcing an item *in* (which reshapes the accumulation
+//! order) both disturb. Removing an item certified to sit in **no**
+//! optimal solution, however, leaves the DP bit-identical even under
+//! ties: along the canonical chosen set's backtrack path every cell
+//! value is achieved by a subset free of the removed item (so those
+//! values are unchanged f64 folds), and each keep-bit comparison pits an
+//! on-path value (unchanged) against an off-path value (which removal
+//! can only lower, `max` over fewer folds), so no strict-`>` decision
+//! flips in either direction. Tied instances are therefore reduced
+//! forced-out-only and the survivors swept at the full effective
+//! capacity. Guard rails: the survivors' total size must still reach
+//! the effective capacity (so the reduced DP clamps to the same table
+//! width as the full sweep) and the pruning must actually remove
+//! something; otherwise the full-instance sweep runs unchanged.
 //!
-//! **Expanding-core endgame.** When the surviving core is still large,
-//! the terminal DP does not sweep it wholesale: a small window around
-//! the core's Dantzig break item is solved exactly (the denser head
-//! assumed in, the sparser tail assumed out) and the assumptions are
-//! *certified* against the per-item fractional bounds, with the window
-//! growing geometrically on any certification failure — worst case
-//! degenerating to exactly the full-core sweep. See
-//! [`SolveMethod::ExpandingCore`] and `DESIGN.md` §15.
+//! **Expanding-core endgame.** A large untied core is not swept
+//! wholesale: a 64-item window around the core's Dantzig break item is
+//! solved exactly (the denser head assumed in, the sparser tail assumed
+//! out) and the assumptions are *certified* against the per-item
+//! fractional bounds, with the window growing 8× on any certification
+//! failure. See [`SolveMethod::ExpandingCore`] and `DESIGN.md` §15.
+//!
+//! **Why there is nothing to tune.** The pipeline once also carried a
+//! branch-and-bound terminal, a warm-start hint and four builder knobs.
+//! Counted per solve under `benchmark/run.sh` (1 s per workload, seeds
+//! 1 and 2), branch-and-bound was attempted on 83 % of `station-paper`
+//! and 9 % of `cluster-roaming` solves and completed 0 of 28 476 times
+//! (its first leaf was the greedy seed it was handed, an unbreakable
+//! tie), the hint beat the greedy incumbent 0 of 20 988 times (last
+//! round's downloads are fresh, hence absent from this round's
+//! instance), and nothing outside tests set a knob. What the traffic
+//! does use is what remains: the tied path is 100 % of
+//! `station-inflight` and `engine-massive` solves and 94 % of the 47 867
+//! solves behind the golden CSVs, and the endgame certifies ~2 % of
+//! `station-paper` solves.
 
 use crate::{DpByCapacity, DpScratch, Instance, Item, Solution, Solver};
+
+/// Largest core the bounded DP sweeps wholesale, and the width of the
+/// expanding-core endgame's first window.
+const WINDOW: usize = 64;
+
+/// Factor the endgame's window grows by on each certification failure.
+const GROWTH: usize = 8;
 
 /// Which terminal strategy produced the last solution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolveMethod {
     /// The bounds met: the greedy/reduction answer is certified optimal
-    /// and no search ran (includes the "every usable item fits" case and
+    /// and no DP ran (includes the "every usable item fits" case and
     /// cores emptied entirely by variable fixing).
     #[default]
     CertifiedGreedy,
-    /// Branch-and-bound over the reduced core completed with a strictly
-    /// unique optimum.
-    BranchAndBound,
     /// The bounded DP ran on the reduced core (or on the full instance
-    /// for degenerate profit scales).
+    /// where reduction declined).
     CoreDp,
     /// The expanding-core endgame solved a small window of the core
     /// exactly and certified the result against the global fractional
@@ -80,12 +107,13 @@ pub enum SolveMethod {
 }
 
 impl SolveMethod {
-    /// Dense numeric code for recorder samples (0 = certified greedy,
-    /// 1 = branch-and-bound, 2 = core DP, 3 = certified expanding core).
+    /// Numeric code for recorder samples: 0 = certified greedy,
+    /// 2 = core DP, 3 = certified expanding core. (1 was the retired
+    /// branch-and-bound terminal; the others keep their values so old
+    /// and new recordings compare.)
     pub const fn code(self) -> u8 {
         match self {
             SolveMethod::CertifiedGreedy => 0,
-            SolveMethod::BranchAndBound => 1,
             SolveMethod::CoreDp => 2,
             SolveMethod::ExpandingCore => 3,
         }
@@ -120,10 +148,9 @@ pub struct AdaptiveScratch {
     usable_profit: Vec<f64>,
     /// Reduction state per usable position.
     state: Vec<State>,
-    /// Final selection flag per usable position.
+    /// Selection flag per usable position: the greedy incumbent while
+    /// reducing, the final selection afterwards.
     sel: Vec<bool>,
-    /// Greedy / hint working flags per usable position.
-    tmp: Vec<bool>,
     /// Usable positions sorted by (size asc, profit desc, index asc) for
     /// the dominance pass.
     dom: Vec<u32>,
@@ -136,21 +163,11 @@ pub struct AdaptiveScratch {
     ord_psize: Vec<u64>,
     /// Prefix sums of profits over `ord` (len m+1).
     ord_pprofit: Vec<f64>,
-    // Core (undecided) items for the terminal solvers.
+    // Core (undecided) items for the terminal DP.
     /// Core items in ascending original order.
     core_items: Vec<Item>,
     /// Usable position of each core item.
     core_map: Vec<u32>,
-    // Branch-and-bound state, in core density order.
-    bb_size: Vec<u64>,
-    bb_profit: Vec<f64>,
-    bb_pos: Vec<u32>,
-    bb_ssize: Vec<u64>,
-    bb_sprofit: Vec<f64>,
-    bb_current: Vec<bool>,
-    bb_best: Vec<bool>,
-    /// Reusable DP tables for the core fallback.
-    dp: DpScratch,
     // Expanding-core endgame state.
     /// Density ranks (indices into `ord`) of the core items, in core
     /// density order.
@@ -172,7 +189,6 @@ pub struct AdaptiveScratch {
     core_size: usize,
     items_fixed: usize,
     cells_touched: u64,
-    nodes: u64,
     core_rounds: u32,
     certified: bool,
     lower_bound: f64,
@@ -182,22 +198,18 @@ pub struct AdaptiveScratch {
 impl AdaptiveScratch {
     /// Fresh, empty scratch; buffers grow on first use.
     pub fn new() -> Self {
-        Self {
-            method: SolveMethod::CertifiedGreedy,
-            ..Self::default()
-        }
+        Self::default()
     }
 
-    /// Pre-size every buffer for instances of up to `max_items` items
-    /// and capacities up to `max_capacity`, so even the first solve
-    /// allocates nothing.
-    pub fn reserve(&mut self, max_items: usize, max_capacity: u64) {
+    /// Pre-size every buffer for instances of up to `max_items` items,
+    /// so even the first solve allocates nothing here. (The DP tables
+    /// the terminal sweeps run on are the caller's [`DpScratch`].)
+    pub fn reserve(&mut self, max_items: usize) {
         self.usable_idx.reserve(max_items);
         self.usable_size.reserve(max_items);
         self.usable_profit.reserve(max_items);
         self.state.reserve(max_items);
         self.sel.reserve(max_items);
-        self.tmp.reserve(max_items);
         self.dom.reserve(max_items);
         self.pbits.reserve(max_items);
         self.ord.reserve(max_items);
@@ -205,25 +217,12 @@ impl AdaptiveScratch {
         self.ord_pprofit.reserve(max_items + 1);
         self.core_items.reserve(max_items);
         self.core_map.reserve(max_items);
-        self.bb_size.reserve(max_items);
-        self.bb_profit.reserve(max_items);
-        self.bb_pos.reserve(max_items);
-        self.bb_ssize.reserve(max_items + 1);
-        self.bb_sprofit.reserve(max_items + 1);
-        self.bb_current.reserve(max_items);
-        self.bb_best.reserve(max_items);
         self.core_rank.reserve(max_items);
         self.core_csize.reserve(max_items + 1);
         self.core_full.reserve(max_items);
         self.in_window.reserve(max_items);
         self.pending.reserve(max_items);
         self.chosen.reserve(max_items);
-        // The DP tables are deliberately *not* pre-sized here: they grow
-        // lazily to the core (or window) the terminal sweep actually
-        // visits, so steady-state memory tracks the expanded core rather
-        // than `max_items × max_capacity` — worst case (the degenerate
-        // full-instance fallback) they still grow once and stick.
-        let _ = max_capacity;
     }
 
     /// Optimal profit of the last solve (bit-identical to the full DP's).
@@ -263,11 +262,6 @@ impl AdaptiveScratch {
         self.cells_touched
     }
 
-    /// Branch-and-bound nodes expanded by the last solve.
-    pub fn nodes(&self) -> u64 {
-        self.nodes
-    }
-
     /// Expansion rounds the certified endgame ran — window solves,
     /// counting the final full-core sweep when certification never
     /// fired; 0 when no endgame ran at all.
@@ -277,7 +271,7 @@ impl AdaptiveScratch {
 
     /// Whether the last solve ended in a bound certificate (a greedy
     /// certificate or the expanding-core endgame) rather than an
-    /// exhaustive sweep or search of the full core.
+    /// exhaustive sweep of the full core.
     pub fn certified(&self) -> bool {
         self.certified
     }
@@ -294,92 +288,33 @@ impl AdaptiveScratch {
 }
 
 /// The adaptive exact solver: reduction, variable fixing, and the
-/// cheapest terminal strategy that certifies optimality. See the module
-/// docs for the pipeline and the exactness contract.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdaptiveSolver {
-    /// Node budget for the branch-and-bound terminal; exceeding it falls
-    /// back to the core DP.
-    max_nodes: u64,
-    /// Largest core the branch-and-bound terminal will attempt; bigger
-    /// cores go straight to the bounded DP.
-    max_bb_core: usize,
-    /// Initial window width of the certified expanding-core endgame;
-    /// 0 disables the endgame (and the tied-instance certified pruning),
-    /// restoring the pre-endgame full-core / full-instance terminals.
-    initial_core: usize,
-    /// Geometric growth factor applied to the window width on each
-    /// certification failure (values below 2 behave as 2).
-    core_growth: usize,
-}
-
-impl Default for AdaptiveSolver {
-    /// `max_nodes` 4096, `max_bb_core` 48, `initial_core` 64,
-    /// `core_growth` 8.
-    fn default() -> Self {
-        Self {
-            max_nodes: 4096,
-            max_bb_core: 48,
-            initial_core: 64,
-            core_growth: 8,
-        }
-    }
-}
+/// cheapest terminal that certifies optimality. See the module docs for
+/// the pipeline and the exactness contract.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AdaptiveSolver;
 
 impl AdaptiveSolver {
-    /// Solver with a custom branch-and-bound node budget.
-    pub fn with_max_nodes(max_nodes: u64) -> Self {
-        Self {
-            max_nodes,
-            ..Self::default()
-        }
-    }
-
-    /// Set the largest core the branch-and-bound terminal will attempt
-    /// (default 48); bigger cores go to the DP terminals.
-    pub fn with_max_bb_core(mut self, max_bb_core: usize) -> Self {
-        self.max_bb_core = max_bb_core;
-        self
-    }
-
-    /// Configure the certified expanding-core endgame: the initial
-    /// window width (default 64; 0 disables the endgame *and* the
-    /// tied-instance certified pruning, restoring the pre-endgame
-    /// full-core DP / full-instance fallback) and the geometric growth
-    /// factor applied to the window on each certification failure
-    /// (default 8; values below 2 behave as 2).
-    pub fn with_endgame(mut self, initial_core: usize, core_growth: usize) -> Self {
-        self.initial_core = initial_core;
-        self.core_growth = core_growth;
-        self
-    }
-
     /// Solve `items` under `capacity` on reusable scratch. The optimal
     /// profit is returned and, with the chosen indices and the reduction
-    /// stats, left in `scratch`.
-    pub fn solve_into(&self, items: &[Item], capacity: u64, scratch: &mut AdaptiveScratch) -> f64 {
-        self.solve_with_hint_into(items, capacity, &[], scratch)
-    }
-
-    /// [`Self::solve_into`] with a warm-start hint: `hint` lists item
-    /// indices (ascending) believed to be near-optimal — typically the
-    /// previous round's solution. The hint only strengthens the
-    /// incumbent used for fixing and pruning; it never changes the
-    /// returned solution.
-    pub fn solve_with_hint_into(
+    /// stats, left in `scratch`; `dp` lends the tables for whatever DP
+    /// sweep the terminal needs (its contents afterwards are that
+    /// sweep's, over the core — read the answer from `scratch`). A
+    /// planner passes the same [`DpScratch`] it would hand
+    /// [`DpByCapacity::solve_into`], so one set of tables serves either
+    /// exact solver.
+    pub fn solve_into(
         &self,
         items: &[Item],
         capacity: u64,
-        hint: &[usize],
         scratch: &mut AdaptiveScratch,
+        dp: &mut DpScratch,
     ) -> f64 {
-        // ---- Phase 0: classify items exactly as the DP does. ---------
+        // ---- Classify items exactly as the DP does. ------------------
         scratch.usable_idx.clear();
         scratch.usable_size.clear();
         scratch.usable_profit.clear();
         scratch.chosen.clear();
         scratch.cells_touched = 0;
-        scratch.nodes = 0;
         scratch.core_rounds = 0;
         scratch.certified = false;
 
@@ -408,70 +343,186 @@ impl AdaptiveSolver {
             scratch.usable_size.push(size);
             scratch.usable_profit.push(profit);
         }
+        if degenerate {
+            // Bit-identical by construction: run the full bounded DP.
+            return scratch.full_dp(items, capacity, dp);
+        }
         let nu = scratch.usable_idx.len();
-        let effective = capacity.min(total_usable);
+        scratch.sel.clear();
+        scratch.sel.resize(nu, false);
+        if total_usable <= capacity {
+            // Every usable item fits. Tie-free even under duplicate
+            // profit bits: all profits are positive, so taking
+            // everything is the unique optimum and the DP would do
+            // exactly that.
+            scratch.sel.fill(true);
+            return scratch.certify(items);
+        }
+        // From here on the capacity binds: `capacity < total_usable`.
 
         // Bit-equal profits make the DP's tie resolution an accumulation
         // artifact (its strict-`>` keep bit reacts to ulp-level fold-order
         // noise between equal-value sets) that no shortcut reproduces.
-        // Detect any duplicated profit bits up front and decline the
-        // two-sided fixing pipeline below.
+        // Detect any duplicated profit bits up front and reduce such
+        // instances one-sidedly (module docs, *Tie safety*).
         scratch.pbits.clear();
         scratch
             .pbits
             .extend(scratch.usable_profit.iter().map(|p| p.to_bits()));
         scratch.pbits.sort_unstable();
-        let tied = scratch.pbits.windows(2).any(|w| w[0] == w[1]);
-
-        if degenerate {
-            // Bit-identical by construction: run the full bounded DP.
-            return self.solve_degenerate_fallback(items, capacity, scratch);
-        }
-        if tied {
-            // Duplicate profit bits rule out two-sided fixing, but one
-            // direction survives ties; see `solve_tied_certified`.
-            return self.solve_tied_certified(
-                items,
-                capacity,
-                effective,
-                total_usable,
-                flat,
-                scratch,
-            );
-        }
-
-        scratch.sel.clear();
-        scratch.sel.resize(nu, false);
-
-        // ---- Phase 1: every usable item fits — certified greedy. -----
-        if total_usable <= capacity {
-            for s in scratch.sel.iter_mut() {
-                *s = true;
-            }
-            let value = finish(items, scratch);
-            scratch.method = SolveMethod::CertifiedGreedy;
-            scratch.certified = true;
-            scratch.core_size = 0;
-            scratch.items_fixed = nu;
-            scratch.lower_bound = value;
-            scratch.upper_bound = value;
-            return value;
-        }
+        let two_sided = !scratch.pbits.windows(2).any(|w| w[0] == w[1]);
 
         // Conservative float margin: any fold of usable profits differs
         // from the real sum by well under this, so bound comparisons that
         // clear it cannot be rounding artifacts.
         let margin = flat * f64::EPSILON * (nu as f64 + 4.0) * 8.0;
 
-        // ---- Phase 2: dominance pruning within equal sizes. ----------
-        scratch.state.clear();
-        scratch.state.resize(nu, State::Core);
-        scratch.dom.clear();
-        scratch.dom.extend(0..nu as u32);
+        // ---- Reduce. -------------------------------------------------
+        if !scratch.reduce(capacity, margin, two_sided) {
+            // Everything that survived dominance fits: the bound is
+            // split-free, LB == UB, and taking all of it is certified.
+            scratch.select_state(State::Core);
+            return scratch.certify(items);
+        }
+
+        // ---- Terminal. -----------------------------------------------
+        let forced_size: u64 = (0..nu)
+            .filter(|&u| scratch.state[u] == State::ForcedIn)
+            .map(|u| scratch.usable_size[u])
+            .sum();
+        load_core(
+            &mut scratch.core_items,
+            &mut scratch.core_map,
+            &scratch.usable_size,
+            &scratch.usable_profit,
+            (0..nu as u32).filter(|&u| scratch.state[u as usize] == State::Core),
+        );
+        let nk = scratch.core_items.len();
+        let declined = if two_sided {
+            // Cannot happen when the fixing logic is sound; if rounding
+            // ever conspired against us, decline to reduce entirely.
+            forced_size > capacity
+        } else {
+            // The tied guard rails: nothing removed, or the reduced
+            // table would clamp narrower than the full one.
+            nk == nu || scratch.core_items.iter().map(Item::size).sum::<u64>() < capacity
+        };
+        if declined {
+            return scratch.full_dp(items, capacity, dp);
+        }
+        if nk == 0 {
+            scratch.select_state(State::ForcedIn);
+            return scratch.certify(items);
+        }
+        // A tied core has nothing forced in, so it is swept at the full
+        // effective capacity — the width the removal argument needs.
+        let core_cap = capacity - forced_size;
+        if two_sided && nk > WINDOW {
+            return scratch.expanding_core(items, capacity, core_cap, margin, dp);
+        }
+        scratch.core_dp(items, core_cap, dp)
+    }
+}
+
+impl AdaptiveScratch {
+    /// The one reduction routine, run when the capacity binds: density
+    /// order and prefix sums, the greedy / best-single lower bound, the
+    /// Dantzig upper bound, then per-item bound fixing into `state`.
+    /// `two_sided` (no duplicate profit bits) adds same-size dominance
+    /// and forced-*in* fixing. Returns `false` — before any fixing —
+    /// when everything that survived dominance fits `capacity`.
+    fn reduce(&mut self, capacity: u64, margin: f64, two_sided: bool) -> bool {
+        let nu = self.usable_idx.len();
+        self.state.clear();
+        self.state.resize(nu, State::Core);
+        if two_sided {
+            self.drop_dominated(capacity, margin);
+        }
+
+        // Density order (density desc, index asc) over the non-dropped
+        // items, and prefix sums.
+        self.ord.clear();
+        self.ord
+            .extend((0..nu as u32).filter(|&u| self.state[u as usize] == State::Core));
         {
-            let size = &scratch.usable_size;
-            let profit = &scratch.usable_profit;
-            scratch.dom.sort_unstable_by(|&a, &b| {
+            let size = &self.usable_size;
+            let profit = &self.usable_profit;
+            self.ord.sort_unstable_by(|&a, &b| {
+                let (a, b) = (a as usize, b as usize);
+                let da = profit[a] / size[a] as f64;
+                let db = profit[b] / size[b] as f64;
+                db.partial_cmp(&da)
+                    .expect("validated profits are never NaN")
+                    .then(a.cmp(&b))
+            });
+        }
+        let m = self.ord.len();
+        self.ord_psize.clear();
+        self.ord_pprofit.clear();
+        self.ord_psize.push(0);
+        self.ord_pprofit.push(0.0);
+        for k in 0..m {
+            let u = self.ord[k] as usize;
+            self.ord_psize.push(self.ord_psize[k] + self.usable_size[u]);
+            self.ord_pprofit
+                .push(self.ord_pprofit[k] + self.usable_profit[u]);
+        }
+
+        // Greedy incumbent (density order, take what fits), evaluated by
+        // the ascending-index fold so it compares exactly against DP
+        // values; then the best single non-dropped item (the classic
+        // 2-approximation fix).
+        let mut remaining = capacity;
+        for &u in &self.ord {
+            let u = u as usize;
+            if self.usable_size[u] <= remaining {
+                remaining -= self.usable_size[u];
+                self.sel[u] = true;
+            }
+        }
+        let mut lb = fold_flags(&self.usable_profit, &self.sel);
+        for (&p, &state) in self.usable_profit.iter().zip(&self.state) {
+            if state == State::Core && p > lb {
+                lb = p;
+            }
+        }
+        self.lower_bound = lb;
+        self.upper_bound = self.dantzig(capacity);
+        if self.ord_psize[m] <= capacity {
+            return false;
+        }
+
+        for r in 0..m {
+            let u = self.ord[r] as usize;
+            let (s_r, p_r) = (self.usable_size[u], self.usable_profit[u]);
+            // Upper bound over solutions that DO contain item r.
+            let ub_in = p_r + self.dantzig_excluding(r, capacity - s_r);
+            if ub_in + margin < lb {
+                self.state[u] = State::ForcedOut;
+            } else if two_sided {
+                // Upper bound over solutions that do NOT contain item r.
+                let ub_out = self.dantzig_excluding(r, capacity);
+                if ub_out + margin < lb {
+                    self.state[u] = State::ForcedIn;
+                }
+            }
+        }
+        true
+    }
+
+    /// Dominance pruning within equal sizes: a feasible solution holds
+    /// at most `⌊capacity/size⌋` items of one size, so an item is
+    /// droppable when at least that many classmates beat it
+    /// *decisively* — beyond the float margin. (Only run without
+    /// bit-equal profits; see [`Self::reduce`].)
+    fn drop_dominated(&mut self, capacity: u64, margin: f64) {
+        let nu = self.usable_idx.len();
+        self.dom.clear();
+        self.dom.extend(0..nu as u32);
+        {
+            let size = &self.usable_size;
+            let profit = &self.usable_profit;
+            self.dom.sort_unstable_by(|&a, &b| {
                 let (a, b) = (a as usize, b as usize);
                 size[a]
                     .cmp(&size[b])
@@ -485,22 +536,17 @@ impl AdaptiveSolver {
         }
         let mut run = 0;
         while run < nu {
-            let size = scratch.usable_size[scratch.dom[run] as usize];
+            let size = self.usable_size[self.dom[run] as usize];
             let mut run_end = run + 1;
-            while run_end < nu && scratch.usable_size[scratch.dom[run_end] as usize] == size {
+            while run_end < nu && self.usable_size[self.dom[run_end] as usize] == size {
                 run_end += 1;
             }
-            // A feasible solution holds at most ⌊effective/size⌋ items of
-            // this size. An item is droppable only when at least that
-            // many classmates beat it *decisively* — beyond the float
-            // margin. (Bit-equal profits never reach this phase: the
-            // duplicate check above routes them to the full DP.)
-            let quota = (effective / size) as usize;
+            let quota = (capacity / size) as usize;
             for t in quota.max(1)..run_end - run {
-                let p_t = scratch.usable_profit[scratch.dom[run + t] as usize];
+                let p_t = self.usable_profit[self.dom[run + t] as usize];
                 let mut decisive = 0usize;
                 for k in 0..t {
-                    let p_k = scratch.usable_profit[scratch.dom[run + k] as usize];
+                    let p_k = self.usable_profit[self.dom[run + k] as usize];
                     if p_k > p_t + margin {
                         decisive += 1;
                         if decisive >= quota {
@@ -509,438 +555,11 @@ impl AdaptiveSolver {
                     }
                 }
                 if decisive >= quota {
-                    scratch.state[scratch.dom[run + t] as usize] = State::Dropped;
+                    self.state[self.dom[run + t] as usize] = State::Dropped;
                 }
             }
             run = run_end;
         }
-
-        // ---- Phase 3: bounds over the non-dropped items. -------------
-        // Density order (density desc, index asc) and prefix sums.
-        scratch.ord.clear();
-        scratch
-            .ord
-            .extend((0..nu as u32).filter(|&u| scratch.state[u as usize] == State::Core));
-        {
-            let size = &scratch.usable_size;
-            let profit = &scratch.usable_profit;
-            scratch.ord.sort_unstable_by(|&a, &b| {
-                let (a, b) = (a as usize, b as usize);
-                let da = profit[a] / size[a] as f64;
-                let db = profit[b] / size[b] as f64;
-                db.partial_cmp(&da)
-                    .expect("validated profits are never NaN")
-                    .then(a.cmp(&b))
-            });
-        }
-        let m = scratch.ord.len();
-        scratch.ord_psize.clear();
-        scratch.ord_pprofit.clear();
-        scratch.ord_psize.push(0);
-        scratch.ord_pprofit.push(0.0);
-        for k in 0..m {
-            let u = scratch.ord[k] as usize;
-            scratch
-                .ord_psize
-                .push(scratch.ord_psize[k] + scratch.usable_size[u]);
-            scratch
-                .ord_pprofit
-                .push(scratch.ord_pprofit[k] + scratch.usable_profit[u]);
-        }
-
-        // Greedy incumbent (density order, take what fits), evaluated by
-        // the ascending-index fold so it compares exactly against DP
-        // values.
-        scratch.tmp.clear();
-        scratch.tmp.resize(nu, false);
-        let mut remaining = effective;
-        for k in 0..m {
-            let u = scratch.ord[k] as usize;
-            if scratch.usable_size[u] <= remaining {
-                remaining -= scratch.usable_size[u];
-                scratch.tmp[u] = true;
-            }
-        }
-        let mut lb = fold_flags(&scratch.usable_profit, &scratch.tmp);
-        // Best single non-dropped item (the classic 2-approximation fix).
-        for k in 0..m {
-            let u = scratch.ord[k] as usize;
-            if scratch.usable_profit[u] > lb {
-                lb = scratch.usable_profit[u];
-            }
-        }
-        // Warm-start hint: refit the previous solution under the current
-        // instance and keep it if it beats the greedy incumbent.
-        if !hint.is_empty() {
-            let mut rem = effective;
-            let mut hv = 0.0;
-            let mut h = 0usize;
-            for (upos, &idx) in scratch.usable_idx.iter().enumerate() {
-                while h < hint.len() && hint[h] < idx as usize {
-                    h += 1;
-                }
-                if h < hint.len()
-                    && hint[h] == idx as usize
-                    && scratch.state[upos] == State::Core
-                    && scratch.usable_size[upos] <= rem
-                {
-                    rem -= scratch.usable_size[upos];
-                    hv += scratch.usable_profit[upos];
-                }
-            }
-            if hv > lb {
-                // Re-mark tmp with the refitted hint set.
-                for t in scratch.tmp.iter_mut() {
-                    *t = false;
-                }
-                let mut rem = effective;
-                let mut h = 0usize;
-                for (upos, &idx) in scratch.usable_idx.iter().enumerate() {
-                    while h < hint.len() && hint[h] < idx as usize {
-                        h += 1;
-                    }
-                    if h < hint.len()
-                        && hint[h] == idx as usize
-                        && scratch.state[upos] == State::Core
-                        && scratch.usable_size[upos] <= rem
-                    {
-                        rem -= scratch.usable_size[upos];
-                        scratch.tmp[upos] = true;
-                    }
-                }
-                lb = hv;
-            }
-        }
-        scratch.lower_bound = lb;
-
-        // Global Dantzig bound. When everything that survived dominance
-        // fits, the bound is split-free: LB == UB and the greedy solution
-        // (take all of it) carries an optimality certificate.
-        let (ub, _split) = dantzig(
-            &scratch.ord_psize,
-            &scratch.ord_pprofit,
-            &scratch.ord,
-            &scratch.usable_size,
-            &scratch.usable_profit,
-            effective,
-        );
-        scratch.upper_bound = ub;
-        if scratch.ord_psize[m] <= effective {
-            for (upos, sel) in scratch.sel.iter_mut().enumerate() {
-                *sel = scratch.state[upos] == State::Core;
-            }
-            let value = finish(items, scratch);
-            scratch.method = SolveMethod::CertifiedGreedy;
-            scratch.certified = true;
-            scratch.core_size = 0;
-            scratch.items_fixed = nu;
-            scratch.lower_bound = value;
-            scratch.upper_bound = value;
-            return value;
-        }
-
-        // ---- Phase 4: bound-based variable fixing. -------------------
-        for r in 0..m {
-            let u = scratch.ord[r] as usize;
-            let (s_r, p_r) = (scratch.usable_size[u], scratch.usable_profit[u]);
-            // Upper bound over solutions that DO contain item r.
-            let ub_in = p_r
-                + dantzig_excluding(
-                    &scratch.ord_psize,
-                    &scratch.ord_pprofit,
-                    &scratch.ord,
-                    &scratch.usable_size,
-                    &scratch.usable_profit,
-                    r,
-                    effective - s_r,
-                );
-            if ub_in + margin < lb {
-                scratch.state[u] = State::ForcedOut;
-                continue;
-            }
-            // Upper bound over solutions that do NOT contain item r.
-            let ub_out = dantzig_excluding(
-                &scratch.ord_psize,
-                &scratch.ord_pprofit,
-                &scratch.ord,
-                &scratch.usable_size,
-                &scratch.usable_profit,
-                r,
-                effective,
-            );
-            if ub_out + margin < lb {
-                scratch.state[u] = State::ForcedIn;
-            }
-        }
-
-        // ---- Phase 5: assemble the core and pick a terminal. ---------
-        let mut forced_size: u64 = 0;
-        scratch.core_items.clear();
-        scratch.core_map.clear();
-        for upos in 0..nu {
-            match scratch.state[upos] {
-                State::ForcedIn => forced_size += scratch.usable_size[upos],
-                State::Core => {
-                    scratch.core_items.push(Item::new(
-                        scratch.usable_size[upos],
-                        scratch.usable_profit[upos],
-                    ));
-                    scratch.core_map.push(upos as u32);
-                }
-                State::Dropped | State::ForcedOut => {}
-            }
-        }
-        if forced_size > effective {
-            // Cannot happen when the fixing logic is sound; if rounding
-            // ever conspired against us, decline to reduce entirely.
-            return self.solve_degenerate_fallback(items, capacity, scratch);
-        }
-        let core_cap = effective - forced_size;
-        scratch.core_size = scratch.core_items.len();
-        scratch.items_fixed = nu - scratch.core_size;
-
-        if scratch.core_items.is_empty() {
-            for upos in 0..nu {
-                scratch.sel[upos] = scratch.state[upos] == State::ForcedIn;
-            }
-            let value = finish(items, scratch);
-            scratch.method = SolveMethod::CertifiedGreedy;
-            scratch.certified = true;
-            scratch.value = value;
-            return value;
-        }
-
-        // Branch-and-bound, seeded with the incumbent restricted to the
-        // core, when the core is small enough to search decisively.
-        if scratch.core_size <= self.max_bb_core && self.branch_and_bound(core_cap, scratch) {
-            for upos in 0..nu {
-                scratch.sel[upos] = scratch.state[upos] == State::ForcedIn;
-            }
-            for (c, &upos) in scratch.core_map.iter().enumerate() {
-                if scratch.bb_best[c] {
-                    scratch.sel[upos as usize] = true;
-                }
-            }
-            let value = finish(items, scratch);
-            scratch.method = SolveMethod::BranchAndBound;
-            scratch.value = value;
-            return value;
-        }
-
-        // The certified expanding-core endgame: solve a small window
-        // around the core's Dantzig break and certify, instead of
-        // sweeping the whole core. Worst case it degenerates to exactly
-        // the full-core sweep below.
-        if self.initial_core > 0 && scratch.core_size > self.initial_core {
-            return self.expanding_core(items, effective, core_cap, margin, scratch);
-        }
-
-        // Bounded DP on the reduced core only.
-        DpByCapacity.solve_into(&scratch.core_items, core_cap, &mut scratch.dp);
-        scratch.cells_touched = scratch.dp.cells_touched();
-        for upos in 0..nu {
-            scratch.sel[upos] = scratch.state[upos] == State::ForcedIn;
-        }
-        for &c in scratch.dp.chosen() {
-            scratch.sel[scratch.core_map[c] as usize] = true;
-        }
-        let value = finish(items, scratch);
-        scratch.method = SolveMethod::CoreDp;
-        scratch.value = value;
-        value
-    }
-
-    /// Full-instance DP fallback for paths where reduction declined.
-    fn solve_degenerate_fallback(
-        &self,
-        items: &[Item],
-        capacity: u64,
-        scratch: &mut AdaptiveScratch,
-    ) -> f64 {
-        let value = DpByCapacity.solve_into(items, capacity, &mut scratch.dp);
-        scratch.chosen.clear();
-        scratch.chosen.extend_from_slice(scratch.dp.chosen());
-        scratch.cells_touched = scratch.dp.cells_touched();
-        scratch.value = value;
-        scratch.method = SolveMethod::CoreDp;
-        scratch.certified = false;
-        scratch.core_size = scratch.usable_idx.len();
-        scratch.items_fixed = 0;
-        scratch.lower_bound = value;
-        scratch.upper_bound = value;
-        value
-    }
-
-    /// Tied instances (duplicate profit bits) disable two-sided fixing:
-    /// the DP resolves equal-profit ties through its cell accumulation
-    /// order, and forcing an item *in* reshapes that order. Removing an
-    /// item certified to sit in **no** optimal solution, however, leaves
-    /// the DP bit-identical even under ties: along the canonical chosen
-    /// set's backtrack path every cell value is achieved by a subset
-    /// free of the removed item (so those values are unchanged f64
-    /// folds), and each keep-bit comparison pits an on-path value
-    /// (unchanged) against an off-path value (which removal can only
-    /// lower, `max` over fewer folds), so no strict-`>` decision flips
-    /// in either direction. This path prunes with that one safe
-    /// direction — the margin-strict `ub_in < lb` test of phase 4 — and
-    /// sweeps the bounded DP over the survivors only.
-    ///
-    /// Guard rails: the survivors' total size must still reach the
-    /// effective capacity (so the reduced DP clamps to the same table
-    /// width as the full sweep) and the pruning must actually remove
-    /// something; otherwise the full-instance sweep runs unchanged.
-    /// With the endgame disabled (`initial_core == 0`) the full-instance
-    /// sweep always runs — the pre-endgame behavior.
-    fn solve_tied_certified(
-        &self,
-        items: &[Item],
-        capacity: u64,
-        effective: u64,
-        total_usable: u64,
-        flat: f64,
-        scratch: &mut AdaptiveScratch,
-    ) -> f64 {
-        if self.initial_core == 0 {
-            return self.solve_degenerate_fallback(items, capacity, scratch);
-        }
-        let nu = scratch.usable_idx.len();
-        scratch.sel.clear();
-        scratch.sel.resize(nu, false);
-
-        // Every usable item fitting is tie-free even under duplicate
-        // profit bits: all profits are positive, so taking everything is
-        // the unique optimum and the DP would do exactly that.
-        if total_usable <= capacity {
-            for s in scratch.sel.iter_mut() {
-                *s = true;
-            }
-            let value = finish(items, scratch);
-            scratch.method = SolveMethod::CertifiedGreedy;
-            scratch.certified = true;
-            scratch.core_size = 0;
-            scratch.items_fixed = nu;
-            scratch.lower_bound = value;
-            scratch.upper_bound = value;
-            return value;
-        }
-
-        let margin = flat * f64::EPSILON * (nu as f64 + 4.0) * 8.0;
-
-        // Density order and prefix sums over *all* usable items. No
-        // dominance pass: it could drop one of two bit-equal profits,
-        // and that choice belongs to the DP.
-        scratch.ord.clear();
-        scratch.ord.extend(0..nu as u32);
-        {
-            let size = &scratch.usable_size;
-            let profit = &scratch.usable_profit;
-            scratch.ord.sort_unstable_by(|&a, &b| {
-                let (a, b) = (a as usize, b as usize);
-                let da = profit[a] / size[a] as f64;
-                let db = profit[b] / size[b] as f64;
-                db.partial_cmp(&da)
-                    .expect("validated profits are never NaN")
-                    .then(a.cmp(&b))
-            });
-        }
-        scratch.ord_psize.clear();
-        scratch.ord_pprofit.clear();
-        scratch.ord_psize.push(0);
-        scratch.ord_pprofit.push(0.0);
-        for k in 0..nu {
-            let u = scratch.ord[k] as usize;
-            scratch
-                .ord_psize
-                .push(scratch.ord_psize[k] + scratch.usable_size[u]);
-            scratch
-                .ord_pprofit
-                .push(scratch.ord_pprofit[k] + scratch.usable_profit[u]);
-        }
-
-        // Greedy incumbent + best single item, valued by the
-        // ascending-index fold so it compares exactly against DP values.
-        scratch.tmp.clear();
-        scratch.tmp.resize(nu, false);
-        let mut remaining = effective;
-        for k in 0..nu {
-            let u = scratch.ord[k] as usize;
-            if scratch.usable_size[u] <= remaining {
-                remaining -= scratch.usable_size[u];
-                scratch.tmp[u] = true;
-            }
-        }
-        let mut lb = fold_flags(&scratch.usable_profit, &scratch.tmp);
-        for &p in &scratch.usable_profit {
-            if p > lb {
-                lb = p;
-            }
-        }
-        scratch.lower_bound = lb;
-        let (ub, _split) = dantzig(
-            &scratch.ord_psize,
-            &scratch.ord_pprofit,
-            &scratch.ord,
-            &scratch.usable_size,
-            &scratch.usable_profit,
-            effective,
-        );
-        scratch.upper_bound = ub;
-
-        // One-sided certification: forced-out only.
-        scratch.state.clear();
-        scratch.state.resize(nu, State::Core);
-        let mut survivor_size: u64 = 0;
-        for r in 0..nu {
-            let u = scratch.ord[r] as usize;
-            let ub_in = scratch.usable_profit[u]
-                + dantzig_excluding(
-                    &scratch.ord_psize,
-                    &scratch.ord_pprofit,
-                    &scratch.ord,
-                    &scratch.usable_size,
-                    &scratch.usable_profit,
-                    r,
-                    effective - scratch.usable_size[u],
-                );
-            if ub_in + margin < lb {
-                scratch.state[u] = State::ForcedOut;
-            } else {
-                survivor_size += scratch.usable_size[u];
-            }
-        }
-
-        // Assemble the survivors, ascending by usable position.
-        scratch.core_items.clear();
-        scratch.core_map.clear();
-        for upos in 0..nu {
-            if scratch.state[upos] == State::Core {
-                scratch.core_items.push(Item::new(
-                    scratch.usable_size[upos],
-                    scratch.usable_profit[upos],
-                ));
-                scratch.core_map.push(upos as u32);
-            }
-        }
-        let nk = scratch.core_items.len();
-        if nk == nu || survivor_size < effective {
-            // Nothing removed, or the reduced table would clamp narrower
-            // than the full one: decline to reduce.
-            return self.solve_degenerate_fallback(items, capacity, scratch);
-        }
-
-        // Bounded DP over the survivors — bit-identical to the
-        // full-instance sweep by the removal argument above.
-        DpByCapacity.solve_into(&scratch.core_items, effective, &mut scratch.dp);
-        scratch.cells_touched = scratch.dp.cells_touched();
-        for &c in scratch.dp.chosen() {
-            scratch.sel[scratch.core_map[c] as usize] = true;
-        }
-        let value = finish(items, scratch);
-        scratch.method = SolveMethod::CoreDp;
-        scratch.core_size = nk;
-        scratch.items_fixed = nu - nk;
-        scratch.value = value;
-        value
     }
 
     /// The certified expanding-core endgame (in the spirit of Pisinger's
@@ -950,64 +569,52 @@ impl AdaptiveSolver {
     /// fractional bounds with `best = max(lb, candidate)` as incumbent:
     /// a head item must sit in every optimal solution (`ub_out` falls
     /// margin-strictly below `best`), a tail item in none (`ub_in`
-    /// does). Certification failures geometrically widen the window; a
-    /// window reaching the full core runs exactly the full-core sweep of
-    /// the non-endgame path, so the result stays bit-identical to
-    /// [`DpByCapacity`] by construction. Positions that certify once
-    /// stay certified (their bound was beaten by a valid incumbent);
-    /// later rounds re-test only the previous failures against the
-    /// stronger incumbent.
+    /// does). Certification failures widen the window [`GROWTH`]-fold; a
+    /// window reaching the full core runs exactly [`Self::core_dp`] on
+    /// it, so the result stays bit-identical to [`DpByCapacity`] by
+    /// construction. Positions that certify once stay certified (their
+    /// bound was beaten by a valid incumbent); later rounds re-test only
+    /// the previous failures against the stronger incumbent.
     fn expanding_core(
-        &self,
+        &mut self,
         items: &[Item],
-        effective: u64,
+        capacity: u64,
         core_cap: u64,
         margin: f64,
-        scratch: &mut AdaptiveScratch,
+        dp: &mut DpScratch,
     ) -> f64 {
-        let nu = scratch.usable_idx.len();
-        let nc = scratch.core_items.len();
-        let lb = scratch.lower_bound;
+        let nu = self.usable_idx.len();
+        let nc = self.core_items.len();
+        let lb = self.lower_bound;
 
         // Save the full core (ascending usable positions — the order
         // `core_map` was assembled in) and derive its density order as
         // the core's subsequence of `ord`, plus size prefix sums.
-        scratch.core_full.clear();
-        scratch.core_full.extend_from_slice(&scratch.core_map);
-        scratch.core_rank.clear();
-        for (r, &u) in scratch.ord.iter().enumerate() {
-            if scratch.state[u as usize] == State::Core {
-                scratch.core_rank.push(r as u32);
+        self.core_full.clear();
+        self.core_full.extend_from_slice(&self.core_map);
+        self.core_rank.clear();
+        for (r, &u) in self.ord.iter().enumerate() {
+            if self.state[u as usize] == State::Core {
+                self.core_rank.push(r as u32);
             }
         }
-        debug_assert_eq!(scratch.core_rank.len(), nc);
-        scratch.core_csize.clear();
-        scratch.core_csize.push(0);
-        for (k, &r) in scratch.core_rank.iter().enumerate() {
-            let u = scratch.ord[r as usize] as usize;
-            scratch
-                .core_csize
-                .push(scratch.core_csize[k] + scratch.usable_size[u]);
+        debug_assert_eq!(self.core_rank.len(), nc);
+        self.core_csize.clear();
+        self.core_csize.push(0);
+        for (k, &r) in self.core_rank.iter().enumerate() {
+            let u = self.ord[r as usize] as usize;
+            self.core_csize
+                .push(self.core_csize[k] + self.usable_size[u]);
         }
         // The core's Dantzig break: the largest density prefix that fits
         // the core capacity. The optimum deviates from the greedy prefix
         // only near the break, so the window centers on it.
-        let mut b = 0usize;
-        let mut hi_s = nc;
-        while b < hi_s {
-            let mid = b + (hi_s - b).div_ceil(2);
-            if scratch.core_csize[mid] <= core_cap {
-                b = mid;
-            } else {
-                hi_s = mid - 1;
-            }
-        }
+        let b = largest_fitting_prefix(nc, core_cap, |t| self.core_csize[t]);
 
-        scratch.in_window.clear();
-        scratch.in_window.resize(nu, false);
-        scratch.pending.clear();
-        let growth = self.core_growth.max(2);
-        let mut width = self.initial_core;
+        self.in_window.clear();
+        self.in_window.resize(nu, false);
+        self.pending.clear();
+        let mut width = WINDOW;
         let mut rounds = 0u32;
         loop {
             rounds += 1;
@@ -1024,312 +631,250 @@ impl AdaptiveSolver {
             }
             let hi = lo + w;
             for pos in lo..hi {
-                let u = scratch.ord[scratch.core_rank[pos] as usize] as usize;
-                scratch.in_window[u] = true;
+                let u = self.ord[self.core_rank[pos] as usize] as usize;
+                self.in_window[u] = true;
             }
-            // Rebuild the window into `core_items`/`core_map` in
-            // ascending usable order — exactly the shape the terminal
-            // solvers expect.
-            let mut win_items = std::mem::take(&mut scratch.core_items);
-            let mut win_map = std::mem::take(&mut scratch.core_map);
-            win_items.clear();
-            win_map.clear();
-            for &upos in &scratch.core_full {
-                let u = upos as usize;
-                if scratch.in_window[u] {
-                    win_items.push(Item::new(scratch.usable_size[u], scratch.usable_profit[u]));
-                    win_map.push(upos);
-                }
-            }
-            scratch.core_items = win_items;
-            scratch.core_map = win_map;
-            let nw = scratch.core_items.len();
-            debug_assert_eq!(nw, w);
+            load_core(
+                &mut self.core_items,
+                &mut self.core_map,
+                &self.usable_size,
+                &self.usable_profit,
+                self.core_full
+                    .iter()
+                    .copied()
+                    .filter(|&u| self.in_window[u as usize]),
+            );
+            debug_assert_eq!(self.core_items.len(), w);
 
             // The head is feasible by construction (`lo ≤ break`).
-            let head_size = scratch.core_csize[lo];
+            let head_size = self.core_csize[lo];
             debug_assert!(head_size <= core_cap);
-            let window_cap = core_cap - head_size;
-
-            // Solve the window exactly with the usual terminals.
-            let via_bb = nw <= self.max_bb_core && self.branch_and_bound(window_cap, scratch);
-            if !via_bb {
-                DpByCapacity.solve_into(&scratch.core_items, window_cap, &mut scratch.dp);
-                scratch.cells_touched += scratch.dp.cells_touched();
-            }
+            DpByCapacity.solve_into(&self.core_items, core_cap - head_size, dp);
+            self.cells_touched += dp.cells_touched();
 
             // Candidate: forced-in ∪ head ∪ the window's exact choice.
-            for upos in 0..nu {
-                scratch.sel[upos] = scratch.state[upos] == State::ForcedIn;
-            }
+            self.select_forced_and(dp.chosen());
             for pos in 0..lo {
-                let u = scratch.ord[scratch.core_rank[pos] as usize] as usize;
-                scratch.sel[u] = true;
+                let u = self.ord[self.core_rank[pos] as usize] as usize;
+                self.sel[u] = true;
             }
-            if via_bb {
-                for (c, &upos) in scratch.core_map.iter().enumerate() {
-                    if scratch.bb_best[c] {
-                        scratch.sel[upos as usize] = true;
-                    }
-                }
-            } else {
-                for &c in scratch.dp.chosen() {
-                    scratch.sel[scratch.core_map[c] as usize] = true;
-                }
-            }
-            let z = fold_flags(&scratch.usable_profit, &scratch.sel);
+            let z = fold_flags(&self.usable_profit, &self.sel);
             let best = if z > lb { z } else { lb };
 
             // Certify the outside-window assumptions.
             if rounds == 1 {
-                scratch.pending.extend(0..lo as u32);
-                scratch.pending.extend(hi as u32..nc as u32);
+                self.pending.extend(0..lo as u32);
+                self.pending.extend(hi as u32..nc as u32);
             } else {
-                scratch
-                    .pending
+                self.pending
                     .retain(|&pos| (pos as usize) < lo || pos as usize >= hi);
             }
             let mut still = 0usize;
-            for t in 0..scratch.pending.len() {
-                let pos = scratch.pending[t] as usize;
-                let r = scratch.core_rank[pos] as usize;
+            for t in 0..self.pending.len() {
+                let pos = self.pending[t] as usize;
+                let r = self.core_rank[pos] as usize;
                 let ok = if pos < lo {
                     // Head: in every optimal solution?
-                    let ub_out = dantzig_excluding(
-                        &scratch.ord_psize,
-                        &scratch.ord_pprofit,
-                        &scratch.ord,
-                        &scratch.usable_size,
-                        &scratch.usable_profit,
-                        r,
-                        effective,
-                    );
-                    ub_out + margin < best
+                    self.dantzig_excluding(r, capacity) + margin < best
                 } else {
                     // Tail: in no optimal solution?
-                    let u = scratch.ord[r] as usize;
-                    let ub_in = scratch.usable_profit[u]
-                        + dantzig_excluding(
-                            &scratch.ord_psize,
-                            &scratch.ord_pprofit,
-                            &scratch.ord,
-                            &scratch.usable_size,
-                            &scratch.usable_profit,
-                            r,
-                            effective - scratch.usable_size[u],
-                        );
+                    let u = self.ord[r] as usize;
+                    let ub_in = self.usable_profit[u]
+                        + self.dantzig_excluding(r, capacity - self.usable_size[u]);
                     ub_in + margin < best
                 };
                 if !ok {
-                    scratch.pending[still] = pos as u32;
+                    self.pending[still] = pos as u32;
                     still += 1;
                 }
             }
-            scratch.pending.truncate(still);
+            self.pending.truncate(still);
 
-            if scratch.pending.is_empty() {
+            if self.pending.is_empty() {
                 // Every assumption certified: the candidate is the
                 // optimum, and `finish` re-folds it canonically.
-                let value = finish(items, scratch);
-                scratch.method = SolveMethod::ExpandingCore;
-                scratch.certified = true;
-                scratch.core_size = nw;
-                scratch.items_fixed = nu - nw;
-                scratch.core_rounds = rounds;
-                scratch.value = value;
-                return value;
+                self.method = SolveMethod::ExpandingCore;
+                self.certified = true;
+                self.core_size = w;
+                self.items_fixed = nu - w;
+                self.core_rounds = rounds;
+                return self.finish(items);
             }
-            width = w.saturating_mul(growth);
+            width = w.saturating_mul(GROWTH);
         }
 
-        // Degenerate: rebuild the full core and run exactly the sweep
-        // the non-endgame path would have run.
-        let mut win_items = std::mem::take(&mut scratch.core_items);
-        let mut win_map = std::mem::take(&mut scratch.core_map);
-        win_items.clear();
-        win_map.clear();
-        for &upos in &scratch.core_full {
-            let u = upos as usize;
-            win_items.push(Item::new(scratch.usable_size[u], scratch.usable_profit[u]));
-            win_map.push(upos);
-        }
-        scratch.core_items = win_items;
-        scratch.core_map = win_map;
-        DpByCapacity.solve_into(&scratch.core_items, core_cap, &mut scratch.dp);
-        scratch.cells_touched += scratch.dp.cells_touched();
-        for upos in 0..nu {
-            scratch.sel[upos] = scratch.state[upos] == State::ForcedIn;
-        }
-        for &c in scratch.dp.chosen() {
-            scratch.sel[scratch.core_map[c] as usize] = true;
-        }
-        let value = finish(items, scratch);
-        scratch.method = SolveMethod::CoreDp;
-        scratch.core_size = nc;
-        scratch.items_fixed = nu - nc;
-        scratch.core_rounds = rounds;
-        scratch.value = value;
+        // Degenerate: the window reached the full core. Sweep it.
+        load_core(
+            &mut self.core_items,
+            &mut self.core_map,
+            &self.usable_size,
+            &self.usable_profit,
+            self.core_full.iter().copied(),
+        );
+        self.core_rounds = rounds;
+        self.core_dp(items, core_cap, dp)
+    }
+
+    /// Bounded DP over `core_items` at `core_cap`; the answer is the
+    /// forced-in items plus what the DP chose.
+    fn core_dp(&mut self, items: &[Item], core_cap: u64, dp: &mut DpScratch) -> f64 {
+        DpByCapacity.solve_into(&self.core_items, core_cap, dp);
+        self.cells_touched += dp.cells_touched();
+        self.select_forced_and(dp.chosen());
+        self.method = SolveMethod::CoreDp;
+        self.core_size = self.core_items.len();
+        self.items_fixed = self.usable_idx.len() - self.core_size;
+        self.finish(items)
+    }
+
+    /// Full-instance DP for the instances where reduction declined.
+    fn full_dp(&mut self, items: &[Item], capacity: u64, dp: &mut DpScratch) -> f64 {
+        let value = DpByCapacity.solve_into(items, capacity, dp);
+        self.chosen.clear();
+        self.chosen.extend_from_slice(dp.chosen());
+        self.cells_touched = dp.cells_touched();
+        self.value = value;
+        self.method = SolveMethod::CoreDp;
+        self.core_size = self.usable_idx.len();
+        self.items_fixed = 0;
+        self.lower_bound = value;
+        self.upper_bound = value;
         value
     }
 
-    /// Depth-first branch-and-bound over the core. Returns `true` when
-    /// the search completed with a *strictly* unique optimum (every
-    /// pruning and incumbent comparison cleared the float margin);
-    /// `false` sends the caller to the core DP, which owns canonical
-    /// tie-breaking.
-    fn branch_and_bound(&self, core_cap: u64, scratch: &mut AdaptiveScratch) -> bool {
-        let nc = scratch.core_items.len();
-        scratch.bb_pos.clear();
-        scratch.bb_pos.extend(0..nc as u32);
-        {
-            let items = &scratch.core_items;
-            scratch.bb_pos.sort_unstable_by(|&a, &b| {
-                let (a, b) = (a as usize, b as usize);
-                let da = items[a].profit() / items[a].size() as f64;
-                let db = items[b].profit() / items[b].size() as f64;
-                db.partial_cmp(&da)
-                    .expect("validated profits are never NaN")
-                    .then(a.cmp(&b))
-            });
-        }
-        scratch.bb_size.clear();
-        scratch.bb_profit.clear();
-        for &c in &scratch.bb_pos {
-            scratch.bb_size.push(scratch.core_items[c as usize].size());
-            scratch
-                .bb_profit
-                .push(scratch.core_items[c as usize].profit());
-        }
-        scratch.bb_ssize.clear();
-        scratch.bb_ssize.resize(nc + 1, 0);
-        scratch.bb_sprofit.clear();
-        scratch.bb_sprofit.resize(nc + 1, 0.0);
-        for k in (0..nc).rev() {
-            scratch.bb_ssize[k] = scratch.bb_ssize[k + 1] + scratch.bb_size[k];
-            scratch.bb_sprofit[k] = scratch.bb_sprofit[k + 1] + scratch.bb_profit[k];
-        }
+    /// The selection in `sel` is optimal by a bound certificate: no DP
+    /// runs, the core is empty and both bounds sit on the optimum.
+    fn certify(&mut self, items: &[Item]) -> f64 {
+        let value = self.finish(items);
+        self.method = SolveMethod::CertifiedGreedy;
+        self.certified = true;
+        self.core_size = 0;
+        self.items_fixed = self.usable_idx.len();
+        self.lower_bound = value;
+        self.upper_bound = value;
+        value
+    }
 
-        // Seed the incumbent: the greedy/hint set restricted to the core,
-        // refitted under the core capacity, valued in branch order.
-        scratch.bb_best.clear();
-        scratch.bb_best.resize(nc, false);
-        scratch.bb_current.clear();
-        scratch.bb_current.resize(nc, false);
-        let mut inc = 0.0_f64;
-        {
-            let mut rem = core_cap;
-            for k in 0..nc {
-                let upos = scratch.core_map[scratch.bb_pos[k] as usize] as usize;
-                if scratch.tmp[upos] && scratch.bb_size[k] <= rem {
-                    rem -= scratch.bb_size[k];
-                    inc += scratch.bb_profit[k];
-                    scratch.bb_best[k] = true;
+    /// `sel` = exactly the usable positions in state `keep`.
+    fn select_state(&mut self, keep: State) {
+        for (sel, &state) in self.sel.iter_mut().zip(&self.state) {
+            *sel = state == keep;
+        }
+    }
+
+    /// `sel` = the forced-in items plus the core items the DP `chose`.
+    fn select_forced_and(&mut self, chose: &[usize]) {
+        self.select_state(State::ForcedIn);
+        for &c in chose {
+            self.sel[self.core_map[c] as usize] = true;
+        }
+    }
+
+    /// Assemble `chosen` (ascending original indices) from the
+    /// classification and the per-usable selection flags, folding the
+    /// profit in ascending item order — the exact accumulation order of
+    /// the DP's cell values, so the result is bit-identical to the DP
+    /// optimum.
+    fn finish(&mut self, items: &[Item]) -> f64 {
+        self.chosen.clear();
+        let mut acc = 0.0_f64;
+        let mut upos = 0usize;
+        for (i, item) in items.iter().enumerate() {
+            let (size, profit) = (item.size(), item.profit());
+            if profit <= 0.0 {
+                continue;
+            }
+            if size == 0 {
+                self.chosen.push(i);
+                acc += profit;
+                continue;
+            }
+            if upos < self.usable_idx.len() && self.usable_idx[upos] as usize == i {
+                if self.sel[upos] {
+                    self.chosen.push(i);
+                    acc += profit;
                 }
+                upos += 1;
             }
         }
+        self.value = acc;
+        acc
+    }
 
-        let margin = scratch.bb_sprofit[0] * f64::EPSILON * (nc as f64 + 4.0) * 8.0;
-        let mut search = BbSearch {
-            size: &scratch.bb_size,
-            profit: &scratch.bb_profit,
-            ssize: &scratch.bb_ssize,
-            sprofit: &scratch.bb_sprofit,
-            current: &mut scratch.bb_current,
-            best: &mut scratch.bb_best,
-            inc,
-            margin,
-            max_nodes: self.max_nodes,
-            nodes: 0,
-            ambiguous: false,
+    /// Global Dantzig bound at `cap` over the density ordering.
+    fn dantzig(&self, cap: u64) -> f64 {
+        let m = self.ord.len();
+        let b = largest_fitting_prefix(m, cap, |t| self.ord_psize[t]);
+        let rem = cap - self.ord_psize[b];
+        if b < m && rem > 0 {
+            let u = self.ord[b] as usize;
+            self.ord_pprofit[b] + self.usable_profit[u] * rem as f64 / self.usable_size[u] as f64
+        } else {
+            self.ord_pprofit[b]
+        }
+    }
+
+    /// Dantzig bound at `cap` over the density ordering with the item at
+    /// rank `skip` removed, in `O(log m)` via the prefix sums.
+    fn dantzig_excluding(&self, skip: usize, cap: u64) -> f64 {
+        let u_skip = self.ord[skip] as usize;
+        let (s_skip, p_skip) = (self.usable_size[u_skip], self.usable_profit[u_skip]);
+        // Prefix size of the first t items of the sequence-without-skip.
+        let pex_size = |t: usize| -> u64 {
+            if t <= skip {
+                self.ord_psize[t]
+            } else {
+                self.ord_psize[t + 1] - s_skip
+            }
         };
-        search.dfs(0, 0.0, core_cap);
-        let ok = !search.ambiguous && search.nodes < search.max_nodes;
-        scratch.nodes = search.nodes;
-        if ok {
-            // `bb_best[k]` is in branch (density) order; translate to the
-            // core index space the caller maps back from.
-            // Reuse bb_current as the translation target.
-            for c in scratch.bb_current.iter_mut() {
-                *c = false;
+        let pex_profit = |t: usize| -> f64 {
+            if t <= skip {
+                self.ord_pprofit[t]
+            } else {
+                self.ord_pprofit[t + 1] - p_skip
             }
-            for k in 0..nc {
-                if scratch.bb_best[k] {
-                    scratch.bb_current[scratch.bb_pos[k] as usize] = true;
-                }
-            }
-            std::mem::swap(&mut scratch.bb_best, &mut scratch.bb_current);
+        };
+        let last = self.ord.len() - 1; // the shortened sequence has m-1 items
+        let b = largest_fitting_prefix(last, cap, pex_size);
+        let rem = cap - pex_size(b);
+        if b < last && rem > 0 {
+            let q = self.ord[if b < skip { b } else { b + 1 }] as usize;
+            pex_profit(b) + self.usable_profit[q] * rem as f64 / self.usable_size[q] as f64
+        } else {
+            pex_profit(b)
         }
-        ok
     }
 }
 
-/// Mutable state of one branch-and-bound search.
-struct BbSearch<'a> {
-    size: &'a [u64],
-    profit: &'a [f64],
-    ssize: &'a [u64],
-    sprofit: &'a [f64],
-    current: &'a mut Vec<bool>,
-    best: &'a mut Vec<bool>,
-    inc: f64,
-    margin: f64,
-    max_nodes: u64,
-    nodes: u64,
-    ambiguous: bool,
+/// The largest `t ≤ len` whose prefix size fits `cap` (`prefix_size` is
+/// non-decreasing and `prefix_size(0) == 0`).
+fn largest_fitting_prefix(len: usize, cap: u64, prefix_size: impl Fn(usize) -> u64) -> usize {
+    let (mut lo, mut hi) = (0usize, len);
+    while lo < hi {
+        let mid = lo + (hi - lo).div_ceil(2);
+        if prefix_size(mid) <= cap {
+            lo = mid;
+        } else {
+            hi = mid - 1;
+        }
+    }
+    lo
 }
 
-impl BbSearch<'_> {
-    fn dfs(&mut self, depth: usize, acc: f64, rem: u64) {
-        if self.ambiguous || self.nodes >= self.max_nodes {
-            self.ambiguous = true;
-            return;
-        }
-        self.nodes += 1;
-        if depth == self.size.len() {
-            if acc > self.inc + self.margin {
-                self.inc = acc;
-                self.best.copy_from_slice(self.current);
-            } else if acc > self.inc - self.margin {
-                // A tie (or near-tie) the margin cannot break: only the
-                // DP's canonical tie-breaking may decide this.
-                self.ambiguous = true;
-                if acc > self.inc {
-                    self.inc = acc;
-                    self.best.copy_from_slice(self.current);
-                }
-            }
-            return;
-        }
-        // Dantzig bound over the remaining suffix.
-        let mut bound = acc;
-        if self.ssize[depth] <= rem {
-            bound += self.sprofit[depth];
-        } else {
-            let mut r = rem;
-            for k in depth..self.size.len() {
-                if self.size[k] <= r {
-                    r -= self.size[k];
-                    bound += self.profit[k];
-                } else {
-                    if r > 0 {
-                        bound += self.profit[k] * r as f64 / self.size[k] as f64;
-                    }
-                    break;
-                }
-            }
-        }
-        if bound <= self.inc {
-            if bound > self.inc - self.margin {
-                self.ambiguous = true;
-            }
-            return;
-        }
-        if self.size[depth] <= rem {
-            self.current[depth] = true;
-            self.dfs(depth + 1, acc + self.profit[depth], rem - self.size[depth]);
-            self.current[depth] = false;
-        }
-        self.dfs(depth + 1, acc, rem);
+/// Load `core_items` / `core_map` with the usable `positions` given
+/// (ascending) — the shape the terminal DP and the map back expect.
+fn load_core(
+    core_items: &mut Vec<Item>,
+    core_map: &mut Vec<u32>,
+    size: &[u64],
+    profit: &[f64],
+    positions: impl Iterator<Item = u32>,
+) {
+    core_items.clear();
+    core_map.clear();
+    for upos in positions {
+        core_items.push(Item::new(size[upos as usize], profit[upos as usize]));
+        core_map.push(upos);
     }
 }
 
@@ -1344,122 +889,15 @@ fn fold_flags(profits: &[f64], flags: &[bool]) -> f64 {
     acc
 }
 
-/// Global Dantzig bound at `cap` over the density ordering. Returns the
-/// bound and whether a fractional split was needed.
-fn dantzig(
-    psize: &[u64],
-    pprofit: &[f64],
-    ord: &[u32],
-    size: &[u64],
-    profit: &[f64],
-    cap: u64,
-) -> (f64, bool) {
-    let m = ord.len();
-    // Largest prefix that fits.
-    let mut lo = 0usize;
-    let mut hi = m;
-    while lo < hi {
-        let mid = lo + (hi - lo).div_ceil(2);
-        if psize[mid] <= cap {
-            lo = mid;
-        } else {
-            hi = mid - 1;
-        }
-    }
-    let b = lo;
-    let rem = cap - psize[b];
-    if b < m && rem > 0 {
-        let u = ord[b] as usize;
-        (pprofit[b] + profit[u] * rem as f64 / size[u] as f64, true)
-    } else {
-        (pprofit[b], false)
-    }
-}
-
-/// Dantzig bound at `cap` over the density ordering with item at rank
-/// `skip` removed, in `O(log m)` via the prefix sums.
-fn dantzig_excluding(
-    psize: &[u64],
-    pprofit: &[f64],
-    ord: &[u32],
-    size: &[u64],
-    profit: &[f64],
-    skip: usize,
-    cap: u64,
-) -> f64 {
-    let m = ord.len();
-    let u_skip = ord[skip] as usize;
-    let (s_skip, p_skip) = (size[u_skip], profit[u_skip]);
-    // Prefix size of the first t items of the sequence-without-skip.
-    let pex_size = |t: usize| -> u64 {
-        if t <= skip {
-            psize[t]
-        } else {
-            psize[t + 1] - s_skip
-        }
-    };
-    let pex_profit = |t: usize| -> f64 {
-        if t <= skip {
-            pprofit[t]
-        } else {
-            pprofit[t + 1] - p_skip
-        }
-    };
-    let last = m - 1; // the shortened sequence has m-1 items
-    let mut lo = 0usize;
-    let mut hi = last;
-    while lo < hi {
-        let mid = lo + (hi - lo).div_ceil(2);
-        if pex_size(mid) <= cap {
-            lo = mid;
-        } else {
-            hi = mid - 1;
-        }
-    }
-    let b = lo;
-    let rem = cap - pex_size(b);
-    if b < last && rem > 0 {
-        let q = ord[if b < skip { b } else { b + 1 }] as usize;
-        pex_profit(b) + profit[q] * rem as f64 / size[q] as f64
-    } else {
-        pex_profit(b)
-    }
-}
-
-/// Assemble `scratch.chosen` (ascending original indices) from the
-/// classification and the per-usable selection flags, folding the profit
-/// in ascending item order — the exact accumulation order of the DP's
-/// cell values, so the result is bit-identical to the DP optimum.
-fn finish(items: &[Item], scratch: &mut AdaptiveScratch) -> f64 {
-    scratch.chosen.clear();
-    let mut acc = 0.0_f64;
-    let mut upos = 0usize;
-    for (i, item) in items.iter().enumerate() {
-        let (size, profit) = (item.size(), item.profit());
-        if profit <= 0.0 {
-            continue;
-        }
-        if size == 0 {
-            scratch.chosen.push(i);
-            acc += profit;
-            continue;
-        }
-        if upos < scratch.usable_idx.len() && scratch.usable_idx[upos] as usize == i {
-            if scratch.sel[upos] {
-                scratch.chosen.push(i);
-                acc += profit;
-            }
-            upos += 1;
-        }
-    }
-    scratch.value = acc;
-    acc
-}
-
 impl Solver for AdaptiveSolver {
     fn solve(&self, instance: &Instance, capacity: u64) -> Solution {
         let mut scratch = AdaptiveScratch::new();
-        self.solve_into(instance.items(), capacity, &mut scratch);
+        self.solve_into(
+            instance.items(),
+            capacity,
+            &mut scratch,
+            &mut DpScratch::new(),
+        );
         Solution::from_indices(instance, scratch.chosen.clone())
     }
 
@@ -1472,17 +910,18 @@ impl Solver for AdaptiveSolver {
 mod tests {
     use super::*;
 
-    /// Assert `solver` matches the full bounded DP bit-for-bit (chosen
+    /// One solve on throwaway DP tables.
+    fn solve(items: &[Item], capacity: u64, scratch: &mut AdaptiveScratch) -> f64 {
+        AdaptiveSolver.solve_into(items, capacity, scratch, &mut DpScratch::new())
+    }
+
+    /// Assert the solver matches the full bounded DP bit-for-bit (chosen
     /// set and profit) at every capacity in `caps`.
-    fn assert_parity_with(
-        solver: AdaptiveSolver,
-        items: &[Item],
-        caps: impl IntoIterator<Item = u64>,
-    ) {
+    fn assert_parity(items: &[Item], caps: impl IntoIterator<Item = u64>) {
         let mut adaptive = AdaptiveScratch::new();
         let mut dp = DpScratch::new();
         for cap in caps {
-            let got = solver.solve_into(items, cap, &mut adaptive);
+            let got = solve(items, cap, &mut adaptive);
             let want = DpByCapacity.solve_into(items, cap, &mut dp);
             assert_eq!(
                 adaptive.chosen(),
@@ -1498,13 +937,10 @@ mod tests {
         }
     }
 
-    /// [`assert_parity_with`] for the default solver.
-    fn assert_parity(items: &[Item], caps: impl IntoIterator<Item = u64>) {
-        assert_parity_with(AdaptiveSolver::default(), items, caps);
-    }
-
-    /// Deterministic pseudo-random instance shared by the endgame tests.
-    fn random_items(n: usize, seed: u64) -> Vec<Item> {
+    /// Deterministic weakly correlated instance (profit = size + fine
+    /// noise, the classic hard shape): bound fixing leaves cores well
+    /// past [`WINDOW`], so every endgame exit is in reach.
+    fn correlated_items(n: usize, seed: u64) -> Vec<Item> {
         let mut state = seed;
         let mut next = move || {
             state = state
@@ -1514,11 +950,35 @@ mod tests {
         };
         (0..n)
             .map(|_| {
-                let size = 1 + next() % 12;
-                let profit = (next() % 100_000) as f64 / 997.0;
-                Item::new(size, profit)
+                let size = 1 + next() % 40;
+                let noise = (next() % (1 << 20)) as f64 / (1u64 << 20) as f64;
+                Item::new(size, size as f64 + noise)
             })
             .collect()
+    }
+
+    /// Solve `correlated_items(n, seed)` for seeds 1..=12 at a spread of
+    /// binding capacities, checking DP parity throughout, and return
+    /// every solve's `(method, core_rounds, core_size)`.
+    fn endgame_exits(n: usize) -> Vec<(SolveMethod, u32, usize)> {
+        let mut scratch = AdaptiveScratch::new();
+        let mut exits = Vec::new();
+        for seed in 1..=12 {
+            let items = correlated_items(n, seed);
+            let total: u64 = items.iter().map(|i| i.size()).sum();
+            let caps = [total / 8, total / 5, total / 3, total / 2];
+            for cap in caps {
+                solve(&items, cap, &mut scratch);
+                assert_eq!(
+                    scratch.certified(),
+                    scratch.method() != SolveMethod::CoreDp,
+                    "seed {seed} cap {cap}"
+                );
+                exits.push((scratch.method(), scratch.core_rounds(), scratch.core_size()));
+            }
+            assert_parity(&items, caps);
+        }
+        exits
     }
 
     #[test]
@@ -1535,9 +995,8 @@ mod tests {
     #[test]
     fn all_fit_certificate_fires() {
         let items = [Item::new(2, 1.5), Item::new(3, 2.5)];
-        let solver = AdaptiveSolver::default();
         let mut scratch = AdaptiveScratch::new();
-        solver.solve_into(&items, 100, &mut scratch);
+        solve(&items, 100, &mut scratch);
         assert_eq!(scratch.method(), SolveMethod::CertifiedGreedy);
         assert_eq!(scratch.chosen(), &[0, 1]);
         assert_eq!(scratch.core_size(), 0);
@@ -1555,18 +1014,16 @@ mod tests {
             Item::new(3, 0.0), // zero profit
         ];
         assert_parity(&items, [0, 1, 2, 5, 10]);
-        let solver = AdaptiveSolver::default();
         let mut scratch = AdaptiveScratch::new();
-        solver.solve_into(&items, 10, &mut scratch);
+        solve(&items, 10, &mut scratch);
         assert_eq!(scratch.chosen(), &[1]);
     }
 
     #[test]
     fn free_items_are_taken_even_at_zero_capacity() {
         let items = [Item::new(0, 2.5), Item::new(1, 9.0)];
-        let solver = AdaptiveSolver::default();
         let mut scratch = AdaptiveScratch::new();
-        let v = solver.solve_into(&items, 0, &mut scratch);
+        let v = solve(&items, 0, &mut scratch);
         assert_eq!(scratch.chosen(), &[0]);
         assert!((v - 2.5).abs() < 1e-12);
         assert_parity(&items, [0, 1, 2]);
@@ -1583,9 +1040,8 @@ mod tests {
         // Two identical items, room for one: the DP keeps index 0.
         let items = [Item::new(2, 5.0), Item::new(2, 5.0)];
         assert_parity(&items, 0..=4);
-        let solver = AdaptiveSolver::default();
         let mut scratch = AdaptiveScratch::new();
-        solver.solve_into(&items, 2, &mut scratch);
+        solve(&items, 2, &mut scratch);
         assert_eq!(scratch.chosen(), &[0]);
     }
 
@@ -1593,13 +1049,12 @@ mod tests {
     fn degenerate_profit_scales_fall_back_to_the_full_dp() {
         // The second profit cannot move the running sum in f64.
         let items = [Item::new(1, 1e18), Item::new(1, 1.0)];
-        let solver = AdaptiveSolver::default();
         let mut scratch = AdaptiveScratch::new();
         // At capacity 0 both items are oversized and nothing degenerate
         // ever enters the running sum; from capacity 1 the absorbed
         // profit routes the whole instance to the full DP.
         for cap in 1..=2 {
-            solver.solve_into(&items, cap, &mut scratch);
+            solve(&items, cap, &mut scratch);
             assert_eq!(scratch.method(), SolveMethod::CoreDp, "cap={cap}");
         }
         assert_parity(&items, 0..=2);
@@ -1608,7 +1063,7 @@ mod tests {
     #[test]
     fn binding_capacity_reduces_and_stays_exact() {
         // Deterministic pseudo-random instance, capacity well below the
-        // total size, so fixing and the terminal solvers all engage.
+        // total size, so fixing and the core DP both engage.
         let mut state = 0x9E3779B97F4A7C15u64;
         let mut next = move || {
             state = state
@@ -1626,37 +1081,12 @@ mod tests {
         let total: u64 = items.iter().map(|i| i.size()).sum();
         assert_parity(&items, [total / 4, total / 3, total / 2, total - 1]);
 
-        let solver = AdaptiveSolver::default();
         let mut scratch = AdaptiveScratch::new();
-        solver.solve_into(&items, total / 3, &mut scratch);
+        solve(&items, total / 3, &mut scratch);
         assert!(
             scratch.items_fixed() > 0,
             "fixing should eliminate items on a random binding instance"
         );
-    }
-
-    #[test]
-    fn warm_start_hint_never_changes_the_answer() {
-        let items = [
-            Item::new(3, 4.0),
-            Item::new(4, 5.0),
-            Item::new(2, 3.0),
-            Item::new(7, 9.0),
-        ];
-        let solver = AdaptiveSolver::default();
-        let mut plain = AdaptiveScratch::new();
-        let mut hinted = AdaptiveScratch::new();
-        for cap in 0..=16u64 {
-            let a = solver.solve_into(&items, cap, &mut plain);
-            // Hint with the previous capacity's solution (and once with a
-            // nonsense hint).
-            let b = solver.solve_with_hint_into(&items, cap, plain.chosen(), &mut hinted);
-            assert_eq!(plain.chosen(), hinted.chosen(), "cap={cap}");
-            assert!(a == b, "cap={cap}");
-            let c = solver.solve_with_hint_into(&items, cap, &[0, 3], &mut hinted);
-            assert_eq!(plain.chosen(), hinted.chosen(), "cap={cap} (fixed hint)");
-            assert!(a == c, "cap={cap} (fixed hint)");
-        }
     }
 
     #[test]
@@ -1667,36 +1097,36 @@ mod tests {
             Item::new(2, 3.0),
         ])
         .unwrap();
-        let sol = AdaptiveSolver::default().solve(&inst, 6);
+        let sol = AdaptiveSolver.solve(&inst, 6);
         sol.verify(&inst, 6).unwrap();
         assert_eq!(sol.total_size(), 6);
         assert!((sol.total_profit() - 8.0).abs() < 1e-9);
-        assert_eq!(AdaptiveSolver::default().name(), "adaptive");
+        assert_eq!(AdaptiveSolver.name(), "adaptive");
     }
 
     #[test]
-    fn method_codes_are_dense() {
+    fn method_codes_are_stable() {
+        // Recorded in `Sample::SolverChosen`; 1 stays retired.
         assert_eq!(SolveMethod::CertifiedGreedy.code(), 0);
-        assert_eq!(SolveMethod::BranchAndBound.code(), 1);
         assert_eq!(SolveMethod::CoreDp.code(), 2);
         assert_eq!(SolveMethod::ExpandingCore.code(), 3);
     }
 
+    /// 40 dense duplicates and 40 sparse duplicates under capacity 30:
+    /// the sparse group is certifiably out of every optimum.
+    fn dense_and_sparse_duplicates(nudge: f64) -> Vec<Item> {
+        let dense = (0..40).map(|i| Item::new(1, 10.0 + i as f64 * nudge));
+        let sparse = (0..40).map(|i| Item::new(10, 0.001 + i as f64 * nudge));
+        dense.chain(sparse).collect()
+    }
+
     #[test]
     fn tied_instances_prune_certified_outs() {
-        // 40 dense duplicates and 40 sparse duplicates: the sparse group
-        // is certifiably out of every optimum, the dense group survives
-        // with its ties intact for the DP to resolve.
-        let mut items = Vec::new();
-        for _ in 0..40 {
-            items.push(Item::new(1, 10.0));
-        }
-        for _ in 0..40 {
-            items.push(Item::new(10, 0.001));
-        }
-        let solver = AdaptiveSolver::default();
+        // The dense group survives with its ties intact for the DP to
+        // resolve.
+        let items = dense_and_sparse_duplicates(0.0);
         let mut scratch = AdaptiveScratch::new();
-        solver.solve_into(&items, 30, &mut scratch);
+        solve(&items, 30, &mut scratch);
         assert_eq!(scratch.method(), SolveMethod::CoreDp);
         assert_eq!(scratch.items_fixed(), 40, "sparse duplicates pruned");
         assert_eq!(scratch.core_size(), 40);
@@ -1704,11 +1134,42 @@ mod tests {
     }
 
     #[test]
+    fn a_detied_twin_takes_the_two_sided_reduction() {
+        // The same instance with its profits nudged apart (gaps well
+        // over the float margin) goes through the same reduce routine
+        // with dominance and forced-in fixing switched on, which decides
+        // every item: ten dense items are dominated, thirty forced in.
+        let tied = dense_and_sparse_duplicates(0.0);
+        let twin = dense_and_sparse_duplicates(1e-6);
+        let mut scratch = AdaptiveScratch::new();
+        solve(&twin, 30, &mut scratch);
+        assert_eq!(scratch.method(), SolveMethod::CertifiedGreedy);
+        assert_eq!(scratch.items_fixed(), 80);
+        assert_eq!(scratch.chosen(), (10..40).collect::<Vec<_>>());
+        let twin_lb = scratch.lower_bound();
+        solve(&tied, 30, &mut scratch);
+        assert!((twin_lb - scratch.lower_bound()).abs() < 1e-3);
+        assert_parity(&twin, [0, 1, 15, 30, 39, 40, 41, 100]);
+    }
+
+    #[test]
+    fn tied_instances_nothing_prunes_run_the_full_dp() {
+        // Equal densities everywhere: no item is certifiably out, the
+        // guard declines to reduce and the full-instance sweep runs.
+        let items = [Item::new(2, 5.0); 10];
+        let mut scratch = AdaptiveScratch::new();
+        solve(&items, 7, &mut scratch);
+        assert_eq!(scratch.method(), SolveMethod::CoreDp);
+        assert_eq!(scratch.items_fixed(), 0);
+        assert_eq!(scratch.core_size(), 10);
+        assert_parity(&items, 0..=21);
+    }
+
+    #[test]
     fn tied_instances_with_everything_fitting_take_everything() {
         let items = [Item::new(2, 5.0), Item::new(3, 5.0), Item::new(4, 7.0)];
-        let solver = AdaptiveSolver::default();
         let mut scratch = AdaptiveScratch::new();
-        solver.solve_into(&items, 100, &mut scratch);
+        solve(&items, 100, &mut scratch);
         assert_eq!(scratch.method(), SolveMethod::CertifiedGreedy);
         assert!(scratch.certified());
         assert_eq!(scratch.chosen(), &[0, 1, 2]);
@@ -1717,49 +1178,24 @@ mod tests {
 
     #[test]
     fn expanding_core_certifies_on_separated_instances() {
-        // Distinct profits over a wide value range: fixing leaves a core
-        // bigger than the initial window, and the window certifies
-        // without reaching the full core.
-        let items = random_items(200, 42);
-        let total: u64 = items.iter().map(|i| i.size()).sum();
-        let solver = AdaptiveSolver::default()
-            .with_endgame(16, 2)
-            .with_max_bb_core(0);
-        let mut scratch = AdaptiveScratch::new();
-        let mut fired = false;
-        for cap in [total / 5, total / 4, total / 3, total / 2] {
-            solver.solve_into(&items, cap, &mut scratch);
-            if scratch.method() == SolveMethod::ExpandingCore {
-                fired = true;
-                assert!(scratch.certified());
-                assert!(scratch.core_rounds() >= 1);
-                assert!(scratch.core_size() < 200);
-            }
-        }
-        assert!(fired, "the endgame should certify at least one capacity");
-        assert_parity_with(solver, &items, [total / 5, total / 4, total / 3, total / 2]);
+        // Fixing leaves a core bigger than the first window, and that
+        // window certifies without ever reaching the full core.
+        let exits = endgame_exits(300);
+        assert!(
+            exits.contains(&(SolveMethod::ExpandingCore, 1, WINDOW)),
+            "no first-window certificate in {exits:?}"
+        );
     }
 
     #[test]
     fn tiny_initial_windows_expand_geometrically_and_stay_exact() {
-        let items = random_items(200, 0xDEAD_BEEF_0BAD_F00D);
-        let total: u64 = items.iter().map(|i| i.size()).sum();
-        let solver = AdaptiveSolver::default()
-            .with_endgame(2, 2)
-            .with_max_bb_core(0);
-        let mut scratch = AdaptiveScratch::new();
-        let mut expanded = false;
-        for cap in [total / 5, total / 3, total / 2] {
-            solver.solve_into(&items, cap, &mut scratch);
-            if scratch.core_rounds() >= 2 {
-                expanded = true;
-            }
-        }
+        // Cores far wider than the first window: some fail their first
+        // certification, grow GROWTH-fold and certify then.
+        let exits = endgame_exits(600);
         assert!(
-            expanded,
-            "a 2-item window should need at least one expansion"
+            exits.contains(&(SolveMethod::ExpandingCore, 2, WINDOW * GROWTH)),
+            "no certificate after an expansion in {exits:?}"
         );
-        assert_parity_with(solver, &items, [total / 5, total / 3, total / 2]);
     }
 
     #[test]
@@ -1768,43 +1204,15 @@ mod tests {
         // margin: no bound comparison can ever be decisive, so the
         // window expands all the way and the full-core sweep runs —
         // still bit-identical.
-        let items: Vec<Item> = (0..100)
+        let items: Vec<Item> = (0..300)
             .map(|i| Item::new(2, 1.0 + i as f64 * 1e-13))
             .collect();
-        let solver = AdaptiveSolver::default()
-            .with_endgame(8, 2)
-            .with_max_bb_core(0);
         let mut scratch = AdaptiveScratch::new();
-        solver.solve_into(&items, 51, &mut scratch);
+        solve(&items, 151, &mut scratch);
         assert_eq!(scratch.method(), SolveMethod::CoreDp);
         assert!(!scratch.certified());
-        assert!(
-            scratch.core_rounds() >= 2,
-            "window expanded before degenerating (rounds={})",
-            scratch.core_rounds()
-        );
-        assert_parity_with(solver, &items, [31, 51, 120]);
-    }
-
-    #[test]
-    fn disabling_the_endgame_restores_the_full_core_sweep() {
-        let items = random_items(300, 0x0123_4567_89AB_CDEF);
-        let total: u64 = items.iter().map(|i| i.size()).sum();
-        let off = AdaptiveSolver::default().with_endgame(0, 8);
-        let mut scratch = AdaptiveScratch::new();
-        off.solve_into(&items, total / 3, &mut scratch);
-        assert_eq!(scratch.core_rounds(), 0, "no endgame rounds when disabled");
-        assert!(!scratch.certified());
-        assert_parity_with(off, &items, [total / 4, total / 3, total / 2]);
-        // On and off agree bit-for-bit with each other too.
-        let on = AdaptiveSolver::default();
-        let mut with = AdaptiveScratch::new();
-        let mut without = AdaptiveScratch::new();
-        for cap in [0, total / 4, total / 3, total / 2, total] {
-            let a = on.solve_into(&items, cap, &mut with);
-            let b = off.solve_into(&items, cap, &mut without);
-            assert!(a == b, "cap={cap}");
-            assert_eq!(with.chosen(), without.chosen(), "cap={cap}");
-        }
+        assert_eq!(scratch.core_size(), 300);
+        assert_eq!(scratch.core_rounds(), 2, "one window, then the full core");
+        assert_parity(&items, [31, 151, 320]);
     }
 }

@@ -95,7 +95,7 @@ mod solver_contract_tests {
             Box::new(Fptas::new(0.1)),
             Box::new(BranchAndBound::default()),
             Box::new(MeetInTheMiddle::default()),
-            Box::new(AdaptiveSolver::default()),
+            Box::new(AdaptiveSolver),
         ]
     }
 

@@ -8,7 +8,7 @@
 
 use basecache_knapsack::{
     fractional_upper_bound, AdaptiveScratch, AdaptiveSolver, BranchAndBound, DpByCapacity,
-    DpScratch, Fptas, GreedyDensity, Instance, Item, MeetInTheMiddle, Solver,
+    DpScratch, Fptas, GreedyDensity, Instance, Item, MeetInTheMiddle, SolveMethod, Solver,
 };
 use basecache_sim::check::run_cases;
 use basecache_sim::StreamRng;
@@ -178,35 +178,17 @@ fn arb_reduction_case(rng: &mut StreamRng) -> (Vec<Item>, u64) {
 fn adaptive_reduction_is_bit_identical_to_the_full_dp() {
     let mut dp = DpScratch::new();
     let mut ad = AdaptiveScratch::new();
+    let mut core = DpScratch::new();
     run_cases("adaptive_vs_dp", 512, |_, rng| {
         let (items, cap) = arb_reduction_case(rng);
         let v_dp = DpByCapacity.solve_into(&items, cap, &mut dp);
-        let v_ad = AdaptiveSolver::default().solve_into(&items, cap, &mut ad);
+        let v_ad = AdaptiveSolver.solve_into(&items, cap, &mut ad, &mut core);
         assert_eq!(
             v_ad.to_bits(),
             v_dp.to_bits(),
             "profit bits diverge: adaptive={v_ad} dp={v_dp}"
         );
         assert_eq!(ad.chosen(), dp.chosen(), "canonical chosen set diverges");
-    });
-}
-
-/// The warm-start hint is an optimization input, never a semantic one:
-/// any subset of item indices — including infeasible or nonsensical
-/// ones — leaves the value and chosen set untouched.
-#[test]
-fn warm_start_hints_never_change_the_answer() {
-    let mut plain = AdaptiveScratch::new();
-    let mut hinted = AdaptiveScratch::new();
-    run_cases("adaptive_hint", 256, |_, rng| {
-        let (items, cap) = arb_reduction_case(rng);
-        let hint: Vec<usize> = (0..items.len())
-            .filter(|_| rng.random_range(0u32..10) < 4)
-            .collect();
-        let v0 = AdaptiveSolver::default().solve_into(&items, cap, &mut plain);
-        let v1 = AdaptiveSolver::default().solve_with_hint_into(&items, cap, &hint, &mut hinted);
-        assert_eq!(v1.to_bits(), v0.to_bits());
-        assert_eq!(hinted.chosen(), plain.chosen());
     });
 }
 
@@ -218,9 +200,10 @@ fn warm_start_hints_never_change_the_answer() {
 fn adaptive_reduction_survives_named_degenerates() {
     let mut dp = DpScratch::new();
     let mut ad = AdaptiveScratch::new();
+    let mut core = DpScratch::new();
     let mut check = |items: &[Item], cap: u64, label: &str| {
         let v_dp = DpByCapacity.solve_into(items, cap, &mut dp);
-        let v_ad = AdaptiveSolver::default().solve_into(items, cap, &mut ad);
+        let v_ad = AdaptiveSolver.solve_into(items, cap, &mut ad, &mut core);
         assert_eq!(v_ad.to_bits(), v_dp.to_bits(), "{label}: value diverges");
         assert_eq!(ad.chosen(), dp.chosen(), "{label}: chosen set diverges");
     };
@@ -245,8 +228,8 @@ fn adaptive_reduction_survives_named_degenerates() {
         check(&[Item::new(5, 4.5)], cap, "single item");
     }
     // Bit-equal profit classmates: the duplicate-profit check must
-    // route the instance to the full DP, whose tie resolution is
-    // reproduced by construction.
+    // switch the reduction to forced-out-only, leaving the tie
+    // resolution to the DP.
     check(
         &[
             Item::new(4, 2.0),
@@ -266,8 +249,9 @@ fn adaptive_reduction_survives_named_degenerates() {
 /// total size is checked against the full DP. The probe's exact
 /// generator stream is preserved (LCG, seed 12345, 4000 trials), and
 /// instances with bit-equal per-item profits are skipped as before
-/// (routed to the full DP by construction; pinned separately by
-/// `adaptive_reduction_survives_named_degenerates`).
+/// (they take the one-sided reduction; pinned separately by
+/// `adaptive_reduction_survives_named_degenerates` and
+/// `tied_instances_keep_certified_pruning_bit_identical`).
 ///
 /// The probe asserted bit-equality of value *and* chosen set
 /// unconditionally — and failed, because that contract is not the one
@@ -291,8 +275,8 @@ fn lattice_profit_parity_review_probe() {
             .wrapping_add(1442695040888963407);
         *state >> 33
     }
-    let solver = AdaptiveSolver::default();
     let mut ad = AdaptiveScratch::new();
+    let mut core = DpScratch::new();
     let mut dp = DpScratch::new();
     let mut state = 12345u64;
     let mut witness_ties = 0u32;
@@ -317,7 +301,7 @@ fn lattice_profit_parity_review_probe() {
         }
         let total: u64 = items.iter().map(|i| i.size()).sum();
         for cap in 1..total {
-            let va = solver.solve_into(&items, cap, &mut ad);
+            let va = AdaptiveSolver.solve_into(&items, cap, &mut ad, &mut core);
             let vd = DpByCapacity.solve_into(&items, cap, &mut dp);
             assert!(
                 (va - vd).abs() < 1e-9,
@@ -355,77 +339,85 @@ fn lattice_profit_parity_review_probe() {
     assert!(witness_ties > 0, "stream no longer reaches the tie regime");
 }
 
-/// The expanding-core endgame — tiny initial windows forced through
-/// geometric expansion, with and without the B&B window terminal — is
-/// bit-identical to the full DP, and to itself with the endgame
-/// disabled. Certification is margin-strict, so any instance the
-/// window cannot decide uniquely degenerates to the exact sweep the
-/// endgame-off path runs; instances it can decide carry a certificate
-/// that the candidate *is* the canonical optimum.
+/// The adaptive solver's scratch, the DP tables it borrows, and the
+/// reference DP's — all three kept across cases, so whatever earlier
+/// solves left in them must never change an answer.
+#[derive(Default)]
+struct Parity {
+    ad: AdaptiveScratch,
+    core: DpScratch,
+    dp: DpScratch,
+}
+
+impl Parity {
+    /// Assert the adaptive solve of `items` at `cap` matches the full DP
+    /// bit for bit — value and canonical chosen set.
+    fn check(&mut self, items: &[Item], cap: u64, label: &str) {
+        let v_dp = DpByCapacity.solve_into(items, cap, &mut self.dp);
+        let v_ad = AdaptiveSolver.solve_into(items, cap, &mut self.ad, &mut self.core);
+        assert_eq!(
+            v_ad.to_bits(),
+            v_dp.to_bits(),
+            "{label}: value bits diverge"
+        );
+        assert_eq!(
+            self.ad.chosen(),
+            self.dp.chosen(),
+            "{label}: chosen set diverges"
+        );
+    }
+}
+
+/// The expanding-core endgame is bit-identical to the full DP on every
+/// exit it has. Weakly correlated instances (profit = size + fine
+/// noise, 200 to 1000 items) keep the untied core well past the
+/// 64-item first window — past the 512-item second one at the top of
+/// the range; the stream must *reach* a first-window certificate, a
+/// certificate after an expansion, and the degenerate full-core sweep.
+/// Certification is margin-strict, so any instance
+/// the window cannot decide uniquely ends in exactly the sweep a
+/// smaller core gets; instances it can decide carry a certificate that
+/// the candidate *is* the canonical optimum.
 #[test]
 fn expanding_core_endgame_is_bit_identical_to_the_full_dp() {
-    let mut dp = DpScratch::new();
-    let mut on = AdaptiveScratch::new();
-    let mut off = AdaptiveScratch::new();
+    let mut parity = Parity::default();
+    let (mut first_window, mut expanded, mut full_core) = (0u32, 0u32, 0u32);
     run_cases("expanding_core_vs_dp", 96, |_, rng| {
-        // Continuous profits (no duplicate bits) keep the instance on
-        // the untied path, and positive sizes avoid the documented
-        // free-item fold hazard — this is exactly the shape the massive
-        // round feeds the endgame.
-        let n = rng.random_range(40..=140usize);
+        // Continuous noise (no duplicate bits) keeps the instance on
+        // the two-sided path, and positive sizes avoid the documented
+        // free-item fold hazard.
+        let n = rng.random_range(200..=1000usize);
         let items: Vec<Item> = (0..n)
             .map(|_| {
-                Item::new(
-                    rng.random_range(1u64..=12),
-                    rng.random_range(0.01f64..=20.0),
-                )
+                let size = rng.random_range(1u64..=40);
+                Item::new(size, size as f64 + rng.random_range(0.0f64..1.0))
             })
             .collect();
         let total: u64 = items.iter().map(|i| i.size()).sum();
-        let cap = rng.random_range(total / 4..=3 * total / 4);
-        let v_dp = DpByCapacity.solve_into(&items, cap, &mut dp);
-        for (initial, growth, bb) in [(2usize, 2usize, 0usize), (4, 8, 48), (16, 2, 48)] {
-            let solver = AdaptiveSolver::default()
-                .with_endgame(initial, growth)
-                .with_max_bb_core(bb);
-            let v_on = solver.solve_into(&items, cap, &mut on);
-            assert_eq!(
-                v_on.to_bits(),
-                v_dp.to_bits(),
-                "endgame ({initial},{growth},bb={bb}): profit bits diverge"
-            );
-            assert_eq!(
-                on.chosen(),
-                dp.chosen(),
-                "endgame ({initial},{growth},bb={bb}): chosen set diverges"
-            );
-            let v_off = AdaptiveSolver::default()
-                .with_endgame(0, growth)
-                .with_max_bb_core(bb)
-                .solve_into(&items, cap, &mut off);
-            assert_eq!(
-                v_off.to_bits(),
-                v_on.to_bits(),
-                "endgame ({initial},{growth},bb={bb}): on/off value bits diverge"
-            );
-            assert_eq!(
-                off.chosen(),
-                on.chosen(),
-                "endgame ({initial},{growth},bb={bb}): on/off chosen sets diverge"
-            );
+        let cap = rng.random_range(total / 8..=total / 2);
+        parity.check(&items, cap, "endgame");
+        match (parity.ad.method(), parity.ad.core_rounds()) {
+            (SolveMethod::ExpandingCore, 1) => first_window += 1,
+            (SolveMethod::ExpandingCore, _) => expanded += 1,
+            (SolveMethod::CoreDp, r) if r >= 2 => full_core += 1,
+            _ => {}
         }
     });
+    assert!(first_window > 0, "no first-window certificate reached");
+    assert!(expanded > 0, "no certificate after an expansion reached");
+    assert!(full_core > 0, "no degenerate full-core sweep reached");
 }
 
-/// Duplicate-profit instances take the tie-safe certified-pruning path
-/// (never the endgame); removing only items certified to be in *no*
-/// optimal solution must leave the DP's canonical witness untouched bit
-/// for bit — even though such instances are saturated with exact
-/// subset-sum ties.
+/// Duplicate-profit instances take the one-sided reduction (never the
+/// endgame); removing only items certified to be in *no* optimal
+/// solution must leave the DP's canonical witness untouched bit for bit
+/// — even though such instances are saturated with exact subset-sum
+/// ties. The stream must reach both tied exits: the pruned core sweep
+/// and the guard's full-instance fallback.
 #[test]
 fn tied_instances_keep_certified_pruning_bit_identical() {
-    let mut dp = DpScratch::new();
-    let mut ad = AdaptiveScratch::new();
+    let mut parity = Parity::default();
+    let (mut pruned, mut fallback) = (0u32, 0u32);
     run_cases("tied_pruning_vs_dp", 128, |_, rng| {
         // Profits drawn from a 5-value pool guarantee duplicate bits.
         let pool: [f64; 5] = std::array::from_fn(|_| rng.random_range(0.1f64..=9.0));
@@ -440,10 +432,56 @@ fn tied_instances_keep_certified_pruning_bit_identical() {
             .collect();
         let total: u64 = items.iter().map(|i| i.size()).sum();
         let cap = rng.random_range(0..=total + 5);
-        let v_dp = DpByCapacity.solve_into(&items, cap, &mut dp);
-        let v_ad = AdaptiveSolver::default().solve_into(&items, cap, &mut ad);
-        assert_eq!(v_ad.to_bits(), v_dp.to_bits(), "value bits diverge");
-        assert_eq!(ad.chosen(), dp.chosen(), "chosen set diverges");
+        parity.check(&items, cap, "tied");
+        let ad = &parity.ad;
+        if ad.method() == SolveMethod::CoreDp {
+            assert_eq!(ad.core_rounds(), 0, "tied cores never enter the endgame");
+            if ad.items_fixed() > 0 {
+                pruned += 1;
+            } else {
+                fallback += 1;
+            }
+        }
+    });
+    assert!(pruned > 0, "no tied instance was pruned");
+    assert!(fallback > 0, "the tied guard never fell back");
+}
+
+/// One instance, two routes through the one reduce routine: tied (half
+/// the profits are bit-equal copies) it is reduced forced-out-only;
+/// with every copy nudged apart by a few ulps-of-the-margin it is
+/// reduced two-sidedly. Both must match the DP on their own instance,
+/// and the two-sided route never fixes fewer items than the one-sided
+/// one could.
+#[test]
+fn a_tied_instance_and_its_detied_twin_share_the_reduction() {
+    let mut parity = Parity::default();
+    run_cases("tied_vs_detied_twin", 96, |_, rng| {
+        let n = rng.random_range(20..=120usize);
+        let mut tied: Vec<Item> = Vec::with_capacity(n);
+        let mut twin: Vec<Item> = Vec::with_capacity(n);
+        for i in 0..n {
+            let size = rng.random_range(1u64..=12);
+            let profit = if i >= 2 && rng.random_range(0u32..2) == 0 {
+                tied[rng.random_range(0..i)].profit()
+            } else {
+                rng.random_range(0.5f64..=20.0)
+            };
+            tied.push(Item::new(size, profit));
+            twin.push(Item::new(size, profit + i as f64 * 1e-7));
+        }
+        let total: u64 = tied.iter().map(|i| i.size()).sum();
+        let cap = rng.random_range(total / 6..=2 * total / 3);
+        parity.check(&tied, cap, "tied");
+        let (tied_method, tied_fixed) = (parity.ad.method(), parity.ad.items_fixed());
+        parity.check(&twin, cap, "twin");
+        if tied_method == SolveMethod::CoreDp {
+            let twin_fixed = parity.ad.items_fixed();
+            assert!(
+                twin_fixed >= tied_fixed,
+                "two-sided fixing ({twin_fixed}) undercut forced-out-only fixing ({tied_fixed})"
+            );
+        }
     });
 }
 

@@ -234,11 +234,14 @@ pub enum Sample {
     /// Items removed before the search: dominance-pruned plus
     /// forced-in/forced-out by bound-based variable fixing.
     ItemsFixed,
-    /// Terminal strategy the adaptive solver used, as its dense code
-    /// (0 = certified greedy, 1 = branch-and-bound, 2 = core DP,
-    /// 3 = certified expanding core). Codes 0 and 3 are certificate
-    /// exits; 2 covers both full-core sweeps and degenerate expansions,
-    /// so the certified-vs-degenerate split is `{0,3}` vs `{1,2}`.
+    /// Terminal strategy the adaptive solver used, as its code
+    /// (0 = certified greedy, 2 = core DP, 3 = certified expanding
+    /// core; 1 was the branch-and-bound terminal, which completed on
+    /// none of the benchmark's solves and is retired — the solver no
+    /// longer emits it, readers still accept it in old recordings).
+    /// Codes 0 and 3 are certificate exits; 2 covers both full-core
+    /// sweeps and degenerate expansions, so the
+    /// certified-vs-degenerate split is `{0,3}` vs `{1,2}`.
     SolverChosen,
     /// Objects whose recency, cache state or request set changed since
     /// the previous round — the round engine's incremental-build
