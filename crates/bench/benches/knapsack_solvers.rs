@@ -1,83 +1,122 @@
-//! Solver benchmarks: exact DP (with and without trace), greedy, FPTAS
-//! and branch-and-bound across instance sizes and capacities, plus the
-//! ablation DESIGN.md calls out (exact-vs-approximate planning cost).
+//! The knapsack crate's bench record, `BENCH_knapsack.json`.
 //!
-//! The FPTAS is `O(n³/ε)` by profit scaling, so it is benchmarked at
-//! smaller `n` than the others; that asymmetry *is* the ablation result.
+//! Exact DP (with and without trace), greedy, FPTAS and branch-and-bound
+//! across instance sizes and capacities, plus the ablation DESIGN.md
+//! calls out (exact-vs-approximate planning cost). The FPTAS is
+//! `O(n³/ε)` by profit scaling, so it is benchmarked at smaller `n` than
+//! the others; that asymmetry *is* the ablation result.
+//!
+//! `knapsack/adaptive/*` times [`AdaptiveSolver`] alone, on warm scratch,
+//! at the two shapes the traced `benchmark/run.sh` rounds hand it: a
+//! station round (~500 items of size 1–20 under an eighth of their total
+//! size; untied and tied) and an engine round (35 000 items of size 1–8,
+//! capacity 1 000, profits tied by the thousand).
 
 use std::hint::black_box;
 
-use basecache_bench::harness::bench;
-use basecache_bench::knapsack_instance;
+use basecache_bench::harness::{bench, write_record, Measurement};
+use basecache_bench::{knapsack_instance, round_shaped_items};
 use basecache_knapsack::{
-    BranchAndBound, DpByCapacity, DpScratch, Fptas, GreedyDensity, Instance, Item, MeetInTheMiddle,
-    Solver,
+    AdaptiveScratch, AdaptiveSolver, BranchAndBound, DpByCapacity, DpScratch, Fptas, GreedyDensity,
+    Instance, Item, MeetInTheMiddle, Solver,
 };
 
-fn bench_solvers_by_n() {
+fn bench_adaptive(results: &mut Vec<Measurement>) {
+    // A station's budget is an eighth of its catalog; the engine's is fixed.
+    for (name, n, max_size, tied, budget) in [
+        ("untied/500", 500, 20, false, None),
+        ("tied/500", 500, 20, true, None),
+        ("tied/35000", 35_000, 8, true, Some(1_000)),
+    ] {
+        let items = round_shaped_items(n, max_size, tied, 42);
+        let total: u64 = items.iter().map(Item::size).sum();
+        let capacity = budget.unwrap_or(total / 8);
+        let mut scratch = AdaptiveScratch::new();
+        let mut dp = DpScratch::new();
+        results.push(bench(&format!("knapsack/adaptive/{name}"), || {
+            black_box(AdaptiveSolver.solve_into(&items, capacity, &mut scratch, &mut dp))
+        }));
+        println!(
+            "    {n} items, capacity {capacity}: core {}, {} fixed, {} DP cells ({:?})",
+            scratch.core_size(),
+            scratch.items_fixed(),
+            scratch.cells_touched(),
+            scratch.method(),
+        );
+    }
+}
+
+fn bench_solvers_by_n(results: &mut Vec<Measurement>) {
     for &n in &[100usize, 500, 2000] {
         let inst = knapsack_instance(n, 42);
         let capacity = inst.total_size() / 3;
-        bench(&format!("knapsack/by_items/dp/{n}"), || {
+        results.push(bench(&format!("knapsack/by_items/dp/{n}"), || {
             black_box(DpByCapacity.solve(&inst, capacity))
-        });
+        }));
         let mut scratch = DpScratch::new();
-        bench(&format!("knapsack/by_items/dp_scratch/{n}"), || {
+        results.push(bench(&format!("knapsack/by_items/dp_scratch/{n}"), || {
             black_box(DpByCapacity.solve_into(inst.items(), capacity, &mut scratch))
-        });
-        bench(&format!("knapsack/by_items/greedy/{n}"), || {
+        }));
+        results.push(bench(&format!("knapsack/by_items/greedy/{n}"), || {
             black_box(GreedyDensity.solve(&inst, capacity))
-        });
-        bench(&format!("knapsack/by_items/branch_bound/{n}"), || {
-            black_box(BranchAndBound::with_node_budget(200_000).solve(&inst, capacity))
-        });
+        }));
+        results.push(bench(
+            &format!("knapsack/by_items/branch_bound/{n}"),
+            || black_box(BranchAndBound::with_node_budget(200_000).solve(&inst, capacity)),
+        ));
     }
     // FPTAS scales as n³/ε: keep it to the sizes a per-round planner
     // would realistically hand it.
     for &n in &[50usize, 150] {
         let inst = knapsack_instance(n, 42);
         let capacity = inst.total_size() / 3;
-        bench(&format!("knapsack/by_items/fptas_0.25/{n}"), || {
+        results.push(bench(&format!("knapsack/by_items/fptas_0.25/{n}"), || {
             black_box(Fptas::new(0.25).solve(&inst, capacity))
-        });
+        }));
     }
 }
 
-fn bench_dp_by_capacity() {
+fn bench_dp_by_capacity(results: &mut Vec<Measurement>) {
     let inst = knapsack_instance(500, 7);
     let mut scratch = DpScratch::new();
     for &cap in &[500u64, 2000, 5000] {
-        bench(&format!("knapsack/by_capacity/dp_solve/{cap}"), || {
-            black_box(DpByCapacity.solve(&inst, cap))
-        });
-        bench(&format!("knapsack/by_capacity/dp_solve_into/{cap}"), || {
-            black_box(DpByCapacity.solve_into(inst.items(), cap, &mut scratch))
-        });
-        bench(&format!("knapsack/by_capacity/dp_trace/{cap}"), || {
-            black_box(DpByCapacity.solve_trace(&inst, cap))
-        });
-        bench(&format!("knapsack/by_capacity/dp_trace_into/{cap}"), || {
-            DpByCapacity.solve_trace_into(inst.items(), cap, &mut scratch);
-            black_box(scratch.value())
-        });
+        results.push(bench(
+            &format!("knapsack/by_capacity/dp_solve/{cap}"),
+            || black_box(DpByCapacity.solve(&inst, cap)),
+        ));
+        results.push(bench(
+            &format!("knapsack/by_capacity/dp_solve_into/{cap}"),
+            || black_box(DpByCapacity.solve_into(inst.items(), cap, &mut scratch)),
+        ));
+        results.push(bench(
+            &format!("knapsack/by_capacity/dp_trace/{cap}"),
+            || black_box(DpByCapacity.solve_trace(&inst, cap)),
+        ));
+        results.push(bench(
+            &format!("knapsack/by_capacity/dp_trace_into/{cap}"),
+            || {
+                DpByCapacity.solve_trace_into(inst.items(), cap, &mut scratch);
+                black_box(scratch.value())
+            },
+        ));
     }
 }
 
-fn bench_trace_reads() {
+fn bench_trace_reads(results: &mut Vec<Measurement>) {
     // Reading the whole solution space from one trace vs re-solving at
     // every budget — the reason the paper's Section 4 analysis is cheap.
     let inst = knapsack_instance(500, 9);
     let trace = DpByCapacity.solve_trace(&inst, 5000);
-    bench("knapsack/trace/solution_recovery_11_budgets", || {
+    results.push(bench("knapsack/trace/solution_recovery_11_budgets", || {
         let mut total = 0u64;
         for cap in (0..=5000u64).step_by(500) {
             total += black_box(trace.solution_at(&inst, cap)).total_size();
         }
         total
-    });
+    }));
 }
 
-fn bench_huge_capacity() {
+fn bench_huge_capacity(results: &mut Vec<Measurement>) {
     // Where meet-in-the-middle earns its keep: few candidate items, a
     // capacity so large the DP table would be gigabytes.
     let inst = Instance::new(
@@ -87,20 +126,25 @@ fn bench_huge_capacity() {
     )
     .expect("valid items");
     let cap = 12_000_000_000u64;
-    bench("knapsack/huge_capacity/meet_in_the_middle_32_items", || {
-        black_box(MeetInTheMiddle::default().solve(&inst, cap))
-    });
-    bench("knapsack/huge_capacity/greedy_32_items", || {
+    results.push(bench(
+        "knapsack/huge_capacity/meet_in_the_middle_32_items",
+        || black_box(MeetInTheMiddle::default().solve(&inst, cap)),
+    ));
+    results.push(bench("knapsack/huge_capacity/greedy_32_items", || {
         black_box(GreedyDensity.solve(&inst, cap))
-    });
-    bench("knapsack/huge_capacity/branch_bound_32_items", || {
-        black_box(BranchAndBound::default().solve(&inst, cap))
-    });
+    }));
+    results.push(bench(
+        "knapsack/huge_capacity/branch_bound_32_items",
+        || black_box(BranchAndBound::default().solve(&inst, cap)),
+    ));
 }
 
 fn main() {
-    bench_solvers_by_n();
-    bench_dp_by_capacity();
-    bench_trace_reads();
-    bench_huge_capacity();
+    let mut results = Vec::new();
+    bench_adaptive(&mut results);
+    bench_solvers_by_n(&mut results);
+    bench_dp_by_capacity(&mut results);
+    bench_trace_reads(&mut results);
+    bench_huge_capacity(&mut results);
+    write_record("knapsack", &results);
 }

@@ -33,6 +33,31 @@ pub fn knapsack_instance(n: usize, seed: u64) -> Instance {
     Instance::new(items).expect("generated profits are valid")
 }
 
+/// Knapsack items shaped like one planning round of `benchmark/run.sh`:
+/// object `i` is requested by a Zipf-like number of clients (`~ head /
+/// (i + 1)`, plus noise) and is worth that many per-client benefits.
+/// `tied` gives every client of a cold object — all but one object in
+/// sixteen — the uncached benefit of exactly 0.5, so profits repeat bit
+/// for bit by the thousand as they do on `engine-massive` and
+/// `station-inflight`; otherwise every benefit is drawn apart.
+pub fn round_shaped_items(n: usize, max_size: u64, tied: bool, seed: u64) -> Vec<Item> {
+    let mut rng = RngStreams::new(seed).stream("bench/round_shaped");
+    let head = (n as u64 / 2).max(1);
+    (0..n as u64)
+        .map(|i| {
+            let size = rng.random_range(1..=max_size);
+            let clients = 1 + head / (i + 1) + rng.random_range(0..3u64);
+            let warm = rng.random_range(0..16u32) == 0;
+            let benefit = if tied && !warm {
+                0.5
+            } else {
+                rng.random_range(0.05..=0.45f64)
+            };
+            Item::new(size, clients as f64 * benefit)
+        })
+        .collect()
+}
+
 /// The paper's Table 1 population (skewed variant).
 pub fn table1_population() -> basecache_workload::Table1Population {
     Table1Spec {

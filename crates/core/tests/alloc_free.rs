@@ -510,5 +510,35 @@ fn on_demand_steady_state_steps_do_not_allocate() {
                 "round {round}: the solve was expected to expand in-round"
             );
         }
+
+        // Engine scale, first solve: `reserve(max_items)` alone must
+        // cover the reduction's sort-key buffers at 35 000 items — a
+        // buffer it misses grows right here. Tied profits take the
+        // one-sided reduction (density keys only); the de-tied twin
+        // adds the dominance keys.
+        for nudge in [0.0, 1e-9] {
+            let items: Vec<Item> = (0..35_000u64)
+                .map(|i| {
+                    Item::new(
+                        1 + i * 7 % 8,
+                        (1 + i * 13 % 40) as f64 * 0.5 + i as f64 * nudge,
+                    )
+                })
+                .collect();
+            let mut scratch = AdaptiveScratch::new();
+            scratch.reserve(items.len());
+            let mut dp = DpScratch::new();
+            dp.reserve(items.len(), 1_000);
+            let before = allocation_count();
+            AdaptiveSolver.solve_into(&items, 1_000, &mut scratch, &mut dp);
+            let after = allocation_count();
+            assert_eq!(
+                after - before,
+                0,
+                "nudge {nudge}: first engine-scale solve allocated {} time(s) after reserve",
+                after - before
+            );
+            assert!(scratch.items_fixed() > 30_000, "nudge {nudge}");
+        }
     }
 }

@@ -38,6 +38,23 @@
 //! reduce and lets the core DP decide, so rounding can never flip a
 //! fixing decision.
 //!
+//! **How the orders are built.** Both of the reduction's orders are
+//! sorts of plain integer keys, not of indices under a comparator. The
+//! density order (density descending, index ascending) sorts
+//! `[!density bits, position]` with each `profit / size` computed once;
+//! the dominance order (size ascending, profit descending, index
+//! ascending) sorts `[size, !profit bits, position]`; both live, one
+//! after the other, in the word buffer the tie check sorted the profit
+//! bits in. Profits and densities here are finite and sign-positive (a
+//! quotient may underflow to `+0.0`), and on such doubles `to_bits()`
+//! preserves order with equal values having equal bits, so complemented
+//! bits ascending is the value descending; the position makes every key
+//! distinct, so the unstable sort has exactly one result. The per-item
+//! bounds then each need the break rank of the order with one item
+//! removed, at the capacity or the capacity less that item's size —
+//! always near the one global break, so each search gallops outward from
+//! it and bisects the bracket instead of bisecting the whole table.
+//!
 //! **Tie safety.** When two usable items carry bit-identical profits,
 //! the full DP resolves the resulting solution ties through the
 //! accumulation order of its table cells — an artifact no shortcut can
@@ -78,6 +95,7 @@
 //! solves behind the golden CSVs, and the endgame certifies ~2 % of
 //! `station-paper` solves.
 
+use crate::instance::density_key;
 use crate::{DpByCapacity, DpScratch, Instance, Item, Solution, Solver};
 
 /// Largest core the bounded DP sweeps wholesale, and the width of the
@@ -151,14 +169,17 @@ pub struct AdaptiveScratch {
     /// Selection flag per usable position: the greedy incumbent while
     /// reducing, the final selection afterwards.
     sel: Vec<bool>,
-    /// Usable positions sorted by (size asc, profit desc, index asc) for
-    /// the dominance pass.
-    dom: Vec<u32>,
-    /// Usable profit bits, sorted, for the duplicate-profit tie check.
-    pbits: Vec<u64>,
+    /// Sort-key workspace, one use after the other: the usable profit
+    /// bits of the duplicate-profit tie check, then the dominance keys
+    /// `[size, !profit bits, usable position]`, then the density keys
+    /// `[density_key, usable position]`.
+    keys: Vec<u64>,
     // Density ordering over the non-dropped usable items.
     /// Usable positions in (density desc, index asc) order.
     ord: Vec<u32>,
+    /// The global break rank: the largest prefix of `ord` that fits the
+    /// capacity, where every per-item bound search starts.
+    brk: usize,
     /// Prefix sums of sizes over `ord` (len m+1).
     ord_psize: Vec<u64>,
     /// Prefix sums of profits over `ord` (len m+1).
@@ -210,8 +231,6 @@ impl AdaptiveScratch {
         self.usable_profit.reserve(max_items);
         self.state.reserve(max_items);
         self.sel.reserve(max_items);
-        self.dom.reserve(max_items);
-        self.pbits.reserve(max_items);
         self.ord.reserve(max_items);
         self.ord_psize.reserve(max_items + 1);
         self.ord_pprofit.reserve(max_items + 1);
@@ -223,6 +242,9 @@ impl AdaptiveScratch {
         self.in_window.reserve(max_items);
         self.pending.reserve(max_items);
         self.chosen.reserve(max_items);
+        // Three words an item for the dominance keys; last, so the
+        // buffers above keep the heap layout they had before the keys.
+        self.keys.reserve(3 * max_items);
     }
 
     /// Optimal profit of the last solve (bit-identical to the full DP's).
@@ -365,12 +387,12 @@ impl AdaptiveSolver {
         // noise between equal-value sets) that no shortcut reproduces.
         // Detect any duplicated profit bits up front and reduce such
         // instances one-sidedly (module docs, *Tie safety*).
-        scratch.pbits.clear();
+        scratch.keys.clear();
         scratch
-            .pbits
+            .keys
             .extend(scratch.usable_profit.iter().map(|p| p.to_bits()));
-        scratch.pbits.sort_unstable();
-        let two_sided = !scratch.pbits.windows(2).any(|w| w[0] == w[1]);
+        scratch.keys.sort_unstable();
+        let two_sided = !scratch.keys.windows(2).any(|w| w[0] == w[1]);
 
         // Conservative float margin: any fold of usable profits differs
         // from the real sum by well under this, so bound comparisons that
@@ -440,22 +462,17 @@ impl AdaptiveScratch {
         }
 
         // Density order (density desc, index asc) over the non-dropped
-        // items, and prefix sums.
-        self.ord.clear();
-        self.ord
-            .extend((0..nu as u32).filter(|&u| self.state[u as usize] == State::Core));
-        {
-            let size = &self.usable_size;
-            let profit = &self.usable_profit;
-            self.ord.sort_unstable_by(|&a, &b| {
-                let (a, b) = (a as usize, b as usize);
-                let da = profit[a] / size[a] as f64;
-                let db = profit[b] / size[b] as f64;
-                db.partial_cmp(&da)
-                    .expect("validated profits are never NaN")
-                    .then(a.cmp(&b))
-            });
+        // items, by sorting keys (module docs, *How the orders are
+        // built*), and prefix sums.
+        self.keys.clear();
+        for u in (0..nu).filter(|&u| self.state[u] == State::Core) {
+            let density = self.usable_profit[u] / self.usable_size[u] as f64;
+            self.keys.extend([density_key(density), u as u64]);
         }
+        let (dkeys, _) = self.keys.as_chunks_mut::<2>();
+        dkeys.sort_unstable_by_key(|&[density, u]| (density, u));
+        self.ord.clear();
+        self.ord.extend(dkeys.iter().map(|&[_, u]| u as u32));
         let m = self.ord.len();
         self.ord_psize.clear();
         self.ord_pprofit.clear();
@@ -517,36 +534,28 @@ impl AdaptiveScratch {
     /// bit-equal profits; see [`Self::reduce`].)
     fn drop_dominated(&mut self, capacity: u64, margin: f64) {
         let nu = self.usable_idx.len();
-        self.dom.clear();
-        self.dom.extend(0..nu as u32);
-        {
-            let size = &self.usable_size;
-            let profit = &self.usable_profit;
-            self.dom.sort_unstable_by(|&a, &b| {
-                let (a, b) = (a as usize, b as usize);
-                size[a]
-                    .cmp(&size[b])
-                    .then_with(|| {
-                        profit[b]
-                            .partial_cmp(&profit[a])
-                            .expect("validated profits are never NaN")
-                    })
-                    .then(a.cmp(&b))
-            });
+        self.keys.clear();
+        for u in 0..nu {
+            let profit_desc = !self.usable_profit[u].to_bits();
+            self.keys
+                .extend([self.usable_size[u], profit_desc, u as u64]);
         }
+        // (size asc, profit desc, index asc); see the module docs.
+        let (dom, _) = self.keys.as_chunks_mut::<3>();
+        dom.sort_unstable_by_key(|&[size, profit_desc, u]| (size, profit_desc, u));
         let mut run = 0;
         while run < nu {
-            let size = self.usable_size[self.dom[run] as usize];
+            let size = dom[run][0];
             let mut run_end = run + 1;
-            while run_end < nu && self.usable_size[self.dom[run_end] as usize] == size {
+            while run_end < nu && dom[run_end][0] == size {
                 run_end += 1;
             }
             let quota = (capacity / size) as usize;
             for t in quota.max(1)..run_end - run {
-                let p_t = self.usable_profit[self.dom[run + t] as usize];
+                let p_t = f64::from_bits(!dom[run + t][1]);
                 let mut decisive = 0usize;
                 for k in 0..t {
-                    let p_k = self.usable_profit[self.dom[run + k] as usize];
+                    let p_k = f64::from_bits(!dom[run + k][1]);
                     if p_k > p_t + margin {
                         decisive += 1;
                         if decisive >= quota {
@@ -555,7 +564,7 @@ impl AdaptiveScratch {
                     }
                 }
                 if decisive >= quota {
-                    self.state[self.dom[run + t] as usize] = State::Dropped;
+                    self.state[dom[run + t][2] as usize] = State::Dropped;
                 }
             }
             run = run_end;
@@ -609,7 +618,7 @@ impl AdaptiveScratch {
         // The core's Dantzig break: the largest density prefix that fits
         // the core capacity. The optimum deviates from the greedy prefix
         // only near the break, so the window centers on it.
-        let b = largest_fitting_prefix(nc, core_cap, |t| self.core_csize[t]);
+        let b = largest_fitting_prefix(0, nc, core_cap, |t| self.core_csize[t]);
 
         self.in_window.clear();
         self.in_window.resize(nu, false);
@@ -801,10 +810,12 @@ impl AdaptiveScratch {
         acc
     }
 
-    /// Global Dantzig bound at `cap` over the density ordering.
-    fn dantzig(&self, cap: u64) -> f64 {
+    /// Global Dantzig bound at `cap` over the density ordering; leaves
+    /// the break rank in `brk`.
+    fn dantzig(&mut self, cap: u64) -> f64 {
         let m = self.ord.len();
-        let b = largest_fitting_prefix(m, cap, |t| self.ord_psize[t]);
+        let b = largest_fitting_prefix(0, m, cap, |t| self.ord_psize[t]);
+        self.brk = b;
         let rem = cap - self.ord_psize[b];
         if b < m && rem > 0 {
             let u = self.ord[b] as usize;
@@ -815,7 +826,9 @@ impl AdaptiveScratch {
     }
 
     /// Dantzig bound at `cap` over the density ordering with the item at
-    /// rank `skip` removed, in `O(log m)` via the prefix sums.
+    /// rank `skip` removed, via the prefix sums. The break moves only a
+    /// few ranks when one item leaves or the capacity gives up one
+    /// item's size, so the search starts at the global break `brk`.
     fn dantzig_excluding(&self, skip: usize, cap: u64) -> f64 {
         let u_skip = self.ord[skip] as usize;
         let (s_skip, p_skip) = (self.usable_size[u_skip], self.usable_profit[u_skip]);
@@ -835,7 +848,7 @@ impl AdaptiveScratch {
             }
         };
         let last = self.ord.len() - 1; // the shortened sequence has m-1 items
-        let b = largest_fitting_prefix(last, cap, pex_size);
+        let b = largest_fitting_prefix(self.brk, last, cap, pex_size);
         let rem = cap - pex_size(b);
         if b < last && rem > 0 {
             let q = self.ord[if b < skip { b } else { b + 1 }] as usize;
@@ -847,9 +860,43 @@ impl AdaptiveScratch {
 }
 
 /// The largest `t ≤ len` whose prefix size fits `cap` (`prefix_size` is
-/// non-decreasing and `prefix_size(0) == 0`).
-fn largest_fitting_prefix(len: usize, cap: u64, prefix_size: impl Fn(usize) -> u64) -> usize {
+/// non-decreasing and `prefix_size(0) == 0`), searched outward from
+/// `hint`: gallop away from it in doubling steps until the answer is
+/// bracketed, then bisect the bracket. Fitting is monotone in `t`, so
+/// every bracket bisects to the same answer; a hint `d` ranks off costs
+/// `O(log d)` probes, and `hint = 0` is the cold `O(log len)` search.
+fn largest_fitting_prefix(
+    hint: usize,
+    len: usize,
+    cap: u64,
+    prefix_size: impl Fn(usize) -> u64,
+) -> usize {
+    // `lo` always fits and the answer lies in `[lo, hi]`.
     let (mut lo, mut hi) = (0usize, len);
+    let hint = hint.min(len);
+    let mut step = 1usize;
+    if prefix_size(hint) <= cap {
+        lo = hint;
+        while step <= hi - lo {
+            if prefix_size(lo + step) <= cap {
+                lo += step;
+                step *= 2;
+            } else {
+                hi = lo + step - 1;
+                break;
+            }
+        }
+    } else {
+        hi = hint - 1; // `prefix_size(0)` fits, so `hint ≥ 1` here
+        while step <= hi - lo {
+            if prefix_size(hi + 1 - step) <= cap {
+                lo = hi + 1 - step;
+                break;
+            }
+            hi -= step;
+            step *= 2;
+        }
+    }
     while lo < hi {
         let mid = lo + (hi - lo).div_ceil(2);
         if prefix_size(mid) <= cap {
@@ -909,6 +956,16 @@ impl Solver for AdaptiveSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::instance::density_order;
+    use std::cmp::Ordering;
+
+    /// The tests' deterministic generator.
+    fn lcg(state: &mut u64) -> u64 {
+        *state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        *state >> 33
+    }
 
     /// One solve on throwaway DP tables.
     fn solve(items: &[Item], capacity: u64, scratch: &mut AdaptiveScratch) -> f64 {
@@ -942,16 +999,10 @@ mod tests {
     /// past [`WINDOW`], so every endgame exit is in reach.
     fn correlated_items(n: usize, seed: u64) -> Vec<Item> {
         let mut state = seed;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state >> 33
-        };
         (0..n)
             .map(|_| {
-                let size = 1 + next() % 40;
-                let noise = (next() % (1 << 20)) as f64 / (1u64 << 20) as f64;
+                let size = 1 + lcg(&mut state) % 40;
+                let noise = (lcg(&mut state) % (1 << 20)) as f64 / (1u64 << 20) as f64;
                 Item::new(size, size as f64 + noise)
             })
             .collect()
@@ -1065,16 +1116,10 @@ mod tests {
         // Deterministic pseudo-random instance, capacity well below the
         // total size, so fixing and the core DP both engage.
         let mut state = 0x9E3779B97F4A7C15u64;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state >> 33
-        };
         let items: Vec<Item> = (0..60)
             .map(|_| {
-                let size = 1 + next() % 12;
-                let profit = (next() % 10_000) as f64 / 997.0;
+                let size = 1 + lcg(&mut state) % 12;
+                let profit = (lcg(&mut state) % 10_000) as f64 / 997.0;
                 Item::new(size, profit)
             })
             .collect();
@@ -1214,5 +1259,219 @@ mod tests {
         assert_eq!(scratch.core_size(), 300);
         assert_eq!(scratch.core_rounds(), 2, "one window, then the full core");
         assert_parity(&items, [31, 151, 320]);
+    }
+
+    /// The comparator the density sorts used before the keys: density
+    /// descending by `partial_cmp`, then index ascending.
+    fn by_density_then_index(density: impl Fn(usize) -> f64) -> impl Fn(usize, usize) -> Ordering {
+        move |a, b| {
+            density(b)
+                .partial_cmp(&density(a))
+                .expect("no NaN")
+                .then(a.cmp(&b))
+        }
+    }
+
+    /// `got` is `candidates` (ascending) in the one order the strict
+    /// total order `cmp` allows: a permutation of them whose every
+    /// adjacent pair `cmp` ranks `Less`.
+    fn assert_ordered_by(
+        got: &[usize],
+        candidates: &[usize],
+        cmp: impl Fn(usize, usize) -> Ordering,
+        what: &str,
+    ) {
+        let mut seen = got.to_vec();
+        seen.sort_unstable();
+        assert_eq!(seen, candidates, "{what}: not a permutation");
+        for w in got.windows(2) {
+            assert_eq!(cmp(w[0], w[1]), Ordering::Less, "{what}: {w:?}");
+        }
+    }
+
+    /// Sizes and profits picked to stress the key orders: equal
+    /// densities at different sizes, bit-equal profits, subnormal and
+    /// near-`f64::MAX` profits, and sizes above 2^53, where `size as
+    /// f64` rounds — all mixed into seeded random filler.
+    fn awkward_items(seed: u64, n: usize) -> Vec<Item> {
+        let special = [
+            Item::new(2, 4.0),
+            Item::new(1, 2.0),
+            Item::new(4, 8.0),
+            Item::new(3, 2.0),
+            Item::new(3, 2.0),
+            Item::new(7, f64::MIN_POSITIVE / 4.0),
+            Item::new(7, 5e-324),
+            Item::new(3, 5e-324),
+            Item::new(5, f64::MAX),
+            Item::new(5, f64::MAX / 2.0),
+            Item::new(1, f64::MAX),
+            Item::new((1 << 53) + 1, 3.0),
+            Item::new((1 << 53) + 2, 3.0),
+            Item::new((1 << 53) + 3, 3.0000000000000004),
+            Item::new(1 << 60, 1e300),
+        ];
+        let mut state = seed;
+        (0..n)
+            .map(|_| match lcg(&mut state) % 4 {
+                0 => special[lcg(&mut state) as usize % special.len()],
+                // Few distinct values: plenty of exact ties.
+                1 => Item::new(
+                    1 + lcg(&mut state) % 4,
+                    (1 + lcg(&mut state) % 6) as f64 * 0.5,
+                ),
+                _ => Item::new(
+                    1 + lcg(&mut state) % 30,
+                    (1 + lcg(&mut state) % 100_000) as f64 / 997.0,
+                ),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn key_orders_match_the_comparator_orders() {
+        for seed in 1..=40 {
+            let items = awkward_items(seed, 30 + seed as usize * 7);
+            let nu = items.len();
+            let density = |u: usize| items[u].profit() / items[u].size() as f64;
+
+            // The crate's density order (free items sort first).
+            let mut with_free = items.clone();
+            with_free[nu / 2] = Item::new(0, 1.0);
+            with_free[nu / 3] = Item::new(0, 0.0);
+            let positive: Vec<usize> = (0..nu).filter(|&i| with_free[i].profit() > 0.0).collect();
+            assert_ordered_by(
+                &density_order(&with_free),
+                &positive,
+                by_density_then_index(|i| with_free[i].density()),
+                &format!("crate density order, seed {seed}"),
+            );
+
+            // The solver's two orders: the dominance keys as the
+            // dominance pass leaves them, then the density order of a
+            // reduction that stops right after sorting because
+            // everything fits.
+            let mut scratch = AdaptiveScratch::new();
+            scratch.usable_idx.extend(0..nu as u32);
+            scratch.usable_size.extend(items.iter().map(Item::size));
+            scratch.usable_profit.extend(items.iter().map(Item::profit));
+            scratch.state.resize(nu, State::Core);
+            scratch.sel.resize(nu, false);
+            let total: u64 = scratch.usable_size.iter().sum();
+            let all: Vec<usize> = (0..nu).collect();
+
+            scratch.drop_dominated(total, 0.0);
+            let (dom, _) = scratch.keys.as_chunks::<3>();
+            let got: Vec<usize> = dom.iter().map(|k| k[2] as usize).collect();
+            let by_size_profit_index = |a: usize, b: usize| {
+                (items[a].size().cmp(&items[b].size()))
+                    .then_with(|| items[b].profit().partial_cmp(&items[a].profit()).unwrap())
+                    .then(a.cmp(&b))
+            };
+            assert_ordered_by(
+                &got,
+                &all,
+                by_size_profit_index,
+                &format!("dominance, seed {seed}"),
+            );
+
+            assert!(!scratch.reduce(total, 0.0, true));
+            let kept: Vec<usize> = (0..nu)
+                .filter(|&u| scratch.state[u] != State::Dropped)
+                .collect();
+            let got: Vec<usize> = scratch.ord.iter().map(|&u| u as usize).collect();
+            assert_ordered_by(
+                &got,
+                &kept,
+                by_density_then_index(density),
+                &format!("density order, seed {seed}"),
+            );
+        }
+    }
+
+    /// The plain bisection the hinted search replaced.
+    fn bisect_from_scratch(len: usize, cap: u64, prefix_size: impl Fn(usize) -> u64) -> usize {
+        let (mut lo, mut hi) = (0usize, len);
+        while lo < hi {
+            let mid = lo + (hi - lo).div_ceil(2);
+            if prefix_size(mid) <= cap {
+                lo = mid;
+            } else {
+                hi = mid - 1;
+            }
+        }
+        lo
+    }
+
+    #[test]
+    fn hinted_search_matches_plain_bisection_for_every_hint_and_cap() {
+        let mut state = 0xC0FFEE;
+        for len in 0..=12usize {
+            let sizes: Vec<u64> = (0..len).map(|_| 1 + lcg(&mut state) % 5).collect();
+            let mut prefix = vec![0u64];
+            for &s in &sizes {
+                prefix.push(prefix.last().unwrap() + s);
+            }
+            let total = prefix[len];
+            // The full table, then the table with each rank skipped —
+            // the shape `dantzig_excluding` searches, with `skip` on
+            // either side of any break.
+            let full = |t: usize| prefix[t];
+            for cap in 0..=total + 2 {
+                let want = bisect_from_scratch(len, cap, full);
+                for hint in 0..=len + 2 {
+                    let got = largest_fitting_prefix(hint, len, cap, full);
+                    assert_eq!(got, want, "len {len} cap {cap} hint {hint}");
+                }
+            }
+            for (skip, skipped) in sizes.iter().enumerate() {
+                let without = |t: usize| {
+                    if t <= skip {
+                        prefix[t]
+                    } else {
+                        prefix[t + 1] - skipped
+                    }
+                };
+                for cap in 0..=total + 2 {
+                    let want = bisect_from_scratch(len - 1, cap, without);
+                    for hint in 0..=len + 2 {
+                        let got = largest_fitting_prefix(hint, len - 1, cap, without);
+                        assert_eq!(got, want, "len {len} skip {skip} cap {cap} hint {hint}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn engine_scale_tied_reduction_repeats_the_pinned_stats() {
+        // The shape of an `engine-massive` round: ~35 000 usable items
+        // of size 1..=8, most profits small multiples of 0.5 (bit-equal
+        // by the thousand), a Zipf head of larger ones, capacity 1 000.
+        // The stats were pinned at the comparator-sorting,
+        // cold-bisecting parent commit: any drift in an order, a break
+        // rank or a fixing decision moves them.
+        let mut state = 35_000;
+        let items: Vec<Item> = (0..35_000u64)
+            .map(|i| {
+                let size = 1 + lcg(&mut state) % 8;
+                let clients = 1 + 20_000 / (i + 1) + lcg(&mut state) % 3;
+                let warm = lcg(&mut state).is_multiple_of(16);
+                let benefit = if warm {
+                    0.05 + (lcg(&mut state) % 1000) as f64 / 2500.0
+                } else {
+                    0.5
+                };
+                Item::new(size, clients as f64 * benefit)
+            })
+            .collect();
+        let mut scratch = AdaptiveScratch::new();
+        let value = solve(&items, 1_000, &mut scratch);
+        assert_eq!(scratch.method(), SolveMethod::CoreDp);
+        assert_eq!(scratch.core_size(), 350);
+        assert_eq!(scratch.items_fixed(), 34_650);
+        assert_eq!(scratch.cells_touched(), 2_423);
+        assert_eq!(scratch.chosen().len(), 344);
+        assert_eq!(value.to_bits(), 4678582800158382936);
     }
 }

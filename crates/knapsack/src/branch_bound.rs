@@ -1,3 +1,4 @@
+use crate::instance::density_order;
 use crate::{fractional_upper_bound, Instance, Item, Solution, Solver};
 
 /// Exact 0/1 knapsack by depth-first branch and bound with the fractional
@@ -100,16 +101,8 @@ impl Search<'_> {
 impl Solver for BranchAndBound {
     fn solve(&self, instance: &Instance, capacity: u64) -> Solution {
         let items = instance.items();
-        let mut order: Vec<usize> = (0..items.len())
-            .filter(|&i| items[i].profit() > 0.0 && items[i].size() <= capacity)
-            .collect();
-        order.sort_by(|&a, &b| {
-            items[b]
-                .density()
-                .partial_cmp(&items[a].density())
-                .expect("validated profits are never NaN")
-                .then_with(|| a.cmp(&b))
-        });
+        let mut order = density_order(items);
+        order.retain(|&i| items[i].size() <= capacity);
 
         // Seed the incumbent with the fractional solution's whole items:
         // a strong warm start that makes pruning effective immediately.

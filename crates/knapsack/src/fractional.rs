@@ -1,3 +1,4 @@
+use crate::instance::density_order;
 use crate::Instance;
 
 /// The optimum of the fractional (LP) relaxation, where at most one item
@@ -20,16 +21,7 @@ pub struct FractionalSolution {
 /// oracle in property tests.
 pub fn fractional_upper_bound(instance: &Instance, capacity: u64) -> FractionalSolution {
     let items = instance.items();
-    let mut order: Vec<usize> = (0..items.len())
-        .filter(|&i| items[i].profit() > 0.0)
-        .collect();
-    order.sort_by(|&a, &b| {
-        items[b]
-            .density()
-            .partial_cmp(&items[a].density())
-            .expect("validated profits are never NaN")
-            .then_with(|| a.cmp(&b))
-    });
+    let order = density_order(items);
 
     let mut whole = Vec::new();
     let mut split = None;

@@ -1,3 +1,4 @@
+use crate::instance::density_order;
 use crate::{Instance, Solution, Solver};
 
 /// Profit-density greedy with the classic 2-approximation guarantee.
@@ -16,17 +17,8 @@ pub struct GreedyDensity;
 impl Solver for GreedyDensity {
     fn solve(&self, instance: &Instance, capacity: u64) -> Solution {
         let items = instance.items();
-        let mut order: Vec<usize> = (0..items.len())
-            .filter(|&i| items[i].profit() > 0.0)
-            .collect();
         // Ties broken by index for determinism.
-        order.sort_by(|&a, &b| {
-            items[b]
-                .density()
-                .partial_cmp(&items[a].density())
-                .expect("validated profits are never NaN")
-                .then_with(|| a.cmp(&b))
-        });
+        let order = density_order(items);
 
         let mut chosen = Vec::new();
         let mut remaining = capacity;

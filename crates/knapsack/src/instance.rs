@@ -48,6 +48,32 @@ impl Item {
     }
 }
 
+/// Sort key of the crate's one *density order* (density descending,
+/// index ascending): sort `(density_key(d), index)` pairs ascending.
+///
+/// A density here is a positive double, `+0.0` (an underflowed quotient)
+/// or `+inf` (a free item). On those `to_bits()` preserves numeric order
+/// and equal values have equal bits, so the complemented bits ascend
+/// exactly as the densities descend. The index makes every key distinct,
+/// so an unstable sort of the pairs is deterministic.
+#[inline]
+pub(crate) fn density_key(density: f64) -> u64 {
+    debug_assert!(density >= 0.0 && density.is_sign_positive());
+    !density.to_bits()
+}
+
+/// Indices of the positive-profit items in density order.
+pub(crate) fn density_order(items: &[Item]) -> Vec<usize> {
+    let mut keys: Vec<(u64, usize)> = items
+        .iter()
+        .enumerate()
+        .filter(|(_, item)| item.profit > 0.0)
+        .map(|(i, item)| (density_key(item.density()), i))
+        .collect();
+    keys.sort_unstable();
+    keys.into_iter().map(|(_, i)| i).collect()
+}
+
 /// A validated set of knapsack items.
 ///
 /// Validation guarantees every profit is finite and non-negative, which is

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Full local gate: formatting, lints, tier-1 build+tests, property
-# suites, the golden results, and the planner bench (which records
-# BENCH_planner.json at the repo root). Everything runs offline — the
-# workspace has no external dependencies.
+# suites, the golden results, and the knapsack and planner benches (which
+# record BENCH_knapsack.json and BENCH_planner.json at the repo root).
+# Everything runs offline — the workspace has no external dependencies.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -98,6 +98,16 @@ echo "==> massive round-engine smoke (reduced scale)"
 # below; this reduced-scale pass proves the pipeline end to end on
 # every check without the full cost.
 cargo run -q -p basecache-bench --release -- massive --smoke
+
+echo "==> knapsack bench (writes BENCH_knapsack.json)"
+cargo bench -p basecache-bench --bench knapsack_solvers
+# The adaptive solver alone, at the shapes the benchmark's station and
+# engine rounds hand it.
+for entry in 'knapsack/adaptive/untied/500' 'knapsack/adaptive/tied/500' \
+             'knapsack/adaptive/tied/35000'; do
+    grep -q "\"$entry\"" BENCH_knapsack.json \
+        || { echo "error: BENCH_knapsack.json missing $entry" >&2; exit 1; }
+done
 
 echo "==> planner bench (writes BENCH_planner.json)"
 # Keep the committed baseline aside so the fresh run can be gated
