@@ -1,10 +1,7 @@
 //! The knapsack crate's bench record, `BENCH_knapsack.json`.
 //!
-//! Exact DP (with and without trace), greedy, FPTAS and branch-and-bound
-//! across instance sizes and capacities, plus the ablation DESIGN.md
-//! calls out (exact-vs-approximate planning cost). The FPTAS is
-//! `O(n³/ε)` by profit scaling, so it is benchmarked at smaller `n` than
-//! the others; that asymmetry *is* the ablation result.
+//! Exact DP (with and without trace) and greedy across instance sizes
+//! and capacities: the exact-vs-approximate planning cost.
 //!
 //! `knapsack/adaptive/*` times [`AdaptiveSolver`] alone, on warm scratch,
 //! at the two shapes the traced `benchmark/run.sh` rounds hand it: a
@@ -17,8 +14,7 @@ use std::hint::black_box;
 use basecache_bench::harness::{bench, write_record, Measurement};
 use basecache_bench::{knapsack_instance, round_shaped_items};
 use basecache_knapsack::{
-    AdaptiveScratch, AdaptiveSolver, BranchAndBound, DpByCapacity, DpScratch, Fptas, GreedyDensity,
-    Instance, Item, MeetInTheMiddle, Solver,
+    AdaptiveScratch, AdaptiveSolver, DpByCapacity, DpScratch, GreedyDensity, Item, Solver,
 };
 
 fn bench_adaptive(results: &mut Vec<Measurement>) {
@@ -59,19 +55,6 @@ fn bench_solvers_by_n(results: &mut Vec<Measurement>) {
         }));
         results.push(bench(&format!("knapsack/by_items/greedy/{n}"), || {
             black_box(GreedyDensity.solve(&inst, capacity))
-        }));
-        results.push(bench(
-            &format!("knapsack/by_items/branch_bound/{n}"),
-            || black_box(BranchAndBound::with_node_budget(200_000).solve(&inst, capacity)),
-        ));
-    }
-    // FPTAS scales as n³/ε: keep it to the sizes a per-round planner
-    // would realistically hand it.
-    for &n in &[50usize, 150] {
-        let inst = knapsack_instance(n, 42);
-        let capacity = inst.total_size() / 3;
-        results.push(bench(&format!("knapsack/by_items/fptas_0.25/{n}"), || {
-            black_box(Fptas::new(0.25).solve(&inst, capacity))
         }));
     }
 }
@@ -116,35 +99,11 @@ fn bench_trace_reads(results: &mut Vec<Measurement>) {
     }));
 }
 
-fn bench_huge_capacity(results: &mut Vec<Measurement>) {
-    // Where meet-in-the-middle earns its keep: few candidate items, a
-    // capacity so large the DP table would be gigabytes.
-    let inst = Instance::new(
-        (0..32u64)
-            .map(|i| Item::new(1_000_000_000 + i * 97, (i % 13) as f64 + 0.5))
-            .collect(),
-    )
-    .expect("valid items");
-    let cap = 12_000_000_000u64;
-    results.push(bench(
-        "knapsack/huge_capacity/meet_in_the_middle_32_items",
-        || black_box(MeetInTheMiddle::default().solve(&inst, cap)),
-    ));
-    results.push(bench("knapsack/huge_capacity/greedy_32_items", || {
-        black_box(GreedyDensity.solve(&inst, cap))
-    }));
-    results.push(bench(
-        "knapsack/huge_capacity/branch_bound_32_items",
-        || black_box(BranchAndBound::default().solve(&inst, cap)),
-    ));
-}
-
 fn main() {
     let mut results = Vec::new();
     bench_adaptive(&mut results);
     bench_solvers_by_n(&mut results);
     bench_dp_by_capacity(&mut results);
     bench_trace_reads(&mut results);
-    bench_huge_capacity(&mut results);
     write_record("knapsack", &results);
 }

@@ -5,10 +5,9 @@
 //! recorder vs a live [`StatsRecorder`]).
 //!
 //! The headline comparison is the Table-1-scale planning round (500
-//! objects, budget 5000 data units, 5000 client requests) three ways:
-//! the seed's full-table round, the current allocating batch API, and
-//! the allocation-free `plan_requests_into` path on a persistent
-//! [`PlannerScratch`]. The measured medians, the round speedups, the
+//! objects, budget 5000 data units, 5000 client requests) two ways: the
+//! allocating batch API, and the allocation-free `plan_requests_into`
+//! path on a persistent [`PlannerScratch`]. The measured medians, the
 //! recorder overhead ratios and a per-stage breakdown of the
 //! instrumented round are written to `BENCH_planner.json` at the repo
 //! root.
@@ -40,24 +39,12 @@ const OBJECTS: usize = 500;
 const REQUESTS: usize = 5000;
 const BUDGET: u64 = 5000;
 
-fn bench_round_paths(results: &mut Vec<Measurement>) -> (f64, f64, f64, f64) {
+fn bench_round_paths(results: &mut Vec<Measurement>) -> (f64, f64) {
     let (generated, catalog, recency) = planning_requests(OBJECTS, REQUESTS, 77);
     // Pin the DP so the long-standing round entries keep measuring the
     // same code path now that the planner default is the adaptive
     // front-end (benched separately below).
     let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio, SolverChoice::ExactDp);
-
-    // The seed's per-tick flow: aggregate into a BTreeMap batch, build
-    // the profit mapping, run the full O(n·B) table, backtrack.
-    let seed = bench("planner/round/seed_full_table", || {
-        let batch = RequestBatch::from_generated(&generated);
-        let mapped = build_instance(&batch, &catalog, &recency, ScoringFunction::InverseRatio);
-        let trace = DpByCapacity.solve_trace(mapped.instance(), BUDGET);
-        let solution = trace.solution_at(mapped.instance(), BUDGET);
-        let mut download = mapped.selected_objects(&solution);
-        download.sort_unstable();
-        black_box((download, solution.total_profit()))
-    });
 
     // The allocating batch API on the bounded-sweep solver.
     let batch_path = bench("planner/round/batch_alloc", || {
@@ -145,18 +132,15 @@ fn bench_round_paths(results: &mut Vec<Measurement>) -> (f64, f64, f64, f64) {
         black_box(causal_scratch.achieved_value())
     });
 
-    let vs_seed = seed.median_ns() / scratch_path.median_ns();
-    let vs_batch = batch_path.median_ns() / scratch_path.median_ns();
     let observed_overhead = observed_path.median_ns() / scratch_path.median_ns();
     let lifecycle_overhead = lifecycle_path.median_ns() / adaptive_path.median_ns();
-    results.push(seed);
     results.push(batch_path);
     results.push(scratch_path);
     results.push(observed_path);
     results.push(flight_path);
     results.push(adaptive_path);
     results.push(lifecycle_path);
-    (vs_seed, vs_batch, observed_overhead, lifecycle_overhead)
+    (observed_overhead, lifecycle_overhead)
 }
 
 /// The two lifecycle hot-path notifications in isolation: one
@@ -242,11 +226,9 @@ fn bench_trace_vs_trace_into(results: &mut Vec<Measurement>) {
 fn bench_plan_solvers(results: &mut Vec<Measurement>) {
     let (batch, catalog, recency) = planning_round(OBJECTS, REQUESTS, 77);
     let budget = catalog.total_size() / 2;
-    let solvers: [(&str, SolverChoice); 5] = [
+    let solvers: [(&str, SolverChoice); 3] = [
         ("exact_dp", SolverChoice::ExactDp),
         ("greedy", SolverChoice::Greedy),
-        ("fptas_0.25", SolverChoice::Fptas { epsilon: 0.25 }),
-        ("branch_bound", SolverChoice::BranchAndBound),
         ("adaptive", SolverChoice::Adaptive),
     ];
     for (name, choice) in solvers {
@@ -358,8 +340,6 @@ fn bench_inflight(results: &mut Vec<Measurement>) -> f64 {
 
 /// The suite's headline figures, one per top-level JSON key.
 struct Headlines<'a> {
-    vs_seed: f64,
-    vs_batch: f64,
     observed_overhead: f64,
     lifecycle_overhead: f64,
     coalesced_fetch_ratio: f64,
@@ -371,8 +351,6 @@ struct Headlines<'a> {
 
 fn write_json(results: &[Measurement], headlines: &Headlines, stages: &Snapshot) {
     let Headlines {
-        vs_seed,
-        vs_batch,
         observed_overhead,
         lifecycle_overhead,
         coalesced_fetch_ratio,
@@ -387,12 +365,6 @@ fn write_json(results: &[Measurement], headlines: &Headlines, stages: &Snapshot)
     out.push_str("  \"bench\": \"planner\",\n");
     out.push_str(&format!(
         "  \"scale\": {{\"objects\": {OBJECTS}, \"requests\": {REQUESTS}, \"budget\": {BUDGET}}},\n"
-    ));
-    out.push_str(&format!(
-        "  \"round_speedup_vs_seed_full_table\": {vs_seed:.2},\n"
-    ));
-    out.push_str(&format!(
-        "  \"round_speedup_vs_batch_alloc\": {vs_batch:.2},\n"
     ));
     out.push_str(&format!(
         "  \"stats_recorder_overhead\": {observed_overhead:.3},\n"
@@ -469,11 +441,7 @@ fn write_json(results: &[Measurement], headlines: &Headlines, stages: &Snapshot)
 /// Run the whole suite and write `BENCH_planner.json`.
 pub fn run() {
     let mut results = Vec::new();
-    let (vs_seed, vs_batch, observed_overhead, lifecycle_overhead) =
-        bench_round_paths(&mut results);
-    println!(
-        "round speedup: {vs_seed:.2}x vs seed full-table, {vs_batch:.2}x vs allocating batch path"
-    );
+    let (observed_overhead, lifecycle_overhead) = bench_round_paths(&mut results);
     println!("stats-recorder overhead on the round: {observed_overhead:.3}x");
     println!(
         "causal lifecycle-recorder overhead on the adaptive round: {lifecycle_overhead:.3}x\n"
@@ -508,8 +476,6 @@ pub fn run() {
     write_json(
         &results,
         &Headlines {
-            vs_seed,
-            vs_batch,
             observed_overhead,
             lifecycle_overhead,
             coalesced_fetch_ratio,

@@ -1,9 +1,7 @@
 //! Model-based property tests: `CacheStore` with each policy against a
 //! naive reference model under random operation sequences.
 //!
-//! Runs on the in-tree harness (`basecache_sim::check`); enable with
-//! `cargo test -p basecache-cache --features proptest`.
-#![cfg(feature = "proptest")]
+//! Runs on the in-tree harness (`basecache_sim::check`).
 
 use basecache_cache::{
     CacheStore, GreedyDualSize, Lfu, Lru, ProfitAware, ReplacementPolicy, SizeAware,

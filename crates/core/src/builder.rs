@@ -28,6 +28,7 @@ use crate::estimator::RecencyEstimator;
 use crate::pipeline::LatencyAwareSim;
 use crate::planner::OnDemandPlanner;
 use crate::recency::{DecayModel, ScoringFunction};
+use crate::scratch::plan_table_fits;
 use crate::station::{BaseStationSim, Estimation, Policy};
 
 /// A fluent, validating builder for [`BaseStationSim`].
@@ -188,6 +189,17 @@ impl StationBuilder {
         if self.flight.is_some() && !matches!(policy, Policy::OnDemand { .. }) {
             return Err(ConfigError::InFlightRequiresOnDemand.into());
         }
+        if let Some(budget) = policy.unit_budget() {
+            // The capacity the station reserves its plan table for.
+            let capacity = budget.min(self.catalog.total_size());
+            if !plan_table_fits(self.catalog.len(), capacity) {
+                return Err(ConfigError::PlanTableTooLarge {
+                    items: self.catalog.len(),
+                    capacity,
+                }
+                .into());
+            }
+        }
         let mut station = BaseStationSim::assemble(
             self.catalog,
             policy,
@@ -277,6 +289,38 @@ mod tests {
             .on_demand_adaptive(planner, 10, 2, 0.05)
             .build()
             .is_ok());
+    }
+
+    /// 32 objects of ~10⁹ units under a budget of 1.2·10¹⁰: a 96 GB
+    /// values table. The build must refuse it, not abort reserving it.
+    #[test]
+    fn an_unaddressable_plan_table_is_a_config_error() {
+        let sizes: Vec<u64> = (0..32).map(|i| 1_000_000_000 + 97 * i).collect();
+        let planner = OnDemandPlanner::paper_default();
+        let err = StationBuilder::new(Catalog::from_sizes(&sizes))
+            .on_demand(planner, 12_000_000_000)
+            .build()
+            .unwrap_err();
+        assert_eq!(
+            err,
+            Error::Config(ConfigError::PlanTableTooLarge {
+                items: 32,
+                capacity: 12_000_000_000,
+            })
+        );
+        // The same catalog under a budget nothing fits into builds and
+        // steps: every request is served from the (empty) cache.
+        let mut station = StationBuilder::new(Catalog::from_sizes(&sizes))
+            .on_demand(planner, 1_000)
+            .build()
+            .expect("a 1 000-unit table is small");
+        let request = basecache_workload::GeneratedRequest {
+            object: basecache_net::ObjectId(3),
+            target_recency: 1.0,
+        };
+        let outcome = station.step(&[request]);
+        assert_eq!(outcome.served, 1);
+        assert!(station.last_downloaded().is_empty());
     }
 
     #[test]

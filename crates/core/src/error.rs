@@ -37,6 +37,16 @@ pub enum ConfigError {
     /// oracle recency estimation and no in-flight config (the latency
     /// pipeline models transfers itself).
     LatencyRequiresOnDemand,
+    /// The exact-DP tables for `items` objects at `capacity` data units
+    /// (the budget, clamped to the catalog's total size) would exceed
+    /// [`crate::scratch::MAX_PLAN_TABLE_BYTES`]: the pseudo-polynomial
+    /// DP cannot plan at this scale, whatever the solver choice.
+    PlanTableTooLarge {
+        /// Objects in the catalog.
+        items: usize,
+        /// The effective per-round capacity, in data units.
+        capacity: u64,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -62,6 +72,14 @@ impl fmt::Display for ConfigError {
                     f,
                     "the latency-aware pipeline requires the plain on-demand \
                      policy with oracle estimation and no in-flight config"
+                )
+            }
+            Self::PlanTableTooLarge { items, capacity } => {
+                write!(
+                    f,
+                    "the plan table for {items} objects at {capacity} data units \
+                     exceeds {} bytes",
+                    crate::scratch::MAX_PLAN_TABLE_BYTES
                 )
             }
         }

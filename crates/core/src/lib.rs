@@ -15,7 +15,7 @@
 //!   model `x' = C·x/(1+x)`.
 //! * [`request`] — client request batches aggregated per object.
 //! * [`profit`] — the knapsack mapping: `profit(u) = Σ_clients 1 − score`.
-//! * [`planner`] — [`OnDemandPlanner`] (exact DP / greedy / FPTAS) and
+//! * [`planner`] — [`OnDemandPlanner`] (adaptive exact / full-table DP / greedy) and
 //!   [`LowestRecencyFirst`] (the Section 3.2 unit-size policy).
 //! * [`scratch`] — reusable planning buffers: [`PlannerScratch`] makes
 //!   the steady-state on-demand round allocation-free.

@@ -11,8 +11,7 @@
 //! were selected to be downloaded"), kept as a separate, cheaper planner.
 
 use basecache_knapsack::{
-    AdaptiveSolver, BranchAndBound, DpByCapacity, DpTrace, Fptas, GreedyDensity, Instance, Item,
-    Solver,
+    AdaptiveSolver, DpByCapacity, DpTrace, GreedyDensity, Instance, Item, Solver,
 };
 use basecache_net::{Catalog, ObjectId};
 use basecache_obs::{Event, NullRecorder, Recorder, Sample, Span, Stage};
@@ -24,21 +23,17 @@ use crate::recency::ScoringFunction;
 use crate::request::RequestBatch;
 use crate::scratch::PlannerScratch;
 
-/// Which knapsack solver the planner runs.
+/// Which knapsack solver the planner runs. The arms differ in what they
+/// return, not in how fast they return the same thing: the optimum, the
+/// optimum with the paper's full table behind it, or a 2-approximation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SolverChoice {
     /// Exact capacity DP — the paper's choice; pseudo-polynomial `O(n·B)`.
+    /// The reference the parity suites compare against.
     ExactDp,
-    /// Density greedy, 2-approximate, `O(n log n)` — for tight deadlines.
+    /// Density greedy, 2-approximate, `O(n log n)` — the baseline the
+    /// exact plans are contrasted with.
     Greedy,
-    /// FPTAS with the given `epsilon ∈ (0, 1)` — `(1−ε)`-approximate,
-    /// capacity-independent runtime.
-    Fptas {
-        /// Approximation parameter.
-        epsilon: f64,
-    },
-    /// Exact branch and bound with fractional pruning.
-    BranchAndBound,
     /// Instance reduction (dominance pruning + bound-based variable
     /// fixing) in front of the cheapest certifying exact method — bit
     /// identical to [`SolverChoice::ExactDp`], usually much faster.
@@ -50,10 +45,6 @@ impl SolverChoice {
         match self {
             SolverChoice::ExactDp => DpByCapacity.solve(mapped.instance(), budget),
             SolverChoice::Greedy => GreedyDensity.solve(mapped.instance(), budget),
-            SolverChoice::Fptas { epsilon } => Fptas::new(epsilon).solve(mapped.instance(), budget),
-            SolverChoice::BranchAndBound => {
-                BranchAndBound::default().solve(mapped.instance(), budget)
-            }
             SolverChoice::Adaptive => AdaptiveSolver.solve(mapped.instance(), budget),
         }
     }
@@ -124,8 +115,8 @@ impl OnDemandPlanner {
     ///
     /// Float results are bit-identical to the batch path: per-object
     /// profits accumulate in arrival order, exactly as each object's
-    /// targets do in a [`RequestBatch`]. Non-exact solvers still
-    /// allocate (they run on a freshly built [`Instance`]).
+    /// targets do in a [`RequestBatch`]. [`SolverChoice::Greedy`] still
+    /// allocates (it runs on a freshly built [`Instance`]).
     ///
     /// # Panics
     ///
@@ -304,21 +295,10 @@ impl OnDemandPlanner {
                     );
                     recorder.sample(Sample::CoreRounds, scratch.adaptive.core_rounds() as f64);
                 }
-                choice => {
+                SolverChoice::Greedy => {
                     let instance = Instance::new(scratch.items.clone())
                         .expect("scores in [0,1] yield valid profits");
-                    let solution = match choice {
-                        SolverChoice::ExactDp | SolverChoice::Adaptive => {
-                            unreachable!("handled above")
-                        }
-                        SolverChoice::Greedy => GreedyDensity.solve(&instance, budget),
-                        SolverChoice::Fptas { epsilon } => {
-                            Fptas::new(epsilon).solve(&instance, budget)
-                        }
-                        SolverChoice::BranchAndBound => {
-                            BranchAndBound::default().solve(&instance, budget)
-                        }
-                    };
+                    let solution = GreedyDensity.solve(&instance, budget);
                     scratch.achieved_value = solution.total_profit();
                     scratch.download_size = solution.total_size();
                     scratch.downloads.extend(
@@ -686,8 +666,6 @@ mod tests {
         for solver in [
             SolverChoice::ExactDp,
             SolverChoice::Greedy,
-            SolverChoice::Fptas { epsilon: 0.1 },
-            SolverChoice::BranchAndBound,
             SolverChoice::Adaptive,
         ] {
             let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio, solver);
@@ -696,16 +674,6 @@ mod tests {
             let sum: u64 = plan.downloads().iter().map(|&o| catalog.size_of(o)).sum();
             assert_eq!(sum, plan.download_size(), "{solver:?}");
         }
-    }
-
-    #[test]
-    fn exact_solvers_agree_on_value() {
-        let (batch, catalog, recency) = setup();
-        let dp = OnDemandPlanner::new(ScoringFunction::Exponential, SolverChoice::ExactDp)
-            .plan(&batch, &catalog, &recency, 7);
-        let bb = OnDemandPlanner::new(ScoringFunction::Exponential, SolverChoice::BranchAndBound)
-            .plan(&batch, &catalog, &recency, 7);
-        assert!((dp.achieved_value() - bb.achieved_value()).abs() < 1e-9);
     }
 
     #[test]

@@ -17,6 +17,27 @@
 use basecache_knapsack::{AdaptiveScratch, DpScratch, Item};
 use basecache_net::ObjectId;
 
+/// The largest exact-DP table a station may reserve at build, in bytes
+/// (1 GiB). [`crate::builder::StationBuilder::build`] refuses a catalog
+/// and budget whose tables would be larger with
+/// [`crate::error::ConfigError::PlanTableTooLarge`] instead of letting
+/// the reserve abort the process. The largest table anything in this
+/// repository reserves is ~26 MB (100 000 objects under a budget of
+/// 2 000 units).
+pub const MAX_PLAN_TABLE_BYTES: u64 = 1 << 30;
+
+/// Whether the exact-DP tables for `num_objects` items at `capacity`
+/// data units — `capacity + 1` values plus `capacity / 64 + 1` keep
+/// words an item, eight bytes each — stay within
+/// [`MAX_PLAN_TABLE_BYTES`].
+pub(crate) fn plan_table_fits(num_objects: usize, capacity: u64) -> bool {
+    let words_per_item = capacity / 64 + 1;
+    (num_objects as u64)
+        .checked_mul(words_per_item)
+        .and_then(|keep| keep.checked_add(capacity)?.checked_add(1)?.checked_mul(8))
+        .is_some_and(|bytes| bytes <= MAX_PLAN_TABLE_BYTES)
+}
+
 /// Persistent buffers for [`crate::planner::OnDemandPlanner::plan_requests_into`].
 ///
 /// Construct one per station (or one per thread) and pass it to every

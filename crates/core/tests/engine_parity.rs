@@ -453,7 +453,6 @@ fn massive_round_is_bit_identical_to_the_exact_dp_station() {
 /// (none, single-object, total) interleaved with waves and per-object
 /// updates; every script must leave the incremental and full-rebuild
 /// rigs bit-identical.
-#[cfg(feature = "proptest")]
 mod properties {
     use super::*;
     use basecache_sim::check::run_cases;

@@ -14,8 +14,8 @@
 //!    mid-flight stops accepting joiners; later requests fetch (and
 //!    join) the fresh version instead.
 //!
-//! Random-script versions of 2–4 (plus 1 at random bandwidths) run under
-//! `--features proptest`.
+//! Random-script versions of 2–4 (plus 1 at random bandwidths) run in
+//! the `properties` module below.
 
 use basecache_core::engine::RoundEngine;
 use basecache_core::planner::{OnDemandPlanner, SolverChoice};
@@ -412,7 +412,6 @@ fn coalescing_launches_no_more_than_naive() {
 /// Property tests: random scripts over random bandwidths; instant
 /// scripts must stay bit-identical to the plain station, and every
 /// script must satisfy single-flight + conservation.
-#[cfg(feature = "proptest")]
 mod properties {
     use super::*;
     use basecache_sim::check::run_cases;

@@ -68,8 +68,7 @@ fn aggregated_path_matches_batch_path_for_every_solver() {
         for solver in [
             SolverChoice::ExactDp,
             SolverChoice::Greedy,
-            SolverChoice::Fptas { epsilon: 0.1 },
-            SolverChoice::BranchAndBound,
+            SolverChoice::Adaptive,
         ] {
             let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio, solver);
             let plan = planner.plan(&batch, &catalog, &recency, budget);

@@ -17,8 +17,8 @@ pub struct FractionalSolution {
 /// splitting the first item that does not fit).
 ///
 /// The returned profit is a valid upper bound on the 0/1 optimum; it is
-/// used as the pruning bound inside [`crate::BranchAndBound`] and as an
-/// oracle in property tests.
+/// the fluid bound in `basecache-analytic` and an oracle in property
+/// tests.
 pub fn fractional_upper_bound(instance: &Instance, capacity: u64) -> FractionalSolution {
     let items = instance.items();
     let order = density_order(items);

@@ -17,12 +17,11 @@
 //!   directly.
 //! * [`GreedyDensity`] — profit-density greedy with the classic
 //!   max(greedy, best-single-item) 2-approximation guarantee.
-//! * [`Fptas`] — a fully polynomial-time approximation scheme by profit
-//!   scaling, for deployments where the exact DP is too slow.
-//! * [`BranchAndBound`] — depth-first search with a fractional-relaxation
-//!   upper bound; exact, often much faster than the DP on easy instances.
-//! * [`fractional_upper_bound`] — the LP-relaxation optimum, used both by
-//!   branch-and-bound and as an oracle in tests.
+//! * [`AdaptiveSolver`] — instance reduction (dominance pruning and
+//!   bound-based variable fixing) in front of a DP over the surviving
+//!   core; bit-identical to [`DpByCapacity`] and what every round runs.
+//! * [`fractional_upper_bound`] — the LP-relaxation optimum: the fluid
+//!   bound of `basecache-analytic` and an oracle in tests.
 //!
 //! All solvers implement the [`Solver`] trait and produce a verified
 //! [`Solution`]. Profits are `f64` (the paper's profits are sums of
@@ -48,26 +47,20 @@
 #![warn(missing_docs)]
 
 mod adaptive;
-mod branch_bound;
 mod dp;
 mod error;
-mod fptas;
 mod fractional;
 mod greedy;
 mod instance;
-mod meet_middle;
 mod scratch;
 mod solution;
 
 pub use adaptive::{AdaptiveScratch, AdaptiveSolver, SolveMethod};
-pub use branch_bound::BranchAndBound;
 pub use dp::{DpByCapacity, DpTrace};
 pub use error::KnapsackError;
-pub use fptas::Fptas;
 pub use fractional::{fractional_upper_bound, FractionalSolution};
 pub use greedy::GreedyDensity;
 pub use instance::{Instance, Item};
-pub use meet_middle::MeetInTheMiddle;
 pub use scratch::DpScratch;
 pub use solution::Solution;
 
@@ -92,9 +85,6 @@ mod solver_contract_tests {
         vec![
             Box::new(DpByCapacity),
             Box::new(GreedyDensity),
-            Box::new(Fptas::new(0.1)),
-            Box::new(BranchAndBound::default()),
-            Box::new(MeetInTheMiddle::default()),
             Box::new(AdaptiveSolver),
         ]
     }

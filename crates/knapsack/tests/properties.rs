@@ -1,14 +1,13 @@
 //! Property-based tests pinning the solver hierarchy:
-//! DP and B&B are exact and agree; greedy ≥ OPT/2; FPTAS ≥ (1−ε)·OPT;
-//! fractional relaxation upper-bounds everything; all outputs feasible.
+//! the DP is exact (against brute force); the adaptive reduction is
+//! bit-identical to it; greedy ≥ OPT/2; the fractional relaxation
+//! upper-bounds everything; all outputs feasible.
 //!
-//! Runs on the in-tree harness (`basecache_sim::check`); enable with
-//! `cargo test -p basecache-knapsack --features proptest`.
-#![cfg(feature = "proptest")]
+//! Runs on the in-tree harness (`basecache_sim::check`).
 
 use basecache_knapsack::{
-    fractional_upper_bound, AdaptiveScratch, AdaptiveSolver, BranchAndBound, DpByCapacity,
-    DpScratch, Fptas, GreedyDensity, Instance, Item, MeetInTheMiddle, SolveMethod, Solver,
+    fractional_upper_bound, AdaptiveScratch, AdaptiveSolver, DpByCapacity, DpScratch,
+    GreedyDensity, Instance, Item, SolveMethod, Solver,
 };
 use basecache_sim::check::run_cases;
 use basecache_sim::StreamRng;
@@ -21,41 +20,6 @@ fn arb_instance(rng: &mut StreamRng, max_items: usize) -> Instance {
             .collect(),
     )
     .expect("generated profits are finite and non-negative")
-}
-
-#[test]
-fn dp_and_branch_and_bound_agree() {
-    run_cases("dp_vs_bb", 256, |_, rng| {
-        let inst = arb_instance(rng, 14);
-        let cap = rng.random_range(0u64..=120);
-        let dp = DpByCapacity.solve(&inst, cap);
-        let bb = BranchAndBound::default().solve(&inst, cap);
-        dp.verify(&inst, cap).unwrap();
-        bb.verify(&inst, cap).unwrap();
-        assert!(
-            (dp.total_profit() - bb.total_profit()).abs() < 1e-6,
-            "dp={} bb={}",
-            dp.total_profit(),
-            bb.total_profit()
-        );
-    });
-}
-
-#[test]
-fn meet_in_the_middle_is_exact() {
-    run_cases("dp_vs_mim", 256, |_, rng| {
-        let inst = arb_instance(rng, 14);
-        let cap = rng.random_range(0u64..=120);
-        let dp = DpByCapacity.solve(&inst, cap);
-        let mim = MeetInTheMiddle::default().solve(&inst, cap);
-        mim.verify(&inst, cap).unwrap();
-        assert!(
-            (dp.total_profit() - mim.total_profit()).abs() < 1e-6,
-            "dp={} mim={}",
-            dp.total_profit(),
-            mim.total_profit()
-        );
-    });
 }
 
 #[test]
@@ -94,23 +58,6 @@ fn greedy_is_half_approximate_and_feasible() {
             g.total_profit() >= opt / 2.0 - 1e-6,
             "greedy={} opt={opt}",
             g.total_profit()
-        );
-    });
-}
-
-#[test]
-fn fptas_respects_its_bound() {
-    run_cases("fptas_bound", 256, |i, rng| {
-        let inst = arb_instance(rng, 12);
-        let cap = rng.random_range(0u64..=100);
-        let eps = [0.5, 0.2, 0.1][i as usize % 3];
-        let f = Fptas::new(eps).solve(&inst, cap);
-        f.verify(&inst, cap).unwrap();
-        let opt = DpByCapacity.solve(&inst, cap).total_profit();
-        assert!(
-            f.total_profit() >= (1.0 - eps) * opt - 1e-6,
-            "eps={eps} fptas={} opt={opt}",
-            f.total_profit()
         );
     });
 }

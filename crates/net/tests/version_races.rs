@@ -8,9 +8,9 @@
 //! and every later lookup must keep answering with the freshest version
 //! ever published — monotonicity is the whole guarantee.
 //!
-//! One deterministic pinned interleaving runs always; the randomized
-//! script harness (in-flight transfers with arbitrary delays against a
-//! server applying updates mid-flight) runs under `--features proptest`.
+//! One deterministic pinned interleaving, then the randomized script
+//! harness (in-flight transfers with arbitrary delays against a server
+//! applying updates mid-flight).
 
 use basecache_net::{Catalog, ObjectId, PublishOutcome, Version, VersionBus};
 
@@ -47,7 +47,6 @@ fn stale_arrival_never_overrides_a_fresher_copy() {
     assert_eq!(bus.invalidations(), 0, "losing a race retires nothing");
 }
 
-#[cfg(feature = "proptest")]
 mod random_scripts {
     use super::*;
     use basecache_sim::RngStreams;

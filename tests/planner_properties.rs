@@ -1,9 +1,7 @@
 //! Property-based integration tests: the planner's contract holds for
 //! arbitrary workloads, cache states and budgets.
 //!
-//! Runs on the in-tree harness (`basecache_sim::check`); enable with
-//! `cargo test --features proptest`.
-#![cfg(feature = "proptest")]
+//! Runs on the in-tree harness (`basecache_sim::check`).
 
 use basecache::core::planner::{OnDemandPlanner, SolverChoice};
 use basecache::core::profit::build_instance;
@@ -50,8 +48,7 @@ fn plans_are_feasible_and_scores_bounded() {
         for solver in [
             SolverChoice::ExactDp,
             SolverChoice::Greedy,
-            SolverChoice::Fptas { epsilon: 0.2 },
-            SolverChoice::BranchAndBound,
+            SolverChoice::Adaptive,
         ] {
             let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio, solver);
             let plan = planner.plan(&batch, &catalog, &s.recency, s.budget);
@@ -78,7 +75,7 @@ fn exact_plan_dominates_every_other_solver() {
         let exact = OnDemandPlanner::new(ScoringFunction::InverseRatio, SolverChoice::ExactDp)
             .plan(&batch, &catalog, &s.recency, s.budget);
         let exact_score = exact.average_score(&batch, &s.recency);
-        for solver in [SolverChoice::Greedy, SolverChoice::Fptas { epsilon: 0.3 }] {
+        for solver in [SolverChoice::Greedy, SolverChoice::Adaptive] {
             let other = OnDemandPlanner::new(ScoringFunction::InverseRatio, solver)
                 .plan(&batch, &catalog, &s.recency, s.budget);
             let other_score = other.average_score(&batch, &s.recency);
