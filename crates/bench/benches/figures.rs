@@ -1,62 +1,20 @@
-//! One benchmark per paper table/figure: each measures regenerating the
-//! artifact (CI-sized parameters so `cargo bench` stays tractable; run
-//! the `basecache-experiments` binary for full-fidelity numbers).
+//! One benchmark per row of the experiments registry that `all` runs:
+//! each measures regenerating the artifact (CI-sized parameters so
+//! `cargo bench` stays tractable; run the `basecache-experiments` binary
+//! for full-fidelity numbers).
 
 use std::hint::black_box;
 
 use basecache_bench::harness::bench_n;
-use basecache_experiments::{
-    ext_adaptive, ext_broadcast, ext_hybrid, fig2, fig3, fig4, fig5, fig6, table1,
-};
-use basecache_workload::Correlation;
+use basecache_experiments::TARGETS;
 
 /// Whole-experiment runs are slow; keep the sample count modest.
 const SAMPLES: usize = 10;
 
 fn main() {
-    bench_n("figures/table1", SAMPLES, || black_box(table1::run(4)));
-
-    let params = fig2::Params::quick();
-    bench_n("figures/fig2_downloads", SAMPLES, || {
-        black_box(fig2::run(&params))
-    });
-
-    let params = fig3::Params::quick();
-    bench_n("figures/fig3_recency", SAMPLES, || {
-        black_box(fig3::run(&params))
-    });
-
-    let params = fig4::Params::quick();
-    bench_n("figures/fig4_solution_space", SAMPLES, || {
-        black_box(fig4::run(&params))
-    });
-
-    let params = fig5::Params::quick();
-    bench_n("figures/fig5a_small_objects_hot", SAMPLES, || {
-        black_box(fig5::run_panel(&params, Correlation::Negative, "a"))
-    });
-    bench_n("figures/fig5b_large_objects_hot", SAMPLES, || {
-        black_box(fig5::run_panel(&params, Correlation::Positive, "b"))
-    });
-
-    let params = fig6::Params::quick();
-    bench_n("figures/fig6a_small_objects_freshest", SAMPLES, || {
-        black_box(fig6::run_panel(&params, Correlation::Negative, "a"))
-    });
-    bench_n("figures/fig6b_large_objects_freshest", SAMPLES, || {
-        black_box(fig6::run_panel(&params, Correlation::Positive, "b"))
-    });
-
-    let adaptive = ext_adaptive::Params::quick();
-    bench_n("figures/ext_adaptive_budget", SAMPLES, || {
-        black_box(ext_adaptive::run(&adaptive))
-    });
-    let hybrid = ext_hybrid::Params::quick();
-    bench_n("figures/ext_hybrid_push_pull", SAMPLES, || {
-        black_box(ext_hybrid::run(&hybrid))
-    });
-    let broadcast = ext_broadcast::Params::quick();
-    bench_n("figures/ext_broadcast_vs_pull", SAMPLES, || {
-        black_box(ext_broadcast::run(&broadcast))
-    });
+    for row in TARGETS.iter().filter(|row| row.in_all) {
+        bench_n(&format!("figures/{}", row.name), SAMPLES, || {
+            black_box((row.run)(true))
+        });
+    }
 }

@@ -17,120 +17,91 @@ use basecache_core::Policy;
 use basecache_workload::Popularity;
 
 use crate::report::{Figure, Series};
-use crate::runner::{parallel_sweep, record_trace, run_policy, RunConfig, RunResult};
+use crate::runner::{record_trace, run_policy, sweep_series, RunConfig};
 
 /// Parameters of the adaptive-budget experiment.
 #[derive(Debug, Clone)]
 pub struct Params {
-    /// Number of unit-size objects.
-    pub objects: usize,
-    /// Requests per time unit.
-    pub requests_per_tick: usize,
-    /// Update period in ticks.
-    pub update_period: u64,
-    /// Warm-up ticks.
-    pub warmup_ticks: u64,
-    /// Measured ticks.
-    pub measure_ticks: u64,
+    /// The run every budget (and the adaptive policy) is measured on.
+    pub config: RunConfig,
     /// Fixed per-tick budgets to sweep.
     pub fixed_budgets: Vec<u64>,
     /// Adaptive policy: marginal-gain window (units).
     pub window: u64,
     /// Adaptive policy: marginal-gain threshold (benefit per unit).
     pub threshold: f64,
-    /// Master seed.
-    pub seed: u64,
 }
 
 impl Params {
     /// Full-fidelity setup.
     pub fn paper() -> Self {
         Self {
-            objects: 500,
-            requests_per_tick: 100,
-            update_period: 5,
-            warmup_ticks: 50,
-            measure_ticks: 200,
+            config: RunConfig {
+                objects: 500,
+                requests_per_tick: 100,
+                update_period: 5,
+                warmup_ticks: 50,
+                measure_ticks: 200,
+                popularity: Popularity::ZIPF1,
+                seed: 12_000,
+            },
             fixed_budgets: vec![5, 10, 20, 40, 80, 160, 320],
             window: 10,
             threshold: 0.08,
-            seed: 12_000,
         }
     }
 
     /// CI-sized setup.
     pub fn quick() -> Self {
         Self {
-            objects: 100,
-            requests_per_tick: 25,
-            warmup_ticks: 15,
-            measure_ticks: 80,
+            config: RunConfig {
+                objects: 100,
+                requests_per_tick: 25,
+                warmup_ticks: 15,
+                measure_ticks: 80,
+                ..Self::paper().config
+            },
             fixed_budgets: vec![2, 5, 10, 25, 60],
             ..Self::paper()
         }
     }
-
-    fn config(&self) -> RunConfig {
-        RunConfig {
-            objects: self.objects,
-            requests_per_tick: self.requests_per_tick,
-            update_period: self.update_period,
-            warmup_ticks: self.warmup_ticks,
-            measure_ticks: self.measure_ticks,
-            popularity: Popularity::ZIPF1,
-            seed: self.seed,
-        }
-    }
-}
-
-/// A point on the score-vs-bandwidth plane.
-fn point(result: &RunResult, measure_ticks: u64) -> (f64, f64) {
-    (
-        result.units_downloaded as f64 / measure_ticks as f64,
-        result.mean_score.expect("requests served"),
-    )
 }
 
 /// Run the experiment: the fixed-budget frontier plus the adaptive
 /// operating point, on (units downloaded per tick, average score) axes.
 pub fn run(params: &Params) -> Figure {
-    let config = params.config();
+    let config = params.config;
     let planner = OnDemandPlanner::paper_default();
-
-    let fixed = parallel_sweep(params.fixed_budgets.clone(), |&budget| {
-        let trace = record_trace(&config);
-        let r = run_policy(
-            &config,
-            Policy::OnDemand {
-                planner,
-                budget_units: budget,
-            },
-            &trace,
-        );
-        point(&r, config.measure_ticks)
-    });
-
     let trace = record_trace(&config);
-    let adaptive_result = run_policy(
-        &config,
-        Policy::OnDemandAdaptive {
+    // A policy's point on the score-vs-bandwidth plane.
+    let on_plane = |policy| {
+        let result = run_policy(&config, policy, &trace);
+        (
+            result.units_downloaded as f64 / config.measure_ticks as f64,
+            result.mean_score.expect("requests served"),
+        )
+    };
+
+    let mut series = sweep_series(&params.fixed_budgets, ["fixed budgets"], |&budget| {
+        let (units, score) = on_plane(Policy::OnDemand {
             planner,
-            max_budget: params.objects as u64,
-            window: params.window,
-            threshold: params.threshold,
-        },
-        &trace,
-    );
-    let adaptive = point(&adaptive_result, config.measure_ticks);
+            budget_units: budget,
+        });
+        (units, [score])
+    });
+    let adaptive = on_plane(Policy::OnDemandAdaptive {
+        planner,
+        max_budget: config.objects as u64,
+        window: params.window,
+        threshold: params.threshold,
+    });
+    series.push(Series::new("adaptive (knee of DP trace)", vec![adaptive]));
 
     Figure::new(
         "Extension: adaptive download budget vs fixed-budget frontier",
         "units downloaded per time unit (consumed)",
         "average delivered score",
-        vec![
-            Series::new("fixed budgets", fixed),
-            Series::new("adaptive (knee of DP trace)", vec![adaptive]),
-        ],
+        series,
     )
 }
 

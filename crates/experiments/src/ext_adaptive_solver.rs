@@ -35,10 +35,10 @@ use basecache_core::{BaseStationSim, Policy, StationBuilder};
 use basecache_net::{Catalog, CellId};
 use basecache_obs::StatsRecorder;
 use basecache_sim::RngStreams;
-use basecache_workload::{ClusterWorkload, MobilityModel, Popularity, TargetRecency};
+use basecache_workload::{ClusterWorkload, MobilityModel, Popularity, RequestTrace, TargetRecency};
 
-use crate::report::{Figure, Series};
-use crate::runner::parallel_sweep;
+use crate::report::Figure;
+use crate::runner::{drive, sweep_series};
 
 /// Parameters of the solver comparison.
 #[derive(Debug, Clone)]
@@ -93,8 +93,9 @@ impl Params {
         Catalog::from_sizes(&sizes)
     }
 
-    fn workload(&self) -> ClusterWorkload {
-        ClusterWorkload::new(
+    /// The request stream every station replays (warm-up + measurement).
+    fn trace(&self) -> RequestTrace {
+        let mut workload = ClusterWorkload::new(
             1,
             self.clients,
             Popularity::Uniform,
@@ -103,24 +104,22 @@ impl Params {
             self.requests_per_client,
             MobilityModel::Stationary,
             &RngStreams::new(self.seed),
-        )
+        );
+        let batches = (0..self.warmup_ticks + self.measure_ticks)
+            .map(|_| {
+                workload.advance();
+                workload.batch(CellId(0)).to_vec()
+            })
+            .collect();
+        RequestTrace::from_batches(batches)
     }
 }
 
-/// One budget's paired measurement.
-struct PairPoint {
-    budget: u64,
-    cells_exact: f64,
-    cells_adaptive: f64,
-    core_size_mean: f64,
-    score_delta: f64,
-}
-
-/// Drive one station over the shared request stream; returns the
-/// request-weighted mean delivered score and the per-round DP cells
+/// Drive one station over the shared request stream; returns the mean
+/// delivered score (warm-up included) and the per-round DP cells
 /// touched, plus the mean surviving core size (0 for the exact DP,
 /// which has no reduction front-end).
-fn drive(params: &Params, solver: SolverChoice, budget: u64) -> (f64, f64, f64) {
+fn measure(params: &Params, trace: &RequestTrace, solver: SolverChoice, budget: u64) -> [f64; 3] {
     let mut station: BaseStationSim = StationBuilder::new(params.catalog())
         .policy(Policy::OnDemand {
             planner: OnDemandPlanner::new(ScoringFunction::InverseRatio, solver),
@@ -129,77 +128,42 @@ fn drive(params: &Params, solver: SolverChoice, budget: u64) -> (f64, f64, f64) 
         .recorder(Box::new(StatsRecorder::new()))
         .build()
         .expect("valid configuration");
-    let mut workload = params.workload();
-    let ticks = params.warmup_ticks + params.measure_ticks;
-    let mut score_sum = 0.0;
-    let mut served = 0u64;
-    for tick in 0..ticks {
-        if tick % params.wave_period == 0 {
-            station.apply_update_wave();
-        }
-        workload.advance();
-        let outcome = station.step(workload.batch(CellId(0)));
-        score_sum += outcome.average_score * outcome.served as f64;
-        served += outcome.served as u64;
-    }
+    drive(&mut station, trace, params.wave_period, 0, |_, _| {});
     let snapshot = station.obs_snapshot();
     // Zero counters are elided from snapshots, so a missing
     // `dp_cells_touched` means no DP table was ever swept.
-    let cells = snapshot.counter("dp_cells_touched").unwrap_or(0) as f64 / ticks as f64;
+    let cells = snapshot.counter("dp_cells_touched").unwrap_or(0) as f64 / trace.len() as f64;
     let core = snapshot.sample("core_size").map_or(0.0, |s| s.mean);
-    (score_sum / served as f64, cells, core)
-}
-
-fn measure(params: &Params, budget: u64) -> PairPoint {
-    let (score_exact, cells_exact, _) = drive(params, SolverChoice::ExactDp, budget);
-    let (score_adaptive, cells_adaptive, core_size_mean) =
-        drive(params, SolverChoice::Adaptive, budget);
-    PairPoint {
-        budget,
-        cells_exact,
-        cells_adaptive,
-        core_size_mean,
-        score_delta: score_adaptive - score_exact,
-    }
+    let score = station.stats().score.mean().expect("requests served");
+    [score, cells, core]
 }
 
 /// Run the comparison across the budget sweep.
 pub fn run(params: &Params) -> Figure {
-    let points = parallel_sweep(params.budgets.clone(), |&budget| measure(params, budget));
+    let trace = params.trace();
+    let labels = [
+        "full DP (cells/round)",
+        "adaptive (cells/round)",
+        "adaptive core size (items)",
+        "score delta (adaptive - DP)",
+    ];
+    let series = sweep_series(&params.budgets, labels, |&budget| {
+        let [score_exact, cells_exact, _] = measure(params, &trace, SolverChoice::ExactDp, budget);
+        let [score_adaptive, cells_adaptive, core] =
+            measure(params, &trace, SolverChoice::Adaptive, budget);
+        let ys = [
+            cells_exact,
+            cells_adaptive,
+            core,
+            score_adaptive - score_exact,
+        ];
+        (budget as f64, ys)
+    });
     Figure::new(
         "Extension: instance-reduction solver vs full-table DP",
         "per-tick download budget (data units)",
         "DP cells touched per round / core items / score delta",
-        vec![
-            Series::new(
-                "full DP (cells/round)",
-                points
-                    .iter()
-                    .map(|p| (p.budget as f64, p.cells_exact))
-                    .collect(),
-            ),
-            Series::new(
-                "adaptive (cells/round)",
-                points
-                    .iter()
-                    .map(|p| (p.budget as f64, p.cells_adaptive))
-                    .collect(),
-            ),
-            Series::new(
-                "adaptive core size (items)",
-                points
-                    .iter()
-                    .map(|p| (p.budget as f64, p.core_size_mean))
-                    .collect(),
-            ),
-            Series::new(
-                "score delta (adaptive - DP)",
-                points
-                    .iter()
-                    .map(|p| (p.budget as f64, p.score_delta))
-                    .collect(),
-            ),
-        ],
+        series,
     )
 }
 

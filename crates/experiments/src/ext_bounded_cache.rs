@@ -16,8 +16,8 @@ use basecache_net::{Catalog, ObjectId, Version};
 use basecache_sim::{RngStreams, SimTime};
 use basecache_workload::{Popularity, PopularityEstimator, SizeDist};
 
-use crate::report::{Figure, Series};
-use crate::runner::parallel_sweep;
+use crate::report::Figure;
+use crate::runner::sweep_series;
 
 /// Parameters of the bounded-cache sweep.
 #[derive(Debug, Clone)]
@@ -57,23 +57,17 @@ impl Params {
 /// A named replacement-policy constructor.
 type PolicyCtor = fn() -> Box<dyn ReplacementPolicy + Send>;
 
-fn policies() -> Vec<(&'static str, PolicyCtor)> {
-    vec![
-        ("lru", || Box::new(Lru::new())),
-        ("lfu", || Box::new(Lfu::new())),
-        ("size-aware", || Box::new(SizeAware::new())),
-        ("profit-aware", || Box::new(ProfitAware::new())),
-        ("gds(1)", || Box::new(GreedyDualSize::uniform())),
-    ]
-}
+const POLICIES: [(&str, PolicyCtor); 5] = [
+    ("lru", || Box::new(Lru::new())),
+    ("lfu", || Box::new(Lfu::new())),
+    ("size-aware", || Box::new(SizeAware::new())),
+    ("profit-aware", || Box::new(ProfitAware::new())),
+    ("gds(1)", || Box::new(GreedyDualSize::uniform())),
+];
 
-fn hit_ratio(params: &Params, capacity: u64, make: PolicyCtor) -> f64 {
-    let streams = RngStreams::new(params.seed);
-    let sizes = SizeDist::UniformInt { lo: 1, hi: 8 }
-        .generate(params.objects, &mut streams.stream("bounded/sizes"));
-    let catalog = Catalog::from_sizes(&sizes);
+fn hit_ratio(params: &Params, catalog: &Catalog, capacity: u64, make: PolicyCtor) -> f64 {
     let dist = Popularity::ZIPF1.build(params.objects);
-    let mut rng = streams.stream("bounded/requests");
+    let mut rng = RngStreams::new(params.seed).stream("bounded/requests");
     let mut cache = CacheStore::bounded(capacity, make());
     // Popularity estimate drives profit-aware weights (benefit density:
     // expected demand per unit of cache space).
@@ -107,27 +101,14 @@ pub fn run(params: &Params) -> Figure {
     let sizes = SizeDist::UniformInt { lo: 1, hi: 8 }
         .generate(params.objects, &mut streams.stream("bounded/sizes"));
     let total: u64 = sizes.iter().sum();
+    let catalog = Catalog::from_sizes(&sizes);
 
-    let mut jobs = Vec::new();
-    for (label, make) in policies() {
-        for &pct in &params.size_percents {
-            jobs.push((label, make, pct));
-        }
-    }
-    let results = parallel_sweep(jobs, |&(_, make, pct)| {
-        hit_ratio(params, (total * pct / 100).max(1), make)
+    let labels = POLICIES.map(|(label, _)| label);
+    let series = sweep_series(&params.size_percents, labels, |&pct| {
+        let capacity = (total * pct / 100).max(1);
+        let ratios = POLICIES.map(|(_, make)| hit_ratio(params, &catalog, capacity, make));
+        (pct as f64, ratios)
     });
-
-    let xs: Vec<f64> = params.size_percents.iter().map(|&p| p as f64).collect();
-    let mut series = Vec::new();
-    let mut it = results.into_iter();
-    for (label, _) in policies() {
-        let points: Vec<(f64, f64)> = xs
-            .iter()
-            .map(|&x| (x, it.next().expect("one result per job")))
-            .collect();
-        series.push(Series::new(label, points));
-    }
     Figure::new(
         "Extension: bounded-cache replacement policies",
         "cache size (% of catalog)",

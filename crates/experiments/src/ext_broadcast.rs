@@ -16,10 +16,10 @@ use basecache_core::planner::OnDemandPlanner;
 use basecache_core::StationBuilder;
 use basecache_net::{BroadcastSchedule, Catalog, Downlink, Link, ObjectId, SharedLink};
 use basecache_sim::{RngStreams, SimDuration};
-use basecache_workload::{Popularity, RequestGenerator, RequestTrace, TargetRecency};
+use basecache_workload::Popularity;
 
-use crate::report::{Figure, Series};
-use crate::runner::parallel_sweep;
+use crate::report::Figure;
+use crate::runner::{record_requests, sweep_series};
 
 /// Parameters of the broadcast comparison.
 #[derive(Debug, Clone)]
@@ -79,13 +79,13 @@ fn ids(range: std::ops::Range<u32>) -> Vec<ObjectId> {
 
 /// Mean access delay of the pull-based station (cache hits wait 0).
 fn pull_mean_delay(params: &Params, theta: f64) -> f64 {
-    let generator = RequestGenerator::new(
-        Popularity::Zipf { theta }.build(params.objects),
+    let trace = record_requests(
+        Popularity::Zipf { theta },
+        params.objects,
         params.requests_per_tick,
-        TargetRecency::AlwaysFresh,
+        params.ticks,
+        &mut RngStreams::new(params.seed).stream("broadcast/pull"),
     );
-    let mut rng = RngStreams::new(params.seed).stream("broadcast/pull");
-    let trace = RequestTrace::record(&generator, params.ticks as usize, &mut rng);
     let mut sim = StationBuilder::new(Catalog::uniform_unit(params.objects))
         .on_demand(OnDemandPlanner::paper_default(), params.pull_bandwidth)
         .build_latency_aware(
@@ -122,32 +122,25 @@ pub fn run(params: &Params) -> Figure {
         (1, ids(params.hot_disk as u32..params.objects as u32)),
     ]);
 
-    let jobs: Vec<f64> = params.thetas.clone();
-    let pull = parallel_sweep(jobs, |&theta| pull_mean_delay(params, theta));
-
-    let mut flat_points = Vec::new();
-    let mut multi_points = Vec::new();
-    for &theta in &params.thetas {
-        let probs = Popularity::Zipf { theta }.build(params.objects);
-        flat_points.push((theta, flat.expected_wait_under(probs.probabilities())));
-        multi_points.push((theta, multi.expected_wait_under(probs.probabilities())));
-    }
-    let pull_points: Vec<(f64, f64)> = params
-        .thetas
-        .iter()
-        .zip(pull)
-        .map(|(&t, d)| (t, d))
-        .collect();
-
+    let labels = [
+        "flat broadcast",
+        "two-disk broadcast",
+        "pull with base-station cache",
+    ];
+    let series = sweep_series(&params.thetas, labels, |&theta| {
+        let demand = Popularity::Zipf { theta }.build(params.objects);
+        let waits = [
+            flat.expected_wait_under(demand.probabilities()),
+            multi.expected_wait_under(demand.probabilities()),
+            pull_mean_delay(params, theta),
+        ];
+        (theta, waits)
+    });
     Figure::new(
         "Extension: broadcast disks vs pull-based caching",
         "zipf exponent (demand skew)",
         "mean access delay (ticks/slots)",
-        vec![
-            Series::new("flat broadcast", flat_points),
-            Series::new("two-disk broadcast", multi_points),
-            Series::new("pull with base-station cache", pull_points),
-        ],
+        series,
     )
 }
 

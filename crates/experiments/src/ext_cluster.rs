@@ -19,7 +19,7 @@
 //! One series per arbiter policy (mean delivered score vs N) plus a
 //! handoffs-per-round series documenting the mobility pressure.
 
-use basecache_cluster::{run_rounds, ClusterSim, DriveConfig, L2Config};
+use basecache_cluster::{run_rounds, ClusterSim, ClusterStepOutcome, DriveConfig, L2Config};
 use basecache_core::planner::OnDemandPlanner;
 use basecache_core::StationBuilder;
 use basecache_net::{ArbiterPolicy, BackhaulArbiter, Catalog};
@@ -29,7 +29,8 @@ use basecache_workload::{
     ClusterWorkload, MobilityModel, Popularity, RoamingScenario, TargetRecency,
 };
 
-use crate::report::{Figure, Series};
+use crate::report::Figure;
+use crate::runner::sweep_series;
 
 /// Parameters of the cell-sharding sweep.
 #[derive(Debug, Clone)]
@@ -91,9 +92,18 @@ pub const POLICIES: [ArbiterPolicy; 3] = [
     ArbiterPolicy::WaterFilling,
 ];
 
-fn build_cluster(params: &Params, cells: u32, policy: ArbiterPolicy) -> ClusterSim {
+/// Build one station per cell over the shared size-heterogeneous
+/// catalog, behind an arbiter splitting the global budget by `policy`
+/// (and under the regional tier, if `l2`), and drive it for the
+/// configured rounds and cluster-wide waves.
+fn simulate(
+    params: &Params,
+    workload: ClusterWorkload,
+    policy: ArbiterPolicy,
+    l2: Option<L2Config>,
+) -> (ClusterSim, Vec<ClusterStepOutcome>) {
     let sizes: Vec<u64> = (0..params.objects as u64).map(|i| 1 + i % 5).collect();
-    let stations = (0..cells)
+    let stations = (0..workload.cells())
         .map(|_| {
             StationBuilder::new(Catalog::from_sizes(&sizes))
                 .on_demand(OnDemandPlanner::paper_default(), 0)
@@ -101,6 +111,40 @@ fn build_cluster(params: &Params, cells: u32, policy: ArbiterPolicy) -> ClusterS
                 .expect("valid configuration")
         })
         .collect();
+    let arbiter = BackhaulArbiter::new(policy, params.total_budget);
+    let mut cluster = ClusterSim::new(stations, workload, arbiter).expect("one station per cell");
+    if let Some(config) = l2 {
+        // Every L2 experiment run is watched by the online monitor with
+        // the region single-flight check armed.
+        cluster = cluster
+            .with_l2(config)
+            .with_recorder(Box::new(InvariantMonitor::new().region_single_flight()));
+    }
+    let config = DriveConfig {
+        rounds: params.rounds,
+        wave_every: Some(params.update_period),
+    };
+    let outcomes = run_rounds(&mut cluster, config);
+    (cluster, outcomes)
+}
+
+/// Mean delivered score over every request the rounds served (1.0 when
+/// none were).
+fn served_weighted_score(outcomes: &[ClusterStepOutcome]) -> f64 {
+    let served: u64 = outcomes.iter().map(|out| out.served as u64).sum();
+    if served == 0 {
+        return 1.0;
+    }
+    let score_sum: f64 = outcomes
+        .iter()
+        .map(|out| out.average_score * out.served as f64)
+        .sum();
+    score_sum / served as f64
+}
+
+/// One sweep point: (mean delivered score, mean handoffs per round)
+/// for `cells` cells under `policy`.
+pub fn run_point(params: &Params, cells: u32, policy: ArbiterPolicy) -> (f64, f64) {
     // Zipf placement: clients start concentrated in low-id cells, the
     // regime where demand-aware arbitration has something to exploit.
     let workload = ClusterWorkload::new(
@@ -115,66 +159,26 @@ fn build_cluster(params: &Params, cells: u32, policy: ArbiterPolicy) -> ClusterS
         },
         &RngStreams::new(params.seed),
     );
-    ClusterSim::new(
-        stations,
-        workload,
-        BackhaulArbiter::new(policy, params.total_budget),
-    )
-    .expect("one station per cell")
-}
-
-/// One sweep point: (mean delivered score, mean handoffs per round)
-/// for `cells` cells under `policy`.
-pub fn run_point(params: &Params, cells: u32, policy: ArbiterPolicy) -> (f64, f64) {
-    let mut cluster = build_cluster(params, cells, policy);
-    let outcomes = run_rounds(
-        &mut cluster,
-        DriveConfig {
-            rounds: params.rounds,
-            wave_every: Some(params.update_period),
-        },
-    );
-    let mut score_sum = 0.0;
-    let mut served = 0u64;
-    let mut handoffs = 0u64;
-    for out in &outcomes {
-        score_sum += out.average_score * out.served as f64;
-        served += out.served as u64;
-        handoffs += out.handoffs;
-    }
+    let (_, outcomes) = simulate(params, workload, policy, None);
+    let handoffs: u64 = outcomes.iter().map(|out| out.handoffs).sum();
     (
-        if served > 0 {
-            score_sum / served as f64
-        } else {
-            1.0
-        },
+        served_weighted_score(&outcomes),
         handoffs as f64 / outcomes.len().max(1) as f64,
     )
 }
 
 /// Run the sweep: mean delivered score vs cell count, one series per
-/// arbiter policy, plus the handoff rate the mobility model produced.
+/// arbiter policy, plus the handoff rate the mobility model produced
+/// (read off the static-split run; mobility does not depend on the
+/// arbiter).
 pub fn run(params: &Params) -> Figure {
-    let xs: Vec<f64> = params.cell_counts.iter().map(|&c| c as f64).collect();
-    let mut series: Vec<Series> = POLICIES
-        .iter()
-        .map(|&policy| {
-            let points = params
-                .cell_counts
-                .iter()
-                .zip(&xs)
-                .map(|(&c, &x)| (x, run_point(params, c, policy).0))
-                .collect();
-            Series::new(format!("mean score ({})", policy.name()), points)
-        })
-        .collect();
-    let handoff_points = params
-        .cell_counts
-        .iter()
-        .zip(&xs)
-        .map(|(&c, &x)| (x, run_point(params, c, ArbiterPolicy::Static).1))
-        .collect();
-    series.push(Series::new("handoffs per round", handoff_points));
+    let names = POLICIES.map(|policy| format!("mean score ({})", policy.name()));
+    let labels = [&names[0], &names[1], &names[2], "handoffs per round"];
+    let series = sweep_series(&params.cell_counts, labels, |&cells| {
+        let [fixed, proportional, water] = POLICIES.map(|policy| run_point(params, cells, policy));
+        let ys = [fixed.0, proportional.0, water.0, fixed.1];
+        (f64::from(cells), ys)
+    });
     Figure::new(
         "Extension: cell sharding under a fixed global backhaul budget",
         "number of cells",
@@ -186,90 +190,34 @@ pub fn run(params: &Params) -> Figure {
 /// Parameters of the two-tier (regional L2) sweep.
 #[derive(Debug, Clone)]
 pub struct L2Params {
-    /// Objects in the shared catalog.
-    pub objects: usize,
-    /// Roaming clients over the whole region.
-    pub clients: u32,
-    /// Requests per client per round.
-    pub requests_per_client: usize,
-    /// Global backhaul (origin) budget per round, in data units.
-    pub total_budget: u64,
+    /// The region: catalog, roaming clients, origin budget, mobility,
+    /// waves, rounds, cell counts and seed, as in the sharding sweep.
+    pub base: Params,
     /// Inter-cell backbone budget per round, in data units.
     pub intercell_budget: u64,
-    /// Per-round probability that a client hops to a ring neighbour.
-    pub move_prob: f64,
-    /// Cluster-wide update wave period in rounds.
-    pub update_period: u64,
-    /// Rounds simulated per point.
-    pub rounds: u64,
-    /// Cell counts to sweep.
-    pub cell_counts: Vec<u32>,
-    /// Master seed.
-    pub seed: u64,
 }
 
 impl L2Params {
-    /// Full-fidelity setup.
+    /// Full-fidelity setup: the sharding sweep's region on its own seed.
     pub fn paper() -> Self {
         Self {
-            objects: 300,
-            clients: 400,
-            requests_per_client: 2,
-            total_budget: 240,
+            base: Params {
+                seed: 16_500,
+                ..Params::paper()
+            },
             intercell_budget: 480,
-            move_prob: 0.2,
-            update_period: 5,
-            rounds: 150,
-            cell_counts: vec![1, 2, 4, 8, 16],
-            seed: 16_500,
         }
     }
 
     /// CI-sized setup.
     pub fn quick() -> Self {
         Self {
-            objects: 80,
-            clients: 120,
-            total_budget: 90,
+            base: Params {
+                seed: 16_500,
+                ..Params::quick()
+            },
             intercell_budget: 90,
-            rounds: 40,
-            cell_counts: vec![1, 4, 8],
-            ..Self::paper()
         }
-    }
-}
-
-fn build_l2_cluster(params: &L2Params, cells: u32, l2: Option<L2Config>) -> ClusterSim {
-    let sizes: Vec<u64> = (0..params.objects as u64).map(|i| 1 + i % 5).collect();
-    let stations = (0..cells)
-        .map(|_| {
-            StationBuilder::new(Catalog::from_sizes(&sizes))
-                .on_demand(OnDemandPlanner::paper_default(), 0)
-                .build()
-                .expect("valid configuration")
-        })
-        .collect();
-    let workload = RoamingScenario {
-        cells,
-        clients: params.clients,
-        objects: params.objects,
-        requests_per_client: params.requests_per_client,
-        move_prob: params.move_prob,
-    }
-    .build(&RngStreams::new(params.seed));
-    let sim = ClusterSim::new(
-        stations,
-        workload,
-        BackhaulArbiter::new(ArbiterPolicy::ProportionalToDemand, params.total_budget),
-    )
-    .expect("one station per cell");
-    match l2 {
-        // Every L2 experiment run is watched by the online monitor with
-        // the region single-flight check armed.
-        Some(config) => sim
-            .with_l2(config)
-            .with_recorder(Box::new(InvariantMonitor::new().region_single_flight())),
-        None => sim,
     }
 }
 
@@ -282,16 +230,17 @@ fn build_l2_cluster(params: &L2Params, cells: u32, l2: Option<L2Config>) -> Clus
 /// L2-enabled run — the region-wide single-flight invariant is part of
 /// the experiment's contract, not merely plotted.
 pub fn run_l2_point(params: &L2Params, cells: u32, l2: Option<L2Config>) -> (f64, u64) {
-    let enabled = l2.is_some();
-    let mut cluster = build_l2_cluster(params, cells, l2);
-    let outcomes = run_rounds(
-        &mut cluster,
-        DriveConfig {
-            rounds: params.rounds,
-            wave_every: Some(params.update_period),
-        },
-    );
-    if enabled {
+    let base = &params.base;
+    let workload = RoamingScenario {
+        cells,
+        clients: base.clients,
+        objects: base.objects,
+        requests_per_client: base.requests_per_client,
+        move_prob: base.move_prob,
+    }
+    .build(&RngStreams::new(base.seed));
+    let (cluster, outcomes) = simulate(base, workload, ArbiterPolicy::ProportionalToDemand, l2);
+    if l2.is_some() {
         let monitor = cluster
             .recorder()
             .as_any()
@@ -305,22 +254,8 @@ pub fn run_l2_point(params: &L2Params, cells: u32, l2: Option<L2Config>) -> (f64
         );
         assert!(monitor.is_clean(), "invariant monitor flagged the run");
     }
-    let mut score_sum = 0.0;
-    let mut served = 0u64;
-    let mut origin_units = 0u64;
-    for out in &outcomes {
-        score_sum += out.average_score * out.served as f64;
-        served += out.served as u64;
-        origin_units += out.units_downloaded;
-    }
-    (
-        if served > 0 {
-            score_sum / served as f64
-        } else {
-            1.0
-        },
-        origin_units,
-    )
+    let origin_units = outcomes.iter().map(|out| out.units_downloaded).sum();
+    (served_weighted_score(&outcomes), origin_units)
 }
 
 /// Run the two-tier sweep: per cell count, mean delivered score with
@@ -331,31 +266,26 @@ pub fn run_l2(params: &L2Params) -> Figure {
         intercell_units_per_round: params.intercell_budget,
         ..L2Config::default()
     };
-    let mut off_scores = Vec::new();
-    let mut on_scores = Vec::new();
-    let mut savings = Vec::new();
-    for &cells in &params.cell_counts {
-        let x = f64::from(cells);
+    let labels = [
+        "mean score (L1 only)",
+        "mean score (L1+L2)",
+        "origin bandwidth saved (fraction)",
+    ];
+    let series = sweep_series(&params.base.cell_counts, labels, |&cells| {
         let (off_score, off_units) = run_l2_point(params, cells, None);
         let (on_score, on_units) = run_l2_point(params, cells, Some(config));
-        off_scores.push((x, off_score));
-        on_scores.push((x, on_score));
         let saved = if off_units > 0 {
             1.0 - on_units as f64 / off_units as f64
         } else {
             0.0
         };
-        savings.push((x, saved));
-    }
+        (f64::from(cells), [off_score, on_score, saved])
+    });
     Figure::new(
         "Extension: regional L2 tier under Markov-ring roaming",
         "number of cells",
         "mixed units (see series)",
-        vec![
-            Series::new("mean score (L1 only)", off_scores),
-            Series::new("mean score (L1+L2)", on_scores),
-            Series::new("origin bandwidth saved (fraction)", savings),
-        ],
+        series,
     )
 }
 
@@ -440,11 +370,9 @@ mod tests {
 
     #[test]
     fn l2_sweep_is_deterministic() {
-        let p = L2Params {
-            cell_counts: vec![4],
-            rounds: 15,
-            ..L2Params::quick()
-        };
+        let mut p = L2Params::quick();
+        p.base.cell_counts = vec![4];
+        p.base.rounds = 15;
         let config = L2Config {
             intercell_units_per_round: p.intercell_budget,
             ..L2Config::default()

@@ -14,32 +14,23 @@ use basecache_core::recency::DecayModel;
 use basecache_core::StationBuilder;
 use basecache_net::{Catalog, ReportLog};
 use basecache_sim::{RngStreams, SimTime};
-use basecache_workload::Popularity;
+use basecache_workload::{Popularity, RequestTrace};
 
-use crate::report::{Figure, Series};
-use crate::runner::{parallel_sweep, record_trace, RunConfig};
+use crate::report::Figure;
+use crate::runner::{drive, record_trace, sweep_series, RunConfig};
 
 /// Parameters of the estimator comparison.
 #[derive(Debug, Clone)]
 pub struct Params {
-    /// Number of unit-size objects.
-    pub objects: usize,
-    /// Requests per time unit.
-    pub requests_per_tick: usize,
-    /// True update period in ticks.
-    pub update_period: u64,
+    /// The run every estimator is measured on; its `update_period` is
+    /// the true one.
+    pub config: RunConfig,
     /// The TTL estimator's (wrong) assumed period.
     pub ttl_assumed_period: u64,
     /// Probability an invalidation report is lost in transit.
     pub report_loss: f64,
-    /// Warm-up ticks.
-    pub warmup_ticks: u64,
-    /// Measured ticks.
-    pub measure_ticks: u64,
     /// Per-tick budgets (data units) to sweep.
     pub budgets: Vec<u64>,
-    /// Master seed.
-    pub seed: u64,
 }
 
 impl Params {
@@ -47,25 +38,31 @@ impl Params {
     /// 30% of reports lost.
     pub fn paper() -> Self {
         Self {
-            objects: 500,
-            requests_per_tick: 100,
-            update_period: 5,
+            config: RunConfig {
+                objects: 500,
+                requests_per_tick: 100,
+                update_period: 5,
+                warmup_ticks: 50,
+                measure_ticks: 200,
+                popularity: Popularity::Uniform,
+                seed: 9000,
+            },
             ttl_assumed_period: 15,
             report_loss: 0.3,
-            warmup_ticks: 50,
-            measure_ticks: 200,
             budgets: vec![5, 10, 20, 40, 80],
-            seed: 9000,
         }
     }
 
     /// CI-sized setup.
     pub fn quick() -> Self {
         Self {
-            objects: 100,
-            requests_per_tick: 25,
-            warmup_ticks: 15,
-            measure_ticks: 60,
+            config: RunConfig {
+                objects: 100,
+                requests_per_tick: 25,
+                warmup_ticks: 15,
+                measure_ticks: 60,
+                ..Self::paper().config
+            },
             budgets: vec![2, 5, 10, 20],
             ..Self::paper()
         }
@@ -79,24 +76,15 @@ enum Variant {
     Ttl,
 }
 
-fn run_variant(params: &Params, budget: u64, variant: Variant) -> f64 {
-    let config = RunConfig {
-        objects: params.objects,
-        requests_per_tick: params.requests_per_tick,
-        update_period: params.update_period,
-        warmup_ticks: params.warmup_ticks,
-        measure_ticks: params.measure_ticks,
-        popularity: Popularity::Uniform,
-        seed: params.seed,
-    };
-    let trace = record_trace(&config);
-    let catalog = Catalog::uniform_unit(params.objects);
+fn run_variant(params: &Params, trace: &RequestTrace, budget: u64, variant: Variant) -> f64 {
+    let config = &params.config;
+    let catalog = Catalog::uniform_unit(config.objects);
     let planner = OnDemandPlanner::paper_default();
     let builder = StationBuilder::new(catalog.clone()).on_demand(planner, budget);
     let builder = match variant {
         Variant::Oracle => builder.oracle(),
         Variant::Reports => builder.estimator(Box::new(ReportEstimator::new(
-            params.objects,
+            config.objects,
             DecayModel::default(),
         ))),
         Variant::Ttl => builder.estimator(Box::new(TtlEstimator::new(
@@ -106,56 +94,42 @@ fn run_variant(params: &Params, budget: u64, variant: Variant) -> f64 {
     };
     let mut station = builder.build().expect("estimator experiment is valid");
     let mut log = ReportLog::new(&catalog);
-    let mut loss_rng = RngStreams::new(params.seed).stream("est/report-loss");
+    let mut loss_rng = RngStreams::new(config.seed).stream("est/report-loss");
 
-    let total = params.warmup_ticks + params.measure_ticks;
-    for t in 0..total {
-        if t % params.update_period == 0 {
-            station.apply_update_wave();
-            log.record_wave();
-            // One report per wave, subject to loss.
-            let report = log.cut_report(SimTime::from_ticks(t));
-            if loss_rng.random::<f64>() >= params.report_loss {
-                station.deliver_report(&report);
+    let period = config.update_period;
+    drive(
+        &mut station,
+        trace,
+        period,
+        config.warmup_ticks,
+        |station, t| {
+            if t % period == 0 {
+                log.record_wave();
+                // One report per wave, subject to loss.
+                let report = log.cut_report(SimTime::from_ticks(t));
+                if loss_rng.random::<f64>() >= params.report_loss {
+                    station.deliver_report(&report);
+                }
             }
-        }
-        if t == params.warmup_ticks {
-            station.reset_stats();
-        }
-        let batch = trace.batch(t as usize).expect("trace covers run");
-        station.step(batch);
-    }
+        },
+    );
     station.stats().score.mean().expect("requests served")
 }
 
 /// Run the estimator comparison: true delivered score vs budget under
 /// each estimation regime.
 pub fn run(params: &Params) -> Figure {
-    let mut jobs = Vec::new();
-    for &variant in &[Variant::Oracle, Variant::Reports, Variant::Ttl] {
-        for &budget in &params.budgets {
-            jobs.push((variant, budget));
-        }
-    }
-    let results = parallel_sweep(jobs, |&(variant, budget)| {
-        run_variant(params, budget, variant)
-    });
-
-    let xs: Vec<f64> = params.budgets.iter().map(|&b| b as f64).collect();
+    let trace = record_trace(&params.config);
     let labels = [
         "oracle (paper's assumption)",
         "invalidation reports (lossy)",
         "ttl (mis-specified)",
     ];
-    let mut series = Vec::new();
-    let mut it = results.into_iter();
-    for label in labels {
-        let points: Vec<(f64, f64)> = xs
-            .iter()
-            .map(|&x| (x, it.next().expect("one result per job")))
-            .collect();
-        series.push(Series::new(label, points));
-    }
+    let series = sweep_series(&params.budgets, labels, |&budget| {
+        let scores = [Variant::Oracle, Variant::Reports, Variant::Ttl]
+            .map(|variant| run_variant(params, &trace, budget, variant));
+        (budget as f64, scores)
+    });
     Figure::new(
         "Extension: recency estimation quality vs planner performance",
         "download budget per time unit (units)",

@@ -21,10 +21,10 @@ use basecache_core::StationBuilder;
 use basecache_net::{Catalog, InFlightConfig};
 use basecache_obs::{CausalConfig, CausalRecorder, Recorder};
 use basecache_sim::RngStreams;
-use basecache_workload::{FlashCrowdGenerator, GeneratedRequest, Popularity, TargetRecency};
+use basecache_workload::{FlashCrowdGenerator, Popularity, RequestTrace, TargetRecency};
 
-use crate::report::{Figure, Series};
-use crate::runner::parallel_sweep;
+use crate::report::Figure;
+use crate::runner::{drive, sweep_series};
 
 /// Parameters of the flash-crowd sweep.
 #[derive(Debug, Clone)]
@@ -117,7 +117,9 @@ pub struct Point {
 
 /// Drive one (spike intensity, mode) run to completion — demand rounds,
 /// update waves, then the drain — and return the station for read-out.
-fn drive(
+/// The trace depends only on the intensity, so both modes replay the
+/// identical demand.
+fn run_station(
     params: &Params,
     spike_rate: usize,
     config: InFlightConfig,
@@ -133,9 +135,8 @@ fn drive(
         params.spike_len,
     );
     let mut rng = RngStreams::new(params.seed).stream("flash-crowd/requests");
-    let batches: Vec<Vec<GeneratedRequest>> = (0..params.ticks)
-        .map(|_| generator.batch(&mut rng))
-        .collect();
+    let batches = (0..params.ticks).map(|_| generator.batch(&mut rng));
+    let trace = RequestTrace::from_batches(batches.collect());
 
     let mut builder = StationBuilder::new(params.catalog())
         .on_demand(OnDemandPlanner::paper_default(), params.refresh_budget)
@@ -144,12 +145,7 @@ fn drive(
         builder = builder.recorder(rec);
     }
     let mut station = builder.build().expect("valid configuration");
-    for (t, batch) in batches.iter().enumerate() {
-        if (t as u64).is_multiple_of(params.update_period) {
-            station.apply_update_wave();
-        }
-        station.step(batch);
-    }
+    drive(&mut station, &trace, params.update_period, 0, |_, _| {});
     // Drain: every parked request must be served before we read stats.
     let limit = station
         .flight_ledger()
@@ -183,7 +179,7 @@ fn read_point(station: &basecache_core::BaseStationSim) -> Point {
 /// is the path the `planner/inflight/flash_crowd` bench times, so the
 /// station runs with the default [`basecache_obs::NullRecorder`].
 pub fn run_point(params: &Params, spike_rate: usize, config: InFlightConfig) -> Point {
-    read_point(&drive(params, spike_rate, config, None))
+    read_point(&run_station(params, spike_rate, config, None))
 }
 
 /// [`run_point`] with the full [`CausalRecorder`] wired in: the same
@@ -223,7 +219,7 @@ pub fn run_point_profiled(
         allow_duplicate_flights: !config.coalesce,
         ..CausalConfig::default()
     });
-    let station = drive(params, spike_rate, config, Some(Box::new(recorder)));
+    let station = run_station(params, spike_rate, config, Some(Box::new(recorder)));
     let causal = station
         .recorder()
         .as_any()
@@ -245,74 +241,44 @@ pub fn run_point_profiled(
 /// Run the sweep: each spike intensity under coalescing and naive
 /// re-fetching over the same trace.
 pub fn run(params: &Params) -> Figure {
-    let results = parallel_sweep(params.spike_rates.clone(), |&rate| {
-        (
-            run_point(params, rate, InFlightConfig::coalescing(params.bandwidth)),
-            run_point(params, rate, InFlightConfig::naive(params.bandwidth)),
-            // A third, profiled coalescing run: identical physics
-            // (parity-tested), read out through the causal recorder for
-            // the wait-decomposition and AoI series below.
-            run_point_profiled(params, rate, InFlightConfig::coalescing(params.bandwidth)),
-        )
-    });
-    type Row = (Point, Point, ProfiledPoint);
-    let xs: Vec<f64> = params.spike_rates.iter().map(|&r| r as f64).collect();
-    let pair = |f: &dyn Fn(&Point) -> f64, side: &dyn Fn(&Row) -> Point| -> Vec<(f64, f64)> {
-        xs.iter()
-            .zip(&results)
-            .map(|(&x, r)| (x, f(&side(r))))
-            .collect()
-    };
-    let profiled = |f: &dyn Fn(&ProfiledPoint) -> f64| -> Vec<(f64, f64)> {
-        xs.iter()
-            .zip(&results)
-            .map(|(&x, r)| (x, f(&r.2)))
-            .collect()
-    };
-    let coalesce = |r: &Row| r.0;
-    let naive = |r: &Row| r.1;
-    let series = vec![
-        Series::new(
-            "delivered score (coalescing)",
-            pair(&|p| p.score, &coalesce),
-        ),
-        Series::new("delivered score (naive)", pair(&|p| p.score, &naive)),
-        Series::new(
-            "mean wait, rounds (coalescing)",
-            pair(&|p| p.wait, &coalesce),
-        ),
-        Series::new("mean wait, rounds (naive)", pair(&|p| p.wait, &naive)),
-        Series::new(
-            "duplicate launches (naive)",
-            pair(&|p| p.duplicate_launches as f64, &naive),
-        ),
-        Series::new(
-            "coalesced fetch ratio (coalescing)",
-            pair(&|p| p.coalesced_fetch_ratio, &coalesce),
-        ),
+    let labels = [
+        "delivered score (coalescing)",
+        "delivered score (naive)",
+        "mean wait, rounds (coalescing)",
+        "mean wait, rounds (naive)",
+        "duplicate launches (naive)",
+        "coalesced fetch ratio (coalescing)",
         // Causal-profile series (appended: earlier indices are pinned
         // by downstream readers).
-        Series::new(
-            "wait queueing, rounds (coalescing)",
-            profiled(&|p| p.wait_queueing),
-        ),
-        Series::new(
-            "wait on-wire, rounds (coalescing)",
-            profiled(&|p| p.wait_on_wire),
-        ),
-        Series::new(
-            "mean AoI at serve, ticks (coalescing)",
-            profiled(&|p| p.mean_aoi),
-        ),
-        Series::new(
-            "peak AoI at serve, ticks (coalescing)",
-            profiled(&|p| p.peak_aoi as f64),
-        ),
-        Series::new(
-            "monitor violations (coalescing)",
-            profiled(&|p| p.monitor_violations as f64),
-        ),
+        "wait queueing, rounds (coalescing)",
+        "wait on-wire, rounds (coalescing)",
+        "mean AoI at serve, ticks (coalescing)",
+        "peak AoI at serve, ticks (coalescing)",
+        "monitor violations (coalescing)",
     ];
+    let series = sweep_series(&params.spike_rates, labels, |&rate| {
+        let coalescing = InFlightConfig::coalescing(params.bandwidth);
+        let coalesce = run_point(params, rate, coalescing);
+        let naive = run_point(params, rate, InFlightConfig::naive(params.bandwidth));
+        // A third, profiled coalescing run: identical physics
+        // (parity-tested), read out through the causal recorder for
+        // the wait-decomposition and AoI series.
+        let profiled = run_point_profiled(params, rate, coalescing);
+        let ys = [
+            coalesce.score,
+            naive.score,
+            coalesce.wait,
+            naive.wait,
+            naive.duplicate_launches as f64,
+            coalesce.coalesced_fetch_ratio,
+            profiled.wait_queueing,
+            profiled.wait_on_wire,
+            profiled.mean_aoi,
+            profiled.peak_aoi as f64,
+            profiled.monitor_violations as f64,
+        ];
+        (rate as f64, ys)
+    });
     Figure::new(
         "Extension: flash crowd — single-flight coalescing vs naive re-fetching",
         "spike intensity (extra requests per round)",

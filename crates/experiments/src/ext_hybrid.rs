@@ -18,59 +18,56 @@ use basecache_core::Policy;
 use basecache_sim::RngStreams;
 use basecache_workload::{Popularity, RequestGenerator, RequestTrace, TargetRecency};
 
-use crate::report::{Figure, Series};
-use crate::runner::{parallel_sweep, run_policy, RunConfig};
+use crate::report::Figure;
+use crate::runner::{run_policy, sweep_series, RunConfig};
 
 /// Parameters of the hybrid comparison.
 #[derive(Debug, Clone)]
 pub struct Params {
-    /// Number of unit-size objects.
-    pub objects: usize,
+    /// The run every policy is measured on. Its `requests_per_tick` is
+    /// unused: demand comes from the bursty [`Params::trace`].
+    pub config: RunConfig,
     /// Requests during a quiet tick.
     pub quiet_rate: usize,
     /// Requests during a burst tick.
     pub burst_rate: usize,
     /// Every `burst_every`-th tick is a burst.
     pub burst_every: u64,
-    /// Update period in ticks.
-    pub update_period: u64,
-    /// Warm-up ticks.
-    pub warmup_ticks: u64,
-    /// Measured ticks.
-    pub measure_ticks: u64,
     /// Per-tick budgets (data units) to sweep.
     pub budgets: Vec<u64>,
-    /// Access pattern.
-    pub popularity: Popularity,
-    /// Master seed.
-    pub seed: u64,
 }
 
 impl Params {
     /// Full-fidelity setup.
     pub fn paper() -> Self {
         Self {
-            objects: 500,
+            config: RunConfig {
+                objects: 500,
+                requests_per_tick: 0,
+                update_period: 5,
+                warmup_ticks: 50,
+                measure_ticks: 200,
+                popularity: Popularity::ZIPF1,
+                seed: 8000,
+            },
             quiet_rate: 10,
             burst_rate: 250,
             burst_every: 5,
-            update_period: 5,
-            warmup_ticks: 50,
-            measure_ticks: 200,
             budgets: vec![5, 10, 20, 40, 80],
-            popularity: Popularity::ZIPF1,
-            seed: 8000,
         }
     }
 
     /// CI-sized setup.
     pub fn quick() -> Self {
         Self {
-            objects: 100,
+            config: RunConfig {
+                objects: 100,
+                warmup_ticks: 15,
+                measure_ticks: 80,
+                ..Self::paper().config
+            },
             quiet_rate: 3,
             burst_rate: 60,
-            warmup_ticks: 15,
-            measure_ticks: 80,
             budgets: vec![3, 8, 15, 30],
             ..Self::paper()
         }
@@ -78,11 +75,12 @@ impl Params {
 
     /// The bursty request trace (shared by every policy under test).
     pub fn trace(&self) -> RequestTrace {
-        let pop = self.popularity.build(self.objects);
+        let config = &self.config;
+        let pop = config.popularity.build(config.objects);
         let quiet = RequestGenerator::new(pop.clone(), self.quiet_rate, TargetRecency::AlwaysFresh);
         let burst = RequestGenerator::new(pop, self.burst_rate, TargetRecency::AlwaysFresh);
-        let mut rng = RngStreams::new(self.seed).stream("hybrid/requests");
-        let total = self.warmup_ticks + self.measure_ticks;
+        let mut rng = RngStreams::new(config.seed).stream("hybrid/requests");
+        let total = config.warmup_ticks + config.measure_ticks;
         let batches = (0..total)
             .map(|t| {
                 if t % self.burst_every == self.burst_every - 1 {
@@ -99,63 +97,28 @@ impl Params {
 /// Run the hybrid comparison: average delivered score vs budget for the
 /// three policies over the identical bursty request trace.
 pub fn run(params: &Params) -> Figure {
-    let results = parallel_sweep(params.budgets.clone(), |&budget| {
-        let config = RunConfig {
-            objects: params.objects,
-            requests_per_tick: 0, // trace is generated separately
-            update_period: params.update_period,
-            warmup_ticks: params.warmup_ticks,
-            measure_ticks: params.measure_ticks,
-            popularity: params.popularity,
-            seed: params.seed,
+    let trace = params.trace();
+    let planner = OnDemandPlanner::paper_default();
+    let labels = ["on-demand", "hybrid push-pull", "asynchronous"];
+    let series = sweep_series(&params.budgets, labels, |&budget| {
+        let score = |policy| {
+            run_policy(&params.config, policy, &trace)
+                .mean_score
+                .expect("requests served")
         };
-        let trace = params.trace();
-        let planner = OnDemandPlanner::paper_default();
-        let od = run_policy(
-            &config,
-            Policy::OnDemand {
-                planner,
-                budget_units: budget,
-            },
-            &trace,
-        );
-        let hy = run_policy(
-            &config,
-            Policy::Hybrid {
-                planner,
-                budget_units: budget,
-            },
-            &trace,
-        );
-        let asy = run_policy(
-            &config,
-            Policy::AsyncRoundRobin {
-                k_objects: budget as usize,
-            },
-            &trace,
-        );
-        (
-            od.mean_score.expect("requests served"),
-            hy.mean_score.expect("requests served"),
-            asy.mean_score.expect("requests served"),
-        )
+        let od = score(Policy::OnDemand {
+            planner,
+            budget_units: budget,
+        });
+        let hy = score(Policy::Hybrid {
+            planner,
+            budget_units: budget,
+        });
+        let asy = score(Policy::AsyncRoundRobin {
+            k_objects: budget as usize,
+        });
+        (budget as f64, [od, hy, asy])
     });
-
-    let xs: Vec<f64> = params.budgets.iter().map(|&b| b as f64).collect();
-    let series = vec![
-        Series::new(
-            "on-demand",
-            xs.iter().zip(&results).map(|(&x, r)| (x, r.0)).collect(),
-        ),
-        Series::new(
-            "hybrid push-pull",
-            xs.iter().zip(&results).map(|(&x, r)| (x, r.1)).collect(),
-        ),
-        Series::new(
-            "asynchronous",
-            xs.iter().zip(&results).map(|(&x, r)| (x, r.2)).collect(),
-        ),
-    ];
     Figure::new(
         "Extension: hybrid push-pull vs on-demand vs async",
         "download budget per time unit (units)",

@@ -12,10 +12,10 @@ use basecache_core::planner::OnDemandPlanner;
 use basecache_core::StationBuilder;
 use basecache_net::{Catalog, Downlink, Link, SharedLink};
 use basecache_sim::{RngStreams, SimDuration};
-use basecache_workload::{Popularity, RequestGenerator, RequestTrace, TargetRecency};
+use basecache_workload::{Popularity, RequestTrace};
 
-use crate::report::{Figure, Series};
-use crate::runner::parallel_sweep;
+use crate::report::Figure;
+use crate::runner::{record_requests, sweep_series};
 
 /// Parameters of the latency sweep.
 #[derive(Debug, Clone)]
@@ -65,17 +65,9 @@ impl Params {
     }
 }
 
-/// One latency point: (mean wait of queued requests, mean score,
-/// downlink idle ticks).
-pub fn run_point(params: &Params, latency: u64) -> (f64, f64, f64) {
-    let generator = RequestGenerator::new(
-        Popularity::ZIPF1.build(params.objects),
-        params.requests_per_tick,
-        TargetRecency::AlwaysFresh,
-    );
-    let mut rng = RngStreams::new(params.seed).stream("latency/requests");
-    let trace = RequestTrace::record(&generator, params.ticks as usize, &mut rng);
-
+/// One latency point over the sweep's shared trace: (mean wait of
+/// queued requests, mean score, downlink idle ticks).
+fn run_point(params: &Params, trace: &RequestTrace, latency: u64) -> [f64; 3] {
     let mut sim = StationBuilder::new(Catalog::uniform_unit(params.objects))
         .on_demand(OnDemandPlanner::paper_default(), params.refresh_budget)
         .build_latency_aware(
@@ -96,31 +88,30 @@ pub fn run_point(params: &Params, latency: u64) -> (f64, f64, f64) {
     for _ in 0..(latency + params.objects as u64 / params.bandwidth + 5) {
         sim.step(&[]);
     }
-    (
+    [
         sim.stats().wait_ticks.mean().unwrap_or(0.0),
         sim.stats().score.mean().unwrap_or(1.0),
         sim.downlink().idle_ticks() as f64,
-    )
+    ]
 }
 
 /// Run the latency sweep.
 pub fn run(params: &Params) -> Figure {
-    let results = parallel_sweep(params.latencies.clone(), |&l| run_point(params, l));
-    let xs: Vec<f64> = params.latencies.iter().map(|&l| l as f64).collect();
-    let series = vec![
-        Series::new(
-            "mean wait of cache misses (ticks)",
-            xs.iter().zip(&results).map(|(&x, r)| (x, r.0)).collect(),
-        ),
-        Series::new(
-            "average delivered score",
-            xs.iter().zip(&results).map(|(&x, r)| (x, r.1)).collect(),
-        ),
-        Series::new(
-            "downlink idle ticks",
-            xs.iter().zip(&results).map(|(&x, r)| (x, r.2)).collect(),
-        ),
+    let trace = record_requests(
+        Popularity::ZIPF1,
+        params.objects,
+        params.requests_per_tick,
+        params.ticks,
+        &mut RngStreams::new(params.seed).stream("latency/requests"),
+    );
+    let labels = [
+        "mean wait of cache misses (ticks)",
+        "average delivered score",
+        "downlink idle ticks",
     ];
+    let series = sweep_series(&params.latencies, labels, |&latency| {
+        (latency as f64, run_point(params, &trace, latency))
+    });
     Figure::new(
         "Extension: fixed-network latency vs waits, score and downlink idleness",
         "fixed-network latency (ticks)",

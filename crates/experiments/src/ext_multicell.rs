@@ -14,9 +14,10 @@ use basecache_core::planner::OnDemandPlanner;
 use basecache_core::StationBuilder;
 use basecache_net::{Catalog, Downlink, Link, SharedLink};
 use basecache_sim::{RngStreams, SimDuration};
-use basecache_workload::{Popularity, RequestGenerator, RequestTrace, TargetRecency};
+use basecache_workload::{Popularity, RequestTrace};
 
-use crate::report::{Figure, Series};
+use crate::report::Figure;
+use crate::runner::{record_requests, sweep_series};
 
 /// Parameters of the multi-cell contention sweep.
 #[derive(Debug, Clone)]
@@ -73,7 +74,7 @@ impl Params {
 
 /// One sweep point: (mean wait of queued requests, mean delivered score,
 /// backbone utilization) averaged over the cells.
-pub fn run_point(params: &Params, cells: usize) -> (f64, f64, f64) {
+pub fn run_point(params: &Params, cells: usize) -> [f64; 3] {
     let backbone = SharedLink::new(Link::new(
         params.backbone_bandwidth,
         SimDuration::from_ticks(params.backbone_latency),
@@ -93,13 +94,13 @@ pub fn run_point(params: &Params, cells: usize) -> (f64, f64, f64) {
         .collect();
     let traces: Vec<RequestTrace> = (0..cells)
         .map(|c| {
-            let generator = RequestGenerator::new(
-                Popularity::ZIPF1.build(params.objects),
+            record_requests(
+                Popularity::ZIPF1,
+                params.objects,
                 params.requests_per_tick,
-                TargetRecency::AlwaysFresh,
-            );
-            let mut rng = streams.stream_indexed("multicell/requests", c as u64);
-            RequestTrace::record(&generator, params.ticks as usize, &mut rng)
+                params.ticks,
+                &mut streams.stream_indexed("multicell/requests", c as u64),
+            )
         })
         .collect();
 
@@ -130,42 +131,30 @@ pub fn run_point(params: &Params, cells: usize) -> (f64, f64, f64) {
     let utilization = stations[0]
         .fixed_net()
         .utilization(basecache_sim::SimTime::from_ticks(params.ticks + drain));
-    (
+    [
         wait_sum / cells as f64,
         score_sum / cells as f64,
         utilization,
-    )
+    ]
 }
 
 /// Run the sweep: per-cell mean wait, score and backbone utilization vs
 /// number of cells.
 pub fn run(params: &Params) -> Figure {
-    // Stations within a point share a mutex-guarded backbone, so points
-    // run sequentially; the sweep itself is small.
-    let results: Vec<(f64, f64, f64)> = params
-        .cell_counts
-        .iter()
-        .map(|&c| run_point(params, c))
-        .collect();
-    let xs: Vec<f64> = params.cell_counts.iter().map(|&c| c as f64).collect();
+    // Each point owns its backbone, so the points are independent.
+    let labels = [
+        "mean wait of cache misses (ticks)",
+        "average delivered score",
+        "backbone utilization",
+    ];
+    let series = sweep_series(&params.cell_counts, labels, |&cells| {
+        (cells as f64, run_point(params, cells))
+    });
     Figure::new(
         "Extension: cells contending on one fixed-network backbone",
         "number of cells",
         "mixed units (see series)",
-        vec![
-            Series::new(
-                "mean wait of cache misses (ticks)",
-                xs.iter().zip(&results).map(|(&x, r)| (x, r.0)).collect(),
-            ),
-            Series::new(
-                "average delivered score",
-                xs.iter().zip(&results).map(|(&x, r)| (x, r.1)).collect(),
-            ),
-            Series::new(
-                "backbone utilization",
-                xs.iter().zip(&results).map(|(&x, r)| (x, r.2)).collect(),
-            ),
-        ],
+        series,
     )
 }
 

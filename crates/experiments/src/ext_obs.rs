@@ -18,15 +18,16 @@
 //! channels with their Space-Saving error bounds (`ext_obs_topk.csv`).
 //! The companion parity and allocation tests in `basecache-core` prove
 //! the instrumentation itself is free; this module is the read-out
-//! side.
+//! side. It is the one target that is not a figure: one profiled run's
+//! report and seven exports, no swept axis and no labelled curves, so
+//! it renders and exports itself behind its registry row.
 
 use basecache_core::planner::OnDemandPlanner;
-use basecache_core::{Policy, StationBuilder};
-use basecache_net::Catalog;
-use basecache_obs::{Attr, CausalConfig, CausalRecorder, Snapshot, TopEntry};
+use basecache_core::Policy;
+use basecache_obs::{export, Attr, CausalConfig, CausalRecorder, Snapshot, TopEntry};
 use basecache_workload::Popularity;
 
-use crate::runner::{record_trace, RunConfig, RunResult};
+use crate::runner::{record_trace, run_station, RunConfig, RunResult};
 
 /// Parameters of the profiled run.
 #[derive(Debug, Clone)]
@@ -132,45 +133,24 @@ const CLOSED_SPANS: usize = 4096;
 /// Run the profiled simulation with the full causal recorder wired into
 /// the station, and materialize everything it captured.
 pub fn run(params: &Params) -> Profile {
-    let trace = record_trace(&params.config);
     let config = &params.config;
-    let mut station = StationBuilder::new(Catalog::uniform_unit(config.objects))
-        .policy(Policy::OnDemand {
-            planner: OnDemandPlanner::paper_default(),
-            budget_units: params.budget,
-        })
-        .recorder(Box::new(CausalRecorder::new(CausalConfig {
-            trace_capacity: TRACE_CAPACITY,
-            series_capacity: SERIES_CAPACITY,
-            top_k: TOP_K,
-            open_spans: OPEN_SPANS,
-            closed_spans: CLOSED_SPANS,
-            num_objects: config.objects,
-            budget_units: Some(params.budget),
-            allow_duplicate_flights: false,
-        })))
-        .build()
-        .expect("profiled policy is a valid configuration");
-    let total = config.warmup_ticks + config.measure_ticks;
-    for t in 0..total {
-        if config.update_period > 0 && t % config.update_period == 0 {
-            station.apply_update_wave();
-        }
-        if t == config.warmup_ticks {
-            station.reset_stats();
-        }
-        let batch = trace.batch(t as usize).expect("trace covers the whole run");
-        station.step(batch);
-    }
-    let snapshot = station.obs_snapshot();
-    let stats = station.stats();
-    let result = RunResult {
-        units_downloaded: stats.units_downloaded,
-        objects_downloaded: stats.objects_downloaded,
-        mean_recency: stats.recency.mean(),
-        mean_score: stats.score.mean(),
-        requests_served: stats.requests_served,
+    let recorder = CausalRecorder::new(CausalConfig {
+        trace_capacity: TRACE_CAPACITY,
+        series_capacity: SERIES_CAPACITY,
+        top_k: TOP_K,
+        open_spans: OPEN_SPANS,
+        closed_spans: CLOSED_SPANS,
+        num_objects: config.objects,
+        budget_units: Some(params.budget),
+        allow_duplicate_flights: false,
+    });
+    let policy = Policy::OnDemand {
+        planner: OnDemandPlanner::paper_default(),
+        budget_units: params.budget,
     };
+    let station = run_station(config, policy, &record_trace(config), Box::new(recorder));
+    let snapshot = station.obs_snapshot();
+    let result = RunResult::of(&station);
     let causal = station
         .recorder()
         .as_any()
@@ -208,6 +188,23 @@ pub fn run(params: &Params) -> Profile {
         top_aoi: causal.aoi().top(),
         monitor_violations: monitor.total_violations(),
         monitor_counters,
+    }
+}
+
+impl Profile {
+    /// The files `--csv` writes: the aggregate snapshot, both Perfetto
+    /// traces, the round series, the AoI trajectory and the attribution
+    /// channels (inspect with `basecache-trace waits|aoi|report`).
+    pub fn exports(&self) -> Vec<(&'static str, String)> {
+        vec![
+            ("ext_obs.csv", export::to_csv(&self.snapshot)),
+            ("ext_obs.json", export::to_json(&self.snapshot)),
+            ("ext_obs_trace.json", self.trace_json.clone()),
+            ("ext_obs_series.csv", self.series_csv.clone()),
+            ("ext_obs_lifecycle.json", self.lifecycle_json.clone()),
+            ("ext_obs_aoi.csv", self.aoi_csv.clone()),
+            ("ext_obs_topk.csv", self.topk_csv.clone()),
+        ]
     }
 }
 

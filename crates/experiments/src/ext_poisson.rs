@@ -14,10 +14,10 @@ use basecache_core::planner::OnDemandPlanner;
 use basecache_core::{Policy, StationBuilder};
 use basecache_net::{Catalog, ObjectId, UpdateProcess};
 use basecache_sim::{RngStreams, Scheduler, SimTime};
-use basecache_workload::{Popularity, RequestGenerator, RequestTrace, TargetRecency};
+use basecache_workload::{Popularity, RequestTrace};
 
-use crate::report::{Figure, Series};
-use crate::runner::parallel_sweep;
+use crate::report::Figure;
+use crate::runner::{drive, record_requests, sweep_series};
 
 /// Parameters of the Poisson-update comparison.
 #[derive(Debug, Clone)]
@@ -101,8 +101,7 @@ fn run_policy_under_poisson(params: &Params, policy: Policy, trace: &RequestTrac
         updates.schedule_at(first, ObjectId(i as u32));
     }
 
-    let total = params.warmup_ticks + params.measure_ticks;
-    for t in 0..total {
+    drive(&mut station, trace, 0, params.warmup_ticks, |station, t| {
         let now = SimTime::from_ticks(t);
         while let Some((at, object)) = updates.pop_until(now) {
             station.server_mut().apply_update(object, at);
@@ -112,64 +111,38 @@ fn run_policy_under_poisson(params: &Params, policy: Policy, trace: &RequestTrac
             let next = process.next_update_after(object, at, &mut rngs[object.index()]);
             updates.schedule_at(next, object);
         }
-        if t == params.warmup_ticks {
-            station.reset_stats();
-        }
-        station.step(trace.batch(t as usize).expect("trace covers run"));
-    }
+    });
     station.stats().score.mean().expect("requests served")
 }
 
 /// Run the comparison: delivered score vs budget, on-demand vs async,
 /// under heterogeneous Poisson updates.
 pub fn run(params: &Params) -> Figure {
-    let generator = RequestGenerator::new(
-        Popularity::ZIPF1.build(params.objects),
+    let trace = record_requests(
+        Popularity::ZIPF1,
+        params.objects,
         params.requests_per_tick,
-        TargetRecency::AlwaysFresh,
+        params.warmup_ticks + params.measure_ticks,
+        &mut RngStreams::new(params.seed).stream("poisson/requests"),
     );
-    let mut rng = RngStreams::new(params.seed).stream("poisson/requests");
-    let trace = RequestTrace::record(
-        &generator,
-        (params.warmup_ticks + params.measure_ticks) as usize,
-        &mut rng,
-    );
-
-    let results = parallel_sweep(params.budgets.clone(), |&budget| {
-        let planner = OnDemandPlanner::paper_default();
-        let od = run_policy_under_poisson(
-            params,
-            Policy::OnDemand {
-                planner,
-                budget_units: budget,
-            },
-            &trace,
-        );
-        let asy = run_policy_under_poisson(
-            params,
-            Policy::AsyncRoundRobin {
-                k_objects: budget as usize,
-            },
-            &trace,
-        );
-        (od, asy)
+    let planner = OnDemandPlanner::paper_default();
+    let labels = ["on-demand", "asynchronous"];
+    let series = sweep_series(&params.budgets, labels, |&budget| {
+        let od = Policy::OnDemand {
+            planner,
+            budget_units: budget,
+        };
+        let asy = Policy::AsyncRoundRobin {
+            k_objects: budget as usize,
+        };
+        let scores = [od, asy].map(|policy| run_policy_under_poisson(params, policy, &trace));
+        (budget as f64, scores)
     });
-
-    let xs: Vec<f64> = params.budgets.iter().map(|&b| b as f64).collect();
     Figure::new(
         "Extension: heterogeneous Poisson updates",
         "download budget per time unit (objects)",
         "average delivered score",
-        vec![
-            Series::new(
-                "on-demand",
-                xs.iter().zip(&results).map(|(&x, r)| (x, r.0)).collect(),
-            ),
-            Series::new(
-                "asynchronous",
-                xs.iter().zip(&results).map(|(&x, r)| (x, r.1)).collect(),
-            ),
-        ],
+        series,
     )
 }
 

@@ -13,47 +13,46 @@ use basecache_core::Policy;
 use basecache_workload::Popularity;
 
 use crate::report::{Figure, Series};
-use crate::runner::{parallel_sweep, record_trace, run_policy, RunConfig};
+use crate::runner::{record_trace, run_policy, sweep_series, RunConfig};
 
 /// Parameters of the Figure 2 reproduction.
 #[derive(Debug, Clone)]
 pub struct Params {
-    /// Number of unit-size objects (paper: 500).
-    pub objects: usize,
-    /// Update-wave period in time units (paper: 5).
-    pub update_period: u64,
-    /// Warm-up time units (paper: 100).
-    pub warmup_ticks: u64,
-    /// Measured time units (paper: 500).
-    pub measure_ticks: u64,
+    /// The run at every sweep point (paper: 500 objects, waves every 5,
+    /// 100 warm-up and 500 measured time units); its request rate and
+    /// popularity are the two things the figure sweeps.
+    pub config: RunConfig,
     /// The request rates to sweep (paper: 0..=500).
     pub request_rates: Vec<usize>,
-    /// Master seed.
-    pub seed: u64,
 }
 
 impl Params {
     /// The paper's full-fidelity setup.
     pub fn paper() -> Self {
         Self {
-            objects: 500,
-            update_period: 5,
-            warmup_ticks: 100,
-            measure_ticks: 500,
+            config: RunConfig {
+                objects: 500,
+                requests_per_tick: 0,
+                update_period: 5,
+                warmup_ticks: 100,
+                measure_ticks: 500,
+                popularity: Popularity::Uniform,
+                seed: 2000,
+            },
             request_rates: (0..=500).step_by(25).collect(),
-            seed: 2000,
         }
     }
 
     /// A CI-sized setup preserving the curve shapes.
     pub fn quick() -> Self {
         Self {
-            objects: 100,
-            update_period: 5,
-            warmup_ticks: 20,
-            measure_ticks: 100,
+            config: RunConfig {
+                objects: 100,
+                warmup_ticks: 20,
+                measure_ticks: 100,
+                ..Self::paper().config
+            },
             request_rates: (0..=100).step_by(20).collect(),
-            seed: 2000,
         }
     }
 
@@ -61,15 +60,16 @@ impl Params {
     pub fn waves(&self) -> u64 {
         // Waves fire at multiples of the period within the measured
         // window [warmup, warmup + measure).
-        let start = self.warmup_ticks.div_ceil(self.update_period);
-        let end = (self.warmup_ticks + self.measure_ticks).div_ceil(self.update_period);
+        let c = &self.config;
+        let start = c.warmup_ticks.div_ceil(c.update_period);
+        let end = (c.warmup_ticks + c.measure_ticks).div_ceil(c.update_period);
         end - start
     }
 
     /// The asynchronous ceiling: units downloaded to keep the whole
     /// cache up to date over the measured window (paper: 50,000).
     pub fn async_ceiling(&self) -> u64 {
-        self.objects as u64 * self.waves()
+        self.config.objects as u64 * self.waves()
     }
 }
 
@@ -82,54 +82,24 @@ pub const PATTERNS: [(&str, Popularity); 3] = [
 
 /// Run the Figure 2 sweep.
 pub fn run(params: &Params) -> Figure {
-    let ceiling = params.async_ceiling() as f64;
-
-    let mut jobs = Vec::new();
-    for (label, pop) in PATTERNS {
-        for &rate in &params.request_rates {
-            jobs.push((label, pop, rate));
-        }
-    }
-    let results = parallel_sweep(jobs, |&(_, pop, rate)| {
-        let config = RunConfig {
-            objects: params.objects,
-            requests_per_tick: rate,
-            update_period: params.update_period,
-            warmup_ticks: params.warmup_ticks,
-            measure_ticks: params.measure_ticks,
-            popularity: pop,
-            seed: params.seed,
-        };
-        let trace = record_trace(&config);
-        // Unbounded on-demand: download iff requested and stale.
-        let r = run_policy(
-            &config,
-            Policy::OnDemandLowestRecency {
+    let rates = &params.request_rates;
+    let labels = PATTERNS.map(|(label, _)| label);
+    let mut series = sweep_series(rates, labels, |&rate| {
+        let downloaded = PATTERNS.map(|(_, popularity)| {
+            let mut config = params.config;
+            config.requests_per_tick = rate;
+            config.popularity = popularity;
+            // Unbounded on-demand: download iff requested and stale.
+            let policy = Policy::OnDemandLowestRecency {
                 k_objects: usize::MAX,
-            },
-            &trace,
-        );
-        r.units_downloaded as f64
+            };
+            run_policy(&config, policy, &record_trace(&config)).units_downloaded as f64
+        });
+        (rate as f64, downloaded)
     });
-
-    let mut series = vec![Series::new(
-        "asynchronous",
-        params
-            .request_rates
-            .iter()
-            .map(|&r| (r as f64, ceiling))
-            .collect(),
-    )];
-    let mut it = results.into_iter();
-    for &(label, _) in PATTERNS.iter() {
-        let points: Vec<(f64, f64)> = params
-            .request_rates
-            .iter()
-            .map(|&r| (r as f64, it.next().expect("one result per job")))
-            .collect();
-        series.push(Series::new(label, points));
-    }
-
+    let ceiling = params.async_ceiling() as f64;
+    let flat = rates.iter().map(|&r| (r as f64, ceiling)).collect();
+    series.insert(0, Series::new("asynchronous", flat));
     Figure::new(
         "Figure 2: data downloaded to deliver the most recent data",
         "requests per time unit",

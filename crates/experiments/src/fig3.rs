@@ -13,115 +13,85 @@
 use basecache_core::Policy;
 use basecache_workload::Popularity;
 
-use crate::report::{Figure, Series};
-use crate::runner::{parallel_sweep, record_trace, run_policy, RunConfig};
+use crate::report::Figure;
+use crate::runner::{record_trace, run_policy, sweep_series, RunConfig};
 
 /// Parameters of the Figure 3 reproduction.
 #[derive(Debug, Clone)]
 pub struct Params {
-    /// Number of unit-size objects (paper: 500).
-    pub objects: usize,
-    /// Requests per time unit (paper: 100).
-    pub requests_per_tick: usize,
-    /// Warm-up time units (paper: 50).
-    pub warmup_ticks: u64,
-    /// Measured time units (paper: 100).
-    pub measure_ticks: u64,
+    /// The low-update-frequency panel's run at every budget (paper: 500
+    /// objects, uniform access, 100 requests per time unit, updates
+    /// every 10, 50 warm-up and 100 measured time units).
+    pub config: RunConfig,
     /// Budgets (objects per tick) to sweep (paper: 1..=100).
     pub budgets: Vec<usize>,
-    /// Low update frequency period (paper: 10).
-    pub low_freq_period: u64,
-    /// High update frequency period (paper: 1).
+    /// The high-update-frequency panel's update period (paper: 1).
     pub high_freq_period: u64,
-    /// Master seed.
-    pub seed: u64,
 }
 
 impl Params {
     /// The paper's full-fidelity setup.
     pub fn paper() -> Self {
         Self {
-            objects: 500,
-            requests_per_tick: 100,
-            warmup_ticks: 50,
-            measure_ticks: 100,
+            config: RunConfig {
+                objects: 500,
+                requests_per_tick: 100,
+                update_period: 10,
+                warmup_ticks: 50,
+                measure_ticks: 100,
+                popularity: Popularity::Uniform,
+                seed: 3000,
+            },
             budgets: (1..=100).step_by(3).chain(std::iter::once(100)).collect(),
-            low_freq_period: 10,
             high_freq_period: 1,
-            seed: 3000,
         }
     }
 
     /// A CI-sized setup preserving the curve shapes.
     pub fn quick() -> Self {
         Self {
-            objects: 100,
-            requests_per_tick: 20,
-            warmup_ticks: 10,
-            measure_ticks: 30,
+            config: RunConfig {
+                objects: 100,
+                requests_per_tick: 20,
+                warmup_ticks: 10,
+                measure_ticks: 30,
+                ..Self::paper().config
+            },
             budgets: vec![1, 2, 5, 10, 20],
-            low_freq_period: 10,
-            high_freq_period: 1,
-            seed: 3000,
+            ..Self::paper()
         }
     }
 }
 
 /// One panel of Figure 3 (one update frequency).
 pub fn run_panel(params: &Params, update_period: u64, panel: &str) -> Figure {
-    let jobs: Vec<usize> = params.budgets.clone();
-    let results = parallel_sweep(jobs, |&k| {
-        let config = RunConfig {
-            objects: params.objects,
-            requests_per_tick: params.requests_per_tick,
-            update_period,
-            warmup_ticks: params.warmup_ticks,
-            measure_ticks: params.measure_ticks,
-            popularity: Popularity::Uniform,
-            seed: params.seed,
+    let mut config = params.config;
+    config.update_period = update_period;
+    // Both policies replay the exact same trace (paired comparison).
+    let trace = record_trace(&config);
+    let labels = ["on-demand", "asynchronous"];
+    let series = sweep_series(&params.budgets, labels, |&k| {
+        let recency = |policy| {
+            run_policy(&config, policy, &trace)
+                .mean_recency
+                .expect("measured phase serves requests")
         };
-        // Both policies replay the exact same trace (paired comparison).
-        let trace = record_trace(&config);
-        let od = run_policy(
-            &config,
-            Policy::OnDemandLowestRecency { k_objects: k },
-            &trace,
-        );
-        let asy = run_policy(&config, Policy::AsyncRoundRobin { k_objects: k }, &trace);
-        (
-            od.mean_recency.expect("measured phase serves requests"),
-            asy.mean_recency.expect("measured phase serves requests"),
-        )
+        let od = recency(Policy::OnDemandLowestRecency { k_objects: k });
+        let asy = recency(Policy::AsyncRoundRobin { k_objects: k });
+        (k as f64, [od, asy])
     });
-
-    let od_points: Vec<(f64, f64)> = params
-        .budgets
-        .iter()
-        .zip(&results)
-        .map(|(&k, &(od, _))| (k as f64, od))
-        .collect();
-    let asy_points: Vec<(f64, f64)> = params
-        .budgets
-        .iter()
-        .zip(&results)
-        .map(|(&k, &(_, a))| (k as f64, a))
-        .collect();
-
     Figure::new(
         format!("Figure 3 ({panel}): average recency vs data downloaded per time unit"),
         "objects downloaded per time unit",
         "average delivered recency",
-        vec![
-            Series::new("on-demand", od_points),
-            Series::new("asynchronous", asy_points),
-        ],
+        series,
     )
 }
 
 /// Run both panels: (low update frequency, high update frequency).
 pub fn run(params: &Params) -> (Figure, Figure) {
     (
-        run_panel(params, params.low_freq_period, "low update frequency"),
+        run_panel(params, params.config.update_period, "low update frequency"),
         run_panel(params, params.high_freq_period, "high update frequency"),
     )
 }

@@ -1,9 +1,10 @@
-//! Result series, aligned-table printing and CSV output.
+//! Result series, aligned-table printing, CSV output, and the
+//! [`Output`] a registry row hands the CLI.
 
 use std::fmt::Write as _;
 use std::fs;
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// One labelled curve: `(x, y)` points in ascending `x`.
 #[derive(Debug, Clone, PartialEq)]
@@ -123,12 +124,6 @@ impl Figure {
         out
     }
 
-    /// Write the CSV next to a results directory, creating it if needed.
-    pub fn write_csv(&self, dir: &Path, file_name: &str) -> io::Result<()> {
-        fs::create_dir_all(dir)?;
-        fs::write(dir.join(file_name), self.to_csv())
-    }
-
     fn merged_xs(&self) -> Vec<f64> {
         let mut xs: Vec<f64> = self
             .series
@@ -142,6 +137,53 @@ impl Figure {
 
     fn x_label_short(&self) -> String {
         truncate(&self.x_label, 11).to_string()
+    }
+}
+
+/// What one target produced: the text the CLI prints and the files it
+/// writes under `--csv`.
+#[derive(Debug, Clone, Default)]
+pub struct Output {
+    /// Printed to stdout: the figures' tables, or the target's own
+    /// report.
+    pub text: String,
+    /// The figures behind `text`, each with the CSV file it is written
+    /// to.
+    pub figures: Vec<(&'static str, Figure)>,
+    /// Further exports that are not figures: (file name, contents).
+    pub exports: Vec<(&'static str, String)>,
+}
+
+impl Output {
+    /// A target that is one or more figures: their tables, one blank
+    /// line apart, and one CSV each.
+    pub fn figures(figures: Vec<(&'static str, Figure)>) -> Self {
+        let tables: Vec<String> = figures.iter().map(|(_, f)| f.to_table()).collect();
+        Self {
+            text: tables.join("\n"),
+            figures,
+            exports: Vec::new(),
+        }
+    }
+
+    /// Every file of the target, (name, contents), figures first.
+    pub fn files(&self) -> Vec<(&'static str, String)> {
+        let csvs = self.figures.iter().map(|(name, f)| (*name, f.to_csv()));
+        csvs.chain(self.exports.iter().cloned()).collect()
+    }
+
+    /// Write [`Output::files`] under `dir`, creating it if needed, and
+    /// return the paths written. The only place the harness touches the
+    /// file system.
+    pub fn write_to(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
+        fs::create_dir_all(dir)?;
+        let mut written = Vec::new();
+        for (name, contents) in self.files() {
+            let path = dir.join(name);
+            fs::write(&path, contents)?;
+            written.push(path);
+        }
+        Ok(written)
     }
 }
 

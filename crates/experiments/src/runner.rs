@@ -1,11 +1,15 @@
-//! Shared simulation drivers: warm-up/measure phases, periodic update
-//! waves, paired traces, and a std-threads parallel sweep.
+//! Shared simulation drivers: the one station run loop (update waves,
+//! warm-up reset, a per-tick hook), request-trace recording, paired
+//! policy runs, a std-threads parallel sweep and the sweep-to-series
+//! helper every swept figure is built with.
 
-use basecache_core::{Policy, StationBuilder};
+use basecache_core::{BaseStationSim, Policy, StationBuilder};
 use basecache_net::Catalog;
-use basecache_obs::{NullRecorder, Recorder, Snapshot};
-use basecache_sim::RngStreams;
+use basecache_obs::{NullRecorder, Recorder};
+use basecache_sim::{RngStreams, StreamRng};
 use basecache_workload::{Popularity, RequestGenerator, RequestTrace, TargetRecency};
+
+use crate::report::Series;
 
 /// Configuration of one time-stepped run.
 #[derive(Debug, Clone, Copy)]
@@ -43,64 +47,121 @@ pub struct RunResult {
     pub requests_served: u64,
 }
 
+impl RunResult {
+    /// Read a station's statistics after [`drive`] returned.
+    pub fn of(station: &BaseStationSim) -> Self {
+        let stats = station.stats();
+        Self {
+            units_downloaded: stats.units_downloaded,
+            objects_downloaded: stats.objects_downloaded,
+            mean_recency: stats.recency.mean(),
+            mean_score: stats.score.mean(),
+            requests_served: stats.requests_served,
+        }
+    }
+}
+
+/// Record `ticks` batches of always-fresh requests drawn from
+/// `popularity` on `rng`. Every experiment records through here; the
+/// named RNG stream each passes is what keeps their draws apart.
+pub fn record_requests(
+    popularity: Popularity,
+    objects: usize,
+    requests_per_tick: usize,
+    ticks: u64,
+    rng: &mut StreamRng,
+) -> RequestTrace {
+    let generator = RequestGenerator::new(
+        popularity.build(objects),
+        requests_per_tick,
+        TargetRecency::AlwaysFresh,
+    );
+    RequestTrace::record(&generator, ticks as usize, rng)
+}
+
 /// Record the full request trace for a config (warm-up + measurement),
 /// so multiple policies replay identical demand — the paper's paired
 /// set-up in Section 3.2.
 pub fn record_trace(config: &RunConfig) -> RequestTrace {
-    let generator = RequestGenerator::new(
-        config.popularity.build(config.objects),
+    record_requests(
+        config.popularity,
+        config.objects,
         config.requests_per_tick,
-        TargetRecency::AlwaysFresh,
-    );
-    let mut rng = RngStreams::new(config.seed).stream("runner/requests");
-    RequestTrace::record(
-        &generator,
-        (config.warmup_ticks + config.measure_ticks) as usize,
-        &mut rng,
+        config.warmup_ticks + config.measure_ticks,
+        &mut RngStreams::new(config.seed).stream("runner/requests"),
     )
 }
 
-/// Drive one policy over a recorded trace under the config's update
-/// schedule, returning measured-phase statistics.
-pub fn run_policy(config: &RunConfig, policy: Policy, trace: &RequestTrace) -> RunResult {
-    run_policy_observed(config, policy, trace, Box::new(NullRecorder)).0
+/// The station run loop: replay `trace` tick by tick, with an update
+/// wave every `wave_period` ticks (at t = 0, p, 2p, …; 0 = never) and
+/// the statistics reset when `warmup_ticks` have passed. `before_step`
+/// runs each tick between the wave and the step — where an experiment
+/// delivers invalidation reports or applies its own server updates.
+pub fn drive(
+    station: &mut BaseStationSim,
+    trace: &RequestTrace,
+    wave_period: u64,
+    warmup_ticks: u64,
+    mut before_step: impl FnMut(&mut BaseStationSim, u64),
+) {
+    for (t, batch) in trace.iter() {
+        let t = t as u64;
+        if wave_period > 0 && t.is_multiple_of(wave_period) {
+            station.apply_update_wave();
+        }
+        before_step(station, t);
+        if t == warmup_ticks {
+            station.reset_stats();
+        }
+        station.step(batch);
+    }
 }
 
-/// Like [`run_policy`], but with an observability recorder wired into the
-/// station; also returns the recorder's snapshot (per-stage timings,
-/// counters and distributions — covering warm-up as well as measurement).
-pub fn run_policy_observed(
+/// Build a unit-size station for `policy` with `recorder` wired in and
+/// [`drive`] it over a recorded trace under the config's update
+/// schedule. The station comes back for read-out: [`RunResult::of`],
+/// or the recorder's own channels.
+pub fn run_station(
     config: &RunConfig,
     policy: Policy,
     trace: &RequestTrace,
     recorder: Box<dyn Recorder>,
-) -> (RunResult, Snapshot) {
+) -> BaseStationSim {
     let mut station = StationBuilder::new(Catalog::uniform_unit(config.objects))
         .policy(policy)
         .recorder(recorder)
         .build()
         .expect("runner policies are valid configurations");
-    let total = config.warmup_ticks + config.measure_ticks;
-    for t in 0..total {
-        if config.update_period > 0 && t % config.update_period == 0 {
-            station.apply_update_wave();
-        }
-        if t == config.warmup_ticks {
-            station.reset_stats();
-        }
-        let batch = trace.batch(t as usize).expect("trace covers the whole run");
-        station.step(batch);
-    }
-    let snapshot = station.obs_snapshot();
-    let stats = station.stats();
-    let result = RunResult {
-        units_downloaded: stats.units_downloaded,
-        objects_downloaded: stats.objects_downloaded,
-        mean_recency: stats.recency.mean(),
-        mean_score: stats.score.mean(),
-        requests_served: stats.requests_served,
-    };
-    (result, snapshot)
+    drive(
+        &mut station,
+        trace,
+        config.update_period,
+        config.warmup_ticks,
+        |_, _| {},
+    );
+    station
+}
+
+/// Drive one policy over a recorded trace under the config's update
+/// schedule, returning measured-phase statistics.
+pub fn run_policy(config: &RunConfig, policy: Policy, trace: &RequestTrace) -> RunResult {
+    RunResult::of(&run_station(config, policy, trace, Box::new(NullRecorder)))
+}
+
+/// Run `row` at every swept value in parallel and transpose the rows
+/// into one [`Series`] per label: `row` returns the point's x
+/// coordinate and one y per label, in label order.
+pub fn sweep_series<X: Sync, const N: usize>(
+    xs: &[X],
+    labels: [&str; N],
+    row: impl Fn(&X) -> (f64, [f64; N]) + Sync,
+) -> Vec<Series> {
+    let rows = parallel_sweep(xs.iter().collect(), |&x| row(x));
+    labels
+        .iter()
+        .enumerate()
+        .map(|(i, &label)| Series::new(label, rows.iter().map(|&(x, ys)| (x, ys[i])).collect()))
+        .collect()
 }
 
 /// Map `inputs` to outputs in parallel worker threads (order-preserving).

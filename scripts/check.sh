@@ -20,15 +20,6 @@ cargo test -q
 echo "==> golden results, release build (tier-1 ran the same test in debug)"
 cargo test -q --release -p basecache-experiments --test golden
 
-echo "==> flash-crowd smoke test (ext-flash-crowd quick run)"
-crowd_out=$(mktemp -d)
-cargo run -q -p basecache-experiments --release -- ext-flash-crowd --quick --csv "$crowd_out"
-test -s "$crowd_out/ext_flash_crowd.csv" \
-    || { echo "error: ext-flash-crowd did not write ext_flash_crowd.csv" >&2; exit 1; }
-head -1 "$crowd_out/ext_flash_crowd.csv" | grep -q 'spike intensity' \
-    || { echo "error: ext_flash_crowd.csv missing header" >&2; exit 1; }
-rm -rf "$crowd_out"
-
 echo "==> observability smoke test (ext-obs quick run + exporters)"
 obs_out=$(mktemp -d)
 cargo run -q -p basecache-experiments --release -- ext-obs --quick --csv "$obs_out"
@@ -64,24 +55,6 @@ rm -rf "$obs_out"
 
 echo "==> invariant-monitor fault injection (each check fires on its seeded fault)"
 cargo test -q -p basecache-obs --test monitor_faults
-
-echo "==> cluster smoke test (ext-cluster quick run)"
-cluster_out=$(mktemp -d)
-cargo run -q -p basecache-experiments --release -- ext-cluster --quick --csv "$cluster_out"
-test -s "$cluster_out/ext_cluster.csv" \
-    || { echo "error: ext-cluster did not write ext_cluster.csv" >&2; exit 1; }
-head -1 "$cluster_out/ext_cluster.csv" | grep -q 'number of cells' \
-    || { echo "error: ext_cluster.csv missing header" >&2; exit 1; }
-rm -rf "$cluster_out"
-
-echo "==> cluster L2 smoke test (ext-cluster-l2 quick run)"
-l2_out=$(mktemp -d)
-cargo run -q -p basecache-experiments --release -- ext-cluster-l2 --quick --csv "$l2_out"
-test -s "$l2_out/ext_cluster_l2.csv" \
-    || { echo "error: ext-cluster-l2 did not write ext_cluster_l2.csv" >&2; exit 1; }
-grep -q 'origin bandwidth saved' "$l2_out/ext_cluster_l2.csv" \
-    || { echo "error: ext_cluster_l2.csv missing savings series" >&2; exit 1; }
-rm -rf "$l2_out"
 
 echo "==> massive round-engine smoke (reduced scale)"
 # The full 100k-object / 1M-request suite runs with the planner bench

@@ -1,24 +1,22 @@
 //! Everything in this repository is seeded: identical invocations must
 //! produce byte-identical artifacts, including under parallel sweeps.
 
-use basecache_experiments::{fig2, fig4, table1};
+use basecache_experiments::{table1, TARGETS};
 
 #[test]
 fn figure_csvs_are_byte_identical_across_runs() {
-    let p = fig4::Params::quick();
-    let a = fig4::run(&p).to_csv();
-    let b = fig4::run(&p).to_csv();
-    assert_eq!(a, b, "fig4 must be deterministic");
-}
-
-#[test]
-fn parallel_sweeps_do_not_perturb_results() {
-    // fig2 fans its jobs over worker threads; scheduling order must not
-    // leak into the output.
-    let p = fig2::Params::quick();
-    let a = fig2::run(&p).to_csv();
-    let b = fig2::run(&p).to_csv();
-    assert_eq!(a, b, "fig2's crossbeam sweep must be order-stable");
+    // Every row `all` runs, twice, CI-sized. Most fan their points over
+    // worker threads; scheduling order must not leak into the output.
+    for row in TARGETS.iter().filter(|row| row.in_all) {
+        let first = (row.run)(true);
+        let second = (row.run)(true);
+        assert_eq!(
+            first.text, second.text,
+            "{} must be deterministic",
+            row.name
+        );
+        assert_eq!(first.files(), second.files(), "{}", row.name);
+    }
 }
 
 #[test]
