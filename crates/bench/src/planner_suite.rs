@@ -23,6 +23,7 @@ use basecache_core::profit::build_instance;
 use basecache_core::recency::ScoringFunction;
 use basecache_core::request::RequestBatch;
 use basecache_core::scratch::PlannerScratch;
+use basecache_core::{Policy, StationBuilder};
 use basecache_experiments::ext_flash_crowd;
 use basecache_knapsack::DpByCapacity;
 use basecache_net::InFlightConfig;
@@ -141,6 +142,43 @@ fn bench_round_paths(results: &mut Vec<Measurement>) -> (f64, f64) {
     results.push(adaptive_path);
     results.push(lifecycle_path);
     (observed_overhead, lifecycle_overhead)
+}
+
+/// The two policies whose round is a knapsack plus something — the
+/// hybrid's leftover-budget background refresh, the adaptive budget's
+/// knee off the solution-space trace — as whole station rounds (update
+/// wave, plan, refresh, serve) at the scale of `planner/round/adaptive`.
+fn bench_policy_rounds(results: &mut Vec<Measurement>) {
+    let (generated, catalog, _) = planning_requests(OBJECTS, REQUESTS, 77);
+    let planner = OnDemandPlanner::paper_default();
+    let policies = [
+        (
+            "planner/round/hybrid",
+            Policy::Hybrid {
+                planner,
+                budget_units: BUDGET,
+            },
+        ),
+        (
+            "planner/round/on_demand_adaptive",
+            Policy::OnDemandAdaptive {
+                planner,
+                max_budget: BUDGET,
+                window: 25,
+                threshold: 0.01,
+            },
+        ),
+    ];
+    for (name, policy) in policies {
+        let mut station = StationBuilder::new(catalog.clone())
+            .policy(policy)
+            .build()
+            .expect("valid configuration");
+        results.push(bench(name, || {
+            station.apply_update_wave();
+            black_box(station.step(&generated))
+        }));
+    }
 }
 
 /// The two lifecycle hot-path notifications in isolation: one
@@ -276,11 +314,11 @@ fn bench_profit_mapping(results: &mut Vec<Measurement>) {
 fn bench_budget_bound_selection(results: &mut Vec<Measurement>) {
     let (batch, catalog, recency) = planning_round(OBJECTS, REQUESTS, 80);
     let planner = OnDemandPlanner::paper_default();
-    let (_, _, trace) = planner.plan_with_trace(&batch, &catalog, &recency, catalog.total_size());
+    let (_, trace) = planner.plan_with_trace(&batch, &catalog, &recency, catalog.total_size());
     results.push(bench("planner/budget_bound_selection", || {
         (
-            black_box(knee_budget(&trace, 25, 0.01)),
-            black_box(budget_for_fraction(&trace, 0.95)),
+            black_box(knee_budget(trace.values(), 25, 0.01)),
+            black_box(budget_for_fraction(trace.values(), 0.95)),
         )
     }));
 }
@@ -446,6 +484,7 @@ pub fn run() {
     println!(
         "causal lifecycle-recorder overhead on the adaptive round: {lifecycle_overhead:.3}x\n"
     );
+    bench_policy_rounds(&mut results);
     bench_obs_events(&mut results);
     bench_trace_vs_trace_into(&mut results);
     bench_plan_solvers(&mut results);

@@ -237,22 +237,15 @@ impl RegionalL2 {
         recorder: &dyn Recorder,
     ) {
         let observing = recorder.enabled();
+        // Ascending under every policy (the station's plan-stage contract).
         let downloaded = station.last_downloaded();
-        let downloads_sorted = downloaded.windows(2).all(|w| w[0] <= w[1]);
         for r in batch {
             if self.transferred.binary_search(&r.object).is_ok() {
                 self.round_tiers[TIER_L2 as usize] += 1;
+            } else if downloaded.binary_search(&r.object).is_ok() {
+                self.round_tiers[TIER_ORIGIN as usize] += 1;
             } else {
-                let origin = if downloads_sorted {
-                    downloaded.binary_search(&r.object).is_ok()
-                } else {
-                    downloaded.contains(&r.object)
-                };
-                if origin {
-                    self.round_tiers[TIER_ORIGIN as usize] += 1;
-                } else {
-                    self.round_tiers[TIER_L1 as usize] += 1;
-                }
+                self.round_tiers[TIER_L1 as usize] += 1;
             }
         }
         if observing {

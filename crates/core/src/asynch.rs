@@ -14,7 +14,6 @@ use basecache_net::{Catalog, ObjectId};
 pub struct AsyncRefresher {
     order: Vec<ObjectId>,
     cursor: usize,
-    refreshed: u64,
 }
 
 impl AsyncRefresher {
@@ -23,68 +22,18 @@ impl AsyncRefresher {
         Self {
             order: catalog.ids().collect(),
             cursor: 0,
-            refreshed: 0,
         }
     }
 
-    /// Refresh objects in a caller-supplied order.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty order.
-    pub fn with_order(order: Vec<ObjectId>) -> Self {
-        assert!(!order.is_empty(), "refresh order must not be empty");
-        Self {
-            order,
-            cursor: 0,
-            refreshed: 0,
-        }
-    }
-
-    /// The next `k` objects to refresh, advancing the cursor (wraps
-    /// around the fixed order). `k` larger than the catalog yields each
-    /// object at most once per call.
-    pub fn next_batch(&mut self, k: usize) -> Vec<ObjectId> {
-        let take = k.min(self.order.len());
-        let mut batch = Vec::with_capacity(take);
-        for _ in 0..take {
-            batch.push(self.order[self.cursor]);
+    /// Append the next `k` objects to refresh to `out`, advancing the
+    /// cursor (wraps around the fixed order, so the appended run is not
+    /// ascending in the round that wraps). `k` larger than the catalog
+    /// yields each object at most once per call.
+    pub fn next_batch(&mut self, k: usize, out: &mut Vec<ObjectId>) {
+        for _ in 0..k.min(self.order.len()) {
+            out.push(self.order[self.cursor]);
             self.cursor = (self.cursor + 1) % self.order.len();
         }
-        self.refreshed += take as u64;
-        batch
-    }
-
-    /// Units-budgeted variant: refresh objects in fixed order while their
-    /// cumulative size fits in `budget_units` (at least one object is
-    /// refreshed if the budget is positive but smaller than the next
-    /// object, mirroring a link that never idles while work is pending).
-    pub fn next_batch_by_units(&mut self, catalog: &Catalog, budget_units: u64) -> Vec<ObjectId> {
-        let mut batch = Vec::new();
-        let mut used = 0u64;
-        for _ in 0..self.order.len() {
-            let next = self.order[self.cursor];
-            let size = catalog.size_of(next);
-            if used + size > budget_units && !batch.is_empty() {
-                break;
-            }
-            if used + size > budget_units && batch.is_empty() && budget_units == 0 {
-                break;
-            }
-            batch.push(next);
-            used += size;
-            self.cursor = (self.cursor + 1) % self.order.len();
-            if used >= budget_units {
-                break;
-            }
-        }
-        self.refreshed += batch.len() as u64;
-        batch
-    }
-
-    /// Total objects refreshed so far.
-    pub fn total_refreshed(&self) -> u64 {
-        self.refreshed
     }
 }
 
@@ -96,19 +45,23 @@ mod tests {
         Catalog::uniform_unit(n)
     }
 
+    fn next(r: &mut AsyncRefresher, k: usize) -> Vec<ObjectId> {
+        let mut batch = Vec::new();
+        r.next_batch(k, &mut batch);
+        batch
+    }
+
     #[test]
     fn round_robin_wraps_in_fixed_order() {
         let mut r = AsyncRefresher::new(&catalog(5));
-        assert_eq!(r.next_batch(3), vec![ObjectId(0), ObjectId(1), ObjectId(2)]);
-        assert_eq!(r.next_batch(3), vec![ObjectId(3), ObjectId(4), ObjectId(0)]);
-        assert_eq!(r.total_refreshed(), 6);
+        assert_eq!(next(&mut r, 3), vec![ObjectId(0), ObjectId(1), ObjectId(2)]);
+        assert_eq!(next(&mut r, 3), vec![ObjectId(3), ObjectId(4), ObjectId(0)]);
     }
 
     #[test]
     fn batch_never_exceeds_catalog() {
         let mut r = AsyncRefresher::new(&catalog(3));
-        let batch = r.next_batch(10);
-        assert_eq!(batch.len(), 3);
+        assert_eq!(next(&mut r, 10).len(), 3);
     }
 
     #[test]
@@ -116,39 +69,10 @@ mod tests {
         let mut r = AsyncRefresher::new(&catalog(7));
         let mut counts = [0u32; 7];
         for _ in 0..70 {
-            for id in r.next_batch(2) {
+            for id in next(&mut r, 2) {
                 counts[id.index()] += 1;
             }
         }
         assert!(counts.iter().all(|&c| c == 20), "{counts:?}");
-    }
-
-    #[test]
-    fn units_budget_respects_sizes() {
-        let cat = Catalog::from_sizes(&[3, 4, 2, 5]);
-        let mut r = AsyncRefresher::new(&cat);
-        // Budget 7: takes obj0 (3) + obj1 (4) = 7, stops.
-        assert_eq!(
-            r.next_batch_by_units(&cat, 7),
-            vec![ObjectId(0), ObjectId(1)]
-        );
-        // Budget 1: obj2 (size 2) doesn't fit but a pending refresh is
-        // never starved — it goes out anyway.
-        assert_eq!(r.next_batch_by_units(&cat, 1), vec![ObjectId(2)]);
-        // Budget 0: nothing.
-        assert_eq!(r.next_batch_by_units(&cat, 0), Vec::<ObjectId>::new());
-    }
-
-    #[test]
-    fn custom_order_is_respected() {
-        let mut r = AsyncRefresher::with_order(vec![ObjectId(2), ObjectId(0)]);
-        assert_eq!(r.next_batch(3), vec![ObjectId(2), ObjectId(0)]);
-        assert_eq!(r.next_batch(1), vec![ObjectId(2)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "must not be empty")]
-    fn empty_order_rejected() {
-        let _ = AsyncRefresher::with_order(vec![]);
     }
 }

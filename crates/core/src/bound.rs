@@ -5,9 +5,10 @@
 //! benefit to downloading large amounts of data. In these cases the
 //! techniques will choose a smaller upper bound." The DP solution-space
 //! trace gives the optimal achievable value at *every* budget; these
-//! helpers read the trace and pick a budget at the knee of that curve.
-
-use basecache_knapsack::DpTrace;
+//! helpers read that value curve — `values[b]` is the optimum at budget
+//! `b`, as [`basecache_knapsack::DpTrace::values`] and the station's own
+//! [`basecache_knapsack::DpScratch::values`] both return it — and pick a
+//! budget at its knee.
 
 /// Smallest budget achieving at least `fraction` of the value available
 /// at the maximum traced budget.
@@ -19,12 +20,11 @@ use basecache_knapsack::DpTrace;
 /// # Panics
 ///
 /// Panics unless `fraction ∈ [0, 1]`.
-pub fn budget_for_fraction(trace: &DpTrace, fraction: f64) -> u64 {
+pub fn budget_for_fraction(values: &[f64], fraction: f64) -> u64 {
     assert!(
         (0.0..=1.0).contains(&fraction),
         "fraction must be in [0, 1]"
     );
-    let values = trace.values();
     let target = fraction * values[values.len() - 1];
     values
         .iter()
@@ -44,10 +44,9 @@ pub fn budget_for_fraction(trace: &DpTrace, fraction: f64) -> u64 {
 /// # Panics
 ///
 /// Panics if `window == 0` or `threshold` is negative/NaN.
-pub fn knee_budget(trace: &DpTrace, window: u64, threshold: f64) -> u64 {
+pub fn knee_budget(values: &[f64], window: u64, threshold: f64) -> u64 {
     assert!(window > 0, "window must be positive");
     assert!(threshold >= 0.0, "threshold must be non-negative");
-    let values = trace.values();
     let max_budget = (values.len() - 1) as u64;
     for b in 0..max_budget {
         let end = (b + window).min(max_budget);
@@ -61,8 +60,7 @@ pub fn knee_budget(trace: &DpTrace, window: u64, threshold: f64) -> u64 {
 }
 
 /// The marginal value of unit `b + 1` of budget (0 beyond the trace).
-pub fn marginal_gain_at(trace: &DpTrace, b: u64) -> f64 {
-    let values = trace.values();
+pub fn marginal_gain_at(values: &[f64], b: u64) -> f64 {
     if (b as usize) + 1 >= values.len() {
         return 0.0;
     }
@@ -72,7 +70,7 @@ pub fn marginal_gain_at(trace: &DpTrace, b: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use basecache_knapsack::{DpByCapacity, Instance, Item};
+    use basecache_knapsack::{DpByCapacity, DpTrace, Instance, Item};
 
     /// Many tiny high-profit items plus a few huge low-density ones —
     /// produces a sharply kneed curve.
@@ -92,28 +90,28 @@ mod tests {
     fn fraction_budget_finds_early_knee() {
         let trace = kneed_trace();
         // 10 units already buy 100 of the 105 total value (95.2%).
-        let b = budget_for_fraction(&trace, 0.95);
+        let b = budget_for_fraction(trace.values(), 0.95);
         assert_eq!(b, 10);
-        assert_eq!(budget_for_fraction(&trace, 0.0), 0);
-        assert_eq!(budget_for_fraction(&trace, 1.0), 110);
+        assert_eq!(budget_for_fraction(trace.values(), 0.0), 0);
+        assert_eq!(budget_for_fraction(trace.values(), 1.0), 110);
     }
 
     #[test]
     fn knee_budget_stops_when_gains_flatten() {
         let trace = kneed_trace();
         // Per-unit gain is 10 for the first 10 units, then 0.05.
-        let b = knee_budget(&trace, 5, 1.0);
+        let b = knee_budget(trace.values(), 5, 1.0);
         assert_eq!(b, 10);
         // A tolerant threshold never stops early.
-        assert_eq!(knee_budget(&trace, 5, 0.0), 110);
+        assert_eq!(knee_budget(trace.values(), 5, 0.0), 110);
     }
 
     #[test]
     fn marginal_gains_match_trace_differences() {
         let trace = kneed_trace();
-        assert!((marginal_gain_at(&trace, 0) - 10.0).abs() < 1e-9);
-        assert!(marginal_gain_at(&trace, 50) < 1.0);
-        assert_eq!(marginal_gain_at(&trace, 10_000), 0.0);
+        assert!((marginal_gain_at(trace.values(), 0) - 10.0).abs() < 1e-9);
+        assert!(marginal_gain_at(trace.values(), 50) < 1.0);
+        assert_eq!(marginal_gain_at(trace.values(), 10_000), 0.0);
     }
 
     #[test]
@@ -121,7 +119,7 @@ mod tests {
         let trace = kneed_trace();
         let mut prev = 0;
         for f in [0.1, 0.3, 0.5, 0.7, 0.9, 1.0] {
-            let b = budget_for_fraction(&trace, f);
+            let b = budget_for_fraction(trace.values(), f);
             assert!(b >= prev);
             prev = b;
         }
@@ -131,6 +129,6 @@ mod tests {
     #[should_panic(expected = "fraction")]
     fn bad_fraction_rejected() {
         let trace = kneed_trace();
-        let _ = budget_for_fraction(&trace, 1.5);
+        let _ = budget_for_fraction(trace.values(), 1.5);
     }
 }

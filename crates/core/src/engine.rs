@@ -59,7 +59,6 @@
 use basecache_knapsack::Item;
 use basecache_net::{Catalog, ObjectId};
 use basecache_sim::WorkerPool;
-use basecache_workload::GeneratedRequest;
 
 use crate::recency::ScoringFunction;
 use crate::scratch::PlannerScratch;
@@ -256,11 +255,6 @@ impl RoundEngine {
         self.num_objects
     }
 
-    /// Number of shards the table is split into.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Total standing requests across all objects.
     pub fn total_requests(&self) -> u64 {
         self.total_requests
@@ -301,13 +295,6 @@ impl RoundEngine {
         shard.targets[l].push(target_recency);
         shard.mark_dirty(l);
         self.total_requests += 1;
-    }
-
-    /// Bulk-ingest generated requests (row form).
-    pub fn push_requests(&mut self, requests: &[GeneratedRequest]) {
-        for r in requests {
-            self.push_request(r.object, r.target_recency);
-        }
     }
 
     /// Bulk-ingest requests in columnar form: `objects[k]` is requested

@@ -63,11 +63,6 @@ impl TtlEstimator {
             decay,
         }
     }
-
-    /// The assumed update period.
-    pub fn assumed_period(&self) -> u64 {
-        self.assumed_period
-    }
 }
 
 impl RecencyEstimator for TtlEstimator {
@@ -94,7 +89,6 @@ impl RecencyEstimator for TtlEstimator {
 #[derive(Debug, Clone)]
 pub struct ReportEstimator {
     observed_lag: Vec<u64>,
-    reports_seen: u64,
     last_sequence: Option<u64>,
     gaps_detected: u64,
     decay: DecayModel,
@@ -105,26 +99,15 @@ impl ReportEstimator {
     pub fn new(objects: usize, decay: DecayModel) -> Self {
         Self {
             observed_lag: vec![0; objects],
-            reports_seen: 0,
             last_sequence: None,
             gaps_detected: 0,
             decay,
         }
     }
 
-    /// Reports ingested so far.
-    pub fn reports_seen(&self) -> u64 {
-        self.reports_seen
-    }
-
     /// Sequence gaps (lost reports) detected so far.
     pub fn gaps_detected(&self) -> u64 {
         self.gaps_detected
-    }
-
-    /// The currently tracked lag of `object`.
-    pub fn observed_lag(&self, object: ObjectId) -> u64 {
-        self.observed_lag[object.index()]
     }
 }
 
@@ -145,7 +128,6 @@ impl RecencyEstimator for ReportEstimator {
             }
         }
         self.last_sequence = Some(report.sequence);
-        self.reports_seen += 1;
         for (object, &count) in report.updated.iter().zip(&report.update_counts) {
             if let Some(lag) = self.observed_lag.get_mut(object.index()) {
                 *lag += count;
@@ -300,9 +282,9 @@ mod tests {
             updated: vec![ObjectId(0), ObjectId(2)],
             update_counts: vec![1, 2],
         });
-        assert_eq!(est.observed_lag(ObjectId(0)), 1);
-        assert_eq!(est.observed_lag(ObjectId(1)), 0);
-        assert_eq!(est.observed_lag(ObjectId(2)), 2);
+        assert_eq!(est.observed_lag[0], 1);
+        assert_eq!(est.observed_lag[1], 0);
+        assert_eq!(est.observed_lag[2], 2);
         assert!((est.estimate(ObjectId(0), &e, SimTime::from_ticks(6)) - 0.5).abs() < 1e-12);
         assert_eq!(est.estimate(ObjectId(1), &e, SimTime::from_ticks(6)), 1.0);
     }
@@ -316,9 +298,9 @@ mod tests {
             updated: vec![ObjectId(0)],
             update_counts: vec![3],
         });
-        assert_eq!(est.observed_lag(ObjectId(0)), 3);
+        assert_eq!(est.observed_lag[0], 3);
         est.on_refresh(ObjectId(0), SimTime::from_ticks(6));
-        assert_eq!(est.observed_lag(ObjectId(0)), 0);
+        assert_eq!(est.observed_lag[0], 0);
     }
 
     #[test]
@@ -340,7 +322,7 @@ mod tests {
         assert_eq!(est.gaps_detected(), 2);
         // Only 2 of the (at least) 4 updates were observed: estimate is
         // optimistic (higher recency than the truth).
-        assert_eq!(est.observed_lag(ObjectId(0)), 2);
+        assert_eq!(est.observed_lag[0], 2);
     }
 
     #[test]

@@ -18,13 +18,14 @@
 //! * [`planner`] — [`OnDemandPlanner`] (adaptive exact / full-table DP / greedy) and
 //!   [`LowestRecencyFirst`] (the Section 3.2 unit-size policy).
 //! * [`scratch`] — reusable planning buffers: [`PlannerScratch`] makes
-//!   the steady-state on-demand round allocation-free.
+//!   the steady-state round allocation-free, whichever policy plans it.
 //! * [`engine`] — [`RoundEngine`]: struct-of-arrays object/request
 //!   tables with incremental (dirty-set) instance build and sharded
 //!   rescoring, for million-request rounds.
 //! * [`asynch`] — the asynchronous round-robin refresh baseline.
 //! * `policy` — [`Policy`]: the download policies behind one seam — a
-//!   budget and a `plan` — that the station's round kernel consults.
+//!   budget and a total `plan` over the kernel's assembled instance —
+//!   that the station's round kernel consults.
 //! * [`bound`] — download-budget selection from the DP solution-space
 //!   trace (the paper's Section 6 future work).
 //! * [`station`] — [`BaseStationSim`]: the time-stepped base-station

@@ -17,6 +17,7 @@ use basecache_net::{Catalog, ObjectId};
 use basecache_obs::{Event, NullRecorder, Recorder, Sample, Span, Stage};
 use basecache_workload::GeneratedRequest;
 
+use crate::bound::knee_budget;
 use crate::engine::RoundEngine;
 use crate::profit::{build_instance, MappedInstance};
 use crate::recency::ScoringFunction;
@@ -66,8 +67,8 @@ impl OnDemandPlanner {
     /// The paper's configuration: inverse-ratio scoring with an exact
     /// solve. The solve runs through the adaptive reduction front-end
     /// ([`SolverChoice::Adaptive`]), which is proven bit-identical to
-    /// the paper's full-table DP (`tests/adaptive_parity.rs`) and
-    /// usually much faster.
+    /// the paper's full-table DP (`crates/core/tests/adaptive_parity.rs`)
+    /// and usually much faster.
     pub fn paper_default() -> Self {
         Self::new(ScoringFunction::InverseRatio, SolverChoice::Adaptive)
     }
@@ -106,10 +107,10 @@ impl OnDemandPlanner {
     /// Semantically identical to building a [`RequestBatch`] and calling
     /// [`Self::plan`], but aggregates duplicate requests directly into
     /// `scratch`'s per-object arrays (one knapsack item per distinct
-    /// object, profit summed over its clients) and — under
-    /// [`SolverChoice::ExactDp`] — solves on the reusable
-    /// [`basecache_knapsack::DpScratch`], so a steady-state round touches
-    /// the heap zero times. Results land in `scratch`
+    /// object, profit summed over its clients) and — under both exact
+    /// solvers, [`SolverChoice::Adaptive`] and [`SolverChoice::ExactDp`] —
+    /// solves on `scratch`'s reusable tables, so a steady-state round
+    /// touches the heap zero times. Results land in `scratch`
     /// ([`PlannerScratch::downloads`], [`PlannerScratch::achieved_value`],
     /// …) instead of a freshly allocated [`DownloadPlan`].
     ///
@@ -164,12 +165,17 @@ impl OnDemandPlanner {
     /// without solving it. The station's round kernel uses this seam to
     /// adjust the assembled instance (drop single-flight and regionally
     /// excluded objects, subtract committed bandwidth from the budget,
-    /// amortize profits over arrival rounds) before handing it to
-    /// [`Self::solve_assembled`]. `assemble` followed immediately
-    /// by `solve` is exactly `plan_requests_recorded` — both halves stay
-    /// `#[inline]` so the fused instantaneous round optimizes as one
-    /// unit (the `planner/round/*` benches gate it).
-    #[inline]
+    /// amortize profits over arrival rounds) before the policy solves
+    /// it. `assemble` followed immediately by [`Self::solve_assembled`]
+    /// is exactly `plan_requests_recorded`.
+    ///
+    /// Never inlined: the aggregation loop visits every request and is
+    /// the plan stage's longest. Compiled on its own it is the same
+    /// code wherever it is called from; fused into the kernel's `round`
+    /// its code followed that function's shape, and cost the
+    /// `station-paper` round 3 % (139 against 135 µs) when the plan
+    /// stage around it changed.
+    #[inline(never)]
     pub(crate) fn assemble_requests_into(
         &self,
         requests: &[GeneratedRequest],
@@ -229,9 +235,9 @@ impl OnDemandPlanner {
     /// [`crate::engine::RoundEngine::assemble_into`]) and record the
     /// solver's work. Item sizes come from the items themselves — the
     /// assembly path copied them out of the catalog — so the engine path
-    /// needs no catalog here. `#[inline]` keeps the fused
-    /// aggregate-then-solve round exactly as the optimizer saw it before
-    /// this was factored out (the `planner/round/*` benches gate it).
+    /// needs no catalog here. `#[inline]`: the one call in a policy's
+    /// arm compiles into the round (the `planner/round/*` benches gate
+    /// it).
     #[inline]
     pub(crate) fn solve_assembled<R: Recorder + ?Sized>(
         &self,
@@ -239,19 +245,7 @@ impl OnDemandPlanner {
         scratch: &mut PlannerScratch,
         recorder: &R,
     ) {
-        recorder.add(Event::KnapsackItems, scratch.items.len() as u64);
-        recorder.sample(Sample::KnapsackCapacity, budget as f64);
-        if recorder.enabled() {
-            // The budget-free optimum: downloading every requested stale
-            // object. Realized profit over this bound is the knapsack's
-            // efficiency, a per-round series column.
-            let mut bound = 0.0;
-            for item in scratch.items.iter() {
-                bound += item.profit();
-            }
-            recorder.sample(Sample::PlanProfitBound, bound);
-        }
-
+        record_instance(budget, scratch, recorder);
         scratch.downloads.clear();
         {
             let _solve = Span::enter(recorder, Stage::Solve);
@@ -314,6 +308,39 @@ impl OnDemandPlanner {
         recorder.sample(Sample::PlanProfit, scratch.achieved_value);
     }
 
+    /// [`Self::solve_assembled`] for the adaptive budget: sweep the
+    /// assembled instance's solution-space trace up to `max_budget` once,
+    /// read the knee of its value curve ([`knee_budget`]) and leave the
+    /// optimal plan *at the knee* in `scratch`, recorded like any other
+    /// solve. The trace is the exact DP's, whatever the planner's solver.
+    pub(crate) fn solve_assembled_at_knee<R: Recorder + ?Sized>(
+        &self,
+        max_budget: u64,
+        window: u64,
+        threshold: f64,
+        scratch: &mut PlannerScratch,
+        recorder: &R,
+    ) {
+        record_instance(max_budget, scratch, recorder);
+        scratch.downloads.clear();
+        {
+            let _solve = Span::enter(recorder, Stage::Solve);
+            DpByCapacity.solve_trace_into(&scratch.items, max_budget, &mut scratch.dp);
+            let knee = knee_budget(scratch.dp.values(), window, threshold);
+            scratch.achieved_value = scratch.dp.value_at(knee);
+            let mut size = 0u64;
+            // Ascending item indices over ascending object ids: the
+            // downloads come out sorted.
+            for &i in scratch.dp.solution_indices_at(knee) {
+                size += scratch.items[i].size();
+                scratch.downloads.push(scratch.objects[i]);
+            }
+            scratch.download_size = size;
+            recorder.add(Event::DpCellsTouched, scratch.dp.cells_touched());
+        }
+        recorder.sample(Sample::PlanProfit, scratch.achieved_value);
+    }
+
     /// The engine-source twin of [`Self::assemble_requests_into`], and
     /// the same seam: absorb this round's recency vector, rescore
     /// exactly the dirty objects and assemble the instance from the
@@ -346,29 +373,40 @@ impl OnDemandPlanner {
         engine.assemble_into(scratch);
     }
 
-    /// Like [`Self::plan`], but also return the exact DP's full
-    /// solution-space trace (forces the exact solver). This is what the
-    /// Section 4 analyses and the budget-bound selection read.
+    /// The round's knapsack mapping together with the exact DP's full
+    /// solution-space trace up to `max_budget` (whatever the planner's
+    /// solver: a trace is the exact DP's). This is what the Section 4
+    /// analyses and the budget-bound selection ([`crate::bound`]) read;
+    /// the caller picks a budget off the trace and recovers that plan
+    /// with `trace.solution_at(mapped.instance(), budget)`.
     pub fn plan_with_trace(
         &self,
         batch: &RequestBatch,
         catalog: &Catalog,
         recency: &[f64],
-        budget: u64,
-    ) -> (DownloadPlan, MappedInstance, DpTrace) {
+        max_budget: u64,
+    ) -> (MappedInstance, DpTrace) {
         let mapped = build_instance(batch, catalog, recency, self.scoring);
-        let trace = DpByCapacity.solve_trace(mapped.instance(), budget);
-        let solution = trace.solution_at(mapped.instance(), budget);
-        let mut download = mapped.selected_objects(&solution);
-        download.sort_unstable();
-        let plan = DownloadPlan {
-            download,
-            download_size: solution.total_size(),
-            achieved_value: solution.total_profit(),
-            budget,
-            scoring: self.scoring,
-        };
-        (plan, mapped, trace)
+        let trace = DpByCapacity.solve_trace(mapped.instance(), max_budget);
+        (mapped, trace)
+    }
+}
+
+/// What every solve reports about the instance it is handed: its
+/// shape (items, capacity) and, to an observer, its budget-free optimum.
+#[inline]
+fn record_instance<R: Recorder + ?Sized>(budget: u64, scratch: &PlannerScratch, recorder: &R) {
+    recorder.add(Event::KnapsackItems, scratch.items.len() as u64);
+    recorder.sample(Sample::KnapsackCapacity, budget as f64);
+    if recorder.enabled() {
+        // The budget-free optimum: downloading every requested stale
+        // object. Realized profit over this bound is the knapsack's
+        // efficiency, a per-round series column.
+        let mut bound = 0.0;
+        for item in scratch.items.iter() {
+            bound += item.profit();
+        }
+        recorder.sample(Sample::PlanProfitBound, bound);
     }
 }
 
@@ -435,127 +473,6 @@ impl DownloadPlan {
             }
         }
         sum / batch.total_requests() as f64
-    }
-}
-
-/// A plan computed under a hard coherence floor (quasi-copies, Alonso et
-/// al. — the paper's reference \[7\]): cached copies below the floor are
-/// *not acceptable* to serve, so their objects are mandatory downloads.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ConstrainedPlan {
-    /// The combined plan (mandatory + optimized downloads).
-    pub plan: DownloadPlan,
-    /// Mandatory objects that were downloaded.
-    pub mandatory: Vec<ObjectId>,
-    /// Mandatory objects the budget could not cover — these requests
-    /// cannot be served within the caller's coherence condition and must
-    /// be rejected or deferred.
-    pub unmet: Vec<ObjectId>,
-}
-
-impl OnDemandPlanner {
-    /// Plan under a hard recency floor: every requested object whose
-    /// cached recency is below `floor` must be downloaded (quasi-copy
-    /// coherence); the remaining budget is optimized over the rest as
-    /// usual.
-    ///
-    /// Mandatory objects are admitted in profit-density order (most
-    /// client benefit per unit first) until the budget runs out; the
-    /// ones that do not fit are reported in
-    /// [`ConstrainedPlan::unmet`].
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `floor ∈ [0, 1]`.
-    pub fn plan_with_floor(
-        &self,
-        batch: &RequestBatch,
-        catalog: &Catalog,
-        recency: &[f64],
-        budget: u64,
-        floor: f64,
-    ) -> ConstrainedPlan {
-        assert!(
-            (0.0..=1.0).contains(&floor),
-            "coherence floor must be in [0, 1]"
-        );
-
-        // Partition the batch: mandatory (below floor) vs optional.
-        let mut mandatory_batch = RequestBatch::new();
-        let mut optional_batch = RequestBatch::new();
-        for (object, targets) in batch.iter() {
-            let bucket = if recency[object.index()] < floor {
-                &mut mandatory_batch
-            } else {
-                &mut optional_batch
-            };
-            for &t in targets {
-                bucket.push(object, t);
-            }
-        }
-
-        // Admit mandatory objects by profit density.
-        let mut candidates: Vec<(f64, ObjectId)> = mandatory_batch
-            .iter()
-            .map(|(object, targets)| {
-                let x = recency[object.index()];
-                let profit: f64 = targets.iter().map(|&t| self.scoring.benefit(x, t)).sum();
-                (profit / catalog.size_of(object).max(1) as f64, object)
-            })
-            .collect();
-        candidates.sort_by(|a, b| {
-            b.0.partial_cmp(&a.0)
-                .expect("profits are never NaN")
-                .then_with(|| a.1.cmp(&b.1))
-        });
-        let mut remaining = budget;
-        let mut mandatory = Vec::new();
-        let mut unmet = Vec::new();
-        for (_, object) in candidates {
-            let size = catalog.size_of(object);
-            if size <= remaining {
-                remaining -= size;
-                mandatory.push(object);
-            } else {
-                unmet.push(object);
-            }
-        }
-        mandatory.sort_unstable();
-        unmet.sort_unstable();
-
-        // Optimize the leftover budget over the optional objects.
-        let optional_plan = self.plan(&optional_batch, catalog, recency, remaining);
-
-        let mut download: Vec<ObjectId> = mandatory
-            .iter()
-            .copied()
-            .chain(optional_plan.downloads().iter().copied())
-            .collect();
-        download.sort_unstable();
-        let download_size: u64 = download.iter().map(|&o| catalog.size_of(o)).sum();
-        let mandatory_value: f64 = mandatory
-            .iter()
-            .map(|&o| {
-                let x = recency[o.index()];
-                batch
-                    .targets_for(o)
-                    .iter()
-                    .map(|&t| self.scoring.benefit(x, t))
-                    .sum::<f64>()
-            })
-            .sum();
-        let plan = DownloadPlan {
-            download,
-            download_size,
-            achieved_value: optional_plan.achieved_value() + mandatory_value,
-            budget,
-            scoring: self.scoring,
-        };
-        ConstrainedPlan {
-            plan,
-            mandatory,
-            unmet,
-        }
     }
 }
 
@@ -654,7 +571,9 @@ mod tests {
         // (base + value)/clients computed from the knapsack mapping.
         let (batch, catalog, recency) = setup();
         let planner = OnDemandPlanner::paper_default();
-        let (plan, mapped, _) = planner.plan_with_trace(&batch, &catalog, &recency, 5);
+        let plan = planner.plan(&batch, &catalog, &recency, 5);
+        let (mapped, trace) = planner.plan_with_trace(&batch, &catalog, &recency, 5);
+        assert_eq!(trace.value_at(5), plan.achieved_value());
         let direct = plan.average_score(&batch, &recency);
         let via_value = mapped.average_score_for_value(plan.achieved_value());
         assert!((direct - via_value).abs() < 1e-9);
@@ -691,49 +610,6 @@ mod tests {
                 "budget {budget}"
             );
         }
-    }
-
-    #[test]
-    fn coherence_floor_forces_mandatory_downloads() {
-        // Objects 1 (recency 0.2) and 3 (0.1) sit below floor 0.3: both
-        // are mandatory downloads regardless of the knapsack's ranking.
-        let (batch, catalog, recency) = setup();
-        let planner = OnDemandPlanner::paper_default();
-        let constrained = planner.plan_with_floor(&batch, &catalog, &recency, 3, 0.3);
-        assert_eq!(constrained.mandatory, vec![ObjectId(1), ObjectId(3)]);
-        assert!(constrained.unmet.is_empty());
-        assert!(constrained.plan.is_download(ObjectId(3)));
-        assert!(constrained.plan.download_size() <= 3);
-    }
-
-    #[test]
-    fn coherence_floor_reports_unmet_when_budget_is_too_small() {
-        let catalog = Catalog::from_sizes(&[5, 5]);
-        let recency = [0.0, 0.0];
-        let mut batch = RequestBatch::new();
-        batch.push(ObjectId(0), 1.0);
-        batch.push(ObjectId(0), 1.0); // hotter: admitted first
-        batch.push(ObjectId(1), 1.0);
-        let constrained =
-            OnDemandPlanner::paper_default().plan_with_floor(&batch, &catalog, &recency, 5, 0.5);
-        assert_eq!(
-            constrained.mandatory,
-            vec![ObjectId(0)],
-            "denser mandatory object first"
-        );
-        assert_eq!(constrained.unmet, vec![ObjectId(1)]);
-        assert_eq!(constrained.plan.download_size(), 5);
-    }
-
-    #[test]
-    fn zero_floor_reduces_to_the_unconstrained_plan() {
-        let (batch, catalog, recency) = setup();
-        let planner = OnDemandPlanner::paper_default();
-        let constrained = planner.plan_with_floor(&batch, &catalog, &recency, 6, 0.0);
-        let plain = planner.plan(&batch, &catalog, &recency, 6);
-        assert!(constrained.mandatory.is_empty());
-        assert_eq!(constrained.plan.downloads(), plain.downloads());
-        assert!((constrained.plan.achieved_value() - plain.achieved_value()).abs() < 1e-12);
     }
 
     #[test]

@@ -3,18 +3,24 @@
 //!
 //! A policy answers two questions: how much may be downloaded this
 //! round ([`Policy::budget`]) and which objects to download
-//! ([`Policy::plan`]). [`Policy::OnDemand`] is the exception on the
-//! second: its knapsack instance is assembled, adjusted (transfers in
-//! flight, regional exclusions) and solved by the kernel itself, on the
-//! station's reusable scratch. A new policy is a variant here plus its
-//! arms in the matches below — the kernel does not change.
+//! ([`Policy::plan`]). The kernel does first what is the same for every
+//! policy: it observes the recency of the cached copies and, when the
+//! policy carries a planner ([`Policy::planner`]), assembles the round's
+//! knapsack instance onto the station's scratch and adjusts it to what
+//! the round may fetch (transfers in flight, regional exclusions,
+//! bandwidth already committed). A policy is then given that
+//! [`PlanView`] and appends its picks, ascending, to the round's
+//! download buffer — on the kernel's buffers, so no policy allocates.
+//! A new policy is a variant here plus its arms in the matches below —
+//! the kernel does not change.
 
 use basecache_net::{Catalog, ObjectId};
+use basecache_obs::Recorder;
 use basecache_workload::GeneratedRequest;
 
 use crate::asynch::AsyncRefresher;
-use crate::planner::{LowestRecencyFirst, OnDemandPlanner};
-use crate::request::RequestBatch;
+use crate::planner::OnDemandPlanner;
+use crate::scratch::PlannerScratch;
 
 /// The download policy the base station runs each time unit.
 #[derive(Debug, Clone, Copy)]
@@ -94,88 +100,144 @@ impl Policy {
         }
     }
 
-    /// [`Self::budget`] when it is denominated in data units — what the
-    /// planner scratch is sized for and downlink utilization is measured
-    /// against — and `None` for the `k`-object policies.
+    /// [`Self::budget`] when it is denominated in data units, i.e. the
+    /// capacity of a planner's knapsack — what the planner scratch is
+    /// sized for and downlink utilization is measured against — and
+    /// `None` for the `k`-object policies.
     pub(crate) fn unit_budget(&self) -> Option<u64> {
-        match self {
+        self.planner().map(|_| self.budget())
+    }
+
+    /// The planner of the policies whose round is a knapsack — the ones
+    /// the kernel assembles and adjusts an instance for.
+    pub(crate) fn planner(&self) -> Option<OnDemandPlanner> {
+        match *self {
+            Policy::OnDemand { planner, .. }
+            | Policy::Hybrid { planner, .. }
+            | Policy::OnDemandAdaptive { planner, .. } => Some(planner),
             Policy::OnDemandLowestRecency { .. } | Policy::AsyncRoundRobin { .. } => None,
-            _ => Some(self.budget()),
         }
     }
 
-    /// Append this round's downloads to `downloaded`, given the batch
-    /// and the recency the planner sees.
-    ///
-    /// # Panics
-    ///
-    /// Panics on [`Policy::OnDemand`], whose instance the round kernel
-    /// plans itself (see the module docs).
-    pub(crate) fn plan(
+    /// Append this round's downloads to `downloaded`, ascending.
+    pub(crate) fn plan<R: Recorder + ?Sized>(
         &self,
-        requests: &[GeneratedRequest],
-        catalog: &Catalog,
-        recency: &[f64],
-        refresher: &mut AsyncRefresher,
+        view: PlanView<'_>,
+        recorder: &R,
         downloaded: &mut Vec<ObjectId>,
     ) {
+        let PlanView {
+            requests,
+            catalog,
+            recency,
+            budget,
+            exclusions,
+            scratch,
+            refresher,
+            mark,
+        } = view;
+        // Object ids are distinct, so this order is total and an
+        // unstable (allocation-free) sort has one possible result.
+        let stalest_first = |a: &ObjectId, b: &ObjectId| {
+            recency[a.index()]
+                .partial_cmp(&recency[b.index()])
+                .expect("recency values are never NaN")
+                .then_with(|| a.cmp(b))
+        };
         match *self {
-            Policy::OnDemand { .. } => unreachable!("the round kernel plans Policy::OnDemand"),
-            Policy::OnDemandLowestRecency { k_objects } => {
-                let batch = RequestBatch::from_generated(requests);
-                downloaded.extend(LowestRecencyFirst.select(&batch, recency, k_objects));
+            Policy::OnDemand { planner, .. } => {
+                planner.solve_assembled(budget, scratch, recorder);
+                downloaded.extend_from_slice(scratch.downloads());
             }
-            Policy::AsyncRoundRobin { k_objects } => {
-                downloaded.extend(refresher.next_batch(k_objects));
+            Policy::OnDemandLowestRecency { .. } => {
+                // The distinct requested objects whose copy is not fresh
+                // (downloading a fresh one cannot improve anything).
+                for r in requests {
+                    let o = r.object;
+                    if recency[o.index()] < 1.0 && !mark[o.index()] {
+                        mark[o.index()] = true;
+                        downloaded.push(o);
+                    }
+                }
+                for &o in downloaded.iter() {
+                    mark[o.index()] = false;
+                }
+                downloaded.sort_unstable_by(stalest_first);
+                downloaded.truncate(budget as usize);
+                downloaded.sort_unstable();
+            }
+            Policy::AsyncRoundRobin { .. } => {
+                // The cursor may wrap inside a round: [8, 9, 0, 1].
+                refresher.next_batch(budget as usize, downloaded);
+                downloaded.sort_unstable();
             }
             Policy::OnDemandAdaptive {
                 planner,
-                max_budget,
                 window,
                 threshold,
+                ..
             } => {
-                let batch = RequestBatch::from_generated(requests);
-                let (_, mapped, trace) =
-                    planner.plan_with_trace(&batch, catalog, recency, max_budget);
-                let budget = crate::bound::knee_budget(&trace, window, threshold);
-                let solution = trace.solution_at(mapped.instance(), budget);
-                let mut chosen = mapped.selected_objects(&solution);
-                chosen.sort_unstable();
-                downloaded.extend(chosen);
+                planner.solve_assembled_at_knee(budget, window, threshold, scratch, recorder);
+                downloaded.extend_from_slice(scratch.downloads());
             }
-            Policy::Hybrid {
-                planner,
-                budget_units,
-            } => {
-                let batch = RequestBatch::from_generated(requests);
-                let plan = planner.plan(&batch, catalog, recency, budget_units);
-                let mut chosen = plan.downloads().to_vec();
-                let mut leftover = budget_units.saturating_sub(plan.download_size());
+            Policy::Hybrid { planner, .. } => {
+                planner.solve_assembled(budget, scratch, recorder);
+                downloaded.extend_from_slice(scratch.downloads());
                 // Spend the leftover pushing fresh copies of the stalest
-                // cached objects (requested or not).
-                let mut background: Vec<ObjectId> = catalog
-                    .ids()
-                    .filter(|&id| recency[id.index()] < 1.0 && !chosen.contains(&id))
-                    .collect();
-                background.sort_by(|a, b| {
-                    recency[a.index()]
-                        .partial_cmp(&recency[b.index()])
-                        .expect("recency values are never NaN")
-                        .then_with(|| a.cmp(b))
-                });
-                for id in background {
-                    let size = catalog.size_of(id);
+                // cached objects (requested or not) the round may fetch:
+                // gather the candidates behind the pulled objects, order
+                // them, and keep in place the ones that fit.
+                let mut leftover = budget.saturating_sub(scratch.download_size());
+                let pulled = downloaded.len();
+                downloaded.extend(catalog.ids().filter(|o| {
+                    recency[o.index()] < 1.0
+                        && scratch.downloads().binary_search(o).is_err()
+                        && exclusions.binary_search(o).is_err()
+                }));
+                downloaded[pulled..].sort_unstable_by(stalest_first);
+                let mut kept = pulled;
+                for i in pulled..downloaded.len() {
+                    let o = downloaded[i];
+                    let size = catalog.size_of(o);
                     if size <= leftover {
                         leftover -= size;
-                        chosen.push(id);
+                        downloaded[kept] = o;
+                        kept += 1;
                     }
                     if leftover == 0 {
                         break;
                     }
                 }
-                chosen.sort_unstable();
-                downloaded.extend(chosen);
+                downloaded.truncate(kept);
+                downloaded.sort_unstable();
             }
         }
     }
+}
+
+/// What the round kernel hands [`Policy::plan`]: the round as observed,
+/// and the station's reusable buffers to plan on.
+pub(crate) struct PlanView<'a> {
+    /// The round's request slice — empty on an engine round, whose
+    /// requests stand in the engine's tables and reach the policy as the
+    /// assembled instance.
+    pub requests: &'a [GeneratedRequest],
+    /// The catalog the station serves.
+    pub catalog: &'a Catalog,
+    /// The recency the planner sees, per object.
+    pub recency: &'a [f64],
+    /// What the round may fetch, denominated as [`Policy::budget`]: the
+    /// policy's allowance less what the link already promised.
+    pub budget: u64,
+    /// Objects the round must not origin-fetch, ascending — already out
+    /// of the assembled instance.
+    pub exclusions: &'a [ObjectId],
+    /// Under a planner-carrying policy, the assembled and adjusted
+    /// knapsack instance; the solve's tables and picks either way.
+    pub scratch: &'a mut PlannerScratch,
+    /// The round-robin cursor of [`Policy::AsyncRoundRobin`].
+    pub refresher: &'a mut AsyncRefresher,
+    /// A per-object mark, all false on entry and on return (dedups the
+    /// request slice).
+    pub mark: &'a mut [bool],
 }

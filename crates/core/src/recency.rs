@@ -92,11 +92,6 @@ impl DecayModel {
         Self { c }
     }
 
-    /// The decay constant.
-    pub fn constant(&self) -> f64 {
-        self.c
-    }
-
     /// One decay step: the recency after one more missed update.
     pub fn decay(&self, x: f64) -> f64 {
         assert!(

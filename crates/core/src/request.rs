@@ -49,62 +49,6 @@ impl RequestBatch {
         batch
     }
 
-    /// Bulk columnar ingestion: request `objects[k]` with target
-    /// `targets[k]` for every `k`. Equivalent to pushing each pair in
-    /// column order, but amortizes the per-object map probes — the
-    /// massive-scale generators ([`basecache_workload`]'s standing
-    /// workloads) emit request streams in exactly this shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the columns' lengths differ, or on an out-of-range
-    /// target (the [`Self::push`] contract).
-    pub fn push_bulk(&mut self, objects: &[ObjectId], targets: &[f64]) {
-        assert_eq!(
-            objects.len(),
-            targets.len(),
-            "request columns must have equal length"
-        );
-        let mut k = 0usize;
-        while k < objects.len() {
-            let object = objects[k];
-            // One map probe per run of equal objects: sorted columns
-            // degrade to a single probe per distinct object.
-            let list = self.per_object.entry(object).or_default();
-            while k < objects.len() && objects[k] == object {
-                let target = targets[k];
-                assert!(
-                    target > 0.0 && target <= 1.0,
-                    "target recency must be in (0, 1], got {target}"
-                );
-                list.push(target);
-                self.total += 1;
-                k += 1;
-            }
-        }
-    }
-
-    /// Build a batch from request columns (see [`Self::push_bulk`]).
-    pub fn from_columns(objects: &[ObjectId], targets: &[f64]) -> Self {
-        let mut batch = Self::new();
-        batch.push_bulk(objects, targets);
-        batch
-    }
-
-    /// Synthesize a batch from a Table 1 population: object `i` is
-    /// requested by `num_requests[i]` clients, all with target recency 1
-    /// (the population's recency scores are already *scores*, so the
-    /// Section 4 profit mapping uses [`crate::profit::build_instance_from_scores`]).
-    pub fn from_counts(num_requests: &[u64]) -> Self {
-        let mut batch = Self::new();
-        for (i, &n) in num_requests.iter().enumerate() {
-            for _ in 0..n {
-                batch.push(ObjectId(i as u32), 1.0);
-            }
-        }
-        batch
-    }
-
     /// Total number of client requests in the batch.
     pub fn total_requests(&self) -> usize {
         self.total
@@ -183,35 +127,8 @@ mod tests {
     }
 
     #[test]
-    fn from_counts_expands_population() {
-        let b = RequestBatch::from_counts(&[2, 0, 3]);
-        assert_eq!(b.total_requests(), 5);
-        assert_eq!(b.distinct_objects(), 2, "zero-count objects are absent");
-        assert_eq!(b.targets_for(ObjectId(2)).len(), 3);
-    }
-
-    #[test]
     #[should_panic(expected = "target recency")]
     fn rejects_invalid_target() {
         RequestBatch::new().push(ObjectId(0), 1.0001);
-    }
-
-    #[test]
-    fn columns_equal_pushes() {
-        let objects = [ObjectId(2), ObjectId(2), ObjectId(0), ObjectId(2)];
-        let targets = [1.0, 0.8, 0.5, 0.25];
-        let bulk = RequestBatch::from_columns(&objects, &targets);
-        let mut pushed = RequestBatch::new();
-        for (&o, &t) in objects.iter().zip(&targets) {
-            pushed.push(o, t);
-        }
-        assert_eq!(bulk, pushed, "same aggregation, same target order");
-        assert_eq!(bulk.targets_for(ObjectId(2)), &[1.0, 0.8, 0.25]);
-    }
-
-    #[test]
-    #[should_panic(expected = "equal length")]
-    fn bulk_rejects_ragged_columns() {
-        RequestBatch::new().push_bulk(&[ObjectId(0)], &[1.0, 0.5]);
     }
 }

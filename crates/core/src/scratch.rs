@@ -57,7 +57,8 @@ pub struct PlannerScratch {
     pub(crate) objects: Vec<ObjectId>,
     /// Reusable DP tables: the whole solve under
     /// [`crate::planner::SolverChoice::ExactDp`], the core sweep under
-    /// [`crate::planner::SolverChoice::Adaptive`].
+    /// [`crate::planner::SolverChoice::Adaptive`], the solution-space
+    /// trace of an adaptive-budget round.
     pub(crate) dp: DpScratch,
     /// Reusable reduction buffers of the adaptive solve.
     pub(crate) adaptive: AdaptiveScratch,
@@ -89,12 +90,6 @@ impl PlannerScratch {
         self.downloads.reserve(num_objects);
         self.dp.reserve(num_objects, budget);
         self.adaptive.reserve(num_objects);
-    }
-
-    /// Reduction + solve statistics of the last adaptive round (core
-    /// size, items fixed, terminal method, bound values).
-    pub fn adaptive(&self) -> &AdaptiveScratch {
-        &self.adaptive
     }
 
     /// The knapsack items of the last assembled instance,

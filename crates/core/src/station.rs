@@ -40,6 +40,7 @@ use crate::asynch::AsyncRefresher;
 use crate::engine::RoundEngine;
 use crate::estimator::RecencyEstimator;
 use crate::outcome::RoundOutcome;
+use crate::policy::PlanView;
 pub use crate::policy::Policy;
 use crate::recency::{DecayModel, ScoringFunction};
 use crate::scratch::PlannerScratch;
@@ -165,14 +166,15 @@ pub struct BaseStationSim {
     tick: u64,
     stats: StationStats,
     recorder: Box<dyn Recorder>,
-    // Hot-path buffers, reused across ticks so a steady-state on-demand
-    // step allocates nothing (see `tests/alloc_free.rs`).
+    // Hot-path buffers, reused across ticks so a steady-state step
+    // allocates nothing (see `tests/alloc_free.rs`).
     scratch: PlannerScratch,
     recency_buf: Vec<f64>,
     downloaded: Vec<ObjectId>,
     /// Per-object "downloaded this round" mark, all false between
     /// rounds: the batch serve sets it from `downloaded`, reads it once
-    /// per request, and clears it from `downloaded` again.
+    /// per request, and clears it from `downloaded` again. The plan
+    /// stage lends it to the policy under the same contract.
     downloaded_mark: Vec<bool>,
     /// Objects the planner must not origin-fetch this round (sorted
     /// ascending): a regional L2 tier sets these when another cell
@@ -309,17 +311,11 @@ impl BaseStationSim {
         &*self.recorder
     }
 
-    /// The policy's per-tick download allowance: data units for the
-    /// budgeted policies, objects for the `k`-object ones (identical on
-    /// unit-size catalogs).
-    pub fn download_budget(&self) -> u64 {
-        self.policy.budget()
-    }
-
     /// Re-budget the policy for the next tick without rebuilding the
     /// station. A backhaul arbiter calls this every round to turn its
     /// global allocation into the cell's local knapsack capacity. The
-    /// value is interpreted per [`Self::download_budget`].
+    /// value is in data units for the budgeted policies and in objects
+    /// for the `k`-object ones (identical on unit-size catalogs).
     pub fn set_download_budget(&mut self, budget: u64) {
         self.policy.set_budget(budget);
     }
@@ -422,11 +418,6 @@ impl BaseStationSim {
         self.plan_exclusions.clear();
     }
 
-    /// The objects currently excluded from origin fetching, ascending.
-    pub fn plan_exclusions(&self) -> &[ObjectId] {
-        &self.plan_exclusions
-    }
-
     /// The version of the cached copy of `id`, if one is resident.
     pub fn cached_version_of(&self, id: ObjectId) -> Option<Version> {
         self.cache.peek(id).map(|entry| entry.version)
@@ -464,10 +455,9 @@ impl BaseStationSim {
 
     /// Simulate one time unit over the given client requests.
     ///
-    /// Under [`Policy::OnDemand`] this is allocation-free in steady
-    /// state: the recency vector, the aggregated request instance, the
-    /// DP tables, and the download list all live in buffers reused
-    /// across ticks.
+    /// Allocation-free in steady state under every policy: the recency
+    /// vector, the aggregated request instance, the DP tables, and the
+    /// download list all live in buffers reused across ticks.
     ///
     /// In in-flight mode ([`crate::builder::StationBuilder::in_flight`])
     /// downloads are launched onto the ledger instead of landing at
@@ -676,10 +666,10 @@ impl BaseStationSim {
     }
 
     /// Stage 3: choose this round's downloads into `downloaded`,
-    /// ascending. [`Policy::OnDemand`] is planned here, in three steps
-    /// — assemble the knapsack instance from the request source, adjust
-    /// it to what the round may fetch, solve it; every other policy
-    /// plans itself ([`Policy::plan`]).
+    /// ascending. What is the same for every planner-carrying policy
+    /// happens here, once — assemble the knapsack instance from the
+    /// request source, adjust it to what the round may fetch; what to
+    /// fetch, given that, is the policy's answer ([`Policy::plan`]).
     fn plan(
         &mut self,
         round: &Round<'_>,
@@ -690,43 +680,44 @@ impl BaseStationSim {
     ) {
         let recorder = round.recorder;
         let plan_span = Span::enter(recorder, Stage::Plan);
-        match self.policy {
-            Policy::OnDemand {
-                planner,
-                budget_units,
-            } => {
-                match source {
-                    Source::Batch(requests) => planner.assemble_requests_into(
-                        requests,
-                        &self.catalog,
-                        recency,
-                        &mut self.scratch,
-                    ),
-                    // Arrivals dirtied themselves through the recency
-                    // observation (their bits moved), so the incremental
-                    // build pays only for what landed or the driver
-                    // touched.
-                    Source::Engine(engine) => {
-                        planner.assemble_engine_into(engine, recency, &mut self.scratch, recorder)
-                    }
-                }
-                let budget = self.adjust_instance(round, ledger, budget_units);
-                planner.solve_assembled(budget, &mut self.scratch, recorder);
-                downloaded.extend_from_slice(self.scratch.downloads());
-            }
-            policy => {
-                let Source::Batch(requests) = source else {
-                    unreachable!("step_engine gates engine rounds to Policy::OnDemand")
-                };
-                policy.plan(
+        let policy = self.policy;
+        let mut budget = policy.budget();
+        if let Some(planner) = policy.planner() {
+            match source {
+                Source::Batch(requests) => planner.assemble_requests_into(
                     requests,
                     &self.catalog,
                     recency,
-                    &mut self.refresher,
-                    downloaded,
-                );
+                    &mut self.scratch,
+                ),
+                // Arrivals dirtied themselves through the recency
+                // observation (their bits moved), so the incremental
+                // build pays only for what landed or the driver
+                // touched.
+                Source::Engine(engine) => {
+                    planner.assemble_engine_into(engine, recency, &mut self.scratch, recorder)
+                }
             }
+            budget = self.adjust_instance(round, ledger, budget);
         }
+        let view = PlanView {
+            requests: match source {
+                Source::Batch(requests) => requests,
+                Source::Engine(_) => &[],
+            },
+            catalog: &self.catalog,
+            recency,
+            budget,
+            exclusions: &self.plan_exclusions,
+            scratch: &mut self.scratch,
+            refresher: &mut self.refresher,
+            mark: &mut self.downloaded_mark,
+        };
+        policy.plan(view, recorder, downloaded);
+        debug_assert!(
+            downloaded.windows(2).all(|w| w[0] < w[1]),
+            "a round's downloads are distinct and ascending"
+        );
         drop(plan_span);
         if round.observing {
             for &id in downloaded.iter() {
@@ -1186,6 +1177,21 @@ mod tests {
     }
 
     #[test]
+    fn downloads_are_ascending_when_the_round_robin_wraps() {
+        let mut s = station(
+            Catalog::uniform_unit(10),
+            Policy::AsyncRoundRobin { k_objects: 4 },
+        );
+        s.step(&[]);
+        s.step(&[]);
+        // The third round takes 8, 9 and wraps to 0, 1.
+        let out = s.step(&[req(0), req(5), req(9)]);
+        let ids = |ids: &[u32]| ids.iter().map(|&i| ObjectId(i)).collect::<Vec<_>>();
+        assert_eq!(s.last_downloaded(), ids(&[0, 1, 8, 9]));
+        assert_eq!(out.cache_hits, 1, "5 was refreshed in round two");
+    }
+
+    #[test]
     fn lowest_recency_policy_picks_stalest_requested() {
         let mut s = station(
             Catalog::uniform_unit(4),
@@ -1378,7 +1384,6 @@ mod tests {
         let objects = s.catalog().len() as u32;
         let mut rng = basecache_sim::RngStreams::new(0x5E27E).stream(label);
         let (mut recency_total, mut score_total) = (Welford::new(), Welford::new());
-        let mut unsorted_rounds = 0;
         for round in 0..240u32 {
             if round % 3 == 1 || round % 7 == 0 {
                 s.apply_update_wave();
@@ -1395,7 +1400,10 @@ mod tests {
             let out = s.step(&requests);
 
             let downloaded = s.last_downloaded();
-            unsorted_rounds += usize::from(downloaded.windows(2).any(|w| w[0] > w[1]));
+            assert!(
+                downloaded.windows(2).all(|w| w[0] < w[1]),
+                "{label} round {round}: {downloaded:?} is not ascending"
+            );
             let (mut recency, mut score) = (Welford::new(), Welford::new());
             let mut hits = 0;
             for r in &requests {
@@ -1430,9 +1438,6 @@ mod tests {
         }
         assert_eq!(s.stats().recency, recency_total, "{label}");
         assert_eq!(s.stats().score, score_total, "{label}");
-        if matches!(s.policy, Policy::AsyncRoundRobin { .. }) {
-            assert!(unsorted_rounds > 0, "{label}: the refresher wrapped around");
-        }
     }
 
     #[test]
@@ -1454,7 +1459,8 @@ mod tests {
     #[test]
     fn serve_columns_match_per_request_probes_for_unsorted_downloads() {
         // 5 of 12 objects a round: the round-robin cursor wraps inside a
-        // round's download list, which is then not ascending.
+        // round, so the refresher hands the arm a run that is not
+        // ascending.
         let s = station(
             Catalog::uniform_unit(12),
             Policy::AsyncRoundRobin { k_objects: 5 },

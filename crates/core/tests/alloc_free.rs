@@ -1,12 +1,12 @@
-//! Steady-state on-demand rounds must never touch the heap.
+//! Steady-state rounds must never touch the heap.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; after a
 //! short warm-up (buffers grown, every requested object cached once)
-//! each `BaseStationSim::step` under the on-demand policy with the
-//! exact DP must perform **zero** allocations, even across update waves
-//! — and with the default [`basecache_obs::NullRecorder`] wired through
-//! the whole request path, the observability layer must not change
-//! that.
+//! each `BaseStationSim::step` — under the on-demand policy with either
+//! exact solver, and under each of the other four policies — must
+//! perform **zero** allocations, even across update waves — and with
+//! the default [`basecache_obs::NullRecorder`] wired through the whole
+//! request path, the observability layer must not change that.
 //!
 //! This file deliberately contains a single test: the allocator is
 //! process-global, and other concurrently running tests would perturb
@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use basecache_core::planner::{OnDemandPlanner, SolverChoice};
 use basecache_core::recency::ScoringFunction;
-use basecache_core::StationBuilder;
+use basecache_core::{Policy, StationBuilder};
 use basecache_net::{Catalog, ObjectId};
 use basecache_sim::RngStreams;
 use basecache_workload::GeneratedRequest;
@@ -255,6 +255,69 @@ fn on_demand_steady_state_steps_do_not_allocate() {
                 after - before
             );
             assert_eq!(outcome.served, 5000);
+        }
+    }
+
+    // The other four policies plan on the same kernel buffers — the
+    // knee off the station's own trace tables, the hybrid's background
+    // pass and the two k-object rules in place in the download list —
+    // so they are held to the same bar, unobserved and under the full
+    // flight recorder.
+    let planner = OnDemandPlanner::paper_default();
+    let policies = [
+        (
+            "hybrid",
+            Policy::Hybrid {
+                planner,
+                budget_units: 1500,
+            },
+        ),
+        (
+            "knee",
+            Policy::OnDemandAdaptive {
+                planner,
+                max_budget: 5000,
+                window: 25,
+                threshold: 0.01,
+            },
+        ),
+        (
+            "lowest-recency",
+            Policy::OnDemandLowestRecency { k_objects: 100 },
+        ),
+        ("round-robin", Policy::AsyncRoundRobin { k_objects: 100 }),
+    ];
+    for (label, policy) in policies {
+        for flight_recorded in [false, true] {
+            let builder = StationBuilder::new(Catalog::from_sizes(&sizes)).policy(policy);
+            let builder = if flight_recorded {
+                builder.recorder(Box::new(basecache_obs::FlightRecorder::new(4096, 64, 8)))
+            } else {
+                builder
+            };
+            let mut station = builder.build().expect("valid configuration");
+            for _ in 0..3 {
+                station.step(&requests);
+            }
+            station.apply_update_wave();
+            for _ in 0..3 {
+                station.step(&requests);
+            }
+            for round in 0..10 {
+                station.apply_update_wave();
+                let before = allocation_count();
+                let outcome = station.step(&requests);
+                let after = allocation_count();
+                assert_eq!(
+                    after - before,
+                    0,
+                    "{label} (flight recorder: {flight_recorded}) round {round}: \
+                     step() allocated {} time(s)",
+                    after - before
+                );
+                assert_eq!(outcome.served, 5000);
+                assert!(outcome.objects_downloaded > 0, "{label} round {round}");
+            }
         }
     }
 

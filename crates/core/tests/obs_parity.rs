@@ -8,7 +8,7 @@
 
 use basecache_core::planner::{OnDemandPlanner, SolverChoice};
 use basecache_core::recency::ScoringFunction;
-use basecache_core::StationBuilder;
+use basecache_core::{Policy, StationBuilder};
 use basecache_net::{Catalog, InFlightConfig, ObjectId};
 use basecache_obs::{CausalConfig, CausalRecorder, FlightRecorder, Recorder, StatsRecorder};
 use basecache_sim::RngStreams;
@@ -95,6 +95,43 @@ fn instrumented_runs_are_bit_identical_to_uninstrumented_ones() {
         plain.obs_snapshot().is_empty(),
         "NullRecorder records nothing"
     );
+
+    // Every planner-carrying policy solves on the kernel's scratch, so
+    // its rounds report the same solve span and knapsack counters.
+    let (hybrid, knee) = (
+        Policy::Hybrid {
+            planner: planner(),
+            budget_units: 40,
+        },
+        Policy::OnDemandAdaptive {
+            planner: planner(),
+            max_budget: 40,
+            window: 4,
+            threshold: 0.01,
+        },
+    );
+    for policy in [hybrid, knee] {
+        let mut station = StationBuilder::new(Catalog::from_sizes(&sizes))
+            .policy(policy)
+            .recorder(Box::new(StatsRecorder::new()))
+            .build()
+            .unwrap();
+        let requests: Vec<GeneratedRequest> = (0..num_objects)
+            .map(|o| GeneratedRequest {
+                object: ObjectId(o),
+                target_recency: 1.0,
+            })
+            .collect();
+        station.step(&requests);
+        let seen = station.obs_snapshot();
+        assert!(
+            seen.span("solve").is_some()
+                && seen.counter("knapsack_items") == Some(u64::from(num_objects))
+                && seen.counter("dp_cells_touched") > Some(0),
+            "{policy:?}: {:?}",
+            seen.counters
+        );
+    }
 
     // The flight recorder saw the same aggregates *and* populated its
     // side channels: trace ring, round series, and top-K attribution.

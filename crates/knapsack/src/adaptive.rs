@@ -297,16 +297,6 @@ impl AdaptiveScratch {
     pub fn certified(&self) -> bool {
         self.certified
     }
-
-    /// The greedy lower bound the reduction worked against.
-    pub fn lower_bound(&self) -> f64 {
-        self.lower_bound
-    }
-
-    /// The Dantzig upper bound of the reduced instance.
-    pub fn upper_bound(&self) -> f64 {
-        self.upper_bound
-    }
 }
 
 /// The adaptive exact solver: reduction, variable fixing, and the
@@ -1053,7 +1043,7 @@ mod tests {
         assert_eq!(scratch.core_size(), 0);
         assert_eq!(scratch.items_fixed(), 2);
         assert_eq!(scratch.cells_touched(), 0);
-        assert_eq!(scratch.lower_bound(), scratch.upper_bound());
+        assert_eq!(scratch.lower_bound, scratch.upper_bound);
         assert_parity(&items, [100]);
     }
 
@@ -1191,9 +1181,9 @@ mod tests {
         assert_eq!(scratch.method(), SolveMethod::CertifiedGreedy);
         assert_eq!(scratch.items_fixed(), 80);
         assert_eq!(scratch.chosen(), (10..40).collect::<Vec<_>>());
-        let twin_lb = scratch.lower_bound();
+        let twin_lb = scratch.lower_bound;
         solve(&tied, 30, &mut scratch);
-        assert!((twin_lb - scratch.lower_bound()).abs() < 1e-3);
+        assert!((twin_lb - scratch.lower_bound).abs() < 1e-3);
         assert_parity(&twin, [0, 1, 15, 30, 39, 40, 41, 100]);
     }
 

@@ -1,4 +1,8 @@
-use crate::{Instance, Solution, Solver};
+//! [`DpByCapacity`], the paper's exact solver, and [`DpTrace`], its
+//! solution-space trace. Both are thin: the sweeps themselves live in
+//! `scratch.rs`, on a [`DpScratch`] this file creates fresh per call.
+
+use crate::{DpScratch, Instance, Solution, Solver};
 
 /// Exact 0/1 knapsack by capacity-indexed dynamic programming —
 /// the solver the paper uses.
@@ -16,51 +20,13 @@ impl DpByCapacity {
     ///
     /// The trace is computed up to `min(capacity, instance.total_size())`;
     /// beyond the total size the optimum is flat and queries are clamped.
+    /// This is [`DpByCapacity::solve_trace_into`] on tables the returned
+    /// trace owns; a caller solving every round keeps a [`DpScratch`]
+    /// and calls that directly.
     pub fn solve_trace(&self, instance: &Instance, capacity: u64) -> DpTrace {
-        let effective = capacity.min(instance.total_size());
-        let cap = usize::try_from(effective).expect("capacity exceeds addressable memory");
-        let n = instance.len();
-        let words = cap / 64 + 1;
-
-        let mut values = vec![0.0_f64; cap + 1];
-        let mut keep = vec![0u64; n * words];
-
-        for (i, item) in instance.items().iter().enumerate() {
-            let size = item.size() as usize;
-            let profit = item.profit();
-            // Zero-profit items never help; oversized items never fit.
-            if profit <= 0.0 || size > cap {
-                continue;
-            }
-            let row = &mut keep[i * words..(i + 1) * words];
-            if size == 0 {
-                // Free profit: take at every capacity.
-                for v in values.iter_mut() {
-                    *v += profit;
-                }
-                for w in row.iter_mut() {
-                    *w = u64::MAX;
-                }
-                continue;
-            }
-            // In-place descending sweep: values[] holds dp over items 0..i.
-            for c in (size..=cap).rev() {
-                let candidate = values[c - size] + profit;
-                if candidate > values[c] {
-                    values[c] = candidate;
-                    row[c / 64] |= 1 << (c % 64);
-                }
-            }
-        }
-
-        DpTrace {
-            requested_capacity: capacity,
-            effective_capacity: effective,
-            values,
-            keep,
-            words,
-            sizes: instance.items().iter().map(|i| i.size()).collect(),
-        }
+        let mut scratch = DpScratch::new();
+        self.solve_trace_into(instance.items(), capacity, &mut scratch);
+        DpTrace { scratch }
     }
 }
 
@@ -68,7 +34,7 @@ impl Solver for DpByCapacity {
     fn solve(&self, instance: &Instance, capacity: u64) -> Solution {
         // Single-capacity fast path: bounded sweeps, identical item set to
         // the full-trace backtrack (see `scratch.rs`).
-        let mut scratch = crate::DpScratch::new();
+        let mut scratch = DpScratch::new();
         self.solve_into(instance.items(), capacity, &mut scratch);
         Solution::from_indices(instance, scratch.chosen().to_vec())
     }
@@ -79,60 +45,48 @@ impl Solver for DpByCapacity {
 }
 
 /// The full dynamic-programming table of [`DpByCapacity`], exposing the
-/// optimal value and an optimal item set at every capacity `0..=C`.
+/// optimal value and an optimal item set at every capacity `0..=C` — a
+/// trace-solved [`DpScratch`] behind the accessors that are valid on it.
 #[derive(Debug, Clone)]
 pub struct DpTrace {
-    requested_capacity: u64,
-    effective_capacity: u64,
-    values: Vec<f64>,
-    keep: Vec<u64>,
-    words: usize,
-    sizes: Vec<u64>,
+    scratch: DpScratch,
 }
 
 impl DpTrace {
     /// The capacity the trace was requested for.
     pub fn capacity(&self) -> u64 {
-        self.requested_capacity
+        self.scratch.capacity()
     }
 
     /// Optimal profit at capacity `c` (clamped to the instance's total
     /// size — beyond that, the optimum is flat).
     pub fn value_at(&self, c: u64) -> f64 {
-        let c = c.min(self.effective_capacity) as usize;
-        self.values[c]
+        self.scratch.value_at(c)
     }
 
     /// The optimal values for capacities `0..=min(C, total_size)`.
     ///
     /// Guaranteed non-decreasing.
     pub fn values(&self) -> &[f64] {
-        &self.values
+        self.scratch.values()
     }
 
     /// Recover an optimal item set at capacity `c` by walking the decision
     /// bits backwards through the items.
     pub fn solution_at(&self, instance: &Instance, c: u64) -> Solution {
-        let mut c = c.min(self.effective_capacity) as usize;
-        let mut chosen = Vec::new();
-        for i in (0..self.sizes.len()).rev() {
-            let bit = self.keep[i * self.words + c / 64] >> (c % 64) & 1;
-            if bit == 1 {
-                chosen.push(i);
-                c -= self.sizes[i] as usize;
-            }
-        }
-        Solution::from_indices(instance, chosen)
+        self.scratch.solution_at(instance, c)
     }
 
     /// Marginal gain of each extra unit of capacity:
-    /// `gains[c] = value_at(c) - value_at(c-1)` for `c >= 1`.
+    /// `gains[c] = value_at(c + 1) - value_at(c)`.
     ///
     /// The paper's "is it worth downloading more?" question (Section 6,
     /// future work) reads this series; see `basecache-core`'s budget-bound
     /// selection.
     pub fn marginal_gains(&self) -> Vec<f64> {
-        self.values.windows(2).map(|w| w[1] - w[0]).collect()
+        let mut gains = Vec::new();
+        self.scratch.marginal_gains_into(&mut gains);
+        gains
     }
 }
 

@@ -14,7 +14,9 @@
 //!   that yields the optimal value *at every capacity* `0..=C` from a
 //!   single run. The paper's Section 4 analysis ("how does the quality of
 //!   the solution change as the upper bound increases") reads this trace
-//!   directly.
+//!   directly. There is one sweep: the bounded one on a reusable
+//!   [`DpScratch`], which [`DpTrace`] wraps; the textbook full-table
+//!   sweep it is pinned against is test support (`tests/reference`).
 //! * [`GreedyDensity`] — profit-density greedy with the classic
 //!   max(greedy, best-single-item) 2-approximation guarantee.
 //! * [`AdaptiveSolver`] — instance reduction (dominance pruning and
@@ -76,6 +78,14 @@ pub trait Solver {
     /// A short human-readable name for reports and benchmarks.
     fn name(&self) -> &'static str;
 }
+
+// The unit tests compare the bounded sweeps against the same reference
+// sweep the integration suites use, which names this crate from outside.
+#[cfg(test)]
+extern crate self as basecache_knapsack;
+#[cfg(test)]
+#[path = "../tests/reference/mod.rs"]
+mod reference;
 
 #[cfg(test)]
 mod solver_contract_tests {

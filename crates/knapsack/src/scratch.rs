@@ -1,10 +1,10 @@
-//! Reusable dynamic-programming scratch space for [`DpByCapacity`].
+//! The capacity DP of [`DpByCapacity`] and the reusable tables it runs on.
 //!
-//! The planner solves a fresh knapsack every scheduling round, and the
-//! original [`DpByCapacity::solve_trace`] allocates its full `values` and
-//! `keep` tables per call. [`DpScratch`] owns those tables across calls so
-//! steady-state rounds are allocation-free, and the `*_into` entry points
-//! add two algorithmic improvements on top:
+//! This file holds the crate's only DP sweeps. [`DpScratch`] owns the
+//! `values` and `keep` tables across calls, so a caller that solves a
+//! fresh knapsack every scheduling round allocates nothing after the
+//! first; [`DpByCapacity::solve_trace`] is the same sweep on tables the
+//! returned [`crate::DpTrace`] owns. The sweeps are bounded two ways:
 //!
 //! * **Prefix-bounded sweeps.** After processing items `0..=i`, the DP
 //!   value function is flat above `S_i` (the total size of the usable
@@ -19,14 +19,16 @@
 //!   bounded from below as well. Near `C ≈ total size` this removes
 //!   almost all DP work.
 //!
-//! Both optimizations are exact: [`DpByCapacity::solve_trace_into`]
-//! produces bit-identical values, recovered item sets and marginal gains
-//! to [`DpByCapacity::solve_trace`], and [`DpByCapacity::solve_into`]
-//! recovers the identical item set to a full-trace solve at the same
-//! capacity. Only [`DpByCapacity::solve_values_into`] (which additionally
-//! aggregates zero-size items and prefilters dominated same-size items)
-//! is exact merely up to floating-point associativity, because it may
-//! reorder profit additions.
+//! Both are exact. The plain full-table sweep — every row over every
+//! capacity, one explicit bit per cell — lives once, as test support in
+//! `tests/reference/mod.rs`: [`DpByCapacity::solve_trace_into`] produces
+//! its values, recovered item sets and marginal gains bit for bit, and
+//! [`DpByCapacity::solve_into`] recovers its item set at the solved
+//! capacity (this file's unit tests and `tests/scratch_reuse.rs`). Only
+//! [`DpByCapacity::solve_values_into`] (which additionally aggregates
+//! zero-size items and prefilters dominated same-size items) is exact
+//! merely up to floating-point associativity, because it may reorder
+//! profit additions.
 
 use crate::{DpByCapacity, Instance, Item, Solution};
 
@@ -129,12 +131,6 @@ impl DpScratch {
         self.requested
     }
 
-    /// The effective capacity of the last solve:
-    /// `min(requested, total item size)`.
-    pub fn effective_capacity(&self) -> u64 {
-        self.effective
-    }
-
     /// DP table cells swept by the last solve — the work actually done
     /// after the prefix/suffix bounds pruned the table. Computed
     /// analytically from each row's sweep bounds (one addition per row),
@@ -200,6 +196,16 @@ impl DpScratch {
         out.reverse();
     }
 
+    /// [`Self::solution_indices_at_into`] into the scratch's own index
+    /// buffer — the one [`Self::reserve`] sized — for a caller that keeps
+    /// none of its own.
+    pub fn solution_indices_at(&mut self, c: u64) -> &[usize] {
+        let mut out = std::mem::take(&mut self.chosen);
+        self.solution_indices_at_into(c, &mut out);
+        self.chosen = out;
+        &self.chosen
+    }
+
     /// Convenience wrapper building a verified [`Solution`] at capacity
     /// `c` (allocates the solution itself).
     pub fn solution_at(&self, instance: &Instance, c: u64) -> Solution {
@@ -260,10 +266,12 @@ impl DpScratch {
 }
 
 impl DpByCapacity {
-    /// [`DpByCapacity::solve_trace`] into reusable scratch: identical
-    /// results (values, recovered item sets, marginal gains are
-    /// bit-for-bit those of the allocating path), no per-call table
-    /// allocation after the first use.
+    /// The full solution-space trace into reusable scratch: the optimal
+    /// value and an optimal item set at every capacity
+    /// `0..=min(capacity, total size)`, read back through
+    /// [`DpScratch::values`], [`DpScratch::solution_indices_at_into`] and
+    /// [`DpScratch::marginal_gains_into`]. No per-call table allocation
+    /// after the first use.
     pub fn solve_trace_into(&self, items: &[Item], capacity: u64, scratch: &mut DpScratch) {
         let total: u64 = items.iter().map(|i| i.size()).sum();
         let effective = capacity.min(total);
@@ -352,7 +360,8 @@ impl DpByCapacity {
     /// *single* capacity, with the DP additionally bounded from below by
     /// suffix sizes (cells unreachable by backtracking from `capacity`
     /// are never computed). Recovers the identical item set to
-    /// [`DpByCapacity::solve_trace`] + `solution_at(capacity)`.
+    /// [`DpByCapacity::solve_trace_into`] +
+    /// [`DpScratch::solution_indices_at_into`] at `capacity`.
     ///
     /// The chosen indices are left in [`DpScratch::chosen`]; the optimal
     /// value is returned and also available as [`DpScratch::value`].
@@ -568,6 +577,7 @@ impl DpByCapacity {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference;
 
     fn classic() -> Instance {
         Instance::new(vec![
@@ -584,7 +594,7 @@ mod tests {
         let inst = classic();
         let mut scratch = DpScratch::new();
         for cap in [0u64, 1, 5, 10, 23, 1000] {
-            let fresh = DpByCapacity.solve_trace(&inst, cap);
+            let fresh = reference::solve_trace(&inst, cap);
             DpByCapacity.solve_trace_into(inst.items(), cap, &mut scratch);
             assert_eq!(scratch.values(), fresh.values(), "cap={cap}");
             for c in 0..=cap.min(inst.total_size()) {
@@ -600,7 +610,7 @@ mod tests {
         let inst = classic();
         let mut scratch = DpScratch::new();
         for cap in 0..=inst.total_size() + 2 {
-            let fresh = DpByCapacity.solve_trace(&inst, cap).solution_at(&inst, cap);
+            let fresh = reference::solve_trace(&inst, cap).solution_at(&inst, cap);
             let value = DpByCapacity.solve_into(inst.items(), cap, &mut scratch);
             assert_eq!(scratch.chosen(), fresh.chosen_indices(), "cap={cap}");
             assert_eq!(value, fresh.total_profit(), "cap={cap}");
@@ -642,7 +652,7 @@ mod tests {
         .unwrap();
         let mut scratch = DpScratch::new();
         for cap in 0..=inst.total_size() {
-            let fresh = DpByCapacity.solve_trace(&inst, cap);
+            let fresh = reference::solve_trace(&inst, cap);
             let values = DpByCapacity
                 .solve_values_into(inst.items(), cap, &mut scratch)
                 .to_vec();
@@ -688,7 +698,7 @@ mod tests {
         let inst = Instance::new(vec![Item::new(1, 1e18), Item::new(1, 1.0)]).unwrap();
         let mut scratch = DpScratch::new();
         for cap in 0..=2u64 {
-            let fresh = DpByCapacity.solve_trace(&inst, cap);
+            let fresh = reference::solve_trace(&inst, cap);
             DpByCapacity.solve_trace_into(inst.items(), cap, &mut scratch);
             assert_eq!(scratch.values(), fresh.values(), "cap={cap}");
             for c in 0..=cap.min(2) {

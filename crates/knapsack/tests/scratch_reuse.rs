@@ -1,10 +1,12 @@
 //! Scratch-reuse exactness: one `DpScratch` recycled across many
-//! randomized instances must reproduce the allocating solver bit for bit
+//! randomized instances must reproduce the reference sweep bit for bit
 //! — traces, recovered solutions, marginal gains, and the single-capacity
 //! fast path.
 
 use basecache_knapsack::{DpByCapacity, DpScratch, Instance, Item, Solver};
 use basecache_sim::{RngStreams, StreamRng};
+
+mod reference;
 
 fn random_instance(rng: &mut StreamRng) -> Instance {
     let n = rng.random_range(0..=30usize);
@@ -34,7 +36,7 @@ fn reused_scratch_trace_is_bit_identical_to_fresh_solves() {
     for round in 0..120 {
         let inst = random_instance(&mut rng);
         let cap = rng.random_range(0u64..=220);
-        let fresh = DpByCapacity.solve_trace(&inst, cap);
+        let fresh = reference::solve_trace(&inst, cap);
         DpByCapacity.solve_trace_into(inst.items(), cap, &mut scratch);
 
         assert_eq!(scratch.capacity(), fresh.capacity(), "round {round}");
@@ -66,7 +68,7 @@ fn reused_scratch_single_capacity_matches_trace_backtrack() {
     for round in 0..200 {
         let inst = random_instance(&mut rng);
         let cap = rng.random_range(0u64..=220);
-        let fresh = DpByCapacity.solve_trace(&inst, cap).solution_at(&inst, cap);
+        let fresh = reference::solve_trace(&inst, cap).solution_at(&inst, cap);
         let value = DpByCapacity.solve_into(inst.items(), cap, &mut scratch);
         assert_eq!(
             scratch.chosen(),
@@ -90,7 +92,7 @@ fn reused_scratch_values_fast_path_matches_trace_values() {
     for round in 0..200 {
         let inst = random_instance(&mut rng);
         let cap = rng.random_range(0u64..=220);
-        let fresh = DpByCapacity.solve_trace(&inst, cap);
+        let fresh = reference::solve_trace(&inst, cap);
         let values = DpByCapacity.solve_values_into(inst.items(), cap, &mut scratch);
         // The fast path clamps to the *usable* total size (zero-profit
         // and oversized items cannot extend the frontier), so it may
@@ -125,6 +127,6 @@ fn scratch_reserve_presizes_for_the_first_solve() {
     let inst = random_instance(&mut rng);
     let cap = 300;
     DpByCapacity.solve_trace_into(inst.items(), cap, &mut scratch);
-    let fresh = DpByCapacity.solve_trace(&inst, cap);
+    let fresh = reference::solve_trace(&inst, cap);
     assert_eq!(scratch.values(), fresh.values());
 }

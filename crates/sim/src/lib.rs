@@ -11,8 +11,8 @@
 //! * [`RngStreams`] — named, independently seeded random streams derived
 //!   from a single master seed with SplitMix64, so adding a stream never
 //!   perturbs the draws of any other stream.
-//! * [`metrics`] — counters, time series, histograms and Welford
-//!   accumulators used by every experiment to report results.
+//! * [`metrics`] — counters and Welford accumulators used by every
+//!   experiment to report results.
 //! * [`WorkerPool`] — a reusable std-thread pool for per-round fan-out
 //!   (e.g. parallel per-cell planning in `basecache-cluster`).
 //!

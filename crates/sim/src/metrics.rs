@@ -1,10 +1,7 @@
-//! Lightweight measurement types shared by every experiment: counters,
-//! Welford mean/variance accumulators, fixed-bucket histograms and
-//! time series keyed by [`SimTime`].
+//! Lightweight measurement types shared by every experiment: counters
+//! and Welford mean/variance accumulators.
 
 use std::fmt;
-
-use crate::SimTime;
 
 /// A monotone event counter. Increments saturate at [`u64::MAX`] rather
 /// than overflowing: a pegged counter is a degraded measurement, a
@@ -128,117 +125,6 @@ impl Welford {
     }
 }
 
-/// A fixed-width-bucket histogram over `[lo, hi)` with overflow/underflow
-/// buckets at the ends.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    buckets: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Create a histogram over `[lo, hi)` with `buckets` equal-width bins.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo >= hi` or `buckets == 0`.
-    pub fn new(lo: f64, hi: f64, buckets: usize) -> Self {
-        assert!(lo < hi, "histogram range must be non-empty");
-        assert!(buckets > 0, "histogram needs at least one bucket");
-        Self {
-            lo,
-            hi,
-            buckets: vec![0; buckets],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Record one observation.
-    pub fn record(&mut self, x: f64) {
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let frac = (x - self.lo) / (self.hi - self.lo);
-            let idx = ((frac * self.buckets.len() as f64) as usize).min(self.buckets.len() - 1);
-            self.buckets[idx] += 1;
-        }
-    }
-
-    /// Per-bucket counts (excluding under/overflow).
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Observations below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above the range's upper bound.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total number of observations, including out-of-range ones.
-    pub fn total(&self) -> u64 {
-        self.buckets.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-}
-
-/// A time series of `(SimTime, f64)` samples in non-decreasing time order.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TimeSeries {
-    samples: Vec<(SimTime, f64)>,
-}
-
-impl TimeSeries {
-    /// An empty series.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append a sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` precedes the last recorded sample's time.
-    pub fn record(&mut self, at: SimTime, value: f64) {
-        if let Some(&(last, _)) = self.samples.last() {
-            assert!(at >= last, "time series must be recorded in time order");
-        }
-        self.samples.push((at, value));
-    }
-
-    /// The recorded samples.
-    pub fn samples(&self) -> &[(SimTime, f64)] {
-        &self.samples
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether the series is empty.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Mean of the sample values, ignoring timestamps.
-    pub fn mean(&self) -> Option<f64> {
-        if self.samples.is_empty() {
-            return None;
-        }
-        Some(self.samples.iter().map(|&(_, v)| v).sum::<f64>() / self.samples.len() as f64)
-    }
-}
-
 impl fmt::Display for Counter {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.0)
@@ -345,43 +231,5 @@ mod tests {
         assert_eq!(a.count(), all.count());
         assert!((a.mean().unwrap() - all.mean().unwrap()).abs() < 1e-9);
         assert!((a.variance().unwrap() - all.variance().unwrap()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn histogram_buckets_and_edges() {
-        let mut h = Histogram::new(0.0, 1.0, 10);
-        h.record(-0.1); // underflow
-        h.record(0.0); // bucket 0
-        h.record(0.05); // bucket 0
-        h.record(0.95); // bucket 9
-        h.record(1.0); // overflow (half-open range)
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.buckets()[0], 2);
-        assert_eq!(h.buckets()[9], 1);
-        assert_eq!(h.total(), 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-empty")]
-    fn histogram_rejects_empty_range() {
-        let _ = Histogram::new(1.0, 1.0, 4);
-    }
-
-    #[test]
-    fn time_series_orders_and_averages() {
-        let mut ts = TimeSeries::new();
-        ts.record(SimTime::from_ticks(1), 1.0);
-        ts.record(SimTime::from_ticks(2), 3.0);
-        assert_eq!(ts.len(), 2);
-        assert_eq!(ts.mean(), Some(2.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "time order")]
-    fn time_series_rejects_backwards_samples() {
-        let mut ts = TimeSeries::new();
-        ts.record(SimTime::from_ticks(5), 1.0);
-        ts.record(SimTime::from_ticks(4), 1.0);
     }
 }

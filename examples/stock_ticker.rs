@@ -53,7 +53,7 @@ fn main() {
 
     let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio, SolverChoice::ExactDp);
     let max_budget = catalog.total_size();
-    let (_, mapped, trace) = planner.plan_with_trace(&batch, &catalog, &recency, max_budget);
+    let (mapped, trace) = planner.plan_with_trace(&batch, &catalog, &recency, max_budget);
 
     println!(
         "ticker cache: {n} tickers, {} clients",
@@ -69,14 +69,14 @@ fn main() {
             "{:>8} {:>11.4} {:>15.5}",
             budget,
             mapped.average_score_for_value(trace.value_at(budget)),
-            marginal_gain_at(&trace, budget),
+            marginal_gain_at(trace.values(), budget),
         );
     }
 
     // Budget-bound selection: stop downloading when a unit of bandwidth
     // buys less than 0.01 aggregate score over the next 25 units.
-    let knee = knee_budget(&trace, 25, 0.01);
-    let b95 = budget_for_fraction(&trace, 0.95);
+    let knee = knee_budget(trace.values(), 25, 0.01);
+    let b95 = budget_for_fraction(trace.values(), 0.95);
     println!("\nknee budget (gain < 0.01/unit): {knee} of {max_budget} units");
     println!("budget reaching 95% of max value: {b95} units");
 

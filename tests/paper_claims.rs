@@ -149,8 +149,8 @@ fn claim_budget_bound_selection_spends_less_when_gains_flatten() {
         let mapped = build_instance_from_scores(&pop);
         let trace = DpByCapacity.solve_trace(mapped.instance(), 1000);
         (
-            knee_budget(&trace, 20, 0.05),
-            budget_for_fraction(&trace, 0.95),
+            knee_budget(trace.values(), 20, 0.05),
+            budget_for_fraction(trace.values(), 0.95),
         )
     };
     let (fast_k, fast_f) = chosen(&fast_knee);

@@ -5,7 +5,6 @@
 use basecache::core::estimator::{RateEstimator, ReportEstimator};
 use basecache::core::planner::OnDemandPlanner;
 use basecache::core::recency::DecayModel;
-use basecache::core::request::RequestBatch;
 use basecache::core::{Estimation, StationBuilder};
 use basecache::net::{BroadcastSchedule, Catalog, Downlink, Link, ObjectId, ReportLog, SharedLink};
 use basecache::sim::{RngStreams, SimDuration, SimTime};
@@ -82,29 +81,6 @@ fn pipeline_wait_percentiles_are_ordered() {
     }
     assert!(means[1] > means[0]);
     assert!(p95s[1] > p95s[0]);
-}
-
-/// Constrained planning composes with the station loop: floors make the
-/// plan download what a soft score would have left cached.
-#[test]
-fn coherence_floor_is_stricter_than_soft_scoring() {
-    let catalog = Catalog::from_sizes(&[4, 4, 4]);
-    let recency = [0.45, 0.45, 1.0];
-    let mut batch = RequestBatch::new();
-    batch.push(ObjectId(0), 0.5);
-    batch.push(ObjectId(1), 0.5);
-    batch.push(ObjectId(2), 0.5);
-    let planner = OnDemandPlanner::paper_default();
-
-    // Soft: targets of 0.5 are satisfied by recency 0.45 well enough
-    // that a small budget downloads little.
-    let soft = planner.plan(&batch, &catalog, &recency, 8);
-    // Hard floor at 0.5: objects 0 and 1 violate the quasi-copy
-    // condition and must be fetched.
-    let hard = planner.plan_with_floor(&batch, &catalog, &recency, 8, 0.5);
-    assert_eq!(hard.mandatory, vec![ObjectId(0), ObjectId(1)]);
-    assert!(hard.plan.downloads().len() >= soft.downloads().len());
-    assert!(hard.unmet.is_empty());
 }
 
 /// A station driven with invalidation reports and a rate-learning
