@@ -94,7 +94,7 @@ fn main() {
         }
         warm.stats().refreshes
     }));
-    write_record("cache", &results);
+    write_record("cache", &[], &results);
 
     // Print the ablation table once (hit ratios per policy) so `cargo
     // bench` output doubles as the ablation report.

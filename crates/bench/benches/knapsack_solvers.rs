@@ -105,5 +105,5 @@ fn main() {
     bench_solvers_by_n(&mut results);
     bench_dp_by_capacity(&mut results);
     bench_trace_reads(&mut results);
-    write_record("knapsack", &results);
+    write_record("knapsack", &[], &results);
 }

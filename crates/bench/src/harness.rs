@@ -86,12 +86,17 @@ pub fn results_json(results: &[Measurement]) -> String {
     lines.join(",\n")
 }
 
-/// Write `BENCH_<bench>.json` at the repo root: the record of a suite
-/// that has measurements and nothing else to say.
-pub fn write_record(bench: &str, results: &[Measurement]) {
+/// Write `BENCH_<bench>.json` at the repo root: a suite's measurements
+/// under `"results"`, preceded by its headline figures — `(key, value)`
+/// pairs, each value already rendered as JSON — if it has any.
+pub fn write_record(bench: &str, headlines: &[(&str, String)], results: &[Measurement]) {
     let path = format!("{}/../../BENCH_{bench}.json", env!("CARGO_MANIFEST_DIR"));
+    let headlines: String = headlines
+        .iter()
+        .map(|(key, value)| format!("  \"{key}\": {value},\n"))
+        .collect();
     let out = format!(
-        "{{\n  \"bench\": \"{bench}\",\n  \"results\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"{bench}\",\n{headlines}  \"results\": [\n{}\n  ]\n}}\n",
         results_json(results)
     );
     std::fs::write(&path, out).unwrap_or_else(|e| panic!("write {path}: {e}"));

@@ -2,7 +2,7 @@
 //! benchmark suite, including the observability overhead comparison.
 //! Writes `BENCH_planner.json` at the repo root; see
 //! [`basecache_bench::planner_suite`] for what is measured. The other
-//! bench targets (`knapsack_solvers`, `sim_engine`, `figures`,
+//! bench targets (`knapsack_solvers`, `cluster`, `sim_engine`, `figures`,
 //! `cache_policies`) run under `cargo bench`.
 //!
 //! `cargo run -p basecache-bench --release -- diff <base> <new> ...`

@@ -377,13 +377,10 @@ fn bench_inflight(results: &mut Vec<Measurement>) -> f64 {
 }
 
 /// The suite's headline figures, one per top-level JSON key.
-struct Headlines<'a> {
+struct Headlines {
     observed_overhead: f64,
     lifecycle_overhead: f64,
     coalesced_fetch_ratio: f64,
-    cluster_speedup: f64,
-    cluster_parallel_path: &'a str,
-    l2_origin_savings: f64,
     massive: crate::massive_suite::MassiveReport,
 }
 
@@ -392,9 +389,6 @@ fn write_json(results: &[Measurement], headlines: &Headlines, stages: &Snapshot)
         observed_overhead,
         lifecycle_overhead,
         coalesced_fetch_ratio,
-        cluster_speedup,
-        cluster_parallel_path,
-        l2_origin_savings,
         ref massive,
     } = *headlines;
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_planner.json");
@@ -417,17 +411,6 @@ fn write_json(results: &[Measurement], headlines: &Headlines, stages: &Snapshot)
     // already on the wire (quick preset, top spike intensity).
     out.push_str(&format!(
         "  \"coalesced_fetch_ratio\": {coalesced_fetch_ratio:.3},\n"
-    ));
-    out.push_str(&format!(
-        "  \"cluster_parallel_speedup_at_16_cells\": {cluster_speedup:.2},\n"
-    ));
-    out.push_str(&format!(
-        "  \"cluster_parallel_path\": \"{cluster_parallel_path}\",\n"
-    ));
-    // Fraction of origin (backhaul) bandwidth the regional L2 tier
-    // saves at 8 cells under Markov-ring roaming (quick sweep preset).
-    out.push_str(&format!(
-        "  \"l2_origin_savings\": {l2_origin_savings:.3},\n"
     ));
     // Headlines from the massive round-engine suite
     // (`planner/massive/*`): standing requests served per second of
@@ -494,18 +477,6 @@ pub fn run() {
     bench_lowest_recency_first(&mut results);
     let coalesced_fetch_ratio = bench_inflight(&mut results);
     println!("flash-crowd coalesced fetch ratio at top spike: {coalesced_fetch_ratio:.3}\n");
-    let (cluster_speedup, cluster_parallel_path) =
-        crate::cluster_suite::bench_cluster_rounds(&mut results);
-    println!(
-        "cluster round at 16 cells: {cluster_speedup:.2}x parallel speedup on this machine \
-         ({cluster_parallel_path})\n"
-    );
-    let l2_origin_savings = crate::cluster_suite::bench_l2_rounds(&mut results);
-    println!(
-        "regional L2 tier at {} cells: {:.1}% origin bandwidth saved\n",
-        crate::cluster_suite::L2_CELLS,
-        l2_origin_savings * 100.0
-    );
     let massive = crate::massive_suite::bench_massive(&crate::massive_suite::FULL, &mut results);
     println!(
         "massive round engine: {:.2e} requests/s, incremental build {:.2}x faster than full rebuild\n",
@@ -518,9 +489,6 @@ pub fn run() {
             observed_overhead,
             lifecycle_overhead,
             coalesced_fetch_ratio,
-            cluster_speedup,
-            cluster_parallel_path,
-            l2_origin_savings,
             massive,
         },
         &stages,

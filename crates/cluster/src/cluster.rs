@@ -4,30 +4,37 @@
 use std::fmt;
 
 use basecache_core::{BaseStationSim, RoundOutcome};
-use basecache_net::{ArbiterScratch, BackhaulArbiter, CellId};
+use basecache_net::{ArbiterScratch, BackhaulArbiter, CellId, ObjectId};
 use basecache_obs::{Attr, Event, NullRecorder, Recorder, Sample, Snapshot};
 use basecache_sim::WorkerPool;
 use basecache_workload::{ClusterWorkload, GeneratedRequest};
 
 use crate::l2::{L2Config, RegionalL2, TIER_L1, TIER_L2, TIER_ORIGIN};
 
-/// One cell: a base station plus the per-cell buffers the cluster
-/// round reuses (request batch copy, recency scratch for the demand
-/// probe). Owning the buffers here lets a whole cell move onto a
+/// One cell: a base station, this round's request batch, and the
+/// batch's aggregation — its distinct objects, ascending, with their
+/// request counts. The aggregation is built once a round, and it is what
+/// the coordination steps read: demand declaration, the L2 exchange and
+/// tier attribution all work per requested object, as the paper's
+/// mapping does. Owning the buffers here lets a whole cell move onto a
 /// worker thread as a single value.
 #[derive(Debug)]
 pub struct Cell {
     station: BaseStationSim,
     batch: Vec<GeneratedRequest>,
-    recency: Vec<f64>,
+    /// Requests per catalog object; all zero outside [`Self::load`].
+    counts: Vec<u32>,
+    distinct: Vec<(ObjectId, u32)>,
 }
 
 impl Cell {
     fn new(station: BaseStationSim) -> Self {
+        let objects = station.catalog().len();
         Self {
             station,
             batch: Vec::new(),
-            recency: Vec::new(),
+            counts: vec![0; objects],
+            distinct: Vec::with_capacity(objects),
         }
     }
 
@@ -36,30 +43,48 @@ impl Cell {
         &self.station
     }
 
+    /// Take this round's batch and aggregate it: count the requests per
+    /// object into the catalog-sized column, then compact the column
+    /// into `distinct`, leaving it zeroed for the next round.
+    fn load(&mut self, batch: &[GeneratedRequest]) {
+        self.batch.clear();
+        self.batch.extend_from_slice(batch);
+        for r in batch {
+            self.counts[r.object.index()] += 1;
+        }
+        // Branch-free: a quarter of the column is occupied, in no
+        // pattern a predictor learns — write every slot, keep the
+        // occupied ones by advancing the length.
+        self.distinct.resize(self.counts.len(), (ObjectId(0), 0));
+        let mut len = 0;
+        for (object, count) in self.counts.iter_mut().enumerate() {
+            self.distinct[len] = (ObjectId(object as u32), *count);
+            len += usize::from(*count > 0);
+            *count = 0;
+        }
+        self.distinct.truncate(len);
+    }
+
     /// Data units of stale requested demand in the current batch: each
     /// distinct requested object whose *estimated* recency is below 1
     /// counts its catalog size once. This is what the cell declares to
     /// the backhaul arbiter.
-    fn declared_demand(&mut self) -> u64 {
-        self.station.estimated_recency_into(&mut self.recency);
-        let mut demand = 0u64;
-        for r in &self.batch {
-            let slot = &mut self.recency[r.object.index()];
-            if *slot < 1.0 {
-                demand += self.station.catalog().size_of(r.object);
-                // Count each object once: mark it fresh in the scratch.
-                *slot = 1.0;
-            }
-        }
+    fn declared_demand(&self) -> u64 {
+        let station = &self.station;
+        let demand: u64 = self
+            .distinct
+            .iter()
+            .filter(|&&(object, _)| station.estimated_recency_of(object) < 1.0)
+            .map(|&(object, _)| station.catalog().size_of(object))
+            .sum();
         // Units already committed to this station's in-flight transfers
         // are on the wire, not new demand — subtract them so the
         // arbiter stops double-counting bandwidth (PR 7 follow-on).
         // Zero outside in-flight mode, keeping the instantaneous path
         // bit-identical.
-        let committed = self
-            .station
+        let committed = station
             .flight_ledger()
-            .map_or(0, |ledger| ledger.committed_at(self.station.tick()));
+            .map_or(0, |ledger| ledger.committed_at(station.tick()));
         demand.saturating_sub(committed)
     }
 
@@ -93,6 +118,15 @@ pub enum ClusterError {
         /// Cells in the workload.
         cells: u32,
     },
+    /// The workload requests objects a station's catalog does not hold.
+    CatalogTooSmall {
+        /// The cell whose station falls short.
+        cell: usize,
+        /// Objects in that station's catalog.
+        catalog: usize,
+        /// Objects the workload's popularity ranges over.
+        requested: usize,
+    },
 }
 
 impl fmt::Display for ClusterError {
@@ -101,6 +135,14 @@ impl fmt::Display for ClusterError {
             Self::CellCountMismatch { stations, cells } => write!(
                 f,
                 "{stations} station(s) supplied for a {cells}-cell workload"
+            ),
+            Self::CatalogTooSmall {
+                cell,
+                catalog,
+                requested,
+            } => write!(
+                f,
+                "cell {cell}'s catalog holds {catalog} object(s), the workload requests {requested}"
             ),
         }
     }
@@ -179,6 +221,17 @@ impl ClusterSim {
                 stations: stations.len(),
                 cells: workload.cells(),
             });
+        }
+        let requested = workload.objects();
+        for (cell, station) in stations.iter().enumerate() {
+            let catalog = station.catalog().len();
+            if catalog < requested {
+                return Err(ClusterError::CatalogTooSmall {
+                    cell,
+                    catalog,
+                    requested,
+                });
+            }
         }
         let cells: Vec<Cell> = stations.into_iter().map(Cell::new).collect();
         let n = cells.len();
@@ -291,16 +344,13 @@ impl ClusterSim {
         // 1. Mobility: clients move, then emit this round's batches.
         let handoffs = self.workload.advance();
         for (i, cell) in self.cells.iter_mut().enumerate() {
-            cell.batch.clear();
-            cell.batch
-                .extend_from_slice(self.workload.batch(CellId(i as u32)));
+            cell.load(self.workload.batch(CellId(i as u32)));
         }
 
         // 2. Demand declaration + backhaul arbitration.
         self.demands.clear();
-        for cell in &mut self.cells {
-            self.demands.push(cell.declared_demand());
-        }
+        self.demands
+            .extend(self.cells.iter().map(Cell::declared_demand));
         self.arbiter
             .allocate_with(&self.demands, &mut self.budgets, &mut self.arbiter_scratch);
         for (cell, &budget) in self.cells.iter_mut().zip(&self.budgets) {
@@ -319,11 +369,11 @@ impl ClusterSim {
             l2.begin_round();
             for (i, cell) in self.cells.iter_mut().enumerate() {
                 let id = i as u32;
-                l2.exchange(&mut cell.station, &cell.batch, id, self.tick, recorder);
+                l2.exchange(&mut cell.station, &cell.distinct, id, self.tick, recorder);
                 let outcome = cell.step();
                 cell.station.clear_plan_exclusions();
                 l2.publish_downloads(&cell.station, id, self.tick, recorder);
-                l2.attribute_serves(&cell.station, &cell.batch, self.tick, recorder);
+                l2.attribute_serves(&cell.station, &cell.distinct, self.tick, recorder);
                 self.last_outcomes.push(outcome);
             }
             l2.end_round();

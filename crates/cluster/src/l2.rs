@@ -34,7 +34,6 @@
 use basecache_core::BaseStationSim;
 use basecache_net::{InterCellLink, ObjectId, PublishOutcome, VersionBus};
 use basecache_obs::{LifecycleEvent, Recorder, Transition};
-use basecache_workload::GeneratedRequest;
 
 /// Configuration of the regional L2 tier.
 #[derive(Debug, Clone, Copy)]
@@ -72,13 +71,12 @@ pub const TIER_ORIGIN: u32 = 2;
 pub struct RegionalL2 {
     bus: VersionBus,
     link: InterCellLink,
-    /// Per-cell scratch: this cell's origin-fetch exclusions.
+    /// Per-cell scratch: this cell's origin-fetch exclusions, ascending
+    /// and distinct like the aggregation they are filled from.
     exclusions: Vec<ObjectId>,
     /// Per-cell scratch: objects pulled over the backbone this exchange
-    /// (ascending — filled from the sorted request scan).
+    /// (ascending, for the same reason).
     transferred: Vec<ObjectId>,
-    /// Per-cell scratch: the batch's distinct objects, ascending.
-    seen: Vec<ObjectId>,
     /// This round's serves per tier (`[L1, L2, origin]`).
     round_tiers: [u64; 3],
     /// Cumulative serves per tier.
@@ -99,7 +97,6 @@ impl RegionalL2 {
             link: InterCellLink::new(config.intercell_units_per_round),
             exclusions: Vec::new(),
             transferred: Vec::new(),
-            seen: Vec::new(),
             round_tiers: [0; 3],
             total_tiers: [0; 3],
             round_transfers: 0,
@@ -122,12 +119,13 @@ impl RegionalL2 {
     /// Phase one of a cell's L2 round: pull fresher regional copies of
     /// the cell's requested, locally-stale objects over the backbone
     /// (budget permitting), and install the origin-fetch exclusions
-    /// that enforce region single-flight. Objects scan in ascending id
-    /// order, so the exchange is deterministic.
+    /// that enforce region single-flight. `distinct` is the cell's
+    /// aggregated batch — each requested object once, ascending — so the
+    /// exchange is deterministic and asks the directory once an object.
     pub(crate) fn exchange(
         &mut self,
         station: &mut BaseStationSim,
-        batch: &[GeneratedRequest],
+        distinct: &[(ObjectId, u32)],
         cell: u32,
         tick: u64,
         recorder: &dyn Recorder,
@@ -135,11 +133,7 @@ impl RegionalL2 {
         let observing = recorder.enabled();
         self.exclusions.clear();
         self.transferred.clear();
-        self.seen.clear();
-        self.seen.extend(batch.iter().map(|r| r.object));
-        self.seen.sort_unstable();
-        self.seen.dedup();
-        for &o in &self.seen {
+        for &(o, _) in distinct {
             let current = station.server().version_of(o);
             let local = station.cached_version_of(o);
             if let Some((directory, holder)) = self.bus.lookup(o) {
@@ -228,37 +222,37 @@ impl RegionalL2 {
     /// to its tier — L2 if its object came over the backbone this
     /// exchange, origin if the cell downloaded it this round, L1
     /// otherwise — and emit `ServedFromL2` lifecycle events for the
-    /// backbone-fed serves.
+    /// backbone-fed serves. One merge of three ascending lists: each
+    /// distinct object adds its request count to its tier.
     pub(crate) fn attribute_serves(
         &mut self,
         station: &BaseStationSim,
-        batch: &[GeneratedRequest],
+        distinct: &[(ObjectId, u32)],
         tick: u64,
         recorder: &dyn Recorder,
     ) {
         let observing = recorder.enabled();
+        let mut transferred = self.transferred.iter().peekable();
         // Ascending under every policy (the station's plan-stage contract).
-        let downloaded = station.last_downloaded();
-        for r in batch {
-            if self.transferred.binary_search(&r.object).is_ok() {
-                self.round_tiers[TIER_L2 as usize] += 1;
-            } else if downloaded.binary_search(&r.object).is_ok() {
-                self.round_tiers[TIER_ORIGIN as usize] += 1;
-            } else {
-                self.round_tiers[TIER_L1 as usize] += 1;
-            }
-        }
-        if observing {
-            for &o in &self.transferred {
-                let count = batch.iter().filter(|r| r.object == o).count() as u32;
-                if count > 0 {
+        let mut downloaded = station.last_downloaded().iter().peekable();
+        for &(o, count) in distinct {
+            while transferred.next_if(|&&t| t < o).is_some() {}
+            while downloaded.next_if(|&&d| d < o).is_some() {}
+            let tier = if transferred.peek() == Some(&&o) {
+                if observing {
                     let version = station.cached_version_of(o).map_or(0, |v| v.0);
                     recorder.lifecycle(
                         LifecycleEvent::new(Transition::ServedFromL2, o.0, version, tick)
                             .times(count),
                     );
                 }
-            }
+                TIER_L2
+            } else if downloaded.peek() == Some(&&o) {
+                TIER_ORIGIN
+            } else {
+                TIER_L1
+            };
+            self.round_tiers[tier as usize] += u64::from(count);
         }
     }
 

@@ -255,6 +255,41 @@ fn mismatched_cell_count_is_rejected() {
 }
 
 #[test]
+fn workload_over_more_objects_than_a_catalog_is_rejected() {
+    // Cell 1's station holds 60 objects; the workload draws from 61. A
+    // round would index past the station's per-object tables.
+    let wide = ClusterWorkload::new(
+        2,
+        50,
+        Popularity::Uniform,
+        Popularity::ZIPF1.build(OBJECTS + 1),
+        TargetRecency::AlwaysFresh,
+        2,
+        MobilityModel::Stationary,
+        &RngStreams::new(3),
+    );
+    let roomy = StationBuilder::new(Catalog::from_sizes(&[1; OBJECTS + 1]))
+        .on_demand(OnDemandPlanner::paper_default(), 0)
+        .build()
+        .expect("valid configuration");
+    let err = ClusterSim::new(
+        vec![roomy, station(false)],
+        wide,
+        BackhaulArbiter::new(ArbiterPolicy::Static, 10),
+    )
+    .unwrap_err();
+    assert_eq!(
+        err,
+        basecache_cluster::ClusterError::CatalogTooSmall {
+            cell: 1,
+            catalog: OBJECTS,
+            requested: OBJECTS + 1
+        }
+    );
+    assert!(err.to_string().contains("cell 1"), "{err}");
+}
+
+#[test]
 fn arbitration_steers_budget_toward_demand() {
     // Skewed placement concentrates clients (hence demand) in low
     // cells; proportional arbitration must allocate them more budget

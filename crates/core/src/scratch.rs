@@ -100,15 +100,24 @@ impl PlannerScratch {
         &self.items
     }
 
-    /// Drop every item of the assembled instance whose object `keep`
-    /// rejects, preserving order — how the round kernel takes objects it
-    /// must not fetch out of the knapsack before the solve.
-    pub(crate) fn retain_objects(&mut self, mut keep: impl FnMut(ObjectId) -> bool) {
+    /// Drop every item of the assembled instance whose object is in
+    /// `excluded` or that `keep` rejects, preserving order — how the
+    /// round kernel takes objects it must not fetch out of the knapsack
+    /// before the solve. `excluded` ascends like the items do, so one
+    /// cursor walks it beside them.
+    pub(crate) fn retain_objects(
+        &mut self,
+        excluded: &[ObjectId],
+        mut keep: impl FnMut(ObjectId) -> bool,
+    ) {
+        let mut excluded = excluded.iter().peekable();
         let mut kept = 0usize;
         for i in 0..self.items.len() {
-            if keep(self.objects[i]) {
+            let object = self.objects[i];
+            while excluded.next_if(|&&e| e < object).is_some() {}
+            if excluded.peek() != Some(&&object) && keep(object) {
                 self.items[kept] = self.items[i];
-                self.objects[kept] = self.objects[i];
+                self.objects[kept] = object;
                 kept += 1;
             }
         }
@@ -130,5 +139,59 @@ impl PlannerScratch {
     /// recovered by downloading).
     pub fn achieved_value(&self) -> f64 {
         self.achieved_value
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use basecache_sim::check::run_cases;
+
+    /// A random ascending, distinct list of object ids below `universe`.
+    fn ascending(rng: &mut basecache_sim::StreamRng, universe: u32) -> Vec<ObjectId> {
+        (0..universe)
+            .filter(|_| rng.random_range(0..3u32) == 0)
+            .map(ObjectId)
+            .collect()
+    }
+
+    #[test]
+    fn merge_cursor_filter_equals_binary_search() {
+        run_cases("scratch/retain_objects", 256, |case, rng| {
+            let objects = ascending(rng, 48);
+            // Every fourth case has no exclusions at all: the
+            // coalescing-ledger round outside L2, filtered by `keep` alone.
+            let excluded = if case % 4 == 0 {
+                Vec::new()
+            } else {
+                ascending(rng, 56)
+            };
+            let joinable = ascending(rng, 48);
+            let mut scratch = PlannerScratch::new();
+            for (i, &o) in objects.iter().enumerate() {
+                scratch.objects.push(o);
+                scratch
+                    .items
+                    .push(Item::new(1 + o.0 as u64 % 5, 1.0 + i as f64));
+            }
+            let expected: Vec<(ObjectId, Item)> = objects
+                .iter()
+                .zip(&scratch.items)
+                .filter(|(o, _)| {
+                    joinable.binary_search(o).is_err() && excluded.binary_search(o).is_err()
+                })
+                .map(|(&o, &item)| (o, item))
+                .collect();
+
+            scratch.retain_objects(&excluded, |o| joinable.binary_search(&o).is_err());
+
+            let got: Vec<(ObjectId, Item)> = scratch
+                .objects
+                .iter()
+                .copied()
+                .zip(scratch.items.iter().copied())
+                .collect();
+            assert_eq!(got, expected);
+        });
     }
 }

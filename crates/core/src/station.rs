@@ -376,10 +376,9 @@ impl BaseStationSim {
     }
 
     /// Fill `out` with [`Self::estimated_recency_vec`] without
-    /// allocating beyond `out`'s own capacity growth. Per-round callers
-    /// (the round kernel, the cluster's demand probe) reuse one buffer
-    /// across ticks.
-    pub fn estimated_recency_into(&self, out: &mut Vec<f64>) {
+    /// allocating beyond `out`'s own capacity growth; the round kernel
+    /// reuses one buffer across ticks.
+    fn estimated_recency_into(&self, out: &mut Vec<f64>) {
         match &self.estimation {
             Estimation::Oracle => self.fill_recency(out),
             Estimation::Estimator(est) => {
@@ -390,6 +389,19 @@ impl BaseStationSim {
                     None => 0.0,
                 }));
             }
+        }
+    }
+
+    /// One slot of [`Self::estimated_recency_vec`] (the same arms as the
+    /// fill above, so the same float), for callers — the cluster's
+    /// demand probe — that ask about a round's requested objects only.
+    pub fn estimated_recency_of(&self, id: ObjectId) -> f64 {
+        match &self.estimation {
+            Estimation::Oracle => self.true_recency(id),
+            Estimation::Estimator(est) => match self.cache.peek(id) {
+                Some(entry) => est.estimate(id, entry, SimTime::from_ticks(self.tick)),
+                None => 0.0,
+            },
         }
     }
 
@@ -752,10 +764,9 @@ impl BaseStationSim {
     ) -> u64 {
         let single_flight = ledger.filter(|l| l.coalesce());
         if single_flight.is_some() || !self.plan_exclusions.is_empty() {
-            let (server, exclusions) = (&self.server, &self.plan_exclusions);
-            self.scratch.retain_objects(|o| {
+            let server = &self.server;
+            self.scratch.retain_objects(&self.plan_exclusions, |o| {
                 !single_flight.is_some_and(|l| l.joinable(o, server.version_of(o)))
-                    && exclusions.binary_search(&o).is_err()
             });
         }
         let Some(ledger) = ledger else {

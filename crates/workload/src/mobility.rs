@@ -176,6 +176,12 @@ impl ClusterWorkload {
         self.clients.len()
     }
 
+    /// Number of objects requests range over (the popularity's support):
+    /// every generated [`ObjectId`] is below it.
+    pub fn objects(&self) -> usize {
+        self.popularity.len()
+    }
+
     /// Ticks advanced so far.
     pub fn ticks(&self) -> u64 {
         self.ticks

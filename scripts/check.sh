@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Full local gate: formatting, lints, tier-1 build+tests (property suites
 # and golden results included), the golden results again in release, and
-# the knapsack and planner benches (which record BENCH_knapsack.json and
-# BENCH_planner.json at the repo root).
+# the knapsack, cluster and planner benches (which record
+# BENCH_knapsack.json, BENCH_cluster.json and BENCH_planner.json at the
+# repo root).
 # Everything runs offline — the workspace has no external dependencies.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -72,6 +73,22 @@ for entry in 'knapsack/adaptive/untied/500' 'knapsack/adaptive/tied/500' \
         || { echo "error: BENCH_knapsack.json missing $entry" >&2; exit 1; }
 done
 
+echo "==> cluster bench (writes BENCH_cluster.json)"
+cargo bench -p basecache-bench --bench cluster
+# The cluster-round scaling series, the L2 tier on and off, and the
+# round at the end-to-end benchmark's cluster-roaming shape, whole and
+# by coordination phase.
+for entry in 'cluster_round/sequential/1' 'cluster_round/sequential/16' \
+             'cluster_round/parallel/16' \
+             'cluster/l2/off' 'cluster/l2/on' \
+             'cluster/roaming/16x3200/step' 'cluster/roaming/16x3200/declare' \
+             'cluster/roaming/16x3200/exchange' \
+             'cluster/roaming/16x3200/attribute' \
+             'cluster_parallel_path' 'l2_origin_savings'; do
+    grep -q "\"$entry\"" BENCH_cluster.json \
+        || { echo "error: BENCH_cluster.json missing $entry" >&2; exit 1; }
+done
+
 echo "==> planner bench (writes BENCH_planner.json)"
 # Keep the committed baseline aside so the fresh run can be gated
 # against it.
@@ -79,13 +96,10 @@ bench_baseline=$(mktemp)
 cp BENCH_planner.json "$bench_baseline"
 cargo bench -p basecache-bench --bench planner
 
-# The suite must cover the cluster-round scaling series, the adaptive
-# solve path and the massive round-engine series — the regression gate
-# can only guard entries that exist in the fresh run.
-for entry in 'cluster_round/sequential/1' 'cluster_round/sequential/16' \
-             'cluster_round/parallel/16' \
-             'cluster/l2/off' 'cluster/l2/on' \
-             'planner/round/adaptive' 'planner/round/adaptive_lifecycle' \
+# The suite must cover the adaptive solve path and the massive
+# round-engine series — the regression gate can only guard entries that
+# exist in the fresh run.
+for entry in 'planner/round/adaptive' 'planner/round/adaptive_lifecycle' \
              'planner/scale/adaptive/2000' \
              'planner/inflight/coalesce' 'planner/inflight/naive' \
              'planner/inflight/flash_crowd' \
@@ -99,8 +113,7 @@ for entry in 'cluster_round/sequential/1' 'cluster_round/sequential/16' \
 done
 # ... and the massive-scale headline keys.
 for key in 'requests_per_second' 'incremental_build_speedup' \
-           'cluster_parallel_path' 'coalesced_fetch_ratio' \
-           'lifecycle_recorder_overhead' 'l2_origin_savings'; do
+           'coalesced_fetch_ratio' 'lifecycle_recorder_overhead'; do
     grep -q "\"$key\"" BENCH_planner.json \
         || { echo "error: BENCH_planner.json missing $key" >&2; exit 1; }
 done
