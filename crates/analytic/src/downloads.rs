@@ -47,17 +47,6 @@ pub fn async_ceiling(objects: usize, waves: u64) -> f64 {
     objects as f64 * waves as f64
 }
 
-/// The on-demand saving relative to the asynchronous ceiling, in `[0, 1]`.
-pub fn expected_saving_fraction(
-    popularity: &PopularityDist,
-    requests_per_tick: u64,
-    update_period: u64,
-) -> f64 {
-    let per_interval =
-        expected_downloads_per_interval(popularity, requests_per_tick * update_period);
-    1.0 - per_interval / popularity.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,8 +91,10 @@ mod tests {
 
     #[test]
     fn saving_fraction_bounds() {
+        // The on-demand saving against the asynchronous ceiling,
+        // `1 − E[downloads per interval] / N`, lies in [0, 1].
         let pop = Popularity::ZIPF1.build(500);
-        let s = expected_saving_fraction(&pop, 100, 5);
+        let s = 1.0 - expected_downloads_per_interval(&pop, 100 * 5) / 500.0;
         assert!((0.0..=1.0).contains(&s));
         // Zipf with 500 requests per interval over 500 objects still
         // leaves a long unrequested tail — substantial savings.

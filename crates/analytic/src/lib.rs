@@ -13,8 +13,7 @@
 //!
 //! * [`downloads`] — expected on-demand download volume (Figure 2).
 //! * [`recency`] — expected delivered recency under round-robin refresh
-//!   and update waves (Figure 3's asynchronous curve), and expected
-//!   scores under recency distributions.
+//!   and update waves (Figure 3's asynchronous curve).
 //! * [`fluid`] — the fluid (LP-relaxation) limit of the knapsack
 //!   solution space (Figures 4–6's curves, up to an `O(max size/total)`
 //!   integrality gap).

@@ -1,6 +1,5 @@
 //! Expected delivered recency under the asynchronous round-robin policy
-//! (Figure 3's lower curve), and expected scores under recency
-//! distributions.
+//! (Figure 3's lower curve).
 //!
 //! Round-robin with budget `k` objects/tick over `N` objects refreshes
 //! each object once every `C = N/k` ticks. Updates arrive in waves every
@@ -69,40 +68,6 @@ pub fn expected_async_recency(objects: u64, k_per_tick: u64, period: u64) -> f64
         + w_long * expected_round_robin_recency(base + 1, period)
 }
 
-/// Expected score `E[f_C(x)]` of the inverse-ratio scoring function for
-/// a recency uniformly distributed on `[lo, hi] ⊆ [0, 1]` and a fixed
-/// target `c`, by numeric integration (midpoint rule, `steps` panels).
-///
-/// Used by capacity-planning code to convert a predicted recency
-/// distribution into a predicted average client score.
-pub fn expected_inverse_ratio_score(lo: f64, hi: f64, c: f64, steps: usize) -> f64 {
-    assert!(
-        (0.0..=1.0).contains(&lo) && lo <= hi && hi <= 1.0,
-        "bad recency range"
-    );
-    assert!(c > 0.0 && c <= 1.0, "target must be in (0, 1]");
-    assert!(steps > 0);
-    if lo == hi {
-        return score_inverse_ratio(lo, c);
-    }
-    let width = (hi - lo) / steps as f64;
-    (0..steps)
-        .map(|i| {
-            let x = lo + (i as f64 + 0.5) * width;
-            score_inverse_ratio(x, c)
-        })
-        .sum::<f64>()
-        / steps as f64
-}
-
-fn score_inverse_ratio(x: f64, c: f64) -> f64 {
-    if x >= c {
-        1.0
-    } else {
-        1.0 / (1.0 + (x / c - 1.0).abs())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,22 +119,5 @@ mod tests {
         let generous = expected_async_recency(100, 200, 5);
         assert!(uneven < exact, "slower refresh → lower recency");
         assert!((generous - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn expected_score_brackets_and_monotonicity() {
-        // Fully fresh range scores 1.
-        assert!((expected_inverse_ratio_score(1.0, 1.0, 1.0, 10) - 1.0).abs() < 1e-12);
-        // Wider staleness lowers the expectation.
-        let tight = expected_inverse_ratio_score(0.8, 1.0, 1.0, 1000);
-        let loose = expected_inverse_ratio_score(0.1, 1.0, 1.0, 1000);
-        assert!(loose < tight);
-        assert!(
-            (0.5..=1.0).contains(&loose),
-            "scores bounded below by 1/2 at x=0"
-        );
-        // Laxer target raises the expectation.
-        let lax = expected_inverse_ratio_score(0.1, 1.0, 0.5, 1000);
-        assert!(lax > loose);
     }
 }

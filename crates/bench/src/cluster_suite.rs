@@ -104,7 +104,6 @@ fn build_cluster(shape: Shape, clock: Option<&Arc<PhaseClock>>) -> ClusterSim {
 fn with_l2(cluster: ClusterSim, shape: Shape) -> ClusterSim {
     cluster.with_l2(L2Config {
         intercell_units_per_round: shape.backhaul,
-        ..L2Config::default()
     })
 }
 
@@ -164,7 +163,6 @@ fn bench_l2_rounds(results: &mut Vec<Measurement>) -> f64 {
     let params = ext_cluster::L2Params::quick();
     let config = L2Config {
         intercell_units_per_round: params.intercell_budget,
-        ..L2Config::default()
     };
     let (_, off_units) = ext_cluster::run_l2_point(&params, L2_CELLS, None);
     let (_, on_units) = ext_cluster::run_l2_point(&params, L2_CELLS, Some(config));

@@ -35,11 +35,6 @@ impl CacheEntry {
     pub fn lag(&self, server_version: Version) -> u64 {
         self.version.lag(server_version)
     }
-
-    /// Whether the copy is up to date with the server.
-    pub fn is_fresh(&self, server_version: Version) -> bool {
-        self.version == server_version
-    }
 }
 
 #[cfg(test)]
@@ -49,8 +44,6 @@ mod tests {
     #[test]
     fn lag_and_freshness() {
         let e = CacheEntry::new(ObjectId(1), 4, Version(2), SimTime::from_ticks(10));
-        assert!(e.is_fresh(Version(2)));
-        assert!(!e.is_fresh(Version(5)));
         assert_eq!(e.lag(Version(5)), 3);
         assert_eq!(e.lag(Version(2)), 0);
     }

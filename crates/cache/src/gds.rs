@@ -6,10 +6,9 @@
 //! is a global inflation value. Eviction removes the minimum-`H` object
 //! and raises `L` to its credit, so objects that have not been touched
 //! recently deflate relative to fresh arrivals; hits restore an object's
-//! credit to the current `L + cost/size`. With `cost = size` the policy
-//! degenerates to LRU; with `cost = 1` (our default, "GDS(1)") it
-//! prefers evicting large objects, which suits the base station's mix of
-//! sizes.
+//! credit to the current `L + cost/size`. With `cost = 1` ("GDS(1)", the
+//! variant implemented here) it prefers evicting large objects, which
+//! suits the base station's mix of sizes.
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -17,19 +16,9 @@ use basecache_net::ObjectId;
 
 use crate::policy::ReplacementPolicy;
 
-/// How GreedyDual-Size prices a miss.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GdsCost {
-    /// Every miss costs 1 ("GDS(1)"): favours keeping small objects.
-    Uniform,
-    /// A miss costs the object's size: equivalent to LRU ordering.
-    Size,
-}
-
-/// The GreedyDual-Size policy.
+/// The GreedyDual-Size policy with uniform miss cost.
 #[derive(Debug)]
 pub struct GreedyDualSize {
-    cost: GdsCost,
     inflation: f64,
     /// Resident objects: id → (credit bits, size).
     by_id: HashMap<ObjectId, (u64, u64)>,
@@ -43,27 +32,17 @@ fn bits(h: f64) -> u64 {
 }
 
 impl GreedyDualSize {
-    /// A GDS policy with the given cost model.
-    pub fn new(cost: GdsCost) -> Self {
+    /// GDS(1): every miss costs 1, so small objects are favoured.
+    pub fn uniform() -> Self {
         Self {
-            cost,
             inflation: 0.0,
             by_id: HashMap::new(),
             ordered: BTreeSet::new(),
         }
     }
 
-    /// GDS(1): uniform miss cost.
-    pub fn uniform() -> Self {
-        Self::new(GdsCost::Uniform)
-    }
-
     fn credit(&self, size: u64) -> f64 {
-        let cost = match self.cost {
-            GdsCost::Uniform => 1.0,
-            GdsCost::Size => size as f64,
-        };
-        self.inflation + cost / size.max(1) as f64
+        self.inflation + 1.0 / size.max(1) as f64
     }
 
     fn set_credit(&mut self, id: ObjectId, size: u64) {
@@ -73,11 +52,6 @@ impl GreedyDualSize {
         }
         self.by_id.insert(id, (h, size));
         self.ordered.insert((h, id));
-    }
-
-    /// The current inflation value `L`.
-    pub fn inflation(&self) -> f64 {
-        self.inflation
     }
 }
 
@@ -106,10 +80,7 @@ impl ReplacementPolicy for GreedyDualSize {
     }
 
     fn name(&self) -> &'static str {
-        match self.cost {
-            GdsCost::Uniform => "gds(1)",
-            GdsCost::Size => "gds(size)",
-        }
+        "gds(1)"
     }
 }
 
@@ -138,7 +109,7 @@ mod tests {
                               // Evict o(0) (tie → lowest id), raising L to 0.5.
         assert_eq!(p.victim(), Some(o(0)));
         p.on_remove(o(0));
-        assert!((p.inflation() - 0.5).abs() < 1e-12);
+        assert!((p.inflation - 0.5).abs() < 1e-12);
         // A new small object now enters at H = 0.5 + 1.0 = 1.5 > o(1)'s.
         p.on_insert(o(2), 1);
         assert_eq!(p.victim(), Some(o(1)));
@@ -146,22 +117,6 @@ mod tests {
         // both recomputed against the same L; o(1) gets 0.5 + 0.5 = 1.0,
         // still below o(2)'s 1.5.
         p.on_access(o(1));
-        assert_eq!(p.victim(), Some(o(1)));
-    }
-
-    #[test]
-    fn size_cost_behaves_like_lru() {
-        let mut p = GreedyDualSize::new(GdsCost::Size);
-        p.on_insert(o(0), 5);
-        p.on_insert(o(1), 50);
-        p.on_insert(o(2), 1);
-        // All credits are L + 1; inflation only moves on eviction, so the
-        // least recently touched has the lowest... with equal credits the
-        // tie-break is by id. Touch 0 and 2 so 1 becomes the stalest at
-        // the *old* L.
-        assert_eq!(p.victim(), Some(o(0)), "tie at same L breaks by id");
-        p.on_remove(o(0));
-        p.on_access(o(2)); // re-credit o(2) at the raised L
         assert_eq!(p.victim(), Some(o(1)));
     }
 
@@ -183,8 +138,8 @@ mod tests {
         let mut last = 0.0;
         for _ in 0..50 {
             let v = p.victim().unwrap();
-            assert!(p.inflation() >= last);
-            last = p.inflation();
+            assert!(p.inflation >= last);
+            last = p.inflation;
             p.on_remove(v);
         }
     }

@@ -41,7 +41,7 @@ mod stats;
 mod store;
 
 pub use entry::CacheEntry;
-pub use gds::{GdsCost, GreedyDualSize};
+pub use gds::GreedyDualSize;
 pub use policy::{Lfu, Lru, ProfitAware, ReplacementPolicy, SizeAware};
 pub use stats::CacheStats;
 pub use store::CacheStore;

@@ -206,17 +206,13 @@ impl CacheStore {
         self.used
     }
 
-    /// The configured capacity, if bounded.
-    pub fn capacity(&self) -> Option<u64> {
-        self.capacity
-    }
-
     /// Number of resident entries.
     pub fn len(&self) -> usize {
         self.copies.len()
     }
 
     /// Whether the cache is empty.
+    /// (The `len` companion clippy's `len_without_is_empty` asks for.)
     pub fn is_empty(&self) -> bool {
         self.copies.is_empty()
     }

@@ -44,15 +44,12 @@ pub struct L2Config {
     /// single-flight, but the cells it denies serve stale until their
     /// retry wins a reservation.
     pub intercell_units_per_round: u64,
-    /// Announcement ring capacity of the version bus (min 16).
-    pub bus_ring: usize,
 }
 
 impl Default for L2Config {
     fn default() -> Self {
         Self {
             intercell_units_per_round: 256,
-            bus_ring: 64,
         }
     }
 }
@@ -93,7 +90,7 @@ impl RegionalL2 {
     /// A fresh tier over `catalog_len` objects.
     pub(crate) fn new(catalog: &basecache_net::Catalog, config: L2Config) -> Self {
         Self {
-            bus: VersionBus::new(catalog, config.bus_ring),
+            bus: VersionBus::new(catalog),
             link: InterCellLink::new(config.intercell_units_per_round),
             exclusions: Vec::new(),
             transferred: Vec::new(),

@@ -91,7 +91,6 @@ fn l2_saves_origin_bandwidth_and_keeps_region_single_flight() {
     let mut on = cluster(8, 99, 400, None)
         .with_l2(L2Config {
             intercell_units_per_round: 400,
-            ..L2Config::default()
         })
         .with_recorder(Box::new(InvariantMonitor::new().region_single_flight()));
 
@@ -142,7 +141,6 @@ fn quality_of_service_does_not_regress_with_l2() {
     let mut off = cluster(8, 99, 400, None);
     let mut on = cluster(8, 99, 400, None).with_l2(L2Config {
         intercell_units_per_round: 400,
-        ..L2Config::default()
     });
     let off_rounds = run_rounds(&mut off, DRIVE);
     let on_rounds = run_rounds(&mut on, DRIVE);
@@ -574,7 +572,6 @@ fn aggregated_round_equals_the_per_request_round() {
         if let Some(units) = script.intercell {
             cluster = cluster.with_l2(L2Config {
                 intercell_units_per_round: units,
-                ..L2Config::default()
             });
         }
         let mut reference = PerRequestCluster {
@@ -582,7 +579,7 @@ fn aggregated_round_equals_the_per_request_round() {
             workload: script.workload(),
             arbiter: script.arbiter(),
             l2: script.intercell.map(|units| PerRequestL2 {
-                bus: VersionBus::new(&script.catalog(), L2Config::default().bus_ring),
+                bus: VersionBus::new(&script.catalog()),
                 link: InterCellLink::new(units),
                 tiers: [0; 3],
                 transfers: 0,

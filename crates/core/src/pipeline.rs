@@ -184,7 +184,7 @@ impl LatencyAwareSim {
             Sample::LinkUtilization,
             self.fixed_net.lock().utilization(now),
         );
-        recorder.add(Event::SchedulerEvents, self.in_flight.stats().processed);
+        recorder.add(Event::SchedulerEvents, self.in_flight.processed());
     }
 
     /// Materialize everything the installed recorder observed (empty

@@ -515,7 +515,6 @@ fn on_demand_steady_state_steps_do_not_allocate() {
             .expect("one station per cell")
             .with_l2(L2Config {
                 intercell_units_per_round: 480,
-                ..L2Config::default()
             });
         let (mut round, mut quiet, mut l2_transfers) = (0, 0, 0);
         while quiet < 40 {

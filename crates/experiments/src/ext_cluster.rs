@@ -264,7 +264,6 @@ pub fn run_l2_point(params: &L2Params, cells: u32, l2: Option<L2Config>) -> (f64
 pub fn run_l2(params: &L2Params) -> Figure {
     let config = L2Config {
         intercell_units_per_round: params.intercell_budget,
-        ..L2Config::default()
     };
     let labels = [
         "mean score (L1 only)",
@@ -375,7 +374,6 @@ mod tests {
         p.base.rounds = 15;
         let config = L2Config {
             intercell_units_per_round: p.intercell_budget,
-            ..L2Config::default()
         };
         let a = run_l2_point(&p, 4, Some(config));
         let b = run_l2_point(&p, 4, Some(config));

@@ -70,11 +70,6 @@ impl BackhaulArbiter {
         }
     }
 
-    /// The policy in force.
-    pub fn policy(&self) -> ArbiterPolicy {
-        self.policy
-    }
-
     /// The global per-round budget `B_total`.
     pub fn total_budget(&self) -> u64 {
         self.total_budget
@@ -197,7 +192,7 @@ mod tests {
         assert!(
             total <= arbiter.total_budget(),
             "{:?} overspent: {total} > {}",
-            arbiter.policy(),
+            arbiter.policy,
             arbiter.total_budget()
         );
         alloc

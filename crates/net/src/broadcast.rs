@@ -11,8 +11,6 @@
 //! broadcast access delay against the base station's pull-based
 //! on-demand caching for the same demand skew.
 
-use basecache_sim::StreamRng;
-
 use crate::object::ObjectId;
 
 /// A multi-disk broadcast program.
@@ -21,8 +19,6 @@ pub struct BroadcastSchedule {
     /// The slot sequence of one major cycle; `slots[t % len]` is on air
     /// at slot `t`.
     slots: Vec<ObjectId>,
-    /// Per-disk relative frequency, for reporting.
-    frequencies: Vec<u64>,
 }
 
 fn gcd(a: u64, b: u64) -> u64 {
@@ -45,10 +41,7 @@ impl BroadcastSchedule {
             !slots.is_empty(),
             "broadcast program needs at least one object"
         );
-        Self {
-            slots,
-            frequencies: vec![1],
-        }
+        Self { slots }
     }
 
     /// Acharya et al.'s multi-disk program generation.
@@ -93,30 +86,7 @@ impl BroadcastSchedule {
                 }
             }
         }
-        Self {
-            slots,
-            frequencies: disks.iter().map(|&(f, _)| f).collect(),
-        }
-    }
-
-    /// The slot sequence of one major cycle.
-    pub fn slots(&self) -> &[ObjectId] {
-        &self.slots
-    }
-
-    /// Major-cycle length in slots.
-    pub fn cycle_len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Configured per-disk frequencies.
-    pub fn frequencies(&self) -> &[u64] {
-        &self.frequencies
-    }
-
-    /// The object on air at slot `t`.
-    pub fn on_air(&self, t: u64) -> ObjectId {
-        self.slots[(t % self.slots.len() as u64) as usize]
+        Self { slots }
     }
 
     /// Slots a client tuning in *after* slot `t` has aired waits until
@@ -156,15 +126,25 @@ impl BroadcastSchedule {
             .map(|(i, &p)| p * self.expected_wait(ObjectId(i as u32)))
             .sum()
     }
+}
+
+/// Test-only views: the slot on air and a Monte-Carlo check of
+/// [`BroadcastSchedule::expected_wait_under`].
+#[cfg(test)]
+impl BroadcastSchedule {
+    /// The object on air at slot `t`.
+    fn on_air(&self, t: u64) -> ObjectId {
+        self.slots[(t % self.slots.len() as u64) as usize]
+    }
 
     /// Simulate `draws` client accesses at random slot positions against
     /// a demand distribution; returns the mean observed wait. Used to
     /// validate the closed-form expectation.
-    pub fn simulate_mean_wait(
+    fn simulate_mean_wait(
         &self,
         probabilities: &[f64],
         draws: usize,
-        rng: &mut StreamRng,
+        rng: &mut basecache_sim::StreamRng,
     ) -> f64 {
         let n = self.slots.len() as u64;
         let mut acc = 0u64;
@@ -198,7 +178,6 @@ mod tests {
     #[test]
     fn flat_disk_expected_wait_is_half_cycle() {
         let s = BroadcastSchedule::flat(ids(0..10));
-        assert_eq!(s.cycle_len(), 10);
         // Wait from a uniformly random boundary: mean of 1..=10 = 5.5.
         for i in 0..10 {
             assert!((s.expected_wait(ObjectId(i)) - 5.5).abs() < 1e-12);
@@ -211,7 +190,7 @@ mod tests {
         // L = 2, hot disk → 1 chunk broadcast every minor cycle, cold
         // disk → 2 chunks. Program: 0 1 0 2.
         let s = BroadcastSchedule::multi_disk(&[(2, ids(0..1)), (1, ids(1..3))]);
-        let program: Vec<u32> = s.slots().iter().map(|o| o.0).collect();
+        let program: Vec<u32> = s.slots.iter().map(|o| o.0).collect();
         assert_eq!(program, vec![0, 1, 0, 2]);
     }
 

@@ -99,11 +99,6 @@ impl Downlink {
         delivery
     }
 
-    /// Number of deliveries made.
-    pub fn deliveries(&self) -> u64 {
-        self.deliveries
-    }
-
     /// Total data units delivered to clients.
     pub fn delivered_units(&self) -> u64 {
         self.delivered_units
@@ -117,11 +112,6 @@ impl Downlink {
     /// Fraction of `[0, now]` spent transmitting.
     pub fn utilization(&self, now: SimTime) -> f64 {
         self.link.utilization(now)
-    }
-
-    /// The underlying link (bandwidth/latency configuration, counters).
-    pub fn link(&self) -> &Link {
-        &self.link
     }
 
     /// Report this downlink's cumulative activity to `recorder`: total
@@ -153,7 +143,6 @@ mod tests {
         d.deliver(t(0), ClientId(0), ObjectId(0), 3); // busy [0,3)
         d.deliver(t(1), ClientId(1), ObjectId(1), 2); // queued, busy [3,5)
         assert_eq!(d.idle_ticks(), 0);
-        assert_eq!(d.deliveries(), 2);
         assert_eq!(d.delivered_units(), 5);
     }
 

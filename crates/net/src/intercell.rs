@@ -11,7 +11,7 @@
 //! The link is a pure budget meter: [`InterCellLink::try_reserve`]
 //! either commits units for one transfer or refuses, and
 //! [`InterCellLink::begin_round`] re-arms the budget. Cumulative
-//! counters feed the observability layer (L2 transfer/unit totals and
+//! counters feed the observability layer (the L2 transfer total and
 //! the denial count that sizes how undersized the backbone is).
 
 /// Per-round budget meter for the regional inter-cell backbone.
@@ -23,7 +23,6 @@ pub struct InterCellLink {
     units_per_round: u64,
     used: u64,
     transfers: u64,
-    total_units: u64,
     denied: u64,
 }
 
@@ -35,7 +34,6 @@ impl InterCellLink {
             units_per_round,
             used: 0,
             transfers: 0,
-            total_units: 0,
             denied: 0,
         }
     }
@@ -52,7 +50,6 @@ impl InterCellLink {
         if self.used.saturating_add(units) <= self.units_per_round {
             self.used += units;
             self.transfers += 1;
-            self.total_units += units;
             true
         } else {
             self.denied += 1;
@@ -60,29 +57,14 @@ impl InterCellLink {
         }
     }
 
-    /// The configured per-round budget.
-    pub fn units_per_round(&self) -> u64 {
-        self.units_per_round
-    }
-
     /// Units committed so far this round.
     pub fn used(&self) -> u64 {
         self.used
     }
 
-    /// Units still available this round.
-    pub fn available(&self) -> u64 {
-        self.units_per_round - self.used
-    }
-
     /// Cumulative transfers carried.
     pub fn transfers(&self) -> u64 {
         self.transfers
-    }
-
-    /// Cumulative units carried.
-    pub fn total_units(&self) -> u64 {
-        self.total_units
     }
 
     /// Cumulative reservations refused for lack of budget.
@@ -100,11 +82,10 @@ mod tests {
         let mut link = InterCellLink::new(10);
         assert!(link.try_reserve(4));
         assert!(link.try_reserve(6));
-        assert_eq!(link.available(), 0);
+        assert_eq!(link.used(), 10);
         assert!(!link.try_reserve(1));
         assert_eq!(link.denied(), 1);
         assert_eq!(link.transfers(), 2);
-        assert_eq!(link.total_units(), 10);
     }
 
     #[test]
@@ -112,9 +93,9 @@ mod tests {
         let mut link = InterCellLink::new(5);
         assert!(link.try_reserve(5));
         link.begin_round();
-        assert_eq!(link.available(), 5);
+        assert_eq!(link.used(), 0);
         assert!(link.try_reserve(3));
-        assert_eq!(link.total_units(), 8);
+        assert_eq!(link.used(), 3);
         assert_eq!(link.transfers(), 2);
     }
 

@@ -9,8 +9,8 @@
 //! planner.
 //!
 //! The module also hosts the regional coherence channel the L2 tier
-//! rides: a [`VersionBus`] version pub/sub where cells publish the
-//! copies they hold and the freshest version wins. A publish of a newer
+//! rides: a [`VersionBus`] directory where cells publish the copies
+//! they hold and the freshest version wins. A publish of a newer
 //! version retires the stale directory entry (the `InvalidatedRemote`
 //! lifecycle transition); a publish of an *older* version — a copy that
 //! was invalidated while its transfer was on the wire — loses the race
@@ -51,11 +51,6 @@ impl ReportLog {
         }
     }
 
-    /// Record one update of `object`.
-    pub fn record_update(&mut self, object: ObjectId) {
-        self.pending[object.index()] += 1;
-    }
-
     /// Record a simultaneous wave updating every object.
     pub fn record_wave(&mut self) {
         for count in &mut self.pending {
@@ -83,15 +78,10 @@ impl ReportLog {
             update_counts,
         }
     }
-
-    /// Number of updates currently pending a report.
-    pub fn pending_updates(&self) -> u64 {
-        self.pending.iter().sum()
-    }
 }
 
 /// Sentinel for "no cell holds a registered copy".
-pub const NO_HOLDER: u32 = u32::MAX;
+const NO_HOLDER: u32 = u32::MAX;
 
 /// What happened when a copy was published to the [`VersionBus`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,22 +112,8 @@ pub enum PublishOutcome {
     },
 }
 
-/// One version announcement on the bus, in publish order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BusUpdate {
-    /// Monotone publish sequence number (1-based).
-    pub sequence: u64,
-    /// Object the announcement covers.
-    pub object: ObjectId,
-    /// Version now registered for the object.
-    pub version: Version,
-    /// Cell holding the registered copy.
-    pub holder: u32,
-}
-
-/// The regional version pub/sub: a shared directory mapping each object
-/// to the freshest `(version, holder)` any cell has registered, plus a
-/// bounded announcement ring subscribers drain by cursor.
+/// The regional version directory: maps each object to the freshest
+/// `(version, holder)` any cell has registered.
 ///
 /// Monotonicity is the load-bearing guarantee: the registered version
 /// of an object never decreases, so a lookup can trust that whatever it
@@ -148,24 +124,16 @@ pub struct BusUpdate {
 pub struct VersionBus {
     versions: Vec<Version>,
     holders: Vec<u32>,
-    ring: Vec<BusUpdate>,
-    ring_capacity: usize,
-    head: usize,
     sequence: u64,
     invalidations: u64,
 }
 
 impl VersionBus {
-    /// An empty directory for the catalog's objects, retaining the last
-    /// `ring_capacity` announcements (min 16) for subscribers.
-    pub fn new(catalog: &Catalog, ring_capacity: usize) -> Self {
-        let ring_capacity = ring_capacity.max(16);
+    /// An empty directory for the catalog's objects.
+    pub fn new(catalog: &Catalog) -> Self {
         Self {
             versions: vec![Version(0); catalog.len()],
             holders: vec![NO_HOLDER; catalog.len()],
-            ring: Vec::with_capacity(ring_capacity),
-            ring_capacity,
-            head: 0,
             sequence: 0,
             invalidations: 0,
         }
@@ -199,19 +167,6 @@ impl VersionBus {
         self.versions[i] = version;
         self.holders[i] = holder;
         self.sequence += 1;
-        let update = BusUpdate {
-            sequence: self.sequence,
-            object,
-            version,
-            holder,
-        };
-        if self.ring.len() < self.ring_capacity {
-            self.ring.push(update);
-            self.head = self.ring.len() % self.ring_capacity;
-        } else {
-            self.ring[self.head] = update;
-            self.head = (self.head + 1) % self.ring_capacity;
-        }
         outcome
     }
 
@@ -227,40 +182,8 @@ impl VersionBus {
         self.lookup(object).is_some_and(|(v, _)| v == version)
     }
 
-    /// Drop `object`'s directory entry (the holding cell evicted it).
-    pub fn retire(&mut self, object: ObjectId) {
-        self.holders[object.index()] = NO_HOLDER;
-    }
-
-    /// Append every announcement with sequence > `cursor` to `out`,
-    /// oldest first, and return the updated cursor. Announcements that
-    /// rolled off the bounded ring before the subscriber drained them
-    /// are counted in `missed` (the subscriber should resync its view
-    /// from lookups).
-    pub fn drain_since(&self, cursor: u64, out: &mut Vec<BusUpdate>) -> (u64, u64) {
-        let mut missed = 0;
-        let mut newest = cursor;
-        let len = self.ring.len();
-        let oldest_seq = self.sequence.saturating_sub(len as u64) + 1;
-        if self.sequence > 0 && cursor + 1 < oldest_seq {
-            missed = oldest_seq - cursor - 1;
-        }
-        for k in 0..len {
-            let idx = if len == self.ring_capacity {
-                (self.head + k) % self.ring_capacity
-            } else {
-                k
-            };
-            let update = self.ring[idx];
-            if update.sequence > cursor {
-                out.push(update);
-                newest = newest.max(update.sequence);
-            }
-        }
-        (newest, missed)
-    }
-
-    /// Total announcements published so far.
+    /// Publishes that changed the directory so far (installs plus
+    /// invalidations).
     pub fn sequence(&self) -> u64 {
         self.sequence
     }
@@ -282,15 +205,11 @@ mod tests {
     #[test]
     fn report_covers_and_clears_pending_updates() {
         let mut log = ReportLog::new(&catalog());
-        log.record_update(ObjectId(1));
-        log.record_update(ObjectId(1));
-        log.record_update(ObjectId(3));
-        assert_eq!(log.pending_updates(), 3);
+        log.record_wave();
         let report = log.cut_report(SimTime::from_ticks(10));
         assert_eq!(report.sequence, 1);
-        assert_eq!(report.updated, vec![ObjectId(1), ObjectId(3)]);
-        assert_eq!(report.update_counts, vec![2, 1]);
-        assert_eq!(log.pending_updates(), 0);
+        assert_eq!(report.updated, catalog().ids().collect::<Vec<_>>());
+        assert_eq!(report.update_counts, vec![1; 5]);
         let empty = log.cut_report(SimTime::from_ticks(20));
         assert_eq!(empty.sequence, 2);
         assert!(empty.updated.is_empty());
@@ -317,7 +236,7 @@ mod tests {
 
     #[test]
     fn bus_registers_and_looks_up_the_freshest_copy() {
-        let mut bus = VersionBus::new(&catalog(), 16);
+        let mut bus = VersionBus::new(&catalog());
         assert_eq!(bus.lookup(ObjectId(0)), None);
         assert_eq!(
             bus.publish(ObjectId(0), Version(1), 2),
@@ -330,7 +249,7 @@ mod tests {
 
     #[test]
     fn fresher_publish_invalidates_the_stale_entry() {
-        let mut bus = VersionBus::new(&catalog(), 16);
+        let mut bus = VersionBus::new(&catalog());
         bus.publish(ObjectId(3), Version(1), 0);
         assert_eq!(
             bus.publish(ObjectId(3), Version(4), 1),
@@ -345,7 +264,7 @@ mod tests {
 
     #[test]
     fn stale_publish_loses_the_race_and_leaves_the_directory_alone() {
-        let mut bus = VersionBus::new(&catalog(), 16);
+        let mut bus = VersionBus::new(&catalog());
         bus.publish(ObjectId(2), Version(5), 0);
         assert_eq!(
             bus.publish(ObjectId(2), Version(3), 1),
@@ -359,48 +278,12 @@ mod tests {
 
     #[test]
     fn duplicate_publish_keeps_the_first_holder() {
-        let mut bus = VersionBus::new(&catalog(), 16);
+        let mut bus = VersionBus::new(&catalog());
         bus.publish(ObjectId(1), Version(2), 0);
         assert_eq!(
             bus.publish(ObjectId(1), Version(2), 3),
             PublishOutcome::Duplicate { holder: 0 }
         );
         assert_eq!(bus.lookup(ObjectId(1)), Some((Version(2), 0)));
-    }
-
-    #[test]
-    fn retire_drops_the_entry() {
-        let mut bus = VersionBus::new(&catalog(), 16);
-        bus.publish(ObjectId(4), Version(1), 2);
-        bus.retire(ObjectId(4));
-        assert_eq!(bus.lookup(ObjectId(4)), None);
-    }
-
-    #[test]
-    fn subscribers_drain_by_cursor_and_count_ring_losses() {
-        let mut bus = VersionBus::new(&catalog(), 16);
-        bus.publish(ObjectId(0), Version(1), 0);
-        bus.publish(ObjectId(1), Version(1), 1);
-        let mut seen = Vec::new();
-        let (cursor, missed) = bus.drain_since(0, &mut seen);
-        assert_eq!((cursor, missed), (2, 0));
-        assert_eq!(seen.len(), 2);
-        assert_eq!(seen[0].object, ObjectId(0));
-        assert_eq!(seen[1].sequence, 2);
-        // Nothing new: the cursor stands still.
-        seen.clear();
-        assert_eq!(bus.drain_since(cursor, &mut seen), (cursor, 0));
-        assert!(seen.is_empty());
-        // Push 20 more announcements through the 16-slot ring: a
-        // subscriber still at cursor 2 lost the oldest ones.
-        for v in 2..22u64 {
-            bus.publish(ObjectId(2), Version(v), 0);
-        }
-        seen.clear();
-        let (newest, missed) = bus.drain_since(cursor, &mut seen);
-        assert_eq!(newest, 22);
-        assert_eq!(missed, 4, "sequences 3..=6 rolled off");
-        assert_eq!(seen.len(), 16);
-        assert!(seen.windows(2).all(|w| w[0].sequence < w[1].sequence));
     }
 }

@@ -24,7 +24,8 @@
 //! * [`inflight`] — [`InFlightLedger`]: multi-round transfers with
 //!   single-flight coalescing and commitment accounting.
 //! * [`invalidation`] — server invalidation reports, plus the regional
-//!   [`VersionBus`] version pub/sub the L2 tier's coherence rides.
+//!   [`VersionBus`] directory (freshest version wins) the L2 tier's
+//!   coherence rides.
 //! * [`intercell`] — [`InterCellLink`]: the per-round unit budget of the
 //!   regional backbone L2 transfers travel.
 //! * [`broadcast`] — broadcast-disk programs (the related-work baseline).
@@ -34,13 +35,13 @@
 //! # Example
 //!
 //! ```
-//! use basecache_net::{Catalog, Link, ObjectId, RemoteServer};
+//! use basecache_net::{Catalog, Link, ObjectId, RemoteServer, Version};
 //! use basecache_sim::{SimDuration, SimTime};
 //!
 //! let catalog = Catalog::from_sizes(&[3, 5]);
 //! let mut server = RemoteServer::new(&catalog);
 //! server.apply_update(ObjectId(0), SimTime::from_ticks(7));
-//! assert!(server.is_stale(ObjectId(0), basecache_net::Version(0)));
+//! assert_eq!(server.version_of(ObjectId(0)), Version(1));
 //!
 //! // Ship a fresh copy over a 2-units/tick link with latency 3.
 //! let mut link = Link::new(2, SimDuration::from_ticks(3));
@@ -69,10 +70,8 @@ pub use inflight::{
     ActiveTransfer, Arrived, InFlightConfig, InFlightLedger, LedgerStats, ParkedWaiter,
 };
 pub use intercell::InterCellLink;
-pub use invalidation::{
-    BusUpdate, InvalidationReport, PublishOutcome, ReportLog, VersionBus, NO_HOLDER,
-};
+pub use invalidation::{InvalidationReport, PublishOutcome, ReportLog, VersionBus};
 pub use link::{Link, SharedLink, TransferTiming};
 pub use object::{Catalog, ObjectId, ObjectSpec, Version};
 pub use server::{RemoteServer, UpdateProcess};
-pub use topology::{BaseStationId, CellId, ClientId, MobileClient, Topology, TopologyError};
+pub use topology::{CellId, ClientId, MobileClient, Topology, TopologyError};

@@ -61,12 +61,6 @@ impl Link {
         }
     }
 
-    /// An effectively infinite-capacity link (for isolating other
-    /// effects); every transfer completes within one tick.
-    pub fn unconstrained() -> Self {
-        Self::new(u64::MAX, SimDuration::ZERO)
-    }
-
     /// Drain the backlog up to `now`.
     fn drain(&mut self, now: SimTime) {
         assert!(
@@ -103,18 +97,6 @@ impl Link {
         }
     }
 
-    /// When the current backlog fully drains (equals the enqueue time of
-    /// a hypothetical zero-size transfer right now).
-    pub fn busy_until(&self) -> SimTime {
-        self.queue_as_of
-            + SimDuration::from_ticks(self.queue_units.div_ceil(self.bandwidth_per_tick))
-    }
-
-    /// Unsent units currently in the backlog (as of the last enqueue).
-    pub fn backlog_units(&self) -> u64 {
-        self.queue_units
-    }
-
     /// Total data units shipped.
     pub fn bytes_sent(&self) -> u64 {
         self.bytes_sent
@@ -139,16 +121,6 @@ impl Link {
             return 0.0;
         }
         (self.busy_ticks().min(now.ticks())) as f64 / now.ticks() as f64
-    }
-
-    /// Configured bandwidth in data units per tick.
-    pub fn bandwidth_per_tick(&self) -> u64 {
-        self.bandwidth_per_tick
-    }
-
-    /// Configured propagation latency.
-    pub fn latency(&self) -> SimDuration {
-        self.latency
     }
 }
 
@@ -263,7 +235,7 @@ mod tests {
 
     #[test]
     fn unconstrained_link_is_instant() {
-        let mut link = Link::unconstrained();
+        let mut link = Link::new(u64::MAX, SimDuration::ZERO);
         let tt = link.enqueue(t(9), 1_000_000);
         assert_eq!(tt.arrives, t(10), "1 tick minimum serialization");
     }
@@ -271,12 +243,9 @@ mod tests {
     #[test]
     fn backlog_drains_over_time() {
         let mut link = Link::new(10, SimDuration::ZERO);
-        link.enqueue(t(0), 100);
-        assert_eq!(link.backlog_units(), 100);
-        assert_eq!(link.busy_until(), t(10));
-        // At t=7, 70 units have drained.
+        assert_eq!(link.enqueue(t(0), 100).frees_link, t(10));
+        // At t=7, 70 units have drained, leaving 30 ahead of 5 more.
         let tt = link.enqueue(t(7), 5);
-        assert_eq!(link.backlog_units(), 35);
         assert_eq!(tt.starts, t(10), "starts after the 30 remaining units");
         assert_eq!(tt.frees_link, t(7 + 4), "ceil(35/10) = 4 more ticks");
     }

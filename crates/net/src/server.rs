@@ -5,7 +5,6 @@
 //! matters for the analyses is *when objects update*, which is what
 //! [`UpdateProcess`] models.
 
-use basecache_obs::{Attr, Recorder, Sample};
 use basecache_sim::{SimDuration, SimTime, StreamRng};
 
 use crate::object::{Catalog, ObjectId, Version};
@@ -83,8 +82,6 @@ fn next_periodic(now: u64, period: u64, offset: u64) -> SimTime {
 #[derive(Debug, Clone)]
 pub struct RemoteServer {
     versions: Vec<Version>,
-    last_update: Vec<SimTime>,
-    update_count: u64,
 }
 
 impl RemoteServer {
@@ -92,8 +89,6 @@ impl RemoteServer {
     pub fn new(catalog: &Catalog) -> Self {
         Self {
             versions: vec![Version::INITIAL; catalog.len()],
-            last_update: vec![SimTime::ZERO; catalog.len()],
-            update_count: 0,
         }
     }
 
@@ -107,75 +102,24 @@ impl RemoteServer {
         self.versions.is_empty()
     }
 
-    /// Apply one update to `object` at time `now`: bumps its version.
-    pub fn apply_update(&mut self, object: ObjectId, now: SimTime) {
+    /// Apply one update to `object`: bumps its version. The update's
+    /// time is the caller's to keep; the server holds versions only.
+    pub fn apply_update(&mut self, object: ObjectId, _now: SimTime) {
         let i = object.index();
         self.versions[i] = self.versions[i].next();
-        self.last_update[i] = now;
-        self.update_count += 1;
     }
 
     /// Apply one update to *every* object (the paper's simultaneous wave).
-    pub fn apply_simultaneous_update(&mut self, now: SimTime) {
-        for i in 0..self.versions.len() {
-            self.versions[i] = self.versions[i].next();
-            self.last_update[i] = now;
+    pub fn apply_simultaneous_update(&mut self, _now: SimTime) {
+        for v in &mut self.versions {
+            *v = v.next();
         }
-        self.update_count += self.versions.len() as u64;
     }
 
     /// Current authoritative version of `object`.
     #[inline]
     pub fn version_of(&self, object: ObjectId) -> Version {
         self.versions[object.index()]
-    }
-
-    /// When `object` last updated.
-    #[inline]
-    pub fn last_update_of(&self, object: ObjectId) -> SimTime {
-        self.last_update[object.index()]
-    }
-
-    /// Whether a copy at `cached` is stale with respect to the server.
-    #[inline]
-    pub fn is_stale(&self, object: ObjectId, cached: Version) -> bool {
-        cached < self.version_of(object)
-    }
-
-    /// Total updates applied across all objects.
-    pub fn total_updates(&self) -> u64 {
-        self.update_count
-    }
-
-    /// Report the mean version lag of a set of cached copies against this
-    /// server's authoritative versions as a [`Sample::StalenessLag`]
-    /// observation. `cached` yields `(object, cached_version)` pairs (e.g.
-    /// a cache's current contents); copies at or ahead of the server count
-    /// as zero lag. No observation is recorded for an empty set.
-    ///
-    /// Each lagging copy is also charged to its object on the
-    /// [`Attr::ServeStalenessByObject`] channel (weight = version lag),
-    /// so a top-K sink can name the stalest cached objects.
-    pub fn observe_staleness<I>(&self, cached: I, recorder: &dyn Recorder)
-    where
-        I: IntoIterator<Item = (ObjectId, Version)>,
-    {
-        if !recorder.enabled() {
-            return;
-        }
-        let mut lag_sum = 0u64;
-        let mut n = 0u64;
-        for (object, version) in cached {
-            let lag = version.lag(self.version_of(object));
-            lag_sum += lag;
-            n += 1;
-            if lag > 0 {
-                recorder.attribute(Attr::ServeStalenessByObject, object.0, lag);
-            }
-        }
-        if n > 0 {
-            recorder.sample(Sample::StalenessLag, lag_sum as f64 / n as f64);
-        }
     }
 }
 
@@ -266,33 +210,11 @@ mod tests {
         assert_eq!(s.version_of(ObjectId(2)), Version(0));
         s.apply_update(ObjectId(2), SimTime::from_ticks(5));
         assert_eq!(s.version_of(ObjectId(2)), Version(1));
-        assert_eq!(s.last_update_of(ObjectId(2)), SimTime::from_ticks(5));
-        assert!(s.is_stale(ObjectId(2), Version(0)));
-        assert!(!s.is_stale(ObjectId(2), Version(1)));
-        assert_eq!(s.total_updates(), 1);
-    }
-
-    #[test]
-    fn observe_staleness_averages_version_lag() {
-        let catalog = Catalog::uniform_unit(3);
-        let mut s = RemoteServer::new(&catalog);
-        s.apply_simultaneous_update(SimTime::from_ticks(5));
-        s.apply_simultaneous_update(SimTime::from_ticks(10));
-        // Cached copies at versions 0, 1 and 2 → lags 2, 1, 0 → mean 1.
-        let cached = [
-            (ObjectId(0), Version(0)),
-            (ObjectId(1), Version(1)),
-            (ObjectId(2), Version(2)),
-        ];
-        let rec = basecache_obs::StatsRecorder::new();
-        s.observe_staleness(cached, &rec);
-        let snap = rec.snapshot();
-        let lag = snap.sample("staleness_lag").unwrap();
-        assert!((lag.mean - 1.0).abs() < 1e-12);
-        // Empty set: no observation.
-        let rec2 = basecache_obs::StatsRecorder::new();
-        s.observe_staleness(std::iter::empty(), &rec2);
-        assert!(rec2.snapshot().is_empty());
+        assert_eq!(
+            s.version_of(ObjectId(1)),
+            Version(0),
+            "only the updated object moves"
+        );
     }
 
     #[test]
@@ -302,6 +224,5 @@ mod tests {
         s.apply_simultaneous_update(SimTime::from_ticks(5));
         s.apply_simultaneous_update(SimTime::from_ticks(10));
         assert!(catalog.ids().all(|id| s.version_of(id) == Version(2)));
-        assert_eq!(s.total_updates(), 20);
     }
 }

@@ -12,10 +12,6 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CellId(pub u32);
 
-/// Identifier of a base station (1:1 with its cell).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct BaseStationId(pub u32);
-
 /// Identifier of a mobile client.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ClientId(pub u32);
@@ -95,15 +91,6 @@ impl Topology {
     /// Number of cells.
     pub fn cells(&self) -> u32 {
         self.cells
-    }
-
-    /// The base station serving `cell`.
-    pub fn base_station_of(&self, cell: CellId) -> Result<BaseStationId, TopologyError> {
-        if cell.0 < self.cells {
-            Ok(BaseStationId(cell.0))
-        } else {
-            Err(TopologyError::UnknownCell(cell))
-        }
     }
 
     /// Register a new connected client in `cell`; ids are dense.
@@ -202,7 +189,6 @@ mod tests {
         assert_eq!(a, ClientId(0));
         assert_eq!(b, ClientId(1));
         assert_eq!(topo.connected_in(CellId(0)).count(), 1);
-        assert_eq!(topo.base_station_of(CellId(1)).unwrap(), BaseStationId(1));
     }
 
     #[test]

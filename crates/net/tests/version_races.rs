@@ -20,7 +20,7 @@ use basecache_net::{Catalog, ObjectId, PublishOutcome, Version, VersionBus};
 #[test]
 fn stale_arrival_never_overrides_a_fresher_copy() {
     let catalog = Catalog::uniform_unit(4);
-    let mut bus = VersionBus::new(&catalog, 16);
+    let mut bus = VersionBus::new(&catalog);
     let obj = ObjectId(2);
 
     // Round 0: cell 0 launches a fetch of version 1 (in flight 3 rounds).
@@ -69,7 +69,7 @@ mod random_scripts {
         for seed in 0..32u64 {
             let catalog = Catalog::uniform_unit(OBJECTS as usize);
             let mut rng = RngStreams::new(seed).stream("net/version-races");
-            let mut bus = VersionBus::new(&catalog, 32);
+            let mut bus = VersionBus::new(&catalog);
             // Per-object server-side version (updates bump it).
             let mut server = vec![1u64; OBJECTS as usize];
             // In-flight transfers: (arrive_step, object, version, cell).

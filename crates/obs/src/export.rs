@@ -3,8 +3,6 @@
 //! reports and the bench harness.
 
 use std::fmt::Write as _;
-use std::io;
-use std::path::Path;
 
 use crate::snapshot::Snapshot;
 
@@ -144,22 +142,6 @@ pub fn to_csv(snapshot: &Snapshot) -> String {
     out
 }
 
-/// Write [`to_json`] to `path`, creating parent directories as needed.
-pub fn write_json(snapshot: &Snapshot, path: &Path) -> io::Result<()> {
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    std::fs::write(path, to_json(snapshot))
-}
-
-/// Write [`to_csv`] to `path`, creating parent directories as needed.
-pub fn write_csv(snapshot: &Snapshot, path: &Path) -> io::Result<()> {
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    std::fs::write(path, to_csv(snapshot))
-}
-
 /// A finite `f64` rendered so it round-trips as JSON (no NaN/inf tokens).
 fn json_f64(v: f64) -> String {
     if v.is_finite() {
@@ -205,10 +187,12 @@ fn csv_field(s: &str) -> String {
 mod tests {
     use super::*;
     use crate::ids::{Attr, Event, Sample, Stage};
+    use crate::json::Value;
     use crate::recorder::Recorder;
-    use crate::snapshot::AttrSnapshot;
+    use crate::snapshot::{AttrSnapshot, CounterSnapshot, SampleSnapshot, SpanSnapshot};
     use crate::stats::StatsRecorder;
     use crate::topk::TopKRecorder;
+    use basecache_sim::StreamRng;
 
     fn snapshot() -> Snapshot {
         let rec = StatsRecorder::new();
@@ -223,7 +207,7 @@ mod tests {
     fn snapshot_with_attrs() -> Snapshot {
         let topk = TopKRecorder::new(4);
         topk.attribute(Attr::DownlinkUnitsByObject, 7, 40);
-        topk.attribute(Attr::ServeStalenessByClient, 3, 9);
+        topk.attribute(Attr::DownlinkUnitsByClient, 3, 9);
         let mut snap = snapshot();
         snap.attrs = topk.snapshot().attrs;
         snap
@@ -293,73 +277,115 @@ mod tests {
         assert_eq!(fields, 9);
     }
 
-    #[test]
-    fn json_round_trips_through_the_parser() {
-        let snap = snapshot_with_attrs();
-        let parsed = crate::json::parse(&to_json(&snap)).expect("exporter emits valid JSON");
+    /// The tree [`to_json`] promises for `snap`.
+    fn expected_tree(snap: &Snapshot) -> Value {
+        let num = Value::Number;
+        let text = |s: &str| Value::String(s.to_string());
+        let obj = |pairs: Vec<(&str, Value)>| {
+            Value::Object(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+        };
+        let counters = snap.counters.iter().map(|c| (c.name, num(c.value as f64)));
+        let samples = snap.samples.iter().map(|s| {
+            obj(vec![
+                ("name", text(s.name)),
+                ("count", num(s.count as f64)),
+                ("mean", num(s.mean)),
+                ("std_dev", num(s.std_dev)),
+                ("min", num(s.min)),
+                ("max", num(s.max)),
+                ("p95", num(s.p95)),
+            ])
+        });
+        let spans = snap.spans.iter().map(|s| {
+            obj(vec![
+                ("name", text(s.name)),
+                ("count", num(s.count as f64)),
+                ("total_ns", num(s.total_ns as f64)),
+                ("mean_ns", num(s.mean_ns)),
+                ("p95_ns", num(s.p95_ns)),
+            ])
+        });
+        let attrs = snap.attrs.iter().map(|a| {
+            obj(vec![
+                ("channel", text(a.channel)),
+                ("label", text(&a.label)),
+                ("weight", num(a.weight as f64)),
+                ("error", num(a.error as f64)),
+            ])
+        });
+        obj(vec![
+            ("counters", obj(counters.collect())),
+            ("samples", Value::Array(samples.collect())),
+            ("spans", Value::Array(spans.collect())),
+            ("attrs", Value::Array(attrs.collect())),
+        ])
+    }
 
-        for c in &snap.counters {
-            assert_eq!(
-                parsed
-                    .get("counters")
-                    .and_then(|v| v.get(c.name))
-                    .and_then(|v| v.as_f64()),
-                Some(c.value as f64),
-                "counter {} must survive the round trip",
-                c.name
-            );
+    /// A snapshot with arbitrary finite floats and dynamic labels full of
+    /// quotes, backslashes, control characters and non-BMP text.
+    fn random_snapshot(rng: &mut StreamRng) -> Snapshot {
+        const PALETTE: [char; 10] = ['x', '#', ',', '"', '\\', '\n', '\u{7}', 'é', '€', '😀'];
+        let float = |rng: &mut StreamRng| {
+            let x = f64::from_bits(rng.next_u64());
+            if x.is_finite() {
+                x
+            } else {
+                rng.random()
+            }
+        };
+        let mut snap = Snapshot::default();
+        for e in Event::ALL {
+            if rng.random_range(0..4u32) == 0 {
+                let value = rng.next_u64();
+                snap.counters.push(CounterSnapshot {
+                    name: e.name(),
+                    value,
+                });
+            }
         }
-        let samples = parsed.get("samples").and_then(|v| v.as_array()).unwrap();
-        assert_eq!(samples.len(), snap.samples.len());
-        for (got, want) in samples.iter().zip(&snap.samples) {
-            assert_eq!(got.get("name").and_then(|v| v.as_str()), Some(want.name));
-            assert_eq!(
-                got.get("count").and_then(|v| v.as_f64()),
-                Some(want.count as f64)
-            );
-            assert_eq!(got.get("mean").and_then(|v| v.as_f64()), Some(want.mean));
-            assert_eq!(got.get("p95").and_then(|v| v.as_f64()), Some(want.p95));
+        for s in Sample::ALL.iter().take(rng.random_range(0..4usize)) {
+            snap.samples.push(SampleSnapshot {
+                name: s.name(),
+                count: rng.next_u64(),
+                mean: float(rng),
+                std_dev: float(rng),
+                min: float(rng),
+                max: float(rng),
+                p95: float(rng),
+            });
         }
-        let spans = parsed.get("spans").and_then(|v| v.as_array()).unwrap();
-        assert_eq!(spans.len(), snap.spans.len());
-        for (got, want) in spans.iter().zip(&snap.spans) {
-            assert_eq!(got.get("name").and_then(|v| v.as_str()), Some(want.name));
-            assert_eq!(
-                got.get("total_ns").and_then(|v| v.as_f64()),
-                Some(want.total_ns as f64)
-            );
+        for s in Stage::ALL.iter().take(rng.random_range(0..3usize)) {
+            snap.spans.push(SpanSnapshot {
+                name: s.name(),
+                count: rng.next_u64(),
+                total_ns: rng.next_u64(),
+                mean_ns: float(rng),
+                p95_ns: float(rng),
+            });
         }
-        let attrs = parsed.get("attrs").and_then(|v| v.as_array()).unwrap();
-        assert_eq!(attrs.len(), snap.attrs.len());
-        for (got, want) in attrs.iter().zip(&snap.attrs) {
-            assert_eq!(
-                got.get("channel").and_then(|v| v.as_str()),
-                Some(want.channel)
-            );
-            assert_eq!(
-                got.get("label").and_then(|v| v.as_str()),
-                Some(want.label.as_str())
-            );
-            assert_eq!(
-                got.get("weight").and_then(|v| v.as_f64()),
-                Some(want.weight as f64)
-            );
+        for _ in 0..rng.random_range(0..5usize) {
+            let len = rng.random_range(0..10usize);
+            snap.attrs.push(AttrSnapshot {
+                channel: Attr::ALL[rng.random_range(0..Attr::ALL.len())].name(),
+                label: (0..len)
+                    .map(|_| PALETTE[rng.random_range(0..PALETTE.len())])
+                    .collect(),
+                weight: rng.next_u64(),
+                error: rng.next_u64(),
+            });
         }
+        snap
     }
 
     #[test]
-    fn files_round_trip() {
-        let dir = std::env::temp_dir().join("basecache_obs_export_test");
-        let json_path = dir.join("snap.json");
-        let csv_path = dir.join("snap.csv");
-        write_json(&snapshot(), &json_path).unwrap();
-        write_csv(&snapshot(), &csv_path).unwrap();
-        assert!(std::fs::read_to_string(&json_path)
-            .unwrap()
-            .contains("rounds"));
-        assert!(std::fs::read_to_string(&csv_path)
-            .unwrap()
-            .contains("batch_size"));
-        let _ = std::fs::remove_dir_all(&dir);
+    fn json_round_trips_through_the_parser() {
+        let round_trip = |snap: &Snapshot| {
+            let json = to_json(snap);
+            assert_eq!(crate::json::parse(&json), Ok(expected_tree(snap)), "{json}");
+        };
+        round_trip(&snapshot_with_attrs());
+        basecache_sim::check::run_cases("obs/export/round-trip", 128, |_, rng| {
+            round_trip(&random_snapshot(rng));
+        });
     }
 }

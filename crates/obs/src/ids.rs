@@ -220,8 +220,6 @@ pub enum Sample {
     LinkUtilization,
     /// Ticks a client request waited for a remote fetch.
     FetchLatencyTicks,
-    /// Mean version lag across cached copies at observation time.
-    StalenessLag,
     /// Fraction of one round's requests served without a download of
     /// their object that round.
     CacheHitRatio,
@@ -281,7 +279,7 @@ pub enum Sample {
 
 impl Sample {
     /// Every sample id, in export order.
-    pub const ALL: [Sample; 25] = [
+    pub const ALL: [Sample; 24] = [
         Sample::BatchSize,
         Sample::PlanProfit,
         Sample::AverageScore,
@@ -290,7 +288,6 @@ impl Sample {
         Sample::DownlinkUtilization,
         Sample::LinkUtilization,
         Sample::FetchLatencyTicks,
-        Sample::StalenessLag,
         Sample::CacheHitRatio,
         Sample::PlanProfitBound,
         Sample::CoreSize,
@@ -329,7 +326,6 @@ impl Sample {
             Sample::DownlinkUtilization => "downlink_utilization",
             Sample::LinkUtilization => "link_utilization",
             Sample::FetchLatencyTicks => "fetch_latency_ticks",
-            Sample::StalenessLag => "staleness_lag",
             Sample::CacheHitRatio => "cache_hit_ratio",
             Sample::PlanProfitBound => "plan_profit_bound",
             Sample::CoreSize => "core_size",
@@ -365,8 +361,6 @@ pub enum Attr {
     /// Staleness suffered at serve time per object (key: `ObjectId`;
     /// weight: quantized `1 - recency` summed over serves).
     ServeStalenessByObject,
-    /// Staleness suffered at serve time per client (key: `ClientId`).
-    ServeStalenessByClient,
     /// Data units of backhaul budget spent per cell (key: `CellId`).
     DownlinkUnitsByCell,
     /// Staleness suffered at serve time per cell (key: `CellId`;
@@ -387,11 +381,10 @@ pub enum Attr {
 
 impl Attr {
     /// Every attribution channel, in export order.
-    pub const ALL: [Attr; 9] = [
+    pub const ALL: [Attr; 8] = [
         Attr::DownlinkUnitsByObject,
         Attr::DownlinkUnitsByClient,
         Attr::ServeStalenessByObject,
-        Attr::ServeStalenessByClient,
         Attr::DownlinkUnitsByCell,
         Attr::ServeStalenessByCell,
         Attr::AoiByObject,
@@ -414,7 +407,6 @@ impl Attr {
             Attr::DownlinkUnitsByObject => "downlink_units_by_object",
             Attr::DownlinkUnitsByClient => "downlink_units_by_client",
             Attr::ServeStalenessByObject => "serve_staleness_by_object",
-            Attr::ServeStalenessByClient => "serve_staleness_by_client",
             Attr::DownlinkUnitsByCell => "downlink_units_by_cell",
             Attr::ServeStalenessByCell => "serve_staleness_by_cell",
             Attr::AoiByObject => "aoi_by_object",
@@ -431,7 +423,7 @@ impl Attr {
             | Attr::ServeStalenessByObject
             | Attr::AoiByObject
             | Attr::MonitorViolationsByObject => format!("obj#{key}"),
-            Attr::DownlinkUnitsByClient | Attr::ServeStalenessByClient => format!("client#{key}"),
+            Attr::DownlinkUnitsByClient => format!("client#{key}"),
             Attr::DownlinkUnitsByCell | Attr::ServeStalenessByCell => format!("cell#{key}"),
             Attr::ServesByTier => format!("tier#{key}"),
         }
@@ -475,7 +467,6 @@ mod tests {
         assert_eq!(Attr::DownlinkUnitsByObject.label(7), "obj#7");
         assert_eq!(Attr::ServeStalenessByObject.label(0), "obj#0");
         assert_eq!(Attr::DownlinkUnitsByClient.label(3), "client#3");
-        assert_eq!(Attr::ServeStalenessByClient.label(9), "client#9");
         assert_eq!(Attr::DownlinkUnitsByCell.label(2), "cell#2");
         assert_eq!(Attr::ServeStalenessByCell.label(5), "cell#5");
         assert_eq!(Attr::AoiByObject.label(11), "obj#11");

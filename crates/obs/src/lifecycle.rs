@@ -64,25 +64,6 @@ pub enum Transition {
     InvalidatedRemote,
 }
 
-impl Transition {
-    /// Stable, export-facing name (`snake_case`).
-    pub const fn name(self) -> &'static str {
-        match self {
-            Transition::Requested => "requested",
-            Transition::Planned => "planned",
-            Transition::Launched => "launched",
-            Transition::Joined => "joined",
-            Transition::Arrived => "arrived",
-            Transition::ServedFromWait => "served_from_wait",
-            Transition::Served => "served",
-            Transition::InvalidatedStale => "invalidated_stale",
-            Transition::ServedFromL2 => "served_from_l2",
-            Transition::PromotedToL1 => "promoted_to_l1",
-            Transition::InvalidatedRemote => "invalidated_remote",
-        }
-    }
-}
-
 /// A `Copy` lifecycle notification fired from the hot path.
 ///
 /// Objects are identified by their dense `u32` key (`ObjectId.0`) —
@@ -253,16 +234,6 @@ impl LifecycleRecorder {
             *head = (*head + 1) % capacity;
             *dropped += 1;
         }
-    }
-
-    /// Spans currently open (live transfers / waiting requests).
-    pub fn open_len(&self) -> usize {
-        self.state.borrow().open.len()
-    }
-
-    /// Closed spans retained in the ring.
-    pub fn closed_len(&self) -> usize {
-        self.state.borrow().ring.len()
     }
 
     /// Closed spans overwritten after the ring filled.
@@ -477,6 +448,20 @@ impl Recorder for LifecycleRecorder {
 
     fn as_any(&self) -> &dyn std::any::Any {
         self
+    }
+}
+
+/// Test-only views of the open table and the closed-span ring.
+#[cfg(test)]
+impl LifecycleRecorder {
+    /// Spans currently open (live transfers / waiting requests).
+    pub(crate) fn open_len(&self) -> usize {
+        self.state.borrow().open.len()
+    }
+
+    /// Closed spans retained in the ring.
+    pub(crate) fn closed_len(&self) -> usize {
+        self.state.borrow().ring.len()
     }
 }
 

@@ -100,6 +100,7 @@ impl RoundSeries {
     }
 
     /// Whether no round has been retained yet.
+    /// (The `len` companion clippy's `len_without_is_empty` asks for.)
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }

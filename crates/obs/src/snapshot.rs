@@ -101,9 +101,16 @@ impl Snapshot {
     pub fn span(&self, name: &str) -> Option<&SpanSnapshot> {
         self.spans.iter().find(|s| s.name == name)
     }
+}
 
+/// Test-only lookup the exporter and top-K tests read channels through.
+#[cfg(test)]
+impl Snapshot {
     /// All heavy hitters on one attribution channel, heaviest first.
-    pub fn attrs_on<'a>(&'a self, channel: &'a str) -> impl Iterator<Item = &'a AttrSnapshot> + 'a {
+    pub(crate) fn attrs_on<'a>(
+        &'a self,
+        channel: &'a str,
+    ) -> impl Iterator<Item = &'a AttrSnapshot> + 'a {
         self.attrs.iter().filter(move |a| a.channel == channel)
     }
 }

@@ -441,7 +441,7 @@ mod tests {
         let flight = FlightRecorder::new(64, 16, 4);
         flight.begin_round(0);
         flight.incr(Event::Rounds);
-        flight.attribute(Attr::ServeStalenessByClient, 1, 5);
+        flight.attribute(Attr::ServeStalenessByCell, 1, 5);
         flight.end_round(0);
         flight.reset();
         assert!(flight.snapshot().is_empty());

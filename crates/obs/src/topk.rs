@@ -78,16 +78,6 @@ impl TopK {
         };
     }
 
-    /// Number of monitored keys (≤ K).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether no key has been charged yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// The monitored keys, heaviest first (ties broken by smaller key
     /// for determinism). Allocates; call at report time.
     pub fn top(&self) -> Vec<TopEntry> {
@@ -258,7 +248,7 @@ mod tests {
         let rec = TopKRecorder::new(4);
         rec.attribute(Attr::DownlinkUnitsByObject, 7, 40);
         rec.attribute(Attr::DownlinkUnitsByObject, 3, 10);
-        rec.attribute(Attr::ServeStalenessByClient, 0, 99);
+        rec.attribute(Attr::ServeStalenessByCell, 0, 99);
         let objs = rec.top(Attr::DownlinkUnitsByObject);
         assert_eq!(objs[0].key, 7);
         assert_eq!(objs[1].key, 3);
@@ -269,8 +259,8 @@ mod tests {
         assert_eq!(downlink.len(), 2);
         assert_eq!(downlink[0].label, "obj#7");
         assert_eq!(downlink[0].weight, 40);
-        let stale: Vec<_> = snap.attrs_on("serve_staleness_by_client").collect();
-        assert_eq!(stale[0].label, "client#0");
+        let stale: Vec<_> = snap.attrs_on("serve_staleness_by_cell").collect();
+        assert_eq!(stale[0].label, "cell#0");
     }
 
     #[test]

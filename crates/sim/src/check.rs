@@ -3,9 +3,8 @@
 //! The workspace builds with no external dependencies, so the property
 //! suites that used to run under `proptest` now run on this module: each
 //! property is a closure executed over many deterministically seeded
-//! cases, with helpers for drawing random scenario shapes. It is not a
-//! shrinker — on failure it reports the case index so the exact scenario
-//! can be replayed with [`case_rng`].
+//! cases. It is not a shrinker — on failure it reports the case index so
+//! the exact scenario can be replayed with [`case_rng`].
 
 use crate::rng::{RngStreams, StreamRng};
 
@@ -44,16 +43,6 @@ where
     }
 }
 
-/// Draw a `Vec<u64>` of length `len` uniform in `range`.
-pub fn vec_u64(rng: &mut StreamRng, len: usize, range: std::ops::RangeInclusive<u64>) -> Vec<u64> {
-    (0..len).map(|_| rng.random_range(range.clone())).collect()
-}
-
-/// Draw a `Vec<f64>` of length `len` uniform in `range`.
-pub fn vec_f64(rng: &mut StreamRng, len: usize, range: std::ops::RangeInclusive<f64>) -> Vec<f64> {
-    (0..len).map(|_| rng.random_range(range.clone())).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,15 +66,5 @@ mod tests {
         let msg = err.downcast_ref::<String>().unwrap();
         assert!(msg.contains("case 3/10"), "{msg}");
         assert!(msg.contains("boom at 3"), "{msg}");
-    }
-
-    #[test]
-    fn helper_vectors_respect_their_ranges() {
-        let mut rng = case_rng("helpers", 0);
-        let xs = vec_u64(&mut rng, 100, 3..=9);
-        assert_eq!(xs.len(), 100);
-        assert!(xs.iter().all(|&x| (3..=9).contains(&x)));
-        let ys = vec_f64(&mut rng, 100, 0.25..=0.75);
-        assert!(ys.iter().all(|&y| (0.25..=0.75).contains(&y)));
     }
 }

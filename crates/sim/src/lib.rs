@@ -11,10 +11,14 @@
 //! * [`RngStreams`] — named, independently seeded random streams derived
 //!   from a single master seed with SplitMix64, so adding a stream never
 //!   perturbs the draws of any other stream.
-//! * [`metrics`] — counters and Welford accumulators used by every
-//!   experiment to report results.
+//! * [`metrics`] — the Welford mean/variance accumulator every
+//!   experiment reports through.
+//! * [`P2Quantile`] — streaming quantile estimation (p95 waits) in O(1)
+//!   space.
 //! * [`WorkerPool`] — a reusable std-thread pool for per-round fan-out
 //!   (e.g. parallel per-cell planning in `basecache-cluster`).
+//! * [`check`] — the seeded property-case runner the workspace's
+//!   property suites use.
 //!
 //! # Example
 //!
@@ -46,6 +50,6 @@ mod time;
 
 pub use pool::WorkerPool;
 pub use quantile::P2Quantile;
-pub use rng::{split_mix64, RandomIter, RandomRange, RandomValue, RngStreams, StreamRng};
-pub use scheduler::{Scheduler, SchedulerStats};
+pub use rng::{RandomRange, RandomValue, RngStreams, StreamRng};
+pub use scheduler::Scheduler;
 pub use time::{SimDuration, SimTime};

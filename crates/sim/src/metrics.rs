@@ -1,39 +1,4 @@
-//! Lightweight measurement types shared by every experiment: counters
-//! and Welford mean/variance accumulators.
-
-use std::fmt;
-
-/// A monotone event counter. Increments saturate at [`u64::MAX`] rather
-/// than overflowing: a pegged counter is a degraded measurement, a
-/// wrapped one is a silently wrong measurement (and a panic in debug
-/// builds).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// A counter at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Increment by one (saturating).
-    #[inline]
-    pub fn incr(&mut self) {
-        self.0 = self.0.saturating_add(1);
-    }
-
-    /// Increment by `n` (saturating).
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 = self.0.saturating_add(n);
-    }
-
-    /// Current count.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.0
-    }
-}
+//! The Welford mean/variance accumulator shared by every experiment.
 
 /// Streaming mean/variance via Welford's algorithm — numerically stable
 /// for the long accumulations the recency experiments perform.
@@ -125,34 +90,9 @@ impl Welford {
     }
 }
 
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_counts() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        assert_eq!(c.to_string(), "5");
-    }
-
-    #[test]
-    fn counter_saturates_instead_of_overflowing() {
-        let mut c = Counter::new();
-        c.add(u64::MAX - 1);
-        c.add(7);
-        assert_eq!(c.get(), u64::MAX);
-        c.incr();
-        assert_eq!(c.get(), u64::MAX, "incr at the ceiling stays pegged");
-    }
 
     #[test]
     fn welford_matches_naive_mean_and_variance() {

@@ -67,24 +67,9 @@ impl WorkerPool {
         }
     }
 
-    /// A pool sized to the machine: one worker per available hardware
-    /// thread (1 when parallelism cannot be determined).
-    pub fn with_available_parallelism() -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Self::new(threads)
-    }
-
     /// Number of worker threads.
     pub fn threads(&self) -> usize {
         self.workers.len()
-    }
-
-    /// Hardware threads the machine reported when the pool was built
-    /// (1 when parallelism could not be determined).
-    pub fn machine_parallelism(&self) -> usize {
-        self.machine_parallelism
     }
 
     /// Whether [`Self::scatter_gather`] will actually fan multi-job
@@ -214,17 +199,8 @@ mod tests {
     }
 
     #[test]
-    fn available_parallelism_pool_works() {
-        let pool = WorkerPool::with_available_parallelism();
-        assert!(pool.threads() >= 1);
-        let out = pool.scatter_gather(vec![1u64, 2, 3], |x| x * x);
-        assert_eq!(out, vec![1, 4, 9]);
-    }
-
-    #[test]
     fn fans_out_reflects_pool_and_machine_shape() {
         let pool = WorkerPool::new(4);
-        assert!(pool.machine_parallelism() >= 1);
         // A single-worker pool never dispatches, whatever the machine.
         let single = WorkerPool::new(1);
         assert!(!single.fans_out());
@@ -233,7 +209,7 @@ mod tests {
         // results are the inline results.
         assert_eq!(
             pool.fans_out(),
-            pool.machine_parallelism() > 1,
+            pool.machine_parallelism > 1,
             "fan-out must track the machine"
         );
         let out = pool.scatter_gather((0..40u64).collect(), |x| x + 3);

@@ -42,11 +42,6 @@ impl P2Quantile {
         }
     }
 
-    /// The tracked quantile.
-    pub fn p(&self) -> f64 {
-        self.p
-    }
-
     /// Number of observations so far.
     pub fn count(&self) -> usize {
         self.count

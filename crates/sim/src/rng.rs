@@ -1,4 +1,3 @@
-use std::marker::PhantomData;
 use std::ops::{Range, RangeInclusive};
 
 /// SplitMix64 — the standard 64-bit seed-mixing finalizer.
@@ -85,15 +84,6 @@ impl StreamRng {
         range.sample_from(self)
     }
 
-    /// An infinite iterator of uniformly distributed values, consuming the
-    /// generator.
-    pub fn random_iter<T: RandomValue>(self) -> RandomIter<T> {
-        RandomIter {
-            rng: self,
-            _marker: PhantomData,
-        }
-    }
-
     /// Derive an independently seeded child generator for `stream_id`
     /// without advancing `self`.
     ///
@@ -126,21 +116,6 @@ impl StreamRng {
     }
 }
 
-/// Infinite iterator of random values returned by [`StreamRng::random_iter`].
-#[derive(Debug, Clone)]
-pub struct RandomIter<T> {
-    rng: StreamRng,
-    _marker: PhantomData<T>,
-}
-
-impl<T: RandomValue> Iterator for RandomIter<T> {
-    type Item = T;
-
-    fn next(&mut self) -> Option<T> {
-        Some(self.rng.random())
-    }
-}
-
 /// Types that can be drawn uniformly from a [`StreamRng`].
 pub trait RandomValue {
     /// Draw one value.
@@ -154,24 +129,10 @@ impl RandomValue for u64 {
     }
 }
 
-impl RandomValue for u32 {
-    #[inline]
-    fn random_from(rng: &mut StreamRng) -> Self {
-        (rng.next_u64() >> 32) as u32
-    }
-}
-
 impl RandomValue for u8 {
     #[inline]
     fn random_from(rng: &mut StreamRng) -> Self {
         (rng.next_u64() >> 56) as u8
-    }
-}
-
-impl RandomValue for usize {
-    #[inline]
-    fn random_from(rng: &mut StreamRng) -> Self {
-        rng.next_u64() as usize
     }
 }
 
@@ -267,11 +228,6 @@ impl RngStreams {
         }
     }
 
-    /// The master seed.
-    pub fn master_seed(&self) -> u64 {
-        self.master
-    }
-
     /// Derive the sub-seed for a named stream.
     pub fn seed_for(&self, name: &str) -> u64 {
         split_mix64(self.master ^ fnv1a(name.as_bytes()))
@@ -301,9 +257,10 @@ mod tests {
     #[test]
     fn same_name_same_draws() {
         let streams = RngStreams::new(42);
-        let a: Vec<u64> = streams.stream("requests").random_iter().take(8).collect();
-        let b: Vec<u64> = streams.stream("requests").random_iter().take(8).collect();
-        assert_eq!(a, b);
+        let (mut a, mut b) = (streams.stream("requests"), streams.stream("requests"));
+        for _ in 0..8 {
+            assert_eq!(a.next_u64(), b.next_u64());
+        }
     }
 
     #[test]

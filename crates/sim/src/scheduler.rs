@@ -16,19 +16,6 @@ pub struct Scheduler<E> {
     now: SimTime,
     seq: u64,
     processed: u64,
-    max_pending: usize,
-}
-
-/// A point-in-time summary of a scheduler's activity, cheap to copy out
-/// for observability layers without borrowing the scheduler itself.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SchedulerStats {
-    /// Events popped so far.
-    pub processed: u64,
-    /// Events still queued.
-    pub pending: usize,
-    /// High-water mark of the pending queue.
-    pub max_pending: usize,
 }
 
 #[derive(Debug)]
@@ -70,7 +57,6 @@ impl<E> Scheduler<E> {
             now: SimTime::ZERO,
             seq: 0,
             processed: 0,
-            max_pending: 0,
         }
     }
 
@@ -84,18 +70,6 @@ impl<E> Scheduler<E> {
     #[inline]
     pub fn processed(&self) -> u64 {
         self.processed
-    }
-
-    /// Number of events still pending.
-    #[inline]
-    pub fn pending(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events remain.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 
     /// Schedule `event` at absolute time `at`.
@@ -112,7 +86,6 @@ impl<E> Scheduler<E> {
         let seq = self.seq;
         self.seq += 1;
         self.heap.push(Entry { at, seq, event });
-        self.max_pending = self.max_pending.max(self.heap.len());
     }
 
     /// Schedule `event` after `delay` from the current clock.
@@ -129,22 +102,6 @@ impl<E> Scheduler<E> {
         Some((entry.at, entry.event))
     }
 
-    /// High-water mark of the pending queue since creation.
-    #[inline]
-    pub fn max_pending(&self) -> usize {
-        self.max_pending
-    }
-
-    /// Copy out a point-in-time activity summary.
-    #[inline]
-    pub fn stats(&self) -> SchedulerStats {
-        SchedulerStats {
-            processed: self.processed,
-            pending: self.heap.len(),
-            max_pending: self.max_pending,
-        }
-    }
-
     /// Timestamp of the next event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|e| e.at)
@@ -159,55 +116,6 @@ impl<E> Scheduler<E> {
             Some(t) if t <= horizon => self.pop(),
             _ => None,
         }
-    }
-
-    /// Drain and handle every event at or before `horizon` with `handler`,
-    /// which may schedule further events. Returns the number handled.
-    pub fn run_until<F>(&mut self, horizon: SimTime, mut handler: F) -> u64
-    where
-        F: FnMut(&mut Self, SimTime, E),
-    {
-        let mut handled = 0;
-        while let Some((t, ev)) = self.pop_until(horizon) {
-            handler(self, t, ev);
-            handled += 1;
-        }
-        handled
-    }
-
-    /// [`Self::run_until`] with a clock-advance hook for observability
-    /// layers: whenever draining an event moves the clock forward,
-    /// `on_advance(previous, current)` fires *before* the events at the
-    /// new instant are handled. Events at the same instant share one
-    /// advance notification, so the hook sees each distinct simulated
-    /// time exactly once — a natural "round boundary" for recorders that
-    /// group work by simulated time.
-    ///
-    /// The scheduler sits below the observability crate in the workspace,
-    /// so the hook is a plain callback rather than a recorder; callers
-    /// wire it to whatever sink they use. The hook never fires for an
-    /// empty drain or for events at the current instant.
-    pub fn run_until_observed<F, A>(
-        &mut self,
-        horizon: SimTime,
-        mut handler: F,
-        mut on_advance: A,
-    ) -> u64
-    where
-        F: FnMut(&mut Self, SimTime, E),
-        A: FnMut(SimTime, SimTime),
-    {
-        let mut handled = 0;
-        let mut last = self.now;
-        while let Some((t, ev)) = self.pop_until(horizon) {
-            if t > last {
-                on_advance(last, t);
-                last = t;
-            }
-            handler(self, t, ev);
-            handled += 1;
-        }
-        handled
     }
 }
 
@@ -265,64 +173,30 @@ mod tests {
     }
 
     #[test]
-    fn stats_track_high_water_mark() {
-        let mut s = Scheduler::new();
-        for t in 1..=4 {
-            s.schedule_at(SimTime::from_ticks(t), ());
-        }
-        s.pop();
-        s.pop();
-        s.schedule_at(SimTime::from_ticks(9), ());
-        let stats = s.stats();
-        assert_eq!(stats.processed, 2);
-        assert_eq!(stats.pending, 3);
-        assert_eq!(stats.max_pending, 4, "peak was before the pops");
-        assert_eq!(s.max_pending(), 4);
-    }
-
-    #[test]
     fn pop_until_respects_horizon() {
         let mut s = Scheduler::new();
         s.schedule_at(SimTime::from_ticks(1), "in");
         s.schedule_at(SimTime::from_ticks(9), "out");
         assert!(s.pop_until(SimTime::from_ticks(5)).is_some());
         assert!(s.pop_until(SimTime::from_ticks(5)).is_none());
-        assert_eq!(s.pending(), 1);
-    }
-
-    #[test]
-    fn run_until_observed_fires_once_per_distinct_instant() {
-        let mut s = Scheduler::new();
-        s.schedule_at(SimTime::from_ticks(2), "a");
-        s.schedule_at(SimTime::from_ticks(2), "b"); // same instant: no extra advance
-        s.schedule_at(SimTime::from_ticks(5), "c");
-        let mut advances = Vec::new();
-        let handled = s.run_until_observed(
-            SimTime::from_ticks(10),
-            |_, _, _| {},
-            |from, to| advances.push((from.ticks(), to.ticks())),
+        assert_eq!(
+            s.peek_time(),
+            Some(SimTime::from_ticks(9)),
+            "later event stays queued"
         );
-        assert_eq!(handled, 3);
-        assert_eq!(advances, vec![(0, 2), (2, 5)]);
-        // An empty drain fires no advance at all.
-        advances.clear();
-        s.run_until_observed(
-            SimTime::from_ticks(20),
-            |_, _, _| {},
-            |from, to| advances.push((from.ticks(), to.ticks())),
-        );
-        assert!(advances.is_empty());
     }
 
     #[test]
     fn run_until_handles_cascading_events() {
         let mut s = Scheduler::new();
         s.schedule_at(SimTime::from_ticks(0), 0u32);
-        let handled = s.run_until(SimTime::from_ticks(10), |s, _t, n| {
+        let mut handled = 0;
+        while let Some((_, n)) = s.pop_until(SimTime::from_ticks(10)) {
             if n < 5 {
                 s.schedule_in(SimDuration::from_ticks(2), n + 1);
             }
-        });
+            handled += 1;
+        }
         assert_eq!(handled, 6, "0,1,2,3,4,5 at t=0,2,4,6,8,10");
         assert_eq!(s.now(), SimTime::from_ticks(10));
     }

@@ -61,12 +61,6 @@ impl SimDuration {
     pub const fn ticks(self) -> u64 {
         self.0
     }
-
-    /// Scale by an integer factor, saturating at the maximum duration.
-    #[inline]
-    pub fn saturating_mul(self, factor: u64) -> Self {
-        SimDuration(self.0.saturating_mul(factor))
-    }
 }
 
 impl Add<SimDuration> for SimTime {
@@ -143,7 +137,6 @@ mod tests {
         let d = SimDuration::from_ticks(4) + SimDuration::from_ticks(6);
         assert_eq!(d.ticks(), 10);
         assert_eq!((d - SimDuration::from_ticks(3)).ticks(), 7);
-        assert_eq!(d.saturating_mul(u64::MAX).ticks(), u64::MAX);
     }
 
     #[test]

@@ -435,7 +435,7 @@ pub fn summarize_aoi(text: &str) -> Result<AoiReport, String> {
 const TIER_NAMES: [&str; 3] = ["L1 (local)", "L2 (neighbor)", "origin"];
 
 /// Per-tier hit-ratio table from an exported obs snapshot JSON (the
-/// `write_json` format): sums the `serves_by_tier` attribution channel
+/// `basecache_obs::export::to_json` format): sums the `serves_by_tier` attribution channel
 /// (labels `tier#0`/`tier#1`/`tier#2`) and renders one row per tier
 /// with its share of all serves.
 ///

@@ -22,17 +22,6 @@ pub enum Correlation {
     None,
 }
 
-impl Correlation {
-    /// Short label for experiment tables.
-    pub fn label(self) -> &'static str {
-        match self {
-            Correlation::Positive => "positive",
-            Correlation::Negative => "negative",
-            Correlation::None => "none",
-        }
-    }
-}
-
 /// Reorder `values` so they correlate with `keys` as requested.
 ///
 /// Returns a permutation of `values` with the same length as `keys`.
@@ -105,10 +94,10 @@ pub fn align_counts(
         .collect()
 }
 
-/// Sample Spearman-style rank correlation between two attribute vectors;
-/// used in tests and the Table 1 parameter audit to confirm the induced
-/// direction.
-pub fn rank_correlation(a: &[f64], b: &[f64]) -> f64 {
+/// Sample Spearman-style rank correlation between two attribute vectors:
+/// the tests' reference for the direction [`align`] induces.
+#[cfg(test)]
+pub(crate) fn rank_correlation(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len());
     let n = a.len();
     if n < 2 {
@@ -136,6 +125,7 @@ pub fn rank_correlation(a: &[f64], b: &[f64]) -> f64 {
 
 /// Average ranks (ties get their index order — adequate for our
 /// continuous-valued attributes).
+#[cfg(test)]
 fn ranks(xs: &[f64]) -> Vec<f64> {
     let mut order: Vec<usize> = (0..xs.len()).collect();
     order.sort_by(|&a, &b| {

@@ -15,7 +15,6 @@ use basecache_net::ObjectId;
 pub struct PopularityEstimator {
     counts: Vec<f64>,
     retain: f64,
-    observed: u64,
 }
 
 impl PopularityEstimator {
@@ -31,14 +30,12 @@ impl PopularityEstimator {
         Self {
             counts: vec![0.0; objects],
             retain: 0.5f64.powf(1.0 / half_life_ticks as f64),
-            observed: 0,
         }
     }
 
     /// Record one request for `object`.
     pub fn observe(&mut self, object: ObjectId) {
         self.counts[object.index()] += 1.0;
-        self.observed += 1;
     }
 
     /// Advance one tick: decay every count.
@@ -46,11 +43,6 @@ impl PopularityEstimator {
         for c in &mut self.counts {
             *c *= self.retain;
         }
-    }
-
-    /// Total requests ever observed (undecayed).
-    pub fn observed(&self) -> u64 {
-        self.observed
     }
 
     /// The decayed count of `object`.

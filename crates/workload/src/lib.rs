@@ -51,17 +51,13 @@ pub mod scenario;
 pub mod sizes;
 pub mod standing;
 pub mod trace;
-pub mod trace_stats;
 
 pub use correlation::Correlation;
 pub use estimate::PopularityEstimator;
 pub use mobility::{ClusterWorkload, MobilityModel, RoamingScenario};
 pub use popularity::{Popularity, PopularityDist};
-pub use requests::{
-    FlashCrowdGenerator, GeneratedRequest, RequestGenerator, ShiftingGenerator, TargetRecency,
-};
+pub use requests::{FlashCrowdGenerator, GeneratedRequest, RequestGenerator, TargetRecency};
 pub use scenario::{NumRequestsMode, Table1Population, Table1Spec};
 pub use sizes::SizeDist;
 pub use standing::{ChurnOp, StandingWorkload};
 pub use trace::RequestTrace;
-pub use trace_stats::TraceStats;

@@ -171,11 +171,6 @@ impl ClusterWorkload {
         self.topology.cells()
     }
 
-    /// Number of clients.
-    pub fn clients(&self) -> usize {
-        self.clients.len()
-    }
-
     /// Number of objects requests range over (the popularity's support):
     /// every generated [`ObjectId`] is below it.
     pub fn objects(&self) -> usize {
@@ -187,33 +182,9 @@ impl ClusterWorkload {
         self.ticks
     }
 
-    /// Total handoffs since construction.
-    pub fn total_handoffs(&self) -> u64 {
-        self.topology.handoffs()
-    }
-
-    /// The cell `client` is currently in.
-    pub fn cell_of(&self, client: ClientId) -> CellId {
-        self.topology
-            .client(client)
-            .expect("client ids are dense")
-            .cell
-    }
-
-    /// Clients currently in `cell`.
-    pub fn population_of(&self, cell: CellId) -> usize {
-        self.topology.connected_in(cell).count()
-    }
-
     /// The batch generated for `cell` by the last [`Self::advance`].
     pub fn batch(&self, cell: CellId) -> &[GeneratedRequest] {
         &self.batches[cell.0 as usize]
-    }
-
-    /// All per-cell batches from the last [`Self::advance`], indexed by
-    /// cell id.
-    pub fn batches(&self) -> &[Vec<GeneratedRequest>] {
-        &self.batches
     }
 
     /// Advance one tick: move every client per the mobility model, then
@@ -293,6 +264,28 @@ impl RoamingScenario {
     }
 }
 
+/// Test-only views of the population the tests check movement against.
+#[cfg(test)]
+impl ClusterWorkload {
+    /// Total handoffs since construction.
+    fn total_handoffs(&self) -> u64 {
+        self.topology.handoffs()
+    }
+
+    /// The cell `client` is currently in.
+    fn cell_of(&self, client: ClientId) -> CellId {
+        self.topology
+            .client(client)
+            .expect("client ids are dense")
+            .cell
+    }
+
+    /// Clients currently in `cell`.
+    fn population_of(&self, cell: CellId) -> usize {
+        self.topology.connected_in(cell).count()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -324,7 +317,7 @@ mod tests {
         let mut w = workload(4, 100, MobilityModel::MarkovRing { move_prob: 0.3 }, 7);
         for _ in 0..10 {
             w.advance();
-            let total: usize = w.batches().iter().map(Vec::len).sum();
+            let total: usize = w.batches.iter().map(Vec::len).sum();
             assert_eq!(total, 200, "every client issues 2 requests");
         }
     }
@@ -371,7 +364,7 @@ mod tests {
         let mut b = workload(5, 80, MobilityModel::MarkovRing { move_prob: 0.25 }, 23);
         for _ in 0..15 {
             assert_eq!(a.advance(), b.advance());
-            assert_eq!(a.batches(), b.batches());
+            assert_eq!(a.batches, b.batches);
         }
         let cells_a: Vec<CellId> = (0..80).map(|i| a.cell_of(ClientId(i))).collect();
         let cells_b: Vec<CellId> = (0..80).map(|i| b.cell_of(ClientId(i))).collect();
@@ -389,8 +382,8 @@ mod tests {
         for _ in 0..10 {
             moving.advance();
             still.advance();
-            let from_moving: Vec<_> = moving.batches().iter().flatten().collect();
-            let from_still: Vec<_> = still.batches().iter().flatten().collect();
+            let from_moving: Vec<_> = moving.batches.iter().flatten().collect();
+            let from_still: Vec<_> = still.batches.iter().flatten().collect();
             assert_eq!(from_moving, from_still, "stream content is client-bound");
         }
     }

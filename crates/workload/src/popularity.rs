@@ -115,14 +115,6 @@ impl PopularityDist {
             .partition_point(|&c| c <= u)
             .min(self.probs.len() - 1)
     }
-
-    /// Probability that a rank drawn now is *not* drawn in `k` further
-    /// independent draws — used by the Fig 2 analytics to predict how
-    /// many stale objects escape request (and hence download) between
-    /// update waves.
-    pub fn prob_unrequested(&self, rank: usize, k: u64) -> f64 {
-        (1.0 - self.probs[rank]).powi(k.min(i32::MAX as u64) as i32)
-    }
 }
 
 #[cfg(test)]
@@ -198,15 +190,6 @@ mod tests {
             seen[d.sample(&mut r)] = true;
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn prob_unrequested_decays_with_request_rate() {
-        let d = Popularity::Uniform.build(500);
-        let p10 = d.prob_unrequested(0, 10);
-        let p300 = d.prob_unrequested(0, 300);
-        assert!(p10 > p300);
-        assert!(p300 > 0.0 && p10 < 1.0);
     }
 
     #[test]

@@ -75,11 +75,6 @@ impl RequestGenerator {
         }
     }
 
-    /// Requests per time unit.
-    pub fn per_time_unit(&self) -> usize {
-        self.per_time_unit
-    }
-
     /// Generate the batch for one time unit.
     pub fn batch(&self, rng: &mut StreamRng) -> Vec<GeneratedRequest> {
         (0..self.per_time_unit)
@@ -88,73 +83,6 @@ impl RequestGenerator {
                 target_recency: self.target.sample(rng),
             })
             .collect()
-    }
-}
-
-/// A request generator whose hot set drifts over time: every
-/// `shift_every` batches, the rank→object mapping rotates by
-/// `rotate_by`, so yesterday's hottest object cools off and a previously
-/// cold one takes its place. Drives the adaptation tests for the online
-/// popularity estimator and the demand-aware cache policies.
-#[derive(Debug, Clone)]
-pub struct ShiftingGenerator {
-    popularity: PopularityDist,
-    objects: usize,
-    per_time_unit: usize,
-    target: TargetRecency,
-    shift_every: u64,
-    rotate_by: usize,
-    batches_generated: u64,
-}
-
-impl ShiftingGenerator {
-    /// Create a shifting generator over `objects` objects.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shift_every == 0` or the popularity distribution's
-    /// rank count differs from `objects`.
-    pub fn new(
-        popularity: PopularityDist,
-        objects: usize,
-        per_time_unit: usize,
-        target: TargetRecency,
-        shift_every: u64,
-        rotate_by: usize,
-    ) -> Self {
-        assert!(shift_every > 0, "shift interval must be positive");
-        assert_eq!(
-            popularity.len(),
-            objects,
-            "popularity must cover every object"
-        );
-        Self {
-            popularity,
-            objects,
-            per_time_unit,
-            target,
-            shift_every,
-            rotate_by,
-            batches_generated: 0,
-        }
-    }
-
-    /// The object currently occupying popularity rank `rank`.
-    pub fn object_at_rank(&self, rank: usize) -> ObjectId {
-        let phase = (self.batches_generated / self.shift_every) as usize * self.rotate_by;
-        ObjectId(((rank + phase) % self.objects) as u32)
-    }
-
-    /// Generate the batch for the next time unit, advancing the drift.
-    pub fn batch(&mut self, rng: &mut StreamRng) -> Vec<GeneratedRequest> {
-        let batch = (0..self.per_time_unit)
-            .map(|_| GeneratedRequest {
-                object: self.object_at_rank(self.popularity.sample(rng)),
-                target_recency: self.target.sample(rng),
-            })
-            .collect();
-        self.batches_generated += 1;
-        batch
     }
 }
 
@@ -305,64 +233,25 @@ mod tests {
     }
 
     #[test]
-    fn shifting_generator_rotates_its_hot_set() {
-        let mut gen = ShiftingGenerator::new(
-            Popularity::ZIPF1.build(50),
-            50,
-            2000,
-            TargetRecency::AlwaysFresh,
-            10,
-            25,
-        );
-        let mut rng = RngStreams::new(33).stream("shift");
-        assert_eq!(gen.object_at_rank(0), ObjectId(0));
-        // Phase 0: object 0 is the hottest.
-        let mut early = [0u32; 50];
-        for _ in 0..10 {
-            for r in gen.batch(&mut rng) {
-                early[r.object.index()] += 1;
-            }
-        }
-        // Phase 1 (after 10 batches): the mapping rotated by 25.
-        assert_eq!(gen.object_at_rank(0), ObjectId(25));
-        let mut late = [0u32; 50];
-        for _ in 0..10 {
-            for r in gen.batch(&mut rng) {
-                late[r.object.index()] += 1;
-            }
-        }
-        let early_hot = early.iter().enumerate().max_by_key(|&(_, &c)| c).unwrap().0;
-        let late_hot = late.iter().enumerate().max_by_key(|&(_, &c)| c).unwrap().0;
-        assert_eq!(early_hot, 0);
-        assert_eq!(late_hot, 25, "the hot set must have moved");
-    }
-
-    #[test]
     fn popularity_estimator_follows_a_shifting_hot_set() {
         use crate::estimate::PopularityEstimator;
-        let mut gen = ShiftingGenerator::new(
-            Popularity::ZIPF1.build(30),
-            30,
-            200,
-            TargetRecency::AlwaysFresh,
-            40,
-            15,
-        );
+        // A drifting Zipf stream: every 40 ticks the rank→object mapping
+        // rotates by 15, so yesterday's hottest object cools off.
+        let popularity = Popularity::ZIPF1.build(30);
         let mut est = PopularityEstimator::new(30, 10);
         let mut rng = RngStreams::new(34).stream("shift-est");
-        for _ in 0..40 {
-            for r in gen.batch(&mut rng) {
-                est.observe(r.object);
+        let mut run_phase = |phase: usize, est: &mut PopularityEstimator| {
+            for _ in 0..40 {
+                for _ in 0..200 {
+                    let rank = popularity.sample(&mut rng);
+                    est.observe(ObjectId(((rank + phase) % 30) as u32));
+                }
+                est.tick();
             }
-            est.tick();
-        }
+        };
+        run_phase(0, &mut est);
         assert_eq!(est.ranking()[0], ObjectId(0), "phase 0 hot object");
-        for _ in 0..40 {
-            for r in gen.batch(&mut rng) {
-                est.observe(r.object);
-            }
-            est.tick();
-        }
+        run_phase(15, &mut est);
         assert_eq!(
             est.ranking()[0],
             ObjectId(15),

@@ -6,7 +6,6 @@
 //! per-object cache recency scores `U[0.1, 1.0]`, with controllable
 //! correlations between the three attributes.
 
-use basecache_net::Catalog;
 use basecache_sim::{RngStreams, StreamRng};
 
 use crate::correlation::{align, align_counts, Correlation};
@@ -193,6 +192,7 @@ impl Table1Population {
     }
 
     /// Whether the population is empty.
+    /// (The `len` companion clippy's `len_without_is_empty` asks for.)
     pub fn is_empty(&self) -> bool {
         self.sizes.is_empty()
     }
@@ -205,11 +205,6 @@ impl Table1Population {
     /// Total number of clients (sum of per-object request counts).
     pub fn total_clients(&self) -> u64 {
         self.num_requests.iter().sum()
-    }
-
-    /// The object catalog induced by the sizes.
-    pub fn catalog(&self) -> Catalog {
-        Catalog::from_sizes(&self.sizes)
     }
 }
 
@@ -272,14 +267,6 @@ mod tests {
         };
         assert_eq!(spec.generate(99), spec.generate(99));
         assert_ne!(spec.generate(99), spec.generate(100));
-    }
-
-    #[test]
-    fn catalog_reflects_sizes() {
-        let pop = Table1Spec::paper_default().generate(1);
-        let cat = pop.catalog();
-        assert_eq!(cat.len(), 500);
-        assert_eq!(cat.total_size(), 5000);
     }
 
     #[test]

@@ -52,11 +52,6 @@ impl StandingWorkload {
         }
     }
 
-    /// Number of standing requests in the population.
-    pub fn requests(&self) -> usize {
-        self.requests
-    }
-
     /// Generate the population into reusable columns (cleared first):
     /// `objects[k]` is requested with target `targets[k]`.
     pub fn generate_columns_into(

@@ -63,6 +63,7 @@ impl RequestTrace {
     }
 
     /// Whether the trace is empty.
+    /// (The `len` companion clippy's `len_without_is_empty` asks for.)
     pub fn is_empty(&self) -> bool {
         self.batches.is_empty()
     }

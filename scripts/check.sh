@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Full local gate: formatting, lints, tier-1 build+tests (property suites
+# Full local gate: formatting, lints, rustdoc, tier-1 build+tests (property suites
 # and golden results included), the golden results again in release, and
 # the knapsack, cluster and planner benches (which record
 # BENCH_knapsack.json, BENCH_cluster.json and BENCH_planner.json at the
@@ -13,6 +13,9 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy (workspace, -D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc (workspace, -D warnings: no broken or private doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> tier-1: cargo build --release && cargo test -q (whole workspace: default-members)"
 cargo build --release
