@@ -16,8 +16,9 @@
 //!   recency observation, incremental rescore, adaptive solve, refresh,
 //!   columnar serve), from which the `requests_per_second` figure in
 //!   `BENCH_planner.json` is derived.
-//! - `solve_only/expanding_core` — the assembled massive instance
-//!   solved in isolation by the adaptive solver, an absolute median.
+//! - `solve_only/expanding_core` — the massive instance a fresh station
+//!   faces after a fixed number of those rounds, solved in isolation by
+//!   the adaptive solver, an absolute median.
 //!   (The entry keeps the name it was first recorded under; this
 //!   instance is tied, so the solve is the forced-out reduction plus
 //!   the bounded DP over the survivors.)
@@ -34,10 +35,10 @@ use basecache_core::engine::RoundEngine;
 use basecache_core::planner::OnDemandPlanner;
 use basecache_core::recency::ScoringFunction;
 use basecache_core::scratch::PlannerScratch;
-use basecache_core::StationBuilder;
+use basecache_core::{BaseStationSim, RoundOutcome, StationBuilder};
 use basecache_knapsack::{AdaptiveScratch, AdaptiveSolver, DpScratch};
 use basecache_net::{Catalog, ObjectId};
-use basecache_sim::{RngStreams, SimTime, WorkerPool};
+use basecache_sim::{RngStreams, SimTime, StreamRng, WorkerPool};
 use basecache_workload::{ChurnOp, Popularity, StandingWorkload, TargetRecency};
 
 use crate::harness::{bench_n, Measurement};
@@ -142,6 +143,48 @@ fn churn_pool(scale: &MassiveScale, workload: &StandingWorkload) -> Vec<ChurnOp>
     ops
 }
 
+/// Rounds a fresh station has run before `solve_only` takes its
+/// instance.
+const SOLVE_AFTER_ROUNDS: usize = 32;
+
+/// A station and its engine, stepped round by round as
+/// `round_incremental` times them.
+struct Rounds {
+    station: BaseStationSim,
+    engine: RoundEngine,
+    updates: StreamRng,
+    cursor: usize,
+}
+
+impl Rounds {
+    fn new(scale: &MassiveScale, catalog: &Catalog, objects: &[ObjectId], targets: &[f64]) -> Self {
+        Rounds {
+            station: StationBuilder::new(catalog.clone())
+                .on_demand(OnDemandPlanner::paper_default(), scale.budget)
+                .build()
+                .expect("valid configuration"),
+            engine: build_engine(scale, catalog, objects, targets),
+            updates: RngStreams::new(0x3A55).stream("massive/updates"),
+            cursor: 0,
+        }
+    }
+
+    /// The pool's next `churn` retargets, a fifth as many server-side
+    /// updates, then the station's engine round.
+    fn next(&mut self, scale: &MassiveScale, ops: &[ChurnOp]) -> RoundOutcome {
+        for op in &ops[self.cursor..self.cursor + scale.churn] {
+            self.engine.retarget(op.object, op.slot_seed, op.target);
+        }
+        self.cursor = (self.cursor + scale.churn) % (ops.len() - scale.churn);
+        let now = SimTime::from_ticks(self.station.tick());
+        for _ in 0..scale.churn / 5 {
+            let object = ObjectId(self.updates.random_range(0..scale.objects as u32));
+            self.station.server_mut().apply_update(object, now);
+        }
+        self.station.step_engine(&mut self.engine)
+    }
+}
+
 /// Uniform churn ops: each op retargets a uniformly random object, so
 /// `churn` ops dirty ~`churn` objects and a proportional share of
 /// requests — the "round touching ≤1% of the table" regime the
@@ -217,35 +260,25 @@ pub fn bench_massive(scale: &MassiveScale, results: &mut Vec<Measurement>) -> Ma
     // handful of server-side updates, oracle recency observation,
     // incremental rescore, adaptive solve, refresh and columnar serve
     // of the whole standing population.
-    let mut station = StationBuilder::new(catalog.clone())
-        .on_demand(OnDemandPlanner::paper_default(), scale.budget)
-        .build()
-        .expect("valid configuration");
-    let mut engine = build_engine(scale, &catalog, &objects, &targets);
-    let mut update_rng = RngStreams::new(0x3A55).stream("massive/updates");
-    let mut cursor = 0usize;
+    let mut rounds = Rounds::new(scale, &catalog, &objects, &targets);
     let round = bench_n(
         &format!("planner/massive/round_incremental/{}", scale.objects),
         scale.samples,
-        || {
-            for op in &ops[cursor..cursor + scale.churn] {
-                engine.retarget(op.object, op.slot_seed, op.target);
-            }
-            cursor = (cursor + scale.churn) % (ops.len() - scale.churn);
-            let now = SimTime::from_ticks(station.tick());
-            for _ in 0..scale.churn / 5 {
-                let object = ObjectId(update_rng.random_range(0..catalog.len() as u32));
-                station.server_mut().apply_update(object, now);
-            }
-            black_box(station.step_engine(&mut engine))
-        },
+        || black_box(rounds.next(scale, &ops)),
     );
     let requests_per_second = scale.requests as f64 * 1e9 / round.median_ns();
 
-    // --- solve_only: the instance the station round just solved,
-    // re-solved in isolation (`tests/engine_parity.rs` pins its answer
-    // to the exact DP's).
-    engine.assemble_into(&mut scratch);
+    // --- solve_only: the instance a fresh station faces after
+    // `SOLVE_AFTER_ROUNDS` of the same rounds, re-solved in isolation
+    // (`tests/engine_parity.rs` pins its answer to the exact DP's). A
+    // fixed round count, not the timed loop's, so every build solves
+    // the same instance: how hard it is depends on the round it is
+    // taken at.
+    let mut rounds = Rounds::new(scale, &catalog, &objects, &targets);
+    for _ in 0..SOLVE_AFTER_ROUNDS {
+        rounds.next(scale, &ops);
+    }
+    rounds.engine.assemble_into(&mut scratch);
     let items = scratch.items().to_vec();
     let mut ad = AdaptiveScratch::new();
     let mut dp = DpScratch::new();

@@ -9,11 +9,13 @@
 //! 1. **Classify** — exactly as the DP does: drop zero-profit and
 //!    oversized items, take free (size-0) items, clamp capacity to
 //!    `min(B, Σ usable sizes)`. If every usable item fits, taking all of
-//!    them is the certified optimum and nothing else runs.
-//! 2. **Reduce** — one routine, one flag. Density order and prefix sums,
-//!    a greedy / best-single-item lower bound, the Dantzig upper bound,
-//!    then per-item bound fixing: an item whose "forced in" bound falls
-//!    below the lower bound can never be chosen. When no two usable
+//!    them is the certified optimum and nothing else runs. Otherwise an
+//!    open-addressing probe table over the usable profit bits, stopping
+//!    at the first repeat, sets the one flag the rest branches on.
+//! 2. **Reduce** — one routine, one flag. The ordered density prefix
+//!    and its prefix sums, a greedy / best-single-item lower bound, the
+//!    Dantzig upper bound, then per-item bound fixing: an item whose
+//!    "forced in" bound falls below the lower bound can never be chosen. When no two usable
 //!    profits share their bits the reduction is *two-sided*: it also
 //!    dominance-prunes within equal sizes (a capacity-`C` solution uses
 //!    at most `⌊C/s⌋` items of size `s`, so only the top profits of each
@@ -39,21 +41,46 @@
 //! fixing decision.
 //!
 //! **How the orders are built.** Both of the reduction's orders are
-//! sorts of plain integer keys, not of indices under a comparator. The
-//! density order (density descending, index ascending) sorts
+//! orders of plain integer keys, not of indices under a comparator. The
+//! density order (density descending, index ascending) orders
 //! `[!density bits, position]` with each `profit / size` computed once;
 //! the dominance order (size ascending, profit descending, index
 //! ascending) sorts `[size, !profit bits, position]`; both live, one
-//! after the other, in the word buffer the tie check sorted the profit
-//! bits in. Profits and densities here are finite and sign-positive (a
+//! after the other, in the word buffer the tie check laid its probe
+//! table in. Profits and densities here are finite and sign-positive (a
 //! quotient may underflow to `+0.0`), and on such doubles `to_bits()`
 //! preserves order with equal values having equal bits, so complemented
 //! bits ascending is the value descending; the position makes every key
-//! distinct, so the unstable sort has exactly one result. The per-item
-//! bounds then each need the break rank of the order with one item
-//! removed, at the capacity or the capacity less that item's size —
+//! distinct, so an unstable sort or selection has exactly one result.
+//!
+//! The density order is built only as far as its readers look. Every
+//! bound the reduction computes is a Dantzig bound at capacity `≤ B`
+//! with at most one item removed, and such a bound reads the order only
+//! up to its break, so it is exact on any prefix whose sizes pass
+//! `B + s_max` (`s_max` the largest non-dropped size). The reduction
+//! orders exactly such a prefix, block by block: selection pulls the
+//! smallest unordered keys to the front of the rest and the block is
+//! sorted, so the prefix is a prefix of the full order and its sums are
+//! the same folds in the same order — every bound keeps its bits. An
+//! item past the prefix leaves every break in it when removed: its
+//! `ub_in` is its profit plus the plain Dantzig bound at `B − size`
+//! (computed once per size) and its `ub_out` the global bound. The
+//! greedy incumbent continues past the prefix with `rem` units left
+//! (fewer than `s_max`): it takes a leading run of each size class `s`
+//! in density order, at most `⌊rem/s⌋` items long, so greedy over each
+//! class's `⌊rem/s⌋` densest items — a few hundred candidates at most —
+//! takes exactly what greedy over the whole rest would. Past 64 units
+//! left, and for the expanding-core endgame, which reads every core
+//! item's rank, the order is completed.
+//!
+//! The per-item bounds each need the break rank of the order with one
+//! item removed, at the capacity or the capacity less that item's size —
 //! always near the one global break, so each search gallops outward from
 //! it and bisects the bracket instead of bisecting the whole table.
+//! Same-size dominance needs no count at all: profits fall along a size
+//! class, so the classmates that beat an item decisively are a prefix of
+//! the class, and the item is dominated exactly when the class's
+//! quota-th best profit beats it.
 //!
 //! **Tie safety.** When two usable items carry bit-identical profits,
 //! the full DP resolves the resulting solution ties through the
@@ -104,6 +131,15 @@ const WINDOW: usize = 64;
 
 /// Factor the endgame's window grows by on each certification failure.
 const GROWTH: usize = 8;
+
+/// Most units the greedy incumbent may have left after the ordered
+/// prefix and still continue over class candidates; it completes the
+/// order past this (at 64 units, at most 280 candidates).
+const CANDIDATE_UNITS: usize = 64;
+
+/// Slots of the per-size bound cache the fixing past the ordered prefix
+/// reads; size `s` lives in slot `s % SIZE_SLOTS`.
+const SIZE_SLOTS: usize = 16;
 
 /// Which terminal strategy produced the last solution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -169,20 +205,23 @@ pub struct AdaptiveScratch {
     /// Selection flag per usable position: the greedy incumbent while
     /// reducing, the final selection afterwards.
     sel: Vec<bool>,
-    /// Sort-key workspace, one use after the other: the usable profit
-    /// bits of the duplicate-profit tie check, then the dominance keys
-    /// `[size, !profit bits, usable position]`, then the density keys
-    /// `[density_key, usable position]`.
+    /// Key workspace, one use after the other: the probe table of the
+    /// duplicate-profit tie check, then the dominance keys `[size,
+    /// !profit bits, usable position]`, then the density keys
+    /// `[density_key, usable position]` — those `ord` holds first, in
+    /// order, the unordered rest after them.
     keys: Vec<u64>,
     // Density ordering over the non-dropped usable items.
-    /// Usable positions in (density desc, index asc) order.
+    /// Usable positions in (density desc, index asc) order: a prefix of
+    /// it, long enough for every bound the reduction reads, completed
+    /// only where a reader needs every rank.
     ord: Vec<u32>,
     /// The global break rank: the largest prefix of `ord` that fits the
     /// capacity, where every per-item bound search starts.
     brk: usize,
-    /// Prefix sums of sizes over `ord` (len m+1).
+    /// Prefix sums of sizes over `ord` (len `ord.len() + 1`).
     ord_psize: Vec<u64>,
-    /// Prefix sums of profits over `ord` (len m+1).
+    /// Prefix sums of profits over `ord` (len `ord.len() + 1`).
     ord_pprofit: Vec<f64>,
     // Core (undecided) items for the terminal DP.
     /// Core items in ascending original order.
@@ -200,7 +239,8 @@ pub struct AdaptiveScratch {
     core_full: Vec<u32>,
     /// Per-usable-position membership flag of the current window.
     in_window: Vec<bool>,
-    /// Core positions (density order) still awaiting certification.
+    /// Core positions (density order) still awaiting certification; in
+    /// the reduction, the greedy candidates past the ordered prefix.
     pending: Vec<u32>,
     /// Chosen original item indices, ascending.
     chosen: Vec<usize>,
@@ -214,6 +254,22 @@ pub struct AdaptiveScratch {
     certified: bool,
     lower_bound: f64,
     upper_bound: f64,
+    #[cfg(test)]
+    probe: Probe,
+}
+
+/// The lazy order's rarer routes, recorded so the unit tests can assert
+/// that their instance streams reach each, and the switch that orders
+/// every key up front — the reference the lazy prefix is checked
+/// against.
+#[cfg(test)]
+#[derive(Debug, Default)]
+struct Probe {
+    order_all: bool,
+    class_candidates: bool,
+    rem_extension: bool,
+    core_extension: bool,
+    shared_slot: bool,
 }
 
 impl AdaptiveScratch {
@@ -377,12 +433,7 @@ impl AdaptiveSolver {
         // noise between equal-value sets) that no shortcut reproduces.
         // Detect any duplicated profit bits up front and reduce such
         // instances one-sidedly (module docs, *Tie safety*).
-        scratch.keys.clear();
-        scratch
-            .keys
-            .extend(scratch.usable_profit.iter().map(|p| p.to_bits()));
-        scratch.keys.sort_unstable();
-        let two_sided = !scratch.keys.windows(2).any(|w| w[0] == w[1]);
+        let two_sided = !profit_bits_repeat(&scratch.usable_profit, &mut scratch.keys);
 
         // Conservative float margin: any fold of usable profits differs
         // from the real sum by well under this, so bound comparisons that
@@ -437,12 +488,13 @@ impl AdaptiveSolver {
 }
 
 impl AdaptiveScratch {
-    /// The one reduction routine, run when the capacity binds: density
-    /// order and prefix sums, the greedy / best-single lower bound, the
-    /// Dantzig upper bound, then per-item bound fixing into `state`.
-    /// `two_sided` (no duplicate profit bits) adds same-size dominance
-    /// and forced-*in* fixing. Returns `false` — before any fixing —
-    /// when everything that survived dominance fits `capacity`.
+    /// The one reduction routine, run when the capacity binds: the
+    /// ordered density prefix and its prefix sums, the greedy /
+    /// best-single lower bound, the Dantzig upper bound, then per-item
+    /// bound fixing into `state`. `two_sided` (no duplicate profit bits)
+    /// adds same-size dominance and forced-*in* fixing. Returns `false`
+    /// — before any fixing — when everything that survived dominance
+    /// fits `capacity`.
     fn reduce(&mut self, capacity: u64, margin: f64, two_sided: bool) -> bool {
         let nu = self.usable_idx.len();
         self.state.clear();
@@ -451,41 +503,46 @@ impl AdaptiveScratch {
             self.drop_dominated(capacity, margin);
         }
 
-        // Density order (density desc, index asc) over the non-dropped
-        // items, by sorting keys (module docs, *How the orders are
-        // built*), and prefix sums.
+        // Density keys (density desc, index asc; module docs, *How the
+        // orders are built*) of the non-dropped items, and their total
+        // and largest size.
         self.keys.clear();
+        let (mut total, mut s_max) = (0u64, 0u64);
         for u in (0..nu).filter(|&u| self.state[u] == State::Core) {
-            let density = self.usable_profit[u] / self.usable_size[u] as f64;
+            let size = self.usable_size[u];
+            let density = self.usable_profit[u] / size as f64;
             self.keys.extend([density_key(density), u as u64]);
+            total += size;
+            s_max = s_max.max(size);
         }
-        let (dkeys, _) = self.keys.as_chunks_mut::<2>();
-        dkeys.sort_unstable_by_key(|&[density, u]| (density, u));
+        let m = self.keys.len() / 2;
+        // Every bound below is a Dantzig bound at a capacity of at most
+        // `capacity` with at most one item removed, so its break falls
+        // inside the first ranks whose sizes pass `capacity + s_max`:
+        // only those are ordered.
         self.ord.clear();
-        self.ord.extend(dkeys.iter().map(|&[_, u]| u as u32));
-        let m = self.ord.len();
         self.ord_psize.clear();
         self.ord_pprofit.clear();
         self.ord_psize.push(0);
         self.ord_pprofit.push(0.0);
-        for k in 0..m {
-            let u = self.ord[k] as usize;
-            self.ord_psize.push(self.ord_psize[k] + self.usable_size[u]);
-            self.ord_pprofit
-                .push(self.ord_pprofit[k] + self.usable_profit[u]);
-        }
+        let stop = capacity.saturating_add(s_max);
+        #[cfg(test)]
+        let stop = if self.probe.order_all { u64::MAX } else { stop };
+        // First block: twice the ranks items of average size would take
+        // to pass `stop`.
+        let block = 2 * u128::from(stop) * m as u128 / u128::from(total.max(1));
+        self.order_until(stop, block.min(m as u128) as usize + 1);
+        let k = self.ord.len();
 
         // Greedy incumbent (density order, take what fits), evaluated by
         // the ascending-index fold so it compares exactly against DP
         // values; then the best single non-dropped item (the classic
         // 2-approximation fix).
         let mut remaining = capacity;
-        for &u in &self.ord {
-            let u = u as usize;
-            if self.usable_size[u] <= remaining {
-                remaining -= self.usable_size[u];
-                self.sel[u] = true;
-            }
+        let ord = self.ord.iter().map(|&u| u as usize);
+        take_what_fits(&self.usable_size, &mut self.sel, &mut remaining, ord);
+        if remaining > 0 && k < m {
+            self.greedy_past_prefix(remaining);
         }
         let mut lb = fold_flags(&self.usable_profit, &self.sel);
         for (&p, &state) in self.usable_profit.iter().zip(&self.state) {
@@ -494,12 +551,14 @@ impl AdaptiveScratch {
             }
         }
         self.lower_bound = lb;
-        self.upper_bound = self.dantzig(capacity);
-        if self.ord_psize[m] <= capacity {
+        let (brk, ub) = self.dantzig(0, capacity);
+        self.brk = brk;
+        self.upper_bound = ub;
+        if total <= capacity {
             return false;
         }
 
-        for r in 0..m {
+        for r in 0..k {
             let u = self.ord[r] as usize;
             let (s_r, p_r) = (self.usable_size[u], self.usable_profit[u]);
             // Upper bound over solutions that DO contain item r.
@@ -514,7 +573,136 @@ impl AdaptiveScratch {
                 }
             }
         }
+        // Past the prefix an item's removal leaves the prefix, and every
+        // break in it, untouched: `ub_in` is its profit plus the plain
+        // Dantzig bound at `capacity - size`, computed once per size
+        // (a direct-mapped cache keyed by size; no usable size is 0),
+        // and `ub_out` is the global bound.
+        let mut by_size = [(0u64, 0.0f64); SIZE_SLOTS];
+        let (dkeys, _) = self.keys.as_chunks::<2>();
+        for &[_, u] in &dkeys[k..] {
+            let u = u as usize;
+            let (s, p) = (self.usable_size[u], self.usable_profit[u]);
+            let slot = &mut by_size[s as usize % SIZE_SLOTS];
+            if slot.0 != s {
+                #[cfg(test)]
+                {
+                    self.probe.shared_slot |= slot.0 != 0;
+                }
+                *slot = (s, self.dantzig(self.brk, capacity - s).1);
+            }
+            if p + slot.1 + margin < lb {
+                self.state[u] = State::ForcedOut;
+            } else if two_sided && ub + margin < lb {
+                self.state[u] = State::ForcedIn;
+            }
+        }
         true
+    }
+
+    /// Extend `ord` and its prefix sums with the densest unordered keys,
+    /// `block` ranks at a time (×4 per further block), until its sizes
+    /// pass `stop` or every key is ordered. `keys` holds the ordered
+    /// density keys first and the unordered rest after them; each block
+    /// is pulled to the front of the rest by selection and sorted, so
+    /// `ord` is always an exact prefix of the full density order.
+    fn order_until(&mut self, stop: u64, mut block: usize) {
+        let by_key = |&[density, u]: &[u64; 2]| (density, u);
+        let m = self.keys.len() / 2;
+        while self.ord.len() < m && self.ord_psize[self.ord.len()] <= stop {
+            let done = self.ord.len();
+            let end = done + block.min(m - done);
+            let (dkeys, _) = self.keys.as_chunks_mut::<2>();
+            let rest = &mut dkeys[done..];
+            if end < m {
+                rest.select_nth_unstable_by_key(end - done, by_key);
+            }
+            rest[..end - done].sort_unstable_by_key(by_key);
+            for &[_, u] in &dkeys[done..end] {
+                let (u, k) = (u as usize, self.ord.len());
+                self.ord.push(u as u32);
+                self.ord_psize.push(self.ord_psize[k] + self.usable_size[u]);
+                self.ord_pprofit
+                    .push(self.ord_pprofit[k] + self.usable_profit[u]);
+            }
+            block = block.saturating_mul(4);
+        }
+    }
+
+    /// Order every density key `ord` does not hold yet.
+    fn order_rest(&mut self) {
+        self.order_until(u64::MAX, usize::MAX);
+    }
+
+    /// Continue the greedy incumbent past the ordered prefix with `rem`
+    /// units left. Items of one size `s` are taken as a leading run of
+    /// that size class in density order (`rem` only falls, so once one
+    /// no longer fits none after it does), and the run holds at most
+    /// `⌊rem/s⌋` items. Greedy over each class's `⌊rem/s⌋` densest
+    /// unordered items of size `s ≤ rem` — the candidates, collected in
+    /// `pending` — therefore takes exactly what greedy over all of them
+    /// would. Past [`CANDIDATE_UNITS`] units left, or with more candidate
+    /// slots than unordered items, `ord` is completed and walked instead.
+    fn greedy_past_prefix(&mut self, mut rem: u64) {
+        let (k, m) = (self.ord.len(), self.keys.len() / 2);
+        // Class `s`'s candidates fill `pending[at[s]..at[s + 1]]`.
+        let mut at = [0usize; CANDIDATE_UNITS + 2];
+        let classes = rem.min(CANDIDATE_UNITS as u64) as usize;
+        for s in 1..=classes {
+            at[s + 1] = at[s] + classes / s;
+        }
+        if rem > CANDIDATE_UNITS as u64 || at[classes + 1] > m - k {
+            #[cfg(test)]
+            {
+                self.probe.rem_extension |= rem > CANDIDATE_UNITS as u64;
+            }
+            self.order_rest();
+            let rest = self.ord[k..].iter().map(|&u| u as usize);
+            take_what_fits(&self.usable_size, &mut self.sel, &mut rem, rest);
+            return;
+        }
+        #[cfg(test)]
+        {
+            self.probe.class_candidates = true;
+        }
+
+        let (dkeys, _) = self.keys.as_chunks::<2>();
+        let key = |t: u32| (dkeys[t as usize][0], dkeys[t as usize][1]);
+        self.pending.clear();
+        self.pending.resize(at[classes + 1], 0);
+        // Each class's candidates so far, densest first.
+        let mut held = [0usize; CANDIDATE_UNITS + 1];
+        for t in k as u32..m as u32 {
+            let s = self.usable_size[dkeys[t as usize][1] as usize];
+            if s > rem {
+                continue;
+            }
+            let s = s as usize;
+            let class = &mut self.pending[at[s]..at[s + 1]];
+            let mut j = held[s];
+            if j == class.len() {
+                if key(t) > key(class[j - 1]) {
+                    continue;
+                }
+                j -= 1; // the sparsest candidate makes room
+            } else {
+                held[s] += 1;
+            }
+            while j > 0 && key(class[j - 1]) > key(t) {
+                class[j] = class[j - 1];
+                j -= 1;
+            }
+            class[j] = t;
+        }
+        let mut n = 0;
+        for s in 1..=classes {
+            self.pending.copy_within(at[s]..at[s] + held[s], n);
+            n += held[s];
+        }
+        self.pending.truncate(n);
+        self.pending.sort_unstable_by_key(|&t| key(t));
+        let candidates = self.pending.iter().map(|&t| dkeys[t as usize][1] as usize);
+        take_what_fits(&self.usable_size, &mut self.sel, &mut rem, candidates);
     }
 
     /// Dominance pruning within equal sizes: a feasible solution holds
@@ -540,21 +728,17 @@ impl AdaptiveScratch {
             while run_end < nu && dom[run_end][0] == size {
                 run_end += 1;
             }
+            // Profits fall along the run, so the classmates that beat an
+            // item decisively are a prefix of it: at least `quota` do
+            // exactly when the `quota`-th best does. (A usable size fits
+            // the capacity, so the quota is at least 1.)
             let quota = (capacity / size) as usize;
-            for t in quota.max(1)..run_end - run {
-                let p_t = f64::from_bits(!dom[run + t][1]);
-                let mut decisive = 0usize;
-                for k in 0..t {
-                    let p_k = f64::from_bits(!dom[run + k][1]);
-                    if p_k > p_t + margin {
-                        decisive += 1;
-                        if decisive >= quota {
-                            break;
-                        }
+            if (1..run_end - run).contains(&quota) {
+                let p_quota = f64::from_bits(!dom[run + quota - 1][1]);
+                for &[_, profit_desc, u] in &dom[run + quota..run_end] {
+                    if p_quota > f64::from_bits(!profit_desc) + margin {
+                        self.state[u as usize] = State::Dropped;
                     }
-                }
-                if decisive >= quota {
-                    self.state[dom[run + t][2] as usize] = State::Dropped;
                 }
             }
             run = run_end;
@@ -588,7 +772,13 @@ impl AdaptiveScratch {
 
         // Save the full core (ascending usable positions — the order
         // `core_map` was assembled in) and derive its density order as
-        // the core's subsequence of `ord`, plus size prefix sums.
+        // the core's subsequence of the full `ord`, plus size prefix
+        // sums.
+        #[cfg(test)]
+        {
+            self.probe.core_extension |= self.ord.len() < self.keys.len() / 2;
+        }
+        self.order_rest();
         self.core_full.clear();
         self.core_full.extend_from_slice(&self.core_map);
         self.core_rank.clear();
@@ -800,25 +990,31 @@ impl AdaptiveScratch {
         acc
     }
 
-    /// Global Dantzig bound at `cap` over the density ordering; leaves
-    /// the break rank in `brk`.
-    fn dantzig(&mut self, cap: u64) -> f64 {
-        let m = self.ord.len();
-        let b = largest_fitting_prefix(0, m, cap, |t| self.ord_psize[t]);
-        self.brk = b;
+    /// Dantzig bound at `cap` (at most the solve's capacity) over the
+    /// density order, and its break rank, searched from `hint`. The
+    /// ordered prefix either holds every item or has sizes past the
+    /// capacity, so the break lies inside it.
+    fn dantzig(&self, hint: usize, cap: u64) -> (usize, f64) {
+        let len = self.ord.len();
+        let b = largest_fitting_prefix(hint, len, cap, |t| self.ord_psize[t]);
         let rem = cap - self.ord_psize[b];
-        if b < m && rem > 0 {
+        let bound = if b < len && rem > 0 {
             let u = self.ord[b] as usize;
             self.ord_pprofit[b] + self.usable_profit[u] * rem as f64 / self.usable_size[u] as f64
         } else {
             self.ord_pprofit[b]
-        }
+        };
+        (b, bound)
     }
 
-    /// Dantzig bound at `cap` over the density ordering with the item at
-    /// rank `skip` removed, via the prefix sums. The break moves only a
-    /// few ranks when one item leaves or the capacity gives up one
-    /// item's size, so the search starts at the global break `brk`.
+    /// Dantzig bound at `cap` (at most the solve's capacity) over the
+    /// density order with the item at rank `skip` of the ordered prefix
+    /// removed, via the prefix sums. The break moves only a few ranks
+    /// when one item leaves or the capacity gives up one item's size, so
+    /// the search starts at the global break `brk`. It never leaves the
+    /// prefix: unless the prefix holds every item, its sizes pass the
+    /// capacity plus the largest size, so the first `len - 1` ranks of
+    /// the shortened order already overflow `cap`.
     fn dantzig_excluding(&self, skip: usize, cap: u64) -> f64 {
         let u_skip = self.ord[skip] as usize;
         let (s_skip, p_skip) = (self.usable_size[u_skip], self.usable_profit[u_skip]);
@@ -837,7 +1033,7 @@ impl AdaptiveScratch {
                 self.ord_pprofit[t + 1] - p_skip
             }
         };
-        let last = self.ord.len() - 1; // the shortened sequence has m-1 items
+        let last = self.ord.len() - 1; // the shortened prefix
         let b = largest_fitting_prefix(self.brk, last, cap, pex_size);
         let rem = cap - pex_size(b);
         if b < last && rem > 0 {
@@ -898,6 +1094,33 @@ fn largest_fitting_prefix(
     lo
 }
 
+/// Whether two of `profits` share their bits, by an open-addressing
+/// probe table laid into `table`: a power of two of slots in
+/// `[1.5n, 3n)`, linear probing from a Fibonacci hash, `0` marking an
+/// empty slot (a usable profit is positive, never `+0.0`). It stops at
+/// the first repeat, which a tied instance meets within a few items.
+fn profit_bits_repeat(profits: &[f64], table: &mut Vec<u64>) -> bool {
+    let slots = (3 * profits.len()).next_power_of_two() / 2;
+    let shift = 64 - slots.trailing_zeros();
+    table.clear();
+    table.resize(slots, 0);
+    for p in profits {
+        let bits = p.to_bits();
+        let mut i = (bits.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize;
+        loop {
+            match table[i] {
+                0 => {
+                    table[i] = bits;
+                    break;
+                }
+                held if held == bits => return true,
+                _ => i = (i + 1) & (slots - 1),
+            }
+        }
+    }
+    false
+}
+
 /// Load `core_items` / `core_map` with the usable `positions` given
 /// (ascending) — the shape the terminal DP and the map back expect.
 fn load_core(
@@ -912,6 +1135,22 @@ fn load_core(
     for upos in positions {
         core_items.push(Item::new(size[upos as usize], profit[upos as usize]));
         core_map.push(upos);
+    }
+}
+
+/// Greedy over the usable `positions` in the order given: select each
+/// item that still fits the `rem` units left.
+fn take_what_fits(
+    size: &[u64],
+    sel: &mut [bool],
+    rem: &mut u64,
+    positions: impl Iterator<Item = usize>,
+) {
+    for u in positions {
+        if size[u] <= *rem {
+            *rem -= size[u];
+            sel[u] = true;
+        }
     }
 }
 
@@ -1320,6 +1559,7 @@ mod tests {
 
     #[test]
     fn key_orders_match_the_comparator_orders() {
+        let mut partial = 0;
         for seed in 1..=40 {
             let items = awkward_items(seed, 30 + seed as usize * 7);
             let nu = items.len();
@@ -1341,12 +1581,8 @@ mod tests {
             // dominance pass leaves them, then the density order of a
             // reduction that stops right after sorting because
             // everything fits.
-            let mut scratch = AdaptiveScratch::new();
-            scratch.usable_idx.extend(0..nu as u32);
-            scratch.usable_size.extend(items.iter().map(Item::size));
-            scratch.usable_profit.extend(items.iter().map(Item::profit));
+            let mut scratch = loaded(&items);
             scratch.state.resize(nu, State::Core);
-            scratch.sel.resize(nu, false);
             let total: u64 = scratch.usable_size.iter().sum();
             let all: Vec<usize> = (0..nu).collect();
 
@@ -1376,7 +1612,176 @@ mod tests {
                 by_density_then_index(density),
                 &format!("density order, seed {seed}"),
             );
+
+            // Under a binding capacity (the items that fit it usable)
+            // the reduction orders a prefix of the density order only.
+            let filler: u64 = items.iter().map(Item::size).filter(|&s| s <= 30).sum();
+            for cap in [filler / 32, filler / 8] {
+                let usable: Vec<Item> = items.iter().copied().filter(|i| i.size() <= cap).collect();
+                let mut scratch = loaded(&usable);
+                if !scratch.reduce(cap, 0.0, true) {
+                    continue;
+                }
+                let density = |u: usize| usable[u].profit() / usable[u].size() as f64;
+                let mut kept: Vec<usize> = (0..usable.len())
+                    .filter(|&u| scratch.state[u] != State::Dropped)
+                    .collect();
+                kept.sort_by(|&a, &b| by_density_then_index(density)(a, b));
+                let got: Vec<usize> = scratch.ord.iter().map(|&u| u as usize).collect();
+                assert_eq!(
+                    got,
+                    kept[..got.len()],
+                    "density prefix, seed {seed} cap {cap}"
+                );
+                partial += usize::from(got.len() < kept.len());
+            }
         }
+        assert!(partial > 0, "no binding capacity left the order partial");
+    }
+
+    #[test]
+    fn dominance_by_the_quota_th_best_matches_counting_classmates() {
+        // The count it replaced: an item is dropped when at least
+        // `quota` classmates beat it beyond `margin` (every such one
+        // ranks before it).
+        for seed in 1..=40 {
+            let mut state = seed;
+            let items: Vec<Item> = (0..200)
+                .map(|_| {
+                    let size = 1 + lcg(&mut state) % 6;
+                    Item::new(size, (1 + lcg(&mut state) % 40) as f64 * 0.25)
+                })
+                .collect();
+            for (capacity, margin) in [(6, 0.0), (12, 0.3), (30, 1.0), (90, 0.0)] {
+                let mut scratch = loaded(&items);
+                scratch.state.resize(items.len(), State::Core);
+                scratch.drop_dominated(capacity, margin);
+                for (t, item) in items.iter().enumerate() {
+                    let beaten_by = items
+                        .iter()
+                        .filter(|k| k.size() == item.size())
+                        .filter(|k| k.profit() > item.profit() + margin)
+                        .count();
+                    let quota = (capacity / item.size()) as usize;
+                    let dropped = scratch.state[t] == State::Dropped;
+                    assert_eq!(
+                        dropped,
+                        beaten_by >= quota,
+                        "seed {seed} cap {capacity} item {t}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// `items`, every one usable, classified into a fresh scratch.
+    fn loaded(items: &[Item]) -> AdaptiveScratch {
+        let mut scratch = AdaptiveScratch::new();
+        scratch.usable_idx.extend(0..items.len() as u32);
+        scratch.usable_size.extend(items.iter().map(Item::size));
+        scratch.usable_profit.extend(items.iter().map(Item::profit));
+        scratch.sel.resize(items.len(), false);
+        scratch
+    }
+
+    /// The reduction alone, as [`AdaptiveSolver::solve_into`] runs it on
+    /// `items` (every one usable at `capacity`), with the density order
+    /// built lazily or every key ordered up front.
+    fn reduced(items: &[Item], capacity: u64, order_all: bool) -> (AdaptiveScratch, bool) {
+        let mut scratch = loaded(items);
+        scratch.probe.order_all = order_all;
+        let two_sided = !profit_bits_repeat(&scratch.usable_profit, &mut scratch.keys);
+        let flat: f64 = scratch.usable_profit.iter().sum();
+        let margin = flat * f64::EPSILON * (items.len() as f64 + 4.0) * 8.0;
+        let binds = scratch.reduce(capacity, margin, two_sided);
+        (scratch, binds)
+    }
+
+    #[test]
+    fn the_lazy_prefix_reduces_exactly_like_the_full_order() {
+        let mut reached = Probe::default();
+        for seed in 1..=24u64 {
+            // Sizes 1..=8 (the engine round's), 1..=200, 120..=200 (no
+            // small item fills the greedy's remainder) and dense 20..=40
+            // over sparse 1..=3 (the greedy fills it from past the
+            // prefix), tied and continuous profits, capacities a few
+            // percent of the total.
+            let mut state = seed;
+            let n = 400 + (lcg(&mut state) % 800) as usize;
+            let shape = seed % 4;
+            let tied = (seed / 4) % 2 == 0;
+            let items: Vec<Item> = (0..n)
+                .map(|_| {
+                    let draw = lcg(&mut state);
+                    let size = match shape {
+                        0 => 1 + draw % 8,
+                        1 => 1 + draw % 200,
+                        2 => 120 + draw % 81,
+                        _ if draw.is_multiple_of(4) => 1 + draw / 4 % 3,
+                        _ => 20 + draw % 21,
+                    };
+                    let profit = if tied {
+                        (1 + lcg(&mut state) % 6) as f64 * 0.5
+                    } else {
+                        (1 + lcg(&mut state) % 1_000_000) as f64 / 997.0
+                    };
+                    let sparse = if shape == 3 && size <= 3 { 1e-3 } else { 1.0 };
+                    Item::new(size, profit * sparse)
+                })
+                .collect();
+            let total: u64 = items.iter().map(Item::size).sum();
+            for cap in [total / 100, total / 40, total / 12] {
+                let usable: Vec<Item> = items.iter().copied().filter(|i| i.size() <= cap).collect();
+                let (lazy, binds) = reduced(&usable, cap, false);
+                let (eager, eager_binds) = reduced(&usable, cap, true);
+                let what = format!("seed {seed} cap {cap}");
+                assert!(binds && eager_binds, "{what}");
+                assert_eq!(lazy.state, eager.state, "{what}");
+                assert_eq!(lazy.sel, eager.sel, "{what}");
+                assert_eq!(lazy.lower_bound.to_bits(), eager.lower_bound.to_bits());
+                assert_eq!(lazy.upper_bound.to_bits(), eager.upper_bound.to_bits());
+                assert_eq!(lazy.brk, eager.brk, "{what}");
+                assert!(eager.ord.starts_with(&lazy.ord), "{what}");
+                // K < m: the first rank whose sizes pass the capacity
+                // plus the largest size is short of the full order.
+                let m = eager.ord.len();
+                let s_max = (0..usable.len())
+                    .filter(|&u| eager.state[u] != State::Dropped)
+                    .map(|u| usable[u].size())
+                    .max()
+                    .unwrap();
+                assert!(eager.ord_psize[m - 1] > cap + s_max, "{what}: K = m");
+                reached.class_candidates |= lazy.probe.class_candidates;
+                reached.rem_extension |= lazy.probe.rem_extension;
+                reached.shared_slot |= lazy.probe.shared_slot;
+            }
+        }
+
+        // The endgame reads every rank: whole solves of untied cores past
+        // the first window, lazy against ordered up front.
+        let (mut lazy, mut eager) = (AdaptiveScratch::new(), AdaptiveScratch::new());
+        eager.probe.order_all = true;
+        for seed in 1..=12 {
+            let items = correlated_items(600, seed);
+            let total: u64 = items.iter().map(Item::size).sum();
+            for cap in [total / 12, total / 8, total / 5] {
+                let value = solve(&items, cap, &mut lazy);
+                let want = solve(&items, cap, &mut eager);
+                assert_eq!(value.to_bits(), want.to_bits(), "seed {seed} cap {cap}");
+                assert_eq!(lazy.chosen(), eager.chosen(), "seed {seed} cap {cap}");
+                let stats = |s: &AdaptiveScratch| {
+                    let counts = (s.core_size(), s.items_fixed(), s.cells_touched());
+                    (s.method(), s.core_rounds(), counts)
+                };
+                assert_eq!(stats(&lazy), stats(&eager), "seed {seed} cap {cap}");
+            }
+        }
+        reached.core_extension = lazy.probe.core_extension;
+
+        assert!(reached.class_candidates, "no greedy over class candidates");
+        assert!(reached.rem_extension, "no extension for a wide remainder");
+        assert!(reached.core_extension, "no extension for the endgame");
+        assert!(reached.shared_slot, "no two sizes shared a cache slot");
     }
 
     /// The plain bisection the hinted search replaced.

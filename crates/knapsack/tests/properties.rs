@@ -355,6 +355,41 @@ fn expanding_core_endgame_is_bit_identical_to_the_full_dp() {
     assert!(full_core > 0, "no degenerate full-core sweep reached");
 }
 
+/// Large sparse instances, the regime where the reduction orders only a
+/// short prefix of the density order and bounds every item past it from
+/// that prefix: 1 000–3 000 items under at most 5 % of their total size,
+/// sizes `1..=8` (the engine round's shape) or `1..=200`, profits from a
+/// tied pool or continuous. Value bits and chosen set equal the full
+/// DP's.
+#[test]
+fn large_sparse_instances_are_bit_identical_to_the_full_dp() {
+    let mut parity = Parity::default();
+    run_cases("large_sparse_vs_dp", 32, |_, rng| {
+        let n = rng.random_range(1000..=3000usize);
+        let max_size = if rng.random_range(0u32..2) == 0 {
+            8
+        } else {
+            200
+        };
+        let pool: [f64; 6] = std::array::from_fn(|_| rng.random_range(0.1f64..=9.0));
+        let tied = rng.random_range(0u32..2) == 0;
+        let items: Vec<Item> = (0..n)
+            .map(|_| {
+                let size = rng.random_range(1..=max_size);
+                let profit = if tied {
+                    pool[rng.random_range(0..pool.len())]
+                } else {
+                    rng.random_range(0.01f64..=50.0)
+                };
+                Item::new(size, profit)
+            })
+            .collect();
+        let total: u64 = items.iter().map(|i| i.size()).sum();
+        let cap = rng.random_range(1..=total / 20);
+        parity.check(&items, cap, "large sparse");
+    });
+}
+
 /// Duplicate-profit instances take the one-sided reduction (never the
 /// endgame); removing only items certified to be in *no* optimal
 /// solution must leave the DP's canonical witness untouched bit for bit

@@ -71,7 +71,7 @@ cargo bench -p basecache-bench --bench knapsack_solvers
 # The adaptive solver alone, at the shapes the benchmark's station and
 # engine rounds hand it.
 for entry in 'knapsack/adaptive/untied/500' 'knapsack/adaptive/tied/500' \
-             'knapsack/adaptive/tied/35000'; do
+             'knapsack/adaptive/tied/35000' 'knapsack/adaptive/untied/35000'; do
     grep -q "\"$entry\"" BENCH_knapsack.json \
         || { echo "error: BENCH_knapsack.json missing $entry" >&2; exit 1; }
 done
