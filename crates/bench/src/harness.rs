@@ -145,6 +145,41 @@ pub fn bench_n<T>(name: &str, samples: usize, mut f: impl FnMut() -> T) -> Measu
     m
 }
 
+/// Time a *stateful* `f` — one whose cost depends on how often it has
+/// run, such as a simulation round — on a fixed schedule: `warmup`
+/// untimed calls, then `samples` samples of `iters` calls each, and
+/// print a report line. [`bench_n`] warms up for a fixed *time*, so a
+/// faster build would time later, differently hard calls; here every
+/// build times the same ones.
+pub fn bench_schedule<T>(
+    name: &str,
+    warmup: usize,
+    samples: usize,
+    iters: u64,
+    mut f: impl FnMut() -> T,
+) -> Measurement {
+    assert!(samples > 0 && iters > 0, "need at least one timed call");
+    for _ in 0..warmup {
+        black_box(f());
+    }
+    let samples_ns = (0..samples)
+        .map(|_| {
+            let t = Instant::now();
+            for _ in 0..iters {
+                black_box(f());
+            }
+            t.elapsed().as_nanos() as f64 / iters as f64
+        })
+        .collect();
+    let m = Measurement {
+        name: name.to_string(),
+        iters_per_sample: iters,
+        samples_ns,
+    };
+    report(&m);
+    m
+}
+
 /// Print one aligned report line for a measurement.
 pub fn report(m: &Measurement) {
     println!(

@@ -15,7 +15,9 @@
 //!   [`BaseStationSim::step_engine`] round (churn, server updates,
 //!   recency observation, incremental rescore, adaptive solve, refresh,
 //!   columnar serve), from which the `requests_per_second` figure in
-//!   `BENCH_planner.json` is derived.
+//!   `BENCH_planner.json` is derived. Timed on a fixed schedule of
+//!   rounds (the same ones on every build), each sample the mean of
+//!   `ROUNDS_PER_SAMPLE` consecutive rounds.
 //! - `solve_only/expanding_core` — the massive instance a fresh station
 //!   faces after a fixed number of those rounds, solved in isolation by
 //!   the adaptive solver, an absolute median.
@@ -41,7 +43,7 @@ use basecache_net::{Catalog, ObjectId};
 use basecache_sim::{RngStreams, SimTime, StreamRng, WorkerPool};
 use basecache_workload::{ChurnOp, Popularity, StandingWorkload, TargetRecency};
 
-use crate::harness::{bench_n, Measurement};
+use crate::harness::{bench_n, bench_schedule, Measurement};
 
 /// One massive-bench configuration.
 pub struct MassiveScale {
@@ -144,8 +146,11 @@ fn churn_pool(scale: &MassiveScale, workload: &StandingWorkload) -> Vec<ChurnOp>
 }
 
 /// Rounds a fresh station has run before `solve_only` takes its
-/// instance.
+/// instance, and before `round_incremental` starts timing.
 const SOLVE_AFTER_ROUNDS: usize = 32;
+/// Consecutive rounds in one `round_incremental` sample: enough to span
+/// a wave of stale popular objects and the calm after it.
+const ROUNDS_PER_SAMPLE: u64 = 20;
 
 /// A station and its engine, stepped round by round as
 /// `round_incremental` times them.
@@ -259,11 +264,15 @@ pub fn bench_massive(scale: &MassiveScale, results: &mut Vec<Measurement>) -> Ma
     // --- round_incremental: the complete station round — churn, a
     // handful of server-side updates, oracle recency observation,
     // incremental rescore, adaptive solve, refresh and columnar serve
-    // of the whole standing population.
+    // of the whole standing population. Rounds differ several-fold in
+    // cost (a wave of stale popular objects makes a hard solve), so
+    // every build times the same ones.
     let mut rounds = Rounds::new(scale, &catalog, &objects, &targets);
-    let round = bench_n(
+    let round = bench_schedule(
         &format!("planner/massive/round_incremental/{}", scale.objects),
+        SOLVE_AFTER_ROUNDS,
         scale.samples,
+        ROUNDS_PER_SAMPLE,
         || black_box(rounds.next(scale, &ops)),
     );
     let requests_per_second = scale.requests as f64 * 1e9 / round.median_ns();

@@ -13,9 +13,15 @@
 //!
 //! 1. **Struct-of-arrays tables.** Object state lives in parallel
 //!    columns — size, recency, update rate, per-object request targets,
-//!    profit, score sums — sharded into contiguous id ranges. The hot
-//!    loops (rescore, assemble, serve) stream over dense arrays instead
-//!    of chasing a map.
+//!    profit, score tally (whose count is the request count) — sharded
+//!    into contiguous id ranges. The hot loops (rescore, assemble,
+//!    serve) stream over dense arrays instead of chasing a map, and each
+//!    object's work is what it needs: rescore folds a fresh copy's
+//!    targets without visiting them and scores the rest in branch-free
+//!    chunks ([`ScoringFunction`]'s batched fold), assemble emits every
+//!    object's slot and keeps the entering ones by advancing a length,
+//!    and serve merges the score tally rescore cached instead of
+//!    re-deriving it from raw sums.
 //! 2. **Incremental instance build.** A per-shard dirty set tracks
 //!    exactly the objects whose inputs changed since the last round:
 //!    recency movement (which is how cache refreshes and server updates
@@ -53,11 +59,19 @@
 //!
 //! Incremental vs full-rebuild parity is engine-vs-engine: both paths
 //! fold each object's targets in storage order, so every per-object
-//! profit and score sum — and with them the assembled instance — agree
-//! bit for bit.
+//! profit and score tally — and with them the assembled instance — agree
+//! bit for bit. Both also equal a plain per-target
+//! [`ScoringFunction::score`] loop bit for bit (the fold's shortcut and
+//! chunks change no rounding); `tests/engine_parity.rs` checks that
+//! independently after every round of its churn scripts.
+//!
+//! The derived columns are read ([`RoundEngine::assemble_into`],
+//! [`RoundEngine::for_each_active`]) only after [`RoundEngine::rescore`]
+//! has drained every dirty set; debug builds assert it.
 
 use basecache_knapsack::Item;
 use basecache_net::{Catalog, ObjectId};
+use basecache_sim::metrics::Welford;
 use basecache_sim::WorkerPool;
 
 use crate::recency::ScoringFunction;
@@ -79,10 +93,12 @@ struct Shard {
     targets: Vec<Vec<f64>>,
     /// Σ over the object's clients of `1 − score` (knapsack profit).
     profit: Vec<f64>,
-    /// Σ over the object's clients of `score`.
-    score_sum: Vec<f64>,
-    /// Σ over the object's clients of `score²` (serve-time variance).
-    score_sq: Vec<f64>,
+    /// The object's clients' scores as a tally
+    /// ([`Welford::from_sums`] of their count, Σ score and Σ score²),
+    /// derived once at rescore for serve to merge. Its count is the
+    /// dense request-count column the table walks read instead of the
+    /// 24-byte `Vec` headers.
+    scores: Vec<Welford>,
     /// Local indices awaiting rescore, in marking order.
     dirty: Vec<u32>,
     /// Dedup flags parallel to the columns.
@@ -103,8 +119,7 @@ impl Shard {
             update_rate: vec![0.0; n],
             targets: vec![Vec::new(); n],
             profit: vec![0.0; n],
-            score_sum: vec![0.0; n],
-            score_sq: vec![0.0; n],
+            scores: vec![Welford::new(); n],
             dirty: Vec::with_capacity(n),
             is_dirty: vec![false; n],
             last_dirty: 0,
@@ -120,28 +135,19 @@ impl Shard {
         }
     }
 
-    /// Recompute profit and score sums for every dirty object, folding
-    /// its targets in storage order (the bit-parity contract), then
-    /// clear the dirty set.
+    /// Recompute profit and the score tally for every dirty object,
+    /// folding its targets in storage order (the bit-parity contract),
+    /// then clear the dirty set.
     fn rescore(&mut self, scoring: ScoringFunction) {
         let mut rescored = 0u64;
         for &local in &self.dirty {
             let l = local as usize;
-            let x = self.recency[l];
-            let mut sum = 0.0;
-            let mut sq = 0.0;
-            let mut profit = 0.0;
-            for &t in &self.targets[l] {
-                let s = scoring.score(x, t);
-                sum += s;
-                sq += s * s;
-                profit += 1.0 - s;
-            }
-            self.score_sum[l] = sum;
-            self.score_sq[l] = sq;
+            let n = self.targets[l].len() as u64;
+            let (sum, sq, profit) = scoring.fold(self.recency[l], &self.targets[l]);
+            self.scores[l] = Welford::from_sums(n, sum, sq);
             self.profit[l] = profit;
             self.is_dirty[l] = false;
-            rescored += self.targets[l].len() as u64;
+            rescored += n;
         }
         self.last_dirty = self.dirty.len() as u32;
         self.last_rescored = rescored;
@@ -159,10 +165,9 @@ pub struct ActiveObject {
     pub requests: u64,
     /// Its last observed cache recency.
     pub recency: f64,
-    /// Σ `score(recency, target)` over its requests.
-    pub score_sum: f64,
-    /// Σ `score²` over its requests.
-    pub score_sq: f64,
+    /// The tally of `score(recency, target)` over its requests
+    /// ([`Welford::from_sums`] of their count, Σ score and Σ score²).
+    pub scores: Welford,
     /// Σ `1 − score` over its requests (knapsack profit).
     pub profit: f64,
     /// Its size in data units.
@@ -442,7 +447,7 @@ impl RoundEngine {
 
     /// Emit the current knapsack instance into `scratch`: one item per
     /// requested object with positive profit, objects ascending. Call
-    /// after [`Self::rescore`].
+    /// after [`Self::rescore`] (debug builds assert it).
     ///
     /// Fully satisfied objects (every requesting client already at or
     /// above its target, profit exactly `0.0`) are kept out of the
@@ -453,40 +458,65 @@ impl RoundEngine {
     /// [`Self::mark_all_dirty`] reference) share this filter, so the
     /// bit-parity contract is unaffected.
     pub fn assemble_into(&self, scratch: &mut PlannerScratch) {
-        scratch.items.clear();
-        scratch.objects.clear();
+        self.debug_assert_rescored();
+        // Branch-free: which objects enter follows no pattern a
+        // predictor learns — write every object's slot, keep the ones
+        // that enter by advancing the length. Profit alone decides: an
+        // object without requests folds to `+0.0`.
+        let (items, objects) = (&mut scratch.items, &mut scratch.objects);
+        let mut k = 0;
         for shard in &self.shards {
-            for (l, targets) in shard.targets.iter().enumerate() {
-                if !targets.is_empty() && shard.profit[l] > 0.0 {
-                    scratch
-                        .items
-                        .push(Item::new(shard.sizes[l], shard.profit[l]));
-                    scratch.objects.push(ObjectId(shard.base + l as u32));
-                }
+            // Room for every slot this shard can write, grown only past
+            // last round's instance: the fill stays small, and the
+            // scratch's capacity (which covers the table) is touched
+            // only as far as an instance reaches.
+            let room = k + shard.profit.len();
+            if items.len() < room {
+                items.resize(room, Item::new(0, 0.0));
+            }
+            if objects.len() < room {
+                objects.resize(room, ObjectId(0));
+            }
+            for (l, (&profit, &size)) in shard.profit.iter().zip(&shard.sizes).enumerate() {
+                items[k] = Item::new(size, profit);
+                objects[k] = ObjectId(shard.base + l as u32);
+                k += usize::from(profit > 0.0);
             }
         }
+        items.truncate(k);
+        objects.truncate(k);
     }
 
     /// Visit every requested object in ascending id order with its
     /// columnar serve-time view. The station's columnar serve loop runs
-    /// on this: O(requested objects), not O(requests).
+    /// on this: O(requested objects), not O(requests). Call after
+    /// [`Self::rescore`] (debug builds assert it).
     pub fn for_each_active(&self, mut f: impl FnMut(ActiveObject)) {
+        self.debug_assert_rescored();
         for shard in &self.shards {
-            for (l, targets) in shard.targets.iter().enumerate() {
-                if targets.is_empty() {
+            for (l, &scores) in shard.scores.iter().enumerate() {
+                if scores.count() == 0 {
                     continue;
                 }
                 f(ActiveObject {
                     object: ObjectId(shard.base + l as u32),
-                    requests: targets.len() as u64,
+                    requests: scores.count(),
                     recency: shard.recency[l],
-                    score_sum: shard.score_sum[l],
-                    score_sq: shard.score_sq[l],
+                    scores,
                     profit: shard.profit[l],
                     size: shard.sizes[l],
                 });
             }
         }
+    }
+
+    /// The readers of the derived columns trust them: a skipped
+    /// [`Self::rescore`] would hand out stale profits and tallies.
+    fn debug_assert_rescored(&self) {
+        debug_assert!(
+            self.shards.iter().all(|s| s.dirty.is_empty()),
+            "dirty objects pending: call rescore before reading the derived columns"
+        );
     }
 }
 
@@ -504,12 +534,22 @@ mod tests {
         scratch
     }
 
-    /// Per-object `(requests, score-sum bits)` of every requested
-    /// object, ascending.
-    fn score_sums(e: &RoundEngine) -> Vec<(u64, u64)> {
-        let mut sums = Vec::new();
-        e.for_each_active(|a| sums.push((a.requests, a.score_sum.to_bits())));
-        sums
+    type TallyBits = (u64, Option<u64>, Option<u64>);
+
+    /// A score tally as `(count, mean bits, variance bits)`.
+    fn tally_bits(w: Welford) -> TallyBits {
+        (
+            w.count(),
+            w.mean().map(f64::to_bits),
+            w.variance().map(f64::to_bits),
+        )
+    }
+
+    /// The score tally of every requested object, ascending.
+    fn score_tallies(e: &RoundEngine) -> Vec<TallyBits> {
+        let mut tallies = Vec::new();
+        e.for_each_active(|a| tallies.push(tally_bits(a.scores)));
+        tallies
     }
 
     #[test]
@@ -529,10 +569,14 @@ mod tests {
         let profit_3 = (1.0 - s.score(0.2, 1.0)) + (1.0 - s.score(0.2, 0.8));
         assert_eq!(scratch.items[0].profit().to_bits(), profit_1.to_bits());
         assert_eq!(scratch.items[1].profit().to_bits(), profit_3.to_bits());
-        let sum_3 = s.score(0.2, 1.0) + s.score(0.2, 0.8);
+        let (a, b) = (s.score(0.2, 1.0), s.score(0.2, 0.8));
+        let s_1 = s.score(0.4, 0.5);
         assert_eq!(
-            score_sums(&e),
-            vec![(1, s.score(0.4, 0.5).to_bits()), (2, sum_3.to_bits())]
+            score_tallies(&e),
+            vec![
+                tally_bits(Welford::from_sums(1, s_1, s_1 * s_1)),
+                tally_bits(Welford::from_sums(2, a + b, a * a + b * b)),
+            ]
         );
     }
 
@@ -601,7 +645,7 @@ mod tests {
         assert_eq!(e.dirty_objects(), 2, "both previously requested objects");
         let scratch = assemble(&e);
         assert!(scratch.items.is_empty());
-        assert!(score_sums(&e).is_empty());
+        assert!(score_tallies(&e).is_empty());
     }
 
     #[test]
@@ -629,7 +673,7 @@ mod tests {
                     .iter()
                     .map(|i| (i.size(), i.profit().to_bits()))
                     .collect::<Vec<_>>(),
-                score_sums(&e),
+                score_tallies(&e),
             )
         };
         let reference = build(1, false);
@@ -649,12 +693,12 @@ mod tests {
         e.observe_recency(&recency);
         e.rescore();
         let before = assemble(&e);
-        let sums_before = score_sums(&e);
+        let tallies_before = score_tallies(&e);
         e.mark_all_dirty();
         e.rescore();
         assert_eq!(e.dirty_objects(), 10);
         let after = assemble(&e);
-        assert_eq!(sums_before, score_sums(&e));
+        assert_eq!(tallies_before, score_tallies(&e));
         for (a, b) in before.items.iter().zip(after.items.iter()) {
             assert_eq!(a.profit().to_bits(), b.profit().to_bits());
         }
@@ -680,6 +724,17 @@ mod tests {
         assert_eq!(e.update_rate_of(ObjectId(1)), 2.5);
         e.rescore();
         assert_eq!(e.dirty_objects(), 0, "rate writes never invalidate");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "call rescore")]
+    fn reading_derived_columns_before_rescore_panics_in_debug() {
+        let mut e = engine(2);
+        e.push_request(ObjectId(1), 1.0);
+        e.rescore();
+        e.retarget(ObjectId(1), 0, 0.5);
+        let _ = assemble(&e);
     }
 
     #[test]

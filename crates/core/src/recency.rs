@@ -45,10 +45,62 @@ impl ScoringFunction {
         }
         let deviation = (x / target - 1.0).abs();
         match self {
-            ScoringFunction::InverseRatio => 1.0 / (1.0 + deviation),
-            ScoringFunction::Exponential => (-deviation).exp(),
+            ScoringFunction::InverseRatio => inverse_ratio(deviation),
+            ScoringFunction::Exponential => exponential(deviation),
             ScoringFunction::Step => 0.0,
         }
+    }
+
+    /// `(Σs, Σs², Σ(1 − s))` over `s = score(x, t)` for every `t` in
+    /// `targets`, each sum folded from `0.0` in storage order — bit for
+    /// bit what a loop of [`Self::score`] calls accumulating the three
+    /// sums returns, at a fraction of the cost:
+    ///
+    /// * A fresh copy (`x == 1.0`) meets every target `t ≤ 1`, so every
+    ///   score is exactly `1.0`: the sums are `n`, `n` (`n` additions of
+    ///   `1.0` are exact below 2⁵³) and `+0.0` (`1.0 − 1.0` added to
+    ///   `+0.0`), written without visiting a target.
+    /// * Otherwise targets are scored `FOLD_CHUNK` at a time into a
+    ///   stack buffer — every one by the below-target formula, then
+    ///   `1.0` selected where `x ≥ t` — with no branch a predictor must
+    ///   learn, and the buffer is folded in order. IEEE division is
+    ///   correctly rounded whether the compiler packs it or not, so
+    ///   each buffered score has [`Self::score`]'s bits.
+    ///
+    /// Targets are the caller's contract (`(0, 1]`, asserted where they
+    /// enter the engine); `x` is checked once.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `x ∈ [0, 1]` when `targets` is non-empty.
+    pub(crate) fn fold(self, x: f64, targets: &[f64]) -> (f64, f64, f64) {
+        if targets.is_empty() {
+            return (0.0, 0.0, 0.0);
+        }
+        assert!(
+            (0.0..=1.0).contains(&x),
+            "recency x must be in [0, 1], got {x}"
+        );
+        if x == 1.0 {
+            let n = targets.len() as f64;
+            return (n, n, 0.0);
+        }
+        let (mut sum, mut sq, mut benefit) = (0.0, 0.0, 0.0);
+        let mut buf = [0.0; FOLD_CHUNK];
+        for chunk in targets.chunks(FOLD_CHUNK) {
+            let scores = &mut buf[..chunk.len()];
+            match self {
+                ScoringFunction::InverseRatio => score_chunk(x, chunk, scores, inverse_ratio),
+                ScoringFunction::Exponential => score_chunk(x, chunk, scores, exponential),
+                ScoringFunction::Step => score_chunk(x, chunk, scores, |_| 0.0),
+            }
+            for &s in scores.iter() {
+                sum += s;
+                sq += s * s;
+                benefit += 1.0 - s;
+            }
+        }
+        (sum, sq, benefit)
     }
 
     /// The benefit to a client of downloading a fresh copy instead of
@@ -57,6 +109,32 @@ impl ScoringFunction {
     /// cached object is older".
     pub fn benefit(self, x: f64, target: f64) -> f64 {
         1.0 - self.score(x, target)
+    }
+}
+
+/// Targets [`ScoringFunction::fold`] scores per stack buffer.
+const FOLD_CHUNK: usize = 64;
+
+/// [`ScoringFunction::InverseRatio`] below its target, from the
+/// deviation `|x/C − 1|`.
+#[inline]
+fn inverse_ratio(deviation: f64) -> f64 {
+    1.0 / (1.0 + deviation)
+}
+
+/// [`ScoringFunction::Exponential`] below its target.
+#[inline]
+fn exponential(deviation: f64) -> f64 {
+    (-deviation).exp()
+}
+
+/// Score `x` against each target into `scores`: `below` of the
+/// deviation for every target, then `1.0` selected where `x ≥ t`.
+#[inline]
+fn score_chunk(x: f64, targets: &[f64], scores: &mut [f64], below: impl Fn(f64) -> f64) {
+    for (s, &t) in scores.iter_mut().zip(targets) {
+        let below = below((x / t - 1.0).abs());
+        *s = if x >= t { 1.0 } else { below };
     }
 }
 
@@ -132,6 +210,53 @@ mod tests {
             assert_eq!(f.score(0.9, 0.8), 1.0);
             assert_eq!(f.score(1.0, 1.0), 1.0);
         }
+    }
+
+    /// The scalar reference the batched fold must reproduce: one
+    /// [`ScoringFunction::score`] call per target, the three sums folded
+    /// in storage order.
+    fn scalar_fold(f: ScoringFunction, x: f64, targets: &[f64]) -> (f64, f64, f64) {
+        let (mut sum, mut sq, mut benefit) = (0.0, 0.0, 0.0);
+        for &t in targets {
+            let s = f.score(x, t);
+            sum += s;
+            sq += s * s;
+            benefit += 1.0 - s;
+        }
+        (sum, sq, benefit)
+    }
+
+    #[test]
+    fn fold_matches_the_scalar_fold_bit_for_bit() {
+        let bits = |(a, b, c): (f64, f64, f64)| (a.to_bits(), b.to_bits(), c.to_bits());
+        basecache_sim::check::run_cases("score_fold_vs_scalar", 160, |i, rng| {
+            // Lengths 0–200 straddle the 64-target chunks; a quarter of
+            // the targets are exactly 1.0.
+            let targets: Vec<f64> = (0..rng.random_range(0..=200usize))
+                .map(|_| match rng.random_range(0..4u32) {
+                    0 => 1.0,
+                    _ => rng.random_range(0.01f64..=1.0),
+                })
+                .collect();
+            let x = match i % 4 {
+                0 => 0.0,
+                1 => 1.0,
+                2 if !targets.is_empty() => targets[rng.random_range(0..targets.len())],
+                _ => rng.random_range(0.0f64..=1.0),
+            };
+            for f in [
+                ScoringFunction::InverseRatio,
+                ScoringFunction::Exponential,
+                ScoringFunction::Step,
+            ] {
+                assert_eq!(
+                    bits(f.fold(x, &targets)),
+                    bits(scalar_fold(f, x, &targets)),
+                    "{f:?}, x = {x}, {} targets",
+                    targets.len()
+                );
+            }
+        });
     }
 
     #[test]

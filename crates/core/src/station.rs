@@ -32,7 +32,7 @@ use basecache_net::{
 use basecache_obs::{
     Attr, Event, LifecycleEvent, NullRecorder, Recorder, Sample, Snapshot, Span, Stage, Transition,
 };
-use basecache_sim::metrics::Welford;
+use basecache_sim::metrics::{RunningMean, Welford};
 use basecache_sim::SimTime;
 use basecache_workload::GeneratedRequest;
 
@@ -127,8 +127,11 @@ struct Round<'r> {
     /// observer pays for.
     observing: bool,
     tick: u64,
-    recency: Welford,
-    score: Welford,
+    /// The round's delivered recency and score: the outcome reports
+    /// only their means (the station-lifetime [`StationStats`] keep the
+    /// full distributions).
+    recency: RunningMean,
+    score: RunningMean,
     /// The outcome under construction: the stages count arrivals,
     /// launches, joins, hits, serves and waits straight into it.
     out: RoundOutcome,
@@ -550,8 +553,8 @@ impl BaseStationSim {
             recorder: &*recorder,
             observing: recorder.enabled(),
             tick: self.tick,
-            recency: Welford::new(),
-            score: Welford::new(),
+            recency: RunningMean::new(),
+            score: RunningMean::new(),
             out: RoundOutcome {
                 tick: self.tick,
                 ..RoundOutcome::default()
@@ -933,11 +936,11 @@ impl BaseStationSim {
         round.out.still_waiting = ledger.map_or(0, |l| l.waiting() as usize);
     }
 
-    /// Stage 5, engine source: one visit per requested object, off the
-    /// engine's per-object score sums instead of rescoring every
-    /// request, with merge cursors over this round's downloads and (under
-    /// a carrying ledger) this round's arrivals. Per object, the whole
-    /// population is in exactly one state:
+    /// Stage 5, engine source: one visit per requested object, merging
+    /// the score tally the engine's rescore cached for it instead of
+    /// rescoring every request, with merge cursors over this round's
+    /// downloads and (under a carrying ledger) this round's arrivals.
+    /// Per object, the whole population is in exactly one state:
     ///
     /// * downloaded and landed — served at recency (hence score) 1.0:
     ///   the cache was just refreshed to the current version;
@@ -1016,9 +1019,8 @@ impl BaseStationSim {
             } else {
                 round.recency.push_n(a.recency, n);
                 stats.recency.push_n(a.recency, n);
-                let scores = Welford::from_sums(n, a.score_sum, a.score_sq);
-                round.score.merge(&scores);
-                stats.score.merge(&scores);
+                round.score.merge(&a.scores);
+                stats.score.merge(&a.scores);
                 if let Some(launched_at) = launched_at {
                     let wait = (tick - launched_at) as f64;
                     stats.wait_ticks.push_n(wait, n);

@@ -449,6 +449,163 @@ fn massive_round_is_bit_identical_to_the_exact_dp_station() {
     );
 }
 
+/// The engine's derived columns against an independent recomputation.
+/// The parity arms above compare the engine with its own
+/// `mark_all_dirty` path, which runs the same fold, so a wrong shortcut
+/// in that fold would pass them. Here, after every round of each churn
+/// script, each active object's request count, score tally and profit —
+/// and the assembled instance — are re-derived from `targets_for` and
+/// the recency the round observed with a plain per-target
+/// [`ScoringFunction::score`] loop, and bit-compared.
+mod independent {
+    use super::*;
+    use basecache_core::scratch::PlannerScratch;
+    use basecache_sim::metrics::Welford;
+
+    /// Objects topped up to a fixed request count before every round:
+    /// one fills a 64-target chunk exactly, one spills a target into the
+    /// next, one spans more than two.
+    const HEAVY: [(u32, usize); 3] = [(7, 64), (19, 65), (30, 150)];
+    /// The heavy objects' targets. An oracle station observes the
+    /// harmonic recencies `1/(lag + 1)`, so 1/2, 1/3 and 1/4 are hit
+    /// exactly by a copy one, two or three updates behind.
+    const HEAVY_TARGETS: [f64; 6] = [1.0, 0.5, 1.0 / 3.0, 0.25, 0.8, 0.45];
+
+    fn rig(scoring: ScoringFunction) -> Rig {
+        let planner = OnDemandPlanner::new(scoring, SolverChoice::Adaptive);
+        let station = StationBuilder::new(catalog())
+            .on_demand(planner, BUDGET)
+            .build()
+            .expect("valid configuration");
+        let mut engine = RoundEngine::new(&catalog(), scoring);
+        seed_population(&mut engine);
+        Rig {
+            station,
+            engine,
+            full_rebuild: false,
+        }
+    }
+
+    fn top_up_heavy(engine: &mut RoundEngine) {
+        for (object, n) in HEAVY {
+            let have = engine.targets_for(ObjectId(object)).len();
+            for k in have..n {
+                engine.push_request(ObjectId(object), HEAVY_TARGETS[k % HEAVY_TARGETS.len()]);
+            }
+        }
+    }
+
+    type Tally = (u64, Option<u64>, Option<u64>);
+
+    fn tally_bits(w: Welford) -> Tally {
+        (
+            w.count(),
+            w.mean().map(f64::to_bits),
+            w.variance().map(f64::to_bits),
+        )
+    }
+
+    /// How often the rounds exercised the cases a shortcut could get
+    /// wrong: a heavy object scored against a stale copy, and a stale
+    /// copy whose recency equals one of its targets.
+    #[derive(Default)]
+    struct Coverage {
+        heavy_stale: usize,
+        recency_on_target: usize,
+    }
+
+    /// Bit-compare the engine's view of the round just stepped with the
+    /// plain recomputation at the recency it observed.
+    fn check_round(rig: &Rig, scoring: ScoringFunction, recency: &[f64], cover: &mut Coverage) {
+        let engine = &rig.engine;
+        let mut expected = Vec::new();
+        let mut expected_items = Vec::new();
+        for (o, &x) in recency.iter().enumerate() {
+            let object = ObjectId(o as u32);
+            let targets = engine.targets_for(object);
+            if targets.is_empty() {
+                continue;
+            }
+            let (mut sum, mut sq, mut profit) = (0.0, 0.0, 0.0);
+            for &t in targets {
+                let s = scoring.score(x, t);
+                sum += s;
+                sq += s * s;
+                profit += 1.0 - s;
+            }
+            let n = targets.len() as u64;
+            let size = rig.station.catalog().size_of(object);
+            let tally = tally_bits(Welford::from_sums(n, sum, sq));
+            expected.push((object, n, x.to_bits(), tally, profit.to_bits(), size));
+            if profit > 0.0 {
+                expected_items.push((size, profit.to_bits()));
+            }
+            if x < 1.0 {
+                cover.heavy_stale += usize::from(HEAVY.iter().any(|&(h, _)| h == object.0));
+                cover.recency_on_target += usize::from(targets.contains(&x));
+            }
+        }
+        let mut active = Vec::new();
+        engine.for_each_active(|a| {
+            let tally = tally_bits(a.scores);
+            let recency = a.recency.to_bits();
+            active.push((
+                a.object,
+                a.requests,
+                recency,
+                tally,
+                a.profit.to_bits(),
+                a.size,
+            ));
+        });
+        assert_eq!(active, expected, "for_each_active diverges");
+        let mut scratch = PlannerScratch::new();
+        engine.assemble_into(&mut scratch);
+        let items: Vec<_> = scratch
+            .items()
+            .iter()
+            .map(|i| (i.size(), i.profit().to_bits()))
+            .collect();
+        assert_eq!(items, expected_items, "assembled instance diverges");
+    }
+
+    type Script = (&'static str, fn(u64, &mut Rig));
+
+    #[test]
+    fn engine_sums_match_a_plain_score_loop_under_every_churn_script() {
+        let scripts: [Script; 3] = [
+            ("zero churn", zero_churn),
+            ("single-object churn", single_object_churn),
+            ("full churn", full_churn),
+        ];
+        for scoring in [
+            ScoringFunction::InverseRatio,
+            ScoringFunction::Exponential,
+            ScoringFunction::Step,
+        ] {
+            for (label, mutate) in scripts {
+                let mut rig = rig(scoring);
+                let mut cover = Coverage::default();
+                for round in 0..24 {
+                    mutate(round, &mut rig);
+                    top_up_heavy(&mut rig.engine);
+                    let recency = rig.station.estimated_recency_vec();
+                    rig.step();
+                    check_round(&rig, scoring, &recency, &mut cover);
+                }
+                assert!(
+                    cover.heavy_stale > 0,
+                    "{scoring:?}, {label}: no stale heavy object"
+                );
+                assert!(
+                    cover.recency_on_target > 0,
+                    "{scoring:?}, {label}: no recency on a target"
+                );
+            }
+        }
+    }
+}
+
 /// Property test: random round scripts with adversarial churn levels
 /// (none, single-object, total) interleaved with waves and per-object
 /// updates; every script must leave the incremental and full-rebuild

@@ -12,7 +12,7 @@
 //!   from a single master seed with SplitMix64, so adding a stream never
 //!   perturbs the draws of any other stream.
 //! * [`metrics`] — the Welford mean/variance accumulator every
-//!   experiment reports through.
+//!   experiment reports through, and its mean-only half.
 //! * [`P2Quantile`] — streaming quantile estimation (p95 waits) in O(1)
 //!   space.
 //! * [`WorkerPool`] — a reusable std-thread pool for per-round fan-out

@@ -1,4 +1,5 @@
-//! The Welford mean/variance accumulator shared by every experiment.
+//! The Welford mean/variance accumulator shared by every experiment,
+//! and its mean-only half for tallies nothing reads the variance of.
 
 /// Streaming mean/variance via Welford's algorithm — numerically stable
 /// for the long accumulations the recency experiments perform.
@@ -90,6 +91,61 @@ impl Welford {
     }
 }
 
+/// The mean half of [`Welford`]: the same count and mean arithmetic in
+/// the same order, so after any sequence of [`Self::push`],
+/// [`Self::push_n`] and [`Self::merge`] its mean has the bits a
+/// [`Welford`] fed the same sequence would report — without the second
+/// moment, and the division each update spends on it, that a tally read
+/// only for its mean never uses.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct RunningMean {
+    count: u64,
+    mean: f64,
+}
+
+impl RunningMean {
+    /// An empty tally.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Fold in one observation ([`Welford::push`]'s mean update).
+    pub fn push(&mut self, x: f64) {
+        self.count += 1;
+        self.mean += (x - self.mean) / self.count as f64;
+    }
+
+    /// Fold in `n` identical observations of `x` at once
+    /// ([`Welford::push_n`]'s mean update).
+    pub fn push_n(&mut self, x: f64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        let total = self.count + n;
+        self.mean += (x - self.mean) * n as f64 / total as f64;
+        self.count = total;
+    }
+
+    /// Merge a full accumulator in ([`Welford::merge`]'s mean update).
+    pub fn merge(&mut self, other: &Welford) {
+        if other.count == 0 {
+            return;
+        }
+        if self.count == 0 {
+            (self.count, self.mean) = (other.count, other.mean);
+            return;
+        }
+        let total = self.count + other.count;
+        self.mean += (other.mean - self.mean) * other.count as f64 / total as f64;
+        self.count = total;
+    }
+
+    /// Sample mean, or `None` before any observation.
+    pub fn mean(&self) -> Option<f64> {
+        (self.count > 0).then_some(self.mean)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,5 +227,39 @@ mod tests {
         assert_eq!(a.count(), all.count());
         assert!((a.mean().unwrap() - all.mean().unwrap()).abs() < 1e-9);
         assert!((a.variance().unwrap() - all.variance().unwrap()).abs() < 1e-9);
+    }
+
+    /// Random push / push_n / merge scripts: the mean-only tally reads
+    /// the bits of the full accumulator's mean after every step — merges
+    /// into an empty tally, of an empty accumulator and `n = 0` batches
+    /// included.
+    #[test]
+    fn running_mean_has_welfords_mean_bits() {
+        crate::check::run_cases("running_mean_vs_welford", 96, |_, rng| {
+            let (mut full, mut mean) = (Welford::new(), RunningMean::new());
+            for _ in 0..rng.random_range(0..=40u32) {
+                let x = rng.random_range(-4.0f64..=4.0);
+                match rng.random_range(0..3u32) {
+                    0 => {
+                        full.push(x);
+                        mean.push(x);
+                    }
+                    1 => {
+                        let n = rng.random_range(0..=5u64);
+                        full.push_n(x, n);
+                        mean.push_n(x, n);
+                    }
+                    _ => {
+                        let mut other = Welford::new();
+                        for _ in 0..rng.random_range(0..=4u32) {
+                            other.push(rng.random_range(0.0f64..=1.0));
+                        }
+                        full.merge(&other);
+                        mean.merge(&other);
+                    }
+                }
+                assert_eq!(mean.mean().map(f64::to_bits), full.mean().map(f64::to_bits));
+            }
+        });
     }
 }

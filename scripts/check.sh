@@ -109,6 +109,7 @@ for entry in 'planner/round/adaptive' 'planner/round/adaptive_lifecycle' \
              'planner/obs/lifecycle_event' 'planner/obs/aoi_event' \
              'planner/massive/build_full_rebuild/100000' \
              'planner/massive/build_incremental/100000' \
+             'planner/massive/build_incremental_zipf/100000' \
              'planner/massive/round_incremental/100000' \
              'planner/massive/solve_only/expanding_core/100000'; do
     grep -q "\"$entry\"" BENCH_planner.json \
