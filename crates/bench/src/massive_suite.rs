@@ -51,7 +51,7 @@ pub struct MassiveScale {
     pub objects: usize,
     /// Standing client requests aggregated into the engine.
     pub requests: usize,
-    /// Downlink budget per round, data units.
+    /// Download budget per round, data units.
     pub budget: u64,
     /// Retargets applied per iteration (the dirty set's main source).
     pub churn: usize,

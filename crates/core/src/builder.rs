@@ -20,12 +20,11 @@
 //! assert_eq!(station.tick(), 0);
 //! ```
 
-use basecache_net::{Catalog, Downlink, InFlightConfig, SharedLink};
+use basecache_net::{Catalog, InFlightConfig};
 use basecache_obs::{NullRecorder, Recorder};
 
 use crate::error::{ConfigError, Error};
 use crate::estimator::RecencyEstimator;
-use crate::pipeline::LatencyAwareSim;
 use crate::planner::OnDemandPlanner;
 use crate::recency::{DecayModel, ScoringFunction};
 use crate::scratch::plan_table_fits;
@@ -212,45 +211,6 @@ impl StationBuilder {
             station.install_flight(config);
         }
         Ok(station)
-    }
-
-    /// Validate the configuration and construct a [`LatencyAwareSim`]
-    /// instead of a [`BaseStationSim`]: the same catalog, planner, decay,
-    /// scoring and recorder, but downloads travel a latency/bandwidth
-    /// [`basecache_net::Link`] and clients wait for uncached objects.
-    ///
-    /// `fixed_net` carries downloads (share it across stations for the
-    /// multi-cell backbone); `downlink` carries deliveries to clients.
-    /// Requires the on-demand policy (its `budget_units` becomes the
-    /// refresh budget), oracle estimation, and no
-    /// [`StationBuilder::in_flight`] config — the pipeline models
-    /// transfer time itself.
-    pub fn build_latency_aware(
-        self,
-        fixed_net: SharedLink,
-        downlink: Downlink,
-    ) -> Result<LatencyAwareSim, Error> {
-        let policy = self.policy.ok_or(ConfigError::MissingPolicy)?;
-        let Policy::OnDemand {
-            planner,
-            budget_units,
-        } = policy
-        else {
-            return Err(ConfigError::LatencyRequiresOnDemand.into());
-        };
-        if !matches!(self.estimation, Estimation::Oracle) || self.flight.is_some() {
-            return Err(ConfigError::LatencyRequiresOnDemand.into());
-        }
-        Ok(LatencyAwareSim::assemble(
-            self.catalog,
-            planner,
-            budget_units,
-            fixed_net,
-            downlink,
-            self.decay,
-            self.scoring,
-            self.recorder,
-        ))
     }
 }
 

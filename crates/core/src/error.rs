@@ -32,11 +32,6 @@ pub enum ConfigError {
     /// other than [`crate::station::Policy::OnDemand`] — commitment-aware
     /// planning is defined for the knapsack planner only.
     InFlightRequiresOnDemand,
-    /// [`crate::builder::StationBuilder::build_latency_aware`] under a
-    /// policy other than plain [`crate::station::Policy::OnDemand`] with
-    /// oracle recency estimation and no in-flight config (the latency
-    /// pipeline models transfers itself).
-    LatencyRequiresOnDemand,
     /// The exact-DP tables for `items` objects at `capacity` data units
     /// (the budget, clamped to the catalog's total size) would exceed
     /// [`crate::scratch::MAX_PLAN_TABLE_BYTES`]: the pseudo-polynomial
@@ -66,13 +61,6 @@ impl fmt::Display for ConfigError {
             }
             Self::InFlightRequiresOnDemand => {
                 write!(f, "in-flight transfers require the on-demand policy")
-            }
-            Self::LatencyRequiresOnDemand => {
-                write!(
-                    f,
-                    "the latency-aware pipeline requires the plain on-demand \
-                     policy with oracle estimation and no in-flight config"
-                )
             }
             Self::PlanTableTooLarge { items, capacity } => {
                 write!(

@@ -31,8 +31,8 @@
 //! * [`station`] — [`BaseStationSim`]: the time-stepped base-station
 //!   simulation gluing cache, server, policy and downlink together —
 //!   one round kernel behind `step` (batch) and `step_engine` (engine).
-//! * [`outcome`] — [`RoundOutcome`]: the unified per-round outcome shared
-//!   by every round-step surface (station, engine, latency pipeline).
+//! * [`outcome`] — [`RoundOutcome`]: the per-round outcome both of the
+//!   station's round-step surfaces (batch and engine) return.
 //! * [`builder`] — [`StationBuilder`]: typed, validating construction of
 //!   a station, including its observability [`basecache_obs::Recorder`].
 //! * [`error`] — [`Error`]: the unified error umbrella over the knapsack,
@@ -74,7 +74,6 @@ pub mod engine;
 pub mod error;
 pub mod estimator;
 pub mod outcome;
-pub mod pipeline;
 pub mod planner;
 mod policy;
 pub mod profit;
@@ -89,7 +88,6 @@ pub use engine::{ActiveObject, RoundEngine};
 pub use error::{ConfigError, Error};
 pub use estimator::{RateEstimator, RecencyEstimator, ReportEstimator, TtlEstimator};
 pub use outcome::RoundOutcome;
-pub use pipeline::{LatencyAwareSim, LatencyStats};
 pub use planner::{DownloadPlan, LowestRecencyFirst, OnDemandPlanner, SolverChoice};
 pub use recency::{DecayModel, ScoringFunction};
 pub use request::RequestBatch;

@@ -1,16 +1,15 @@
 //! The unified per-round outcome: one [`RoundOutcome`] type and one
-//! `step` contract shared by `BaseStationSim::step`, `step_engine`, and
-//! the latency-aware pipeline.
+//! `step` contract shared by `BaseStationSim::step` and `step_engine`.
 //!
-//! Every round-step surface returns this superset: the instantaneous
+//! Both round-step surfaces return this superset: the instantaneous
 //! path simply leaves the in-flight fields at their identities (`arrived
 //! == objects_downloaded`, `launched == objects_downloaded`, zero joins,
 //! everything served immediately, nothing still waiting), so the union
 //! costs the fast path nothing.
 
-/// What one scheduling round did, returned by every round-step surface
-/// ([`crate::BaseStationSim::step`], [`crate::BaseStationSim::step_engine`],
-/// and [`crate::LatencyAwareSim::step`]).
+/// What one scheduling round did, returned by both round-step surfaces
+/// ([`crate::BaseStationSim::step`] and
+/// [`crate::BaseStationSim::step_engine`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RoundOutcome {
     /// The tick (round number) this outcome describes.

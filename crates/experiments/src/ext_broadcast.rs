@@ -4,8 +4,10 @@
 //! the Broadcast Disks line (Acharya et al.): push hot objects on a
 //! cyclic program and let clients wait for their slot. We compare mean
 //! access delay for the same Zipf demand: flat broadcast, a two-disk
-//! skewed broadcast, and the base station's pull-with-cache
-//! (latency-aware simulation, counting cache hits as zero wait). The
+//! skewed broadcast, and the base station's pull-with-cache (an
+//! in-flight station whose downloads take rounds to land; its access
+//! delay is the total wait over every request served, so a request
+//! answered from the cache counts as zero wait). The
 //! expected shape: broadcasting pays a per-access half-cycle-ish wait
 //! forever; the pull cache pays the fixed-network price only on first
 //! touch and on staleness refreshes, so its *mean* access delay is far
@@ -14,12 +16,12 @@
 
 use basecache_core::planner::OnDemandPlanner;
 use basecache_core::StationBuilder;
-use basecache_net::{BroadcastSchedule, Catalog, Downlink, Link, ObjectId, SharedLink};
-use basecache_sim::{RngStreams, SimDuration};
+use basecache_net::{BroadcastSchedule, Catalog, InFlightConfig, ObjectId};
+use basecache_sim::RngStreams;
 use basecache_workload::Popularity;
 
 use crate::report::Figure;
-use crate::runner::{record_requests, sweep_series};
+use crate::runner::{drain, drive, record_requests, sweep_series};
 
 /// Parameters of the broadcast comparison.
 #[derive(Debug, Clone)]
@@ -34,9 +36,8 @@ pub struct Params {
     pub requests_per_tick: usize,
     /// Ticks simulated on the pull side.
     pub ticks: u64,
-    /// Fixed-network latency (ticks) for the pull side.
-    pub pull_latency: u64,
-    /// Fixed-network bandwidth (units/tick) for the pull side.
+    /// Fixed-network bandwidth (units/tick) for the pull side, which is
+    /// also its per-tick refresh budget.
     pub pull_bandwidth: u64,
     /// Zipf exponents to sweep (demand skew).
     pub thetas: Vec<f64>,
@@ -53,7 +54,6 @@ impl Params {
             hot_frequency: 3,
             requests_per_tick: 50,
             ticks: 400,
-            pull_latency: 4,
             pull_bandwidth: 25,
             thetas: vec![0.0, 0.5, 1.0, 1.5],
             seed: 13_000,
@@ -77,7 +77,8 @@ fn ids(range: std::ops::Range<u32>) -> Vec<ObjectId> {
     range.map(ObjectId).collect()
 }
 
-/// Mean access delay of the pull-based station (cache hits wait 0).
+/// Mean access delay of the pull-based station: Σwait ÷ requests
+/// served (cache hits wait 0).
 fn pull_mean_delay(params: &Params, theta: f64) -> f64 {
     let trace = record_requests(
         Popularity::Zipf { theta },
@@ -86,28 +87,16 @@ fn pull_mean_delay(params: &Params, theta: f64) -> f64 {
         params.ticks,
         &mut RngStreams::new(params.seed).stream("broadcast/pull"),
     );
-    let mut sim = StationBuilder::new(Catalog::uniform_unit(params.objects))
+    let mut station = StationBuilder::new(Catalog::uniform_unit(params.objects))
         .on_demand(OnDemandPlanner::paper_default(), params.pull_bandwidth)
-        .build_latency_aware(
-            SharedLink::new(Link::new(
-                params.pull_bandwidth,
-                SimDuration::from_ticks(params.pull_latency),
-            )),
-            Downlink::new(params.requests_per_tick as u64 * 2, SimDuration::ZERO),
-        )
-        .expect("valid latency configuration");
-    for (t, batch) in trace.iter() {
-        if (t as u64).is_multiple_of(5) {
-            sim.apply_update_wave();
-        }
-        sim.step(batch);
-    }
-    for _ in 0..(params.pull_latency + 10) {
-        sim.step(&[]);
-    }
-    let stats = sim.stats();
-    let total = (stats.immediate + stats.waited) as f64;
-    stats.wait_ticks.mean().unwrap_or(0.0) * stats.waited as f64 / total.max(1.0)
+        .in_flight(InFlightConfig::coalescing(params.pull_bandwidth))
+        .build()
+        .expect("valid configuration");
+    drive(&mut station, &trace, 5, 0, |_, _| {});
+    drain(&mut station);
+    let stats = station.stats();
+    stats.wait_ticks.mean().unwrap_or(0.0) * stats.waited as f64
+        / stats.requests_served.max(1) as f64
 }
 
 /// Run the comparison: mean access delay vs demand skew for flat

@@ -24,7 +24,7 @@ use basecache_sim::RngStreams;
 use basecache_workload::{FlashCrowdGenerator, Popularity, RequestTrace, TargetRecency};
 
 use crate::report::Figure;
-use crate::runner::{drive, sweep_series};
+use crate::runner::{drain, drive, sweep_series};
 
 /// Parameters of the flash-crowd sweep.
 #[derive(Debug, Clone)]
@@ -146,20 +146,7 @@ fn run_station(
     }
     let mut station = builder.build().expect("valid configuration");
     drive(&mut station, &trace, params.update_period, 0, |_, _| {});
-    // Drain: every parked request must be served before we read stats.
-    let limit = station
-        .flight_ledger()
-        .expect("flight mode")
-        .stats()
-        .units_launched
-        / params.bandwidth.max(1)
-        + 2;
-    let mut rounds = 0u64;
-    while station.flight_ledger().expect("flight mode").waiting() > 0 {
-        station.step(&[]);
-        rounds += 1;
-        assert!(rounds <= limit, "drain did not converge");
-    }
+    drain(&mut station);
     station
 }
 

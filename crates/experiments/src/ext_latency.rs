@@ -1,39 +1,41 @@
-//! Extension experiment — fixed-network latency, client response time
-//! and downlink idleness.
+//! Extension experiment — fixed-network bandwidth and client response
+//! time.
 //!
-//! The paper's introduction motivates on-demand caching with two costs
-//! the Section 3/4 analyses then abstract away: remote access is *slow*
-//! (clients wait) and waiting leaves the wireless downlink *idle*. The
-//! latency-aware simulation puts them back: we sweep the fixed-network
-//! latency and report the mean wait of cache-miss requests, the average
-//! delivered score, and the downlink's accumulated idle ticks.
+//! The paper's introduction motivates on-demand caching with a cost the
+//! Section 3/4 analyses then abstract away: remote access is *slow*, so
+//! clients wait. The in-flight ledger puts it back at the round
+//! granularity the planner works in: a download of `size` units on a
+//! link moving `bandwidth` units a round lands `ceil(size / bandwidth)`
+//! rounds later (FIFO behind whatever is queued), and a request whose
+//! object is on the wire parks on that transfer until it lands. We sweep
+//! the link's bandwidth at a fixed refresh budget over one recorded
+//! trace and report the mean wait of parked requests, the average
+//! delivered score, and the share of requests that had to wait.
 
 use basecache_core::planner::OnDemandPlanner;
 use basecache_core::StationBuilder;
-use basecache_net::{Catalog, Downlink, Link, SharedLink};
-use basecache_sim::{RngStreams, SimDuration};
+use basecache_net::{Catalog, InFlightConfig};
+use basecache_sim::RngStreams;
 use basecache_workload::{Popularity, RequestTrace};
 
 use crate::report::Figure;
-use crate::runner::{record_requests, sweep_series};
+use crate::runner::{drain, drive, record_requests, sweep_series};
 
-/// Parameters of the latency sweep.
+/// Parameters of the bandwidth sweep.
 #[derive(Debug, Clone)]
 pub struct Params {
     /// Number of unit-size objects.
     pub objects: usize,
-    /// Requests per time unit.
+    /// Requests per round.
     pub requests_per_tick: usize,
-    /// Update period in ticks.
+    /// Update period in rounds.
     pub update_period: u64,
-    /// Ticks simulated (plus a drain tail).
+    /// Rounds of demand (a drain tail follows).
     pub ticks: u64,
-    /// Fixed-network bandwidth in units/tick.
-    pub bandwidth: u64,
-    /// Per-tick refresh budget in units.
+    /// Per-round refresh budget in units.
     pub refresh_budget: u64,
-    /// Latencies (ticks) to sweep.
-    pub latencies: Vec<u64>,
+    /// Fixed-network bandwidths (units per round) to sweep.
+    pub bandwidths: Vec<u64>,
     /// Master seed.
     pub seed: u64,
 }
@@ -46,9 +48,8 @@ impl Params {
             requests_per_tick: 100,
             update_period: 5,
             ticks: 300,
-            bandwidth: 50,
             refresh_budget: 30,
-            latencies: vec![0, 1, 2, 5, 10, 20, 50],
+            bandwidths: vec![5, 10, 12, 15, 20, 30],
             seed: 10_000,
         }
     }
@@ -59,43 +60,31 @@ impl Params {
             objects: 100,
             requests_per_tick: 25,
             ticks: 80,
-            latencies: vec![0, 2, 10, 30],
+            bandwidths: vec![5, 10, 15, 30],
             ..Self::paper()
         }
     }
 }
 
-/// One latency point over the sweep's shared trace: (mean wait of
-/// queued requests, mean score, downlink idle ticks).
-fn run_point(params: &Params, trace: &RequestTrace, latency: u64) -> [f64; 3] {
-    let mut sim = StationBuilder::new(Catalog::uniform_unit(params.objects))
+/// One bandwidth point over the sweep's shared trace: (mean wait of
+/// parked requests, mean score, share of requests that waited).
+fn run_point(params: &Params, trace: &RequestTrace, bandwidth: u64) -> [f64; 3] {
+    let mut station = StationBuilder::new(Catalog::uniform_unit(params.objects))
         .on_demand(OnDemandPlanner::paper_default(), params.refresh_budget)
-        .build_latency_aware(
-            SharedLink::new(Link::new(
-                params.bandwidth,
-                SimDuration::from_ticks(latency),
-            )),
-            Downlink::new(params.requests_per_tick as u64 * 2, SimDuration::ZERO),
-        )
-        .expect("valid latency configuration");
-    for (t, batch) in trace.iter() {
-        if (t as u64).is_multiple_of(params.update_period) {
-            sim.apply_update_wave();
-        }
-        sim.step(batch);
-    }
-    // Drain the waiting queue so every request is accounted for.
-    for _ in 0..(latency + params.objects as u64 / params.bandwidth + 5) {
-        sim.step(&[]);
-    }
+        .in_flight(InFlightConfig::coalescing(bandwidth))
+        .build()
+        .expect("valid configuration");
+    drive(&mut station, trace, params.update_period, 0, |_, _| {});
+    drain(&mut station);
+    let stats = station.stats();
     [
-        sim.stats().wait_ticks.mean().unwrap_or(0.0),
-        sim.stats().score.mean().unwrap_or(1.0),
-        sim.downlink().idle_ticks() as f64,
+        stats.wait_ticks.mean().unwrap_or(0.0),
+        stats.score.mean().unwrap_or(1.0),
+        stats.waited as f64 / stats.requests_served.max(1) as f64,
     ]
 }
 
-/// Run the latency sweep.
+/// Run the bandwidth sweep.
 pub fn run(params: &Params) -> Figure {
     let trace = record_requests(
         Popularity::ZIPF1,
@@ -105,16 +94,16 @@ pub fn run(params: &Params) -> Figure {
         &mut RngStreams::new(params.seed).stream("latency/requests"),
     );
     let labels = [
-        "mean wait of cache misses (ticks)",
+        "mean wait of parked requests (rounds)",
         "average delivered score",
-        "downlink idle ticks",
+        "share of requests that waited",
     ];
-    let series = sweep_series(&params.latencies, labels, |&latency| {
-        (latency as f64, run_point(params, &trace, latency))
+    let series = sweep_series(&params.bandwidths, labels, |&bandwidth| {
+        (bandwidth as f64, run_point(params, &trace, bandwidth))
     });
     Figure::new(
-        "Extension: fixed-network latency vs waits, score and downlink idleness",
-        "fixed-network latency (ticks)",
+        "Extension: fixed-network bandwidth vs waits and score",
+        "fixed-network bandwidth (units/round)",
         "mixed units (see series)",
         series,
     )
@@ -125,31 +114,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn latency_raises_waits_and_idleness_and_never_helps_score() {
+    fn shrinking_bandwidth_raises_waits_and_never_helps_score() {
         let fig = run(&Params::quick());
-        let waits = &fig.series[0];
-        let scores = &fig.series[1];
-        let idle = &fig.series[2];
-
-        for w in waits.points.windows(2) {
+        let waits = &fig.series[0].points;
+        let scores = &fig.series[1].points;
+        // The sweep runs from the narrowest link to the widest.
+        for w in waits.windows(2) {
             assert!(
-                w[1].1 >= w[0].1 - 1e-9,
-                "waits must grow with latency: {waits:?}"
+                w[0].1 > w[1].1,
+                "waits must grow as bandwidth falls: {waits:?}"
             );
         }
-        for w in idle.points.windows(2) {
+        for s in scores.windows(2) {
             assert!(
-                w[1].1 >= w[0].1 - 1e-9,
-                "downlink idleness must grow with latency: {idle:?}"
+                s[0].1 <= s[1].1 + 1e-9,
+                "score must not rise as bandwidth falls: {scores:?}"
             );
         }
-        let first = scores.points.first().unwrap().1;
-        let last = scores.points.last().unwrap().1;
-        assert!(
-            last <= first + 1e-9,
-            "score must not improve with latency ({first} -> {last})"
-        );
-        // At the top latency, waits are substantial.
-        assert!(waits.last_y().unwrap() > waits.points[0].1);
     }
 }

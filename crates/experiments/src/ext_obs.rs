@@ -8,9 +8,9 @@
 //! the online invariant monitor — and reports where the round actually
 //! goes: per-stage wall-clock (recency fill, planning, the DP solve,
 //! cache refresh, serving), knapsack shape (items, capacity, DP cells
-//! touched), delivered-quality distributions, *which* objects and
-//! clients dominated the downlink, and how stale the copies they read
-//! were. Under `--csv` the harness additionally writes the point-event
+//! touched), delivered-quality distributions, *which* objects
+//! dominated the downlink, and how stale the copies clients read were.
+//! Under `--csv` the harness additionally writes the point-event
 //! trace as Chrome-trace-event JSON (`ext_obs_trace.json`), the
 //! lifecycle spans as Perfetto async events
 //! (`ext_obs_lifecycle.json`), the round series and AoI trajectory as
@@ -88,8 +88,6 @@ pub struct Profile {
     pub rounds_seen: u64,
     /// Heaviest downlink consumers by object (units, descending).
     pub top_objects: Vec<TopEntry>,
-    /// Heaviest downlink consumers by client (units, descending).
-    pub top_clients: Vec<TopEntry>,
     /// Objects served stalest (weight = thousandths of lost recency).
     pub top_stale: Vec<TopEntry>,
     /// Every attribution channel as CSV, with Space-Saving error bounds.
@@ -176,7 +174,6 @@ pub fn run(params: &Params) -> Profile {
         series_stride: flight.series().stride(),
         rounds_seen: flight.series().rounds_seen(),
         top_objects: flight.topk().top(Attr::DownlinkUnitsByObject),
-        top_clients: flight.topk().top(Attr::DownlinkUnitsByClient),
         top_stale: flight.topk().top(Attr::ServeStalenessByObject),
         topk_csv: flight.topk().to_csv(),
         lifecycle_json: causal.lifecycle_spans().to_chrome_trace(),
@@ -279,13 +276,6 @@ pub fn to_table(profile: &Profile) -> String {
         "units",
         &profile.top_objects,
         "obj",
-    );
-    write_top(
-        &mut out,
-        "top downlink consumers (clients, data units)",
-        "units",
-        &profile.top_clients,
-        "client",
     );
     write_top(
         &mut out,

@@ -25,8 +25,6 @@
 //! * [`runner::drive`], the one `BaseStationSim` run loop (update waves,
 //!   warm-up reset, a per-tick hook), over a trace recorded once per
 //!   sweep by [`runner::record_trace`] / [`runner::record_requests`].
-//!   The `LatencyAwareSim` experiments (`ext_latency`, `ext_multicell`,
-//!   `ext_broadcast`) step a different simulator and keep their loops.
 //!
 //! **Adding an experiment** is one module (a `Params` with `paper()` and
 //! `quick()`, and a `run` returning a [`report::Figure`]), one
@@ -52,7 +50,6 @@ pub mod ext_estimators;
 pub mod ext_flash_crowd;
 pub mod ext_hybrid;
 pub mod ext_latency;
-pub mod ext_multicell;
 pub mod ext_obs;
 pub mod ext_poisson;
 pub mod fig2;
@@ -159,7 +156,6 @@ pub const TARGETS: &[Target] = &[
     figure!("ext-estimators", ext_estimators, "ext_estimators.csv"),
     figure!("ext-flash-crowd", ext_flash_crowd, "ext_flash_crowd.csv"),
     figure!("ext-latency", ext_latency, "ext_latency.csv"),
-    figure!("ext-multicell", ext_multicell, "ext_multicell.csv"),
     figure!("ext-cluster", ext_cluster, "ext_cluster.csv"),
     figure!(
         "ext-cluster-l2",

@@ -117,6 +117,25 @@ pub fn drive(
     }
 }
 
+/// Step an in-flight station with empty batches until no request is
+/// parked on a transfer, so every request of the run is served before
+/// its statistics are read. Panics without an in-flight ledger, or if
+/// the drain outlasts the time the link needs to ship every unit the
+/// run launched.
+pub fn drain(station: &mut BaseStationSim) {
+    fn ledger(station: &BaseStationSim) -> &basecache_net::InFlightLedger {
+        station.flight_ledger().expect("an in-flight station")
+    }
+    let launched = ledger(station).stats().units_launched;
+    let limit = launched / ledger(station).config().bandwidth_per_round.max(1) + 2;
+    let mut rounds = 0u64;
+    while ledger(station).waiting() > 0 {
+        station.step(&[]);
+        rounds += 1;
+        assert!(rounds <= limit, "drain did not converge");
+    }
+}
+
 /// Build a unit-size station for `policy` with `recorder` wired in and
 /// [`drive`] it over a recorded trace under the config's update
 /// schedule. The station comes back for read-out: [`RunResult::of`],

@@ -2,8 +2,8 @@
 //! file under `results/` byte for byte — no file missing, none extra.
 //!
 //! The seeds are fixed, so the five policy arms, the estimators, the
-//! in-flight ledger, the cluster and the latency pipeline are all pinned
-//! by the checked-in CSVs. A change that means to move a number
+//! in-flight ledger's transfer times and coalescing, and the cluster are
+//! all pinned by the checked-in CSVs. A change that means to move a number
 //! regenerates them (`-- all --csv results`) and says so.
 
 use std::collections::BTreeMap;

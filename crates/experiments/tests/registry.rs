@@ -1,5 +1,6 @@
 //! Every row of `TARGETS` runs (CI-sized) and yields well-formed output,
-//! and the rows `all` includes are exactly what `results/` holds.
+//! the rows `all` includes are exactly what `results/` holds, and
+//! EXPERIMENTS.md names exactly the experiments the table has.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
@@ -86,4 +87,41 @@ fn every_target_runs_and_yields_well_formed_output() {
             .any(|label| label.contains("origin bandwidth saved")),
         "{l2_labels:?}"
     );
+}
+
+#[test]
+fn experiments_md_names_every_row_and_no_missing_one() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../EXPERIMENTS.md");
+    let doc =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+    for row in TARGETS {
+        assert!(
+            doc.contains(&format!("`{}`", row.name)),
+            "EXPERIMENTS.md never names `{}`",
+            row.name
+        );
+    }
+
+    let names: BTreeSet<&str> = TARGETS.iter().map(|row| row.name).collect();
+    let extensions = doc
+        .split("\n## Extensions")
+        .nth(1)
+        .expect("EXPERIMENTS.md has an Extensions section");
+    let section = extensions.split("\n## ").next().unwrap_or_default();
+    let cited: Vec<&str> = section
+        .lines()
+        .filter(|line| line.starts_with('|'))
+        .flat_map(|line| line.split('`').skip(1).step_by(2))
+        .filter(|token| token.starts_with("ext-"))
+        .collect();
+    assert!(
+        !cited.is_empty(),
+        "the Extensions table cites no experiment"
+    );
+    for name in cited {
+        assert!(
+            names.contains(name),
+            "EXPERIMENTS.md's Extensions table cites `{name}`, which TARGETS lacks"
+        );
+    }
 }

@@ -207,7 +207,7 @@ mod tests {
     fn snapshot_with_attrs() -> Snapshot {
         let topk = TopKRecorder::new(4);
         topk.attribute(Attr::DownlinkUnitsByObject, 7, 40);
-        topk.attribute(Attr::DownlinkUnitsByClient, 3, 9);
+        topk.attribute(Attr::DownlinkUnitsByCell, 3, 9);
         let mut snap = snapshot();
         snap.attrs = topk.snapshot().attrs;
         snap

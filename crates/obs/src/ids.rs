@@ -22,7 +22,8 @@ pub enum Stage {
     Refresh,
     /// Serving the round's client requests from the cache.
     Serve,
-    /// Fetch handling on the fixed network (latency-aware pipeline).
+    /// Landing the in-flight transfers that arrive this round and
+    /// serving the requests parked on them.
     Fetch,
 }
 
@@ -80,12 +81,8 @@ pub enum Event {
     DpCellsTouched,
     /// Invalidation reports ingested by the station's estimator.
     ReportsIngested,
-    /// Fetches launched onto the fixed network (latency-aware pipeline).
+    /// Fetches launched onto the fixed network (in-flight mode).
     FetchesIssued,
-    /// Object deliveries sent over the wireless downlink.
-    Deliveries,
-    /// Data units delivered over the wireless downlink.
-    DeliveredUnits,
     /// Discrete events processed by a simulation scheduler.
     SchedulerEvents,
     /// Client handoffs between cells in a multi-cell cluster.
@@ -132,7 +129,7 @@ pub enum Event {
 
 impl Event {
     /// Every counter id, in export order.
-    pub const ALL: [Event; 24] = [
+    pub const ALL: [Event; 22] = [
         Event::Rounds,
         Event::RequestsServed,
         Event::ObjectsDownloaded,
@@ -141,8 +138,6 @@ impl Event {
         Event::DpCellsTouched,
         Event::ReportsIngested,
         Event::FetchesIssued,
-        Event::Deliveries,
-        Event::DeliveredUnits,
         Event::SchedulerEvents,
         Event::Handoffs,
         Event::FetchesCoalesced,
@@ -179,8 +174,6 @@ impl Event {
             Event::DpCellsTouched => "dp_cells_touched",
             Event::ReportsIngested => "reports_ingested",
             Event::FetchesIssued => "fetches_issued",
-            Event::Deliveries => "deliveries",
-            Event::DeliveredUnits => "delivered_units",
             Event::SchedulerEvents => "scheduler_events",
             Event::Handoffs => "handoffs",
             Event::FetchesCoalesced => "fetches_coalesced",
@@ -214,10 +207,9 @@ pub enum Sample {
     AverageRecency,
     /// Capacity (budget, data units) of one round's knapsack instance.
     KnapsackCapacity,
-    /// Downlink utilization gauge in `[0, 1]` at observation time.
+    /// Share of one round's download budget its downloads spent, in
+    /// `[0, 1]`.
     DownlinkUtilization,
-    /// Fixed-network utilization gauge in `[0, 1]` at observation time.
-    LinkUtilization,
     /// Ticks a client request waited for a remote fetch.
     FetchLatencyTicks,
     /// Fraction of one round's requests served without a download of
@@ -279,14 +271,13 @@ pub enum Sample {
 
 impl Sample {
     /// Every sample id, in export order.
-    pub const ALL: [Sample; 24] = [
+    pub const ALL: [Sample; 23] = [
         Sample::BatchSize,
         Sample::PlanProfit,
         Sample::AverageScore,
         Sample::AverageRecency,
         Sample::KnapsackCapacity,
         Sample::DownlinkUtilization,
-        Sample::LinkUtilization,
         Sample::FetchLatencyTicks,
         Sample::CacheHitRatio,
         Sample::PlanProfitBound,
@@ -324,7 +315,6 @@ impl Sample {
             Sample::AverageRecency => "average_recency",
             Sample::KnapsackCapacity => "knapsack_capacity",
             Sample::DownlinkUtilization => "downlink_utilization",
-            Sample::LinkUtilization => "link_utilization",
             Sample::FetchLatencyTicks => "fetch_latency_ticks",
             Sample::CacheHitRatio => "cache_hit_ratio",
             Sample::PlanProfitBound => "plan_profit_bound",
@@ -347,7 +337,7 @@ impl Sample {
 }
 
 /// An attribution channel: a weighted stream of `(key, weight)` pairs
-/// where the key is a dense entity id (`ObjectId.0`, `ClientId.0`) and
+/// where the key is a dense entity id (`ObjectId.0`, `CellId.0`) and
 /// the weight is what that entity consumed or suffered. Top-K sinks
 /// ([`crate::TopK`]) answer "which entities dominated this channel"
 /// without per-entity storage.
@@ -355,9 +345,6 @@ impl Sample {
 pub enum Attr {
     /// Data units of download budget spent per object (key: `ObjectId`).
     DownlinkUnitsByObject,
-    /// Data units delivered over the wireless downlink per client
-    /// (key: `ClientId`).
-    DownlinkUnitsByClient,
     /// Staleness suffered at serve time per object (key: `ObjectId`;
     /// weight: quantized `1 - recency` summed over serves).
     ServeStalenessByObject,
@@ -381,9 +368,8 @@ pub enum Attr {
 
 impl Attr {
     /// Every attribution channel, in export order.
-    pub const ALL: [Attr; 8] = [
+    pub const ALL: [Attr; 7] = [
         Attr::DownlinkUnitsByObject,
-        Attr::DownlinkUnitsByClient,
         Attr::ServeStalenessByObject,
         Attr::DownlinkUnitsByCell,
         Attr::ServeStalenessByCell,
@@ -405,7 +391,6 @@ impl Attr {
     pub const fn name(self) -> &'static str {
         match self {
             Attr::DownlinkUnitsByObject => "downlink_units_by_object",
-            Attr::DownlinkUnitsByClient => "downlink_units_by_client",
             Attr::ServeStalenessByObject => "serve_staleness_by_object",
             Attr::DownlinkUnitsByCell => "downlink_units_by_cell",
             Attr::ServeStalenessByCell => "serve_staleness_by_cell",
@@ -416,14 +401,13 @@ impl Attr {
     }
 
     /// Render `key` the way the owning entity displays itself
-    /// (`obj#7`, `client#3`).
+    /// (`obj#7`, `cell#2`).
     pub fn label(self, key: u32) -> String {
         match self {
             Attr::DownlinkUnitsByObject
             | Attr::ServeStalenessByObject
             | Attr::AoiByObject
             | Attr::MonitorViolationsByObject => format!("obj#{key}"),
-            Attr::DownlinkUnitsByClient => format!("client#{key}"),
             Attr::DownlinkUnitsByCell | Attr::ServeStalenessByCell => format!("cell#{key}"),
             Attr::ServesByTier => format!("tier#{key}"),
         }
@@ -466,7 +450,6 @@ mod tests {
     fn attr_labels_match_entity_display() {
         assert_eq!(Attr::DownlinkUnitsByObject.label(7), "obj#7");
         assert_eq!(Attr::ServeStalenessByObject.label(0), "obj#0");
-        assert_eq!(Attr::DownlinkUnitsByClient.label(3), "client#3");
         assert_eq!(Attr::DownlinkUnitsByCell.label(2), "cell#2");
         assert_eq!(Attr::ServeStalenessByCell.label(5), "cell#5");
         assert_eq!(Attr::AoiByObject.label(11), "obj#11");

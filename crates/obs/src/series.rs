@@ -34,7 +34,7 @@ pub struct RoundRow {
     pub mean_score: f64,
     /// Fraction of requests served without a same-round download.
     pub hit_ratio: f64,
-    /// Downlink budget utilization in `[0, 1]`.
+    /// Share of the round's download budget spent, in `[0, 1]`.
     pub downlink_util: f64,
     /// Data units downloaded from remote servers this round.
     pub units_fetched: u64,

@@ -252,7 +252,7 @@ mod tests {
         let objs = rec.top(Attr::DownlinkUnitsByObject);
         assert_eq!(objs[0].key, 7);
         assert_eq!(objs[1].key, 3);
-        assert!(rec.top(Attr::DownlinkUnitsByClient).is_empty());
+        assert!(rec.top(Attr::AoiByObject).is_empty());
 
         let snap = rec.snapshot();
         let downlink: Vec<_> = snap.attrs_on("downlink_units_by_object").collect();

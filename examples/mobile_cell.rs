@@ -1,25 +1,26 @@
 //! A full mobile cell, event-driven: the paper's Figure 1 architecture
 //! running on the discrete-event engine.
 //!
-//! A base station serves mobile clients over a bandwidth-limited
-//! wireless downlink, downloading from a remote server across a
-//! bandwidth-limited fixed network. Objects update periodically at the
-//! server; clients issue requests, occasionally disconnect or hand off
-//! to a neighbouring cell. The on-demand policy keeps the downlink busy
-//! with cache hits while fresh copies stream in from the fixed network.
+//! A base station serves mobile clients, downloading from a remote
+//! server across a fixed network that moves 8 data units a time unit:
+//! a download lands only when the link has shipped it, and requests for
+//! an object already on the wire join that transfer instead of fetching
+//! it again. Objects update periodically at the server; clients issue
+//! requests, occasionally disconnect or hand off to a neighbouring cell.
+//! The on-demand policy answers from the cache while fresh copies
+//! stream in from the fixed network.
 //!
 //! Run with:
 //! ```text
 //! cargo run --release --example mobile_cell
 //! ```
 
-use basecache::cache::CacheStore;
 use basecache::core::planner::{OnDemandPlanner, SolverChoice};
-use basecache::core::recency::{DecayModel, ScoringFunction};
-use basecache::core::request::RequestBatch;
-use basecache::net::{Catalog, CellId, Downlink, Link, ObjectId, RemoteServer, Topology};
+use basecache::core::recency::ScoringFunction;
+use basecache::core::StationBuilder;
+use basecache::net::{Catalog, CellId, ClientId, InFlightConfig, ObjectId, Topology};
 use basecache::sim::{RngStreams, Scheduler, SimDuration, SimTime};
-use basecache::workload::Popularity;
+use basecache::workload::{GeneratedRequest, Popularity};
 
 /// Events in the cell.
 #[derive(Debug)]
@@ -37,12 +38,17 @@ enum Event {
 fn main() {
     let streams = RngStreams::new(1234);
     let catalog = Catalog::uniform_unit(200);
-    let mut server = RemoteServer::new(&catalog);
-    let mut cache = CacheStore::unbounded();
-    let mut fixed_net = Link::new(8, SimDuration::from_ticks(2)); // 8 units/tick + latency
-    let mut downlink = Downlink::new(25, SimDuration::ZERO); // wireless last hop
-    let decay = DecayModel::default();
-    let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio, SolverChoice::ExactDp);
+    let popularity = Popularity::ZIPF1.build(catalog.len());
+    // The planner may commission 16 units a round; the link ships 8, so
+    // transfers queue behind each other and later requests join them.
+    let mut station = StationBuilder::new(catalog)
+        .on_demand(
+            OnDemandPlanner::new(ScoringFunction::InverseRatio, SolverChoice::ExactDp),
+            16,
+        )
+        .in_flight(InFlightConfig::coalescing(8))
+        .build()
+        .expect("valid configuration");
 
     // Two cells; 40 clients start in cell 0 (ours).
     let mut topology = Topology::new(2);
@@ -56,23 +62,21 @@ fn main() {
     sched.schedule_at(SimTime::from_ticks(13), Event::Mobility);
     sched.schedule_at(SimTime::from_ticks(400), Event::Stop);
 
-    let popularity = Popularity::ZIPF1.build(catalog.len());
     let mut req_rng = streams.stream("requests");
     let mut mob_rng = streams.stream("mobility");
-    let mut served = 0u64;
-    let mut score_sum = 0.0f64;
+    let mut batch: Vec<GeneratedRequest> = Vec::new();
 
-    while let Some((now, event)) = sched.pop() {
+    while let Some((_, event)) = sched.pop() {
         match event {
             Event::Stop => break,
             Event::ServerUpdate => {
-                server.apply_simultaneous_update(now);
+                station.apply_update_wave();
                 sched.schedule_in(SimDuration::from_ticks(5), Event::ServerUpdate);
             }
             Event::Mobility => {
                 // A random client disconnects, reconnects, or hands off.
                 let clients = topology.clients().len() as u32;
-                let id = basecache::net::ClientId(mob_rng.random_range(0..clients));
+                let id = ClientId(mob_rng.random_range(0..clients));
                 match mob_rng.random_range(0..3u8) {
                     0 => topology.disconnect(id).expect("known client"),
                     1 => topology.reconnect(id).expect("known client"),
@@ -84,85 +88,45 @@ fn main() {
                 sched.schedule_in(SimDuration::from_ticks(13), Event::Mobility);
             }
             Event::RequestBatch => {
-                // Only clients connected in our cell issue requests.
-                let connected: Vec<_> = topology.connected_in(CellId(0)).map(|c| c.id).collect();
-                let mut batch = RequestBatch::new();
-                let mut requested: Vec<(basecache::net::ClientId, ObjectId, f64)> = Vec::new();
-                for &client in &connected {
-                    let object = ObjectId(popularity.sample(&mut req_rng) as u32);
-                    let target = req_rng.random_range(0.4..=1.0);
-                    batch.push(object, target);
-                    requested.push((client, object, target));
+                // Only clients connected in our cell issue requests: one
+                // station round per batch.
+                batch.clear();
+                for _ in topology.connected_in(CellId(0)) {
+                    batch.push(GeneratedRequest {
+                        object: ObjectId(popularity.sample(&mut req_rng) as u32),
+                        target_recency: req_rng.random_range(0.4..=1.0),
+                    });
                 }
-
-                // Recency of every cached copy right now.
-                let recency: Vec<f64> = catalog
-                    .ids()
-                    .map(|id| match cache.peek(id) {
-                        Some(e) => decay.recency_for_lag(e.lag(server.version_of(id))),
-                        None => 0.0,
-                    })
-                    .collect();
-
-                // Budget: whatever the fixed network can ship in one time
-                // unit without queueing into the next round.
-                let budget = 8u64;
-                let plan = planner.plan(&batch, &catalog, &recency, budget);
-
-                // Ship downloads over the fixed network, then deliver
-                // everything over the downlink.
-                for &object in plan.downloads() {
-                    let timing = fixed_net.enqueue(now, catalog.size_of(object));
-                    let _ = timing;
-                    cache
-                        .insert(
-                            object,
-                            catalog.size_of(object),
-                            server.version_of(object),
-                            now,
-                        )
-                        .expect("unbounded cache");
-                }
-                for (client, object, target) in requested {
-                    let x = match cache.get(object) {
-                        Some(e) => decay.recency_for_lag(e.lag(server.version_of(object))),
-                        None => 0.0,
-                    };
-                    score_sum += ScoringFunction::InverseRatio.score(x, target);
-                    served += 1;
-                    downlink.deliver(now, client, object, catalog.size_of(object));
-                }
+                station.step(&batch);
                 sched.schedule_in(SimDuration::from_ticks(1), Event::RequestBatch);
             }
         }
     }
 
-    let now = sched.now();
-    println!("simulated {now} ({} events)", sched.processed());
-    println!("clients served:        {served}");
+    let stats = station.stats();
+    let ledger = station.flight_ledger().expect("in-flight station");
+    println!("simulated {} ({} events)", sched.now(), sched.processed());
+    println!("clients served:        {}", stats.requests_served);
     println!(
         "average client score:  {:.4}",
-        score_sum / served.max(1) as f64
+        stats.score.mean().unwrap_or(1.0)
     );
-    println!("cache entries:         {}", cache.len());
+    println!("cache entries:         {}", station.cache().len());
     println!(
-        "cache hit ratio:       {:.3}",
-        cache.stats().hit_ratio().unwrap_or(0.0)
-    );
-    println!(
-        "fixed net shipped:     {} units over {} transfers",
-        fixed_net.bytes_sent(),
-        fixed_net.transfers()
+        "fixed net launched:    {} units in {} transfers",
+        ledger.stats().units_launched,
+        ledger.stats().launched
     );
     println!(
-        "fixed net utilization: {:.1}%",
-        fixed_net.utilization(now) * 100.0
+        "coalesced fetch ratio: {:.3}",
+        ledger.stats().coalesced_fetch_ratio()
     );
     println!(
-        "downlink delivered:    {} units",
-        downlink.delivered_units()
+        "mean wait of parked:   {:.2} rounds over {} requests ({} still waiting)",
+        stats.wait_ticks.mean().unwrap_or(0.0),
+        stats.waited,
+        ledger.waiting()
     );
-    println!("downlink idle ticks:   {}", downlink.idle_ticks());
     println!(
         "handoffs: {}  disconnects: {}",
         topology.handoffs(),

@@ -1,14 +1,16 @@
 //! Cross-crate integration of the extended substrates: broadcast disks,
-//! the latency-aware pipeline, constrained (quasi-copy) planning and the
-//! estimator stack, all through the public facade.
+//! the in-flight ledger's transfer times, constrained (quasi-copy)
+//! planning and the estimator stack, all through the public facade.
 
 use basecache::core::estimator::{RateEstimator, ReportEstimator};
 use basecache::core::planner::OnDemandPlanner;
 use basecache::core::recency::DecayModel;
 use basecache::core::{Estimation, StationBuilder};
-use basecache::net::{BroadcastSchedule, Catalog, Downlink, Link, ObjectId, ReportLog, SharedLink};
-use basecache::sim::{RngStreams, SimDuration, SimTime};
+use basecache::net::{BroadcastSchedule, Catalog, InFlightConfig, ObjectId, ReportLog};
+use basecache::obs::StatsRecorder;
+use basecache::sim::{RngStreams, SimTime};
 use basecache::workload::{Popularity, RequestGenerator, RequestTrace, TargetRecency};
+use basecache_experiments::runner::{drain, drive};
 
 /// The pull cache and the broadcast disk serve the same Zipf demand; the
 /// cache's mean access delay must be far below the broadcast's expected
@@ -27,60 +29,53 @@ fn warmed_pull_cache_beats_broadcast_on_access_delay() {
     let generator = RequestGenerator::new(pop, 20, TargetRecency::AlwaysFresh);
     let mut rng = RngStreams::new(31).stream("subs/pull");
     let trace = RequestTrace::record(&generator, 100, &mut rng);
-    let mut sim = StationBuilder::new(Catalog::uniform_unit(objects))
+    let mut station = StationBuilder::new(Catalog::uniform_unit(objects))
         .on_demand(OnDemandPlanner::paper_default(), 20)
-        .build_latency_aware(
-            SharedLink::new(Link::new(20, SimDuration::from_ticks(2))),
-            Downlink::new(64, SimDuration::ZERO),
-        )
-        .expect("valid latency configuration");
-    for (_, batch) in trace.iter() {
-        sim.step(batch);
-    }
-    for _ in 0..10 {
-        sim.step(&[]);
-    }
-    let stats = sim.stats();
-    let total = (stats.immediate + stats.waited) as f64;
-    let pull_delay = stats.wait_ticks.mean().unwrap_or(0.0) * stats.waited as f64 / total;
+        .in_flight(InFlightConfig::coalescing(20))
+        .build()
+        .expect("valid configuration");
+    drive(&mut station, &trace, 0, 0, |_, _| {});
+    drain(&mut station);
+    let stats = station.stats();
+    let total_wait = stats.wait_ticks.mean().unwrap_or(0.0) * stats.waited as f64;
+    let pull_delay = total_wait / stats.requests_served as f64;
     assert!(
         pull_delay < broadcast_wait / 5.0,
         "pull mean delay {pull_delay} vs broadcast {broadcast_wait}"
     );
 }
 
-/// The latency pipeline's p95 wait upper-bounds its mean wait and both
-/// grow with latency.
+/// An in-flight station's p95 wait upper-bounds its mean wait, and both
+/// grow as the fixed network's bandwidth shrinks. The p95 is the
+/// recorder's streaming estimate over every parked request's wait.
 #[test]
-fn pipeline_wait_percentiles_are_ordered() {
+fn inflight_wait_percentiles_are_ordered() {
+    let generator =
+        RequestGenerator::new(Popularity::Uniform.build(40), 8, TargetRecency::AlwaysFresh);
+    let trace = RequestTrace::record(&generator, 60, &mut RngStreams::new(77).stream("subs/p95"));
     let mut means = Vec::new();
     let mut p95s = Vec::new();
-    for latency in [1u64, 12] {
-        let mut sim = StationBuilder::new(Catalog::uniform_unit(40))
+    for bandwidth in [8u64, 2] {
+        let mut station = StationBuilder::new(Catalog::uniform_unit(40))
             .on_demand(OnDemandPlanner::paper_default(), 10)
-            .build_latency_aware(
-                SharedLink::new(Link::new(4, SimDuration::from_ticks(latency))),
-                Downlink::new(64, SimDuration::ZERO),
-            )
-            .expect("valid latency configuration");
-        let generator =
-            RequestGenerator::new(Popularity::Uniform.build(40), 8, TargetRecency::AlwaysFresh);
-        let mut rng = RngStreams::new(77).stream("subs/p95");
-        let trace = RequestTrace::record(&generator, 60, &mut rng);
-        for (_, batch) in trace.iter() {
-            sim.step(batch);
-        }
-        for _ in 0..40 {
-            sim.step(&[]);
-        }
-        let mean = sim.stats().wait_ticks.mean().unwrap();
-        let p95 = sim.stats().wait_p95.estimate().unwrap();
+            .in_flight(InFlightConfig::coalescing(bandwidth))
+            .recorder(Box::new(StatsRecorder::new()))
+            .build()
+            .expect("valid configuration");
+        drive(&mut station, &trace, 0, 0, |_, _| {});
+        drain(&mut station);
+        let mean = station.stats().wait_ticks.mean().unwrap();
+        let p95 = station
+            .obs_snapshot()
+            .sample("fetch_latency_ticks")
+            .expect("parked requests recorded their waits")
+            .p95;
         assert!(p95 >= mean, "p95 {p95} must dominate mean {mean}");
         means.push(mean);
         p95s.push(p95);
     }
-    assert!(means[1] > means[0]);
-    assert!(p95s[1] > p95s[0]);
+    assert!(means[1] > means[0], "{means:?}");
+    assert!(p95s[1] > p95s[0], "{p95s:?}");
 }
 
 /// A station driven with invalidation reports and a rate-learning
