@@ -1,14 +1,10 @@
 //! The cluster crate's bench record, `BENCH_cluster.json`.
 //!
-//! * `cluster_round/*` — one full `ClusterSim::step` (mobility, demand
-//!   declaration, backhaul arbitration, every cell's planning round,
-//!   aggregation) at 1, 4 and 16 cells, sequentially and on the worker
-//!   pool. The client population is fixed while the cell count sweeps,
-//!   so the series shows what sharding the same service area costs and
-//!   what the pool buys back. The parallel figures depend on the machine:
-//!   with one hardware thread the pool only adds channel overhead, and
-//!   the recorded speedup honestly reports that. The parallel/sequential
-//!   parity is exact either way (`crates/cluster/tests/parity.rs`).
+//! * `cluster_round/sequential/*` — one full `ClusterSim::step`
+//!   (mobility, demand declaration, backhaul arbitration, every cell's
+//!   planning round, aggregation) at 1, 4 and 16 cells. The client
+//!   population is fixed while the cell count sweeps, so the series
+//!   shows what sharding the same service area costs.
 //! * `cluster/l2/{off,on}` — the same round with the regional tier off
 //!   and on, and the tier's `l2_origin_savings`.
 //! * `cluster/roaming/16x3200/*` — the round at the shape of the
@@ -20,13 +16,13 @@ use std::hint::black_box;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use basecache_cluster::{ClusterSim, ExecutionMode, L2Config};
+use basecache_cluster::{ClusterSim, L2Config};
 use basecache_core::planner::OnDemandPlanner;
 use basecache_core::StationBuilder;
 use basecache_experiments::ext_cluster;
 use basecache_net::{ArbiterPolicy, BackhaulArbiter, Catalog};
 use basecache_obs::{Event, Recorder, Sample, Snapshot, Stage};
-use basecache_sim::{RngStreams, WorkerPool};
+use basecache_sim::RngStreams;
 use basecache_workload::{ClusterWorkload, MobilityModel, Popularity, TargetRecency};
 
 use crate::harness::{bench_n, report, write_record, Measurement};
@@ -107,39 +103,16 @@ fn with_l2(cluster: ClusterSim, shape: Shape) -> ClusterSim {
     })
 }
 
-/// Bench the cluster round at each cell count, sequentially and on the
-/// pool. Returns the parallel speedup (sequential / parallel median
-/// time) at the largest cell count, and which path the pool actually
-/// took: `"parallel"` when it fans out, `"sequential_fallback"` when
-/// `available_parallelism()` reports a single hardware thread and the
-/// pool runs jobs inline instead of paying channel overhead for
-/// nothing.
-fn bench_cluster_rounds(results: &mut Vec<Measurement>) -> (f64, &'static str) {
-    let parallel_path = if WorkerPool::new(4).fans_out() {
-        "parallel"
-    } else {
-        "sequential_fallback"
-    };
-    let mut speedup_at_max = 0.0;
+/// Bench the cluster round at each cell count.
+fn bench_cluster_rounds(results: &mut Vec<Measurement>) {
     for cells in CELL_COUNTS {
-        let mut sequential = build_cluster(sweep(cells), None);
-        let seq = bench_n(
+        let mut cluster = build_cluster(sweep(cells), None);
+        results.push(bench_n(
             &format!("cluster_round/sequential/{cells}"),
             SAMPLES,
-            || black_box(sequential.step()),
-        );
-
-        let mut parallel = build_cluster(sweep(cells), None)
-            .with_mode(ExecutionMode::Parallel(WorkerPool::new(4)));
-        let par = bench_n(&format!("cluster_round/parallel/{cells}"), SAMPLES, || {
-            black_box(parallel.step())
-        });
-
-        speedup_at_max = seq.median_ns() / par.median_ns();
-        results.push(seq);
-        results.push(par);
+            || black_box(cluster.step()),
+        ));
     }
-    (speedup_at_max, parallel_path)
 }
 
 /// Cell count the L2-tier benches run at: the acceptance scale of the
@@ -325,11 +298,7 @@ fn bench_roaming_round(results: &mut Vec<Measurement>) {
 /// Run the suite and write `BENCH_cluster.json`.
 pub fn run() {
     let mut results = Vec::new();
-    let (speedup, parallel_path) = bench_cluster_rounds(&mut results);
-    println!(
-        "cluster round at 16 cells: {speedup:.2}x parallel speedup on this machine \
-         ({parallel_path})\n"
-    );
+    bench_cluster_rounds(&mut results);
     let l2_origin_savings = bench_l2_rounds(&mut results);
     println!(
         "regional L2 tier at {L2_CELLS} cells: {:.1}% origin bandwidth saved\n",
@@ -339,11 +308,6 @@ pub fn run() {
     write_record(
         "cluster",
         &[
-            (
-                "cluster_parallel_speedup_at_16_cells",
-                format!("{speedup:.2}"),
-            ),
-            ("cluster_parallel_path", format!("\"{parallel_path}\"")),
             // Fraction of origin (backhaul) bandwidth the regional L2
             // tier saves at 8 cells under Markov-ring roaming (quick
             // sweep preset).

@@ -40,7 +40,7 @@ use basecache_core::scratch::PlannerScratch;
 use basecache_core::{BaseStationSim, RoundOutcome, StationBuilder};
 use basecache_knapsack::{AdaptiveScratch, AdaptiveSolver, DpScratch};
 use basecache_net::{Catalog, ObjectId};
-use basecache_sim::{RngStreams, SimTime, StreamRng, WorkerPool};
+use basecache_sim::{RngStreams, SimTime, StreamRng};
 use basecache_workload::{ChurnOp, Popularity, StandingWorkload, TargetRecency};
 
 use crate::harness::{bench_n, bench_schedule, Measurement};
@@ -57,7 +57,7 @@ pub struct MassiveScale {
     pub churn: usize,
     /// Timed samples per measurement (these are whole-round benches).
     pub samples: usize,
-    /// Rescore shards for the engine's scatter/gather path.
+    /// Contiguous id-range shards of the engine's object table.
     pub shards: usize,
 }
 
@@ -118,18 +118,15 @@ fn fixture(scale: &MassiveScale) -> (Catalog, StandingWorkload, Vec<ObjectId>, V
     (catalog, workload, objects, targets, recency)
 }
 
-/// A warm engine holding the standing population, sharded and pooled.
-/// On a single-core container the pool declines to fan out and the
-/// rescore runs inline — either way the bits are identical.
+/// A warm, sharded engine holding the standing population.
 fn build_engine(
     scale: &MassiveScale,
     catalog: &Catalog,
     objects: &[ObjectId],
     targets: &[f64],
 ) -> RoundEngine {
-    let mut engine = RoundEngine::new(catalog, ScoringFunction::InverseRatio)
-        .with_shards(scale.shards)
-        .with_pool(WorkerPool::new(4));
+    let mut engine =
+        RoundEngine::new(catalog, ScoringFunction::InverseRatio).with_shards(scale.shards);
     engine.push_columns(objects, targets);
     engine
 }

@@ -6,22 +6,18 @@ use std::fmt;
 use basecache_core::{BaseStationSim, RoundOutcome};
 use basecache_net::{ArbiterScratch, BackhaulArbiter, CellId, ObjectId};
 use basecache_obs::{Attr, Event, NullRecorder, Recorder, Sample, Snapshot};
-use basecache_sim::WorkerPool;
 use basecache_workload::{ClusterWorkload, GeneratedRequest};
 
 use crate::l2::{L2Config, RegionalL2, TIER_L1, TIER_L2, TIER_ORIGIN};
 
-/// One cell: a base station, this round's request batch, and the
-/// batch's aggregation — its distinct objects, ascending, with their
-/// request counts. The aggregation is built once a round, and it is what
-/// the coordination steps read: demand declaration, the L2 exchange and
-/// tier attribution all work per requested object, as the paper's
-/// mapping does. Owning the buffers here lets a whole cell move onto a
-/// worker thread as a single value.
+/// One cell: a base station and its round batch's aggregation — the
+/// batch's distinct objects, ascending, with their request counts. The
+/// aggregation is built once a round, and it is what the coordination
+/// steps read: demand declaration, the L2 exchange and tier attribution
+/// all work per requested object, as the paper's mapping does.
 #[derive(Debug)]
-pub struct Cell {
+struct Cell {
     station: BaseStationSim,
-    batch: Vec<GeneratedRequest>,
     /// Requests per catalog object; all zero outside [`Self::load`].
     counts: Vec<u32>,
     distinct: Vec<(ObjectId, u32)>,
@@ -32,23 +28,15 @@ impl Cell {
         let objects = station.catalog().len();
         Self {
             station,
-            batch: Vec::new(),
             counts: vec![0; objects],
             distinct: Vec::with_capacity(objects),
         }
     }
 
-    /// The cell's base station.
-    pub fn station(&self) -> &BaseStationSim {
-        &self.station
-    }
-
-    /// Take this round's batch and aggregate it: count the requests per
-    /// object into the catalog-sized column, then compact the column
-    /// into `distinct`, leaving it zeroed for the next round.
+    /// Aggregate this round's batch: count the requests per object into
+    /// the catalog-sized column, then compact the column into
+    /// `distinct`, leaving it zeroed for the next round.
     fn load(&mut self, batch: &[GeneratedRequest]) {
-        self.batch.clear();
-        self.batch.extend_from_slice(batch);
         for r in batch {
             self.counts[r.object.index()] += 1;
         }
@@ -87,25 +75,6 @@ impl Cell {
             .map_or(0, |ledger| ledger.committed_at(station.tick()));
         demand.saturating_sub(committed)
     }
-
-    fn step(&mut self) -> RoundOutcome {
-        // Swap the batch out so the station can borrow it while the
-        // cell stays mutably owned.
-        let batch = std::mem::take(&mut self.batch);
-        let outcome = self.station.step(&batch);
-        self.batch = batch;
-        outcome
-    }
-}
-
-/// How the cluster steps its cells each round.
-#[derive(Debug)]
-pub enum ExecutionMode {
-    /// Step cells one after another on the calling thread.
-    Sequential,
-    /// Fan cells out over a reusable [`WorkerPool`], reassembling
-    /// results in cell order (bit-identical to sequential).
-    Parallel(WorkerPool),
 }
 
 /// Construction errors.
@@ -151,8 +120,7 @@ impl fmt::Display for ClusterError {
 impl std::error::Error for ClusterError {}
 
 /// What one cluster round produced, aggregated across cells in cell
-/// order (so the figures are identical under sequential and parallel
-/// execution). Per-cell outcomes are available from
+/// order. Per-cell outcomes are available from
 /// [`ClusterSim::last_outcomes`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterStepOutcome {
@@ -188,14 +156,13 @@ pub struct ClusterStepOutcome {
 /// Each round: advance the roaming workload (handoffs + per-cell
 /// batches), let every cell declare its stale demand, split the global
 /// backhaul budget across cells with the arbiter, step every cell
-/// under its allocation (sequentially or on the worker pool), and
-/// aggregate the round into the cluster-level recorder.
+/// under its allocation in cell order, and aggregate the round into
+/// the cluster-level recorder.
 #[derive(Debug)]
 pub struct ClusterSim {
     cells: Vec<Cell>,
     workload: ClusterWorkload,
     arbiter: BackhaulArbiter,
-    mode: ExecutionMode,
     recorder: Box<dyn Recorder>,
     tick: u64,
     demands: Vec<u64>,
@@ -209,8 +176,8 @@ pub struct ClusterSim {
 
 impl ClusterSim {
     /// Assemble a cluster from one station per workload cell. Station
-    /// `i` serves cell `i`. The default execution mode is sequential
-    /// and the default recorder is the no-op [`NullRecorder`].
+    /// `i` serves cell `i`. The default recorder is the no-op
+    /// [`NullRecorder`].
     pub fn new(
         stations: Vec<BaseStationSim>,
         workload: ClusterWorkload,
@@ -239,7 +206,6 @@ impl ClusterSim {
             cells,
             workload,
             arbiter,
-            mode: ExecutionMode::Sequential,
             recorder: Box::new(NullRecorder),
             tick: 0,
             demands: vec![0; n],
@@ -250,17 +216,10 @@ impl ClusterSim {
         })
     }
 
-    /// Replace the execution mode (e.g. install a worker pool).
-    pub fn with_mode(mut self, mode: ExecutionMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
     /// Enable the regional L2 tier (shared version directory +
     /// inter-cell backbone). L2 rounds step cells interleaved in cell
     /// id order — exchange, step, publish — so each cell's exchange
-    /// already sees every earlier cell's same-round origin downloads;
-    /// an installed worker pool is bypassed while the tier is enabled.
+    /// already sees every earlier cell's same-round origin downloads.
     pub fn with_l2(mut self, config: L2Config) -> Self {
         let catalog = self.cells[0].station.catalog();
         self.l2 = Some(RegionalL2::new(catalog, config));
@@ -287,7 +246,7 @@ impl ClusterSim {
 
     /// The station serving `cell`.
     pub fn station(&self, cell: CellId) -> &BaseStationSim {
-        self.cells[cell.0 as usize].station()
+        &self.cells[cell.0 as usize].station
     }
 
     /// The roaming client population.
@@ -357,49 +316,34 @@ impl ClusterSim {
             cell.station.set_download_budget(budget);
         }
 
-        // 3. Step every cell under its allocation. With the L2 tier
-        // enabled the round is *interleaved sequential* — exchange,
-        // step, publish, per cell in id order — because cell i+1's
+        // 3. Step every cell under its allocation, in cell id order.
+        // With the L2 tier enabled each cell's round is wrapped in
+        // exchange before and publish after, because cell i+1's
         // exchange must see cell i's same-round publishes for the
-        // region single-flight guarantee to hold; an installed worker
-        // pool is bypassed. Without L2 this is the exact PR 8 path.
+        // region single-flight guarantee to hold.
         self.last_outcomes.clear();
+        let recorder: &dyn Recorder = &*self.recorder;
         if let Some(l2) = &mut self.l2 {
-            let recorder: &dyn Recorder = &*self.recorder;
             l2.begin_round();
-            for (i, cell) in self.cells.iter_mut().enumerate() {
-                let id = i as u32;
+        }
+        for (i, cell) in self.cells.iter_mut().enumerate() {
+            let id = i as u32;
+            if let Some(l2) = &mut self.l2 {
                 l2.exchange(&mut cell.station, &cell.distinct, id, self.tick, recorder);
-                let outcome = cell.step();
+            }
+            let outcome = cell.station.step(self.workload.batch(CellId(id)));
+            if let Some(l2) = &mut self.l2 {
                 cell.station.clear_plan_exclusions();
                 l2.publish_downloads(&cell.station, id, self.tick, recorder);
                 l2.attribute_serves(&cell.station, &cell.distinct, self.tick, recorder);
-                self.last_outcomes.push(outcome);
             }
+            self.last_outcomes.push(outcome);
+        }
+        if let Some(l2) = &mut self.l2 {
             l2.end_round();
-        } else {
-            match &self.mode {
-                ExecutionMode::Sequential => {
-                    for cell in &mut self.cells {
-                        let outcome = cell.step();
-                        self.last_outcomes.push(outcome);
-                    }
-                }
-                ExecutionMode::Parallel(pool) => {
-                    let cells = std::mem::take(&mut self.cells);
-                    let results = pool.scatter_gather(cells, |mut cell: Cell| {
-                        let outcome = cell.step();
-                        (cell, outcome)
-                    });
-                    for (cell, outcome) in results {
-                        self.cells.push(cell);
-                        self.last_outcomes.push(outcome);
-                    }
-                }
-            }
         }
 
-        // 4. Aggregate in cell order (deterministic under both modes).
+        // 4. Aggregate in cell order.
         let mut served = 0usize;
         let mut hits = 0usize;
         let mut objects = 0usize;

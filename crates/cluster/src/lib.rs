@@ -5,7 +5,7 @@
 //! fixed-network backhaul while clients roam between them. This crate
 //! shards the simulation across N cells — each owning its own
 //! [`basecache_core::BaseStationSim`] (with its own cache, estimator
-//! and `PlannerScratch`) — and adds the three mechanisms that make a
+//! and `PlannerScratch`) — and adds the two mechanisms that make a
 //! cluster more than N independent runs:
 //!
 //! 1. **Client mobility** — a
@@ -19,10 +19,10 @@
 //!    water-filling), turning each cell's knapsack bound into a
 //!    negotiated allocation applied via
 //!    `BaseStationSim::set_download_budget` before every round.
-//! 3. **Parallel per-cell planning** — cells step on a reusable
-//!    [`basecache_sim::WorkerPool`]; results are reassembled in cell
-//!    order, so the parallel round is bit-identical to the sequential
-//!    one (proved by `tests/parity.rs`).
+//!
+//! Cells step one after another on the calling thread, in cell id
+//! order; parallelism lives in the experiment sweeps, which run whole
+//! independent configurations side by side.
 //!
 //! The whole cluster round is observable through the existing
 //! [`basecache_obs::Recorder`] seam: cluster-aggregate counters and
@@ -45,6 +45,6 @@ mod cluster;
 mod drive;
 mod l2;
 
-pub use cluster::{Cell, ClusterError, ClusterSim, ClusterStepOutcome, ExecutionMode};
+pub use cluster::{ClusterError, ClusterSim, ClusterStepOutcome};
 pub use drive::{run_rounds, DriveConfig};
 pub use l2::{L2Config, RegionalL2, TIER_L1, TIER_L2, TIER_ORIGIN};

@@ -1,8 +1,8 @@
 //! The cluster's load-bearing guarantees, proved bit-for-bit:
 //!
-//! 1. A parallel cluster round (worker pool) is identical to the
-//!    sequential one — outcomes, per-cell stats, per-cell and
-//!    cluster-level recorder state.
+//! 1. Two clusters built from the same seed run identically — outcomes,
+//!    per-cell stats, per-cell and cluster-level recorder state — so no
+//!    hidden nondeterminism leaks into a round.
 //! 2. An N=1 cluster with the full backhaul budget is identical to a
 //!    bare `BaseStationSim` fed the same batches.
 //! 3. A zero-budget cluster serves cache-only: no downlink deliveries,
@@ -13,13 +13,13 @@
 //! *timings* are wall-clock and excluded by construction (the station
 //! comparisons below strip them before asserting equality).
 
-use basecache_cluster::{run_rounds, ClusterSim, DriveConfig, ExecutionMode};
+use basecache_cluster::{run_rounds, ClusterSim, DriveConfig};
 use basecache_core::planner::{OnDemandPlanner, SolverChoice};
 use basecache_core::recency::ScoringFunction;
 use basecache_core::{BaseStationSim, StationBuilder};
 use basecache_net::{ArbiterPolicy, BackhaulArbiter, Catalog, CellId};
 use basecache_obs::{FlightRecorder, Snapshot};
-use basecache_sim::{RngStreams, WorkerPool};
+use basecache_sim::RngStreams;
 use basecache_workload::{ClusterWorkload, MobilityModel, Popularity, TargetRecency};
 
 const OBJECTS: usize = 60;
@@ -107,51 +107,50 @@ fn series_bits(recorder: &dyn basecache_obs::Recorder) -> Vec<[u64; 8]> {
 }
 
 #[test]
-fn parallel_cluster_round_is_bit_identical_to_sequential() {
+fn identically_seeded_clusters_are_bit_identical() {
     for policy in [
         ArbiterPolicy::Static,
         ArbiterPolicy::ProportionalToDemand,
         ArbiterPolicy::WaterFilling,
     ] {
-        let mut seq = cluster(16, 99, policy, 300, true);
-        let mut par = cluster(16, 99, policy, 300, true)
-            .with_mode(ExecutionMode::Parallel(WorkerPool::new(4)));
+        let mut first = cluster(16, 99, policy, 300, true);
+        let mut second = cluster(16, 99, policy, 300, true);
 
         let config = DriveConfig {
             rounds: 30,
             wave_every: Some(5),
         };
-        let a = run_rounds(&mut seq, config);
-        let b = run_rounds(&mut par, config);
+        let a = run_rounds(&mut first, config);
+        let b = run_rounds(&mut second, config);
         assert_eq!(a, b, "{policy:?}: aggregate outcomes diverge");
         assert_eq!(
-            seq.last_outcomes(),
-            par.last_outcomes(),
+            first.last_outcomes(),
+            second.last_outcomes(),
             "{policy:?}: per-cell outcomes diverge"
         );
-        assert_eq!(seq.last_budgets(), par.last_budgets());
-        assert_eq!(seq.last_demands(), par.last_demands());
+        assert_eq!(first.last_budgets(), second.last_budgets());
+        assert_eq!(first.last_demands(), second.last_demands());
         for i in 0..16 {
             let cell = CellId(i);
             assert_eq!(
-                seq.station(cell).stats(),
-                par.station(cell).stats(),
+                first.station(cell).stats(),
+                second.station(cell).stats(),
                 "{policy:?}: cell {i} stats diverge"
             );
             // Per-cell flight recorders: deterministic sections match.
             assert_eq!(
-                deterministic(&seq.station(cell).obs_snapshot()),
-                deterministic(&par.station(cell).obs_snapshot()),
+                deterministic(&first.station(cell).obs_snapshot()),
+                deterministic(&second.station(cell).obs_snapshot()),
                 "{policy:?}: cell {i} snapshot diverges"
             );
         }
         // Cluster-level flight recorders: full snapshot (no spans are
         // ever recorded at cluster level) plus the round series.
-        assert_eq!(seq.obs_snapshot(), par.obs_snapshot());
-        let srows = series_bits(seq.recorder());
-        let prows = series_bits(par.recorder());
-        assert!(!srows.is_empty());
-        assert_eq!(srows, prows, "{policy:?}: round series diverges");
+        assert_eq!(first.obs_snapshot(), second.obs_snapshot());
+        let first_rows = series_bits(first.recorder());
+        let second_rows = series_bits(second.recorder());
+        assert!(!first_rows.is_empty());
+        assert_eq!(first_rows, second_rows, "{policy:?}: round series diverges");
     }
 }
 

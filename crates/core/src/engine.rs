@@ -12,9 +12,9 @@
 //! The engine replaces per-round reconstruction with three mechanisms:
 //!
 //! 1. **Struct-of-arrays tables.** Object state lives in parallel
-//!    columns — size, recency, update rate, per-object request targets,
-//!    profit, score tally (whose count is the request count) — sharded
-//!    into contiguous id ranges. The hot loops (rescore, assemble,
+//!    columns — size, recency, per-object request targets, profit,
+//!    score tally (whose count is the request count) — sharded into
+//!    contiguous id ranges. The hot loops (rescore, assemble,
 //!    serve) stream over dense arrays instead of chasing a map, and each
 //!    object's work is what it needs: rescore folds a fresh copy's
 //!    targets without visiting them and scores the rest in branch-free
@@ -31,14 +31,12 @@
 //!    over unchanged inputs. [`RoundEngine::mark_all_dirty`] degrades
 //!    the engine to a full-rebuild reference path, which the parity
 //!    tests (`tests/engine_parity.rs`) pin against the incremental
-//!    path the way `cluster/tests/parity.rs` pins parallel planning.
-//! 3. **Sharded rescoring.** Shards are independent, so rescoring fans
-//!    out on a [`WorkerPool`] ([`RoundEngine::with_pool`]). Objects are
-//!    assigned to shards by contiguous id range and shards are merged
-//!    in index order, so the parallel path is bit-identical to the
-//!    sequential one (the pool's `scatter_gather` returns results in
-//!    input order). The parallel dispatch allocates (job boxing); the
-//!    sequential default is allocation-free in steady state.
+//!    path.
+//! 3. **Shards.** Each shard holds one contiguous id range
+//!    ([`RoundEngine::with_shards`]); rescore walks them in index order,
+//!    and [`RoundEngine::assemble_into`] grows its room one shard at a
+//!    time, so scratch pages past the instance stay untouched. The shard
+//!    count never changes a result, and a warm round allocates nothing.
 //!
 //! # Invalidation rules
 //!
@@ -50,10 +48,6 @@
 //!   (recency movement on an unrequested object cannot change its
 //!   absent instance entry; the column still updates so a later push
 //!   scores against fresh state).
-//!
-//! The update-rate column is advisory bookkeeping for drivers (arbiters,
-//! refresh heuristics): profit does not depend on it, so writing it
-//! never invalidates.
 //!
 //! # Parity contract
 //!
@@ -72,7 +66,6 @@
 use basecache_knapsack::Item;
 use basecache_net::{Catalog, ObjectId};
 use basecache_sim::metrics::Welford;
-use basecache_sim::WorkerPool;
 
 use crate::recency::ScoringFunction;
 use crate::scratch::PlannerScratch;
@@ -87,8 +80,6 @@ struct Shard {
     sizes: Vec<u64>,
     /// Last observed (estimated) cache recency per object.
     recency: Vec<f64>,
-    /// Advisory server update rate per object (never invalidates).
-    update_rate: Vec<f64>,
     /// Standing request targets per object, in push order.
     targets: Vec<Vec<f64>>,
     /// Σ over the object's clients of `1 − score` (knapsack profit).
@@ -103,10 +94,6 @@ struct Shard {
     dirty: Vec<u32>,
     /// Dedup flags parallel to the columns.
     is_dirty: Vec<bool>,
-    /// Objects rescored by the last [`Shard::rescore`].
-    last_dirty: u32,
-    /// Requests rescored by the last [`Shard::rescore`].
-    last_rescored: u64,
 }
 
 impl Shard {
@@ -116,14 +103,11 @@ impl Shard {
             base,
             sizes: sizes.to_vec(),
             recency: vec![0.0; n],
-            update_rate: vec![0.0; n],
             targets: vec![Vec::new(); n],
             profit: vec![0.0; n],
             scores: vec![Welford::new(); n],
             dirty: Vec::with_capacity(n),
             is_dirty: vec![false; n],
-            last_dirty: 0,
-            last_rescored: 0,
         }
     }
 
@@ -137,8 +121,8 @@ impl Shard {
 
     /// Recompute profit and the score tally for every dirty object,
     /// folding its targets in storage order (the bit-parity contract),
-    /// then clear the dirty set.
-    fn rescore(&mut self, scoring: ScoringFunction) {
+    /// then clear the dirty set. Returns the requests rescored.
+    fn rescore(&mut self, scoring: ScoringFunction) -> u64 {
         let mut rescored = 0u64;
         for &local in &self.dirty {
             let l = local as usize;
@@ -149,9 +133,8 @@ impl Shard {
             self.is_dirty[l] = false;
             rescored += n;
         }
-        self.last_dirty = self.dirty.len() as u32;
-        self.last_rescored = rescored;
         self.dirty.clear();
+        rescored
     }
 }
 
@@ -174,8 +157,8 @@ pub struct ActiveObject {
     pub size: u64,
 }
 
-/// Struct-of-arrays object/request tables with incremental, optionally
-/// sharded-parallel instance construction. See the module docs for the
+/// Struct-of-arrays object/request tables with incremental, sharded
+/// instance construction. See the module docs for the
 /// design; see [`crate::station::BaseStationSim::step_engine`] for the
 /// full round built on top.
 #[derive(Debug)]
@@ -186,15 +169,13 @@ pub struct RoundEngine {
     shard_size: u32,
     num_objects: usize,
     total_requests: u64,
-    pool: Option<WorkerPool>,
     last_dirty: u64,
     last_rescored: u64,
 }
 
 impl RoundEngine {
     /// An engine over `catalog`'s objects, scoring with `scoring`, as a
-    /// single shard with no worker pool (the sequential,
-    /// allocation-free-once-warm configuration).
+    /// single shard.
     pub fn new(catalog: &Catalog, scoring: ScoringFunction) -> Self {
         let sizes: Vec<u64> = catalog.ids().map(|id| catalog.size_of(id)).collect();
         let mut engine = Self {
@@ -203,7 +184,6 @@ impl RoundEngine {
             shard_size: (sizes.len() as u32).max(1),
             num_objects: sizes.len(),
             total_requests: 0,
-            pool: None,
             last_dirty: 0,
             last_rescored: 0,
         };
@@ -212,8 +192,9 @@ impl RoundEngine {
     }
 
     /// Re-shard the object table into `shards` contiguous id ranges.
-    /// Sharding never changes results — assembly walks shards in order,
-    /// objects ascending — only how rescoring parallelizes.
+    /// Sharding never changes results — rescore and assembly walk shards
+    /// in order, objects ascending — only how far
+    /// [`Self::assemble_into`] grows its room at a time.
     ///
     /// # Panics
     ///
@@ -227,15 +208,6 @@ impl RoundEngine {
             .flat_map(|s| s.sizes.iter().copied())
             .collect();
         self.build_shards(&sizes, shards);
-        self
-    }
-
-    /// Attach a worker pool: [`Self::rescore`] fans dirty shards out to
-    /// it whenever the pool itself would fan out
-    /// ([`WorkerPool::fans_out`]). The parallel dispatch allocates per
-    /// round; results are bit-identical to the sequential path.
-    pub fn with_pool(mut self, pool: WorkerPool) -> Self {
-        self.pool = Some(pool);
         self
     }
 
@@ -367,19 +339,6 @@ impl RoundEngine {
         &self.shards[s].targets[l]
     }
 
-    /// Write the advisory update-rate column. Profit does not depend on
-    /// it, so this never dirties the object.
-    pub fn set_update_rate(&mut self, object: ObjectId, rate: f64) {
-        let (s, l) = self.locate(object);
-        self.shards[s].update_rate[l] = rate;
-    }
-
-    /// Read the advisory update-rate column.
-    pub fn update_rate_of(&self, object: ObjectId) -> f64 {
-        let (s, l) = self.locate(object);
-        self.shards[s].update_rate[l]
-    }
-
     /// Absorb this round's recency vector. An object whose stored
     /// recency bits differ is updated; it becomes dirty only if it has
     /// requests (see the module docs for the invalidation rules).
@@ -419,30 +378,15 @@ impl RoundEngine {
         }
     }
 
-    /// Rescore every dirty object, sequentially or on the attached
-    /// pool (per-shard fan-out, shards merged in index order — bit
-    /// identical either way). Updates [`Self::dirty_objects`] and
-    /// [`Self::rescored_requests`].
+    /// Rescore every dirty object, shard by shard. Updates
+    /// [`Self::dirty_objects`] and [`Self::rescored_requests`].
     pub fn rescore(&mut self) {
-        let parallel = self
-            .pool
-            .as_ref()
-            .is_some_and(|p| p.fans_out() && self.shards.len() > 1);
-        if parallel {
-            let pool = self.pool.as_ref().expect("checked above");
-            let scoring = self.scoring;
-            let shards = std::mem::take(&mut self.shards);
-            self.shards = pool.scatter_gather(shards, move |mut shard| {
-                shard.rescore(scoring);
-                shard
-            });
-        } else {
-            for shard in &mut self.shards {
-                shard.rescore(self.scoring);
-            }
+        self.last_dirty = 0;
+        self.last_rescored = 0;
+        for shard in &mut self.shards {
+            self.last_dirty += shard.dirty.len() as u64;
+            self.last_rescored += shard.rescore(self.scoring);
         }
-        self.last_dirty = self.shards.iter().map(|s| s.last_dirty as u64).sum();
-        self.last_rescored = self.shards.iter().map(|s| s.last_rescored).sum();
     }
 
     /// Emit the current knapsack instance into `scratch`: one item per
@@ -654,9 +598,8 @@ mod tests {
         let catalog = Catalog::from_sizes(&sizes);
         let recency: Vec<f64> = (0..97).map(|i| (i % 13) as f64 / 13.0).collect();
         let build = |shards: usize, full_rebuild: bool| {
-            let mut e = RoundEngine::new(&catalog, ScoringFunction::Exponential)
-                .with_shards(shards)
-                .with_pool(WorkerPool::new(3));
+            let mut e =
+                RoundEngine::new(&catalog, ScoringFunction::Exponential).with_shards(shards);
             for k in 0..500u32 {
                 e.push_request(ObjectId(k * 17 % 97), 0.2 + (k % 5) as f64 * 0.2);
             }
@@ -713,17 +656,6 @@ mod tests {
         let mut seen = Vec::new();
         e.for_each_active(|a| seen.push((a.object, a.requests)));
         assert_eq!(seen, vec![(ObjectId(1), 1), (ObjectId(4), 2)]);
-    }
-
-    #[test]
-    fn update_rate_column_is_advisory() {
-        let mut e = engine(3);
-        e.push_request(ObjectId(1), 1.0);
-        e.rescore();
-        e.set_update_rate(ObjectId(1), 2.5);
-        assert_eq!(e.update_rate_of(ObjectId(1)), 2.5);
-        e.rescore();
-        assert_eq!(e.dirty_objects(), 0, "rate writes never invalidate");
     }
 
     #[test]

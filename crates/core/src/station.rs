@@ -499,8 +499,7 @@ impl BaseStationSim {
     /// the requests of an object on the wire count as waiting rather
     /// than being parked one by one: the population persists, so they
     /// re-serve columnar in the arrival round. Allocation-free in steady
-    /// state on the sequential rescore path (see `tests/alloc_free.rs`);
-    /// attaching a pool to the engine trades allocations for fan-out.
+    /// state (see `tests/alloc_free.rs`).
     ///
     /// # Panics
     ///

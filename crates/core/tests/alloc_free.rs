@@ -395,13 +395,11 @@ fn on_demand_steady_state_steps_do_not_allocate() {
         );
     }
 
-    // The incremental round engine is held to the same bar on its
-    // sequential rescore path: once the SoA tables, dirty set and
-    // solver scratch are warm, a full engine round — churn applied via
-    // in-place retargets, per-object server updates, incremental
-    // rescore, solve, refresh, columnar serve — never touches the heap.
-    // (Attaching a worker pool trades this guarantee for fan-out: the
-    // parallel dispatch boxes jobs.)
+    // The incremental round engine is held to the same bar: once the
+    // SoA tables, dirty set and solver scratch are warm, a full engine
+    // round — churn applied via in-place retargets, per-object server
+    // updates, incremental rescore, solve, refresh, columnar serve —
+    // never touches the heap.
     // The in-flight variant runs the same columnar round with the
     // ledger in the loop (launches, joins, arrivals) — same bar.
     for (label, recorder_kind, inflight) in [

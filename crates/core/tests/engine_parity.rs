@@ -1,14 +1,12 @@
-//! The round engine's load-bearing guarantees, proved bit-for-bit
-//! (the engine's analogue of `cluster/tests/parity.rs`):
+//! The round engine's load-bearing guarantees, proved bit-for-bit:
 //!
 //! 1. Incremental rounds (dirty-set rescoring only) are identical to
 //!    the pinned full-rebuild reference (`mark_all_dirty` before every
 //!    round) — outcomes, downloads, stats, recorder snapshots and the
 //!    flight-recorder round series, under zero churn, single-object
 //!    churn and 100% churn alike.
-//! 2. Shard count and parallel rescoring never change a bit: a 1-shard
-//!    sequential engine and a many-shard pooled engine produce the same
-//!    rounds.
+//! 2. Shard count never changes a bit: a 1-shard engine and many-shard
+//!    engines produce the same rounds.
 //! 3. The dirty set actually shrinks the work: low-churn rounds rescore
 //!    a small fraction of the table.
 //!
@@ -23,7 +21,7 @@ use basecache_core::RoundOutcome;
 use basecache_core::StationBuilder;
 use basecache_net::{Catalog, ObjectId};
 use basecache_obs::{FlightRecorder, Snapshot};
-use basecache_sim::{RngStreams, SimTime, WorkerPool};
+use basecache_sim::{RngStreams, SimTime};
 use basecache_workload::{ChurnOp, Popularity, StandingWorkload, TargetRecency};
 
 const OBJECTS: usize = 48;
@@ -44,7 +42,7 @@ struct Rig {
 }
 
 impl Rig {
-    fn new(solver: SolverChoice, full_rebuild: bool, shards: usize, pooled: bool) -> Rig {
+    fn new(solver: SolverChoice, full_rebuild: bool, shards: usize) -> Rig {
         let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio, solver);
         let station = StationBuilder::new(catalog())
             .on_demand(planner, BUDGET)
@@ -53,9 +51,6 @@ impl Rig {
             .expect("valid configuration");
         let mut engine =
             RoundEngine::new(&catalog(), ScoringFunction::InverseRatio).with_shards(shards);
-        if pooled {
-            engine = engine.with_pool(WorkerPool::new(3));
-        }
         seed_population(&mut engine);
         Rig {
             station,
@@ -65,11 +60,11 @@ impl Rig {
     }
 
     fn incremental(solver: SolverChoice) -> Rig {
-        Rig::new(solver, false, 1, false)
+        Rig::new(solver, false, 1)
     }
 
     fn reference(solver: SolverChoice) -> Rig {
-        Rig::new(solver, true, 1, false)
+        Rig::new(solver, true, 1)
     }
 
     fn step(&mut self) -> RoundOutcome {
@@ -235,16 +230,16 @@ fn full_churn_matches_full_rebuild() {
 }
 
 #[test]
-fn shard_count_and_pool_never_change_a_bit() {
+fn shard_count_never_changes_a_bit() {
     let baseline = {
         let mut rig = Rig::incremental(SolverChoice::Adaptive);
         let out = drive(&mut rig, 25, single_object_churn);
         (out, rig)
     };
-    for (shards, pooled) in [(6, false), (6, true), (OBJECTS, true)] {
-        let mut rig = Rig::new(SolverChoice::Adaptive, false, shards, pooled);
+    for shards in [6, OBJECTS] {
+        let mut rig = Rig::new(SolverChoice::Adaptive, false, shards);
         let out = drive(&mut rig, 25, single_object_churn);
-        let label = format!("{shards} shards, pooled={pooled}");
+        let label = format!("{shards} shards");
         assert_eq!(baseline.0, out, "{label}: outcomes diverge");
         assert_rigs_match(&baseline.1, &rig, &label);
     }

@@ -15,8 +15,6 @@
 //!   experiment reports through, and its mean-only half.
 //! * [`P2Quantile`] — streaming quantile estimation (p95 waits) in O(1)
 //!   space.
-//! * [`WorkerPool`] — a reusable std-thread pool for per-round fan-out
-//!   (e.g. parallel per-cell planning in `basecache-cluster`).
 //! * [`check`] — the seeded property-case runner the workspace's
 //!   property suites use.
 //!
@@ -42,13 +40,11 @@
 
 pub mod check;
 pub mod metrics;
-mod pool;
 mod quantile;
 mod rng;
 mod scheduler;
 mod time;
 
-pub use pool::WorkerPool;
 pub use quantile::P2Quantile;
 pub use rng::{RandomRange, RandomValue, RngStreams, StreamRng};
 pub use scheduler::Scheduler;

@@ -82,12 +82,11 @@ cargo bench -p basecache-bench --bench cluster
 # round at the end-to-end benchmark's cluster-roaming shape, whole and
 # by coordination phase.
 for entry in 'cluster_round/sequential/1' 'cluster_round/sequential/16' \
-             'cluster_round/parallel/16' \
              'cluster/l2/off' 'cluster/l2/on' \
              'cluster/roaming/16x3200/step' 'cluster/roaming/16x3200/declare' \
              'cluster/roaming/16x3200/exchange' \
              'cluster/roaming/16x3200/attribute' \
-             'cluster_parallel_path' 'l2_origin_savings'; do
+             'l2_origin_savings'; do
     grep -q "\"$entry\"" BENCH_cluster.json \
         || { echo "error: BENCH_cluster.json missing $entry" >&2; exit 1; }
 done
