@@ -1,7 +1,7 @@
-//! One benchmark per row of the experiments registry that `all` runs:
-//! each measures regenerating the artifact (CI-sized parameters so
-//! `cargo bench` stays tractable; run the `basecache-experiments` binary
-//! for full-fidelity numbers).
+//! One benchmark per row of the experiments registry: each measures
+//! regenerating the artifact (CI-sized parameters so `cargo bench` stays
+//! tractable; run the `basecache-experiments` binary for full-fidelity
+//! numbers).
 
 use std::hint::black_box;
 
@@ -12,7 +12,7 @@ use basecache_experiments::TARGETS;
 const SAMPLES: usize = 10;
 
 fn main() {
-    for row in TARGETS.iter().filter(|row| row.in_all) {
+    for row in TARGETS {
         bench_n(&format!("figures/{}", row.name), SAMPLES, || {
             black_box((row.run)(true))
         });

@@ -1,29 +1,10 @@
-//! Scheduler-driven cluster runs.
-//!
-//! The experiments and benches drive a [`ClusterSim`] through the
-//! deterministic [`basecache_sim::Scheduler`] rather than a bare
-//! `for` loop: update waves and rounds are discrete events on one
-//! queue, dequeued in time order (FIFO at equal times), so interleaved
-//! cluster-wide update waves land *before* the round of the same tick
-//! — exactly the paper's "updates at t = 0, 5, 10, …" convention —
-//! and every processed event is visible to the cluster recorder as
-//! [`Event::SchedulerEvents`].
-
-use basecache_obs::Event;
-use basecache_sim::{Scheduler, SimTime};
+//! Fixed-length cluster runs: one round per tick, with cluster-wide
+//! update waves landing *before* the round of the same tick — the
+//! paper's "updates at t = 0, 5, 10, …" convention.
 
 use crate::cluster::{ClusterSim, ClusterStepOutcome};
 
-/// What the scheduler fires at the cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ClusterEvent {
-    /// Cluster-wide simultaneous update of every remote object.
-    UpdateWave,
-    /// One cluster scheduling round.
-    Round,
-}
-
-/// A scheduler-driven run's shape.
+/// A run's shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DriveConfig {
     /// Rounds to simulate.
@@ -33,8 +14,8 @@ pub struct DriveConfig {
     pub wave_every: Option<u64>,
 }
 
-/// Drive `cluster` for `config.rounds` rounds through a fresh event
-/// scheduler, returning every round's outcome in tick order.
+/// Drive `cluster` for `config.rounds` rounds, returning every round's
+/// outcome in tick order.
 ///
 /// # Panics
 ///
@@ -43,24 +24,15 @@ pub fn run_rounds(cluster: &mut ClusterSim, config: DriveConfig) -> Vec<ClusterS
     if let Some(every) = config.wave_every {
         assert!(every > 0, "wave interval must be positive");
     }
-    let mut scheduler: Scheduler<ClusterEvent> = Scheduler::new();
-    for tick in 0..config.rounds {
-        // Waves are scheduled before the same tick's round, and the
-        // queue is FIFO at equal times: the wave always lands first.
-        if let Some(every) = config.wave_every {
-            if tick > 0 && tick.is_multiple_of(every) {
-                scheduler.schedule_at(SimTime::from_ticks(tick), ClusterEvent::UpdateWave);
-            }
-        }
-        scheduler.schedule_at(SimTime::from_ticks(tick), ClusterEvent::Round);
-    }
     let mut outcomes = Vec::with_capacity(config.rounds as usize);
-    while let Some((_, event)) = scheduler.pop() {
-        cluster.recorder().incr(Event::SchedulerEvents);
-        match event {
-            ClusterEvent::UpdateWave => cluster.apply_update_wave(),
-            ClusterEvent::Round => outcomes.push(cluster.step()),
+    for tick in 0..config.rounds {
+        if config
+            .wave_every
+            .is_some_and(|every| tick > 0 && tick.is_multiple_of(every))
+        {
+            cluster.apply_update_wave();
         }
+        outcomes.push(cluster.step());
     }
     outcomes
 }

@@ -188,13 +188,19 @@ fn series_bits(sim: &BaseStationSim) -> Vec<[u64; 8]> {
 
 /// Downstream station outcomes are bit-identical under either solver,
 /// for every policy that routes its downloads through the planner's
-/// configured solver. (`OnDemandAdaptive` is excluded by construction:
-/// its knee selection always reads the full DP trace, so the solver
-/// choice never reaches it.)
+/// configured solver, and the reduction only ever removes DP work.
+/// (`OnDemandAdaptive` is excluded by construction: its knee selection
+/// always reads the full DP trace, so the solver choice never reaches
+/// it.)
 #[test]
 fn station_outcomes_match_exact_dp_for_every_planner_policy() {
-    for policy in ["on_demand", "hybrid"] {
-        let budget = 20u64;
+    let total_size = station_catalog().total_size();
+    for (policy, budget) in [
+        ("on_demand", 20u64),
+        ("hybrid", 20),
+        ("on_demand", 60),
+        ("hybrid", 60),
+    ] {
         let mut dp = planner_station(policy, SolverChoice::ExactDp, budget);
         let mut ad = planner_station(policy, SolverChoice::Adaptive, budget);
         let mut wl_dp = station_workload(41);
@@ -209,23 +215,49 @@ fn station_outcomes_match_exact_dp_for_every_planner_policy() {
             let out_dp = dp.step(wl_dp.batch(CellId(0)));
             let out_ad = ad.step(wl_ad.batch(CellId(0)));
             // RoundOutcome holds f64 scores; equality here is exact.
-            assert_eq!(out_dp, out_ad, "{policy}: tick {tick} outcome diverges");
+            assert_eq!(
+                out_dp, out_ad,
+                "{policy}/{budget}: tick {tick} outcome diverges"
+            );
             assert_eq!(
                 dp.last_downloaded(),
                 ad.last_downloaded(),
-                "{policy}: tick {tick} download set diverges"
+                "{policy}/{budget}: tick {tick} download set diverges"
             );
         }
         assert_eq!(
             dp.stats(),
             ad.stats(),
-            "{policy}: accumulated stats diverge"
+            "{policy}/{budget}: accumulated stats diverge"
         );
         // The per-round series (scores, profits, utilization as raw
-        // bits) matches row for row; solver-internal counters like
-        // dp_cells_touched legitimately differ and are not compared.
+        // bits) matches row for row.
         let rows_dp = series_bits(&dp);
         assert!(!rows_dp.is_empty());
-        assert_eq!(rows_dp, series_bits(&ad), "{policy}: round series diverges");
+        assert_eq!(
+            rows_dp,
+            series_bits(&ad),
+            "{policy}/{budget}: round series diverges"
+        );
+
+        // Both solvers face identical instances, so the reduction can
+        // only remove DP work; once the budget caches a real share of
+        // the catalog, profits are continuous and it must bite hard. A
+        // missing counter means no DP table was ever swept.
+        let cells =
+            |sim: &BaseStationSim| sim.obs_snapshot().counter("dp_cells_touched").unwrap_or(0);
+        let (cells_dp, cells_ad) = (cells(&dp), cells(&ad));
+        assert!(cells_dp > 0, "{policy}/{budget}: the DP does table work");
+        assert!(
+            cells_ad <= cells_dp,
+            "{policy}/{budget}: adaptive {cells_ad} exceeds DP {cells_dp} cells"
+        );
+        if budget * 8 >= total_size {
+            assert!(
+                (cells_ad as f64) < 0.6 * cells_dp as f64,
+                "{policy}/{budget}: reduction saved too little: \
+                 adaptive {cells_ad} vs DP {cells_dp} cells"
+            );
+        }
     }
 }

@@ -41,12 +41,22 @@ fn instrumented_runs_are_bit_identical_to_uninstrumented_ones() {
         .recorder(Box::new(FlightRecorder::new(1024, 16, 4)))
         .build()
         .unwrap();
+    // The default solve path, whose reduction reports samples of its own.
+    let mut adaptive = StationBuilder::new(Catalog::from_sizes(&sizes))
+        .on_demand(
+            OnDemandPlanner::new(ScoringFunction::InverseRatio, SolverChoice::Adaptive),
+            40,
+        )
+        .recorder(Box::new(StatsRecorder::new()))
+        .build()
+        .unwrap();
 
     for t in 0..40u64 {
         if t % 4 == 0 {
             plain.apply_update_wave();
             observed.apply_update_wave();
             flighted.apply_update_wave();
+            adaptive.apply_update_wave();
         }
         let requests: Vec<GeneratedRequest> = (0..60)
             .map(|_| GeneratedRequest {
@@ -57,6 +67,7 @@ fn instrumented_runs_are_bit_identical_to_uninstrumented_ones() {
         let a = plain.step(&requests);
         let b = observed.step(&requests);
         let c = flighted.step(&requests);
+        adaptive.step(&requests);
         assert_eq!(a, b, "tick {t}: outcomes diverged under observation");
         assert_eq!(
             a, c,
@@ -95,6 +106,15 @@ fn instrumented_runs_are_bit_identical_to_uninstrumented_ones() {
         plain.obs_snapshot().is_empty(),
         "NullRecorder records nothing"
     );
+    // On the adaptive path every stage of the round is timed and the
+    // reduction's footprint is sampled.
+    let seen = adaptive.obs_snapshot();
+    for stage in ["step", "recency", "plan", "solve", "refresh", "serve"] {
+        assert!(seen.span(stage).is_some(), "adaptive: no {stage} span");
+    }
+    for sample in ["solver_chosen", "items_fixed", "core_size"] {
+        assert!(seen.sample(sample).is_some(), "adaptive: no {sample}");
+    }
 
     // Every planner-carrying policy solves on the kernel's scratch, so
     // its rounds report the same solve span and knapsack counters.

@@ -2,8 +2,8 @@
 //! paper's evaluation, and the `ext-*` extension experiments.
 //!
 //! **An experiment is a row.** [`TARGETS`] is the one table of what the
-//! harness can run: a CLI name, whether `all` includes it, and a
-//! `fn(quick) -> Output` that picks the module's `Params::quick()` or
+//! harness can run: a CLI name and a `fn(quick) -> Output` that picks
+//! the module's `Params::quick()` or
 //! `Params::paper()` preset, calls its `run`, and says what to print and
 //! which files `--csv` writes ([`report::Output`]). The CLI's usage
 //! text, its argument check and `all`, `benches/figures.rs`,
@@ -28,9 +28,9 @@
 //!
 //! **Adding an experiment** is one module (a `Params` with `paper()` and
 //! `quick()`, and a `run` returning a [`report::Figure`]), one
-//! [`TARGETS`] row, and — for an `all` row — its CSV under `results/`
-//! (`experiments all --csv results`); the golden, registry and
-//! determinism tests pick the row up from the table.
+//! [`TARGETS`] row, and its CSV under `results/` (`experiments all
+//! --csv results`); the golden, registry and determinism tests pick the
+//! row up from the table.
 //!
 //! Run everything from the CLI:
 //!
@@ -42,7 +42,6 @@
 #![warn(missing_docs)]
 
 pub mod ext_adaptive;
-pub mod ext_adaptive_solver;
 pub mod ext_bounded_cache;
 pub mod ext_broadcast;
 pub mod ext_cluster;
@@ -50,7 +49,6 @@ pub mod ext_estimators;
 pub mod ext_flash_crowd;
 pub mod ext_hybrid;
 pub mod ext_latency;
-pub mod ext_obs;
 pub mod ext_poisson;
 pub mod fig2;
 pub mod fig3;
@@ -70,8 +68,6 @@ use report::{Figure, Output};
 pub struct Target {
     /// The name the CLI takes.
     pub name: &'static str,
-    /// Whether `all` runs it.
-    pub in_all: bool,
     /// Run it — CI-sized if `quick`, else at full fidelity — and return
     /// what to print and the files to write.
     pub run: fn(quick: bool) -> Output,
@@ -86,7 +82,7 @@ fn preset<P>(quick: bool, paper: fn() -> P, ci_sized: fn() -> P) -> P {
     }
 }
 
-/// A row `all` runs whose output is one figure, written to `$file`:
+/// A row whose output is one figure, written to `$file`:
 /// `$module::run` on the `$module::Params` preset, or `$run` on the
 /// `$params` preset where a module holds more than one figure.
 macro_rules! figure {
@@ -96,7 +92,6 @@ macro_rules! figure {
     ($name:literal, $params:ty, $file:literal, $run:expr) => {
         Target {
             name: $name,
-            in_all: true,
             run: |quick| {
                 let params = preset(quick, <$params>::paper, <$params>::quick);
                 let run: fn(&$params) -> Figure = $run;
@@ -110,7 +105,6 @@ macro_rules! figure {
 pub const TARGETS: &[Target] = &[
     Target {
         name: "table1",
-        in_all: true,
         run: |_| Output {
             text: table1::run(4).to_table(),
             ..Output::default()
@@ -119,7 +113,6 @@ pub const TARGETS: &[Target] = &[
     figure!("fig2", fig2, "fig2.csv"),
     Target {
         name: "fig3",
-        in_all: true,
         run: |quick| {
             let (low, high) = fig3::run(&preset(quick, fig3::Params::paper, fig3::Params::quick));
             Output::figures(vec![("fig3_low.csv", low), ("fig3_high.csv", high)])
@@ -147,11 +140,6 @@ pub const TARGETS: &[Target] = &[
         "b: large objects freshest"
     )),
     figure!("ext-adaptive", ext_adaptive, "ext_adaptive.csv"),
-    figure!(
-        "ext-adaptive-solver",
-        ext_adaptive_solver,
-        "ext_adaptive_solver.csv"
-    ),
     figure!("ext-hybrid", ext_hybrid, "ext_hybrid.csv"),
     figure!("ext-estimators", ext_estimators, "ext_estimators.csv"),
     figure!("ext-flash-crowd", ext_flash_crowd, "ext_flash_crowd.csv"),
@@ -170,23 +158,4 @@ pub const TARGETS: &[Target] = &[
         ext_bounded_cache,
         "ext_bounded_cache.csv"
     ),
-    // Not in `all`: the profile's span timings are wall-clock, so its
-    // output can never be byte-identical across runs the way every
-    // other target's CSV is.
-    Target {
-        name: "ext-obs",
-        in_all: false,
-        run: |quick| {
-            let profile = ext_obs::run(&preset(
-                quick,
-                ext_obs::Params::paper,
-                ext_obs::Params::quick,
-            ));
-            Output {
-                text: ext_obs::to_table(&profile),
-                exports: profile.exports(),
-                ..Output::default()
-            }
-        },
-    },
 ];

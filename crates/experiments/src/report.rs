@@ -150,8 +150,6 @@ pub struct Output {
     /// The figures behind `text`, each with the CSV file it is written
     /// to.
     pub figures: Vec<(&'static str, Figure)>,
-    /// Further exports that are not figures: (file name, contents).
-    pub exports: Vec<(&'static str, String)>,
 }
 
 impl Output {
@@ -162,14 +160,15 @@ impl Output {
         Self {
             text: tables.join("\n"),
             figures,
-            exports: Vec::new(),
         }
     }
 
-    /// Every file of the target, (name, contents), figures first.
+    /// Every file of the target, (name, contents): one CSV per figure.
     pub fn files(&self) -> Vec<(&'static str, String)> {
-        let csvs = self.figures.iter().map(|(name, f)| (*name, f.to_csv()));
-        csvs.chain(self.exports.iter().cloned()).collect()
+        self.figures
+            .iter()
+            .map(|(name, f)| (*name, f.to_csv()))
+            .collect()
     }
 
     /// Write [`Output::files`] under `dir`, creating it if needed, and

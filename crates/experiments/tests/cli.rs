@@ -44,9 +44,9 @@ fn an_unknown_target_fails_before_any_experiment_runs() {
 fn a_failed_write_is_a_failed_run() {
     let dir = scratch("cli_failed_write");
     std::fs::write(dir.join("afile"), "not a directory").expect("create the blocking file");
-    // A figure target and the profile target both write through the
-    // registry's one writer.
-    for target in ["fig4", "ext-obs"] {
+    // A one-figure target and a two-figure target both write through
+    // the registry's one writer.
+    for target in ["fig4", "fig3"] {
         let run = experiments(&[target, "--quick", "--csv", "afile/sub"], &dir);
         assert_eq!(run.status.code(), Some(1), "{target} exited successfully");
         let stderr = String::from_utf8_lossy(&run.stderr);

@@ -83,8 +83,6 @@ pub enum Event {
     ReportsIngested,
     /// Fetches launched onto the fixed network (in-flight mode).
     FetchesIssued,
-    /// Discrete events processed by a simulation scheduler.
-    SchedulerEvents,
     /// Client handoffs between cells in a multi-cell cluster.
     Handoffs,
     /// Requests that joined an already in-flight transfer launched in an
@@ -129,7 +127,7 @@ pub enum Event {
 
 impl Event {
     /// Every counter id, in export order.
-    pub const ALL: [Event; 22] = [
+    pub const ALL: [Event; 21] = [
         Event::Rounds,
         Event::RequestsServed,
         Event::ObjectsDownloaded,
@@ -138,7 +136,6 @@ impl Event {
         Event::DpCellsTouched,
         Event::ReportsIngested,
         Event::FetchesIssued,
-        Event::SchedulerEvents,
         Event::Handoffs,
         Event::FetchesCoalesced,
         Event::DuplicateFetches,
@@ -174,7 +171,6 @@ impl Event {
             Event::DpCellsTouched => "dp_cells_touched",
             Event::ReportsIngested => "reports_ingested",
             Event::FetchesIssued => "fetches_issued",
-            Event::SchedulerEvents => "scheduler_events",
             Event::Handoffs => "handoffs",
             Event::FetchesCoalesced => "fetches_coalesced",
             Event::DuplicateFetches => "duplicate_fetches",

@@ -24,37 +24,37 @@ cargo test -q
 echo "==> golden results, release build (tier-1 ran the same test in debug)"
 cargo test -q --release -p basecache-experiments --test golden
 
-echo "==> observability smoke test (ext-obs quick run + exporters)"
+echo "==> observability smoke test (flight_recorder example + exporters)"
 obs_out=$(mktemp -d)
-cargo run -q -p basecache-experiments --release -- ext-obs --quick --csv "$obs_out"
-for f in ext_obs.csv ext_obs.json ext_obs_trace.json ext_obs_series.csv \
-         ext_obs_lifecycle.json ext_obs_aoi.csv ext_obs_topk.csv; do
-    test -s "$obs_out/$f" || { echo "error: ext-obs did not write $f" >&2; exit 1; }
+cargo run -q --release --example flight_recorder -- "$obs_out"
+for f in snapshot.csv snapshot.json trace.json series.csv \
+         lifecycle.json aoi.csv topk.csv; do
+    test -s "$obs_out/$f" || { echo "error: flight_recorder did not write $f" >&2; exit 1; }
 done
-grep -q '"counters"' "$obs_out/ext_obs.json" \
-    || { echo "error: ext_obs.json missing counters section" >&2; exit 1; }
+grep -q '"counters"' "$obs_out/snapshot.json" \
+    || { echo "error: snapshot.json missing counters section" >&2; exit 1; }
 
 echo "==> trace smoke test (exported traces parse as Chrome trace-event JSON)"
-cargo run -q -p basecache-trace --release -- validate "$obs_out/ext_obs_trace.json"
-cargo run -q -p basecache-trace --release -- validate "$obs_out/ext_obs_lifecycle.json"
-head -1 "$obs_out/ext_obs_series.csv" | grep -q '^# decimation_stride=' \
-    || { echo "error: ext_obs_series.csv missing decimation metadata" >&2; exit 1; }
+cargo run -q -p basecache-trace --release -- validate "$obs_out/trace.json"
+cargo run -q -p basecache-trace --release -- validate "$obs_out/lifecycle.json"
+head -1 "$obs_out/series.csv" | grep -q '^# decimation_stride=' \
+    || { echo "error: series.csv missing decimation metadata" >&2; exit 1; }
 
 echo "==> lifecycle smoke test (wait decomposition, AoI summary, rollup report)"
-cargo run -q -p basecache-trace --release -- waits "$obs_out/ext_obs_lifecycle.json" \
+cargo run -q -p basecache-trace --release -- waits "$obs_out/lifecycle.json" \
     | grep -q 'spans' \
     || { echo "error: basecache-trace waits produced no span summary" >&2; exit 1; }
-head -1 "$obs_out/ext_obs_aoi.csv" | grep -q '^# decimation_stride=' \
-    || { echo "error: ext_obs_aoi.csv missing decimation metadata" >&2; exit 1; }
-cargo run -q -p basecache-trace --release -- aoi "$obs_out/ext_obs_aoi.csv" \
+head -1 "$obs_out/aoi.csv" | grep -q '^# decimation_stride=' \
+    || { echo "error: aoi.csv missing decimation metadata" >&2; exit 1; }
+cargo run -q -p basecache-trace --release -- aoi "$obs_out/aoi.csv" \
     | grep -q 'peak_aoi' \
     || { echo "error: basecache-trace aoi produced no AoI summary" >&2; exit 1; }
 cargo run -q -p basecache-trace --release -- report \
-    "$obs_out/ext_obs_lifecycle.json" "$obs_out/ext_obs_aoi.csv" \
+    "$obs_out/lifecycle.json" "$obs_out/aoi.csv" \
     | grep -q 'age of information' \
     || { echo "error: basecache-trace report missing AoI section" >&2; exit 1; }
-head -1 "$obs_out/ext_obs_topk.csv" | grep -q '^channel,label,weight,error' \
-    || { echo "error: ext_obs_topk.csv missing error-bound header" >&2; exit 1; }
+head -1 "$obs_out/topk.csv" | grep -q '^channel,label,weight,error' \
+    || { echo "error: topk.csv missing error-bound header" >&2; exit 1; }
 rm -rf "$obs_out"
 
 echo "==> invariant-monitor fault injection (each check fires on its seeded fault)"
