@@ -18,12 +18,10 @@
 //!   `BENCH_planner.json` is derived. Timed on a fixed schedule of
 //!   rounds (the same ones on every build), each sample the mean of
 //!   `ROUNDS_PER_SAMPLE` consecutive rounds.
-//! - `solve_only/expanding_core` — the massive instance a fresh station
-//!   faces after a fixed number of those rounds, solved in isolation by
-//!   the adaptive solver, an absolute median.
-//!   (The entry keeps the name it was first recorded under; this
-//!   instance is tied, so the solve is the forced-out reduction plus
-//!   the bounded DP over the survivors.)
+//! - `solve_only` — the massive instance a fresh station faces after a
+//!   fixed number of those rounds, solved in isolation by the adaptive
+//!   solver, an absolute median. The instance is tied, so the solve is
+//!   the forced-out reduction plus the bounded DP over the survivors.
 //!
 //! The `--smoke` variant runs the identical pipeline at 1/50 scale so
 //! `scripts/check.sh` can execute it on every run.
@@ -289,10 +287,7 @@ pub fn bench_massive(scale: &MassiveScale, results: &mut Vec<Measurement>) -> Ma
     let mut ad = AdaptiveScratch::new();
     let mut dp = DpScratch::new();
     let solve = bench_n(
-        &format!(
-            "planner/massive/solve_only/expanding_core/{}",
-            scale.objects
-        ),
+        &format!("planner/massive/solve_only/{}", scale.objects),
         scale.samples,
         || black_box(AdaptiveSolver.solve_into(&items, scale.budget, &mut ad, &mut dp)),
     );

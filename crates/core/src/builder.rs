@@ -26,7 +26,6 @@ use basecache_obs::{NullRecorder, Recorder};
 use crate::error::{ConfigError, Error};
 use crate::estimator::RecencyEstimator;
 use crate::planner::OnDemandPlanner;
-use crate::recency::{DecayModel, ScoringFunction};
 use crate::scratch::plan_table_fits;
 use crate::station::{BaseStationSim, Estimation, Policy};
 
@@ -35,15 +34,15 @@ use crate::station::{BaseStationSim, Estimation, Policy};
 /// Exactly one policy method (or the [`StationBuilder::policy`] escape
 /// hatch) must be called before [`StationBuilder::build`]; calling
 /// another replaces the previous choice. Everything else defaults to
-/// the paper's model: oracle recency estimation, the paper's decay
-/// model and inverse-ratio scoring, and a no-op recorder.
+/// the paper's model: oracle recency estimation and a no-op recorder.
+/// The station measures delivered quality with its planner's scoring
+/// function (inverse-ratio for the policies without one) and the
+/// paper's decay model.
 #[derive(Debug)]
 pub struct StationBuilder {
     catalog: Catalog,
     policy: Option<Policy>,
     estimation: Estimation,
-    decay: DecayModel,
-    scoring: ScoringFunction,
     recorder: Box<dyn Recorder>,
     flight: Option<InFlightConfig>,
 }
@@ -55,8 +54,6 @@ impl StationBuilder {
             catalog,
             policy: None,
             estimation: Estimation::Oracle,
-            decay: DecayModel::default(),
-            scoring: ScoringFunction::InverseRatio,
             recorder: Box::new(NullRecorder),
             flight: None,
         }
@@ -136,19 +133,6 @@ impl StationBuilder {
         self
     }
 
-    /// Replace the per-update recency decay model (default:
-    /// `x' = x/(1+x)`).
-    pub fn decay(mut self, decay: DecayModel) -> Self {
-        self.decay = decay;
-        self
-    }
-
-    /// Replace the scoring function (default: inverse-ratio).
-    pub fn scoring(mut self, scoring: ScoringFunction) -> Self {
-        self.scoring = scoring;
-        self
-    }
-
     /// Install an observability recorder. The default [`NullRecorder`]
     /// compiles recording to no-ops; pass a
     /// [`basecache_obs::StatsRecorder`] to collect per-stage timings and
@@ -199,14 +183,8 @@ impl StationBuilder {
                 .into());
             }
         }
-        let mut station = BaseStationSim::assemble(
-            self.catalog,
-            policy,
-            self.estimation,
-            self.decay,
-            self.scoring,
-            self.recorder,
-        );
+        let mut station =
+            BaseStationSim::assemble(self.catalog, policy, self.estimation, self.recorder);
         if let Some(config) = self.flight {
             station.install_flight(config);
         }

@@ -287,7 +287,6 @@ impl OnDemandPlanner {
                         Sample::SolverChosen,
                         scratch.adaptive.method().code() as f64,
                     );
-                    recorder.sample(Sample::CoreRounds, scratch.adaptive.core_rounds() as f64);
                 }
                 SolverChoice::Greedy => {
                     let instance = Instance::new(scratch.items.clone())

@@ -193,15 +193,19 @@ pub struct BaseStationSim {
 impl BaseStationSim {
     /// The one constructor, fed by [`crate::builder::StationBuilder`].
     /// The cache starts empty ("we started with an empty cache"); the
-    /// server starts with every object at version 0.
+    /// server starts with every object at version 0. Served requests are
+    /// scored with the planner's own scoring function, so the station
+    /// measures what its planner optimizes (inverse-ratio for the
+    /// policies without a planner).
     pub(crate) fn assemble(
         catalog: Catalog,
         policy: Policy,
         estimation: Estimation,
-        decay: DecayModel,
-        scoring: ScoringFunction,
         recorder: Box<dyn Recorder>,
     ) -> Self {
+        let scoring = policy
+            .planner()
+            .map_or(ScoringFunction::InverseRatio, |planner| planner.scoring());
         let server = RemoteServer::new(&catalog);
         let refresher = AsyncRefresher::new(&catalog);
         // Pre-size the planner scratch for the worst case the policy can
@@ -227,7 +231,7 @@ impl BaseStationSim {
             cache,
             policy,
             refresher,
-            decay,
+            decay: DecayModel::default(),
             scoring,
             estimation,
             tick: 0,
@@ -1487,5 +1491,22 @@ mod tests {
         let out = s.step(&[req(0)]);
         // Not cached: x = 0 → deviation 1 → score 1/2.
         assert!((out.average_score - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn the_station_scores_with_its_planners_scoring_function() {
+        let mut s = station(
+            Catalog::uniform_unit(3),
+            Policy::OnDemand {
+                planner: OnDemandPlanner::new(ScoringFunction::Exponential, SolverChoice::ExactDp),
+                budget_units: 0,
+            },
+        );
+        let out = s.step(&[req(0)]);
+        // Not cached and nothing downloaded: x = 0 → exp(-1).
+        assert_eq!(
+            out.average_score,
+            ScoringFunction::Exponential.score(0.0, 1.0)
+        );
     }
 }

@@ -336,18 +336,14 @@ fn engine_rounds_honour_plan_exclusions() {
 
 /// Strip the solver-work telemetry the adaptive reduction is
 /// *supposed* to change — DP cell counts, core sizes, fixing counts,
-/// method codes, expansion rounds — plus wall-clock spans. Every
-/// remaining observable must match bit-for-bit.
+/// method codes — plus wall-clock spans. Every remaining observable
+/// must match bit-for-bit.
 fn solver_blind(snapshot: &Snapshot) -> Snapshot {
     let mut s = snapshot.clone();
     s.spans.clear();
     s.counters.retain(|c| c.name != "dp_cells_touched");
-    s.samples.retain(|sample| {
-        !matches!(
-            sample.name,
-            "core_size" | "items_fixed" | "solver_chosen" | "core_rounds"
-        )
-    });
+    s.samples
+        .retain(|sample| !matches!(sample.name, "core_size" | "items_fixed" | "solver_chosen"));
     s
 }
 

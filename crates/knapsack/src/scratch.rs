@@ -24,11 +24,7 @@
 //! `tests/reference/mod.rs`: [`DpByCapacity::solve_trace_into`] produces
 //! its values, recovered item sets and marginal gains bit for bit, and
 //! [`DpByCapacity::solve_into`] recovers its item set at the solved
-//! capacity (this file's unit tests and `tests/scratch_reuse.rs`). Only
-//! [`DpByCapacity::solve_values_into`] (which additionally aggregates
-//! zero-size items and prefilters dominated same-size items) is exact
-//! merely up to floating-point associativity, because it may reorder
-//! profit additions.
+//! capacity (this file's unit tests and `tests/scratch_reuse.rs`).
 
 use crate::{DpByCapacity, Instance, Item, Solution};
 
@@ -41,8 +37,6 @@ enum Mode {
     Trace,
     /// Single-capacity solve: only `value()` and `chosen()` are valid.
     Single,
-    /// Values-only solve: only `value()` and `values()` are valid.
-    Values,
 }
 
 /// How a row's decision bits are stored.
@@ -59,9 +53,9 @@ enum RowKind {
 /// Reusable state for the capacity-indexed knapsack DP.
 ///
 /// Create once (or [`DpScratch::reserve`] once), then feed to
-/// [`DpByCapacity::solve_trace_into`], [`DpByCapacity::solve_into`] or
-/// [`DpByCapacity::solve_values_into`] every round. After the first call
-/// at a given problem shape, subsequent calls perform no heap allocation.
+/// [`DpByCapacity::solve_trace_into`] or [`DpByCapacity::solve_into`]
+/// every round. After the first call at a given problem shape,
+/// subsequent calls perform no heap allocation.
 #[derive(Debug, Clone)]
 pub struct DpScratch {
     values: Vec<f64>,
@@ -71,7 +65,6 @@ pub struct DpScratch {
     phys_end: Vec<u64>,
     sizes: Vec<u64>,
     suffix: Vec<u64>,
-    compact: Vec<(u64, f64, usize)>,
     chosen: Vec<usize>,
     words: usize,
     n: usize,
@@ -98,7 +91,6 @@ impl DpScratch {
             phys_end: Vec::new(),
             sizes: Vec::new(),
             suffix: Vec::new(),
-            compact: Vec::new(),
             chosen: Vec::new(),
             words: 0,
             n: 0,
@@ -115,15 +107,17 @@ impl DpScratch {
     pub fn reserve(&mut self, max_items: usize, max_capacity: u64) {
         let cap = usize::try_from(max_capacity).expect("capacity exceeds addressable memory");
         let words = cap / 64 + 1;
-        self.values.reserve(cap.saturating_add(1));
-        self.keep.reserve(max_items.saturating_mul(words));
         self.kind.reserve(max_items);
         self.flat_from.reserve(max_items);
         self.phys_end.reserve(max_items);
         self.sizes.reserve(max_items);
         self.suffix.reserve(max_items + 1);
-        self.compact.reserve(max_items);
         self.chosen.reserve(max_items);
+        // The two tables last, keep bits before values: the order
+        // decides which heap holes a planner's build leaves (see
+        // `PlannerScratch::reserve` in `basecache-core`).
+        self.keep.reserve(max_items.saturating_mul(words));
+        self.values.reserve(cap.saturating_add(1));
     }
 
     /// The capacity the last solve was requested for.
@@ -147,23 +141,16 @@ impl DpScratch {
 
     /// Optimal profit at capacity `c` (clamped to the effective capacity).
     ///
-    /// Requires a preceding [`DpByCapacity::solve_trace_into`] or
-    /// [`DpByCapacity::solve_values_into`].
+    /// Requires a preceding [`DpByCapacity::solve_trace_into`].
     pub fn value_at(&self, c: u64) -> f64 {
-        assert!(
-            matches!(self.mode, Mode::Trace | Mode::Values),
-            "value_at requires a trace or values solve"
-        );
+        assert!(self.mode == Mode::Trace, "value_at requires a trace solve");
         self.values[c.min(self.effective) as usize]
     }
 
     /// The optimal values for capacities `0..=min(C, total_size)`;
-    /// non-decreasing. Requires a trace or values solve.
+    /// non-decreasing. Requires a trace solve.
     pub fn values(&self) -> &[f64] {
-        assert!(
-            matches!(self.mode, Mode::Trace | Mode::Values),
-            "values requires a trace or values solve"
-        );
+        assert!(self.mode == Mode::Trace, "values requires a trace solve");
         &self.values[..=self.effective as usize]
     }
 
@@ -244,7 +231,7 @@ impl DpScratch {
     }
 
     /// Reset per-solve metadata and size the value/keep tables.
-    fn begin(&mut self, n: usize, requested: u64, effective: u64, with_keep: bool) {
+    fn begin(&mut self, n: usize, requested: u64, effective: u64) {
         let eff = usize::try_from(effective).expect("capacity exceeds addressable memory");
         self.words = eff / 64 + 1;
         self.n = n;
@@ -253,11 +240,9 @@ impl DpScratch {
         self.cells_touched = 0;
         self.values.clear();
         self.values.resize(eff + 1, 0.0);
-        if with_keep {
-            // Row words are zeroed lazily per used row; stale content in
-            // unused rows is never read (RowKind gates every access).
-            self.keep.resize(n * self.words, 0);
-        }
+        // Row words are zeroed lazily per used row; stale content in
+        // unused rows is never read (RowKind gates every access).
+        self.keep.resize(n * self.words, 0);
         self.kind.clear();
         self.flat_from.clear();
         self.phys_end.clear();
@@ -276,7 +261,7 @@ impl DpByCapacity {
         let total: u64 = items.iter().map(|i| i.size()).sum();
         let effective = capacity.min(total);
         let eff = usize::try_from(effective).expect("capacity exceeds addressable memory");
-        scratch.begin(items.len(), capacity, effective, true);
+        scratch.begin(items.len(), capacity, effective);
         let words = scratch.words;
 
         let mut flat = 0.0_f64; // value of the flat region: Σ profit of used items so far
@@ -378,7 +363,7 @@ impl DpByCapacity {
             .sum();
         let effective = capacity.min(total);
         let eff = usize::try_from(effective).expect("capacity exceeds addressable memory");
-        scratch.begin(items.len(), capacity, effective, true);
+        scratch.begin(items.len(), capacity, effective);
         let words = scratch.words;
 
         // Suffix sums of usable item sizes: suffix[i] = Σ_{j>=i} size_j
@@ -473,105 +458,6 @@ impl DpByCapacity {
         scratch.mode = Mode::Single;
         scratch.values[eff]
     }
-
-    /// Values-only fast path: the optimal value at every capacity up to
-    /// `min(capacity, Σ usable sizes)`, with no keep bits, zero-size
-    /// items aggregated into a single scalar, and dominated same-size
-    /// items prefiltered (a capacity `C` solution can use at most
-    /// `⌊C/s⌋` items of size `s`, so only the top `⌊C/s⌋` profits of
-    /// each size group can ever be chosen). The value is flat beyond the
-    /// returned slice.
-    ///
-    /// Exact up to floating-point associativity (profit additions may be
-    /// reordered); use [`DpByCapacity::solve_trace_into`] when bit-exact
-    /// values or item recovery are required.
-    pub fn solve_values_into<'a>(
-        &self,
-        items: &[Item],
-        capacity: u64,
-        scratch: &'a mut DpScratch,
-    ) -> &'a [f64] {
-        // Same usable-size clamp as `solve_into`: dead columns above the
-        // participating total would only ever hold the flat optimum.
-        let total: u64 = items
-            .iter()
-            .filter(|i| i.profit() > 0.0 && i.size() <= capacity)
-            .map(|i| i.size())
-            .sum();
-        let effective = capacity.min(total);
-        let eff = usize::try_from(effective).expect("capacity exceeds addressable memory");
-        scratch.begin(0, capacity, effective, false);
-
-        // Aggregate zero-size items; collect usable sized items.
-        let mut free = 0.0_f64;
-        scratch.compact.clear();
-        for (i, item) in items.iter().enumerate() {
-            let (size, profit) = (item.size(), item.profit());
-            debug_assert!(profit.is_finite() && profit >= 0.0, "invalid profit");
-            if profit <= 0.0 || size > effective {
-                continue;
-            }
-            if size == 0 {
-                free += profit;
-            } else {
-                scratch.compact.push((size, profit, i));
-            }
-        }
-        // Deterministic order: size ascending, profit descending, index.
-        scratch.compact.sort_unstable_by(|a, b| {
-            a.0.cmp(&b.0)
-                .then(b.1.partial_cmp(&a.1).expect("profits are finite"))
-                .then(a.2.cmp(&b.2))
-        });
-
-        let mut flat = 0.0_f64;
-        let mut used_prefix = 0u64;
-        let mut w_prev = 0usize;
-        let mut g = 0usize;
-        while g < scratch.compact.len() {
-            let size_u = scratch.compact[g].0;
-            let mut g_end = g + 1;
-            while g_end < scratch.compact.len() && scratch.compact[g_end].0 == size_u {
-                g_end += 1;
-            }
-            // Keep only the top ⌊eff/s⌋ profits of this size group.
-            let keep_n = ((effective / size_u) as usize).min(g_end - g);
-            let size = size_u as usize;
-            for k in g..g + keep_n {
-                let profit = scratch.compact[k].1;
-                used_prefix += size_u;
-                let degenerate = flat + profit <= flat;
-                let w_new = if degenerate {
-                    eff
-                } else {
-                    w_prev.max(eff.min(used_prefix as usize))
-                };
-                for v in &mut scratch.values[w_prev + 1..=w_new] {
-                    *v = flat;
-                }
-                for c in (size..=w_new).rev() {
-                    let candidate = scratch.values[c - size] + profit;
-                    if candidate > scratch.values[c] {
-                        scratch.values[c] = candidate;
-                    }
-                }
-                scratch.cells_touched += (w_new - size + 1) as u64;
-                flat += profit;
-                w_prev = w_new;
-            }
-            g = g_end;
-        }
-        for v in &mut scratch.values[w_prev + 1..=eff] {
-            *v = flat;
-        }
-        if free > 0.0 {
-            for v in &mut scratch.values[..=eff] {
-                *v += free;
-            }
-        }
-        scratch.mode = Mode::Values;
-        scratch.values()
-    }
 }
 
 #[cfg(test)]
@@ -637,40 +523,6 @@ mod tests {
         let v = DpByCapacity.solve_into(inst.items(), 0, &mut scratch);
         assert_eq!(v, 2.0);
         assert_eq!(scratch.chosen(), &[0]);
-    }
-
-    #[test]
-    fn values_fast_path_agrees_with_the_trace() {
-        let inst = Instance::new(vec![
-            Item::new(2, 1.5),
-            Item::new(2, 4.0),
-            Item::new(2, 2.0),
-            Item::new(0, 0.5),
-            Item::new(3, 2.5),
-            Item::new(7, 9.0),
-        ])
-        .unwrap();
-        let mut scratch = DpScratch::new();
-        for cap in 0..=inst.total_size() {
-            let fresh = reference::solve_trace(&inst, cap);
-            let values = DpByCapacity
-                .solve_values_into(inst.items(), cap, &mut scratch)
-                .to_vec();
-            // The values path clamps to the usable total, so it may stop
-            // short of the trace; the trace must be flat past that point.
-            assert!(values.len() <= fresh.values().len(), "cap={cap}");
-            for (c, (a, b)) in values.iter().zip(fresh.values()).enumerate() {
-                assert!((a - b).abs() < 1e-9, "cap={cap} c={c}: {a} vs {b}");
-            }
-            let frontier = values[values.len() - 1];
-            for (off, b) in fresh.values()[values.len()..].iter().enumerate() {
-                assert!(
-                    (frontier - b).abs() < 1e-9,
-                    "cap={cap} c={}: trace not flat past the usable total",
-                    values.len() + off
-                );
-            }
-        }
     }
 
     #[test]

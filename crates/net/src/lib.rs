@@ -12,7 +12,7 @@
 //! Layout:
 //!
 //! * [`object`] — the shared object model: [`ObjectId`], [`Version`],
-//!   [`ObjectSpec`], [`Catalog`].
+//!   [`Catalog`].
 //! * [`server`] — [`RemoteServer`] holding per-object versions, plus
 //!   [`UpdateProcess`] (simultaneous-periodic as in the paper, staggered,
 //!   and Poisson).
@@ -76,6 +76,6 @@ pub use inflight::{
 };
 pub use intercell::InterCellLink;
 pub use invalidation::{InvalidationReport, PublishOutcome, ReportLog, VersionBus};
-pub use object::{Catalog, ObjectId, ObjectSpec, Version};
+pub use object::{Catalog, ObjectId, Version};
 pub use server::{RemoteServer, UpdateProcess};
 pub use topology::{CellId, ClientId, MobileClient, Topology, TopologyError};

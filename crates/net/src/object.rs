@@ -54,33 +54,20 @@ impl Version {
     }
 }
 
-/// Static description of an object: its identity and size in data units.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ObjectSpec {
-    /// The object's identifier.
-    pub id: ObjectId,
-    /// Size in data units (the paper's objects range over `[1, 20]`).
-    pub size: u64,
-}
-
-/// The immutable set of objects exported by the remote servers.
+/// The immutable set of objects exported by the remote servers: one
+/// size in data units per object, indexed by id (the paper's objects
+/// range over `[1, 20]`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Catalog {
-    specs: Vec<ObjectSpec>,
+    sizes: Vec<u64>,
 }
 
 impl Catalog {
     /// Build a catalog from per-object sizes; object `i` gets id `i`.
     pub fn from_sizes(sizes: &[u64]) -> Self {
-        let specs = sizes
-            .iter()
-            .enumerate()
-            .map(|(i, &size)| ObjectSpec {
-                id: ObjectId(i as u32),
-                size,
-            })
-            .collect();
-        Self { specs }
+        Self {
+            sizes: sizes.to_vec(),
+        }
     }
 
     /// A catalog of `n` unit-size objects (the paper's Section 3 setup).
@@ -88,45 +75,33 @@ impl Catalog {
         Self::from_sizes(&vec![1; n])
     }
 
-    /// The object specs, indexed by id.
-    #[inline]
-    pub fn specs(&self) -> &[ObjectSpec] {
-        &self.specs
-    }
-
-    /// Spec of one object.
-    #[inline]
-    pub fn spec(&self, id: ObjectId) -> &ObjectSpec {
-        &self.specs[id.index()]
-    }
-
     /// Size of one object in data units.
     #[inline]
     pub fn size_of(&self, id: ObjectId) -> u64 {
-        self.specs[id.index()].size
+        self.sizes[id.index()]
     }
 
     /// Number of objects.
     #[inline]
     pub fn len(&self) -> usize {
-        self.specs.len()
+        self.sizes.len()
     }
 
     /// Whether the catalog is empty.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.specs.is_empty()
+        self.sizes.is_empty()
     }
 
     /// Total size of all objects (the paper's Section 4 catalog totals
     /// 5000 units over 500 objects).
     pub fn total_size(&self) -> u64 {
-        self.specs.iter().map(|s| s.size).sum()
+        self.sizes.iter().sum()
     }
 
     /// Iterate over all object ids.
     pub fn ids(&self) -> impl Iterator<Item = ObjectId> + '_ {
-        (0..self.specs.len() as u32).map(ObjectId)
+        (0..self.sizes.len() as u32).map(ObjectId)
     }
 }
 
@@ -138,7 +113,7 @@ mod tests {
     fn catalog_from_sizes_assigns_dense_ids() {
         let c = Catalog::from_sizes(&[3, 1, 4]);
         assert_eq!(c.len(), 3);
-        assert_eq!(c.spec(ObjectId(1)).size, 1);
+        assert_eq!(c.size_of(ObjectId(1)), 1);
         assert_eq!(c.size_of(ObjectId(2)), 4);
         assert_eq!(c.total_size(), 8);
         let ids: Vec<_> = c.ids().collect();
@@ -150,7 +125,7 @@ mod tests {
         let c = Catalog::uniform_unit(500);
         assert_eq!(c.len(), 500);
         assert_eq!(c.total_size(), 500);
-        assert!(c.specs().iter().all(|s| s.size == 1));
+        assert!(c.ids().all(|id| c.size_of(id) == 1));
     }
 
     #[test]

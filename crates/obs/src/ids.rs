@@ -214,20 +214,18 @@ pub enum Sample {
     /// Upper bound on one round's achievable knapsack value (the value
     /// of downloading *every* requested stale object, budget ignored).
     PlanProfitBound,
-    /// Items left undecided after instance reduction (the core the
-    /// adaptive solver actually searched).
+    /// Items left undecided after instance reduction: the core the
+    /// adaptive solver's DP swept (0 after a certificate).
     CoreSize,
     /// Items removed before the search: dominance-pruned plus
     /// forced-in/forced-out by bound-based variable fixing.
     ItemsFixed,
-    /// Terminal strategy the adaptive solver used, as its code
-    /// (0 = certified greedy, 2 = core DP, 3 = certified expanding
-    /// core; 1 was the branch-and-bound terminal, which completed on
-    /// none of the benchmark's solves and is retired — the solver no
-    /// longer emits it, readers still accept it in old recordings).
-    /// Codes 0 and 3 are certificate exits; 2 covers both full-core
-    /// sweeps and degenerate expansions, so the
-    /// certified-vs-degenerate split is `{0,3}` vs `{1,2}`.
+    /// How the adaptive solver's solve ended, as its code (0 = certified
+    /// greedy, 2 = core DP). Codes 1 and 3 are retired: 1 was the
+    /// branch-and-bound terminal, 3 the certified expanding-core
+    /// endgame. The solver no longer emits either; readers still accept
+    /// both in old recordings, where `{0,3}` are the certificate exits
+    /// and `{1,2}` the sweeps.
     SolverChosen,
     /// Objects whose recency, cache state or request set changed since
     /// the previous round — the round engine's incremental-build
@@ -259,9 +257,10 @@ pub enum Sample {
     CachedUnits,
     /// Requests still parked on in-flight transfers at end of round.
     StillWaiting,
-    /// Expansion rounds the adaptive solver's certified expanding-core
-    /// endgame ran in one solve (window solves, counting a final
-    /// degenerate full-core sweep; 0 when no endgame ran).
+    /// Window solves of the adaptive solver's expanding-core endgame.
+    /// Nothing emits it since the endgame was deleted, so a reader's
+    /// mean (`knapsack.core_rounds_mean`) reads 0; the id stays for
+    /// readers that still name it.
     CoreRounds,
 }
 

@@ -492,12 +492,13 @@ pub fn tier_hit_table(snapshot_text: &str) -> Result<String, String> {
 }
 
 /// Summarize the adaptive solver's reduction telemetry from an obs
-/// snapshot: how much of each instance the terminal sweeps actually
-/// touched (`core_size`, `items_fixed`), how many expansion rounds the
-/// certified endgame ran (`core_rounds`), and — from the method-code
+/// snapshot: how much of each instance the DP actually swept
+/// (`core_size`, `items_fixed`) and — from the method-code
 /// distribution — how often a solve ended in a bound certificate
-/// (codes 0 and 3) rather than an exhaustive sweep or search (codes 1
-/// and 2).
+/// (code 0) rather than a sweep (code 2). Recordings from before the
+/// retired terminals still carry codes 1 (branch-and-bound, a search)
+/// and 3 (the expanding-core endgame, a certificate) and the endgame's
+/// `core_rounds` sample; the table reads them as it always did.
 ///
 /// The `solver_chosen` sample is a streaming distribution, not a
 /// histogram, so the certified share is derived: exact when every round

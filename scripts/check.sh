@@ -110,7 +110,7 @@ for entry in 'planner/round/adaptive' 'planner/round/adaptive_lifecycle' \
              'planner/massive/build_incremental/100000' \
              'planner/massive/build_incremental_zipf/100000' \
              'planner/massive/round_incremental/100000' \
-             'planner/massive/solve_only/expanding_core/100000'; do
+             'planner/massive/solve_only/100000'; do
     grep -q "\"$entry\"" BENCH_planner.json \
         || { echo "error: BENCH_planner.json missing $entry" >&2; exit 1; }
 done
