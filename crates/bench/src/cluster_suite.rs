@@ -244,10 +244,11 @@ impl Recorder for Probe {
 /// Bench the round at the [`ROAMING`] shape with the L2 tier on and a
 /// cluster-wide update wave every [`WAVE_EVERY`] rounds: whole, then —
 /// on a second, probed cluster — by phase, one sample a round summed
-/// over the sixteen cells. `declare` is everything between the
-/// workload's advance and the first exchange (batch aggregation, demand
-/// declaration, arbitration); the advance itself is timed on a twin of
-/// the population and taken out.
+/// over the sixteen cells. `advance` is the workload's advance (the
+/// roaming moves and every client's request draw), timed on a twin of
+/// the population; `declare` is everything between it and the first
+/// exchange (batch aggregation, demand declaration, arbitration), the
+/// advance taken out.
 fn bench_roaming_round(results: &mut Vec<Measurement>) {
     const WARMUP: usize = 200;
     const ROUNDS: usize = 1_000;
@@ -266,7 +267,7 @@ fn bench_roaming_round(results: &mut Vec<Measurement>) {
     let mut cluster = with_l2(build_cluster(ROAMING, Some(&clock)), ROAMING)
         .with_recorder(Box::new(Probe::Cluster(Arc::clone(&clock))));
     let mut twin = cluster.workload().clone();
-    let mut samples = [const { Vec::new() }; 3];
+    let mut samples = [const { Vec::new() }; 4];
     for round in 0..WARMUP + ROUNDS {
         if round.is_multiple_of(WAVE_EVERY) {
             cluster.apply_update_wave();
@@ -279,12 +280,13 @@ fn bench_roaming_round(results: &mut Vec<Measurement>) {
         let mut phases = clock.take_phases(start, ROAMING.cells as usize);
         phases[0] = phases[0].saturating_sub(advance);
         if round >= WARMUP {
-            for (samples, phase) in samples.iter_mut().zip(phases) {
+            for (samples, phase) in samples.iter_mut().zip([advance].into_iter().chain(phases)) {
                 samples.push(phase.as_nanos() as f64);
             }
         }
     }
-    for (phase, samples_ns) in ["declare", "exchange", "attribute"].iter().zip(samples) {
+    let phases = ["advance", "declare", "exchange", "attribute"];
+    for (phase, samples_ns) in phases.iter().zip(samples) {
         let m = Measurement {
             name: format!("cluster/roaming/16x3200/{phase}"),
             iters_per_sample: 1,

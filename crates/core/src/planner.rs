@@ -194,12 +194,6 @@ impl OnDemandPlanner {
             scratch.per_profit.resize(n, 0.0);
             scratch.per_count.resize(n, 0);
         }
-        // Only the previously touched entries are dirty.
-        for &o in &scratch.touched {
-            scratch.per_profit[o as usize] = 0.0;
-            scratch.per_count[o as usize] = 0;
-        }
-        scratch.touched.clear();
 
         // Aggregate in arrival order: within one object this is exactly
         // the order its targets accumulate in the RequestBatch path.
@@ -211,23 +205,34 @@ impl OnDemandPlanner {
                 "target recency must be in (0, 1], got {}",
                 r.target_recency
             );
-            if scratch.per_count[o] == 0 {
-                scratch.touched.push(o as u32);
-            }
             scratch.per_count[o] += 1;
             scratch.per_profit[o] += 1.0 - self.scoring.score(recency[o], r.target_recency);
         }
-        scratch.touched.sort_unstable();
 
-        scratch.items.clear();
-        scratch.objects.clear();
-        for &o in &scratch.touched {
-            scratch.items.push(Item::new(
-                catalog.size_of(ObjectId(o)),
-                scratch.per_profit[o as usize],
-            ));
-            scratch.objects.push(ObjectId(o));
+        // Compact the columns into the instance, object-ascending, and
+        // leave them zeroed for the next round. Branch-free: which
+        // objects were requested follows no pattern a predictor learns
+        // — write every object's slot, keep the requested ones by
+        // advancing the length. A request count decides, not the
+        // profit: a requested object whose profit sums to zero is
+        // still an item.
+        let (items, objects) = (&mut scratch.items, &mut scratch.objects);
+        items.resize(n, Item::new(0, 0.0));
+        objects.resize(n, ObjectId(0));
+        let mut len = 0;
+        let columns = scratch.per_count[..n]
+            .iter_mut()
+            .zip(&mut scratch.per_profit[..n]);
+        for (o, (count, profit)) in columns.enumerate() {
+            let object = ObjectId(o as u32);
+            items[len] = Item::new(catalog.size_of(object), *profit);
+            objects[len] = object;
+            len += usize::from(*count > 0);
+            *count = 0;
+            *profit = 0.0;
         }
+        items.truncate(len);
+        objects.truncate(len);
     }
 
     /// Solve the instance already assembled into `scratch.items` /

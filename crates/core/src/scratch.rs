@@ -45,13 +45,13 @@ pub(crate) fn plan_table_fits(num_objects: usize, capacity: u64) -> bool {
 /// budget, no further allocations occur on the exact-DP path.
 #[derive(Debug, Default)]
 pub struct PlannerScratch {
-    /// Per-object summed download benefit, indexed by object id.
+    /// Per-object summed download benefit, indexed by object id; all
+    /// zero outside an assemble.
     pub(crate) per_profit: Vec<f64>,
-    /// Per-object request count, indexed by object id.
+    /// Per-object request count, indexed by object id; all zero outside
+    /// an assemble.
     pub(crate) per_count: Vec<u32>,
-    /// Object ids touched this round (sorted ascending after aggregation).
-    pub(crate) touched: Vec<u32>,
-    /// Knapsack items for the touched objects, object-ascending.
+    /// Knapsack items for the requested objects, object-ascending.
     pub(crate) items: Vec<Item>,
     /// Object id of each knapsack item (parallel to `items`).
     pub(crate) objects: Vec<ObjectId>,
@@ -84,7 +84,6 @@ impl PlannerScratch {
     pub fn reserve(&mut self, num_objects: usize, budget: u64) {
         self.per_profit.resize(num_objects, 0.0);
         self.per_count.resize(num_objects, 0);
-        self.touched.reserve(num_objects);
         self.items.reserve(num_objects);
         self.objects.reserve(num_objects);
         self.downloads.reserve(num_objects);
@@ -99,9 +98,10 @@ impl PlannerScratch {
     }
 
     /// The knapsack items of the last assembled instance,
-    /// object-ascending — one per requested object with positive
-    /// profit. The solve-only benches read the assembled instance
-    /// through this to time the solver in isolation.
+    /// object-ascending — one per requested object when assembled from
+    /// a request batch, one per object with positive profit when
+    /// assembled from a round engine. The solve-only benches read the
+    /// assembled instance through this to time the solver in isolation.
     pub fn items(&self) -> &[Item] {
         &self.items
     }

@@ -9,9 +9,10 @@ use basecache_core::profit::build_instance;
 use basecache_core::recency::ScoringFunction;
 use basecache_core::request::RequestBatch;
 use basecache_core::scratch::PlannerScratch;
+use basecache_knapsack::Item;
 use basecache_net::{Catalog, ObjectId};
 use basecache_sim::{RngStreams, StreamRng};
-use basecache_workload::GeneratedRequest;
+use basecache_workload::{GeneratedRequest, Popularity};
 
 fn random_round(rng: &mut StreamRng) -> (Catalog, Vec<f64>, Vec<GeneratedRequest>, u64) {
     let n = rng.random_range(1..=40usize);
@@ -102,4 +103,59 @@ fn empty_round_scores_one_and_downloads_nothing() {
         mapped.average_score_for_value(scratch.achieved_value()),
         1.0
     );
+}
+
+/// One round at the paper's scale: `n` objects of 1–20 units, 5 000
+/// requests drawn from Zipf(1) over them.
+fn paper_round(rng: &mut StreamRng, n: usize) -> (Catalog, Vec<f64>, Vec<GeneratedRequest>) {
+    let sizes: Vec<u64> = (0..n).map(|_| rng.random_range(1u64..=20)).collect();
+    let recency: Vec<f64> = (0..n).map(|_| rng.random_range(0.0f64..=1.0)).collect();
+    let popularity = Popularity::ZIPF1.build(n);
+    let requests = (0..5_000)
+        .map(|_| GeneratedRequest {
+            object: ObjectId(popularity.sample(rng) as u32),
+            target_recency: rng.random_range(0.05f64..=1.0),
+        })
+        .collect();
+    (Catalog::from_sizes(&sizes), recency, requests)
+}
+
+#[test]
+fn paper_scale_assembly_is_bit_identical_across_catalog_sizes() {
+    let mut rng = RngStreams::new(0xA66_1234).stream("core/parity-paper");
+    let planner = OnDemandPlanner::paper_default();
+    let mut scratch = PlannerScratch::new();
+    let bits = |items: &[Item]| -> Vec<(u64, u64)> {
+        items
+            .iter()
+            .map(|item| (item.size(), item.profit().to_bits()))
+            .collect()
+    };
+    // The catalog shrinks and grows back on one scratch: an entry the
+    // compaction left dirty would turn up as an item of a later round.
+    for (round, n) in [500, 500, 40, 500, 500].into_iter().enumerate() {
+        let (catalog, recency, requests) = paper_round(&mut rng, n);
+        let budget = catalog.total_size() / 10;
+        let batch = RequestBatch::from_generated(&requests);
+        let plan = planner.plan(&batch, &catalog, &recency, budget);
+        planner.plan_requests_into(&requests, &catalog, &recency, budget, &mut scratch);
+
+        let mapped = build_instance(&batch, &catalog, &recency, planner.scoring());
+        assert_eq!(
+            bits(scratch.items()),
+            bits(mapped.instance().items()),
+            "round {round}"
+        );
+        assert_eq!(scratch.downloads(), plan.downloads(), "round {round}");
+        assert_eq!(
+            scratch.download_size(),
+            plan.download_size(),
+            "round {round}"
+        );
+        assert_eq!(
+            scratch.achieved_value(),
+            plan.achieved_value(),
+            "round {round}"
+        );
+    }
 }

@@ -79,11 +79,12 @@ done
 echo "==> cluster bench (writes BENCH_cluster.json)"
 cargo bench -p basecache-bench --bench cluster
 # The cluster-round scaling series, the L2 tier on and off, and the
-# round at the end-to-end benchmark's cluster-roaming shape, whole and
-# by coordination phase.
+# round at the end-to-end benchmark's cluster-roaming shape, whole, its
+# workload advance, and by coordination phase.
 for entry in 'cluster_round/sequential/1' 'cluster_round/sequential/16' \
              'cluster/l2/off' 'cluster/l2/on' \
-             'cluster/roaming/16x3200/step' 'cluster/roaming/16x3200/declare' \
+             'cluster/roaming/16x3200/step' 'cluster/roaming/16x3200/advance' \
+             'cluster/roaming/16x3200/declare' \
              'cluster/roaming/16x3200/exchange' \
              'cluster/roaming/16x3200/attribute' \
              'l2_origin_savings'; do
