@@ -20,8 +20,8 @@
 //!    targets without visiting them and scores the rest in branch-free
 //!    chunks ([`ScoringFunction`]'s batched fold), assemble emits every
 //!    object's slot and keeps the entering ones by advancing a length,
-//!    and serve merges the score tally rescore cached instead of
-//!    re-deriving it from raw sums.
+//!    and serve adds the score sums rescore cached instead of rescoring
+//!    every request.
 //! 2. **Incremental instance build.** A per-shard dirty set tracks
 //!    exactly the objects whose inputs changed since the last round:
 //!    recency movement (which is how cache refreshes and server updates
@@ -65,7 +65,7 @@
 
 use basecache_knapsack::Item;
 use basecache_net::{Catalog, ObjectId};
-use basecache_sim::metrics::Welford;
+use basecache_sim::metrics::Sums;
 
 use crate::recency::ScoringFunction;
 use crate::scratch::PlannerScratch;
@@ -84,12 +84,11 @@ struct Shard {
     targets: Vec<Vec<f64>>,
     /// Σ over the object's clients of `1 − score` (knapsack profit).
     profit: Vec<f64>,
-    /// The object's clients' scores as a tally
-    /// ([`Welford::from_sums`] of their count, Σ score and Σ score²),
-    /// derived once at rescore for serve to merge. Its count is the
-    /// dense request-count column the table walks read instead of the
-    /// 24-byte `Vec` headers.
-    scores: Vec<Welford>,
+    /// The object's clients' scores as a tally: their count, Σ score
+    /// and Σ score², stored at rescore as the fold returns them, for
+    /// serve to add. Its count is the dense request-count column the
+    /// table walks read instead of the 24-byte `Vec` headers.
+    scores: Vec<Sums>,
     /// Local indices awaiting rescore, in marking order.
     dirty: Vec<u32>,
     /// Dedup flags parallel to the columns.
@@ -105,7 +104,7 @@ impl Shard {
             recency: vec![0.0; n],
             targets: vec![Vec::new(); n],
             profit: vec![0.0; n],
-            scores: vec![Welford::new(); n],
+            scores: vec![Sums::new(); n],
             dirty: Vec::with_capacity(n),
             is_dirty: vec![false; n],
         }
@@ -128,7 +127,7 @@ impl Shard {
             let l = local as usize;
             let n = self.targets[l].len() as u64;
             let (sum, sq, profit) = scoring.fold(self.recency[l], &self.targets[l]);
-            self.scores[l] = Welford::from_sums(n, sum, sq);
+            self.scores[l] = Sums { count: n, sum, sq };
             self.profit[l] = profit;
             self.is_dirty[l] = false;
             rescored += n;
@@ -148,9 +147,9 @@ pub struct ActiveObject {
     pub requests: u64,
     /// Its last observed cache recency.
     pub recency: f64,
-    /// The tally of `score(recency, target)` over its requests
-    /// ([`Welford::from_sums`] of their count, Σ score and Σ score²).
-    pub scores: Welford,
+    /// The tally of `score(recency, target)` over its requests: their
+    /// count, Σ score and Σ score².
+    pub scores: Sums,
     /// Σ `1 − score` over its requests (knapsack profit).
     pub profit: f64,
     /// Its size in data units.
@@ -439,12 +438,12 @@ impl RoundEngine {
         self.debug_assert_rescored();
         for shard in &self.shards {
             for (l, &scores) in shard.scores.iter().enumerate() {
-                if scores.count() == 0 {
+                if scores.count == 0 {
                     continue;
                 }
                 f(ActiveObject {
                     object: ObjectId(shard.base + l as u32),
-                    requests: scores.count(),
+                    requests: scores.count,
                     recency: shard.recency[l],
                     scores,
                     profit: shard.profit[l],
@@ -478,15 +477,12 @@ mod tests {
         scratch
     }
 
-    type TallyBits = (u64, Option<u64>, Option<u64>);
+    type TallyBits = (u64, u64, u64);
 
-    /// A score tally as `(count, mean bits, variance bits)`.
-    fn tally_bits(w: Welford) -> TallyBits {
-        (
-            w.count(),
-            w.mean().map(f64::to_bits),
-            w.variance().map(f64::to_bits),
-        )
+    /// A score tally as `(count, Σ score bits, Σ score² bits)`: the
+    /// fold's own output, stored as it came.
+    fn tally_bits(t: Sums) -> TallyBits {
+        (t.count, t.sum.to_bits(), t.sq.to_bits())
     }
 
     /// The score tally of every requested object, ascending.
@@ -518,8 +514,8 @@ mod tests {
         assert_eq!(
             score_tallies(&e),
             vec![
-                tally_bits(Welford::from_sums(1, s_1, s_1 * s_1)),
-                tally_bits(Welford::from_sums(2, a + b, a * a + b * b)),
+                (1, s_1.to_bits(), (s_1 * s_1).to_bits()),
+                (2, (a + b).to_bits(), (a * a + b * b).to_bits()),
             ]
         );
     }

@@ -32,7 +32,7 @@ use basecache_net::{
 use basecache_obs::{
     Attr, Event, LifecycleEvent, NullRecorder, Recorder, Sample, Snapshot, Span, Stage, Transition,
 };
-use basecache_sim::metrics::{RunningMean, Welford};
+use basecache_sim::metrics::{Sums, Welford};
 use basecache_sim::SimTime;
 use basecache_workload::GeneratedRequest;
 
@@ -68,9 +68,11 @@ pub struct StationStats {
     pub objects_downloaded: u64,
     /// Total client requests served.
     pub requests_served: u64,
-    /// Distribution of per-request delivered recency.
+    /// Distribution of per-request delivered recency. A round sums what
+    /// it serves and folds the sums in once, as it closes.
     pub recency: Welford,
-    /// Distribution of per-request delivered score.
+    /// Distribution of per-request delivered score, folded in the same
+    /// way.
     pub score: Welford,
     /// Distribution of waiting times (in rounds) of requests answered on
     /// arrival of the transfer they rode (in-flight mode only; empty on
@@ -127,11 +129,11 @@ struct Round<'r> {
     /// observer pays for.
     observing: bool,
     tick: u64,
-    /// The round's delivered recency and score: the outcome reports
-    /// only their means (the station-lifetime [`StationStats`] keep the
-    /// full distributions).
-    recency: RunningMean,
-    score: RunningMean,
+    /// The round's delivered recency and score as plain sums: the
+    /// outcome reports their means, and [`BaseStationSim::finish_round`]
+    /// folds them into the station-lifetime [`StationStats`] once.
+    recency: Sums,
+    score: Sums,
     /// The outcome under construction: the stages count arrivals,
     /// launches, joins, hits, serves and waits straight into it.
     out: RoundOutcome,
@@ -556,8 +558,8 @@ impl BaseStationSim {
             recorder: &*recorder,
             observing: recorder.enabled(),
             tick: self.tick,
-            recency: RunningMean::new(),
-            score: RunningMean::new(),
+            recency: Sums::new(),
+            score: Sums::new(),
             out: RoundOutcome {
                 tick: self.tick,
                 ..RoundOutcome::default()
@@ -660,8 +662,6 @@ impl BaseStationSim {
                 let score = self.scoring.score(x, w.target_recency);
                 round.recency.push(x);
                 round.score.push(score);
-                self.stats.recency.push(x);
-                self.stats.score.push(score);
                 let wait = (round.tick - w.issued_at) as f64;
                 self.stats.wait_ticks.push(wait);
                 self.stats.waited += 1;
@@ -917,8 +917,6 @@ impl BaseStationSim {
             let score = self.scoring.score(x, r.target_recency);
             recency_acc.push(x);
             score_acc.push(score);
-            self.stats.recency.push(x);
-            self.stats.score.push(score);
             if !self.downloaded_mark[r.object.index()] {
                 hits += 1;
             }
@@ -939,8 +937,8 @@ impl BaseStationSim {
         round.out.still_waiting = ledger.map_or(0, |l| l.waiting() as usize);
     }
 
-    /// Stage 5, engine source: one visit per requested object, merging
-    /// the score tally the engine's rescore cached for it instead of
+    /// Stage 5, engine source: one visit per requested object, adding
+    /// the score sums the engine's rescore cached for it instead of
     /// rescoring every request, with merge cursors over this round's
     /// downloads and (under a carrying ledger) this round's arrivals.
     /// Per object, the whole population is in exactly one state:
@@ -997,8 +995,6 @@ impl BaseStationSim {
             if downloaded_now && ledger.is_none() {
                 round.recency.push_n(1.0, n);
                 round.score.push_n(1.0, n);
-                stats.recency.push_n(1.0, n);
-                stats.score.push_n(1.0, n);
                 round.out.served_immediately += count;
                 if observed {
                     recorder.lifecycle(event(Transition::Served, cached_version()));
@@ -1021,9 +1017,7 @@ impl BaseStationSim {
                 }
             } else {
                 round.recency.push_n(a.recency, n);
-                stats.recency.push_n(a.recency, n);
-                round.score.merge(&a.scores);
-                stats.score.merge(&a.scores);
+                round.score.add(&a.scores);
                 if let Some(launched_at) = launched_at {
                     let wait = (tick - launched_at) as f64;
                     stats.wait_ticks.push_n(wait, n);
@@ -1054,8 +1048,9 @@ impl BaseStationSim {
         });
     }
 
-    /// Close the round: derive the served total and the means, fold the
-    /// outcome into [`StationStats`], and emit the closing samples.
+    /// Close the round: derive the served total and the means (`Σ /
+    /// count`, `1.0` when nothing was served), fold the outcome and the
+    /// round's sums into [`StationStats`], and emit the closing samples.
     fn finish_round(&mut self, round: Round<'_>) -> RoundOutcome {
         let recorder = round.recorder;
         let mut outcome = round.out;
@@ -1063,6 +1058,8 @@ impl BaseStationSim {
         outcome.served = outcome.served_immediately + outcome.served_after_wait;
         outcome.average_recency = round.recency.mean().unwrap_or(1.0);
         outcome.average_score = round.score.mean().unwrap_or(1.0);
+        self.stats.recency.merge(&round.recency.welford());
+        self.stats.score.merge(&round.score.welford());
         recorder.add(Event::RequestsServed, outcome.served as u64);
         if round.observing && outcome.served > 0 {
             let hit_ratio = outcome.cache_hits as f64 / outcome.served as f64;
@@ -1393,9 +1390,11 @@ mod tests {
     /// waves, checking every round's serve against the naive loop the
     /// column-driven one replaced: a cache probe (`true_recency`) and a
     /// `contains` scan of the download list per request, in request
-    /// order. Nothing mutates the cache or the server between the serve
-    /// stage and the end of `step`, so probing afterwards reads exactly
-    /// what the serve stage saw.
+    /// order, the round's means the textbook `Σ / n` of what it served
+    /// and the lifetime stats each round's sums folded in. Nothing
+    /// mutates the cache or the server between the serve stage and the
+    /// end of `step`, so probing afterwards reads exactly what the serve
+    /// stage saw.
     fn assert_serve_matches_per_request_reference(mut s: BaseStationSim, label: &str) {
         let objects = s.catalog().len() as u32;
         let mut rng = basecache_sim::RngStreams::new(0x5E27E).stream(label);
@@ -1420,26 +1419,30 @@ mod tests {
                 downloaded.windows(2).all(|w| w[0] < w[1]),
                 "{label} round {round}: {downloaded:?} is not ascending"
             );
-            let (mut recency, mut score) = (Welford::new(), Welford::new());
+            let (mut recency, mut recency_sq) = (0.0, 0.0);
+            let (mut score, mut score_sq) = (0.0, 0.0);
             let mut hits = 0;
             for r in &requests {
                 let x = s.true_recency(r.object);
                 let served_score = s.scoring.score(x, r.target_recency);
-                recency.push(x);
-                score.push(served_score);
-                recency_total.push(x);
-                score_total.push(served_score);
+                recency += x;
+                recency_sq += x * x;
+                score += served_score;
+                score_sq += served_score * served_score;
                 hits += usize::from(!downloaded.contains(&r.object));
             }
-            let bits = |mean: Option<f64>| mean.unwrap_or(1.0).to_bits();
+            let n = requests.len() as u64;
+            recency_total.merge(&Welford::from_sums(n, recency, recency_sq));
+            score_total.merge(&Welford::from_sums(n, score, score_sq));
+            let bits = |sum: f64| if n == 0 { 1.0 } else { sum / n as f64 }.to_bits();
             assert_eq!(
                 out.average_recency.to_bits(),
-                bits(recency.mean()),
+                bits(recency),
                 "{label} round {round}"
             );
             assert_eq!(
                 out.average_score.to_bits(),
-                bits(score.mean()),
+                bits(score),
                 "{label} round {round}"
             );
             assert_eq!(

@@ -451,7 +451,7 @@ fn massive_round_is_bit_identical_to_the_exact_dp_station() {
 mod independent {
     use super::*;
     use basecache_core::scratch::PlannerScratch;
-    use basecache_sim::metrics::Welford;
+    use basecache_sim::metrics::Sums;
 
     /// Objects topped up to a fixed request count before every round:
     /// one fills a 64-target chunk exactly, one spills a target into the
@@ -486,14 +486,11 @@ mod independent {
         }
     }
 
-    type Tally = (u64, Option<u64>, Option<u64>);
+    type Tally = (u64, u64, u64);
 
-    fn tally_bits(w: Welford) -> Tally {
-        (
-            w.count(),
-            w.mean().map(f64::to_bits),
-            w.variance().map(f64::to_bits),
-        )
+    /// A score tally as `(count, Σ score bits, Σ score² bits)`.
+    fn tally_bits(t: Sums) -> Tally {
+        (t.count, t.sum.to_bits(), t.sq.to_bits())
     }
 
     /// How often the rounds exercised the cases a shortcut could get
@@ -526,7 +523,7 @@ mod independent {
             }
             let n = targets.len() as u64;
             let size = rig.station.catalog().size_of(object);
-            let tally = tally_bits(Welford::from_sums(n, sum, sq));
+            let tally = tally_bits(Sums { count: n, sum, sq });
             expected.push((object, n, x.to_bits(), tally, profit.to_bits(), size));
             if profit > 0.0 {
                 expected_items.push((size, profit.to_bits()));

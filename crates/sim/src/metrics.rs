@@ -1,5 +1,5 @@
 //! The Welford mean/variance accumulator shared by every experiment,
-//! and its mean-only half for tallies nothing reads the variance of.
+//! and the plain sums a per-request tally accumulates into it.
 
 /// Streaming mean/variance via Welford's algorithm — numerically stable
 /// for the long accumulations the recency experiments perform.
@@ -91,58 +91,61 @@ impl Welford {
     }
 }
 
-/// The mean half of [`Welford`]: the same count and mean arithmetic in
-/// the same order, so after any sequence of [`Self::push`],
-/// [`Self::push_n`] and [`Self::merge`] its mean has the bits a
-/// [`Welford`] fed the same sequence would report — without the second
-/// moment, and the division each update spends on it, that a tally read
-/// only for its mean never uses.
+/// A tally as plain sums: the count, `Σx` and `Σx²` of what was pushed.
+///
+/// Each update is three independent adds and no division, so a loop
+/// pushing one value per request is not held up by a chain of dependent
+/// divisions the way a [`Welford`] fold is. The mean is `Σx / count`,
+/// read once; the variance comes through [`Self::welford`]. Summing in a
+/// fixed order makes the result deterministic, and for values in `[0, 1]`
+/// (recency, score) its rounding error is at most `count · ε` relative.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct RunningMean {
-    count: u64,
-    mean: f64,
+pub struct Sums {
+    /// Number of observations.
+    pub count: u64,
+    /// Their sum.
+    pub sum: f64,
+    /// The sum of their squares.
+    pub sq: f64,
 }
 
-impl RunningMean {
+impl Sums {
     /// An empty tally.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Fold in one observation ([`Welford::push`]'s mean update).
+    /// Add one observation.
     pub fn push(&mut self, x: f64) {
         self.count += 1;
-        self.mean += (x - self.mean) / self.count as f64;
+        self.sum += x;
+        self.sq += x * x;
     }
 
-    /// Fold in `n` identical observations of `x` at once
-    /// ([`Welford::push_n`]'s mean update).
+    /// Add `n` identical observations of `x` at once.
     pub fn push_n(&mut self, x: f64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        let total = self.count + n;
-        self.mean += (x - self.mean) * n as f64 / total as f64;
-        self.count = total;
+        let k = n as f64;
+        self.count += n;
+        self.sum += x * k;
+        self.sq += x * x * k;
     }
 
-    /// Merge a full accumulator in ([`Welford::merge`]'s mean update).
-    pub fn merge(&mut self, other: &Welford) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            (self.count, self.mean) = (other.count, other.mean);
-            return;
-        }
-        let total = self.count + other.count;
-        self.mean += (other.mean - self.mean) * other.count as f64 / total as f64;
-        self.count = total;
+    /// Add another tally's observations.
+    pub fn add(&mut self, other: &Sums) {
+        self.count += other.count;
+        self.sum += other.sum;
+        self.sq += other.sq;
     }
 
     /// Sample mean, or `None` before any observation.
     pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.mean)
+        (self.count > 0).then(|| self.sum / self.count as f64)
+    }
+
+    /// The same observations as a mean/variance accumulator
+    /// ([`Welford::from_sums`]), for merging into a long-lived one.
+    pub fn welford(&self) -> Welford {
+        Welford::from_sums(self.count, self.sum, self.sq)
     }
 }
 
@@ -229,37 +232,78 @@ mod tests {
         assert!((a.variance().unwrap() - all.variance().unwrap()).abs() < 1e-9);
     }
 
-    /// Random push / push_n / merge scripts: the mean-only tally reads
-    /// the bits of the full accumulator's mean after every step — merges
-    /// into an empty tally, of an empty accumulator and `n = 0` batches
-    /// included.
+    /// Random push / push_n / add streams of values in `[0, 1]`, up to
+    /// 10⁵ observations: the plain sums report the mean and variance a
+    /// per-push [`Welford`] fed the same observations does, to within
+    /// rounding.
     #[test]
-    fn running_mean_has_welfords_mean_bits() {
-        crate::check::run_cases("running_mean_vs_welford", 96, |_, rng| {
-            let (mut full, mut mean) = (Welford::new(), RunningMean::new());
-            for _ in 0..rng.random_range(0..=40u32) {
-                let x = rng.random_range(-4.0f64..=4.0);
+    fn sums_agree_with_a_per_push_welford() {
+        crate::check::run_cases("sums_vs_welford", 48, |_, rng| {
+            let len = 10f64.powf(rng.random_range(0.0f64..=5.0)) as u64;
+            let (mut sums, mut reference) = (Sums::new(), Welford::new());
+            while sums.count < len {
+                let room = len - sums.count;
+                let x = rng.random_range(0.0f64..=1.0);
                 match rng.random_range(0..3u32) {
                     0 => {
-                        full.push(x);
-                        mean.push(x);
+                        sums.push(x);
+                        reference.push(x);
                     }
                     1 => {
-                        let n = rng.random_range(0..=5u64);
-                        full.push_n(x, n);
-                        mean.push_n(x, n);
+                        let n = rng.random_range(0..=room.min(64));
+                        sums.push_n(x, n);
+                        (0..n).for_each(|_| reference.push(x));
                     }
                     _ => {
-                        let mut other = Welford::new();
-                        for _ in 0..rng.random_range(0..=4u32) {
-                            other.push(rng.random_range(0.0f64..=1.0));
+                        let mut other = Sums::new();
+                        for _ in 0..rng.random_range(0..=room.min(512)) {
+                            let y = rng.random_range(0.0f64..=1.0);
+                            other.push(y);
+                            reference.push(y);
                         }
-                        full.merge(&other);
-                        mean.merge(&other);
+                        sums.add(&other);
                     }
                 }
-                assert_eq!(mean.mean().map(f64::to_bits), full.mean().map(f64::to_bits));
+            }
+            assert_eq!(sums.count, reference.count());
+            let (mean, expected) = (sums.mean().unwrap(), reference.mean().unwrap());
+            assert!(
+                (mean - expected).abs() <= 1e-12 * expected.abs().max(f64::MIN_POSITIVE),
+                "mean {mean} vs {expected} over {len}"
+            );
+            let w = sums.welford();
+            assert_eq!(w.count(), len);
+            assert_eq!(w.mean(), sums.mean(), "the bridge divides the same sums");
+            if let (Some(v), Some(e)) = (w.variance(), reference.variance()) {
+                assert!((v - e).abs() <= 1e-9, "variance {v} vs {e} over {len}");
             }
         });
+    }
+
+    #[test]
+    fn sums_exact_cases() {
+        assert!(Sums::new().mean().is_none());
+        assert!(Sums::new().welford().mean().is_none());
+        let (mut pushed, mut batched) = (Sums::new(), Sums::new());
+        for _ in 0..1_000 {
+            pushed.push(1.0);
+        }
+        batched.push_n(1.0, 600);
+        batched.push_n(1.0, 0);
+        batched.add(&Sums {
+            count: 400,
+            sum: 400.0,
+            sq: 400.0,
+        });
+        assert_eq!(pushed, batched);
+        assert_eq!(
+            pushed.mean(),
+            Some(1.0),
+            "n copies of 1.0 average exactly 1.0"
+        );
+        assert_eq!(pushed.welford().variance(), Some(0.0));
+        // Σx² below Σx·mean is cancellation noise: the bridge clamps the
+        // second moment to zero, never a negative variance.
+        assert_eq!(Welford::from_sums(2, 1.0, 0.4).variance(), Some(0.0));
     }
 }

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Full local gate: formatting, lints, rustdoc, tier-1 build+tests (property suites
-# and golden results included), the golden results again in release, and
+# and golden results included), the golden results again in release, the
+# benchmark's smoke-scale verify pass, and
 # the knapsack, cluster and planner benches (which record
 # BENCH_knapsack.json, BENCH_cluster.json and BENCH_planner.json at the
 # repo root).
@@ -65,6 +66,12 @@ echo "==> massive round-engine smoke (reduced scale)"
 # below; this reduced-scale pass proves the pipeline end to end on
 # every check without the full cost.
 cargo run -q -p basecache-bench --release -- massive --smoke
+
+echo "==> benchmark verify pass (smoke scale, all four workloads)"
+# Traced and untraced passes must agree on the outcome digest, the
+# invariant monitor must stay silent and the exact-DP re-plans must
+# match; run.sh exits non-zero otherwise.
+bash benchmark/run.sh --smoke --verify | grep -E '^(workload |outcome_digest)'
 
 echo "==> knapsack bench (writes BENCH_knapsack.json)"
 cargo bench -p basecache-bench --bench knapsack_solvers
