@@ -264,9 +264,8 @@ fn bench_trace_vs_trace_into(results: &mut Vec<Measurement>) {
 fn bench_plan_solvers(results: &mut Vec<Measurement>) {
     let (batch, catalog, recency) = planning_round(OBJECTS, REQUESTS, 77);
     let budget = catalog.total_size() / 2;
-    let solvers: [(&str, SolverChoice); 3] = [
+    let solvers: [(&str, SolverChoice); 2] = [
         ("exact_dp", SolverChoice::ExactDp),
-        ("greedy", SolverChoice::Greedy),
         ("adaptive", SolverChoice::Adaptive),
     ];
     for (name, choice) in solvers {

@@ -3,7 +3,7 @@
 
 use std::fmt;
 
-use basecache_core::{BaseStationSim, RoundOutcome};
+use basecache_core::{BaseStationSim, Error, RoundOutcome};
 use basecache_net::{ArbiterScratch, BackhaulArbiter, CellId, ObjectId};
 use basecache_obs::{Attr, Event, NullRecorder, Recorder, Sample, Snapshot};
 use basecache_workload::{ClusterWorkload, GeneratedRequest};
@@ -78,7 +78,7 @@ impl Cell {
 }
 
 /// Construction errors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ClusterError {
     /// The number of stations does not match the workload's cell count.
     CellCountMismatch {
@@ -95,6 +95,15 @@ pub enum ClusterError {
         catalog: usize,
         /// Objects the workload's popularity ranges over.
         requested: usize,
+    },
+    /// A station refused the whole backhaul budget, the most the arbiter
+    /// can hand one cell (a plan table past
+    /// `basecache_core::scratch::MAX_PLAN_TABLE_BYTES`).
+    BudgetRefused {
+        /// The cell whose station refused it.
+        cell: usize,
+        /// The station's error.
+        error: Error,
     },
 }
 
@@ -113,6 +122,12 @@ impl fmt::Display for ClusterError {
                 f,
                 "cell {cell}'s catalog holds {catalog} object(s), the workload requests {requested}"
             ),
+            Self::BudgetRefused { cell, error } => {
+                write!(
+                    f,
+                    "cell {cell}'s station refused the backhaul budget: {error}"
+                )
+            }
         }
     }
 }
@@ -177,9 +192,12 @@ pub struct ClusterSim {
 impl ClusterSim {
     /// Assemble a cluster from one station per workload cell. Station
     /// `i` serves cell `i`. The default recorder is the no-op
-    /// [`NullRecorder`].
+    /// [`NullRecorder`]. Every station is re-budgeted here to the whole
+    /// backhaul budget, the most the arbiter can hand one cell, so a
+    /// budget a station cannot plan under is refused once, here, and
+    /// never in a round (which re-budgets every cell before stepping it).
     pub fn new(
-        stations: Vec<BaseStationSim>,
+        mut stations: Vec<BaseStationSim>,
         workload: ClusterWorkload,
         arbiter: BackhaulArbiter,
     ) -> Result<Self, ClusterError> {
@@ -190,7 +208,7 @@ impl ClusterSim {
             });
         }
         let requested = workload.objects();
-        for (cell, station) in stations.iter().enumerate() {
+        for (cell, station) in stations.iter_mut().enumerate() {
             let catalog = station.catalog().len();
             if catalog < requested {
                 return Err(ClusterError::CatalogTooSmall {
@@ -199,6 +217,9 @@ impl ClusterSim {
                     requested,
                 });
             }
+            station
+                .set_download_budget(arbiter.total_budget())
+                .map_err(|error| ClusterError::BudgetRefused { cell, error })?;
         }
         let cells: Vec<Cell> = stations.into_iter().map(Cell::new).collect();
         let n = cells.len();
@@ -313,7 +334,10 @@ impl ClusterSim {
         self.arbiter
             .allocate_with(&self.demands, &mut self.budgets, &mut self.arbiter_scratch);
         for (cell, &budget) in self.cells.iter_mut().zip(&self.budgets) {
-            cell.station.set_download_budget(budget);
+            // No share exceeds the whole budget `new` checked, and the
+            // plan table only grows with the budget.
+            let set = cell.station.set_download_budget(budget);
+            debug_assert!(set.is_ok(), "{set:?}");
         }
 
         // 3. Step every cell under its allocation, in cell id order.

@@ -377,7 +377,9 @@ impl PerRequestCluster {
             .collect();
         self.budgets = self.arbiter.allocate(&self.demands);
         for (station, &budget) in self.stations.iter_mut().zip(&self.budgets) {
-            station.set_download_budget(budget);
+            station
+                .set_download_budget(budget)
+                .expect("a small plan table");
         }
         self.outcomes.clear();
         self.events.clear();

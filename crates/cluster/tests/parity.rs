@@ -162,7 +162,8 @@ fn single_cell_cluster_with_full_budget_matches_bare_station() {
 
     let bare_workload = workload(1, 7);
     let mut bare = station(true);
-    bare.set_download_budget(budget);
+    bare.set_download_budget(budget)
+        .expect("a small plan table");
 
     let mut cluster = ClusterSim::new(
         vec![station(true)],
@@ -283,6 +284,34 @@ fn workload_over_more_objects_than_a_catalog_is_rejected() {
             cell: 1,
             catalog: OBJECTS,
             requested: OBJECTS + 1
+        }
+    );
+    assert!(err.to_string().contains("cell 1"), "{err}");
+}
+
+#[test]
+fn a_backhaul_budget_past_a_cells_plan_table_bound_is_rejected() {
+    // Any cell may be handed the whole budget: at 1.2·10¹⁰ units cell
+    // 1's catalog of ~10⁹-unit objects needs a ~90 GB plan table.
+    let huge: Vec<u64> = (0..OBJECTS as u64).map(|i| 1_000_000_000 + i).collect();
+    let heavy = StationBuilder::new(Catalog::from_sizes(&huge))
+        .on_demand(OnDemandPlanner::paper_default(), 0)
+        .build()
+        .expect("a zero budget plans nothing");
+    let err = ClusterSim::new(
+        vec![station(false), heavy],
+        workload(2, 1),
+        BackhaulArbiter::new(ArbiterPolicy::ProportionalToDemand, 12_000_000_000),
+    )
+    .unwrap_err();
+    assert_eq!(
+        err,
+        basecache_cluster::ClusterError::BudgetRefused {
+            cell: 1,
+            error: basecache_core::Error::Config(basecache_core::ConfigError::PlanTableTooLarge {
+                items: OBJECTS,
+                capacity: 12_000_000_000,
+            }),
         }
     );
     assert!(err.to_string().contains("cell 1"), "{err}");

@@ -26,7 +26,7 @@ use basecache_obs::{NullRecorder, Recorder};
 use crate::error::{ConfigError, Error};
 use crate::estimator::RecencyEstimator;
 use crate::planner::OnDemandPlanner;
-use crate::scratch::plan_table_fits;
+use crate::scratch::check_plan_table;
 use crate::station::{BaseStationSim, Estimation, Policy};
 
 /// A fluent, validating builder for [`BaseStationSim`].
@@ -173,15 +173,7 @@ impl StationBuilder {
             return Err(ConfigError::InFlightRequiresOnDemand.into());
         }
         if let Some(budget) = policy.unit_budget() {
-            // The capacity the station reserves its plan table for.
-            let capacity = budget.min(self.catalog.total_size());
-            if !plan_table_fits(self.catalog.len(), capacity) {
-                return Err(ConfigError::PlanTableTooLarge {
-                    items: self.catalog.len(),
-                    capacity,
-                }
-                .into());
-            }
+            check_plan_table(&self.catalog, budget)?;
         }
         let mut station =
             BaseStationSim::assemble(self.catalog, policy, self.estimation, self.recorder);
@@ -259,6 +251,41 @@ mod tests {
         let outcome = station.step(&[request]);
         assert_eq!(outcome.served, 1);
         assert!(station.last_downloaded().is_empty());
+    }
+
+    /// The same 96 GB table, reached by re-budgeting a built station:
+    /// refused like the build refuses it, with the old budget kept, so a
+    /// round requesting every object plans under 1 000 units instead of
+    /// aborting while it grows the tables.
+    #[test]
+    fn re_budgeting_past_the_plan_table_bound_is_refused() {
+        let sizes: Vec<u64> = (0..32).map(|i| 1_000_000_000 + 97 * i).collect();
+        let mut station = StationBuilder::new(Catalog::from_sizes(&sizes))
+            .on_demand(OnDemandPlanner::paper_default(), 1_000)
+            .build()
+            .expect("a 1 000-unit table is small");
+        assert_eq!(
+            station.set_download_budget(12_000_000_000),
+            Err(Error::Config(ConfigError::PlanTableTooLarge {
+                items: 32,
+                capacity: 12_000_000_000,
+            }))
+        );
+        let requests: Vec<_> = (0..32)
+            .map(|i| basecache_workload::GeneratedRequest {
+                object: basecache_net::ObjectId(i),
+                target_recency: 1.0,
+            })
+            .collect();
+        let outcome = station.step(&requests);
+        assert_eq!(outcome.served, 32);
+        assert_eq!(outcome.units_downloaded, 0);
+        // A budget past a small catalog's total size plans at that size.
+        let mut small = StationBuilder::new(Catalog::uniform_unit(4))
+            .on_demand(OnDemandPlanner::paper_default(), 1)
+            .build()
+            .unwrap();
+        assert_eq!(small.set_download_budget(u64::MAX), Ok(()));
     }
 
     #[test]

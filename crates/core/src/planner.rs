@@ -10,9 +10,7 @@
 //! objects: "the k requested objects with the lowest recency in the cache
 //! were selected to be downloaded"), kept as a separate, cheaper planner.
 
-use basecache_knapsack::{
-    AdaptiveSolver, DpByCapacity, DpTrace, GreedyDensity, Instance, Item, Solver,
-};
+use basecache_knapsack::{AdaptiveSolver, DpByCapacity, DpTrace, Item, Solver};
 use basecache_net::{Catalog, ObjectId};
 use basecache_obs::{Event, NullRecorder, Recorder, Sample, Span, Stage};
 use basecache_workload::GeneratedRequest;
@@ -24,20 +22,17 @@ use crate::recency::ScoringFunction;
 use crate::request::RequestBatch;
 use crate::scratch::PlannerScratch;
 
-/// Which knapsack solver the planner runs. The arms differ in what they
-/// return, not in how fast they return the same thing: the optimum, the
-/// optimum with the paper's full table behind it, or a 2-approximation.
+/// Which exact knapsack solver the planner runs. Both return the same
+/// optimum, bit for bit; they differ in how much of the paper's full DP
+/// table they fill to reach it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SolverChoice {
     /// Exact capacity DP — the paper's choice; pseudo-polynomial `O(n·B)`.
     /// The reference the parity suites compare against.
     ExactDp,
-    /// Density greedy, 2-approximate, `O(n log n)` — the baseline the
-    /// exact plans are contrasted with.
-    Greedy,
-    /// Instance reduction (dominance pruning + bound-based variable
-    /// fixing) in front of the cheapest certifying exact method — bit
-    /// identical to [`SolverChoice::ExactDp`], usually much faster.
+    /// Instance reduction (bound-based variable fixing) in front of the
+    /// bounded DP over what is left — bit identical to
+    /// [`SolverChoice::ExactDp`], usually much faster.
     Adaptive,
 }
 
@@ -45,7 +40,6 @@ impl SolverChoice {
     fn solve(self, mapped: &MappedInstance, budget: u64) -> basecache_knapsack::Solution {
         match self {
             SolverChoice::ExactDp => DpByCapacity.solve(mapped.instance(), budget),
-            SolverChoice::Greedy => GreedyDensity.solve(mapped.instance(), budget),
             SolverChoice::Adaptive => AdaptiveSolver.solve(mapped.instance(), budget),
         }
     }
@@ -107,17 +101,15 @@ impl OnDemandPlanner {
     /// Semantically identical to building a [`RequestBatch`] and calling
     /// [`Self::plan`], but aggregates duplicate requests directly into
     /// `scratch`'s per-object arrays (one knapsack item per distinct
-    /// object, profit summed over its clients) and — under both exact
-    /// solvers, [`SolverChoice::Adaptive`] and [`SolverChoice::ExactDp`] —
-    /// solves on `scratch`'s reusable tables, so a steady-state round
-    /// touches the heap zero times. Results land in `scratch`
-    /// ([`PlannerScratch::downloads`], [`PlannerScratch::achieved_value`],
-    /// …) instead of a freshly allocated [`DownloadPlan`].
+    /// object, profit summed over its clients) and solves on `scratch`'s
+    /// reusable tables, so a steady-state round touches the heap zero
+    /// times. Results land in `scratch` ([`PlannerScratch::downloads`],
+    /// [`PlannerScratch::achieved_value`], …) instead of a freshly
+    /// allocated [`DownloadPlan`].
     ///
     /// Float results are bit-identical to the batch path: per-object
     /// profits accumulate in arrival order, exactly as each object's
-    /// targets do in a [`RequestBatch`]. [`SolverChoice::Greedy`] still
-    /// allocates (it runs on a freshly built [`Instance`]).
+    /// targets do in a [`RequestBatch`].
     ///
     /// # Panics
     ///
@@ -292,20 +284,6 @@ impl OnDemandPlanner {
                         Sample::SolverChosen,
                         scratch.adaptive.method().code() as f64,
                     );
-                }
-                SolverChoice::Greedy => {
-                    let instance = Instance::new(scratch.items.clone())
-                        .expect("scores in [0,1] yield valid profits");
-                    let solution = GreedyDensity.solve(&instance, budget);
-                    scratch.achieved_value = solution.total_profit();
-                    scratch.download_size = solution.total_size();
-                    scratch.downloads.extend(
-                        solution
-                            .chosen_indices()
-                            .iter()
-                            .map(|&i| scratch.objects[i]),
-                    );
-                    scratch.downloads.sort_unstable();
                 }
             }
         }
@@ -586,11 +564,7 @@ mod tests {
     #[test]
     fn all_solvers_produce_feasible_plans() {
         let (batch, catalog, recency) = setup();
-        for solver in [
-            SolverChoice::ExactDp,
-            SolverChoice::Greedy,
-            SolverChoice::Adaptive,
-        ] {
+        for solver in [SolverChoice::ExactDp, SolverChoice::Adaptive] {
             let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio, solver);
             let plan = planner.plan(&batch, &catalog, &recency, 6);
             assert!(plan.download_size() <= 6, "{solver:?}");

@@ -15,11 +15,14 @@
 //! path's do.
 
 use basecache_knapsack::{AdaptiveScratch, DpScratch, Item};
-use basecache_net::ObjectId;
+use basecache_net::{Catalog, ObjectId};
 
-/// The largest exact-DP table a station may reserve at build, in bytes
-/// (1 GiB). [`crate::builder::StationBuilder::build`] refuses a catalog
-/// and budget whose tables would be larger with
+use crate::error::ConfigError;
+
+/// The largest exact-DP table a station may reserve, in bytes (1 GiB).
+/// [`crate::builder::StationBuilder::build`] and
+/// [`crate::station::BaseStationSim::set_download_budget`] refuse a
+/// catalog and budget whose tables would be larger with
 /// [`crate::error::ConfigError::PlanTableTooLarge`] instead of letting
 /// the reserve abort the process. The largest table anything in this
 /// repository reserves is ~26 MB (100 000 objects under a budget of
@@ -30,12 +33,30 @@ pub const MAX_PLAN_TABLE_BYTES: u64 = 1 << 30;
 /// data units — `capacity + 1` values plus `capacity / 64 + 1` keep
 /// words an item, eight bytes each — stay within
 /// [`MAX_PLAN_TABLE_BYTES`].
-pub(crate) fn plan_table_fits(num_objects: usize, capacity: u64) -> bool {
+fn plan_table_fits(num_objects: usize, capacity: u64) -> bool {
     let words_per_item = capacity / 64 + 1;
     (num_objects as u64)
         .checked_mul(words_per_item)
         .and_then(|keep| keep.checked_add(capacity)?.checked_add(1)?.checked_mul(8))
         .is_some_and(|bytes| bytes <= MAX_PLAN_TABLE_BYTES)
+}
+
+/// Refuse a knapsack `budget` whose exact-DP tables over `catalog`
+/// would pass [`MAX_PLAN_TABLE_BYTES`] at the capacity a station plans
+/// with, `budget` clamped to the catalog's total size. The tables only
+/// grow with the capacity, so a budget that fits unclamped needs no sum
+/// over the catalog.
+pub(crate) fn check_plan_table(catalog: &Catalog, budget: u64) -> Result<(), ConfigError> {
+    let items = catalog.len();
+    if plan_table_fits(items, budget) {
+        return Ok(());
+    }
+    let capacity = budget.min(catalog.total_size());
+    if plan_table_fits(items, capacity) {
+        Ok(())
+    } else {
+        Err(ConfigError::PlanTableTooLarge { items, capacity })
+    }
 }
 
 /// Persistent buffers for [`crate::planner::OnDemandPlanner::plan_requests_into`].

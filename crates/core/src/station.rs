@@ -38,12 +38,13 @@ use basecache_workload::GeneratedRequest;
 
 use crate::asynch::AsyncRefresher;
 use crate::engine::RoundEngine;
+use crate::error::Error;
 use crate::estimator::RecencyEstimator;
 use crate::outcome::RoundOutcome;
 use crate::policy::PlanView;
 pub use crate::policy::Policy;
 use crate::recency::{DecayModel, ScoringFunction};
-use crate::scratch::PlannerScratch;
+use crate::scratch::{check_plan_table, PlannerScratch};
 
 /// How the station learns the recency of its cached copies when making
 /// download decisions. Delivered-quality *measurements* always use the
@@ -325,8 +326,20 @@ impl BaseStationSim {
     /// global allocation into the cell's local knapsack capacity. The
     /// value is in data units for the budgeted policies and in objects
     /// for the `k`-object ones (identical on unit-size catalogs).
-    pub fn set_download_budget(&mut self, budget: u64) {
+    ///
+    /// # Errors
+    ///
+    /// [`crate::ConfigError::PlanTableTooLarge`] when a knapsack policy's
+    /// exact-DP tables at `budget` would pass
+    /// [`crate::scratch::MAX_PLAN_TABLE_BYTES`] — the bound
+    /// [`crate::builder::StationBuilder::build`] enforces. The station
+    /// keeps its old budget.
+    pub fn set_download_budget(&mut self, budget: u64) -> Result<(), Error> {
+        if self.policy.unit_budget().is_some() {
+            check_plan_table(&self.catalog, budget)?;
+        }
         self.policy.set_budget(budget);
+        Ok(())
     }
 
     /// Materialize everything the installed recorder observed (empty

@@ -567,10 +567,10 @@ fn on_demand_steady_state_steps_do_not_allocate() {
         }
 
         // Engine scale, first solve: `reserve(max_items)` alone must
-        // cover the reduction's sort-key buffers at 35 000 items — a
-        // buffer it misses grows right here. Tied profits take the
-        // one-sided reduction (density keys only); the de-tied twin
-        // adds the dominance keys.
+        // cover the reduction's key buffer at 35 000 items — a buffer it
+        // misses grows right here. Tied profits take the one-sided
+        // reduction, the de-tied twin the two-sided one; both lay the
+        // tie check's probe table, then the density keys, in that buffer.
         for nudge in [0.0, 1e-9] {
             let items: Vec<Item> = (0..35_000u64)
                 .map(|i| {

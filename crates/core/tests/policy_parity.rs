@@ -6,7 +6,7 @@
 //! [`OnDemandPlanner::plan`] / [`OnDemandPlanner::plan_with_trace`] +
 //! [`knee_budget`], and [`LowestRecencyFirst`] — written here once as
 //! test code, and demands the station's downloads, units and average
-//! score agree to the last bit, over seeded random scripts and all three
+//! score agree to the last bit, over seeded random scripts and both
 //! solvers. The same derivation with a regional exclusion list pins that
 //! every planner-carrying policy honours `set_plan_exclusions`.
 
@@ -20,11 +20,7 @@ use basecache_sim::StreamRng;
 use basecache_workload::GeneratedRequest;
 
 const SCORING: ScoringFunction = ScoringFunction::InverseRatio;
-const SOLVERS: [SolverChoice; 3] = [
-    SolverChoice::Adaptive,
-    SolverChoice::ExactDp,
-    SolverChoice::Greedy,
-];
+const SOLVERS: [SolverChoice; 2] = [SolverChoice::Adaptive, SolverChoice::ExactDp];
 
 /// What `policy` downloads for `requests` given the recency the planner
 /// sees, through the allocating API. `excluded` objects (ascending) may

@@ -66,11 +66,7 @@ fn aggregated_path_matches_batch_path_for_every_solver() {
     for round in 0..60 {
         let (catalog, recency, requests, budget) = random_round(&mut rng);
         let batch = RequestBatch::from_generated(&requests);
-        for solver in [
-            SolverChoice::ExactDp,
-            SolverChoice::Greedy,
-            SolverChoice::Adaptive,
-        ] {
+        for solver in [SolverChoice::ExactDp, SolverChoice::Adaptive] {
             let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio, solver);
             let plan = planner.plan(&batch, &catalog, &recency, budget);
             planner.plan_requests_into(&requests, &catalog, &recency, budget, &mut scratch);

@@ -19,9 +19,8 @@
 //!   sweep it is pinned against is test support (`tests/reference`).
 //! * [`GreedyDensity`] — profit-density greedy with the classic
 //!   max(greedy, best-single-item) 2-approximation guarantee.
-//! * [`AdaptiveSolver`] — instance reduction (dominance pruning and
-//!   bound-based variable fixing) in front of a DP over the surviving
-//!   core; bit-identical to [`DpByCapacity`] and what every round runs.
+//! * [`AdaptiveSolver`] — instance reduction (bound-based variable
+//!   fixing) in front of a DP over the surviving core; bit-identical to [`DpByCapacity`] and what every round runs.
 //! * [`fractional_upper_bound`] — the LP-relaxation optimum: the fluid
 //!   bound of `basecache-analytic` and an oracle in tests.
 //!

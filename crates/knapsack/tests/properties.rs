@@ -117,8 +117,7 @@ fn arb_reduction_case(rng: &mut StreamRng) -> (Vec<Item>, u64) {
     (items, cap)
 }
 
-/// The reduction front-end (clamp, drop, dominance, fixing, adaptive
-/// solve) preserves the DP's optimum *bit for bit* — value and
+/// The reduction front-end (clamp, drop, fixing, adaptive solve) preserves the DP's optimum *bit for bit* — value and
 /// canonical chosen set alike — across random instances saturated with
 /// the degenerate shapes it special-cases.
 #[test]

@@ -217,8 +217,8 @@ pub enum Sample {
     /// Items left undecided after instance reduction: the core the
     /// adaptive solver's DP swept (0 after a certificate).
     CoreSize,
-    /// Items removed before the search: dominance-pruned plus
-    /// forced-in/forced-out by bound-based variable fixing.
+    /// Items removed before the search: forced in or out by bound-based
+    /// variable fixing.
     ItemsFixed,
     /// How the adaptive solver's solve ended, as its code (0 = certified
     /// greedy, 2 = core DP). Codes 1 and 3 are retired: 1 was the

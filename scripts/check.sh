@@ -73,8 +73,20 @@ echo "==> benchmark verify pass (smoke scale, all four workloads)"
 # match; run.sh exits non-zero otherwise.
 bash benchmark/run.sh --smoke --verify | grep -E '^(workload |outcome_digest)'
 
+# The committed ledgers are pinned runs: a bench process that migrates
+# between cores reads ~1.5x higher, so the benches run on CPU 1 where
+# taskset can put them there, built first so the build is not pinned.
+if command -v taskset >/dev/null && taskset -c 1 true 2>/dev/null; then
+    pin=(taskset -c 1)
+else
+    pin=()
+    echo "note: taskset cannot pin to CPU 1 here; the benches run unpinned" \
+         "and read higher than the pinned ledgers they are compared against"
+fi
+cargo bench -q -p basecache-bench --no-run
+
 echo "==> knapsack bench (writes BENCH_knapsack.json)"
-cargo bench -p basecache-bench --bench knapsack_solvers
+${pin[@]+"${pin[@]}"} cargo bench -p basecache-bench --bench knapsack_solvers
 # The adaptive solver alone, at the shapes the benchmark's station and
 # engine rounds hand it.
 for entry in 'knapsack/adaptive/untied/500' 'knapsack/adaptive/tied/500' \
@@ -84,7 +96,7 @@ for entry in 'knapsack/adaptive/untied/500' 'knapsack/adaptive/tied/500' \
 done
 
 echo "==> cluster bench (writes BENCH_cluster.json)"
-cargo bench -p basecache-bench --bench cluster
+${pin[@]+"${pin[@]}"} cargo bench -p basecache-bench --bench cluster
 # The cluster-round scaling series, the L2 tier on and off, and the
 # round at the end-to-end benchmark's cluster-roaming shape, whole, its
 # workload advance, and by coordination phase.
@@ -104,7 +116,7 @@ echo "==> planner bench (writes BENCH_planner.json)"
 # against it.
 bench_baseline=$(mktemp)
 cp BENCH_planner.json "$bench_baseline"
-cargo bench -p basecache-bench --bench planner
+${pin[@]+"${pin[@]}"} cargo bench -p basecache-bench --bench planner
 
 # The suite must cover the adaptive solve path and the massive
 # round-engine series — the regression gate can only guard entries that

@@ -118,39 +118,6 @@ fn bigger_budgets_never_hurt_scores() {
 }
 
 #[test]
-fn greedy_planner_is_close_to_exact_in_live_simulation() {
-    let t = trace(80, 40, 60, 5);
-    let exact = OnDemandPlanner::new(ScoringFunction::InverseRatio, SolverChoice::ExactDp);
-    let greedy = OnDemandPlanner::new(ScoringFunction::InverseRatio, SolverChoice::Greedy);
-    let (_, s_exact) = run(
-        Policy::OnDemand {
-            planner: exact,
-            budget_units: 8,
-        },
-        &t,
-        80,
-        3,
-    );
-    let (_, s_greedy) = run(
-        Policy::OnDemand {
-            planner: greedy,
-            budget_units: 8,
-        },
-        &t,
-        80,
-        3,
-    );
-    // Note: the DP is optimal *per round*, not over the whole trajectory
-    // (each round's downloads reshape future cache states), so greedy may
-    // even edge ahead over a long run. The claim worth pinning is that
-    // the two stay close.
-    assert!(
-        (s_exact - s_greedy).abs() < 0.05 * s_exact,
-        "greedy ({s_greedy}) should track exact ({s_exact}) closely on unit sizes"
-    );
-}
-
-#[test]
 fn trace_text_roundtrip_preserves_simulation_results() {
     let t = trace(30, 10, 30, 9);
     let replayed = RequestTrace::from_text(&t.to_text()).expect("own output parses");
