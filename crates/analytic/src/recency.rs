@@ -17,8 +17,8 @@
 //!            = ⌊(τ + φ) / T⌋
 //! ```
 //!
-//! with the harmonic decay `x(lag) = 1/(lag+1)` of `DecayModel` at
-//! `c = 1`.
+//! with the harmonic decay `x(lag) = 1/(lag+1)` of
+//! `basecache_core::recency::recency_for_lag` (the paper's `C = 1`).
 
 /// Expected recency of a cache entry refreshed every `cycle` ticks under
 /// update waves every `period` ticks, with the harmonic decay

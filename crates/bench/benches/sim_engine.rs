@@ -4,8 +4,7 @@
 use std::hint::black_box;
 
 use basecache_bench::harness::bench;
-use basecache_core::planner::{OnDemandPlanner, SolverChoice};
-use basecache_core::recency::ScoringFunction;
+use basecache_core::planner::OnDemandPlanner;
 use basecache_core::StationBuilder;
 use basecache_net::Catalog;
 use basecache_sim::{RngStreams, Scheduler, SimTime};
@@ -60,12 +59,11 @@ fn bench_station_step() {
     let batch = generator.batch(&mut rng);
 
     {
-        let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio, SolverChoice::ExactDp);
         let mut station = StationBuilder::new(Catalog::uniform_unit(500))
-            .on_demand(planner, 50)
+            .on_demand(OnDemandPlanner::paper_default(), 50)
             .build()
             .expect("bench configuration is valid");
-        bench("sim/station_step/on_demand_dp", || {
+        bench("sim/station_step/on_demand", || {
             station.apply_update_wave();
             black_box(station.step(&batch))
         });

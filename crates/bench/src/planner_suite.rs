@@ -1,8 +1,9 @@
 //! The planner benchmark suite: the full per-round pipeline (batch →
-//! profit mapping → knapsack → plan) across solver back-ends and scales,
-//! plus the profit-mapping and budget-bound stages in isolation — and
-//! the observability layer's overhead, measured both ways (no-op
-//! recorder vs a live [`StatsRecorder`]).
+//! profit mapping → knapsack → plan) across scales, against the paper's
+//! full-table DP on the same mapping, plus the profit-mapping and
+//! budget-bound stages in isolation — and the observability layer's
+//! overhead, measured both ways (no-op recorder vs a live
+//! [`StatsRecorder`]).
 //!
 //! The headline comparison is the Table-1-scale planning round (500
 //! objects, budget 5000 data units, 5000 client requests) two ways: the
@@ -18,14 +19,14 @@
 use std::hint::black_box;
 
 use basecache_core::bound::{budget_for_fraction, knee_budget};
-use basecache_core::planner::{LowestRecencyFirst, OnDemandPlanner, SolverChoice};
+use basecache_core::planner::{LowestRecencyFirst, OnDemandPlanner};
 use basecache_core::profit::build_instance;
 use basecache_core::recency::ScoringFunction;
 use basecache_core::request::RequestBatch;
 use basecache_core::scratch::PlannerScratch;
 use basecache_core::{Policy, StationBuilder};
 use basecache_experiments::ext_flash_crowd;
-use basecache_knapsack::DpByCapacity;
+use basecache_knapsack::{DpByCapacity, Solver};
 use basecache_net::InFlightConfig;
 use basecache_obs::{
     AoiRecorder, CausalConfig, CausalRecorder, LifecycleEvent, LifecycleRecorder, Recorder,
@@ -42,33 +43,31 @@ const BUDGET: u64 = 5000;
 
 fn bench_round_paths(results: &mut Vec<Measurement>) -> (f64, f64) {
     let (generated, catalog, recency) = planning_requests(OBJECTS, REQUESTS, 77);
-    // Pin the DP so the long-standing round entries keep measuring the
-    // same code path now that the planner default is the adaptive
-    // front-end (benched separately below).
-    let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio, SolverChoice::ExactDp);
+    let planner = OnDemandPlanner::paper_default();
 
-    // The allocating batch API on the bounded-sweep solver.
+    // The allocating batch API.
     let batch_path = bench("planner/round/batch_alloc", || {
         let batch = RequestBatch::from_generated(&generated);
         black_box(planner.plan(&batch, &catalog, &recency, BUDGET))
     });
 
     // The allocation-free path: persistent scratch, aggregated items,
-    // reusable DP tables. `plan_requests_into` routes through the
+    // reusable solver tables. `plan_requests_into` routes through the
     // recorded path with the no-op recorder, so this measurement IS the
     // instrumentation-off cost.
     let mut scratch = PlannerScratch::new();
     scratch.reserve(catalog.len(), BUDGET);
-    let scratch_path = bench("planner/round/scratch_reuse", || {
-        planner.plan_requests_into(&generated, &catalog, &recency, BUDGET, &mut scratch);
-        black_box(scratch.achieved_value())
+    let adaptive_path = bench("planner/round/adaptive", || {
+        let planned =
+            planner.plan_requests_into(&generated, &catalog, &recency, BUDGET, &mut scratch);
+        black_box((planned, scratch.achieved_value()))
     });
 
     // The same round with a live StatsRecorder: counters, distributions
     // and span clocks all on.
     let recorder = StatsRecorder::new();
     let observed_path = bench("planner/round/scratch_reuse_observed", || {
-        planner.plan_requests_recorded(
+        let planned = planner.plan_requests_recorded(
             &generated,
             &catalog,
             &recency,
@@ -76,7 +75,7 @@ fn bench_round_paths(results: &mut Vec<Measurement>) -> (f64, f64) {
             &mut scratch,
             &recorder,
         );
-        black_box(scratch.achieved_value())
+        black_box((planned, scratch.achieved_value()))
     });
 
     // And with the full flight recorder — stats + trace ring + round
@@ -84,7 +83,7 @@ fn bench_round_paths(results: &mut Vec<Measurement>) -> (f64, f64) {
     // composition stays in the same cost class as the stats sink alone.
     let flight = basecache_obs::FlightRecorder::new(4096, 64, 8);
     let flight_path = bench("planner/round/scratch_reuse_flight", || {
-        planner.plan_requests_recorded(
+        let planned = planner.plan_requests_recorded(
             &generated,
             &catalog,
             &recency,
@@ -92,37 +91,19 @@ fn bench_round_paths(results: &mut Vec<Measurement>) -> (f64, f64) {
             &mut scratch,
             &flight,
         );
-        black_box(scratch.achieved_value())
+        black_box((planned, scratch.achieved_value()))
     });
 
-    // The same allocation-free round through the adaptive reduction
-    // pipeline (variable fixing + the cheapest certifying terminal) —
-    // the planner's default solve path.
-    let adaptive = OnDemandPlanner::new(ScoringFunction::InverseRatio, SolverChoice::Adaptive);
-    let mut adaptive_scratch = PlannerScratch::new();
-    adaptive_scratch.reserve(catalog.len(), BUDGET);
-    let adaptive_path = bench("planner/round/adaptive", || {
-        adaptive.plan_requests_into(
-            &generated,
-            &catalog,
-            &recency,
-            BUDGET,
-            &mut adaptive_scratch,
-        );
-        black_box(adaptive_scratch.achieved_value())
-    });
-
-    // The same adaptive round under the full causal composition —
-    // flight recorder + lifecycle spans + AoI telemetry + invariant
-    // monitor, all teed behind the `Recorder` seam. Against the
-    // NullRecorder adaptive round above this ratio is the
-    // `lifecycle_recorder_overhead` headline (`scripts/check.sh` gates
-    // it at 1.25x).
+    // The same round under the full causal composition — flight
+    // recorder + lifecycle spans + AoI telemetry + invariant monitor,
+    // all teed behind the `Recorder` seam. Against the NullRecorder
+    // round above this ratio is the `lifecycle_recorder_overhead`
+    // headline (`scripts/check.sh` gates it at 1.25x).
     let causal = CausalRecorder::new(CausalConfig::default());
     let mut causal_scratch = PlannerScratch::new();
     causal_scratch.reserve(catalog.len(), BUDGET);
     let lifecycle_path = bench("planner/round/adaptive_lifecycle", || {
-        adaptive.plan_requests_recorded(
+        let planned = planner.plan_requests_recorded(
             &generated,
             &catalog,
             &recency,
@@ -130,13 +111,12 @@ fn bench_round_paths(results: &mut Vec<Measurement>) -> (f64, f64) {
             &mut causal_scratch,
             &causal,
         );
-        black_box(causal_scratch.achieved_value())
+        black_box((planned, causal_scratch.achieved_value()))
     });
 
-    let observed_overhead = observed_path.median_ns() / scratch_path.median_ns();
+    let observed_overhead = observed_path.median_ns() / adaptive_path.median_ns();
     let lifecycle_overhead = lifecycle_path.median_ns() / adaptive_path.median_ns();
     results.push(batch_path);
-    results.push(scratch_path);
     results.push(observed_path);
     results.push(flight_path);
     results.push(adaptive_path);
@@ -230,14 +210,16 @@ fn stage_breakdown() -> Snapshot {
         // The whole-round span the station would normally provide, so
         // plan-minus-solve exposes the aggregation cost.
         let round = basecache_obs::Span::enter(&recorder, basecache_obs::Stage::Plan);
-        planner.plan_requests_recorded(
-            &generated,
-            &catalog,
-            &recency,
-            BUDGET / 2,
-            &mut scratch,
-            &recorder,
-        );
+        planner
+            .plan_requests_recorded(
+                &generated,
+                &catalog,
+                &recency,
+                BUDGET / 2,
+                &mut scratch,
+                &recorder,
+            )
+            .expect("a Table-1 plan table is small");
         drop(round);
     }
     recorder.snapshot()
@@ -261,39 +243,41 @@ fn bench_trace_vs_trace_into(results: &mut Vec<Measurement>) {
     }));
 }
 
+/// The planner's round against the paper's full-table DP on the same
+/// mapping ([`build_instance`] + [`DpByCapacity`]), at a binding budget.
 fn bench_plan_solvers(results: &mut Vec<Measurement>) {
     let (batch, catalog, recency) = planning_round(OBJECTS, REQUESTS, 77);
     let budget = catalog.total_size() / 2;
-    let solvers: [(&str, SolverChoice); 2] = [
-        ("exact_dp", SolverChoice::ExactDp),
-        ("adaptive", SolverChoice::Adaptive),
-    ];
-    for (name, choice) in solvers {
-        let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio, choice);
-        results.push(bench(&format!("planner/solvers/{name}"), || {
-            black_box(planner.plan(&batch, &catalog, &recency, budget))
-        }));
-    }
+    let planner = OnDemandPlanner::paper_default();
+    results.push(bench("planner/solvers/exact_dp", || {
+        let mapped = build_instance(&batch, &catalog, &recency, planner.scoring());
+        black_box(DpByCapacity.solve(mapped.instance(), budget))
+    }));
+    results.push(bench("planner/solvers/adaptive", || {
+        black_box(planner.plan(&batch, &catalog, &recency, budget))
+    }));
 }
 
 fn bench_plan_scale(results: &mut Vec<Measurement>) {
+    let planner = OnDemandPlanner::paper_default();
     for &(objects, requests) in &[(100usize, 1000usize), (500, 5000), (2000, 20000)] {
         let (batch, catalog, recency) = planning_round(objects, requests, 78);
         let budget = catalog.total_size() / 2;
-        let exact = OnDemandPlanner::new(ScoringFunction::InverseRatio, SolverChoice::ExactDp);
         results.push(bench_n(
             &format!("planner/scale/exact_dp/{objects}"),
             10,
-            || black_box(exact.plan(&batch, &catalog, &recency, budget)),
+            || {
+                let mapped = build_instance(&batch, &catalog, &recency, planner.scoring());
+                black_box(DpByCapacity.solve(mapped.instance(), budget))
+            },
         ));
-        // Same instance, same binding budget, through the reduction
-        // pipeline — the apples-to-apples cost of certifying the same
-        // optimum after fixing most variables.
-        let adaptive = OnDemandPlanner::new(ScoringFunction::InverseRatio, SolverChoice::Adaptive);
+        // Same instance, same binding budget, through the planner — the
+        // apples-to-apples cost of certifying the same optimum after
+        // fixing most variables.
         results.push(bench_n(
             &format!("planner/scale/adaptive/{objects}"),
             10,
-            || black_box(adaptive.plan(&batch, &catalog, &recency, budget)),
+            || black_box(planner.plan(&batch, &catalog, &recency, budget)),
         ));
     }
 }
@@ -313,7 +297,9 @@ fn bench_profit_mapping(results: &mut Vec<Measurement>) {
 fn bench_budget_bound_selection(results: &mut Vec<Measurement>) {
     let (batch, catalog, recency) = planning_round(OBJECTS, REQUESTS, 80);
     let planner = OnDemandPlanner::paper_default();
-    let (_, trace) = planner.plan_with_trace(&batch, &catalog, &recency, catalog.total_size());
+    let (_, trace) = planner
+        .plan_with_trace(&batch, &catalog, &recency, catalog.total_size())
+        .expect("a Table-1 plan table is small");
     results.push(bench("planner/budget_bound_selection", || {
         (
             black_box(knee_budget(trace.values(), 25, 0.01)),
@@ -338,7 +324,7 @@ fn bench_lowest_recency_first(results: &mut Vec<Measurement>) {
 fn bench_inflight(results: &mut Vec<Measurement>) -> f64 {
     for (name, coalesce) in [("coalesce", true), ("naive", false)] {
         let (generated, catalog, _) = planning_requests(OBJECTS, REQUESTS, 82);
-        let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio, SolverChoice::ExactDp);
+        let planner = OnDemandPlanner::paper_default();
         let config = if coalesce {
             InFlightConfig::coalescing(BUDGET / 2)
         } else {

@@ -24,8 +24,8 @@ use std::sync::Mutex;
 
 use basecache_cluster::{run_rounds, ClusterSim, DriveConfig, L2Config};
 use basecache_core::estimator::TtlEstimator;
-use basecache_core::planner::{OnDemandPlanner, SolverChoice};
-use basecache_core::recency::{DecayModel, ScoringFunction};
+use basecache_core::planner::OnDemandPlanner;
+use basecache_core::recency::ScoringFunction;
 use basecache_core::{BaseStationSim, RoundOutcome, StationBuilder};
 use basecache_net::{
     ArbiterPolicy, BackhaulArbiter, Catalog, CellId, InFlightConfig, InterCellLink, ObjectId,
@@ -49,7 +49,7 @@ fn catalog() -> Catalog {
 }
 
 fn station(flight: Option<InFlightConfig>) -> BaseStationSim {
-    let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio, SolverChoice::ExactDp);
+    let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio);
     let mut builder = StationBuilder::new(catalog()).on_demand(planner, 0);
     if let Some(config) = flight {
         builder = builder.in_flight(config);
@@ -251,7 +251,7 @@ fn committed_in_flight_units_shrink_the_declared_demand() {
     // per round are already committed on the wire — the declaration
     // must be 8, not 10.
     let catalog = Catalog::from_sizes(&[10]);
-    let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio, SolverChoice::ExactDp);
+    let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio);
     let station = StationBuilder::new(catalog)
         .on_demand(planner, 0)
         .in_flight(InFlightConfig::coalescing(2))
@@ -530,12 +530,12 @@ impl Script {
     }
 
     fn stations(&self) -> Vec<BaseStationSim> {
-        let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio, SolverChoice::ExactDp);
+        let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio);
         (0..self.cells)
             .map(|_| {
                 let mut builder = StationBuilder::new(self.catalog()).on_demand(planner, 0);
                 if let Some(period) = self.ttl {
-                    let estimator = TtlEstimator::new(period, DecayModel::default());
+                    let estimator = TtlEstimator::new(period);
                     builder = builder.estimator(Box::new(estimator));
                 }
                 if let Some(config) = self.flight {

@@ -14,7 +14,7 @@
 //! comparisons below strip them before asserting equality).
 
 use basecache_cluster::{run_rounds, ClusterSim, DriveConfig};
-use basecache_core::planner::{OnDemandPlanner, SolverChoice};
+use basecache_core::planner::OnDemandPlanner;
 use basecache_core::recency::ScoringFunction;
 use basecache_core::{BaseStationSim, StationBuilder};
 use basecache_net::{ArbiterPolicy, BackhaulArbiter, Catalog, CellId};
@@ -30,7 +30,7 @@ fn catalog() -> Catalog {
 }
 
 fn station(flight: bool) -> BaseStationSim {
-    let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio, SolverChoice::ExactDp);
+    let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio);
     let builder = StationBuilder::new(catalog()).on_demand(planner, 0);
     let builder = if flight {
         builder.recorder(Box::new(FlightRecorder::new(512, 64, 8)))

@@ -35,7 +35,7 @@ pub enum ConfigError {
     /// The exact-DP tables for `items` objects at `capacity` data units
     /// (the budget, clamped to the catalog's total size) would exceed
     /// [`crate::scratch::MAX_PLAN_TABLE_BYTES`]: the pseudo-polynomial
-    /// DP cannot plan at this scale, whatever the solver choice.
+    /// DP cannot plan at this scale.
     PlanTableTooLarge {
         /// Objects in the catalog.
         items: usize,

@@ -20,7 +20,7 @@ use basecache_cache::CacheEntry;
 use basecache_net::{InvalidationReport, ObjectId};
 use basecache_sim::SimTime;
 
-use crate::recency::DecayModel;
+use crate::recency::recency_for_lag;
 
 /// An estimator of cached-copy recency.
 pub trait RecencyEstimator: fmt::Debug {
@@ -46,7 +46,6 @@ pub trait RecencyEstimator: fmt::Debug {
 #[derive(Debug, Clone, Copy)]
 pub struct TtlEstimator {
     assumed_period: u64,
-    decay: DecayModel,
 }
 
 impl TtlEstimator {
@@ -56,19 +55,16 @@ impl TtlEstimator {
     /// # Panics
     ///
     /// Panics if `assumed_period == 0`.
-    pub fn new(assumed_period: u64, decay: DecayModel) -> Self {
+    pub fn new(assumed_period: u64) -> Self {
         assert!(assumed_period > 0, "assumed update period must be positive");
-        Self {
-            assumed_period,
-            decay,
-        }
+        Self { assumed_period }
     }
 }
 
 impl RecencyEstimator for TtlEstimator {
     fn estimate(&self, _object: ObjectId, entry: &CacheEntry, now: SimTime) -> f64 {
         let elapsed = now.since(entry.fetched_at).ticks();
-        self.decay.recency_for_lag(elapsed / self.assumed_period)
+        recency_for_lag(elapsed / self.assumed_period)
     }
 
     fn name(&self) -> &'static str {
@@ -91,17 +87,15 @@ pub struct ReportEstimator {
     observed_lag: Vec<u64>,
     last_sequence: Option<u64>,
     gaps_detected: u64,
-    decay: DecayModel,
 }
 
 impl ReportEstimator {
     /// An estimator over `objects` objects.
-    pub fn new(objects: usize, decay: DecayModel) -> Self {
+    pub fn new(objects: usize) -> Self {
         Self {
             observed_lag: vec![0; objects],
             last_sequence: None,
             gaps_detected: 0,
-            decay,
         }
     }
 
@@ -113,8 +107,7 @@ impl ReportEstimator {
 
 impl RecencyEstimator for ReportEstimator {
     fn estimate(&self, object: ObjectId, _entry: &CacheEntry, _now: SimTime) -> f64 {
-        self.decay
-            .recency_for_lag(self.observed_lag[object.index()])
+        recency_for_lag(self.observed_lag[object.index()])
     }
 
     fn on_refresh(&mut self, object: ObjectId, _now: SimTime) {
@@ -160,7 +153,6 @@ pub struct RateEstimator {
     /// Tick each object's counter was last reset (refresh time).
     refreshed_at: Vec<SimTime>,
     smoothing: f64,
-    decay: DecayModel,
 }
 
 impl RateEstimator {
@@ -170,7 +162,7 @@ impl RateEstimator {
     /// # Panics
     ///
     /// Panics unless `alpha ∈ (0, 1]`.
-    pub fn new(objects: usize, alpha: f64, decay: DecayModel) -> Self {
+    pub fn new(objects: usize, alpha: f64) -> Self {
         assert!(
             alpha > 0.0 && alpha <= 1.0,
             "smoothing factor must be in (0, 1]"
@@ -181,7 +173,6 @@ impl RateEstimator {
             last_report_at: None,
             refreshed_at: vec![SimTime::ZERO; objects],
             smoothing: alpha,
-            decay,
         }
     }
 
@@ -206,7 +197,7 @@ impl RecencyEstimator for RateEstimator {
             0.0
         };
         let lag = self.observed_lag[i] as f64 + projected;
-        self.decay.recency_for_lag(lag.round() as u64)
+        recency_for_lag(lag.round() as u64)
     }
 
     fn on_refresh(&mut self, object: ObjectId, now: SimTime) {
@@ -253,7 +244,7 @@ mod tests {
 
     #[test]
     fn ttl_ages_with_elapsed_time() {
-        let est = TtlEstimator::new(5, DecayModel::default());
+        let est = TtlEstimator::new(5);
         let e = entry(10);
         assert_eq!(est.estimate(ObjectId(0), &e, SimTime::from_ticks(10)), 1.0);
         assert_eq!(est.estimate(ObjectId(0), &e, SimTime::from_ticks(14)), 1.0);
@@ -265,8 +256,8 @@ mod tests {
     #[test]
     fn ttl_misspecification_biases_the_estimate() {
         // Real period 5; estimator assumes 10 → sees half the staleness.
-        let optimistic = TtlEstimator::new(10, DecayModel::default());
-        let correct = TtlEstimator::new(5, DecayModel::default());
+        let optimistic = TtlEstimator::new(10);
+        let correct = TtlEstimator::new(5);
         let e = entry(0);
         let now = SimTime::from_ticks(20);
         assert!(optimistic.estimate(ObjectId(0), &e, now) > correct.estimate(ObjectId(0), &e, now));
@@ -274,7 +265,7 @@ mod tests {
 
     #[test]
     fn reports_track_exact_lag_when_complete() {
-        let mut est = ReportEstimator::new(3, DecayModel::default());
+        let mut est = ReportEstimator::new(3);
         let e = entry(0);
         est.ingest_report(&InvalidationReport {
             at: SimTime::from_ticks(5),
@@ -291,7 +282,7 @@ mod tests {
 
     #[test]
     fn refresh_resets_report_lag() {
-        let mut est = ReportEstimator::new(1, DecayModel::default());
+        let mut est = ReportEstimator::new(1);
         est.ingest_report(&InvalidationReport {
             at: SimTime::from_ticks(5),
             sequence: 1,
@@ -305,7 +296,7 @@ mod tests {
 
     #[test]
     fn lost_reports_are_detected_and_underestimate_staleness() {
-        let mut est = ReportEstimator::new(1, DecayModel::default());
+        let mut est = ReportEstimator::new(1);
         est.ingest_report(&InvalidationReport {
             at: SimTime::from_ticks(5),
             sequence: 1,
@@ -328,7 +319,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "assumed update period")]
     fn ttl_rejects_zero_period() {
-        let _ = TtlEstimator::new(0, DecayModel::default());
+        let _ = TtlEstimator::new(0);
     }
 
     fn report(at: u64, seq: u64, counts: &[(u32, u64)]) -> InvalidationReport {
@@ -342,7 +333,7 @@ mod tests {
 
     #[test]
     fn rate_estimator_learns_per_object_rates() {
-        let mut est = RateEstimator::new(2, 0.5, DecayModel::default());
+        let mut est = RateEstimator::new(2, 0.5);
         // Object 0 updates twice per 10-tick window, object 1 never.
         est.ingest_report(&report(10, 1, &[(0, 2)]));
         est.ingest_report(&report(20, 2, &[(0, 2)]));
@@ -357,7 +348,7 @@ mod tests {
 
     #[test]
     fn rate_estimator_ages_between_reports() {
-        let mut est = RateEstimator::new(1, 1.0, DecayModel::default());
+        let mut est = RateEstimator::new(1, 1.0);
         est.ingest_report(&report(10, 1, &[(0, 5)]));
         est.ingest_report(&report(20, 2, &[(0, 5)]));
         // Copy refreshed right after the report at t=20.
@@ -374,7 +365,7 @@ mod tests {
 
     #[test]
     fn rate_estimator_resets_on_refresh_but_keeps_the_rate() {
-        let mut est = RateEstimator::new(1, 1.0, DecayModel::default());
+        let mut est = RateEstimator::new(1, 1.0);
         est.ingest_report(&report(10, 1, &[(0, 3)]));
         est.ingest_report(&report(20, 2, &[(0, 3)]));
         let rate = est.rate_of(ObjectId(0));

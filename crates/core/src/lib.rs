@@ -12,10 +12,10 @@
 //! Module map:
 //!
 //! * [`recency`] — scoring functions `f_C(x)` and the per-update decay
-//!   model `x' = C·x/(1+x)`.
+//!   `x' = x/(1+x)` (the paper's constant `C = 1`).
 //! * [`request`] — client request batches aggregated per object.
 //! * [`profit`] — the knapsack mapping: `profit(u) = Σ_clients 1 − score`.
-//! * [`planner`] — [`OnDemandPlanner`] (adaptive exact / full-table DP) and
+//! * [`planner`] — [`OnDemandPlanner`] (the exact knapsack solve) and
 //!   [`LowestRecencyFirst`] (the Section 3.2 unit-size policy).
 //! * [`scratch`] — reusable planning buffers: [`PlannerScratch`] makes
 //!   the steady-state round allocation-free, whichever policy plans it.
@@ -41,7 +41,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use basecache_core::planner::{OnDemandPlanner, SolverChoice};
+//! use basecache_core::planner::OnDemandPlanner;
 //! use basecache_core::recency::ScoringFunction;
 //! use basecache_core::request::RequestBatch;
 //! use basecache_net::{Catalog, ObjectId};
@@ -58,10 +58,11 @@
 //!
 //! // With budget for 6 units the planner downloads the objects whose
 //! // staleness hurts clients most per unit downloaded.
-//! let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio, SolverChoice::ExactDp);
-//! let plan = planner.plan(&batch, &catalog, &recency, 6);
+//! let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio);
+//! let plan = planner.plan(&batch, &catalog, &recency, 6)?;
 //! assert!(plan.download_size() <= 6);
 //! assert!(plan.average_score(&batch, &recency) > 0.5);
+//! # Ok::<(), basecache_core::Error>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -88,8 +89,8 @@ pub use engine::{ActiveObject, RoundEngine};
 pub use error::{ConfigError, Error};
 pub use estimator::{RateEstimator, RecencyEstimator, ReportEstimator, TtlEstimator};
 pub use outcome::RoundOutcome;
-pub use planner::{DownloadPlan, LowestRecencyFirst, OnDemandPlanner, SolverChoice};
-pub use recency::{DecayModel, ScoringFunction};
+pub use planner::{DownloadPlan, LowestRecencyFirst, OnDemandPlanner};
+pub use recency::ScoringFunction;
 pub use request::RequestBatch;
 pub use scratch::PlannerScratch;
 pub use station::{BaseStationSim, Estimation, Policy, StationStats};

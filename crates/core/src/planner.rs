@@ -3,8 +3,8 @@
 //! Per scheduling round the base station receives a [`RequestBatch`],
 //! knows the recency of every cached copy, and may download at most
 //! `budget` data units. [`OnDemandPlanner`] maps the round to 0/1
-//! knapsack ([`crate::profit`]) and solves it with a configurable solver;
-//! objects not selected are answered from the cache.
+//! knapsack ([`crate::profit`]) and solves it exactly; objects not
+//! selected are answered from the cache.
 //!
 //! [`LowestRecencyFirst`] is the simpler policy of Section 3.2 (unit-size
 //! objects: "the k requested objects with the lowest recency in the cache
@@ -17,54 +17,32 @@ use basecache_workload::GeneratedRequest;
 
 use crate::bound::knee_budget;
 use crate::engine::RoundEngine;
+use crate::error::Error;
 use crate::profit::{build_instance, MappedInstance};
 use crate::recency::ScoringFunction;
 use crate::request::RequestBatch;
-use crate::scratch::PlannerScratch;
+use crate::scratch::{check_plan_table, PlannerScratch};
 
-/// Which exact knapsack solver the planner runs. Both return the same
-/// optimum, bit for bit; they differ in how much of the paper's full DP
-/// table they fill to reach it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SolverChoice {
-    /// Exact capacity DP — the paper's choice; pseudo-polynomial `O(n·B)`.
-    /// The reference the parity suites compare against.
-    ExactDp,
-    /// Instance reduction (bound-based variable fixing) in front of the
-    /// bounded DP over what is left — bit identical to
-    /// [`SolverChoice::ExactDp`], usually much faster.
-    Adaptive,
-}
-
-impl SolverChoice {
-    fn solve(self, mapped: &MappedInstance, budget: u64) -> basecache_knapsack::Solution {
-        match self {
-            SolverChoice::ExactDp => DpByCapacity.solve(mapped.instance(), budget),
-            SolverChoice::Adaptive => AdaptiveSolver.solve(mapped.instance(), budget),
-        }
-    }
-}
-
-/// The on-demand planner: scoring function + solver choice.
+/// The on-demand planner: a scoring function over the exact knapsack
+/// solve. Every solve runs [`AdaptiveSolver`], which returns the
+/// paper's full-table DP optimum bit for bit (the knapsack crate's
+/// property suites prove it; the core parity suites check every round
+/// against [`DpByCapacity`]) while sweeping only the core the bounds
+/// leave undecided.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OnDemandPlanner {
     scoring: ScoringFunction,
-    solver: SolverChoice,
 }
 
 impl OnDemandPlanner {
-    /// Create a planner.
-    pub fn new(scoring: ScoringFunction, solver: SolverChoice) -> Self {
-        Self { scoring, solver }
+    /// Create a planner that scores with `scoring`.
+    pub fn new(scoring: ScoringFunction) -> Self {
+        Self { scoring }
     }
 
-    /// The paper's configuration: inverse-ratio scoring with an exact
-    /// solve. The solve runs through the adaptive reduction front-end
-    /// ([`SolverChoice::Adaptive`]), which is proven bit-identical to
-    /// the paper's full-table DP (`crates/core/tests/adaptive_parity.rs`)
-    /// and usually much faster.
+    /// The paper's configuration: inverse-ratio scoring.
     pub fn paper_default() -> Self {
-        Self::new(ScoringFunction::InverseRatio, SolverChoice::Adaptive)
+        Self::new(ScoringFunction::InverseRatio)
     }
 
     /// The scoring function in use.
@@ -76,24 +54,32 @@ impl OnDemandPlanner {
     ///
     /// `recency[i]` is the recency of object `i`'s cached copy (0 when
     /// absent). The returned plan downloads at most `budget` data units.
+    ///
+    /// # Errors
+    ///
+    /// [`crate::ConfigError::PlanTableTooLarge`] when the exact-DP tables for
+    /// `catalog` at `budget` would pass
+    /// [`crate::scratch::MAX_PLAN_TABLE_BYTES`], the bound
+    /// [`crate::builder::StationBuilder::build`] enforces.
     pub fn plan(
         &self,
         batch: &RequestBatch,
         catalog: &Catalog,
         recency: &[f64],
         budget: u64,
-    ) -> DownloadPlan {
+    ) -> Result<DownloadPlan, Error> {
+        check_plan_table(catalog, budget)?;
         let mapped = build_instance(batch, catalog, recency, self.scoring);
-        let solution = self.solver.solve(&mapped, budget);
+        let solution = AdaptiveSolver.solve(mapped.instance(), budget);
         let mut download = mapped.selected_objects(&solution);
         download.sort_unstable();
-        DownloadPlan {
+        Ok(DownloadPlan {
             download,
             download_size: solution.total_size(),
             achieved_value: solution.total_profit(),
             budget,
             scoring: self.scoring,
-        }
+        })
     }
 
     /// Allocation-free planning round over raw generated requests.
@@ -111,6 +97,11 @@ impl OnDemandPlanner {
     /// profits accumulate in arrival order, exactly as each object's
     /// targets do in a [`RequestBatch`].
     ///
+    /// # Errors
+    ///
+    /// [`crate::ConfigError::PlanTableTooLarge`], as [`Self::plan`]; `scratch`
+    /// is left as it was.
+    ///
     /// # Panics
     ///
     /// Panics if a requested object is outside the catalog, a target
@@ -124,8 +115,8 @@ impl OnDemandPlanner {
         recency: &[f64],
         budget: u64,
         scratch: &mut PlannerScratch,
-    ) {
-        self.plan_requests_recorded(requests, catalog, recency, budget, scratch, &NullRecorder);
+    ) -> Result<(), Error> {
+        self.plan_requests_recorded(requests, catalog, recency, budget, scratch, &NullRecorder)
     }
 
     /// [`Self::plan_requests_into`] with instrumentation: the knapsack
@@ -139,6 +130,10 @@ impl OnDemandPlanner {
     /// `&dyn Recorder`) so the `NullRecorder` instantiation monomorphizes
     /// back to the uninstrumented round — opaque virtual calls would
     /// otherwise act as optimization barriers inside the hot path.
+    ///
+    /// # Errors
+    ///
+    /// [`crate::ConfigError::PlanTableTooLarge`], as [`Self::plan`].
     pub fn plan_requests_recorded<R: Recorder + ?Sized>(
         &self,
         requests: &[GeneratedRequest],
@@ -147,9 +142,11 @@ impl OnDemandPlanner {
         budget: u64,
         scratch: &mut PlannerScratch,
         recorder: &R,
-    ) {
+    ) -> Result<(), Error> {
+        check_plan_table(catalog, budget)?;
         self.assemble_requests_into(requests, catalog, recency, scratch);
         self.solve_assembled(budget, scratch, recorder);
+        Ok(())
     }
 
     /// The aggregation half of [`Self::plan_requests_recorded`]: build
@@ -246,46 +243,28 @@ impl OnDemandPlanner {
         scratch.downloads.clear();
         {
             let _solve = Span::enter(recorder, Stage::Solve);
-            match self.solver {
-                SolverChoice::ExactDp => {
-                    let value = DpByCapacity.solve_into(&scratch.items, budget, &mut scratch.dp);
-                    scratch.achieved_value = value;
-                    let mut size = 0u64;
-                    // `chosen()` is ascending by item index and `objects` is
-                    // ascending by id, so the downloads come out sorted.
-                    for &i in scratch.dp.chosen() {
-                        size += scratch.items[i].size();
-                        scratch.downloads.push(scratch.objects[i]);
-                    }
-                    scratch.download_size = size;
-                    recorder.add(Event::DpCellsTouched, scratch.dp.cells_touched());
-                }
-                SolverChoice::Adaptive => {
-                    let value = AdaptiveSolver.solve_into(
-                        &scratch.items,
-                        budget,
-                        &mut scratch.adaptive,
-                        &mut scratch.dp,
-                    );
-                    scratch.achieved_value = value;
-                    let mut size = 0u64;
-                    // `chosen()` is ascending by item index and `objects`
-                    // is ascending by id, so the downloads come out
-                    // sorted.
-                    for &i in scratch.adaptive.chosen() {
-                        size += scratch.items[i].size();
-                        scratch.downloads.push(scratch.objects[i]);
-                    }
-                    scratch.download_size = size;
-                    recorder.add(Event::DpCellsTouched, scratch.adaptive.cells_touched());
-                    recorder.sample(Sample::CoreSize, scratch.adaptive.core_size() as f64);
-                    recorder.sample(Sample::ItemsFixed, scratch.adaptive.items_fixed() as f64);
-                    recorder.sample(
-                        Sample::SolverChosen,
-                        scratch.adaptive.method().code() as f64,
-                    );
-                }
+            let value = AdaptiveSolver.solve_into(
+                &scratch.items,
+                budget,
+                &mut scratch.adaptive,
+                &mut scratch.dp,
+            );
+            scratch.achieved_value = value;
+            let mut size = 0u64;
+            // `chosen()` is ascending by item index and `objects` is
+            // ascending by id, so the downloads come out sorted.
+            for &i in scratch.adaptive.chosen() {
+                size += scratch.items[i].size();
+                scratch.downloads.push(scratch.objects[i]);
             }
+            scratch.download_size = size;
+            recorder.add(Event::DpCellsTouched, scratch.adaptive.cells_touched());
+            recorder.sample(Sample::CoreSize, scratch.adaptive.core_size() as f64);
+            recorder.sample(Sample::ItemsFixed, scratch.adaptive.items_fixed() as f64);
+            recorder.sample(
+                Sample::SolverChosen,
+                scratch.adaptive.method().code() as f64,
+            );
         }
         recorder.sample(Sample::PlanProfit, scratch.achieved_value);
     }
@@ -294,7 +273,8 @@ impl OnDemandPlanner {
     /// assembled instance's solution-space trace up to `max_budget` once,
     /// read the knee of its value curve ([`knee_budget`]) and leave the
     /// optimal plan *at the knee* in `scratch`, recorded like any other
-    /// solve. The trace is the exact DP's, whatever the planner's solver.
+    /// solve. The trace is the exact DP's: only it holds the optimum at
+    /// every budget.
     pub(crate) fn solve_assembled_at_knee<R: Recorder + ?Sized>(
         &self,
         max_budget: u64,
@@ -356,21 +336,27 @@ impl OnDemandPlanner {
     }
 
     /// The round's knapsack mapping together with the exact DP's full
-    /// solution-space trace up to `max_budget` (whatever the planner's
-    /// solver: a trace is the exact DP's). This is what the Section 4
-    /// analyses and the budget-bound selection ([`crate::bound`]) read;
-    /// the caller picks a budget off the trace and recovers that plan
-    /// with `trace.solution_at(mapped.instance(), budget)`.
+    /// solution-space trace up to `max_budget`. This is what the
+    /// Section 4 analyses and the budget-bound selection
+    /// ([`crate::bound`]) read; the caller picks a budget off the trace
+    /// and recovers that plan with
+    /// `trace.solution_at(mapped.instance(), budget)`.
+    ///
+    /// # Errors
+    ///
+    /// [`crate::ConfigError::PlanTableTooLarge`] at a `max_budget` past the
+    /// table bound, as [`Self::plan`].
     pub fn plan_with_trace(
         &self,
         batch: &RequestBatch,
         catalog: &Catalog,
         recency: &[f64],
         max_budget: u64,
-    ) -> (MappedInstance, DpTrace) {
+    ) -> Result<(MappedInstance, DpTrace), Error> {
+        check_plan_table(catalog, max_budget)?;
         let mapped = build_instance(batch, catalog, recency, self.scoring);
         let trace = DpByCapacity.solve_trace(mapped.instance(), max_budget);
-        (mapped, trace)
+        Ok((mapped, trace))
     }
 }
 
@@ -506,7 +492,7 @@ mod tests {
     fn plan_respects_budget_and_prefers_stale_popular_objects() {
         let (batch, catalog, recency) = setup();
         let planner = OnDemandPlanner::paper_default();
-        let plan = planner.plan(&batch, &catalog, &recency, 3);
+        let plan = planner.plan(&batch, &catalog, &recency, 3).unwrap();
         assert!(plan.download_size() <= 3);
         // Objects 1 (size 2, 3 stale clients) and 3 (size 1, 4 very stale
         // clients) fit the budget and carry the most benefit.
@@ -518,7 +504,9 @@ mod tests {
     #[test]
     fn zero_budget_serves_everything_from_cache() {
         let (batch, catalog, recency) = setup();
-        let plan = OnDemandPlanner::paper_default().plan(&batch, &catalog, &recency, 0);
+        let plan = OnDemandPlanner::paper_default()
+            .plan(&batch, &catalog, &recency, 0)
+            .unwrap();
         assert!(plan.downloads().is_empty());
         let cached: Vec<_> = plan.from_cache(&batch).collect();
         assert_eq!(cached.len(), 4);
@@ -527,7 +515,9 @@ mod tests {
     #[test]
     fn unlimited_budget_downloads_all_stale_requested_objects() {
         let (batch, catalog, recency) = setup();
-        let plan = OnDemandPlanner::paper_default().plan(&batch, &catalog, &recency, 10_000);
+        let plan = OnDemandPlanner::paper_default()
+            .plan(&batch, &catalog, &recency, 10_000)
+            .unwrap();
         // Object 0 has recency 0.9 < 1.0 so it still has positive profit.
         assert_eq!(plan.downloads().len(), 4);
         assert!((plan.average_score(&batch, &recency) - 1.0).abs() < 1e-12);
@@ -541,6 +531,7 @@ mod tests {
         for budget in [0u64, 1, 2, 4, 8, 13] {
             let score = planner
                 .plan(&batch, &catalog, &recency, budget)
+                .unwrap()
                 .average_score(&batch, &recency);
             assert!(score >= prev - 1e-12, "budget {budget}: {score} < {prev}");
             prev = score;
@@ -553,8 +544,10 @@ mod tests {
         // (base + value)/clients computed from the knapsack mapping.
         let (batch, catalog, recency) = setup();
         let planner = OnDemandPlanner::paper_default();
-        let plan = planner.plan(&batch, &catalog, &recency, 5);
-        let (mapped, trace) = planner.plan_with_trace(&batch, &catalog, &recency, 5);
+        let plan = planner.plan(&batch, &catalog, &recency, 5).unwrap();
+        let (mapped, trace) = planner
+            .plan_with_trace(&batch, &catalog, &recency, 5)
+            .unwrap();
         assert_eq!(trace.value_at(5), plan.achieved_value());
         let direct = plan.average_score(&batch, &recency);
         let via_value = mapped.average_score_for_value(plan.achieved_value());
@@ -562,32 +555,62 @@ mod tests {
     }
 
     #[test]
-    fn all_solvers_produce_feasible_plans() {
+    fn adaptive_plan_is_bit_identical_to_exact_dp() {
         let (batch, catalog, recency) = setup();
-        for solver in [SolverChoice::ExactDp, SolverChoice::Adaptive] {
-            let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio, solver);
-            let plan = planner.plan(&batch, &catalog, &recency, 6);
-            assert!(plan.download_size() <= 6, "{solver:?}");
+        let planner = OnDemandPlanner::paper_default();
+        for budget in [0u64, 1, 3, 6, 13, 10_000] {
+            let plan = planner.plan(&batch, &catalog, &recency, budget).unwrap();
+            let mapped = build_instance(&batch, &catalog, &recency, planner.scoring());
+            let exact = DpByCapacity.solve(mapped.instance(), budget);
+            let mut downloads = mapped.selected_objects(&exact);
+            downloads.sort_unstable();
+            assert_eq!(plan.downloads(), downloads, "budget {budget}");
+            assert_eq!(plan.download_size(), exact.total_size(), "budget {budget}");
+            assert_eq!(
+                plan.achieved_value().to_bits(),
+                exact.total_profit().to_bits(),
+                "budget {budget}"
+            );
             let sum: u64 = plan.downloads().iter().map(|&o| catalog.size_of(o)).sum();
-            assert_eq!(sum, plan.download_size(), "{solver:?}");
+            assert_eq!(sum, plan.download_size(), "budget {budget}");
+            assert!(plan.download_size() <= budget, "budget {budget}");
         }
     }
 
     #[test]
-    fn adaptive_plan_is_bit_identical_to_exact_dp() {
-        let (batch, catalog, recency) = setup();
-        for budget in [0u64, 1, 3, 6, 13, 10_000] {
-            let dp = OnDemandPlanner::new(ScoringFunction::InverseRatio, SolverChoice::ExactDp)
-                .plan(&batch, &catalog, &recency, budget);
-            let ad = OnDemandPlanner::new(ScoringFunction::InverseRatio, SolverChoice::Adaptive)
-                .plan(&batch, &catalog, &recency, budget);
-            assert_eq!(dp.downloads(), ad.downloads(), "budget {budget}");
-            assert_eq!(
-                dp.achieved_value().to_bits(),
-                ad.achieved_value().to_bits(),
-                "budget {budget}"
-            );
-        }
+    fn planning_past_the_plan_table_bound_is_refused() {
+        use crate::error::ConfigError;
+
+        // 32 objects of ~10⁹ units: at 1.2·10¹⁰ the DP tables would need
+        // ~48 GB, so every entry point refuses before it allocates.
+        let sizes: Vec<u64> = (0..32).map(|i| 1_000_000_000 + 97 * i).collect();
+        let catalog = Catalog::from_sizes(&sizes);
+        let recency = vec![0.0; catalog.len()];
+        let requests: Vec<GeneratedRequest> = (0..32)
+            .map(|i| GeneratedRequest {
+                object: ObjectId(i),
+                target_recency: 1.0,
+            })
+            .collect();
+        let batch = RequestBatch::from_generated(&requests);
+        let budget = 12_000_000_000;
+        let refused = Some(Error::Config(ConfigError::PlanTableTooLarge {
+            items: 32,
+            capacity: budget,
+        }));
+        let planner = OnDemandPlanner::paper_default();
+        let plan = planner.plan(&batch, &catalog, &recency, budget);
+        assert_eq!(plan.err(), refused);
+        let traced = planner.plan_with_trace(&batch, &catalog, &recency, budget);
+        assert_eq!(traced.err(), refused);
+        let mut scratch = PlannerScratch::new();
+        let planned =
+            planner.plan_requests_into(&requests, &catalog, &recency, budget, &mut scratch);
+        assert_eq!(planned.err(), refused);
+        assert!(scratch.downloads().is_empty(), "nothing was planned");
+        // Under the bound the same catalog plans (and nothing fits).
+        let plan = planner.plan(&batch, &catalog, &recency, 1_000).unwrap();
+        assert!(plan.downloads().is_empty());
     }
 
     #[test]

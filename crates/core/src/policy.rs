@@ -28,7 +28,7 @@ pub enum Policy {
     /// The paper's on-demand knapsack planner under a per-tick unit
     /// budget.
     OnDemand {
-        /// The planner (scoring function + solver).
+        /// The planner (its scoring function).
         planner: OnDemandPlanner,
         /// Download budget per time unit, in data units.
         budget_units: u64,
@@ -60,7 +60,8 @@ pub enum Policy {
     /// the knee — the budget where the marginal recency gain per unit
     /// drops below `threshold` over the next `window` units.
     OnDemandAdaptive {
-        /// The on-demand planner (knee selection forces the exact DP).
+        /// The on-demand planner (its scoring function; the knee is read
+        /// off the exact DP's trace).
         planner: OnDemandPlanner,
         /// Hard ceiling on the per-tick budget, in data units.
         max_budget: u64,

@@ -138,61 +138,16 @@ fn score_chunk(x: f64, targets: &[f64], scores: &mut [f64], below: impl Fn(f64) 
     }
 }
 
-/// The per-update recency decay of Section 3.2: each time the remote
-/// object updates while a copy sits in the cache, the copy's recency
-/// decays as `x' = C·x/(1 + x)` (the paper writes the algebraically
-/// identical `x' = C/(1/x + 1)`), with constant `C = 1` by default. With
-/// `C = 1` a fresh copy decays through the harmonic sequence
-/// `1, 1/2, 1/3, …` as updates accumulate.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DecayModel {
-    c: f64,
-}
-
-impl Default for DecayModel {
-    fn default() -> Self {
-        Self::new(1.0)
-    }
-}
-
-impl DecayModel {
-    /// A decay model with constant `c ∈ (0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `c ∈ (0, 1]` — a larger constant would let recency
-    /// grow without a download, which is meaningless.
-    pub fn new(c: f64) -> Self {
-        assert!(
-            c > 0.0 && c <= 1.0,
-            "decay constant must be in (0, 1], got {c}"
-        );
-        Self { c }
-    }
-
-    /// One decay step: the recency after one more missed update.
-    pub fn decay(&self, x: f64) -> f64 {
-        assert!(
-            (0.0..=1.0).contains(&x),
-            "recency must be in [0, 1], got {x}"
-        );
-        self.c * x / (1.0 + x)
-    }
-
-    /// Recency of a copy that was fresh (`x = 1`) and has since missed
-    /// `lag` updates. With `c = 1` this is exactly `1 / (lag + 1)`.
-    pub fn recency_for_lag(&self, lag: u64) -> f64 {
-        if self.c == 1.0 {
-            // Closed form for the harmonic decay; avoids iteration for
-            // the hot path (every cached object, every tick).
-            return 1.0 / (lag as f64 + 1.0);
-        }
-        let mut x = 1.0;
-        for _ in 0..lag {
-            x = self.decay(x);
-        }
-        x
-    }
+/// Recency of a copy that was fresh (`x = 1`) and has since missed
+/// `lag` server updates. Section 3.2 decays a cached copy's recency on
+/// every missed update as `x' = C·x/(1 + x)` (the paper writes the
+/// algebraically identical `x' = C/(1/x + 1)`); with the paper's
+/// constant `C = 1` a fresh copy decays through the harmonic sequence
+/// `1, 1/2, 1/3, …`, so the recency after `lag` updates is
+/// `1 / (lag + 1)`.
+#[inline]
+pub fn recency_for_lag(lag: u64) -> f64 {
+    1.0 / (lag as f64 + 1.0)
 }
 
 #[cfg(test)]
@@ -317,34 +272,16 @@ mod tests {
 
     #[test]
     fn harmonic_decay_closed_form() {
-        let d = DecayModel::default();
-        assert_eq!(d.recency_for_lag(0), 1.0);
-        assert!((d.recency_for_lag(1) - 0.5).abs() < 1e-12);
-        assert!((d.recency_for_lag(4) - 0.2).abs() < 1e-12);
-        // Closed form agrees with explicit iteration.
+        assert_eq!(recency_for_lag(0), 1.0);
+        assert!((recency_for_lag(1) - 0.5).abs() < 1e-12);
+        assert!((recency_for_lag(4) - 0.2).abs() < 1e-12);
+        // Closed form agrees with iterating the per-update decay
+        // `x' = x/(1 + x)`.
         let mut x = 1.0;
         for _ in 0..7 {
-            x = d.decay(x);
+            x /= 1.0 + x;
         }
-        assert!((d.recency_for_lag(7) - x).abs() < 1e-12);
-    }
-
-    #[test]
-    fn general_constant_decays_monotonically() {
-        let d = DecayModel::new(0.8);
-        let mut x = 1.0;
-        for lag in 1..20 {
-            let next = d.recency_for_lag(lag);
-            assert!(next < x, "decay must be strictly decreasing");
-            assert!(next > 0.0);
-            x = next;
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "decay constant")]
-    fn rejects_bad_constant() {
-        let _ = DecayModel::new(1.5);
+        assert!((recency_for_lag(7) - x).abs() < 1e-12);
     }
 
     #[test]

@@ -20,9 +20,11 @@ use basecache_net::{Catalog, ObjectId};
 use crate::error::ConfigError;
 
 /// The largest exact-DP table a station may reserve, in bytes (1 GiB).
-/// [`crate::builder::StationBuilder::build`] and
-/// [`crate::station::BaseStationSim::set_download_budget`] refuse a
-/// catalog and budget whose tables would be larger with
+/// [`crate::builder::StationBuilder::build`],
+/// [`crate::station::BaseStationSim::set_download_budget`] and the
+/// planner's own entry points ([`crate::planner::OnDemandPlanner::plan`]
+/// and its siblings) refuse a catalog and budget whose tables would be
+/// larger with
 /// [`crate::error::ConfigError::PlanTableTooLarge`] instead of letting
 /// the reserve abort the process. The largest table anything in this
 /// repository reserves is ~26 MB (100 000 objects under a budget of
@@ -63,7 +65,7 @@ pub(crate) fn check_plan_table(catalog: &Catalog, budget: u64) -> Result<(), Con
 ///
 /// Construct one per station (or one per thread) and pass it to every
 /// planning round; after the first round at a given catalog size and
-/// budget, no further allocations occur on the exact-DP path.
+/// budget, no further allocations occur.
 #[derive(Debug, Default)]
 pub struct PlannerScratch {
     /// Per-object summed download benefit, indexed by object id; all
@@ -76,10 +78,8 @@ pub struct PlannerScratch {
     pub(crate) items: Vec<Item>,
     /// Object id of each knapsack item (parallel to `items`).
     pub(crate) objects: Vec<ObjectId>,
-    /// Reusable DP tables: the whole solve under
-    /// [`crate::planner::SolverChoice::ExactDp`], the core sweep under
-    /// [`crate::planner::SolverChoice::Adaptive`], the solution-space
-    /// trace of an adaptive-budget round.
+    /// Reusable DP tables: the adaptive solve's core sweep, the
+    /// solution-space trace of an adaptive-budget round.
     pub(crate) dp: DpScratch,
     /// Reusable reduction buffers of the adaptive solve.
     pub(crate) adaptive: AdaptiveScratch,
@@ -98,10 +98,9 @@ impl PlannerScratch {
 
     /// Pre-size for a catalog of `num_objects` objects and a per-round
     /// budget of `budget` data units, so that even the first round
-    /// allocates nothing under either exact solver. The DP tables'
-    /// capacity is reserved, not touched: a solve dirties only the rows
-    /// of the items it sweeps (the surviving core, under the adaptive
-    /// solver).
+    /// allocates nothing. The DP tables' capacity is reserved, not
+    /// touched: a solve dirties only the rows of the items it sweeps
+    /// (the core the adaptive solver's bounds leave undecided).
     pub fn reserve(&mut self, num_objects: usize, budget: u64) {
         self.per_profit.resize(num_objects, 0.0);
         self.per_count.resize(num_objects, 0);

@@ -43,7 +43,7 @@ use crate::estimator::RecencyEstimator;
 use crate::outcome::RoundOutcome;
 use crate::policy::PlanView;
 pub use crate::policy::Policy;
-use crate::recency::{DecayModel, ScoringFunction};
+use crate::recency::{recency_for_lag, ScoringFunction};
 use crate::scratch::{check_plan_table, PlannerScratch};
 
 /// How the station learns the recency of its cached copies when making
@@ -98,20 +98,6 @@ struct FlightState {
     arrived: Vec<(ObjectId, u64)>,
 }
 
-impl FlightState {
-    /// Pop the next transfer landing this round, appending the requests
-    /// parked on it to `waiters`; an observed round also sees the
-    /// arrival's lifecycle event.
-    fn pop_arrival(&mut self, round: &Round<'_>) -> Option<Arrived> {
-        if round.observing {
-            self.ledger
-                .pop_arrival_recorded(round.tick, &mut self.waiters, round.recorder)
-        } else {
-            self.ledger.pop_arrival(round.tick, &mut self.waiters)
-        }
-    }
-}
-
 /// Where a round's requests come from. Only the assemble half of the
 /// plan stage and the serve stage look inside.
 enum Source<'a> {
@@ -146,6 +132,18 @@ impl Round<'_> {
         LifecycleEvent::new(transition, object.0, version, self.tick)
     }
 
+    /// Pop the next transfer landing this round off `flight`'s ledger,
+    /// appending the requests parked on it to its `waiters`; an
+    /// observed round also sees the arrival's lifecycle event.
+    fn pop_arrival(&self, flight: &mut FlightState) -> Option<Arrived> {
+        let a = flight.ledger.pop_arrival(self.tick, &mut flight.waiters)?;
+        if self.observing {
+            let arrived = self.event(Transition::Arrived, a.object, a.version.0);
+            self.recorder.lifecycle(arrived.at_launch(a.launched_at));
+        }
+        Some(a)
+    }
+
     /// Charge the staleness an object's clients were served at, in
     /// thousandths per request: a request served at recency 0.4 adds
     /// 600 to its object's tally.
@@ -166,7 +164,6 @@ pub struct BaseStationSim {
     cache: CacheStore,
     policy: Policy,
     refresher: AsyncRefresher,
-    decay: DecayModel,
     scoring: ScoringFunction,
     estimation: Estimation,
     tick: u64,
@@ -215,8 +212,8 @@ impl BaseStationSim {
         // pose — a full-catalog instance at the full budget — so the
         // first round (and every solve path, including the adaptive
         // pipeline's full-DP fallback) stays off the heap. Budgets past
-        // the catalog's total size are equivalent to it (every solver
-        // clamps the capacity), so the reserve clamps too.
+        // the catalog's total size are equivalent to it (the solvers
+        // clamp the capacity), so the reserve clamps too.
         let mut scratch = PlannerScratch::new();
         if let Some(budget) = policy.unit_budget() {
             scratch.reserve(catalog.len(), budget.min(catalog.total_size()));
@@ -234,7 +231,6 @@ impl BaseStationSim {
             cache,
             policy,
             refresher,
-            decay: DecayModel::default(),
             scoring,
             estimation,
             tick: 0,
@@ -367,9 +363,7 @@ impl BaseStationSim {
     #[inline]
     fn true_recency(&self, id: ObjectId) -> f64 {
         match self.cache.peek(id) {
-            Some(entry) => self
-                .decay
-                .recency_for_lag(entry.lag(self.server.version_of(id))),
+            Some(entry) => recency_for_lag(entry.lag(self.server.version_of(id))),
             None => 0.0,
         }
     }
@@ -649,7 +643,7 @@ impl BaseStationSim {
         flight.arrived.clear();
         loop {
             flight.waiters.clear();
-            let Some(a) = flight.pop_arrival(round) else {
+            let Some(a) = round.pop_arrival(flight) else {
                 break;
             };
             self.refresh_copy(round, a.object, a.size, a.version);
@@ -839,17 +833,15 @@ impl BaseStationSim {
                     }
                     let version = self.server.version_of(id);
                     let size = self.catalog.size_of(id);
+                    flight.ledger.launch(id, version, size, round.tick);
                     if round.observing {
-                        flight
-                            .ledger
-                            .launch_recorded(id, version, size, round.tick, recorder);
-                    } else {
-                        flight.ledger.launch(id, version, size, round.tick);
+                        let launched = round.event(Transition::Launched, id, version.0);
+                        recorder.lifecycle(launched.at_launch(round.tick));
                     }
                 }
                 recorder.add(Event::FetchesIssued, downloaded.len() as u64);
                 if flight.ledger.is_instant() {
-                    while let Some(a) = flight.pop_arrival(round) {
+                    while let Some(a) = round.pop_arrival(flight) {
                         self.refresh_copy(round, a.object, a.size, a.version);
                     }
                     debug_assert!(
@@ -915,11 +907,13 @@ impl BaseStationSim {
             let x = recency[r.object.index()];
             if let Some(ledger) = ledger.as_deref_mut() {
                 if x < 1.0 && ledger.joinable(r.object, self.server.version_of(r.object)) {
-                    let launched_at = if observing {
-                        ledger.join_recorded(r.object, r.target_recency, tick, recorder)
-                    } else {
-                        ledger.join(r.object, r.target_recency, tick)
-                    };
+                    let launched_at = ledger.join(r.object, r.target_recency, tick);
+                    if observing {
+                        // `joinable` just matched the server's version.
+                        let version = self.server.version_of(r.object).0;
+                        let joined = round.event(Transition::Joined, r.object, version);
+                        recorder.lifecycle(joined.at_launch(launched_at));
+                    }
                     if launched_at < tick {
                         joined += 1;
                         recorder.incr(Event::FetchesCoalesced);
@@ -1098,7 +1092,7 @@ impl BaseStationSim {
 mod tests {
     use super::*;
     use crate::builder::StationBuilder;
-    use crate::planner::{OnDemandPlanner, SolverChoice};
+    use crate::planner::OnDemandPlanner;
 
     fn req(id: u32) -> GeneratedRequest {
         GeneratedRequest {
@@ -1118,7 +1112,7 @@ mod tests {
         station(
             Catalog::uniform_unit(n),
             Policy::OnDemand {
-                planner: OnDemandPlanner::new(ScoringFunction::InverseRatio, SolverChoice::ExactDp),
+                planner: OnDemandPlanner::new(ScoringFunction::InverseRatio),
                 budget_units: budget,
             },
         )
@@ -1249,7 +1243,7 @@ mod tests {
 
     #[test]
     fn adaptive_budget_downloads_high_gain_objects_only() {
-        let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio, SolverChoice::ExactDp);
+        let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio);
         // Sizes: one cheap object, one expensive one.
         let mut s = station(
             Catalog::from_sizes(&[1, 30]),
@@ -1278,7 +1272,7 @@ mod tests {
 
     #[test]
     fn adaptive_with_zero_threshold_downloads_everything_stale() {
-        let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio, SolverChoice::ExactDp);
+        let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio);
         let mut s = station(
             Catalog::from_sizes(&[1, 30]),
             Policy::OnDemandAdaptive {
@@ -1298,7 +1292,7 @@ mod tests {
 
     #[test]
     fn hybrid_spends_leftover_budget_on_background_refresh() {
-        let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio, SolverChoice::ExactDp);
+        let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio);
         let mut s = station(
             Catalog::uniform_unit(6),
             Policy::Hybrid {
@@ -1325,7 +1319,7 @@ mod tests {
 
     #[test]
     fn hybrid_with_no_leftover_reduces_to_on_demand() {
-        let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio, SolverChoice::ExactDp);
+        let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio);
         let mut hybrid = station(
             Catalog::uniform_unit(8),
             Policy::Hybrid {
@@ -1355,10 +1349,10 @@ mod tests {
         // everything stays fresh, so after the real update wave the
         // planner downloads nothing — and the *measured* score honestly
         // reports the resulting staleness.
-        let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio, SolverChoice::ExactDp);
+        let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio);
         let mut s = StationBuilder::new(Catalog::uniform_unit(4))
             .on_demand(planner, 100)
-            .estimator(Box::new(TtlEstimator::new(1000, DecayModel::default())))
+            .estimator(Box::new(TtlEstimator::new(1000)))
             .build()
             .expect("test configurations are valid");
         s.step(&[req(0)]);
@@ -1376,12 +1370,12 @@ mod tests {
         use crate::estimator::ReportEstimator;
         use basecache_net::ReportLog;
 
-        let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio, SolverChoice::ExactDp);
+        let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio);
         let catalog = Catalog::uniform_unit(4);
         let mut log = ReportLog::new(&catalog);
         let mut s = StationBuilder::new(catalog)
             .on_demand(planner, 100)
-            .estimator(Box::new(ReportEstimator::new(4, DecayModel::default())))
+            .estimator(Box::new(ReportEstimator::new(4)))
             .build()
             .expect("test configurations are valid");
         s.step(&[req(0)]);
@@ -1479,10 +1473,10 @@ mod tests {
         // The TTL believes in an update every 4 ticks; the waves come
         // irregularly and more often, so the recency the planner is
         // handed is not the recency served.
-        let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio, SolverChoice::ExactDp);
+        let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio);
         let s = StationBuilder::new(Catalog::from_sizes(&[1, 3, 2, 5, 1, 4, 2, 2, 3, 1, 6, 2]))
             .on_demand(planner, 7)
-            .estimator(Box::new(TtlEstimator::new(4, DecayModel::default())))
+            .estimator(Box::new(TtlEstimator::new(4)))
             .build()
             .expect("test configurations are valid");
         assert_serve_matches_per_request_reference(s, "serve-parity/ttl");
@@ -1514,7 +1508,7 @@ mod tests {
         let mut s = station(
             Catalog::uniform_unit(3),
             Policy::OnDemand {
-                planner: OnDemandPlanner::new(ScoringFunction::Exponential, SolverChoice::ExactDp),
+                planner: OnDemandPlanner::new(ScoringFunction::Exponential),
                 budget_units: 0,
             },
         );

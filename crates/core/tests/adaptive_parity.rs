@@ -1,24 +1,27 @@
-//! The adaptive reduction pipeline must be indistinguishable from the
-//! paper's full-table DP: same chosen set, same profit bits, same
-//! downstream station outcomes. These tests back the claim in
-//! [`OnDemandPlanner::paper_default`]'s docs that switching the default
-//! solve to [`SolverChoice::Adaptive`] changes nothing observable.
+//! The planner's solve must be indistinguishable from the paper's
+//! full-table DP: every round it plans is checked against
+//! [`DpByCapacity`] on the same instance, rebuilt outside the planner —
+//! same chosen set, same download size, same profit bits — and the
+//! reduction in front of the DP may only ever save DP cells.
 //!
 //! "Identical" is always bit-for-bit, never tolerance: the adaptive
-//! front-end either proves its answer matches the canonical DP
-//! semantics (ascending-index profit fold, exclude-from-highest-index
-//! tie-breaking) or falls back to the DP itself.
+//! solver either proves its answer matches the canonical DP semantics
+//! (ascending-index profit fold, exclude-from-highest-index
+//! tie-breaking) or runs the DP over the core its bounds leave.
 
-use basecache_core::planner::{OnDemandPlanner, SolverChoice};
+mod common;
+
+use basecache_core::planner::OnDemandPlanner;
 use basecache_core::recency::ScoringFunction;
 use basecache_core::scratch::PlannerScratch;
 use basecache_core::{BaseStationSim, Policy, StationBuilder};
 use basecache_net::{Catalog, CellId, ObjectId};
-use basecache_obs::FlightRecorder;
 use basecache_sim::{RngStreams, StreamRng};
 use basecache_workload::{
     ClusterWorkload, GeneratedRequest, MobilityModel, Popularity, TargetRecency,
 };
+
+use common::{exact_dp, last_solve, Exact, Instance, SolveProbe};
 
 fn random_round(rng: &mut StreamRng) -> (Catalog, Vec<f64>, Vec<GeneratedRequest>, u64) {
     let n = rng.random_range(1..=40usize);
@@ -36,11 +39,40 @@ fn random_round(rng: &mut StreamRng) -> (Catalog, Vec<f64>, Vec<GeneratedRequest
     (catalog, recency, requests, budget)
 }
 
-/// Every random round, under every scoring function, plans identically
-/// through the exact DP and through the adaptive pipeline. Both
-/// scratches persist across rounds, so buffers and lazily grown DP
-/// tables left by unrelated previous rounds must never change the
-/// answer.
+/// Plan one round on `scratch` and check it against the exact DP on
+/// the instance rebuilt from the same requests. Returns the DP cells
+/// the planner swept and the cells the full DP sweeps.
+fn plan_and_check(
+    planner: OnDemandPlanner,
+    round: (&Catalog, &[f64], &[GeneratedRequest], u64),
+    scratch: &mut PlannerScratch,
+    label: &str,
+) -> (u64, u64) {
+    let (catalog, recency, requests, budget) = round;
+    let probe = SolveProbe::default();
+    planner
+        .plan_requests_recorded(requests, catalog, recency, budget, scratch, &probe)
+        .expect("a small table");
+    let instance = Instance::of_batch(requests, catalog, recency, planner.scoring(), &[]);
+    let exact = exact_dp(&instance, budget);
+    assert_eq!(
+        scratch.downloads(),
+        exact.downloads,
+        "{label}: chosen set diverges"
+    );
+    assert_eq!(scratch.download_size(), exact.size, "{label}: size");
+    assert_eq!(
+        scratch.achieved_value().to_bits(),
+        exact.value.to_bits(),
+        "{label}: profit bits diverge"
+    );
+    (probe.last().1, exact.cells)
+}
+
+/// Every random round, under every scoring function, plans what the
+/// exact DP picks. The scratch persists across rounds, so buffers and
+/// lazily grown DP tables left by unrelated previous rounds must never
+/// change the answer.
 #[test]
 fn adaptive_rounds_are_bit_identical_to_exact_dp() {
     for scoring in [
@@ -48,27 +80,22 @@ fn adaptive_rounds_are_bit_identical_to_exact_dp() {
         ScoringFunction::Exponential,
         ScoringFunction::Step,
     ] {
-        let exact = OnDemandPlanner::new(scoring, SolverChoice::ExactDp);
-        let adaptive = OnDemandPlanner::new(scoring, SolverChoice::Adaptive);
-        let mut dp_scratch = PlannerScratch::new();
-        let mut ad_scratch = PlannerScratch::new();
+        let planner = OnDemandPlanner::new(scoring);
+        let mut scratch = PlannerScratch::new();
+        let (mut cells, mut dp_cells) = (0, 0);
         let mut rng = RngStreams::new(0xADA_9001).stream("core/adaptive-parity");
         for round in 0..150 {
             let (catalog, recency, requests, budget) = random_round(&mut rng);
-            exact.plan_requests_into(&requests, &catalog, &recency, budget, &mut dp_scratch);
-            adaptive.plan_requests_into(&requests, &catalog, &recency, budget, &mut ad_scratch);
-            assert_eq!(
-                ad_scratch.downloads(),
-                dp_scratch.downloads(),
-                "round {round} {scoring:?}: chosen set diverges"
-            );
-            assert_eq!(ad_scratch.download_size(), dp_scratch.download_size());
-            assert_eq!(
-                ad_scratch.achieved_value().to_bits(),
-                dp_scratch.achieved_value().to_bits(),
-                "round {round} {scoring:?}: profit bits diverge"
-            );
+            let label = format!("round {round} {scoring:?}");
+            let round = (&catalog, &recency[..], &requests[..], budget);
+            let (c, d) = plan_and_check(planner, round, &mut scratch, &label);
+            cells += c;
+            dp_cells += d;
         }
+        assert!(
+            cells <= dp_cells,
+            "{scoring:?}: the planner swept {cells} cells, the full DP {dp_cells}"
+        );
     }
 }
 
@@ -81,11 +108,9 @@ fn warm_started_correlated_rounds_stay_bit_identical() {
     let n = 30usize;
     let sizes: Vec<u64> = (0..n as u64).map(|i| 1 + i % 7).collect();
     let catalog = Catalog::from_sizes(&sizes);
-    let exact = OnDemandPlanner::new(ScoringFunction::InverseRatio, SolverChoice::ExactDp);
-    let adaptive = OnDemandPlanner::paper_default();
-    assert_eq!(adaptive.scoring(), ScoringFunction::InverseRatio);
-    let mut dp_scratch = PlannerScratch::new();
-    let mut ad_scratch = PlannerScratch::new();
+    let planner = OnDemandPlanner::paper_default();
+    assert_eq!(planner.scoring(), ScoringFunction::InverseRatio);
+    let mut scratch = PlannerScratch::new();
     let mut recency: Vec<f64> = vec![0.0; n];
     let mut rng = RngStreams::new(0xADA_9002).stream("core/adaptive-warm");
     for round in 0..120 {
@@ -98,27 +123,47 @@ fn warm_started_correlated_rounds_stay_bit_identical() {
             })
             .collect();
         let budget = rng.random_range(5u64..=25);
-        exact.plan_requests_into(&requests, &catalog, &recency, budget, &mut dp_scratch);
-        adaptive.plan_requests_into(&requests, &catalog, &recency, budget, &mut ad_scratch);
-        assert_eq!(
-            ad_scratch.downloads(),
-            dp_scratch.downloads(),
-            "round {round}: chosen set diverges"
-        );
-        assert_eq!(
-            ad_scratch.achieved_value().to_bits(),
-            dp_scratch.achieved_value().to_bits(),
-            "round {round}: profit bits diverge"
+        let label = format!("round {round}");
+        plan_and_check(
+            planner,
+            (&catalog, &recency, &requests, budget),
+            &mut scratch,
+            &label,
         );
         // Evolve the cache like a station would: downloads become
         // fresh, everything else decays.
         for r in &mut recency {
             *r = (*r - 0.12).max(0.0);
         }
-        for &o in dp_scratch.downloads() {
+        for &o in scratch.downloads() {
             recency[o.index()] = 1.0;
         }
     }
+}
+
+/// Check the on-demand round `station` just stepped against `exact`:
+/// the same downloads, units and value bits, and the cells its solve
+/// swept. Returns those cells, for the caller to compare with
+/// `exact.cells` over a run.
+fn assert_round_is_exact(
+    station: &BaseStationSim,
+    units_downloaded: u64,
+    exact: &Exact,
+    label: &str,
+) -> u64 {
+    let (value, cells) = last_solve(station);
+    assert_eq!(
+        station.last_downloaded(),
+        exact.downloads,
+        "{label}: chosen set diverges from the exact DP"
+    );
+    assert_eq!(units_downloaded, exact.size, "{label}: download size");
+    assert_eq!(
+        value.to_bits(),
+        exact.value.to_bits(),
+        "{label}: value bits diverge from the exact DP"
+    );
+    cells
 }
 
 const OBJECTS: usize = 60;
@@ -128,8 +173,8 @@ fn station_catalog() -> Catalog {
     Catalog::from_sizes(&sizes)
 }
 
-fn planner_station(policy: &str, solver: SolverChoice, budget: u64) -> BaseStationSim {
-    let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio, solver);
+fn planner_station(policy: &str, budget: u64) -> BaseStationSim {
+    let planner = OnDemandPlanner::paper_default();
     let policy = match policy {
         "on_demand" => Policy::OnDemand {
             planner,
@@ -143,7 +188,7 @@ fn planner_station(policy: &str, solver: SolverChoice, budget: u64) -> BaseStati
     };
     StationBuilder::new(station_catalog())
         .policy(policy)
-        .recorder(Box::new(FlightRecorder::new(512, 64, 8)))
+        .recorder(Box::new(SolveProbe::default()))
         .build()
         .expect("valid configuration")
 }
@@ -161,37 +206,12 @@ fn station_workload(seed: u64) -> ClusterWorkload {
     )
 }
 
-/// Round-series rows as raw bits: bit-identical NaN markers compare
-/// equal, any payload difference compares unequal.
-fn series_bits(sim: &BaseStationSim) -> Vec<[u64; 8]> {
-    sim.recorder()
-        .as_any()
-        .downcast_ref::<FlightRecorder>()
-        .expect("a FlightRecorder was installed")
-        .series()
-        .rows()
-        .iter()
-        .map(|r| {
-            [
-                r.tick,
-                r.batch_size.to_bits(),
-                r.mean_score.to_bits(),
-                r.hit_ratio.to_bits(),
-                r.downlink_util.to_bits(),
-                r.units_fetched,
-                r.plan_profit.to_bits(),
-                r.profit_bound.to_bits(),
-            ]
-        })
-        .collect()
-}
-
-/// Downstream station outcomes are bit-identical under either solver,
-/// for every policy that routes its downloads through the planner's
-/// configured solver, and the reduction only ever removes DP work.
-/// (`OnDemandAdaptive` is excluded by construction: its knee selection
-/// always reads the full DP trace, so the solver choice never reaches
-/// it.)
+/// Every round of a station running a policy that solves through the
+/// planner plans what the exact DP picks on the instance rebuilt from
+/// the round's requests — all of the on-demand round's downloads, the
+/// pull half of the hybrid's — and the reduction only ever removes DP
+/// work. (`OnDemandAdaptive` reads the DP's own trace; its knee is
+/// `policy_parity.rs`'s.)
 #[test]
 fn station_outcomes_match_exact_dp_for_every_planner_policy() {
     let total_size = station_catalog().total_size();
@@ -201,62 +221,55 @@ fn station_outcomes_match_exact_dp_for_every_planner_policy() {
         ("on_demand", 60),
         ("hybrid", 60),
     ] {
-        let mut dp = planner_station(policy, SolverChoice::ExactDp, budget);
-        let mut ad = planner_station(policy, SolverChoice::Adaptive, budget);
-        let mut wl_dp = station_workload(41);
-        let mut wl_ad = station_workload(41);
+        let mut station = planner_station(policy, budget);
+        let mut workload = station_workload(41);
+        let (mut cells, mut dp_cells) = (0, 0);
         for tick in 0..50u64 {
             if tick % 5 == 0 {
-                dp.apply_update_wave();
-                ad.apply_update_wave();
+                station.apply_update_wave();
             }
-            wl_dp.advance();
-            wl_ad.advance();
-            let out_dp = dp.step(wl_dp.batch(CellId(0)));
-            let out_ad = ad.step(wl_ad.batch(CellId(0)));
-            // RoundOutcome holds f64 scores; equality here is exact.
-            assert_eq!(
-                out_dp, out_ad,
-                "{policy}/{budget}: tick {tick} outcome diverges"
+            workload.advance();
+            let requests = workload.batch(CellId(0));
+            let recency = station.estimated_recency_vec();
+            let out = station.step(requests);
+            let instance = Instance::of_batch(
+                requests,
+                station.catalog(),
+                &recency,
+                ScoringFunction::InverseRatio,
+                &[],
             );
-            assert_eq!(
-                dp.last_downloaded(),
-                ad.last_downloaded(),
-                "{policy}/{budget}: tick {tick} download set diverges"
-            );
+            let exact = exact_dp(&instance, budget);
+            let label = format!("{policy}/{budget}: tick {tick}");
+            cells += if policy == "on_demand" {
+                assert_round_is_exact(&station, out.units_downloaded, &exact, &label)
+            } else {
+                // The hybrid pushes its leftover behind the pull half.
+                let (value, cells) = last_solve(&station);
+                assert_eq!(value.to_bits(), exact.value.to_bits(), "{label}");
+                let pulled = exact
+                    .downloads
+                    .iter()
+                    .all(|o| station.last_downloaded().binary_search(o).is_ok());
+                assert!(pulled, "{label}: the pull half diverges");
+                cells
+            };
+            dp_cells += exact.cells;
         }
-        assert_eq!(
-            dp.stats(),
-            ad.stats(),
-            "{policy}/{budget}: accumulated stats diverge"
-        );
-        // The per-round series (scores, profits, utilization as raw
-        // bits) matches row for row.
-        let rows_dp = series_bits(&dp);
-        assert!(!rows_dp.is_empty());
-        assert_eq!(
-            rows_dp,
-            series_bits(&ad),
-            "{policy}/{budget}: round series diverges"
-        );
 
-        // Both solvers face identical instances, so the reduction can
-        // only remove DP work; once the budget caches a real share of
-        // the catalog, profits are continuous and it must bite hard. A
-        // missing counter means no DP table was ever swept.
-        let cells =
-            |sim: &BaseStationSim| sim.obs_snapshot().counter("dp_cells_touched").unwrap_or(0);
-        let (cells_dp, cells_ad) = (cells(&dp), cells(&ad));
-        assert!(cells_dp > 0, "{policy}/{budget}: the DP does table work");
+        // The reduction can only remove DP work; once the budget caches
+        // a real share of the catalog, profits are continuous and it
+        // must bite hard.
+        assert!(dp_cells > 0, "{policy}/{budget}: the DP does table work");
         assert!(
-            cells_ad <= cells_dp,
-            "{policy}/{budget}: adaptive {cells_ad} exceeds DP {cells_dp} cells"
+            cells <= dp_cells,
+            "{policy}/{budget}: adaptive {cells} exceeds DP {dp_cells} cells"
         );
         if budget * 8 >= total_size {
             assert!(
-                (cells_ad as f64) < 0.6 * cells_dp as f64,
+                (cells as f64) < 0.6 * dp_cells as f64,
                 "{policy}/{budget}: reduction saved too little: \
-                 adaptive {cells_ad} vs DP {cells_dp} cells"
+                 adaptive {cells} vs DP {dp_cells} cells"
             );
         }
     }

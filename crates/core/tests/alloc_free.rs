@@ -2,8 +2,8 @@
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; after a
 //! short warm-up (buffers grown, every requested object cached once)
-//! each `BaseStationSim::step` — under the on-demand policy with either
-//! exact solver, and under each of the other four policies — must
+//! each `BaseStationSim::step` — under the on-demand policy and under
+//! each of the other four policies — must
 //! perform **zero** allocations, even across update waves — and with
 //! the default [`basecache_obs::NullRecorder`] wired through the whole
 //! request path, the observability layer must not change that.
@@ -15,7 +15,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use basecache_core::planner::{OnDemandPlanner, SolverChoice};
+use basecache_core::planner::OnDemandPlanner;
 use basecache_core::recency::ScoringFunction;
 use basecache_core::{Policy, StationBuilder};
 use basecache_net::{Catalog, ObjectId};
@@ -69,10 +69,7 @@ fn on_demand_steady_state_steps_do_not_allocate() {
     // path; the assertions below therefore also prove the observability
     // layer is free when disabled.
     let mut station = StationBuilder::new(catalog)
-        .on_demand(
-            OnDemandPlanner::new(ScoringFunction::InverseRatio, SolverChoice::ExactDp),
-            5000,
-        )
+        .on_demand(OnDemandPlanner::new(ScoringFunction::InverseRatio), 5000)
         .build()
         .expect("valid configuration");
 
@@ -149,10 +146,7 @@ fn on_demand_steady_state_steps_do_not_allocate() {
     // heap: counters are `Cell`s and the distributions are fixed-size
     // streaming estimators — only `snapshot()` allocates.
     let mut observed = StationBuilder::new(Catalog::from_sizes(&sizes))
-        .on_demand(
-            OnDemandPlanner::new(ScoringFunction::InverseRatio, SolverChoice::ExactDp),
-            5000,
-        )
+        .on_demand(OnDemandPlanner::new(ScoringFunction::InverseRatio), 5000)
         .recorder(Box::new(basecache_obs::StatsRecorder::new()))
         .build()
         .expect("valid configuration");
@@ -186,10 +180,7 @@ fn on_demand_steady_state_steps_do_not_allocate() {
     // series are preallocated and overwrite/decimate in place, and the
     // top-K channels evict by replacement. Only export allocates.
     let mut flighted = StationBuilder::new(Catalog::from_sizes(&sizes))
-        .on_demand(
-            OnDemandPlanner::new(ScoringFunction::InverseRatio, SolverChoice::ExactDp),
-            5000,
-        )
+        .on_demand(OnDemandPlanner::new(ScoringFunction::InverseRatio), 5000)
         .recorder(Box::new(basecache_obs::FlightRecorder::new(4096, 64, 8)))
         .build()
         .expect("valid configuration");
@@ -214,49 +205,6 @@ fn on_demand_steady_state_steps_do_not_allocate() {
     }
     let fsnap = flighted.obs_snapshot();
     assert!(!fsnap.is_empty() && !fsnap.attrs.is_empty());
-
-    // The adaptive reduction pipeline (the `paper_default` solve path)
-    // is held to the same bar: once its scratch is warm — reduction
-    // buffers and core DP table — every steady-state step is
-    // allocation-free, with no recorder, with a StatsRecorder, and with
-    // the full FlightRecorder alike.
-    let recorders: [(&str, Option<Box<dyn basecache_obs::Recorder>>); 3] = [
-        ("null", None),
-        ("stats", Some(Box::new(basecache_obs::StatsRecorder::new()))),
-        (
-            "flight",
-            Some(Box::new(basecache_obs::FlightRecorder::new(4096, 64, 8))),
-        ),
-    ];
-    for (label, recorder) in recorders {
-        let builder = StationBuilder::new(Catalog::from_sizes(&sizes))
-            .on_demand(OnDemandPlanner::paper_default(), 5000);
-        let builder = match recorder {
-            Some(r) => builder.recorder(r),
-            None => builder,
-        };
-        let mut adaptive = builder.build().expect("valid configuration");
-        for _ in 0..3 {
-            adaptive.step(&requests);
-        }
-        adaptive.apply_update_wave();
-        for _ in 0..3 {
-            adaptive.step(&requests);
-        }
-        for round in 0..10 {
-            adaptive.apply_update_wave();
-            let before = allocation_count();
-            let outcome = adaptive.step(&requests);
-            let after = allocation_count();
-            assert_eq!(
-                after - before,
-                0,
-                "{label} round {round}: adaptive step() allocated {} time(s)",
-                after - before
-            );
-            assert_eq!(outcome.served, 5000);
-        }
-    }
 
     // The other four policies plan on the same kernel buffers — the
     // knee off the station's own trace tables, the hybrid's background

@@ -9,12 +9,18 @@
 //!    engines produce the same rounds.
 //! 3. The dirty set actually shrinks the work: low-churn rounds rescore
 //!    a small fraction of the table.
+//! 4. Every round plans what the paper's full-table DP picks: the
+//!    instance the engine holds after a step, read back through
+//!    `for_each_active`, solved by `DpByCapacity`, gives the station's
+//!    downloads, units and plan value bit for bit.
 //!
 //! "Identical" means the deterministic observables; wall-clock span
 //! timings are stripped before comparison.
 
+mod common;
+
 use basecache_core::engine::RoundEngine;
-use basecache_core::planner::{OnDemandPlanner, SolverChoice};
+use basecache_core::planner::OnDemandPlanner;
 use basecache_core::recency::ScoringFunction;
 use basecache_core::station::BaseStationSim;
 use basecache_core::RoundOutcome;
@@ -23,6 +29,8 @@ use basecache_net::{Catalog, ObjectId};
 use basecache_obs::{FlightRecorder, Snapshot};
 use basecache_sim::{RngStreams, SimTime};
 use basecache_workload::{ChurnOp, Popularity, StandingWorkload, TargetRecency};
+
+use common::{exact_dp, Instance};
 
 const OBJECTS: usize = 48;
 const BUDGET: u64 = 14;
@@ -35,17 +43,19 @@ fn catalog() -> Catalog {
 
 /// A station + engine pair; `full_rebuild` rigs degrade the engine to
 /// the reference path by marking everything dirty before each round.
+/// Every step is checked against the exact DP; `dp_cells` sums the
+/// cells its full solves swept.
 struct Rig {
     station: BaseStationSim,
     engine: RoundEngine,
     full_rebuild: bool,
+    dp_cells: u64,
 }
 
 impl Rig {
-    fn new(solver: SolverChoice, full_rebuild: bool, shards: usize) -> Rig {
-        let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio, solver);
+    fn new(full_rebuild: bool, shards: usize) -> Rig {
         let station = StationBuilder::new(catalog())
-            .on_demand(planner, BUDGET)
+            .on_demand(OnDemandPlanner::paper_default(), BUDGET)
             .recorder(Box::new(FlightRecorder::new(512, 64, 8)))
             .build()
             .expect("valid configuration");
@@ -56,23 +66,75 @@ impl Rig {
             station,
             engine,
             full_rebuild,
+            dp_cells: 0,
         }
     }
 
-    fn incremental(solver: SolverChoice) -> Rig {
-        Rig::new(solver, false, 1)
+    fn incremental() -> Rig {
+        Rig::new(false, 1)
     }
 
-    fn reference(solver: SolverChoice) -> Rig {
-        Rig::new(solver, true, 1)
+    fn reference() -> Rig {
+        Rig::new(true, 1)
     }
 
     fn step(&mut self) -> RoundOutcome {
         if self.full_rebuild {
             self.engine.mark_all_dirty();
         }
-        self.station.step_engine(&mut self.engine)
+        let out = self.station.step_engine(&mut self.engine);
+        self.dp_cells += assert_engine_round_is_exact(&self.station, &self.engine, &out, BUDGET);
+        out
     }
+}
+
+/// The round `station` just stepped on `engine` against the exact DP
+/// on the instance the engine holds after the step: the same downloads,
+/// units and plan value (the last flight-recorder row's). Returns the
+/// cells the full DP swept.
+fn assert_engine_round_is_exact(
+    station: &BaseStationSim,
+    engine: &RoundEngine,
+    out: &RoundOutcome,
+    budget: u64,
+) -> u64 {
+    let exact = exact_dp(&Instance::of_engine(engine), budget);
+    let tick = out.tick;
+    assert_eq!(
+        station.last_downloaded(),
+        exact.downloads,
+        "round {tick}: chosen set diverges from the exact DP"
+    );
+    assert_eq!(out.units_downloaded, exact.size, "round {tick}: size");
+    let row = *station
+        .recorder()
+        .as_any()
+        .downcast_ref::<FlightRecorder>()
+        .expect("a FlightRecorder was installed")
+        .series()
+        .rows()
+        .last()
+        .expect("the round was recorded");
+    assert_eq!(row.tick, tick, "the series keeps every round");
+    assert_eq!(
+        row.plan_profit.to_bits(),
+        exact.value.to_bits(),
+        "round {tick}: value bits diverge from the exact DP"
+    );
+    exact.cells
+}
+
+/// The DP cells `station`'s solves swept, against `dp_cells` the full
+/// DP swept on the same instances: the reduction only removes work.
+fn assert_reduction_saves_cells(station: &BaseStationSim, dp_cells: u64, label: &str) {
+    let cells = station
+        .obs_snapshot()
+        .counter("dp_cells_touched")
+        .unwrap_or(0);
+    assert!(
+        cells <= dp_cells,
+        "{label}: the planner swept {cells} cells, the full DP {dp_cells}"
+    );
 }
 
 fn seed_population(engine: &mut RoundEngine) {
@@ -162,13 +224,14 @@ fn assert_rigs_match(a: &Rig, b: &Rig, label: &str) {
     );
 }
 
-fn run_parity(solver: SolverChoice, rounds: u64, mutate: fn(u64, &mut Rig), label: &str) {
-    let mut incremental = Rig::incremental(solver);
-    let mut reference = Rig::reference(solver);
+fn run_parity(rounds: u64, mutate: fn(u64, &mut Rig), label: &str) {
+    let mut incremental = Rig::incremental();
+    let mut reference = Rig::reference();
     let a = drive(&mut incremental, rounds, mutate);
     let b = drive(&mut reference, rounds, mutate);
     assert_eq!(a, b, "{label}: outcomes diverge");
     assert_rigs_match(&incremental, &reference, label);
+    assert_reduction_saves_cells(&incremental.station, incremental.dp_cells, label);
 }
 
 /// Recency moves only through cache refreshes and server updates; the
@@ -210,34 +273,28 @@ fn full_churn(round: u64, rig: &mut Rig) {
 
 #[test]
 fn zero_churn_rounds_match_full_rebuild() {
-    for solver in [SolverChoice::Adaptive, SolverChoice::ExactDp] {
-        run_parity(solver, 30, zero_churn, "zero churn");
-    }
+    run_parity(30, zero_churn, "zero churn");
 }
 
 #[test]
 fn single_object_churn_matches_full_rebuild() {
-    for solver in [SolverChoice::Adaptive, SolverChoice::ExactDp] {
-        run_parity(solver, 30, single_object_churn, "single-object churn");
-    }
+    run_parity(30, single_object_churn, "single-object churn");
 }
 
 #[test]
 fn full_churn_matches_full_rebuild() {
-    for solver in [SolverChoice::Adaptive, SolverChoice::ExactDp] {
-        run_parity(solver, 20, full_churn, "full churn");
-    }
+    run_parity(20, full_churn, "full churn");
 }
 
 #[test]
 fn shard_count_never_changes_a_bit() {
     let baseline = {
-        let mut rig = Rig::incremental(SolverChoice::Adaptive);
+        let mut rig = Rig::incremental();
         let out = drive(&mut rig, 25, single_object_churn);
         (out, rig)
     };
     for shards in [6, OBJECTS] {
-        let mut rig = Rig::new(SolverChoice::Adaptive, false, shards);
+        let mut rig = Rig::new(false, shards);
         let out = drive(&mut rig, 25, single_object_churn);
         let label = format!("{shards} shards");
         assert_eq!(baseline.0, out, "{label}: outcomes diverge");
@@ -247,7 +304,7 @@ fn shard_count_never_changes_a_bit() {
 
 #[test]
 fn dirty_set_shrinks_low_churn_work() {
-    let mut rig = Rig::incremental(SolverChoice::Adaptive);
+    let mut rig = Rig::incremental();
     // Warm up: first rounds see the whole seed population as dirty.
     rig.step();
     assert_eq!(
@@ -282,7 +339,7 @@ fn dirty_set_shrinks_low_churn_work() {
 fn engine_round_downloads_uncached_requested_objects() {
     // Semantics smoke mirroring station::tests: a fresh engine round
     // downloads what the budget allows and scores downloads at 1.0.
-    let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio, SolverChoice::Adaptive);
+    let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio);
     let mut station = StationBuilder::new(Catalog::uniform_unit(10))
         .on_demand(planner, 100)
         .build()
@@ -309,7 +366,7 @@ fn engine_rounds_honour_plan_exclusions() {
     // The region-wide single-flight contract (`set_plan_exclusions`)
     // holds whichever request source the round runs on: an excluded
     // object is never origin-fetched, however stale and however wanted.
-    let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio, SolverChoice::Adaptive);
+    let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio);
     let mut station = StationBuilder::new(Catalog::from_sizes(&[3, 2, 1]))
         .on_demand(planner, 100)
         .build()
@@ -334,27 +391,12 @@ fn engine_rounds_honour_plan_exclusions() {
     assert_eq!(out.average_score, 1.0);
 }
 
-/// Strip the solver-work telemetry the adaptive reduction is
-/// *supposed* to change — DP cell counts, core sizes, fixing counts,
-/// method codes — plus wall-clock spans. Every remaining observable
-/// must match bit-for-bit.
-fn solver_blind(snapshot: &Snapshot) -> Snapshot {
-    let mut s = snapshot.clone();
-    s.spans.clear();
-    s.counters.retain(|c| c.name != "dp_cells_touched");
-    s.samples
-        .retain(|sample| !matches!(sample.name, "core_size" | "items_fixed" | "solver_chosen"));
-    s
-}
-
-/// The adaptive solver's reduction must be invisible in the massive
-/// round's observables: at 100k-object scale under real churn, a
-/// station + engine pair on the default adaptive solve and one on
-/// [`SolverChoice::ExactDp`] (the independent reference: the full-table
-/// DP over every item) produce bit-identical round outcomes, download
-/// sets, accumulated stats, flight-recorder round series and recorder
-/// snapshots — modulo the solver-work telemetry the reduction exists to
-/// shrink.
+/// The adaptive solver's reduction must be invisible at 100k-object
+/// scale under real churn: every round of a station + engine pair on the
+/// production solve downloads exactly what the paper's full-table DP
+/// picks on the instance the engine holds (every active object with
+/// positive profit), with the same units and plan-value bits, and the
+/// DP cells the reduction leaves are fewer than the full DP sweeps.
 ///
 /// This is the massive-bench fixture scaled down in requests and
 /// budget only (the object count — the axis the reduction's claim is
@@ -395,49 +437,28 @@ fn massive_round_is_bit_identical_to_the_exact_dp_station() {
             .collect()
     };
 
-    let rig = |solver: SolverChoice| {
-        let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio, solver);
-        let station = StationBuilder::new(catalog.clone())
-            .on_demand(planner, MASSIVE_BUDGET)
-            .recorder(Box::new(FlightRecorder::new(512, 64, 8)))
-            .build()
-            .expect("valid configuration");
-        let mut engine = RoundEngine::new(&catalog, ScoringFunction::InverseRatio).with_shards(16);
-        engine.push_columns(&objs, &targets);
-        (station, engine)
-    };
-    let (mut on_station, mut on_engine) = rig(SolverChoice::Adaptive);
-    let (mut off_station, mut off_engine) = rig(SolverChoice::ExactDp);
+    let mut station = StationBuilder::new(catalog.clone())
+        .on_demand(OnDemandPlanner::paper_default(), MASSIVE_BUDGET)
+        .recorder(Box::new(FlightRecorder::new(512, 64, 8)))
+        .build()
+        .expect("valid configuration");
+    let mut engine = RoundEngine::new(&catalog, ScoringFunction::InverseRatio).with_shards(16);
+    engine.push_columns(&objs, &targets);
 
+    let mut dp_cells = 0;
     for round in 0..ROUNDS {
         for op in &ops[round * CHURN..(round + 1) * CHURN] {
-            on_engine.retarget(op.object, op.slot_seed, op.target);
-            off_engine.retarget(op.object, op.slot_seed, op.target);
+            engine.retarget(op.object, op.slot_seed, op.target);
         }
         for &object in &updates[round * (CHURN / 5)..(round + 1) * (CHURN / 5)] {
-            let now = SimTime::from_ticks(on_station.tick());
-            on_station.server_mut().apply_update(object, now);
-            let now = SimTime::from_ticks(off_station.tick());
-            off_station.server_mut().apply_update(object, now);
+            let now = SimTime::from_ticks(station.tick());
+            station.server_mut().apply_update(object, now);
         }
-        let out_on = on_station.step_engine(&mut on_engine);
-        let out_off = off_station.step_engine(&mut off_engine);
-        assert_eq!(out_on, out_off, "round {round}: outcomes diverge");
-        assert_eq!(
-            on_station.last_downloaded(),
-            off_station.last_downloaded(),
-            "round {round}: download sets diverge"
-        );
+        let out = station.step_engine(&mut engine);
+        assert!(out.objects_downloaded > 0, "round {round} downloads");
+        dp_cells += assert_engine_round_is_exact(&station, &engine, &out, MASSIVE_BUDGET);
     }
-    assert_eq!(on_station.stats(), off_station.stats(), "stats diverge");
-    let rows = series_bits(&on_station);
-    assert!(!rows.is_empty(), "no rounds recorded");
-    assert_eq!(rows, series_bits(&off_station), "round series diverges");
-    assert_eq!(
-        solver_blind(&on_station.obs_snapshot()),
-        solver_blind(&off_station.obs_snapshot()),
-        "recorder snapshots diverge beyond solver-work telemetry"
-    );
+    assert_reduction_saves_cells(&station, dp_cells, "massive");
 }
 
 /// The engine's derived columns against an independent recomputation.
@@ -463,9 +484,10 @@ mod independent {
     const HEAVY_TARGETS: [f64; 6] = [1.0, 0.5, 1.0 / 3.0, 0.25, 0.8, 0.45];
 
     fn rig(scoring: ScoringFunction) -> Rig {
-        let planner = OnDemandPlanner::new(scoring, SolverChoice::Adaptive);
+        let planner = OnDemandPlanner::new(scoring);
         let station = StationBuilder::new(catalog())
             .on_demand(planner, BUDGET)
+            .recorder(Box::new(FlightRecorder::new(512, 64, 8)))
             .build()
             .expect("valid configuration");
         let mut engine = RoundEngine::new(&catalog(), scoring);
@@ -474,6 +496,7 @@ mod independent {
             station,
             engine,
             full_rebuild: false,
+            dp_cells: 0,
         }
     }
 
@@ -689,13 +712,8 @@ mod properties {
     fn random_churn_scripts_never_diverge_from_full_rebuild() {
         run_cases("engine_incremental_parity", 48, |i, rng| {
             let script = arb_script(rng);
-            let solver = if i % 2 == 0 {
-                SolverChoice::Adaptive
-            } else {
-                SolverChoice::ExactDp
-            };
-            let mut incremental = Rig::incremental(solver);
-            let mut reference = Rig::reference(solver);
+            let mut incremental = Rig::incremental();
+            let mut reference = Rig::reference();
             let a = replay(&mut incremental, &script);
             let b = replay(&mut reference, &script);
             assert_eq!(a, b, "case {i}: outcomes diverge");

@@ -18,13 +18,18 @@
 //! the `properties` module below.
 
 use basecache_core::engine::RoundEngine;
-use basecache_core::planner::{OnDemandPlanner, SolverChoice};
+use basecache_core::planner::OnDemandPlanner;
 use basecache_core::recency::ScoringFunction;
 use basecache_core::{BaseStationSim, RoundOutcome, StationBuilder};
 use basecache_net::{Catalog, InFlightConfig, ObjectId};
-use basecache_obs::FlightRecorder;
+use basecache_obs::{
+    Event, FlightRecorder, LifecycleEvent, LifecycleRecorder, Recorder, Sample, Snapshot, Stage,
+    Tee, Transition,
+};
 use basecache_sim::{RngStreams, SimTime, StreamRng};
 use basecache_workload::GeneratedRequest;
+use std::any::Any;
+use std::sync::Mutex;
 
 const OBJECTS: usize = 32;
 const BUDGET: u64 = 12;
@@ -35,7 +40,7 @@ fn catalog() -> Catalog {
 }
 
 fn planner() -> OnDemandPlanner {
-    OnDemandPlanner::new(ScoringFunction::InverseRatio, SolverChoice::ExactDp)
+    OnDemandPlanner::new(ScoringFunction::InverseRatio)
 }
 
 fn station(cat: Catalog, flight: Option<InFlightConfig>) -> BaseStationSim {
@@ -407,6 +412,98 @@ fn coalescing_launches_no_more_than_naive() {
         naive.launched
     );
     assert!(coalesced.coalesced_joins > 0);
+}
+
+/// Every lifecycle event a station's transfers emit, in order (a test
+/// sink beside the span recorder).
+#[derive(Debug, Default)]
+struct EventLog(Mutex<Vec<LifecycleEvent>>);
+
+impl Recorder for EventLog {
+    fn enabled(&self) -> bool {
+        true
+    }
+    fn add(&self, _event: Event, _n: u64) {}
+    fn sample(&self, _sample: Sample, _value: f64) {}
+    fn span_ns(&self, _stage: Stage, _ns: u64) {}
+    fn snapshot(&self) -> Snapshot {
+        Snapshot::default()
+    }
+    fn lifecycle(&self, event: LifecycleEvent) {
+        self.0
+            .lock()
+            .expect("no thread panicked holding the log")
+            .push(event);
+    }
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+}
+
+/// The station emits a transfer's lifecycle itself: a launch in round
+/// 0, a request joining it in round 1 and its arrival in round 2 make
+/// the `Launched`, `Joined` and `Arrived` events, in that order, that
+/// close exactly one span at the version fetched.
+#[test]
+fn a_transfer_lifecycle_closes_one_span() {
+    type Sinks = Tee<LifecycleRecorder, EventLog>;
+    // 10 units over a 5-unit link: launched in round 0, lands in round 2.
+    let mut station = StationBuilder::new(Catalog::from_sizes(&[10, 1]))
+        .on_demand(planner(), 20)
+        .in_flight(InFlightConfig::coalescing(5))
+        .recorder(Box::new(Tee::new(
+            LifecycleRecorder::new(8, 32),
+            EventLog::default(),
+        )))
+        .build()
+        .expect("valid configuration");
+    // The server is at version 1 when the fetch launches.
+    station.apply_update_wave();
+    station.step(&[req(0, 1.0)]);
+    station.step(&[req(0, 0.8)]);
+    let out = station.step(&[]);
+    assert_eq!((out.arrived, out.served_after_wait), (1, 2));
+    assert_eq!(station.stats().joined, 1, "round 1's request coalesced");
+
+    let sinks = station
+        .recorder()
+        .as_any()
+        .downcast_ref::<Sinks>()
+        .expect("the tee was installed");
+    let transfer: Vec<(Transition, u64, u64)> = sinks
+        .right
+        .0
+        .lock()
+        .expect("no thread panicked holding the log")
+        .iter()
+        .filter(|e| {
+            matches!(
+                e.transition,
+                Transition::Launched | Transition::Joined | Transition::Arrived
+            )
+        })
+        .inspect(|e| assert_eq!((e.object, e.version), (0, 1), "{e:?}"))
+        .map(|e| (e.transition, e.tick, e.launch_tick))
+        .collect();
+    // Round 0's own request parks on the transfer it launched.
+    assert_eq!(
+        transfer,
+        [
+            (Transition::Launched, 0, 0),
+            (Transition::Joined, 0, 0),
+            (Transition::Joined, 1, 0),
+            (Transition::Arrived, 2, 0),
+        ]
+    );
+
+    let spans = sinks.left.spans();
+    assert_eq!(spans.len(), 1, "one correlated span");
+    let span = spans[0];
+    assert_eq!((span.object, span.version), (0, 1));
+    assert_eq!((span.launch_tick, span.arrived_tick), (0, 2));
+    assert_eq!(span.joined, 2);
+    assert_eq!(span.served, 2, "both waiters served on arrival");
+    assert!(!span.open, "the arrival closed the span");
 }
 
 /// Property tests: random scripts over random bandwidths; instant

@@ -6,7 +6,7 @@
 //! the same demand. The recorders only *read* the request path — any
 //! divergence here means instrumentation leaked into the physics.
 
-use basecache_core::planner::{OnDemandPlanner, SolverChoice};
+use basecache_core::planner::OnDemandPlanner;
 use basecache_core::recency::ScoringFunction;
 use basecache_core::{Policy, StationBuilder};
 use basecache_net::{Catalog, InFlightConfig, ObjectId};
@@ -15,7 +15,7 @@ use basecache_sim::RngStreams;
 use basecache_workload::GeneratedRequest;
 
 fn planner() -> OnDemandPlanner {
-    OnDemandPlanner::new(ScoringFunction::InverseRatio, SolverChoice::ExactDp)
+    OnDemandPlanner::new(ScoringFunction::InverseRatio)
 }
 
 #[test]
@@ -41,22 +41,12 @@ fn instrumented_runs_are_bit_identical_to_uninstrumented_ones() {
         .recorder(Box::new(FlightRecorder::new(1024, 16, 4)))
         .build()
         .unwrap();
-    // The default solve path, whose reduction reports samples of its own.
-    let mut adaptive = StationBuilder::new(Catalog::from_sizes(&sizes))
-        .on_demand(
-            OnDemandPlanner::new(ScoringFunction::InverseRatio, SolverChoice::Adaptive),
-            40,
-        )
-        .recorder(Box::new(StatsRecorder::new()))
-        .build()
-        .unwrap();
 
     for t in 0..40u64 {
         if t % 4 == 0 {
             plain.apply_update_wave();
             observed.apply_update_wave();
             flighted.apply_update_wave();
-            adaptive.apply_update_wave();
         }
         let requests: Vec<GeneratedRequest> = (0..60)
             .map(|_| GeneratedRequest {
@@ -67,7 +57,6 @@ fn instrumented_runs_are_bit_identical_to_uninstrumented_ones() {
         let a = plain.step(&requests);
         let b = observed.step(&requests);
         let c = flighted.step(&requests);
-        adaptive.step(&requests);
         assert_eq!(a, b, "tick {t}: outcomes diverged under observation");
         assert_eq!(
             a, c,
@@ -97,24 +86,20 @@ fn instrumented_runs_are_bit_identical_to_uninstrumented_ones() {
         );
     }
 
-    // And the recorders actually saw the run.
+    // And the recorders actually saw the run: every stage of the round
+    // is timed and the reduction's footprint is sampled.
     let snapshot = observed.obs_snapshot();
     assert_eq!(snapshot.counter("rounds"), Some(40));
-    assert!(snapshot.span("step").is_some());
-    assert!(snapshot.span("solve").is_some());
+    for stage in ["step", "recency", "plan", "solve", "refresh", "serve"] {
+        assert!(snapshot.span(stage).is_some(), "no {stage} span");
+    }
+    for sample in ["solver_chosen", "items_fixed", "core_size"] {
+        assert!(snapshot.sample(sample).is_some(), "no {sample}");
+    }
     assert!(
         plain.obs_snapshot().is_empty(),
         "NullRecorder records nothing"
     );
-    // On the adaptive path every stage of the round is timed and the
-    // reduction's footprint is sampled.
-    let seen = adaptive.obs_snapshot();
-    for stage in ["step", "recency", "plan", "solve", "refresh", "serve"] {
-        assert!(seen.span(stage).is_some(), "adaptive: no {stage} span");
-    }
-    for sample in ["solver_chosen", "items_fixed", "core_size"] {
-        assert!(seen.sample(sample).is_some(), "adaptive: no {sample}");
-    }
 
     // Every planner-carrying policy solves on the kernel's scratch, so
     // its rounds report the same solve span and knapsack counters.

@@ -1,69 +1,77 @@
 //! One planner per round, checked against a reference, not a twin.
 //!
 //! A station round plans every policy on the kernel's reusable scratch.
-//! This suite re-derives each round's picks for the three policies that
-//! used to plan through the public allocating API — [`RequestBatch`] +
-//! [`OnDemandPlanner::plan`] / [`OnDemandPlanner::plan_with_trace`] +
-//! [`knee_budget`], and [`LowestRecencyFirst`] — written here once as
-//! test code, and demands the station's downloads, units and average
-//! score agree to the last bit, over seeded random scripts and both
-//! solvers. The same derivation with a regional exclusion list pins that
-//! every planner-carrying policy honours `set_plan_exclusions`.
+//! This suite re-derives each round's picks for every policy that plans
+//! from the round's requests, written here once as test code: every
+//! knapsack pick — the on-demand round, the hybrid's pull half, the
+//! adaptive budget's knee — is [`DpByCapacity`]'s on the instance
+//! rebuilt through [`build_instance`](basecache_core::profit::build_instance),
+//! and the lowest-recency pick is [`LowestRecencyFirst`]'s. The
+//! station's downloads, units, plan value and average score must agree
+//! to the last bit, over seeded random scripts. The same derivation
+//! with a regional exclusion list pins that every planner-carrying
+//! policy honours `set_plan_exclusions`.
+
+mod common;
 
 use basecache_core::bound::knee_budget;
-use basecache_core::planner::{LowestRecencyFirst, OnDemandPlanner, SolverChoice};
+use basecache_core::planner::{LowestRecencyFirst, OnDemandPlanner};
 use basecache_core::recency::ScoringFunction;
 use basecache_core::{Policy, RequestBatch, StationBuilder};
+use basecache_knapsack::{DpByCapacity, DpScratch};
 use basecache_net::{Catalog, ObjectId};
 use basecache_sim::check::run_cases;
 use basecache_sim::StreamRng;
 use basecache_workload::GeneratedRequest;
 
+use common::{exact_dp, last_solve, Instance, SolveProbe};
+
 const SCORING: ScoringFunction = ScoringFunction::InverseRatio;
-const SOLVERS: [SolverChoice; 2] = [SolverChoice::Adaptive, SolverChoice::ExactDp];
 
 /// What `policy` downloads for `requests` given the recency the planner
-/// sees, through the allocating API. `excluded` objects (ascending) may
-/// not be fetched: their requests never reach the knapsack and the
-/// hybrid's background pass skips them.
+/// sees, and the value of its knapsack pick under a planner-carrying
+/// policy. `excluded` objects (ascending) may not be fetched: they
+/// never reach the knapsack and the hybrid's background pass skips
+/// them.
 fn reference_picks(
     policy: Policy,
     requests: &[GeneratedRequest],
     catalog: &Catalog,
     recency: &[f64],
     excluded: &[ObjectId],
-) -> Vec<ObjectId> {
+) -> (Vec<ObjectId>, Option<f64>) {
     let fetchable = |o: &ObjectId| excluded.binary_search(o).is_err();
-    let admitted: Vec<GeneratedRequest> = requests
-        .iter()
-        .copied()
-        .filter(|r| fetchable(&r.object))
-        .collect();
-    let batch = RequestBatch::from_generated(&admitted);
-    let mut picks = match policy {
-        Policy::OnDemand { .. } | Policy::AsyncRoundRobin { .. } => {
-            unreachable!("not one of the three policies this suite re-derives")
+    let instance = Instance::of_batch(requests, catalog, recency, SCORING, excluded);
+    let (mut picks, value) = match policy {
+        Policy::AsyncRoundRobin { .. } => {
+            unreachable!("a round-robin round does not plan from its requests")
+        }
+        Policy::OnDemand { budget_units, .. } => {
+            let exact = exact_dp(&instance, budget_units);
+            (exact.downloads, Some(exact.value))
         }
         Policy::OnDemandLowestRecency { k_objects } => {
-            LowestRecencyFirst.select(&batch, recency, k_objects)
+            let batch = RequestBatch::from_generated(requests);
+            (LowestRecencyFirst.select(&batch, recency, k_objects), None)
         }
         Policy::OnDemandAdaptive {
-            planner,
             max_budget,
             window,
             threshold,
+            ..
         } => {
-            let (mapped, trace) = planner.plan_with_trace(&batch, catalog, recency, max_budget);
-            let knee = knee_budget(trace.values(), window, threshold);
-            mapped.selected_objects(&trace.solution_at(mapped.instance(), knee))
+            let mut dp = DpScratch::new();
+            DpByCapacity.solve_trace_into(&instance.items, max_budget, &mut dp);
+            let knee = knee_budget(dp.values(), window, threshold);
+            let value = dp.value_at(knee);
+            let chosen = dp.solution_indices_at(knee);
+            let picks = chosen.iter().map(|&i| instance.objects[i]).collect();
+            (picks, Some(value))
         }
-        Policy::Hybrid {
-            planner,
-            budget_units,
-        } => {
-            let plan = planner.plan(&batch, catalog, recency, budget_units);
-            let mut chosen = plan.downloads().to_vec();
-            let mut leftover = budget_units.saturating_sub(plan.download_size());
+        Policy::Hybrid { budget_units, .. } => {
+            let exact = exact_dp(&instance, budget_units);
+            let mut chosen = exact.downloads;
+            let mut leftover = budget_units.saturating_sub(exact.size);
             let mut background: Vec<ObjectId> = catalog
                 .ids()
                 .filter(|id| recency[id.index()] < 1.0 && !chosen.contains(id) && fetchable(id))
@@ -84,11 +92,11 @@ fn reference_picks(
                     break;
                 }
             }
-            chosen
+            (chosen, Some(exact.value))
         }
     };
     picks.sort_unstable();
-    picks
+    (picks, value)
 }
 
 /// A seeded script: catalog, then per round whether an update wave hits,
@@ -131,6 +139,7 @@ fn assert_station_matches_reference(policy: Policy, script: &Script, label: &str
     let catalog = Catalog::from_sizes(&script.sizes);
     let mut station = StationBuilder::new(catalog.clone())
         .policy(policy)
+        .recorder(Box::new(SolveProbe::default()))
         .build()
         .expect("valid configuration");
     for (round, (wave, requests, excluded)) in script.rounds.iter().enumerate() {
@@ -139,7 +148,7 @@ fn assert_station_matches_reference(policy: Policy, script: &Script, label: &str
         }
         station.set_plan_exclusions(excluded);
         let recency = station.estimated_recency_vec();
-        let picks = reference_picks(policy, requests, &catalog, &recency, excluded);
+        let (picks, value) = reference_picks(policy, requests, &catalog, &recency, excluded);
 
         let outcome = station.step(requests);
         assert_eq!(station.last_downloaded(), picks, "{label} round {round}");
@@ -149,6 +158,13 @@ fn assert_station_matches_reference(policy: Policy, script: &Script, label: &str
         );
         let units: u64 = picks.iter().map(|&o| catalog.size_of(o)).sum();
         assert_eq!(outcome.units_downloaded, units, "{label} round {round}");
+        if let Some(value) = value {
+            assert_eq!(
+                last_solve(&station).0.to_bits(),
+                value.to_bits(),
+                "{label} round {round}: plan value"
+            );
+        }
         // Served in request order: a fresh copy (recency 1) of what was
         // fetched, the cached copy as observed otherwise; the round's
         // average is the plain sum of the scores over their count.
@@ -174,16 +190,23 @@ fn assert_station_matches_reference(policy: Policy, script: &Script, label: &str
     }
 }
 
-fn hybrid(solver: SolverChoice, budget_units: u64) -> Policy {
-    Policy::Hybrid {
-        planner: OnDemandPlanner::new(SCORING, solver),
+fn on_demand(budget_units: u64) -> Policy {
+    Policy::OnDemand {
+        planner: OnDemandPlanner::new(SCORING),
         budget_units,
     }
 }
 
-fn knee(solver: SolverChoice, max_budget: u64, rng: &mut StreamRng) -> Policy {
+fn hybrid(budget_units: u64) -> Policy {
+    Policy::Hybrid {
+        planner: OnDemandPlanner::new(SCORING),
+        budget_units,
+    }
+}
+
+fn knee(max_budget: u64, rng: &mut StreamRng) -> Policy {
     Policy::OnDemandAdaptive {
-        planner: OnDemandPlanner::new(SCORING, solver),
+        planner: OnDemandPlanner::new(SCORING),
         max_budget,
         window: rng.random_range(1..=8u64),
         threshold: [0.0, 0.01, 0.05, 0.3][rng.random_range(0..4usize)],
@@ -191,13 +214,20 @@ fn knee(solver: SolverChoice, max_budget: u64, rng: &mut StreamRng) -> Policy {
 }
 
 #[test]
+fn on_demand_rounds_match_the_exact_dp() {
+    run_cases("policy_parity/on_demand", 96, |_, rng| {
+        let script = script(rng, false);
+        let budget = rng.random_range(0u64..=60);
+        assert_station_matches_reference(on_demand(budget), &script, "on-demand");
+    });
+}
+
+#[test]
 fn hybrid_rounds_match_the_allocating_api() {
     run_cases("policy_parity/hybrid", 96, |_, rng| {
         let script = script(rng, false);
         let budget = rng.random_range(0u64..=60);
-        for solver in SOLVERS {
-            assert_station_matches_reference(hybrid(solver, budget), &script, "hybrid");
-        }
+        assert_station_matches_reference(hybrid(budget), &script, "hybrid");
     });
 }
 
@@ -206,10 +236,8 @@ fn adaptive_budget_rounds_match_the_allocating_api() {
     run_cases("policy_parity/knee", 96, |_, rng| {
         let script = script(rng, false);
         let max_budget = rng.random_range(0u64..=90);
-        for solver in SOLVERS {
-            let policy = knee(solver, max_budget, rng);
-            assert_station_matches_reference(policy, &script, "knee");
-        }
+        let policy = knee(max_budget, rng);
+        assert_station_matches_reference(policy, &script, "knee");
     });
 }
 
@@ -224,13 +252,20 @@ fn lowest_recency_rounds_match_the_allocating_api() {
 }
 
 #[test]
+fn on_demand_honours_plan_exclusions() {
+    run_cases("policy_parity/on_demand_excluded", 64, |_, rng| {
+        let script = script(rng, true);
+        let budget = rng.random_range(0u64..=60);
+        assert_station_matches_reference(on_demand(budget), &script, "on-demand/l2");
+    });
+}
+
+#[test]
 fn hybrid_honours_plan_exclusions() {
     run_cases("policy_parity/hybrid_excluded", 64, |_, rng| {
         let script = script(rng, true);
         let budget = rng.random_range(0u64..=60);
-        for solver in SOLVERS {
-            assert_station_matches_reference(hybrid(solver, budget), &script, "hybrid/l2");
-        }
+        assert_station_matches_reference(hybrid(budget), &script, "hybrid/l2");
     });
 }
 
@@ -239,9 +274,7 @@ fn adaptive_budget_honours_plan_exclusions() {
     run_cases("policy_parity/knee_excluded", 64, |_, rng| {
         let script = script(rng, true);
         let max_budget = rng.random_range(0u64..=90);
-        for solver in SOLVERS {
-            let policy = knee(solver, max_budget, rng);
-            assert_station_matches_reference(policy, &script, "knee/l2");
-        }
+        let policy = knee(max_budget, rng);
+        assert_station_matches_reference(policy, &script, "knee/l2");
     });
 }

@@ -2,9 +2,12 @@
 //! batch path: aggregating raw requests directly into [`PlannerScratch`]
 //! produces the same knapsack instance (bit for bit), the same download
 //! set, and the same achieved value as building a [`RequestBatch`] and
-//! calling [`OnDemandPlanner::plan`].
+//! calling [`OnDemandPlanner::plan`] — and both are what the paper's
+//! full-table DP picks on that instance.
 
-use basecache_core::planner::{OnDemandPlanner, SolverChoice};
+mod common;
+
+use basecache_core::planner::OnDemandPlanner;
 use basecache_core::profit::build_instance;
 use basecache_core::recency::ScoringFunction;
 use basecache_core::request::RequestBatch;
@@ -13,6 +16,8 @@ use basecache_knapsack::Item;
 use basecache_net::{Catalog, ObjectId};
 use basecache_sim::{RngStreams, StreamRng};
 use basecache_workload::{GeneratedRequest, Popularity};
+
+use common::{exact_dp, Instance};
 
 fn random_round(rng: &mut StreamRng) -> (Catalog, Vec<f64>, Vec<GeneratedRequest>, u64) {
     let n = rng.random_range(1..=40usize);
@@ -38,8 +43,10 @@ fn aggregated_exact_dp_plan_is_bit_identical_to_batch_path() {
     for round in 0..150 {
         let (catalog, recency, requests, budget) = random_round(&mut rng);
         let batch = RequestBatch::from_generated(&requests);
-        let plan = planner.plan(&batch, &catalog, &recency, budget);
-        planner.plan_requests_into(&requests, &catalog, &recency, budget, &mut scratch);
+        let plan = planner.plan(&batch, &catalog, &recency, budget).unwrap();
+        planner
+            .plan_requests_into(&requests, &catalog, &recency, budget, &mut scratch)
+            .unwrap();
 
         assert_eq!(scratch.downloads(), plan.downloads(), "round {round}");
         assert_eq!(
@@ -59,6 +66,9 @@ fn aggregated_exact_dp_plan_is_bit_identical_to_batch_path() {
     }
 }
 
+/// Both solvers the paths could be told apart by — the planner's and
+/// the full-table DP on the rebuilt instance — under every scoring
+/// function.
 #[test]
 fn aggregated_path_matches_batch_path_for_every_solver() {
     let mut rng = RngStreams::new(0xA66_1234).stream("core/parity-all");
@@ -66,21 +76,29 @@ fn aggregated_path_matches_batch_path_for_every_solver() {
     for round in 0..60 {
         let (catalog, recency, requests, budget) = random_round(&mut rng);
         let batch = RequestBatch::from_generated(&requests);
-        for solver in [SolverChoice::ExactDp, SolverChoice::Adaptive] {
-            let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio, solver);
-            let plan = planner.plan(&batch, &catalog, &recency, budget);
-            planner.plan_requests_into(&requests, &catalog, &recency, budget, &mut scratch);
+        for scoring in [
+            ScoringFunction::InverseRatio,
+            ScoringFunction::Exponential,
+            ScoringFunction::Step,
+        ] {
+            let planner = OnDemandPlanner::new(scoring);
+            let plan = planner.plan(&batch, &catalog, &recency, budget).unwrap();
+            planner
+                .plan_requests_into(&requests, &catalog, &recency, budget, &mut scratch)
+                .unwrap();
+            let instance = Instance::of_batch(&requests, &catalog, &recency, scoring, &[]);
+            let exact = exact_dp(&instance, budget);
+            let label = format!("round {round} {scoring:?}");
+            assert_eq!(scratch.downloads(), plan.downloads(), "{label}");
+            assert_eq!(scratch.downloads(), exact.downloads, "{label}");
+            assert_eq!(scratch.achieved_value(), plan.achieved_value(), "{label}");
             assert_eq!(
-                scratch.downloads(),
-                plan.downloads(),
-                "round {round} {solver:?}"
+                scratch.achieved_value().to_bits(),
+                exact.value.to_bits(),
+                "{label}"
             );
-            assert_eq!(
-                scratch.achieved_value(),
-                plan.achieved_value(),
-                "round {round} {solver:?}"
-            );
-            assert_eq!(scratch.download_size(), plan.download_size());
+            assert_eq!(scratch.download_size(), plan.download_size(), "{label}");
+            assert_eq!(scratch.download_size(), exact.size, "{label}");
         }
     }
 }
@@ -91,7 +109,9 @@ fn empty_round_scores_one_and_downloads_nothing() {
     let mut scratch = PlannerScratch::new();
     let catalog = Catalog::from_sizes(&[3, 5]);
     let recency = [0.0, 0.0];
-    planner.plan_requests_into(&[], &catalog, &recency, 10, &mut scratch);
+    planner
+        .plan_requests_into(&[], &catalog, &recency, 10, &mut scratch)
+        .unwrap();
     assert!(scratch.items().is_empty());
     assert!(scratch.downloads().is_empty());
     let mapped = build_instance(&RequestBatch::new(), &catalog, &recency, planner.scoring());
@@ -133,8 +153,10 @@ fn paper_scale_assembly_is_bit_identical_across_catalog_sizes() {
         let (catalog, recency, requests) = paper_round(&mut rng, n);
         let budget = catalog.total_size() / 10;
         let batch = RequestBatch::from_generated(&requests);
-        let plan = planner.plan(&batch, &catalog, &recency, budget);
-        planner.plan_requests_into(&requests, &catalog, &recency, budget, &mut scratch);
+        let plan = planner.plan(&batch, &catalog, &recency, budget).unwrap();
+        planner
+            .plan_requests_into(&requests, &catalog, &recency, budget, &mut scratch)
+            .unwrap();
 
         let mapped = build_instance(&batch, &catalog, &recency, planner.scoring());
         assert_eq!(

@@ -10,7 +10,6 @@
 
 use basecache_core::estimator::{ReportEstimator, TtlEstimator};
 use basecache_core::planner::OnDemandPlanner;
-use basecache_core::recency::DecayModel;
 use basecache_core::StationBuilder;
 use basecache_net::{Catalog, ReportLog};
 use basecache_sim::{RngStreams, SimTime};
@@ -83,14 +82,8 @@ fn run_variant(params: &Params, trace: &RequestTrace, budget: u64, variant: Vari
     let builder = StationBuilder::new(catalog.clone()).on_demand(planner, budget);
     let builder = match variant {
         Variant::Oracle => builder.oracle(),
-        Variant::Reports => builder.estimator(Box::new(ReportEstimator::new(
-            config.objects,
-            DecayModel::default(),
-        ))),
-        Variant::Ttl => builder.estimator(Box::new(TtlEstimator::new(
-            params.ttl_assumed_period,
-            DecayModel::default(),
-        ))),
+        Variant::Reports => builder.estimator(Box::new(ReportEstimator::new(config.objects))),
+        Variant::Ttl => builder.estimator(Box::new(TtlEstimator::new(params.ttl_assumed_period))),
     };
     let mut station = builder.build().expect("estimator experiment is valid");
     let mut log = ReportLog::new(&catalog);

@@ -237,7 +237,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use basecache_core::planner::{OnDemandPlanner, SolverChoice};
+    use basecache_core::planner::OnDemandPlanner;
     use basecache_core::recency::ScoringFunction;
 
     fn tiny_config() -> RunConfig {
@@ -301,7 +301,7 @@ mod tests {
     fn knapsack_policy_runs_under_budget() {
         let c = tiny_config();
         let trace = record_trace(&c);
-        let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio, SolverChoice::ExactDp);
+        let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio);
         let r = run_policy(
             &c,
             Policy::OnDemand {

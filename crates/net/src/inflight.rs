@@ -44,7 +44,6 @@
 //! the simulation is warming up.
 
 use crate::object::{ObjectId, Version};
-use basecache_obs::{LifecycleEvent, Recorder, Transition};
 use std::collections::VecDeque;
 
 /// Free-list terminator for the waiter pool.
@@ -448,63 +447,6 @@ impl InFlightLedger {
         })
     }
 
-    /// [`Self::launch`], firing a [`Transition::Launched`] lifecycle
-    /// event through `recorder` so span and invariant sinks see the
-    /// transfer open. Identical ledger state to the unrecorded call.
-    pub fn launch_recorded<R: Recorder + ?Sized>(
-        &mut self,
-        object: ObjectId,
-        version: Version,
-        size: u64,
-        now: u64,
-        recorder: &R,
-    ) -> u64 {
-        let arrives_at = self.launch(object, version, size, now);
-        recorder.lifecycle(
-            LifecycleEvent::new(Transition::Launched, object.0, version.0, now).at_launch(now),
-        );
-        arrives_at
-    }
-
-    /// [`Self::join`], firing a [`Transition::Joined`] lifecycle event
-    /// correlated to the joined transfer's launch tick.
-    pub fn join_recorded<R: Recorder + ?Sized>(
-        &mut self,
-        object: ObjectId,
-        target_recency: f64,
-        now: u64,
-        recorder: &R,
-    ) -> u64 {
-        let version = self.per_object[object.index()].newest_version;
-        let launched_at = self.join(object, target_recency, now);
-        recorder.lifecycle(
-            LifecycleEvent::new(Transition::Joined, object.0, version.0, now)
-                .at_launch(launched_at),
-        );
-        launched_at
-    }
-
-    /// [`Self::pop_arrival`], firing a [`Transition::Arrived`] lifecycle
-    /// event (correlated to the launch tick) for each popped transfer.
-    pub fn pop_arrival_recorded<R: Recorder + ?Sized>(
-        &mut self,
-        now: u64,
-        waiters_out: &mut Vec<ParkedWaiter>,
-        recorder: &R,
-    ) -> Option<Arrived> {
-        let arrived = self.pop_arrival(now, waiters_out)?;
-        recorder.lifecycle(
-            LifecycleEvent::new(
-                Transition::Arrived,
-                arrived.object.0,
-                arrived.version.0,
-                now,
-            )
-            .at_launch(arrived.launched_at),
-        );
-        Some(arrived)
-    }
-
     /// Visit every active transfer in FIFO (launch) order.
     pub fn for_each_active(&self, mut f: impl FnMut(ActiveTransfer)) {
         for t in &self.transfers {
@@ -670,48 +612,6 @@ mod tests {
         l.launch(ObjectId(0), Version(0), 30, 0);
         assert_eq!(l.arrival_delay(10, 0), 4, "behind 30 queued units");
         assert_eq!(l.arrival_delay(10, 2), 2, "backlog drained to 10");
-    }
-
-    #[test]
-    fn recorded_variants_fire_matching_lifecycle_events() {
-        use basecache_obs::LifecycleRecorder;
-
-        let rec = LifecycleRecorder::new(8, 32);
-        let mut l = ledger(5, true);
-        l.launch_recorded(ObjectId(3), Version(2), 10, 0, &rec);
-        l.join_recorded(ObjectId(3), 0.9, 1, &rec);
-        let mut w = Vec::new();
-        let a = l
-            .pop_arrival_recorded(2, &mut w, &rec)
-            .expect("arrives at 2");
-        assert_eq!(a.waiters, 1);
-        rec.end_round(2);
-        let spans = rec.spans();
-        assert_eq!(spans.len(), 1, "one correlated span");
-        let s = spans[0];
-        assert_eq!((s.object, s.version), (3, 2));
-        assert_eq!(s.launch_tick, 0);
-        assert_eq!(s.arrived_tick, 2);
-        assert_eq!(s.joined, 1);
-        assert!(!s.open);
-    }
-
-    #[test]
-    fn recorded_variants_leave_ledger_state_identical() {
-        let null = basecache_obs::NullRecorder;
-        let mut a = ledger(5, true);
-        let mut b = ledger(5, true);
-        a.launch(ObjectId(0), Version(0), 10, 0);
-        b.launch_recorded(ObjectId(0), Version(0), 10, 0, &null);
-        a.join(ObjectId(0), 0.5, 1);
-        b.join_recorded(ObjectId(0), 0.5, 1, &null);
-        let mut wa = Vec::new();
-        let mut wb = Vec::new();
-        let ra = a.pop_arrival(2, &mut wa);
-        let rb = b.pop_arrival_recorded(2, &mut wb, &null);
-        assert_eq!(ra, rb);
-        assert_eq!(wa, wb);
-        assert_eq!(a.stats(), b.stats());
     }
 
     #[test]

@@ -598,7 +598,7 @@ pub fn rollup_report(
 /// One benchmark result compared across two runs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DiffRow {
-    /// Benchmark name (e.g. `planner/round/scratch_reuse`).
+    /// Benchmark name (e.g. `planner/round/adaptive`).
     pub name: String,
     /// Median in the baseline file, nanoseconds.
     pub base_ns: f64,

@@ -16,7 +16,6 @@
 
 use basecache::core::estimator::{RateEstimator, ReportEstimator, TtlEstimator};
 use basecache::core::planner::OnDemandPlanner;
-use basecache::core::recency::DecayModel;
 use basecache::core::{Estimation, StationBuilder};
 use basecache::net::{Catalog, ReportLog};
 use basecache::sim::{RngStreams, SimTime};
@@ -77,20 +76,19 @@ fn main() {
         "{:<36}{:>12}{:>14}",
         "estimation", "avg score", "units fetched"
     );
-    let decay = DecayModel::default;
     let variants: Vec<(&str, Estimation)> = vec![
         ("oracle (paper's assumption)", Estimation::Oracle),
         (
             "invalidation reports (counting)",
-            Estimation::Estimator(Box::new(ReportEstimator::new(OBJECTS, decay()))),
+            Estimation::Estimator(Box::new(ReportEstimator::new(OBJECTS))),
         ),
         (
             "invalidation reports (rate-learning)",
-            Estimation::Estimator(Box::new(RateEstimator::new(OBJECTS, 0.3, decay()))),
+            Estimation::Estimator(Box::new(RateEstimator::new(OBJECTS, 0.3))),
         ),
         (
             "ttl assuming period 12 (3x wrong)",
-            Estimation::Estimator(Box::new(TtlEstimator::new(12, decay()))),
+            Estimation::Estimator(Box::new(TtlEstimator::new(12))),
         ),
     ];
     for (name, estimation) in variants {

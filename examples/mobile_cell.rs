@@ -15,7 +15,7 @@
 //! cargo run --release --example mobile_cell
 //! ```
 
-use basecache::core::planner::{OnDemandPlanner, SolverChoice};
+use basecache::core::planner::OnDemandPlanner;
 use basecache::core::recency::ScoringFunction;
 use basecache::core::StationBuilder;
 use basecache::net::{Catalog, CellId, ClientId, InFlightConfig, ObjectId, Topology};
@@ -42,10 +42,7 @@ fn main() {
     // The planner may commission 16 units a round; the link ships 8, so
     // transfers queue behind each other and later requests join them.
     let mut station = StationBuilder::new(catalog)
-        .on_demand(
-            OnDemandPlanner::new(ScoringFunction::InverseRatio, SolverChoice::ExactDp),
-            16,
-        )
+        .on_demand(OnDemandPlanner::new(ScoringFunction::InverseRatio), 16)
         .in_flight(InFlightConfig::coalescing(8))
         .build()
         .expect("valid configuration");

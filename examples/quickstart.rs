@@ -10,12 +10,12 @@
 //! cargo run --example quickstart
 //! ```
 
-use basecache::core::planner::{OnDemandPlanner, SolverChoice};
+use basecache::core::planner::OnDemandPlanner;
 use basecache::core::recency::ScoringFunction;
 use basecache::core::request::RequestBatch;
 use basecache::net::{Catalog, ObjectId};
 
-fn main() {
+fn main() -> Result<(), basecache::core::Error> {
     // The remote servers export three objects of sizes 4, 2 and 6 units.
     let catalog = Catalog::from_sizes(&[4, 2, 6]);
 
@@ -32,7 +32,7 @@ fn main() {
     batch.push(ObjectId(1), 1.0);
     batch.push(ObjectId(2), 0.5);
 
-    let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio, SolverChoice::ExactDp);
+    let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio);
 
     println!(
         "round with {} clients over {} objects",
@@ -44,7 +44,7 @@ fn main() {
         "budget", "dl", "units", "avg score"
     );
     for budget in [0u64, 2, 4, 6, 12] {
-        let plan = planner.plan(&batch, &catalog, &recency, budget);
+        let plan = planner.plan(&batch, &catalog, &recency, budget)?;
         println!(
             "{:>8} {:>6} {:>9} {:>9.4}",
             budget,
@@ -60,7 +60,7 @@ fn main() {
     // The planner's choice at budget 6: object 1 is cheap (2 units) and
     // very stale with two demanding clients — it goes first; object 0 is
     // nearly fresh, so spending 4 units on it buys almost nothing.
-    let plan = planner.plan(&batch, &catalog, &recency, 6);
+    let plan = planner.plan(&batch, &catalog, &recency, 6)?;
     println!(
         "\nat budget 6 the base station downloads {:?} and serves the rest from cache:",
         plan.downloads()
@@ -71,4 +71,5 @@ fn main() {
             recency[object.index()]
         );
     }
+    Ok(())
 }

@@ -17,13 +17,13 @@
 //! ```
 
 use basecache::core::bound::{budget_for_fraction, knee_budget, marginal_gain_at};
-use basecache::core::planner::{OnDemandPlanner, SolverChoice};
+use basecache::core::planner::OnDemandPlanner;
 use basecache::core::recency::ScoringFunction;
 use basecache::core::request::RequestBatch;
 use basecache::net::{Catalog, ObjectId};
 use basecache::sim::RngStreams;
 
-fn main() {
+fn main() -> Result<(), basecache::core::Error> {
     let streams = RngStreams::new(99);
     let n = 300;
 
@@ -51,9 +51,9 @@ fn main() {
         batch.push(ObjectId(rng.random_range(0..n as u32)), 0.4);
     }
 
-    let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio, SolverChoice::ExactDp);
+    let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio);
     let max_budget = catalog.total_size();
-    let (mapped, trace) = planner.plan_with_trace(&batch, &catalog, &recency, max_budget);
+    let (mapped, trace) = planner.plan_with_trace(&batch, &catalog, &recency, max_budget)?;
 
     println!(
         "ticker cache: {n} tickers, {} clients",
@@ -80,14 +80,14 @@ fn main() {
     println!("\nknee budget (gain < 0.01/unit): {knee} of {max_budget} units");
     println!("budget reaching 95% of max value: {b95} units");
 
-    let plan = planner.plan(&batch, &catalog, &recency, knee);
+    let plan = planner.plan(&batch, &catalog, &recency, knee)?;
     println!(
         "\nplanning at the knee: {} tickers downloaded ({} units), average score {:.4}",
         plan.downloads().len(),
         plan.download_size(),
         plan.average_score(&batch, &recency)
     );
-    let full = planner.plan(&batch, &catalog, &recency, max_budget);
+    let full = planner.plan(&batch, &catalog, &recency, max_budget)?;
     println!(
         "planning at full budget: {} tickers ({} units), average score {:.4}",
         full.downloads().len(),
@@ -96,4 +96,5 @@ fn main() {
     );
     println!("\nthe knee budget delivers almost the full-score answer for a fraction");
     println!("of the bandwidth — the base station should stop there.");
+    Ok(())
 }

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Full local gate: formatting, lints, rustdoc, tier-1 build+tests (property suites
+# Full local gate: formatting, lints, rustdoc, the substrate crates' independence
+# of basecache-obs, tier-1 build+tests (property suites
 # and golden results included), the golden results again in release, the
 # benchmark's smoke-scale verify pass, and
 # the knapsack, cluster and planner benches (which record
@@ -17,6 +18,16 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo doc (workspace, -D warnings: no broken or private doc links)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
+echo "==> substrate crates do not depend on basecache-obs"
+# The substrates sit below the observability layer: the station and the
+# cluster, which own the recorder, emit what the substrates do.
+for crate in knapsack sim net cache workload analytic; do
+    if cargo tree -q -e normal --offline -p "basecache-$crate" | grep -q 'basecache-obs'; then
+        echo "error: basecache-$crate depends on basecache-obs" >&2
+        exit 1
+    fi
+done
 
 echo "==> tier-1: cargo build --release && cargo test -q (whole workspace: default-members)"
 cargo build --release

@@ -31,7 +31,7 @@
 //! See `examples/quickstart.rs`, or:
 //!
 //! ```
-//! use basecache::core::planner::{OnDemandPlanner, SolverChoice};
+//! use basecache::core::planner::OnDemandPlanner;
 //! use basecache::core::recency::ScoringFunction;
 //! use basecache::core::request::RequestBatch;
 //! use basecache::net::{Catalog, ObjectId};
@@ -42,9 +42,10 @@
 //! for id in [0u32, 0, 1, 1, 2] {
 //!     batch.push(ObjectId(id), 1.0);
 //! }
-//! let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio, SolverChoice::ExactDp);
-//! let plan = planner.plan(&batch, &catalog, &recency, 6);
+//! let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio);
+//! let plan = planner.plan(&batch, &catalog, &recency, 6)?;
 //! assert!(plan.download_size() <= 6);
+//! # Ok::<(), basecache::core::Error>(())
 //! ```
 
 #![forbid(unsafe_code)]

@@ -1,7 +1,7 @@
 //! End-to-end integration: workload generation → base-station simulation
 //! → measurements, across every crate through the public facade.
 
-use basecache::core::planner::{OnDemandPlanner, SolverChoice};
+use basecache::core::planner::OnDemandPlanner;
 use basecache::core::recency::ScoringFunction;
 use basecache::core::{Policy, StationBuilder};
 use basecache::net::Catalog;
@@ -41,7 +41,7 @@ fn full_pipeline_is_deterministic_in_the_seed() {
     let t2 = trace(50, 30, 40, 7);
     assert_eq!(t1, t2, "identical seeds give identical traces");
 
-    let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio, SolverChoice::ExactDp);
+    let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio);
     let a = run(
         Policy::OnDemand {
             planner,
@@ -75,7 +75,7 @@ fn on_demand_beats_async_at_equal_budget() {
     // download allowance and the same demand, the on-demand policy
     // delivers a better average score than round-robin refresh.
     let t = trace(60, 25, 80, 11);
-    let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio, SolverChoice::ExactDp);
+    let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio);
     let (od_units, od_score) = run(
         Policy::OnDemand {
             planner,
@@ -97,7 +97,7 @@ fn on_demand_beats_async_at_equal_budget() {
 #[test]
 fn bigger_budgets_never_hurt_scores() {
     let t = trace(60, 25, 60, 3);
-    let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio, SolverChoice::ExactDp);
+    let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio);
     let mut prev = -1.0;
     for budget in [0u64, 2, 5, 10, 25, 60] {
         let (_, score) = run(
@@ -121,7 +121,7 @@ fn bigger_budgets_never_hurt_scores() {
 fn trace_text_roundtrip_preserves_simulation_results() {
     let t = trace(30, 10, 30, 9);
     let replayed = RequestTrace::from_text(&t.to_text()).expect("own output parses");
-    let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio, SolverChoice::ExactDp);
+    let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio);
     let a = run(
         Policy::OnDemand {
             planner,
@@ -148,7 +148,7 @@ fn no_updates_means_everything_converges_to_fresh() {
     // If the server never updates, the cache warms up once and every
     // later request is served fresh with zero downloads.
     let t = trace(40, 20, 50, 13);
-    let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio, SolverChoice::ExactDp);
+    let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio);
     let mut station = StationBuilder::new(Catalog::uniform_unit(40))
         .on_demand(planner, u64::MAX)
         .build()

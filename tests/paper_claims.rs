@@ -176,6 +176,8 @@ fn claim_popularity_breaks_ties() {
     batch.push(basecache::net::ObjectId(0), 1.0);
     batch.push(basecache::net::ObjectId(1), 1.0);
     batch.push(basecache::net::ObjectId(1), 1.0);
-    let plan = OnDemandPlanner::paper_default().plan(&batch, &catalog, &recency, 3);
+    let plan = OnDemandPlanner::paper_default()
+        .plan(&batch, &catalog, &recency, 3)
+        .unwrap();
     assert_eq!(plan.downloads(), &[basecache::net::ObjectId(1)]);
 }

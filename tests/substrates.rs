@@ -4,7 +4,6 @@
 
 use basecache::core::estimator::{RateEstimator, ReportEstimator};
 use basecache::core::planner::OnDemandPlanner;
-use basecache::core::recency::DecayModel;
 use basecache::core::{Estimation, StationBuilder};
 use basecache::net::{BroadcastSchedule, Catalog, InFlightConfig, ObjectId, ReportLog};
 use basecache::obs::StatsRecorder;
@@ -121,13 +120,10 @@ fn rate_estimator_survives_heavy_report_loss() {
 
     let oracle = score_with(Estimation::Oracle);
     let rate = score_with(Estimation::Estimator(Box::new(RateEstimator::new(
-        objects,
-        0.3,
-        DecayModel::default(),
+        objects, 0.3,
     ))));
     let counting = score_with(Estimation::Estimator(Box::new(ReportEstimator::new(
         objects,
-        DecayModel::default(),
     ))));
 
     assert!(oracle >= rate - 0.02, "oracle {oracle} vs rate {rate}");
