@@ -11,6 +11,14 @@
 //! - `build_incremental` — the same build after realistic churn (~500
 //!   retargets, ≤1% of the table): only dirty objects are rescored,
 //!   untouched entries carry forward bit-identically.
+//! - `observe/{full,changed}` — one round's recency observation and the
+//!   rescore it triggers, when the recency of 6% of the objects moved
+//!   (the share the benchmark's `engine-massive` workload updates a
+//!   round): `full` reads the whole vector
+//!   ([`RoundEngine::observe_recency`], what a station round does when
+//!   it resyncs), `changed` reads the list of moved slots
+//!   ([`RoundEngine::observe_changed`], what a station's consecutive
+//!   rounds do). The rows differ by the scan of the unchanged slots.
 //! - `round_incremental` — the headline: a complete
 //!   [`BaseStationSim::step_engine`] round (churn, server updates,
 //!   recency observation, incremental rescore, adaptive solve, refresh,
@@ -27,6 +35,8 @@
 //! `scripts/check.sh` can execute it on every run.
 //!
 //! [`RoundEngine`]: basecache_core::engine::RoundEngine
+//! [`RoundEngine::observe_recency`]: basecache_core::engine::RoundEngine::observe_recency
+//! [`RoundEngine::observe_changed`]: basecache_core::engine::RoundEngine::observe_changed
 //! [`BaseStationSim::step_engine`]: basecache_core::station::BaseStationSim::step_engine
 
 use std::hint::black_box;
@@ -256,9 +266,47 @@ pub fn bench_massive(scale: &MassiveScale, results: &mut Vec<Measurement>) -> Ma
     let incr_zipf = bench_incremental("build_incremental_zipf", &ops, &mut scratch);
     let incremental_build_speedup = full.median_ns() / incr.median_ns();
 
+    // --- observe/{full,changed}: the same 6% of the objects move their
+    // recency every iteration (back and forth between two vectors, so
+    // their bits always differ from the stored column), then the dirty
+    // ones are rescored. Only how the movement is found differs.
+    let changed: Vec<ObjectId> = {
+        let mut rng = RngStreams::new(0x3A55).stream("massive/observe");
+        (0..scale.objects * 6 / 100)
+            .map(|_| ObjectId(rng.random_range(0..scale.objects as u32)))
+            .collect()
+    };
+    let mut moved = recency.clone();
+    for &object in &changed {
+        moved[object.index()] *= 0.5;
+    }
+    let bench_observe = |name: &str, listed: bool| {
+        let mut engine = build_engine(scale, &catalog, &objects, &targets);
+        engine.observe_recency(&recency);
+        engine.rescore();
+        let mut flip = false;
+        bench_n(
+            &format!("planner/massive/observe/{name}/{}", scale.objects),
+            scale.samples,
+            || {
+                flip = !flip;
+                let now = if flip { &moved } else { &recency };
+                if listed {
+                    engine.observe_changed(now, &changed);
+                } else {
+                    engine.observe_recency(now);
+                }
+                engine.rescore();
+                black_box(engine.dirty_objects())
+            },
+        )
+    };
+    let observe_full = bench_observe("full", false);
+    let observe_changed = bench_observe("changed", true);
+
     // --- round_incremental: the complete station round — churn, a
-    // handful of server-side updates, oracle recency observation,
-    // incremental rescore, adaptive solve, refresh and columnar serve
+    // handful of server-side updates, the oracle recency of the objects
+    // they and the last round's downloads changed, incremental rescore, adaptive solve, refresh and columnar serve
     // of the whole standing population. Rounds differ several-fold in
     // cost (a wave of stale popular objects makes a hard solve), so
     // every build times the same ones.
@@ -295,6 +343,8 @@ pub fn bench_massive(scale: &MassiveScale, results: &mut Vec<Measurement>) -> Ma
     results.push(full);
     results.push(incr);
     results.push(incr_zipf);
+    results.push(observe_full);
+    results.push(observe_changed);
     results.push(round);
     results.push(solve);
     MassiveReport {

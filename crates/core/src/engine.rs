@@ -43,11 +43,22 @@
 //! An object is marked dirty — and only then rescored — when:
 //!
 //! * a request for it is pushed, cleared or retargeted;
-//! * [`RoundEngine::observe_recency`] sees a recency whose **bits**
-//!   differ from the stored column *and* the object has requests
-//!   (recency movement on an unrequested object cannot change its
-//!   absent instance entry; the column still updates so a later push
-//!   scores against fresh state).
+//! * an observation sees a recency whose **bits** differ from the
+//!   stored column *and* the object has requests (recency movement on
+//!   an unrequested object cannot change its absent instance entry; the
+//!   column still updates so a later push scores against fresh state).
+//!
+//! An observation reads the whole recency vector
+//! ([`RoundEngine::observe_recency`]) or only the slots a caller lists
+//! as changed ([`RoundEngine::observe_changed`]); both apply the same
+//! bit test, so when every unlisted slot is unchanged they leave the
+//! same column and the same dirty set. A station's round lists the
+//! slots its recency stage recomputed — and only when this engine's
+//! column is the one that station left in its immediately previous
+//! round. Every other round observes the whole vector: the engine's
+//! first with the station, one after a batch round or another
+//! station's round, one after an update wave, and one after
+//! [`RoundEngine::mark_all_dirty`].
 //!
 //! # Parity contract
 //!
@@ -118,6 +129,18 @@ impl Shard {
         }
     }
 
+    /// Store an observed recency whose bits moved; a requested object
+    /// becomes dirty.
+    #[inline]
+    fn observe(&mut self, local: usize, recency: f64) {
+        if recency.to_bits() != self.recency[local].to_bits() {
+            self.recency[local] = recency;
+            if !self.targets[local].is_empty() {
+                self.mark_dirty(local);
+            }
+        }
+    }
+
     /// Recompute profit and the score tally for every dirty object,
     /// folding its targets in storage order (the bit-parity contract),
     /// then clear the dirty set. Returns the requests rescored.
@@ -170,6 +193,10 @@ pub struct RoundEngine {
     total_requests: u64,
     last_dirty: u64,
     last_rescored: u64,
+    /// `(station, tick)` of the station round whose recency column the
+    /// stored one is; `None` when any other observation or
+    /// [`Self::mark_all_dirty`] came since.
+    observed: Option<(u64, u64)>,
 }
 
 impl RoundEngine {
@@ -185,6 +212,7 @@ impl RoundEngine {
             total_requests: 0,
             last_dirty: 0,
             last_rescored: 0,
+            observed: None,
         };
         engine.build_shards(&sizes, 1);
         engine
@@ -214,6 +242,7 @@ impl RoundEngine {
         let n = sizes.len();
         let per = n.div_ceil(shards.min(n.max(1))).max(1);
         self.shard_size = per as u32;
+        self.observed = None;
         self.shards = sizes
             .chunks(per)
             .enumerate()
@@ -346,30 +375,96 @@ impl RoundEngine {
     ///
     /// Panics if `recency` is shorter than the object table.
     pub fn observe_recency(&mut self, recency: &[f64]) {
+        self.observed = None;
+        self.observe_all(recency);
+    }
+
+    /// Absorb the `changed` slots of this round's recency vector, with
+    /// [`Self::observe_recency`]'s test and dirty rule. The caller
+    /// vouches that every other slot holds the recency last observed;
+    /// the result is then exactly [`Self::observe_recency`]'s, at the
+    /// cost of the list instead of the table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `recency` is shorter than the object table, or a listed
+    /// object is not in it.
+    pub fn observe_changed(&mut self, recency: &[f64], changed: &[ObjectId]) {
+        self.observed = None;
+        self.observe_listed(recency, changed);
+    }
+
+    /// A station round's observation: only `changed` when it is a list
+    /// and this engine's column is the one `station` left at `tick - 1`,
+    /// the whole vector otherwise. A whole-vector round also checks the
+    /// table against `catalog` — the sizes the length check the station
+    /// makes every round cannot see.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a whole-vector round finds a size that differs from
+    /// `catalog`'s, or on [`Self::observe_changed`]'s contracts.
+    pub(crate) fn observe_round(
+        &mut self,
+        recency: &[f64],
+        changed: Option<&[ObjectId]>,
+        catalog: &Catalog,
+        station: u64,
+        tick: u64,
+    ) {
+        let continues = tick
+            .checked_sub(1)
+            .is_some_and(|last| self.observed == Some((station, last)));
+        match changed.filter(|_| continues) {
+            Some(changed) => self.observe_listed(recency, changed),
+            None => {
+                assert!(
+                    self.shards.iter().all(|shard| {
+                        let ids = (shard.base..).map(ObjectId);
+                        ids.zip(&shard.sizes)
+                            .all(|(id, &size)| catalog.size_of(id) == size)
+                    }),
+                    "engine table's sizes must match the station's catalog"
+                );
+                self.observe_all(recency);
+            }
+        }
+        self.observed = Some((station, tick));
+    }
+
+    fn observe_all(&mut self, recency: &[f64]) {
+        self.assert_covers(recency);
+        for shard in &mut self.shards {
+            let base = shard.base as usize;
+            for l in 0..shard.recency.len() {
+                shard.observe(l, recency[base + l]);
+            }
+        }
+    }
+
+    fn observe_listed(&mut self, recency: &[f64], changed: &[ObjectId]) {
+        self.assert_covers(recency);
+        for &object in changed {
+            let (s, l) = self.locate(object);
+            self.shards[s].observe(l, recency[object.index()]);
+        }
+    }
+
+    fn assert_covers(&self, recency: &[f64]) {
         assert!(
             recency.len() >= self.num_objects,
             "need a recency for every object ({} < {})",
             recency.len(),
             self.num_objects
         );
-        for shard in &mut self.shards {
-            let base = shard.base as usize;
-            for l in 0..shard.recency.len() {
-                let new = recency[base + l];
-                if new.to_bits() != shard.recency[l].to_bits() {
-                    shard.recency[l] = new;
-                    if !shard.targets[l].is_empty() {
-                        shard.mark_dirty(l);
-                    }
-                }
-            }
-        }
     }
 
     /// Mark every object dirty: the next [`Self::rescore`] recomputes
-    /// the whole table. This is the pinned full-rebuild reference path
+    /// the whole table, and the next observation reads the whole
+    /// recency vector. This is the pinned full-rebuild reference path
     /// the parity tests compare the incremental path against.
     pub fn mark_all_dirty(&mut self) {
+        self.observed = None;
         for shard in &mut self.shards {
             for l in 0..shard.is_dirty.len() {
                 shard.mark_dirty(l);
@@ -641,6 +736,90 @@ mod tests {
         for (a, b) in before.items.iter().zip(after.items.iter()) {
             assert_eq!(a.profit().to_bits(), b.profit().to_bits());
         }
+    }
+
+    /// Each requested object's id, recency bits, tally and profit bits.
+    type ActiveBits = Vec<(u32, u64, TallyBits, u64)>;
+
+    /// Every table column an observation can move, as bits: each
+    /// requested object's recency, tally and profit, and the instance.
+    fn observed_state(e: &RoundEngine) -> (ActiveBits, Vec<(u64, u64)>) {
+        let mut active = Vec::new();
+        e.for_each_active(|a| {
+            let tally = tally_bits(a.scores);
+            active.push((a.object.0, a.recency.to_bits(), tally, a.profit.to_bits()));
+        });
+        let items = assemble(e)
+            .items
+            .iter()
+            .map(|i| (i.size(), i.profit().to_bits()))
+            .collect();
+        (active, items)
+    }
+
+    #[test]
+    fn a_listed_observe_equals_a_full_observe() {
+        let build = || {
+            let mut e = engine(12).with_shards(5);
+            for k in 0..40u32 {
+                e.push_request(ObjectId(k * 7 % 11), 0.1 + (k % 9) as f64 * 0.1);
+            }
+            e.observe_recency(&[0.5; 12]);
+            e.rescore();
+            e
+        };
+        let (mut full, mut listed) = (build(), build());
+        let mut recency = [0.5; 12];
+        // Moved: two requested objects (3, 5) and an unrequested one
+        // (11); listed but unmoved: 8. The list repeats 3 and is not
+        // sorted.
+        recency[3] = 0.25;
+        recency[11] = 1.0;
+        recency[5] = -0.0;
+        let changed = [11, 3, 8, 5, 3].map(ObjectId);
+        full.observe_recency(&recency);
+        listed.observe_changed(&recency, &changed);
+        full.rescore();
+        listed.rescore();
+        assert_eq!(full.dirty_objects(), 2, "3 and 5; 11 has no requests");
+        assert_eq!(listed.dirty_objects(), full.dirty_objects());
+        assert_eq!(listed.rescored_requests(), full.rescored_requests());
+        assert_eq!(observed_state(&listed), observed_state(&full));
+    }
+
+    #[test]
+    fn station_rounds_trust_the_list_only_right_after_their_own_round() {
+        let catalog = Catalog::uniform_unit(4);
+        let mut e = RoundEngine::new(&catalog, ScoringFunction::InverseRatio);
+        e.push_columns(&[0, 1, 2, 3].map(ObjectId), &[1.0; 4]);
+        let seen = |e: &mut RoundEngine| {
+            e.rescore();
+            let mut recency = Vec::new();
+            e.for_each_active(|a| recency.push(a.recency));
+            recency
+        };
+        // Round 0 of station 7 observes the whole vector, list or not.
+        e.observe_round(&[0.5; 4], Some(&[]), &catalog, 7, 0);
+        assert_eq!(seen(&mut e), [0.5; 4]);
+        // Round 1 continues it: only the listed slot is read.
+        let moved = [0.25; 4];
+        e.observe_round(&moved, Some(&[ObjectId(1)]), &catalog, 7, 1);
+        assert_eq!(seen(&mut e), [0.5, 0.25, 0.5, 0.5]);
+        // A skipped round, another station, "everything" or
+        // `mark_all_dirty` each make the next round read it whole.
+        e.observe_round(&[0.5; 4], Some(&[]), &catalog, 7, 3);
+        assert_eq!(seen(&mut e), [0.5; 4], "tick 2 was not observed");
+        e.observe_round(&moved, Some(&[]), &catalog, 8, 4);
+        assert_eq!(seen(&mut e), moved, "station 8 did not observe tick 3");
+        e.observe_round(&[0.5; 4], None, &catalog, 8, 5);
+        assert_eq!(seen(&mut e), [0.5; 4], "everything changed");
+        e.mark_all_dirty();
+        e.observe_round(&moved, Some(&[]), &catalog, 8, 6);
+        assert_eq!(seen(&mut e), moved, "mark_all_dirty forces a full read");
+        // So does any observation from outside a station round.
+        e.observe_changed(&[0.5; 4], &[ObjectId(0)]);
+        e.observe_round(&[0.5; 4], Some(&[]), &catalog, 8, 7);
+        assert_eq!(seen(&mut e), [0.5; 4]);
     }
 
     #[test]

@@ -304,10 +304,11 @@ impl OnDemandPlanner {
     }
 
     /// The engine-source twin of [`Self::assemble_requests_into`], and
-    /// the same seam: absorb this round's recency vector, rescore
-    /// exactly the dirty objects and assemble the instance from the
-    /// [`RoundEngine`]'s standing tables; the station's round kernel
-    /// adjusts it before [`Self::solve_assembled`].
+    /// the same seam: once the [`RoundEngine`] has observed this round's
+    /// recency (the station's round kernel makes the observation),
+    /// rescore exactly the dirty objects and assemble the instance from
+    /// its standing tables; the kernel adjusts it before
+    /// [`Self::solve_assembled`].
     ///
     /// Emits [`Sample::DirtyObjects`] and [`Sample::RescoredRequests`] so
     /// flight recordings show how much work the dirty-set actually saved.
@@ -315,11 +316,10 @@ impl OnDemandPlanner {
     /// # Panics
     ///
     /// Panics if the engine's scoring function differs from this
-    /// planner's, or if `recency` is shorter than the engine's table.
+    /// planner's.
     pub(crate) fn assemble_engine_into<R: Recorder + ?Sized>(
         &self,
         engine: &mut RoundEngine,
-        recency: &[f64],
         scratch: &mut PlannerScratch,
         recorder: &R,
     ) {
@@ -328,7 +328,6 @@ impl OnDemandPlanner {
             self.scoring,
             "engine and planner must agree on the scoring function"
         );
-        engine.observe_recency(recency);
         engine.rescore();
         recorder.sample(Sample::DirtyObjects, engine.dirty_objects() as f64);
         recorder.sample(Sample::RescoredRequests, engine.rescored_requests() as f64);

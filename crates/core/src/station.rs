@@ -4,11 +4,28 @@
 //! paper's analyses do: a versioned [`RemoteServer`], the base-station
 //! [`CacheStore`], a download [`Policy`], and per-tick client requests.
 //! Each simulated time unit is one pass through a single round kernel
-//! whose stages run once each, in order: land the transfers that
-//! arrive this round → observe the recency of every cached copy → plan
-//! (assemble the knapsack instance, adjust it, solve it) → launch the
-//! chosen downloads and refresh the cache → serve every request,
-//! recording the recency and score delivered to each client.
+//! whose stages run once each, in order:
+//!
+//! 1. land the transfers that arrive this round (in-flight mode only);
+//! 2. bring the recency column up to date — under the oracle only the
+//!    slots whose copy or server version changed since the last round
+//!    (see below), under an estimator every slot;
+//! 3. plan: assemble the knapsack instance (an engine observes the
+//!    same changed slots), adjust it, solve it;
+//! 4. launch the chosen downloads and refresh the cache;
+//! 5. serve every request, recording the recency and score delivered
+//!    to each client.
+//!
+//! The oracle's recency of a copy, `1/(1 + lag)`, moves only when the
+//! server updates the object or the station writes its cache. So the
+//! station keeps its recency column across rounds and a [`ChangeSet`]
+//! of the objects to recompute: both cache-write sites note their
+//! object, and stage 2 drains the server's own change set into it.
+//! When that reports "everything" — the first round, an update wave, or
+//! more notes than a list has room for — stage 2 refills the whole
+//! column instead. Either way the column
+//! equals a full recomputation bit for bit, which debug builds assert
+//! every round.
 //!
 //! Two things vary a round, and only where they must. The *request
 //! source* — a flat batch ([`BaseStationSim::step`]) or a
@@ -23,11 +40,13 @@
 //! [`BaseStationSim::apply_update_wave`] (or per-object updates) whenever
 //! the remote objects change, and steps once per time unit.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use basecache_cache::CacheStore;
 use basecache_knapsack::Item;
 use basecache_net::{
-    Arrived, Catalog, InFlightConfig, InFlightLedger, InvalidationReport, ObjectId, ParkedWaiter,
-    RemoteServer, Version,
+    Arrived, Catalog, ChangeSet, InFlightConfig, InFlightLedger, InvalidationReport, ObjectId,
+    ParkedWaiter, RemoteServer, Version,
 };
 use basecache_obs::{
     Attr, Event, LifecycleEvent, NullRecorder, Recorder, Sample, Snapshot, Span, Stage, Transition,
@@ -156,9 +175,15 @@ impl Round<'_> {
     }
 }
 
+/// Identities handed to stations as they are built, so an engine can
+/// tell which station observed it last.
+static NEXT_STATION_ID: AtomicU64 = AtomicU64::new(0);
+
 /// The base-station simulation.
 #[derive(Debug)]
 pub struct BaseStationSim {
+    /// This station's identity among all built in the process.
+    id: u64,
     catalog: Catalog,
     server: RemoteServer,
     cache: CacheStore,
@@ -172,6 +197,9 @@ pub struct BaseStationSim {
     // Hot-path buffers, reused across ticks so a steady-state step
     // allocates nothing (see `tests/alloc_free.rs`).
     scratch: PlannerScratch,
+    /// The recency column the planner reads: under the oracle kept
+    /// across rounds and recomputed only at `changed` slots (see the
+    /// module docs), under an estimator refilled every round.
     recency_buf: Vec<f64>,
     downloaded: Vec<ObjectId>,
     /// Per-object "downloaded this round" mark, all false between
@@ -188,6 +216,10 @@ pub struct BaseStationSim {
     /// In-flight download mode (multi-round transfers + single-flight
     /// coalescing); `None` is the paper's instantaneous model.
     flight: Option<FlightState>,
+    /// Objects whose recency may have moved since the recency stage last
+    /// ran: the cache writes since then, and — drained in at that stage
+    /// — the server's updates.
+    changed: ChangeSet,
 }
 
 impl BaseStationSim {
@@ -218,14 +250,15 @@ impl BaseStationSim {
         if let Some(budget) = policy.unit_budget() {
             scratch.reserve(catalog.len(), budget.min(catalog.total_size()));
         }
-        // Everything per-object — the cache's tables, the recency and
-        // download buffers, the downloaded mark — is sized from the
-        // catalog here, once: no round grows any of it, whichever object
-        // is first requested when.
+        // Everything per-object — the cache's tables, the recency column,
+        // the download buffer, the downloaded mark, the change set — is
+        // sized from the catalog here, once: no round grows any of it,
+        // whichever object is first requested when.
         let objects = catalog.len();
         let mut cache = CacheStore::unbounded();
         cache.reserve_objects(objects);
         Self {
+            id: NEXT_STATION_ID.fetch_add(1, Ordering::Relaxed),
             catalog,
             server,
             cache,
@@ -237,11 +270,12 @@ impl BaseStationSim {
             stats: StationStats::default(),
             recorder,
             scratch,
-            recency_buf: Vec::with_capacity(objects),
+            recency_buf: vec![0.0; objects],
             downloaded: Vec::with_capacity(objects),
             downloaded_mark: vec![false; objects],
             plan_exclusions: Vec::new(),
             flight: None,
+            changed: ChangeSet::everything(objects),
         }
     }
 
@@ -464,6 +498,7 @@ impl BaseStationSim {
         self.cache
             .insert(id, size, version, now)
             .expect("unbounded cache never refuses");
+        self.changed.note(id);
         if version == self.server.version_of(id) {
             if let Estimation::Estimator(est) = &mut self.estimation {
                 est.on_refresh(id, now);
@@ -520,7 +555,10 @@ impl BaseStationSim {
     /// [`Estimation::Oracle`] — the columnar serve reads the recency
     /// column the planner observed, which must be the truth — and the
     /// engine's table matches the station's catalog and the planner's
-    /// scoring function.
+    /// scoring function. The table's length is checked every round, its
+    /// sizes on every round that observes the whole recency column (the
+    /// first one with this station, and any after the engine saw
+    /// another round).
     pub fn step_engine(&mut self, engine: &mut RoundEngine) -> RoundOutcome {
         assert!(
             matches!(self.policy, Policy::OnDemand { .. }),
@@ -585,11 +623,7 @@ impl BaseStationSim {
         if let Some(flight) = carrying.as_deref_mut() {
             self.land_arrivals(&mut round, flight);
         }
-        {
-            // The recency the planner sees (post-arrival cache state).
-            let _recency_span = Span::enter(round.recorder, Stage::Recency);
-            self.estimated_recency_into(&mut recency);
-        }
+        self.update_recency(&round, &mut recency);
         let ledger = carrying.as_deref().map(|f| &f.ledger);
         self.plan(&round, &mut source, ledger, &recency, &mut downloaded);
         self.launch(&mut round, flight.as_mut(), &downloaded);
@@ -620,6 +654,7 @@ impl BaseStationSim {
         self.cache
             .insert(id, size, version, now)
             .expect("unbounded cache never refuses");
+        self.changed.note(id);
         if let Estimation::Estimator(est) = &mut self.estimation {
             est.on_refresh(id, now);
         }
@@ -690,6 +725,33 @@ impl BaseStationSim {
         }
     }
 
+    /// Stage 2: bring the recency the planner sees up to date with the
+    /// cache as the arrivals left it. Under the oracle the column is
+    /// recomputed only at the changed slots — or refilled whole when the
+    /// server reports that everything changed; an estimator's belief
+    /// depends on the clock, so it is refilled every round.
+    fn update_recency(&mut self, round: &Round<'_>, recency: &mut Vec<f64>) {
+        let _recency_span = Span::enter(round.recorder, Stage::Recency);
+        self.server.drain_changes_into(&mut self.changed);
+        match (&self.estimation, self.changed.listed()) {
+            (Estimation::Oracle, Some(changed)) => {
+                for &id in changed {
+                    recency[id.index()] = self.true_recency(id);
+                }
+            }
+            _ => self.estimated_recency_into(recency),
+        }
+        if let Estimation::Oracle = self.estimation {
+            debug_assert!(
+                self.catalog
+                    .ids()
+                    .all(|id| recency[id.index()].to_bits() == self.true_recency(id).to_bits()),
+                "round {}: the maintained recency column differs from a full fill",
+                round.tick
+            );
+        }
+    }
+
     /// Stage 3: choose this round's downloads into `downloaded`,
     /// ascending. What is the same for every planner-carrying policy
     /// happens here, once — assemble the knapsack instance from the
@@ -715,12 +777,16 @@ impl BaseStationSim {
                     recency,
                     &mut self.scratch,
                 ),
-                // Arrivals dirtied themselves through the recency
-                // observation (their bits moved), so the incremental
-                // build pays only for what landed or the driver
-                // touched.
+                // The engine observes the slots the recency stage
+                // recomputed — or the whole column when it did not see
+                // this station's previous round — and arrivals dirty
+                // themselves there (their bits moved), so the
+                // incremental build pays only for what landed or the
+                // caller touched.
                 Source::Engine(engine) => {
-                    planner.assemble_engine_into(engine, recency, &mut self.scratch, recorder)
+                    let changed = self.changed.listed();
+                    engine.observe_round(recency, changed, &self.catalog, self.id, round.tick);
+                    planner.assemble_engine_into(engine, &mut self.scratch, recorder)
                 }
             }
             budget = self.adjust_instance(round, ledger, budget);
@@ -743,6 +809,9 @@ impl BaseStationSim {
             downloaded.windows(2).all(|w| w[0] < w[1]),
             "a round's downloads are distinct and ascending"
         );
+        // The column and the engine are current: from here on the
+        // change set collects the next round's slots.
+        self.changed.clear();
         drop(plan_span);
         if round.observing {
             for &id in downloaded.iter() {
@@ -1492,6 +1561,23 @@ mod tests {
             Policy::AsyncRoundRobin { k_objects: 5 },
         );
         assert_serve_matches_per_request_reference(s, "serve-parity/round-robin");
+    }
+
+    #[test]
+    #[should_panic(expected = "engine table's sizes must match the station's catalog")]
+    fn step_engine_rejects_an_engine_sized_for_another_catalog() {
+        let mut s = station(
+            Catalog::from_sizes(&[1, 2, 3]),
+            Policy::OnDemand {
+                planner: OnDemandPlanner::new(ScoringFunction::InverseRatio),
+                budget_units: 6,
+            },
+        );
+        // Same length, so the per-round length check passes.
+        let other = Catalog::from_sizes(&[3, 2, 1]);
+        let mut engine = RoundEngine::new(&other, ScoringFunction::InverseRatio);
+        engine.push_request(ObjectId(0), 1.0);
+        s.step_engine(&mut engine);
     }
 
     #[test]

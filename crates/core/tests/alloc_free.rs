@@ -4,7 +4,8 @@
 //! short warm-up (buffers grown, every requested object cached once)
 //! each `BaseStationSim::step` — under the on-demand policy and under
 //! each of the other four policies — must
-//! perform **zero** allocations, even across update waves — and with
+//! perform **zero** allocations, even across update waves and
+//! per-object updates — and with
 //! the default [`basecache_obs::NullRecorder`] wired through the whole
 //! request path, the observability layer must not change that.
 //!
@@ -100,6 +101,50 @@ fn on_demand_steady_state_steps_do_not_allocate() {
         // Sanity: the round did real work.
         assert_eq!(outcome.served, 5000);
         assert!(outcome.objects_downloaded > 0, "wave forces redownloads");
+    }
+
+    // Between waves the server and the station list what changed, so a
+    // round recomputes only those recency slots: both lists are sized
+    // at build, so per-object updates and the rounds after them stay
+    // off the heap — and so do engine rounds on the same station, the
+    // first of which reads the whole column.
+    let update = |station: &mut basecache_core::BaseStationSim, round: u64| {
+        for k in 0..8u64 {
+            let now = basecache_sim::SimTime::from_ticks(station.tick());
+            let object = ObjectId(((round * 8 + k) * 53 % num_objects as u64) as u32);
+            station.server_mut().apply_update(object, now);
+        }
+    };
+    for round in 0..10u64 {
+        let before = allocation_count();
+        update(&mut station, round);
+        let outcome = station.step(&requests);
+        let after = allocation_count();
+        assert_eq!(
+            after - before,
+            0,
+            "round {round}: updates and step() allocated {} time(s)",
+            after - before
+        );
+        assert_eq!(outcome.served, 5000);
+    }
+    let mut engine =
+        basecache_core::engine::RoundEngine::new(station.catalog(), ScoringFunction::InverseRatio);
+    for r in &requests {
+        engine.push_request(r.object, r.target_recency);
+    }
+    for round in 10..14u64 {
+        let before = allocation_count();
+        update(&mut station, round);
+        let outcome = station.step_engine(&mut engine);
+        let after = allocation_count();
+        assert_eq!(
+            after - before,
+            0,
+            "round {round}: updates and step_engine() allocated {} time(s)",
+            after - before
+        );
+        assert_eq!(outcome.served, 5000);
     }
 
     // One-time sizing: an object first requested (hence first cached)

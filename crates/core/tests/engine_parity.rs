@@ -13,6 +13,12 @@
 //!    instance the engine holds after a step, read back through
 //!    `for_each_active`, solved by `DpByCapacity`, gives the station's
 //!    downloads, units and plan value bit for bit.
+//! 5. The engine reads only the recency slots its station changed
+//!    exactly when that is safe: engine rounds interleaved with batch
+//!    rounds, and one engine stepped by two stations in turn, match the
+//!    reference round for round. (The reference's `mark_all_dirty` also
+//!    makes its engine read the whole recency vector, so a slot the
+//!    incremental rig's list misses cannot go unnoticed on both sides.)
 //!
 //! "Identical" means the deterministic observables; wall-clock span
 //! timings are stripped before comparison.
@@ -28,7 +34,7 @@ use basecache_core::StationBuilder;
 use basecache_net::{Catalog, ObjectId};
 use basecache_obs::{FlightRecorder, Snapshot};
 use basecache_sim::{RngStreams, SimTime};
-use basecache_workload::{ChurnOp, Popularity, StandingWorkload, TargetRecency};
+use basecache_workload::{ChurnOp, GeneratedRequest, Popularity, StandingWorkload, TargetRecency};
 
 use common::{exact_dp, Instance};
 
@@ -284,6 +290,96 @@ fn single_object_churn_matches_full_rebuild() {
 #[test]
 fn full_churn_matches_full_rebuild() {
     run_parity(20, full_churn, "full churn");
+}
+
+/// A batch round on the rig's station: a few requests on rotating
+/// objects.
+fn batch_round(round: u64, rig: &mut Rig) -> RoundOutcome {
+    let requests: Vec<GeneratedRequest> = (0..6u64)
+        .map(|k| GeneratedRequest {
+            object: ObjectId(((round * 5 + k * 7) % OBJECTS as u64) as u32),
+            target_recency: [1.0, 0.7, 0.4][k as usize % 3],
+        })
+        .collect();
+    rig.station.step(&requests)
+}
+
+/// An engine first stepped after several batch rounds, then interleaved
+/// with more: every engine round after a batch round must read the
+/// whole recency vector, since the batch round's changes never reached
+/// the engine.
+#[test]
+fn engine_rounds_between_batch_rounds_match_full_rebuild() {
+    let mut incremental = Rig::incremental();
+    let mut reference = Rig::reference();
+    for round in 0..30u64 {
+        // Batch rounds fall just before rounds without a wave, so the
+        // engine round after one has a list to (mis)trust.
+        let engine_round = round >= 4 && round % 3 != 0;
+        let mut outcomes = Vec::new();
+        for rig in [&mut incremental, &mut reference] {
+            single_object_churn(round, rig);
+            let out = if engine_round {
+                rig.step()
+            } else {
+                batch_round(round, rig)
+            };
+            outcomes.push(out);
+        }
+        assert_eq!(outcomes[0], outcomes[1], "round {round}: outcomes diverge");
+    }
+    assert_rigs_match(&incremental, &reference, "batch and engine rounds");
+}
+
+/// One engine stepped by two stations in turn, against a reference
+/// pair whose engine reads the whole vector every round. The second
+/// station starts a round later, so its rounds never share a tick with
+/// the first's — only the station identity tells them apart.
+#[test]
+fn one_engine_alternating_between_two_stations_matches_full_rebuild() {
+    let mut rigs = [Rig::incremental(), Rig::reference()];
+    let mut others: Vec<BaseStationSim> = rigs
+        .iter()
+        .map(|_| {
+            StationBuilder::new(catalog())
+                .on_demand(OnDemandPlanner::paper_default(), BUDGET / 2)
+                .build()
+                .expect("valid configuration")
+        })
+        .collect();
+    for other in &mut others {
+        other.step(&[]);
+    }
+    for round in 0..30u64 {
+        let mut outcomes = Vec::new();
+        for (rig, other) in rigs.iter_mut().zip(&mut others) {
+            zero_churn(round, rig);
+            let object = ObjectId(((round * 7 + 3) % OBJECTS as u64) as u32);
+            let now = SimTime::from_ticks(other.tick());
+            other.server_mut().apply_update(object, now);
+            let first = rig.step();
+            if rig.full_rebuild {
+                rig.engine.mark_all_dirty();
+            }
+            let second = other.step_engine(&mut rig.engine);
+            assert_engine_round_is_exact_unrecorded(other, &rig.engine, BUDGET / 2);
+            outcomes.push((first, second));
+        }
+        assert_eq!(outcomes[0], outcomes[1], "round {round}: outcomes diverge");
+    }
+    assert_rigs_match(&rigs[0], &rigs[1], "two stations, one engine");
+    assert_eq!(others[0].stats(), others[1].stats());
+}
+
+/// [`assert_engine_round_is_exact`]'s download check for a station
+/// without a flight recorder.
+fn assert_engine_round_is_exact_unrecorded(
+    station: &BaseStationSim,
+    engine: &RoundEngine,
+    budget: u64,
+) {
+    let exact = exact_dp(&Instance::of_engine(engine), budget);
+    assert_eq!(station.last_downloaded(), exact.downloads);
 }
 
 #[test]

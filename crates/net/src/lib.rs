@@ -13,7 +13,8 @@
 //!
 //! * [`object`] — the shared object model: [`ObjectId`], [`Version`],
 //!   [`Catalog`].
-//! * [`server`] — [`RemoteServer`] holding per-object versions, plus
+//! * [`server`] — [`RemoteServer`] holding per-object versions and the
+//!   [`ChangeSet`] of objects updated since it was last drained, plus
 //!   [`UpdateProcess`] (simultaneous-periodic as in the paper, staggered,
 //!   and Poisson).
 //! * [`inflight`] — [`InFlightLedger`]: multi-round transfers over a
@@ -77,5 +78,5 @@ pub use inflight::{
 pub use intercell::InterCellLink;
 pub use invalidation::{InvalidationReport, PublishOutcome, ReportLog, VersionBus};
 pub use object::{Catalog, ObjectId, Version};
-pub use server::{RemoteServer, UpdateProcess};
+pub use server::{ChangeSet, RemoteServer, UpdateProcess};
 pub use topology::{CellId, ClientId, MobileClient, Topology, TopologyError};

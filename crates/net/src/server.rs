@@ -4,6 +4,10 @@
 //! push data, they just answer downloads with the newest version. What
 //! matters for the analyses is *when objects update*, which is what
 //! [`UpdateProcess`] models.
+//!
+//! A server also remembers *which* objects changed since it was last
+//! asked (a [`ChangeSet`]), so a station can refresh what it derives
+//! from versions per change instead of per object.
 
 use basecache_sim::{SimDuration, SimTime, StreamRng};
 
@@ -76,19 +80,88 @@ fn next_periodic(now: u64, period: u64, offset: u64) -> SimTime {
     SimTime::from_ticks(now + gap)
 }
 
+/// The objects that changed since the set was last cleared, in the
+/// order noted — or "everything", a flag that replaces listing every
+/// object. The list is sized for one note per catalog object when the
+/// set is built, so noting never allocates: a note past that turns the
+/// set into "everything". An object noted twice is listed twice; a
+/// reader that recomputes per listed object pays one more look for it
+/// and gets the same result.
+#[derive(Debug, Clone)]
+pub struct ChangeSet {
+    objects: Vec<ObjectId>,
+    everything: bool,
+}
+
+impl ChangeSet {
+    /// A set over `objects` objects that starts as "everything changed":
+    /// whoever reads it first has seen nothing yet.
+    pub fn everything(objects: usize) -> Self {
+        Self {
+            objects: Vec::with_capacity(objects),
+            everything: true,
+        }
+    }
+
+    /// Note that `object` changed. O(1), and a no-op once everything
+    /// has changed.
+    #[inline]
+    pub fn note(&mut self, object: ObjectId) {
+        if !self.everything {
+            if self.objects.len() < self.objects.capacity() {
+                self.objects.push(object);
+            } else {
+                self.everything = true;
+            }
+        }
+    }
+
+    /// Note that every object changed.
+    pub fn note_everything(&mut self) {
+        self.everything = true;
+    }
+
+    /// The changed objects in the order noted; `None` when every object
+    /// changed.
+    pub fn listed(&self) -> Option<&[ObjectId]> {
+        (!self.everything).then_some(&self.objects)
+    }
+
+    /// Note everything `self` holds into `into`, then clear `self`.
+    pub fn drain_into(&mut self, into: &mut ChangeSet) {
+        let room = into.objects.capacity() - into.objects.len();
+        if self.everything || self.objects.len() > room {
+            into.note_everything();
+        } else if !into.everything {
+            into.objects.extend_from_slice(&self.objects);
+        }
+        self.clear();
+    }
+
+    /// Forget every change.
+    pub fn clear(&mut self) {
+        self.objects.clear();
+        self.everything = false;
+    }
+}
+
 /// A remote server on the fixed network: the authoritative versions of a
 /// set of objects, updated by an [`UpdateProcess`] driven from outside
-/// (the simulation harness schedules the update events).
+/// (the simulation harness schedules the update events), and the set of
+/// objects updated since a reader last drained it.
 #[derive(Debug, Clone)]
 pub struct RemoteServer {
     versions: Vec<Version>,
+    changes: ChangeSet,
 }
 
 impl RemoteServer {
-    /// A server exporting all objects of `catalog` at version 0.
+    /// A server exporting all objects of `catalog` at version 0. Its
+    /// change set starts as "everything changed".
     pub fn new(catalog: &Catalog) -> Self {
         Self {
             versions: vec![Version::INITIAL; catalog.len()],
+            changes: ChangeSet::everything(catalog.len()),
         }
     }
 
@@ -102,18 +175,28 @@ impl RemoteServer {
         self.versions.is_empty()
     }
 
-    /// Apply one update to `object`: bumps its version. The update's
-    /// time is the caller's to keep; the server holds versions only.
+    /// Apply one update to `object`: bumps its version and notes the
+    /// change, O(1). The update's time is the caller's to keep; the
+    /// server holds versions only.
     pub fn apply_update(&mut self, object: ObjectId, _now: SimTime) {
         let i = object.index();
         self.versions[i] = self.versions[i].next();
+        self.changes.note(object);
     }
 
     /// Apply one update to *every* object (the paper's simultaneous wave).
+    /// The change set records "everything", not a list.
     pub fn apply_simultaneous_update(&mut self, _now: SimTime) {
         for v in &mut self.versions {
             *v = v.next();
         }
+        self.changes.note_everything();
+    }
+
+    /// Move the changes since the last drain into `into`, and start
+    /// recording afresh.
+    pub fn drain_changes_into(&mut self, into: &mut ChangeSet) {
+        self.changes.drain_into(into);
     }
 
     /// Current authoritative version of `object`.
@@ -215,6 +298,56 @@ mod tests {
             Version(0),
             "only the updated object moves"
         );
+    }
+
+    #[test]
+    fn drains_report_the_changed_objects_or_everything() {
+        let catalog = Catalog::uniform_unit(6);
+        let mut s = RemoteServer::new(&catalog);
+        let mut seen = ChangeSet::everything(catalog.len());
+        seen.clear();
+        s.drain_changes_into(&mut seen);
+        assert_eq!(seen.listed(), None, "a new server has changed everything");
+        seen.clear();
+        s.drain_changes_into(&mut seen);
+        assert_eq!(seen.listed(), Some(&[][..]));
+        for i in [4, 1, 4] {
+            s.apply_update(ObjectId(i), SimTime::from_ticks(1));
+        }
+        seen.note(ObjectId(2));
+        s.drain_changes_into(&mut seen);
+        let listed = [2, 4, 1, 4].map(ObjectId);
+        assert_eq!(seen.listed(), Some(&listed[..]), "repeats stay listed");
+        seen.clear();
+        s.apply_update(ObjectId(4), SimTime::from_ticks(2));
+        s.apply_simultaneous_update(SimTime::from_ticks(2));
+        s.drain_changes_into(&mut seen);
+        assert_eq!(seen.listed(), None, "a wave lists nothing, it flags");
+        seen.clear();
+        s.apply_update(ObjectId(4), SimTime::from_ticks(3));
+        s.drain_changes_into(&mut seen);
+        assert_eq!(seen.listed(), Some(&[ObjectId(4)][..]), "drained afresh");
+    }
+
+    #[test]
+    fn a_list_past_the_catalog_size_becomes_everything() {
+        let catalog = Catalog::uniform_unit(3);
+        let mut s = RemoteServer::new(&catalog);
+        let mut seen = ChangeSet::everything(catalog.len());
+        s.drain_changes_into(&mut seen);
+        seen.clear();
+        for i in [0, 1, 0] {
+            s.apply_update(ObjectId(i), SimTime::from_ticks(1));
+        }
+        seen.note(ObjectId(2));
+        s.drain_changes_into(&mut seen);
+        assert_eq!(seen.listed(), None, "four notes do not fit three slots");
+        seen.clear();
+        for i in [0, 1, 2, 0] {
+            s.apply_update(ObjectId(i), SimTime::from_ticks(2));
+        }
+        s.drain_changes_into(&mut seen);
+        assert_eq!(seen.listed(), None, "the server's own list overflowed");
     }
 
     #[test]

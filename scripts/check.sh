@@ -140,6 +140,8 @@ for entry in 'planner/round/adaptive' 'planner/round/adaptive_lifecycle' \
              'planner/massive/build_full_rebuild/100000' \
              'planner/massive/build_incremental/100000' \
              'planner/massive/build_incremental_zipf/100000' \
+             'planner/massive/observe/full/100000' \
+             'planner/massive/observe/changed/100000' \
              'planner/massive/round_incremental/100000' \
              'planner/massive/solve_only/100000'; do
     grep -q "\"$entry\"" BENCH_planner.json \
