@@ -9,6 +9,9 @@
 //! size; untied and tied) and an engine round (35 000 items of size 1–8,
 //! capacity 1 000; profits tied by the thousand, as the engine's are, and
 //! drawn apart, which takes the two-sided reduction at that scale).
+//! `knapsack/by_capacity/dp_tied_core/1000` times the DP alone at the
+//! core those tied engine rounds leave when bound fixing cannot shrink
+//! it: ~1 200 items of size 1–8 under 1 000 units.
 
 use std::hint::black_box;
 
@@ -87,6 +90,18 @@ fn bench_dp_by_capacity(results: &mut Vec<Measurement>) {
     }
 }
 
+fn bench_tied_core(results: &mut Vec<Measurement>) {
+    // The core an engine round's tied DP sweeps when bound fixing cannot
+    // shrink it: ~1 200 items of size 1–8, profits tied by the hundred,
+    // under 1 000 units — the row kernel's shape.
+    let core = round_shaped_items(1_200, 8, true, 11);
+    let mut scratch = DpScratch::new();
+    results.push(bench("knapsack/by_capacity/dp_tied_core/1000", || {
+        black_box(DpByCapacity.solve_into(&core, 1_000, &mut scratch))
+    }));
+    println!("    {} DP cells", scratch.cells_touched());
+}
+
 fn bench_trace_reads(results: &mut Vec<Measurement>) {
     // Reading the whole solution space from one trace vs re-solving at
     // every budget — the reason the paper's Section 4 analysis is cheap.
@@ -106,6 +121,7 @@ fn main() {
     bench_adaptive(&mut results);
     bench_solvers_by_n(&mut results);
     bench_dp_by_capacity(&mut results);
+    bench_tied_core(&mut results);
     bench_trace_reads(&mut results);
     write_record("knapsack", &[], &results);
 }

@@ -239,7 +239,8 @@ impl OnDemandPlanner {
         scratch: &mut PlannerScratch,
         recorder: &R,
     ) {
-        record_instance(budget, scratch, recorder);
+        recorder.add(Event::KnapsackItems, scratch.items.len() as u64);
+        record_instance(budget, recorder, || item_profit_sum(&scratch.items));
         scratch.downloads.clear();
         {
             let _solve = Span::enter(recorder, Stage::Solve);
@@ -249,22 +250,69 @@ impl OnDemandPlanner {
                 &mut scratch.adaptive,
                 &mut scratch.dp,
             );
-            scratch.achieved_value = value;
-            let mut size = 0u64;
-            // `chosen()` is ascending by item index and `objects` is
-            // ascending by id, so the downloads come out sorted.
-            for &i in scratch.adaptive.chosen() {
-                size += scratch.items[i].size();
-                scratch.downloads.push(scratch.objects[i]);
+            take_chosen(value, scratch, recorder);
+        }
+        recorder.sample(Sample::PlanProfit, scratch.achieved_value);
+    }
+
+    /// [`Self::solve_assembled`] for an engine round whose instance
+    /// holds only the objects above `scratch.cut`
+    /// ([`Self::assemble_engine_into`]), less `exclusions`. The solver
+    /// certifies what the cut left out before its one DP, so the plan is
+    /// the whole instance's. A refusal costs no DP: the round
+    /// re-assembles once at the lower cut the certificate asked for and,
+    /// if that is refused too, at cut 0, the whole instance, which
+    /// nothing can refuse. Kept candidates that no longer pass the
+    /// budget plus the largest size once `exclusions` are out go
+    /// straight to cut 0. `scratch.certificate` says which assembly the
+    /// plan came from: 0 the first, 1 the lowered one, 2 the whole
+    /// instance after a refusal.
+    ///
+    /// The instance reported is the one solved; its profit bound, when
+    /// observed, is the whole instance's, as on every other round.
+    pub(crate) fn solve_candidates<R: Recorder + ?Sized>(
+        &self,
+        budget: u64,
+        engine: &RoundEngine,
+        exclusions: &[ObjectId],
+        scratch: &mut PlannerScratch,
+        recorder: &R,
+    ) {
+        record_instance(budget, recorder, || engine.profit_sum(exclusions));
+        scratch.downloads.clear();
+        {
+            let _solve = Span::enter(recorder, Stage::Solve);
+            // The first cut's bands hold more than the reach; without
+            // the excluded objects the candidates may not.
+            if scratch.cut > 0 && !exclusions.is_empty() {
+                let kept: u64 = scratch.items.iter().map(Item::size).sum();
+                if kept <= engine.reach(budget) {
+                    reassemble(engine, 0, exclusions, scratch);
+                    scratch.certificate = 2;
+                }
             }
-            scratch.download_size = size;
-            recorder.add(Event::DpCellsTouched, scratch.adaptive.cells_touched());
-            recorder.sample(Sample::CoreSize, scratch.adaptive.core_size() as f64);
-            recorder.sample(Sample::ItemsFixed, scratch.adaptive.items_fixed() as f64);
-            recorder.sample(
-                Sample::SolverChosen,
-                scratch.adaptive.method().code() as f64,
-            );
+            let value = loop {
+                let left_out = engine.left_out(scratch.cut);
+                let solved = AdaptiveSolver.solve_leaving_out(
+                    &scratch.items,
+                    budget,
+                    &left_out,
+                    &mut scratch.adaptive,
+                    &mut scratch.dp,
+                );
+                if let Some(value) = solved {
+                    break value;
+                }
+                let needed = scratch.adaptive.needed_edge();
+                let cut = match scratch.certificate {
+                    0 => engine.lowered_cut(scratch.cut, needed),
+                    _ => 0,
+                };
+                scratch.certificate = if cut == 0 { 2 } else { 1 };
+                reassemble(engine, cut, exclusions, scratch);
+            };
+            recorder.add(Event::KnapsackItems, scratch.items.len() as u64);
+            take_chosen(value, scratch, recorder);
         }
         recorder.sample(Sample::PlanProfit, scratch.achieved_value);
     }
@@ -283,7 +331,8 @@ impl OnDemandPlanner {
         scratch: &mut PlannerScratch,
         recorder: &R,
     ) {
-        record_instance(max_budget, scratch, recorder);
+        recorder.add(Event::KnapsackItems, scratch.items.len() as u64);
+        record_instance(max_budget, recorder, || item_profit_sum(&scratch.items));
         scratch.downloads.clear();
         {
             let _solve = Span::enter(recorder, Stage::Solve);
@@ -307,8 +356,14 @@ impl OnDemandPlanner {
     /// the same seam: once the [`RoundEngine`] has observed this round's
     /// recency (the station's round kernel makes the observation),
     /// rescore exactly the dirty objects and assemble the instance from
-    /// its standing tables; the kernel adjusts it before
-    /// [`Self::solve_assembled`].
+    /// its standing tables; the kernel adjusts it before the solve.
+    ///
+    /// With a `budget` the round plans the engine's densities as they
+    /// are, and only the candidates above the engine's first cut for it
+    /// are assembled ([`Self::solve_candidates`] certifies the rest
+    /// out); without one — a round whose profits the kernel will
+    /// amortize over arrival delays, so the engine's densities are not
+    /// the instance's — the whole instance is (cut 0).
     ///
     /// Emits [`Sample::DirtyObjects`] and [`Sample::RescoredRequests`] so
     /// flight recordings show how much work the dirty-set actually saved.
@@ -320,6 +375,7 @@ impl OnDemandPlanner {
     pub(crate) fn assemble_engine_into<R: Recorder + ?Sized>(
         &self,
         engine: &mut RoundEngine,
+        budget: Option<u64>,
         scratch: &mut PlannerScratch,
         recorder: &R,
     ) {
@@ -331,7 +387,9 @@ impl OnDemandPlanner {
         engine.rescore();
         recorder.sample(Sample::DirtyObjects, engine.dirty_objects() as f64);
         recorder.sample(Sample::RescoredRequests, engine.rescored_requests() as f64);
-        engine.assemble_into(scratch);
+        scratch.cut = budget.map_or(0, |budget| engine.first_cut(budget));
+        scratch.certificate = 0;
+        engine.assemble_above(scratch.cut, scratch);
     }
 
     /// The round's knapsack mapping together with the exact DP's full
@@ -359,21 +417,62 @@ impl OnDemandPlanner {
     }
 }
 
-/// What every solve reports about the instance it is handed: its
-/// shape (items, capacity) and, to an observer, its budget-free optimum.
+/// What every solve reports about the instance it plans besides its
+/// item count: its capacity and, to an observer, its budget-free
+/// optimum — downloading every requested stale object, the whole
+/// instance's profit sum from `bound`. Realized profit over this bound
+/// is the knapsack's efficiency, a per-round series column.
 #[inline]
-fn record_instance<R: Recorder + ?Sized>(budget: u64, scratch: &PlannerScratch, recorder: &R) {
-    recorder.add(Event::KnapsackItems, scratch.items.len() as u64);
+fn record_instance<R: Recorder + ?Sized>(budget: u64, recorder: &R, bound: impl FnOnce() -> f64) {
     recorder.sample(Sample::KnapsackCapacity, budget as f64);
     if recorder.enabled() {
-        // The budget-free optimum: downloading every requested stale
-        // object. Realized profit over this bound is the knapsack's
-        // efficiency, a per-round series column.
-        let mut bound = 0.0;
-        for item in scratch.items.iter() {
-            bound += item.profit();
-        }
-        recorder.sample(Sample::PlanProfitBound, bound);
+        recorder.sample(Sample::PlanProfitBound, bound());
+    }
+}
+
+/// Σ profit over `items`, folded in item order.
+fn item_profit_sum(items: &[Item]) -> f64 {
+    let mut sum = 0.0;
+    for item in items {
+        sum += item.profit();
+    }
+    sum
+}
+
+/// Leave the adaptive solve's answer, worth `value`, in `scratch` as
+/// downloads, and report the solver's work.
+#[inline]
+fn take_chosen<R: Recorder + ?Sized>(value: f64, scratch: &mut PlannerScratch, recorder: &R) {
+    scratch.achieved_value = value;
+    let mut size = 0u64;
+    // `chosen()` is ascending by item index and `objects` is ascending
+    // by id, so the downloads come out sorted.
+    for &i in scratch.adaptive.chosen() {
+        size += scratch.items[i].size();
+        scratch.downloads.push(scratch.objects[i]);
+    }
+    scratch.download_size = size;
+    recorder.add(Event::DpCellsTouched, scratch.adaptive.cells_touched());
+    recorder.sample(Sample::CoreSize, scratch.adaptive.core_size() as f64);
+    recorder.sample(Sample::ItemsFixed, scratch.adaptive.items_fixed() as f64);
+    recorder.sample(
+        Sample::SolverChosen,
+        scratch.adaptive.method().code() as f64,
+    );
+}
+
+/// Assemble `engine`'s instance above `cut` into `scratch` again, less
+/// `exclusions` — an engine round's candidates at a lower cut.
+fn reassemble(
+    engine: &RoundEngine,
+    cut: u16,
+    exclusions: &[ObjectId],
+    scratch: &mut PlannerScratch,
+) {
+    scratch.cut = cut;
+    engine.assemble_above(cut, scratch);
+    if !exclusions.is_empty() {
+        scratch.retain_objects(exclusions, |_| true);
     }
 }
 

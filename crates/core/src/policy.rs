@@ -19,6 +19,7 @@ use basecache_obs::Recorder;
 use basecache_workload::GeneratedRequest;
 
 use crate::asynch::AsyncRefresher;
+use crate::engine::RoundEngine;
 use crate::planner::OnDemandPlanner;
 use crate::scratch::PlannerScratch;
 
@@ -129,6 +130,7 @@ impl Policy {
     ) {
         let PlanView {
             requests,
+            engine,
             catalog,
             recency,
             budget,
@@ -147,7 +149,12 @@ impl Policy {
         };
         match *self {
             Policy::OnDemand { planner, .. } => {
-                planner.solve_assembled(budget, scratch, recorder);
+                match engine {
+                    Some(engine) => {
+                        planner.solve_candidates(budget, engine, exclusions, scratch, recorder)
+                    }
+                    None => planner.solve_assembled(budget, scratch, recorder),
+                }
                 downloaded.extend_from_slice(scratch.downloads());
             }
             Policy::OnDemandLowestRecency { .. } => {
@@ -223,6 +230,10 @@ pub(crate) struct PlanView<'a> {
     /// requests stand in the engine's tables and reach the policy as the
     /// assembled instance.
     pub requests: &'a [GeneratedRequest],
+    /// The engine of an engine round that plans its candidates above a
+    /// density cut ([`OnDemandPlanner::solve_candidates`]); `None` when
+    /// the assembled instance is the whole one.
+    pub engine: Option<&'a RoundEngine>,
     /// The catalog the station serves.
     pub catalog: &'a Catalog,
     /// The recency the planner sees, per object.

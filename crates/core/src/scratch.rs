@@ -83,6 +83,12 @@ pub struct PlannerScratch {
     pub(crate) dp: DpScratch,
     /// Reusable reduction buffers of the adaptive solve.
     pub(crate) adaptive: AdaptiveScratch,
+    /// The density cut an engine round's instance was assembled above
+    /// (0: the whole instance).
+    pub(crate) cut: u16,
+    /// Which assembly an engine round's plan came from
+    /// ([`crate::planner::OnDemandPlanner::solve_candidates`]).
+    pub(crate) certificate: u8,
     /// The chosen downloads, ascending.
     pub(crate) downloads: Vec<ObjectId>,
     pub(crate) download_size: u64,

@@ -782,20 +782,25 @@ impl BaseStationSim {
                 // this station's previous round — and arrivals dirty
                 // themselves there (their bits moved), so the
                 // incremental build pays only for what landed or the
-                // caller touched.
+                // caller touched. A carrying ledger amortizes profits
+                // over arrival delays, so the engine's densities are
+                // not that round's: it plans the whole instance.
                 Source::Engine(engine) => {
                     let changed = self.changed.listed();
                     engine.observe_round(recency, changed, &self.catalog, self.id, round.tick);
-                    planner.assemble_engine_into(engine, &mut self.scratch, recorder)
+                    let cut_for = ledger.is_none().then_some(budget);
+                    planner.assemble_engine_into(engine, cut_for, &mut self.scratch, recorder)
                 }
             }
             budget = self.adjust_instance(round, ledger, budget);
         }
+        let (requests, engine) = match source {
+            Source::Batch(requests) => (*requests, None),
+            Source::Engine(engine) => (&[][..], ledger.is_none().then_some(&**engine)),
+        };
         let view = PlanView {
-            requests: match source {
-                Source::Batch(requests) => requests,
-                Source::Engine(_) => &[],
-            },
+            requests,
+            engine,
             catalog: &self.catalog,
             recency,
             budget,
@@ -809,6 +814,18 @@ impl BaseStationSim {
             downloaded.windows(2).all(|w| w[0] < w[1]),
             "a round's downloads are distinct and ascending"
         );
+        if let Source::Engine(engine) = source {
+            // What the round left out of its knapsack and how its
+            // certificate went (0: at its first cut, 1: at the lowered
+            // one, 2: the whole instance after a refusal); the edge it
+            // would have certified is the next round's hint.
+            let cut = self.scratch.cut;
+            recorder.sample(Sample::LeftOutObjects, engine.left_out_objects(cut) as f64);
+            recorder.sample(Sample::CutCertificate, f64::from(self.scratch.certificate));
+            if ledger.is_none() {
+                engine.note_needed_edge(self.scratch.adaptive.needed_edge());
+            }
+        }
         // The column and the engine are current: from here on the
         // change set collects the next round's slots.
         self.changed.clear();

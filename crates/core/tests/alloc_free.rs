@@ -13,6 +13,8 @@
 //! process-global, and other concurrently running tests would perturb
 //! the counter.
 
+mod common;
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -464,6 +466,69 @@ fn on_demand_steady_state_steps_do_not_allocate() {
                 "{label} round {round}: steady state must rescore incrementally"
             );
         }
+    }
+
+    // Engine rounds at the benchmark's `engine-massive` shape (scaled
+    // down) plan the candidates above a density cut, and some rounds'
+    // certificates refuse: they re-assemble at the lowered cut or at cut
+    // 0, the whole instance. Those paths run on the buffers the engine
+    // and the station sized at build, so the counted window — which
+    // must hold both — allocates nothing either.
+    {
+        use basecache_workload::{ChurnOp, Popularity, StandingWorkload, TargetRecency};
+
+        let streams = RngStreams::new(0x0C07);
+        let cut_sizes: Vec<u64> = {
+            let mut rng = streams.stream("cut/sizes");
+            (0..3_000).map(|_| rng.random_range(1u64..=8)).collect()
+        };
+        let catalog = Catalog::from_sizes(&cut_sizes);
+        let workload = StandingWorkload::new(
+            Popularity::ZIPF1.build(3_000),
+            30_000,
+            TargetRecency::Uniform { lo: 0.3, hi: 1.0 },
+        );
+        let (objs, targets) = workload.generate_columns(&mut streams.stream("cut/requests"));
+        let mut ops: Vec<ChurnOp> = Vec::new();
+        workload.churn_into(15 * 90, &mut streams.stream("cut/churn"), &mut ops);
+        let mut updates = streams.stream("cut/updates");
+        let mut station = StationBuilder::new(catalog.clone())
+            .on_demand(OnDemandPlanner::paper_default(), 60)
+            .recorder(Box::new(common::SolveProbe::default()))
+            .build()
+            .expect("valid configuration");
+        let mut engine =
+            basecache_core::engine::RoundEngine::new(&catalog, ScoringFunction::InverseRatio)
+                .with_shards(4);
+        engine.push_columns(&objs, &targets);
+        let mut reached = [0u32; 3];
+        for round in 0..90usize {
+            let before = allocation_count();
+            for op in &ops[round * 15..(round + 1) * 15] {
+                engine.retarget(op.object, op.slot_seed, op.target);
+            }
+            for _ in 0..180 {
+                let object = ObjectId(updates.random_range(0..3_000u32));
+                let now = basecache_sim::SimTime::from_ticks(station.tick());
+                station.server_mut().apply_update(object, now);
+            }
+            station.step_engine(&mut engine);
+            let after = allocation_count();
+            if round >= 10 {
+                assert_eq!(
+                    after - before,
+                    0,
+                    "engine/cut round {round}: allocated {} time(s)",
+                    after - before
+                );
+                let (_, certificate) = common::solve_probe(&station).last_cut();
+                reached[certificate as usize] += 1;
+            }
+        }
+        assert!(
+            reached[1] > 0 && reached[2] > 0,
+            "engine/cut: the counted window holds lowered and whole-instance rounds: {reached:?}"
+        );
     }
 
     // The cluster round on top: sixteen cells sharing one backhaul

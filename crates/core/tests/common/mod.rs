@@ -98,6 +98,8 @@ pub fn exact_dp(instance: &Instance, budget: u64) -> Exact {
 pub struct SolveProbe {
     value_bits: AtomicU64,
     cells: AtomicU64,
+    left_out: AtomicU64,
+    certificate: AtomicU64,
 }
 
 impl SolveProbe {
@@ -107,6 +109,12 @@ impl SolveProbe {
             f64::from_bits(self.value_bits.load(Relaxed)),
             self.cells.load(Relaxed),
         )
+    }
+
+    /// What the last engine round left out of its instance, and how its
+    /// certificate went (`Sample::CutCertificate`'s code).
+    pub fn last_cut(&self) -> (u64, u64) {
+        (self.left_out.load(Relaxed), self.certificate.load(Relaxed))
     }
 }
 
@@ -122,8 +130,11 @@ impl Recorder for SolveProbe {
     }
 
     fn sample(&self, sample: Sample, value: f64) {
-        if sample == Sample::PlanProfit {
-            self.value_bits.store(value.to_bits(), Relaxed);
+        match sample {
+            Sample::PlanProfit => self.value_bits.store(value.to_bits(), Relaxed),
+            Sample::LeftOutObjects => self.left_out.store(value as u64, Relaxed),
+            Sample::CutCertificate => self.certificate.store(value as u64, Relaxed),
+            _ => {}
         }
     }
 
@@ -138,13 +149,17 @@ impl Recorder for SolveProbe {
     }
 }
 
-/// The value and DP cells of the last solve of a station built with a
-/// [`SolveProbe`].
-pub fn last_solve(station: &BaseStationSim) -> (f64, u64) {
+/// The [`SolveProbe`] a station was built with.
+pub fn solve_probe(station: &BaseStationSim) -> &SolveProbe {
     station
         .recorder()
         .as_any()
         .downcast_ref::<SolveProbe>()
         .expect("a SolveProbe was installed")
-        .last()
+}
+
+/// The value and DP cells of the last solve of a station built with a
+/// [`SolveProbe`].
+pub fn last_solve(station: &BaseStationSim) -> (f64, u64) {
+    solve_probe(station).last()
 }

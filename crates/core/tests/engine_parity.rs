@@ -31,12 +31,12 @@ use basecache_core::recency::ScoringFunction;
 use basecache_core::station::BaseStationSim;
 use basecache_core::RoundOutcome;
 use basecache_core::StationBuilder;
-use basecache_net::{Catalog, ObjectId};
+use basecache_net::{Catalog, InFlightConfig, ObjectId};
 use basecache_obs::{FlightRecorder, Snapshot};
 use basecache_sim::{RngStreams, SimTime};
 use basecache_workload::{ChurnOp, GeneratedRequest, Popularity, StandingWorkload, TargetRecency};
 
-use common::{exact_dp, Instance};
+use common::{exact_dp, Instance, SolveProbe};
 
 const OBJECTS: usize = 48;
 const BUDGET: u64 = 14;
@@ -104,7 +104,8 @@ fn assert_engine_round_is_exact(
     out: &RoundOutcome,
     budget: u64,
 ) -> u64 {
-    let exact = exact_dp(&Instance::of_engine(engine), budget);
+    let instance = Instance::of_engine(engine);
+    let exact = exact_dp(&instance, budget);
     let tick = out.tick;
     assert_eq!(
         station.last_downloaded(),
@@ -126,6 +127,17 @@ fn assert_engine_round_is_exact(
         row.plan_profit.to_bits(),
         exact.value.to_bits(),
         "round {tick}: value bits diverge from the exact DP"
+    );
+    // The round solved only its candidates, but the profit bound it
+    // reports is the whole instance's, folded in object order.
+    let mut bound = 0.0;
+    for item in &instance.items {
+        bound += item.profit();
+    }
+    assert_eq!(
+        row.profit_bound.to_bits(),
+        bound.to_bits(),
+        "round {tick}: the profit bound is not the whole instance's"
     );
     exact.cells
 }
@@ -555,6 +567,123 @@ fn massive_round_is_bit_identical_to_the_exact_dp_station() {
         dp_cells += assert_engine_round_is_exact(&station, &engine, &out, MASSIVE_BUDGET);
     }
     assert_reduction_saves_cells(&station, dp_cells, "massive");
+}
+
+/// Engine rounds plan only the objects above a density cut, and the
+/// adaptive solver certifies the rest out before its DP — or refuses,
+/// and the round re-plans at the lower cut the certificate asked for,
+/// then at cut 0, the whole instance. A churn script at the benchmark's
+/// `engine-massive` shape (scaled down: 3 000 objects of size 1–8,
+/// 30 000 standing requests, a 60-unit budget) reaches all three
+/// outcomes; with it go a round under plan exclusions and a round of a
+/// second station whose in-flight ledger is instant. Every round plans
+/// what the full-table DP picks on the whole instance — every active
+/// object with positive profit, less the exclusions — with the same
+/// units and value bits.
+#[test]
+fn engine_rounds_plan_the_whole_instance_whichever_cut_they_took() {
+    const OBJECTS: usize = 3_000;
+    const BUDGET: u64 = 60;
+    const ROUNDS: u64 = 90;
+    let streams = RngStreams::new(0x0C07);
+    let sizes: Vec<u64> = {
+        let mut rng = streams.stream("cut/sizes");
+        (0..OBJECTS).map(|_| rng.random_range(1..=8)).collect()
+    };
+    let catalog = Catalog::from_sizes(&sizes);
+    let workload = StandingWorkload::new(
+        Popularity::ZIPF1.build(OBJECTS),
+        30_000,
+        TargetRecency::Uniform { lo: 0.3, hi: 1.0 },
+    );
+    let (objs, targets) = workload.generate_columns(&mut streams.stream("cut/requests"));
+    let mut ops: Vec<ChurnOp> = Vec::new();
+    workload.churn_into(
+        15 * ROUNDS as usize,
+        &mut streams.stream("cut/churn"),
+        &mut ops,
+    );
+    let mut updates = streams.stream("cut/updates");
+
+    let build = |flight: Option<InFlightConfig>| {
+        let builder = StationBuilder::new(catalog.clone())
+            .on_demand(OnDemandPlanner::paper_default(), BUDGET)
+            .recorder(Box::new(SolveProbe::default()));
+        match flight {
+            Some(config) => builder.in_flight(config),
+            None => builder,
+        }
+        .build()
+        .expect("valid configuration")
+    };
+    let mut station = build(None);
+    let mut instant = build(Some(InFlightConfig::coalescing(0)));
+    let mut engine = RoundEngine::new(&catalog, ScoringFunction::InverseRatio).with_shards(4);
+    engine.push_columns(&objs, &targets);
+
+    let mut reached = [0u32; 3];
+    let mut left_out_total = 0u64;
+    for round in 0..ROUNDS {
+        for op in &ops[round as usize * 15..(round as usize + 1) * 15] {
+            engine.retarget(op.object, op.slot_seed, op.target);
+        }
+        for _ in 0..180 {
+            let object = ObjectId(updates.random_range(0..OBJECTS as u32));
+            let now = SimTime::from_ticks(station.tick());
+            station.server_mut().apply_update(object, now);
+        }
+        // Round 40 plans under exclusions: three of the objects the
+        // previous round downloaded (stale again by now or not) and the
+        // ten densest-looking head objects.
+        let excluded: Vec<ObjectId> = if round == 40 {
+            let mut e: Vec<ObjectId> = station.last_downloaded().iter().take(3).copied().collect();
+            e.extend((0..10).map(ObjectId));
+            e.sort_unstable();
+            e.dedup();
+            e
+        } else {
+            Vec::new()
+        };
+        station.set_plan_exclusions(&excluded);
+        // Round 60 is the instant-ledger station's.
+        let stepping = if round == 60 {
+            &mut instant
+        } else {
+            &mut station
+        };
+        let out = stepping.step_engine(&mut engine);
+        let mut whole = Instance::of_engine(&engine);
+        let kept: Vec<bool> = whole
+            .objects
+            .iter()
+            .map(|o| excluded.binary_search(o).is_err())
+            .collect();
+        let mut keep = kept.iter();
+        whole.items.retain(|_| *keep.next().unwrap());
+        whole.objects.retain(|o| excluded.binary_search(o).is_err());
+        let exact = exact_dp(&whole, BUDGET);
+        assert_eq!(
+            stepping.last_downloaded(),
+            exact.downloads,
+            "round {round}: chosen set"
+        );
+        assert_eq!(out.units_downloaded, exact.size, "round {round}: size");
+        let (value, _) = common::last_solve(stepping);
+        assert_eq!(
+            value.to_bits(),
+            exact.value.to_bits(),
+            "round {round}: value bits"
+        );
+        let (left_out, certificate) = common::solve_probe(stepping).last_cut();
+        reached[certificate as usize] += 1;
+        left_out_total += left_out;
+    }
+    station.clear_plan_exclusions();
+    assert!(left_out_total > 0, "no round left anything out");
+    assert!(
+        reached.iter().all(|&n| n > 0),
+        "outcomes reached: {reached:?}"
+    );
 }
 
 /// The engine's derived columns against an independent recomputation.

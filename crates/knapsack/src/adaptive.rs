@@ -87,6 +87,33 @@
 //! width as the full sweep) and the pruning must actually remove
 //! something; otherwise the full-instance sweep runs unchanged.
 //!
+//! **Left-out certificate.** A caller may hand the solver only part of
+//! an instance — the items dense enough to matter — with a bound on the
+//! rest ([`LeftOut`]): every left-out item's density is below an edge,
+//! its size is one of a list, and the whole instance's profit sum and
+//! item count are at most two figures. After the reduction, before any
+//! DP, the solver checks each listed size `s ≤ B` with the test it
+//! applies past its ordered prefix: `edge·s + D(B − s) + margin < lb`,
+//! where `D` is the plain Dantzig bound, `margin` the whole instance's
+//! (from the two figures) and `lb` its own incumbent, improved by the
+//! best single exchange into the units greedy left free (a left-out
+//! item could fill them, so no size below the gap passes until an
+//! incumbent closes it). Every item it was handed is at least as dense
+//! as the edge, and their sizes pass `B`, so the whole instance's
+//! Dantzig bound at `B − s` is the handed part's `D(B − s)`; an item of
+//! size `s` and density below the edge is then worth less than
+//! `edge·s`, and the test fixes it out exactly as bound fixing would
+//! have on the whole instance. Removing items that sit in no optimum
+//! leaves the whole instance's DP bit-identical (*Tie safety*), and the
+//! handed part's usable sizes pass `B`, so its table clamps to the same
+//! width: the solve of the part picks the whole instance's set with its
+//! value bits, tied or not. When a size fails the test the solver
+//! refuses — no DP runs — and reports the highest edge every size would
+//! have passed at ([`AdaptiveScratch::needed_edge`], reported by
+//! accepted solves too). A handed part whose usable items all fit, or
+//! whose profits are too far apart to reduce, is refused with an edge
+//! of 0.
+//!
 //! **Why there is nothing to tune.** The pipeline once also carried a
 //! branch-and-bound terminal, an expanding-core endgame, a warm-start
 //! hint, four builder knobs and same-size dominance.
@@ -123,6 +150,38 @@ const CANDIDATE_UNITS: usize = 64;
 /// Slots of the per-size bound cache the fixing past the ordered prefix
 /// reads; size `s` lives in slot `s % SIZE_SLOTS`.
 const SIZE_SLOTS: usize = 16;
+
+/// Largest item size the left-out certificate's exchange incumbent
+/// ([`AdaptiveScratch::exchange_incumbent`]) moves in or out.
+const EXCHANGE_SIZES: usize = 32;
+
+/// What a caller left out of the instance it hands
+/// [`AdaptiveSolver::solve_leaving_out`]: a bound on the rest of the
+/// whole instance whose optimum it wants. See the module docs,
+/// *Left-out certificate*.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LeftOut<'a> {
+    /// Every left-out item's density (`profit / size`) is below this
+    /// edge. An edge of `0.0` leaves nothing out: no positive-profit
+    /// item is below it, so the certificate holds without a test.
+    pub edge: f64,
+    /// Every size a left-out item may have.
+    pub sizes: &'a [u64],
+    /// At least the whole instance's Σ profit, folded in any order.
+    pub profit_sum: f64,
+    /// At least the whole instance's item count.
+    pub items: usize,
+}
+
+impl LeftOut<'_> {
+    /// Nothing left out: the handed instance is the whole one.
+    pub const NOTHING: LeftOut<'static> = LeftOut {
+        edge: 0.0,
+        sizes: &[],
+        profit_sum: 0.0,
+        items: 0,
+    };
+}
 
 /// Which terminal strategy produced the last solution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -214,6 +273,7 @@ pub struct AdaptiveScratch {
     cells_touched: u64,
     lower_bound: f64,
     upper_bound: f64,
+    needed_edge: f64,
     #[cfg(test)]
     probe: Probe,
 }
@@ -293,6 +353,16 @@ impl AdaptiveScratch {
     pub fn cells_touched(&self) -> u64 {
         self.cells_touched
     }
+
+    /// The highest left-out edge the last
+    /// [`AdaptiveSolver::solve_leaving_out`] would have certified at
+    /// every listed size — the density a refused caller should leave
+    /// out below instead, and a hint for the next call of an accepted
+    /// one. `0.0` when the solve could not certify anything left out,
+    /// `f64::INFINITY` when it listed no usable size.
+    pub fn needed_edge(&self) -> f64 {
+        self.needed_edge
+    }
 }
 
 /// The adaptive exact solver: reduction and variable fixing, then a
@@ -317,6 +387,27 @@ impl AdaptiveSolver {
         scratch: &mut AdaptiveScratch,
         dp: &mut DpScratch,
     ) -> f64 {
+        self.solve_leaving_out(items, capacity, &LeftOut::NOTHING, scratch, dp)
+            .expect("an edge of 0 leaves nothing out to refuse")
+    }
+
+    /// [`Self::solve_into`] on part of an instance: `items` are the
+    /// items the caller kept, `left_out` bounds the rest. When the
+    /// reduction certifies that no left-out item sits in an optimum
+    /// (module docs, *Left-out certificate*), the solve goes on as
+    /// [`Self::solve_into`] and its answer — chosen indices into
+    /// `items`, value bits — is the full-table DP's on the whole
+    /// instance. Otherwise it returns `None` before any DP has run, and
+    /// [`AdaptiveScratch::needed_edge`] holds the edge to leave out
+    /// below instead.
+    pub fn solve_leaving_out(
+        &self,
+        items: &[Item],
+        capacity: u64,
+        left_out: &LeftOut<'_>,
+        scratch: &mut AdaptiveScratch,
+        dp: &mut DpScratch,
+    ) -> Option<f64> {
         // ---- Classify items exactly as the DP does. ------------------
         scratch.usable_idx.clear();
         scratch.usable_size.clear();
@@ -349,20 +440,29 @@ impl AdaptiveSolver {
             scratch.usable_size.push(size);
             scratch.usable_profit.push(profit);
         }
+        // Without the reduction nothing bounds what was left out.
+        let leaves_out = left_out.edge > 0.0;
+        scratch.needed_edge = 0.0;
         if degenerate {
+            if leaves_out {
+                return None;
+            }
             // Bit-identical by construction: run the full bounded DP.
-            return scratch.full_dp(items, capacity, dp);
+            return Some(scratch.full_dp(items, capacity, dp));
         }
         let nu = scratch.usable_idx.len();
         scratch.sel.clear();
         scratch.sel.resize(nu, false);
         if total_usable <= capacity {
+            if leaves_out {
+                return None;
+            }
             // Every usable item fits. Tie-free even under duplicate
             // profit bits: all profits are positive, so taking
             // everything is the unique optimum and the DP would do
             // exactly that.
             scratch.sel.fill(true);
-            return scratch.certify(items);
+            return Some(scratch.certify(items));
         }
         // From here on the capacity binds: `capacity < total_usable`.
 
@@ -380,6 +480,11 @@ impl AdaptiveSolver {
 
         // ---- Reduce. -------------------------------------------------
         scratch.reduce(capacity, margin, two_sided);
+
+        // ---- Certify what was left out, before any DP. ---------------
+        if !scratch.certify_left_out(capacity, left_out) && leaves_out {
+            return None;
+        }
 
         // ---- Sweep the core. -----------------------------------------
         let mut forced_size = 0u64;
@@ -408,15 +513,15 @@ impl AdaptiveSolver {
             nk == nu || scratch.core_items.iter().map(Item::size).sum::<u64>() < capacity
         };
         if declined {
-            return scratch.full_dp(items, capacity, dp);
+            return Some(scratch.full_dp(items, capacity, dp));
         }
         if nk == 0 {
             scratch.select_state(State::ForcedIn);
-            return scratch.certify(items);
+            return Some(scratch.certify(items));
         }
         // A tied core has nothing forced in, so it is swept at the full
         // effective capacity — the width the removal argument needs.
-        scratch.core_dp(items, capacity - forced_size, dp)
+        Some(scratch.core_dp(items, capacity - forced_size, dp))
     }
 }
 
@@ -520,6 +625,71 @@ impl AdaptiveScratch {
                 self.state[u] = State::ForcedIn;
             }
         }
+    }
+
+    /// The left-out certificate (module docs), run after [`Self::reduce`]
+    /// at a binding `capacity`: whether every listed usable size `s`
+    /// passes `edge·s + D(capacity − s) + margin < lb`, with the whole
+    /// instance's margin. Leaves in `needed_edge` the highest edge every
+    /// size passes at. The incumbent `lb` and the bounds are over usable
+    /// items only — an item larger than the capacity is in no solution.
+    fn certify_left_out(&mut self, capacity: u64, left_out: &LeftOut<'_>) -> bool {
+        // A size-0 left-out item has no density below an edge, and one
+        // larger than the capacity is never usable.
+        let sizes = left_out.sizes.iter().filter(|&&s| s != 0 && s <= capacity);
+        if sizes.clone().next().is_none() {
+            self.needed_edge = f64::INFINITY;
+            return true;
+        }
+        let margin = left_out.profit_sum * f64::EPSILON * (left_out.items as f64 + 4.0) * 8.0;
+        let lb = self.lower_bound.max(self.exchange_incumbent(capacity));
+        let mut needed = f64::INFINITY;
+        let mut holds = true;
+        for &s in sizes {
+            let bound = self.dantzig(self.brk, capacity - s).1 + margin;
+            holds &= left_out.edge * s as f64 + bound < lb;
+            needed = needed.min((lb - bound) / s as f64);
+        }
+        self.needed_edge = needed.max(0.0);
+        holds
+    }
+
+    /// The greedy incumbent in `sel` improved by its best single
+    /// exchange: one selected item out and one unselected item of a
+    /// larger size in, filling some of the units greedy left, when that
+    /// gains profit. Greedy leaves units no kept item fits, and a
+    /// left-out item of that size could fill them: the certificate
+    /// cannot pass for sizes below the gap until an incumbent closes
+    /// it, and one exchange usually does. Sizes up to
+    /// [`EXCHANGE_SIZES`] take part. The value is a feasible solution's
+    /// — up to the rounding of two additions, far inside any margin —
+    /// or the greedy fold when no exchange gains.
+    fn exchange_incumbent(&self, capacity: u64) -> f64 {
+        // Per size: the least profitable selected item, the most
+        // profitable unselected one.
+        let mut worst_in = [f64::INFINITY; EXCHANGE_SIZES + 1];
+        let mut best_out = [0.0f64; EXCHANGE_SIZES + 1];
+        let (mut used, mut greedy) = (0u64, 0.0);
+        let usable = self.usable_size.iter().zip(&self.usable_profit);
+        for (&selected, (&size, &profit)) in self.sel.iter().zip(usable) {
+            let class = usize::try_from(size).map_or(0, |s| s * usize::from(s <= EXCHANGE_SIZES));
+            if selected {
+                used += size;
+                greedy += profit;
+                worst_in[class] = worst_in[class].min(profit);
+            } else {
+                best_out[class] = best_out[class].max(profit);
+            }
+        }
+        let rem = usize::try_from(capacity - used).unwrap_or(usize::MAX);
+        let mut gain = 0.0f64;
+        for (out, &worst) in worst_in.iter().enumerate().skip(1) {
+            let into = &best_out[out + 1..=EXCHANGE_SIZES.min(out.saturating_add(rem))];
+            for &best in into {
+                gain = gain.max(best - worst);
+            }
+        }
+        greedy + gain
     }
 
     /// Extend `ord` and its prefix sums with the densest unordered keys,

@@ -21,6 +21,9 @@
 //!   max(greedy, best-single-item) 2-approximation guarantee.
 //! * [`AdaptiveSolver`] — instance reduction (bound-based variable
 //!   fixing) in front of a DP over the surviving core; bit-identical to [`DpByCapacity`] and what every round runs.
+//!   Handed only the dense part of an instance with a [`LeftOut`] bound
+//!   on the rest (items below a [`density_band`] cut), it certifies the
+//!   rest out of every optimum before its DP, or refuses.
 //! * [`fractional_upper_bound`] — the LP-relaxation optimum: the fluid
 //!   bound of `basecache-analytic` and an oracle in tests.
 //!
@@ -48,6 +51,7 @@
 #![warn(missing_docs)]
 
 mod adaptive;
+mod band;
 mod dp;
 mod error;
 mod fractional;
@@ -56,7 +60,8 @@ mod instance;
 mod scratch;
 mod solution;
 
-pub use adaptive::{AdaptiveScratch, AdaptiveSolver, SolveMethod};
+pub use adaptive::{AdaptiveScratch, AdaptiveSolver, LeftOut, SolveMethod};
+pub use band::{band_edge, cut_below, density_band, BANDS};
 pub use dp::{DpByCapacity, DpTrace};
 pub use error::KnapsackError;
 pub use fractional::{fractional_upper_bound, FractionalSolution};

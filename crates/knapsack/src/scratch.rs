@@ -19,6 +19,13 @@
 //!   bounded from below as well. Near `C ≈ total size` this removes
 //!   almost all DP work.
 //!
+//! Each row is one kernel, `sweep_row`, shared by both sweeps: a
+//! 64-cell keep word at a time, it copies the word's source cells out,
+//! stores each cell's larger value unconditionally and writes the
+//! word's keep bits once, from a register — straight-line code the
+//! compiler vectorizes, bit-identical to the in-place descending cell
+//! loop (its docs give the argument).
+//!
 //! Both are exact. The plain full-table sweep — every row over every
 //! capacity, one explicit bit per cell — lives once, as test support in
 //! `tests/reference/mod.rs`: [`DpByCapacity::solve_trace_into`] produces
@@ -311,18 +318,10 @@ impl DpByCapacity {
             for v in &mut scratch.values[w_prev + 1..=w_new] {
                 *v = flat;
             }
+            // Bounded above by the frontier; `size <= eff` and
+            // `size <= used_prefix`, so the row is never empty.
             let row = &mut scratch.keep[i * words..(i + 1) * words];
-            for w in &mut row[..=w_new / 64] {
-                *w = 0;
-            }
-            // In-place descending sweep, bounded above by the frontier.
-            for c in (size..=w_new).rev() {
-                let candidate = scratch.values[c - size] + profit;
-                if candidate > scratch.values[c] {
-                    scratch.values[c] = candidate;
-                    row[c / 64] |= 1 << (c % 64);
-                }
-            }
+            sweep_row(&mut scratch.values, row, size, profit, size, w_new);
             scratch.cells_touched += (w_new - size + 1) as u64;
             flat += profit;
             scratch.kind.push(RowKind::Mixed);
@@ -416,18 +415,9 @@ impl DpByCapacity {
                 *v = flat;
             }
             let sweep_lo = size.max(low);
-            let row = &mut scratch.keep[i * words..(i + 1) * words];
             if sweep_lo <= w_new {
-                for w in &mut row[sweep_lo / 64..=w_new / 64] {
-                    *w = 0;
-                }
-                for c in (sweep_lo..=w_new).rev() {
-                    let candidate = scratch.values[c - size] + profit;
-                    if candidate > scratch.values[c] {
-                        scratch.values[c] = candidate;
-                        row[c / 64] |= 1 << (c % 64);
-                    }
-                }
+                let row = &mut scratch.keep[i * words..(i + 1) * words];
+                sweep_row(&mut scratch.values, row, size, profit, sweep_lo, w_new);
                 scratch.cells_touched += (w_new - sweep_lo + 1) as u64;
             }
             flat += profit;
@@ -457,6 +447,49 @@ impl DpByCapacity {
         scratch.chosen.reverse();
         scratch.mode = Mode::Single;
         scratch.values[eff]
+    }
+}
+
+/// One item's row of the DP: for every cell `c` in `lo..=hi` (with
+/// `size <= lo`), `values[c] = max(values[c], values[c - size] +
+/// profit)`, and the row's keep bit of `c` set exactly when the
+/// candidate won by strict `>`. Equal to the in-place descending cell
+/// loop, one 64-cell keep word at a time:
+///
+/// * a word's source cells `c - size` are copied out before any of its
+///   cells is stored. Every source lies below its cell, so in the
+///   descending loop it is read before it is written: the copies are
+///   the values that loop reads;
+/// * each cell stores the larger of its value and its candidate, taken
+///   unconditionally. Where neither wins strictly the two are equal
+///   non-negative finite values with the same bits, so the store is the
+///   one the loop's conditional store leaves;
+/// * the word's keep bits are gathered in a register and written once,
+///   bits outside `lo..=hi` clear. Cells below `lo` in the lowest word
+///   are never read: a backtrack reads a row only at cells it swept.
+///
+/// Without a branch on which side won and with no store that a later
+/// load might alias, the word's cells compile to straight-line vector
+/// code.
+#[inline]
+fn sweep_row(values: &mut [f64], row: &mut [u64], size: usize, profit: f64, lo: usize, hi: usize) {
+    debug_assert!(0 < size && size <= lo && lo <= hi);
+    let mut src = [0.0_f64; 64];
+    for word in (lo / 64..=hi / 64).rev() {
+        let start = (word * 64).max(lo);
+        let end = (word * 64 + 63).min(hi);
+        let n = end - start + 1;
+        let src = &mut src[..n];
+        src.copy_from_slice(&values[start - size..=end - size]);
+        let dst = &mut values[start..=end];
+        let mut bits = 0u64;
+        for (j, (cell, &from)) in dst.iter_mut().zip(src.iter()).enumerate() {
+            let candidate = from + profit;
+            let take = candidate > *cell;
+            *cell = if take { candidate } else { *cell };
+            bits |= u64::from(take) << j;
+        }
+        row[word] = bits << (start % 64);
     }
 }
 

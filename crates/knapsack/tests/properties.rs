@@ -6,8 +6,8 @@
 //! Runs on the in-tree harness (`basecache_sim::check`).
 
 use basecache_knapsack::{
-    fractional_upper_bound, AdaptiveScratch, AdaptiveSolver, DpByCapacity, DpScratch,
-    GreedyDensity, Instance, Item, SolveMethod, Solver,
+    band_edge, cut_below, density_band, fractional_upper_bound, AdaptiveScratch, AdaptiveSolver,
+    DpByCapacity, DpScratch, GreedyDensity, Instance, Item, LeftOut, SolveMethod, Solver,
 };
 use basecache_sim::check::run_cases;
 use basecache_sim::StreamRng;
@@ -465,4 +465,134 @@ fn more_capacity_never_hurts() {
         let b = DpByCapacity.solve(&inst, cap + 7).total_profit();
         assert!(b >= a - 1e-9);
     });
+}
+
+/// An instance for the left-out certificate, of one of four shapes:
+/// profits drawn from a five-value pool (bit-equal by the dozen) or
+/// drawn apart; densities at and a few ulps under band edges, where a
+/// left-out item ties a kept one to within rounding; and the same with
+/// a few oversized, very profitable items under a budget below the
+/// largest size. The near-edge items come in identical pairs, so every
+/// part a cut keeps of them has repeated profit bits: the solver then
+/// reduces it forced-out-only, exact on subset-sum ties (module docs of
+/// the adaptive solver, *Tie safety*), and a divergence can only be the
+/// certificate's.
+fn arb_left_out_case(case: u64, rng: &mut StreamRng) -> (Vec<Item>, u64) {
+    let n = rng.random_range(6..=90usize);
+    let max_size = rng.random_range(1u64..=9);
+    let pool: [f64; 5] = std::array::from_fn(|_| rng.random_range(0.2f64..=12.0));
+    // Densities at (and a few ulps under) the edges of three bands.
+    let edges: [f64; 3] =
+        std::array::from_fn(|_| band_edge(rng.random_range(1000u32..=1080) as u16));
+    let mut items: Vec<Item> = Vec::with_capacity(n + 1);
+    while items.len() < n {
+        let size = rng.random_range(1..=max_size);
+        let item = match case % 4 {
+            0 => Item::new(size, pool[rng.random_range(0..pool.len())]),
+            1 => Item::new(size, rng.random_range(0.05f64..=15.0)),
+            _ => {
+                let edge = edges[rng.random_range(0..edges.len())];
+                let below = 1.0 - rng.random_range(0..4u32) as f64 * f64::EPSILON;
+                let item = Item::new(size, edge * below * size as f64);
+                items.push(item);
+                item
+            }
+        };
+        items.push(item);
+    }
+    let total: u64 = items.iter().map(Item::size).sum();
+    let mut cap = rng.random_range(0..=total);
+    if case % 4 == 3 {
+        // Budgets below the largest size, with that size's items the
+        // most profitable of the instance.
+        cap = rng.random_range(0..=max_size.saturating_sub(1)).min(cap);
+        for _ in 0..rng.random_range(1..=3u32) {
+            let at = rng.random_range(0..items.len());
+            items[at] = Item::new(cap + rng.random_range(1u64..=4), 1e3);
+        }
+    }
+    (items, cap)
+}
+
+/// The left-out certificate against the full-table DP on the whole
+/// instance. Each case splits an instance at a random density cut —
+/// the items in bands above it handed to the solver, the rest bounded
+/// by [`LeftOut`] — and follows the planner's protocol: a refusal must
+/// have run no DP and lowers the cut once to the band below the edge it
+/// asked for, a second refusal falls back to cut 0. Whatever split is
+/// accepted must return the whole instance's chosen set (as indices
+/// into it) and value bits, tied profits or not. The stream must reach
+/// every outcome: accepted at the first cut with items left out,
+/// accepted at the lowered cut, and the fall-back.
+#[test]
+fn a_left_out_bound_the_solver_accepts_leaves_the_full_dp_unchanged() {
+    let (mut ad, mut dp, mut full) = (AdaptiveScratch::new(), DpScratch::new(), DpScratch::new());
+    let mut reached = [0u32; 3];
+    let mut first_left_something_out = 0u32;
+    run_cases("left_out_vs_dp", 1024, |case, rng| {
+        let (items, cap) = arb_left_out_case(case, rng);
+        let want = DpByCapacity.solve_into(&items, cap, &mut full);
+        let mut sizes: Vec<u64> = items.iter().map(Item::size).collect();
+        sizes.sort_unstable();
+        sizes.dedup();
+        let profit_sum = items.iter().map(Item::profit).sum::<f64>() * (1.0 + 1e-12);
+        let bands: Vec<u16> = items
+            .iter()
+            .map(|i| density_band(i.profit(), i.size()))
+            .collect();
+        // A cut at or just under a random item's band, or none.
+        let mut cut = match rng.random_range(0..8u32) {
+            0 => 0,
+            k => bands[rng.random_range(0..bands.len())].saturating_sub(u16::from(k % 2 == 0)),
+        };
+        let mut stage = 0;
+        loop {
+            let index: Vec<usize> = (0..items.len()).filter(|&i| bands[i] > cut).collect();
+            let kept: Vec<Item> = index.iter().map(|&i| items[i]).collect();
+            let left_out = LeftOut {
+                edge: band_edge(cut),
+                sizes: &sizes,
+                profit_sum,
+                items: items.len(),
+            };
+            let what = format!("cap {cap}, cut {cut}, stage {stage}, {} kept", kept.len());
+            match AdaptiveSolver.solve_leaving_out(&kept, cap, &left_out, &mut ad, &mut dp) {
+                Some(value) => {
+                    // The full DP on the part the certificate accepted
+                    // is the full DP on the whole instance, and the
+                    // solver's answer is both.
+                    let part = DpByCapacity.solve_into(&kept, cap, &mut dp);
+                    let part_chosen: Vec<usize> = dp.chosen().iter().map(|&i| index[i]).collect();
+                    assert_eq!(part_chosen, full.chosen(), "{what}: the DP's sets diverge");
+                    assert_eq!(part.to_bits(), want.to_bits(), "{what}: {part} vs {want}");
+                    let chosen: Vec<usize> = ad.chosen().iter().map(|&i| index[i]).collect();
+                    assert_eq!(chosen, full.chosen(), "{what}: chosen sets diverge");
+                    assert_eq!(value.to_bits(), want.to_bits(), "{what}: {value} vs {want}");
+                    reached[stage] += 1;
+                    if stage == 0 && kept.len() < items.len() {
+                        first_left_something_out += 1;
+                    }
+                    break;
+                }
+                None => {
+                    assert!(cut > 0, "{what}: refused with nothing left out");
+                    assert_eq!(ad.cells_touched(), 0, "{what}: a refusal ran a DP");
+                    cut = match stage {
+                        0 => cut_below(ad.needed_edge()).min(cut - 1),
+                        _ => 0,
+                    };
+                    stage = if cut == 0 { 2 } else { 1 };
+                }
+            }
+        }
+    });
+    assert!(
+        first_left_something_out > 0,
+        "no first cut left anything out: {reached:?}"
+    );
+    assert!(reached[1] > 0, "no lowered cut was accepted: {reached:?}");
+    assert!(
+        reached[2] > 0,
+        "no split fell back to the whole instance: {reached:?}"
+    );
 }

@@ -262,11 +262,20 @@ pub enum Sample {
     /// mean (`knapsack.core_rounds_mean`) reads 0; the id stays for
     /// readers that still name it.
     CoreRounds,
+    /// Positive-profit objects an engine round left out of its knapsack
+    /// instance, below its density cut (0 when it planned the whole
+    /// instance).
+    LeftOutObjects,
+    /// Which instance an engine round planned, by how its left-out
+    /// certificate went: 0 the candidates at its first cut (the whole
+    /// instance when that cut is 0), 1 those at the lowered cut after
+    /// one refusal, 2 the whole instance after a refusal.
+    CutCertificate,
 }
 
 impl Sample {
     /// Every sample id, in export order.
-    pub const ALL: [Sample; 23] = [
+    pub const ALL: [Sample; 25] = [
         Sample::BatchSize,
         Sample::PlanProfit,
         Sample::AverageScore,
@@ -290,6 +299,8 @@ impl Sample {
         Sample::CachedUnits,
         Sample::StillWaiting,
         Sample::CoreRounds,
+        Sample::LeftOutObjects,
+        Sample::CutCertificate,
     ];
 
     /// Number of sample ids.
@@ -327,6 +338,8 @@ impl Sample {
             Sample::CachedUnits => "cached_units",
             Sample::StillWaiting => "still_waiting",
             Sample::CoreRounds => "core_rounds",
+            Sample::LeftOutObjects => "left_out_objects",
+            Sample::CutCertificate => "cut_certificate",
         }
     }
 }
