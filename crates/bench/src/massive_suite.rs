@@ -25,11 +25,9 @@
 //!   columnar serve), from which the `requests_per_second` figure in
 //!   `BENCH_planner.json` is derived. Timed on a fixed schedule of
 //!   rounds (the same ones on every build), each sample the mean of
-//!   `ROUNDS_PER_SAMPLE` consecutive rounds.
-//! - `solve_only` — the massive instance a fresh station faces after a
-//!   fixed number of those rounds, solved in isolation by the adaptive
-//!   solver, an absolute median. The instance is tied, so the solve is
-//!   the forced-out reduction plus the bounded DP over the survivors.
+//!   `ROUNDS_PER_SAMPLE` consecutive rounds. The round's solve is in
+//!   it; a traced benchmark run reports it alone
+//!   (`knapsack.solve_us_mean`).
 //!
 //! The `--smoke` variant runs the identical pipeline at 1/50 scale so
 //! `scripts/check.sh` can execute it on every run.
@@ -46,7 +44,6 @@ use basecache_core::planner::OnDemandPlanner;
 use basecache_core::recency::ScoringFunction;
 use basecache_core::scratch::PlannerScratch;
 use basecache_core::{BaseStationSim, RoundOutcome, StationBuilder};
-use basecache_knapsack::{AdaptiveScratch, AdaptiveSolver, DpScratch};
 use basecache_net::{Catalog, ObjectId};
 use basecache_sim::{RngStreams, SimTime, StreamRng};
 use basecache_workload::{ChurnOp, Popularity, StandingWorkload, TargetRecency};
@@ -150,8 +147,8 @@ fn churn_pool(scale: &MassiveScale, workload: &StandingWorkload) -> Vec<ChurnOp>
     ops
 }
 
-/// Rounds a fresh station has run before `solve_only` takes its
-/// instance, and before `round_incremental` starts timing.
+/// Rounds a fresh station has run before `round_incremental` starts
+/// timing.
 const SOLVE_AFTER_ROUNDS: usize = 32;
 /// Consecutive rounds in one `round_incremental` sample: enough to span
 /// a wave of stale popular objects and the calm after it.
@@ -320,33 +317,12 @@ pub fn bench_massive(scale: &MassiveScale, results: &mut Vec<Measurement>) -> Ma
     );
     let requests_per_second = scale.requests as f64 * 1e9 / round.median_ns();
 
-    // --- solve_only: the instance a fresh station faces after
-    // `SOLVE_AFTER_ROUNDS` of the same rounds, re-solved in isolation
-    // (`tests/engine_parity.rs` pins its answer to the exact DP's). A
-    // fixed round count, not the timed loop's, so every build solves
-    // the same instance: how hard it is depends on the round it is
-    // taken at.
-    let mut rounds = Rounds::new(scale, &catalog, &objects, &targets);
-    for _ in 0..SOLVE_AFTER_ROUNDS {
-        rounds.next(scale, &ops);
-    }
-    rounds.engine.assemble_into(&mut scratch);
-    let items = scratch.items().to_vec();
-    let mut ad = AdaptiveScratch::new();
-    let mut dp = DpScratch::new();
-    let solve = bench_n(
-        &format!("planner/massive/solve_only/{}", scale.objects),
-        scale.samples,
-        || black_box(AdaptiveSolver.solve_into(&items, scale.budget, &mut ad, &mut dp)),
-    );
-
     results.push(full);
     results.push(incr);
     results.push(incr_zipf);
     results.push(observe_full);
     results.push(observe_changed);
     results.push(round);
-    results.push(solve);
     MassiveReport {
         requests_per_second,
         incremental_build_speedup,

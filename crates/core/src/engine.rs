@@ -147,10 +147,10 @@ struct Shard {
     targets: Vec<Vec<f64>>,
     /// Σ over the object's clients of `1 − score` (knapsack profit).
     profit: Vec<f64>,
-    /// The object's clients' scores as a tally: their count, Σ score
-    /// and Σ score², stored at rescore as the fold returns them, for
-    /// serve to add. Its count is the dense request-count column the
-    /// table walks read instead of the 24-byte `Vec` headers.
+    /// The object's clients' scores as a tally: their count and Σ score,
+    /// stored at rescore as the fold returns them, for serve to add. Its
+    /// count is the dense request-count column the table walks read
+    /// instead of the 24-byte `Vec` headers.
     scores: Vec<Sums>,
     /// Density band of `profit / size` ([`density_band`]), stored at rescore
     /// beside the profit it is derived from.
@@ -207,8 +207,8 @@ impl Shard {
         for &local in &self.dirty {
             let l = local as usize;
             let n = self.targets[l].len() as u64;
-            let (sum, sq, profit) = scoring.fold(self.recency[l], &self.targets[l]);
-            self.scores[l] = Sums { count: n, sum, sq };
+            let (sum, profit) = scoring.fold(self.recency[l], &self.targets[l]);
+            self.scores[l] = Sums { count: n, sum };
             self.profit[l] = profit;
             let band = density_band(profit, self.sizes[l]);
             histogram.shift(self.band[l], band, self.sizes[l]);
@@ -232,7 +232,7 @@ pub struct ActiveObject {
     /// Its last observed cache recency.
     pub recency: f64,
     /// The tally of `score(recency, target)` over its requests: their
-    /// count, Σ score and Σ score².
+    /// count and Σ score.
     pub scores: Sums,
     /// Σ `1 − score` over its requests (knapsack profit).
     pub profit: f64,
@@ -735,8 +735,9 @@ impl RoundEngine {
     }
 
     /// Visit every requested object in ascending id order with its
-    /// columnar serve-time view. The station's columnar serve loop runs
-    /// on this: O(requested objects), not O(requests). Call after
+    /// columnar serve-time view. The station's per-object serve runs on
+    /// this for an engine round: O(requested objects), not O(requests).
+    /// Call after
     /// [`Self::rescore`] (debug builds assert it).
     pub fn for_each_active(&self, mut f: impl FnMut(ActiveObject)) {
         self.debug_assert_rescored();
@@ -781,12 +782,12 @@ mod tests {
         scratch
     }
 
-    type TallyBits = (u64, u64, u64);
+    type TallyBits = (u64, u64);
 
-    /// A score tally as `(count, Σ score bits, Σ score² bits)`: the
-    /// fold's own output, stored as it came.
+    /// A score tally as `(count, Σ score bits)`: the fold's own output,
+    /// stored as it came.
     fn tally_bits(t: Sums) -> TallyBits {
-        (t.count, t.sum.to_bits(), t.sq.to_bits())
+        (t.count, t.sum.to_bits())
     }
 
     /// The score tally of every requested object, ascending.
@@ -817,10 +818,7 @@ mod tests {
         let s_1 = s.score(0.4, 0.5);
         assert_eq!(
             score_tallies(&e),
-            vec![
-                (1, s_1.to_bits(), (s_1 * s_1).to_bits()),
-                (2, (a + b).to_bits(), (a * a + b * b).to_bits()),
-            ]
+            vec![(1, s_1.to_bits()), (2, (a + b).to_bits())]
         );
     }
 

@@ -144,88 +144,16 @@ impl OnDemandPlanner {
         recorder: &R,
     ) -> Result<(), Error> {
         check_plan_table(catalog, budget)?;
-        self.assemble_requests_into(requests, catalog, recency, scratch);
+        scratch.aggregate(requests, catalog, self.scoring, recency, None);
+        scratch.assemble_requested(catalog);
+        scratch.drain_requested(|_, _, _| {});
         self.solve_assembled(budget, scratch, recorder);
         Ok(())
     }
 
-    /// The aggregation half of [`Self::plan_requests_recorded`]: build
-    /// the knapsack instance into `scratch.items`/`scratch.objects`
-    /// without solving it. The station's round kernel uses this seam to
-    /// adjust the assembled instance (drop single-flight and regionally
-    /// excluded objects, subtract committed bandwidth from the budget,
-    /// amortize profits over arrival rounds) before the policy solves
-    /// it. `assemble` followed immediately by [`Self::solve_assembled`]
-    /// is exactly `plan_requests_recorded`.
-    ///
-    /// Never inlined: the aggregation loop visits every request and is
-    /// the plan stage's longest. Compiled on its own it is the same
-    /// code wherever it is called from; fused into the kernel's `round`
-    /// its code followed that function's shape, and cost the
-    /// `station-paper` round 3 % (139 against 135 µs) when the plan
-    /// stage around it changed.
-    #[inline(never)]
-    pub(crate) fn assemble_requests_into(
-        &self,
-        requests: &[GeneratedRequest],
-        catalog: &Catalog,
-        recency: &[f64],
-        scratch: &mut PlannerScratch,
-    ) {
-        assert!(
-            recency.len() >= catalog.len(),
-            "need a recency for every catalog object ({} < {})",
-            recency.len(),
-            catalog.len()
-        );
-        let n = catalog.len();
-        if scratch.per_profit.len() < n {
-            scratch.per_profit.resize(n, 0.0);
-            scratch.per_count.resize(n, 0);
-        }
-
-        // Aggregate in arrival order: within one object this is exactly
-        // the order its targets accumulate in the RequestBatch path.
-        for r in requests {
-            let o = r.object.index();
-            assert!(o < n, "{} not in catalog", r.object);
-            assert!(
-                r.target_recency > 0.0 && r.target_recency <= 1.0,
-                "target recency must be in (0, 1], got {}",
-                r.target_recency
-            );
-            scratch.per_count[o] += 1;
-            scratch.per_profit[o] += 1.0 - self.scoring.score(recency[o], r.target_recency);
-        }
-
-        // Compact the columns into the instance, object-ascending, and
-        // leave them zeroed for the next round. Branch-free: which
-        // objects were requested follows no pattern a predictor learns
-        // — write every object's slot, keep the requested ones by
-        // advancing the length. A request count decides, not the
-        // profit: a requested object whose profit sums to zero is
-        // still an item.
-        let (items, objects) = (&mut scratch.items, &mut scratch.objects);
-        items.resize(n, Item::new(0, 0.0));
-        objects.resize(n, ObjectId(0));
-        let mut len = 0;
-        let columns = scratch.per_count[..n]
-            .iter_mut()
-            .zip(&mut scratch.per_profit[..n]);
-        for (o, (count, profit)) in columns.enumerate() {
-            let object = ObjectId(o as u32);
-            items[len] = Item::new(catalog.size_of(object), *profit);
-            objects[len] = object;
-            len += usize::from(*count > 0);
-            *count = 0;
-            *profit = 0.0;
-        }
-        items.truncate(len);
-        objects.truncate(len);
-    }
-
     /// Solve the instance already assembled into `scratch.items` /
-    /// `scratch.objects` (by the request-aggregation path above or by
+    /// `scratch.objects` (from an aggregated batch,
+    /// [`PlannerScratch::assemble_requested`], or by
     /// [`crate::engine::RoundEngine::assemble_into`]) and record the
     /// solver's work. Item sizes come from the items themselves — the
     /// assembly path copied them out of the catalog — so the engine path
@@ -352,8 +280,8 @@ impl OnDemandPlanner {
         recorder.sample(Sample::PlanProfit, scratch.achieved_value);
     }
 
-    /// The engine-source twin of [`Self::assemble_requests_into`], and
-    /// the same seam: once the [`RoundEngine`] has observed this round's
+    /// The engine-source twin of [`PlannerScratch::assemble_requested`],
+    /// and the same seam: once the [`RoundEngine`] has observed this round's
     /// recency (the station's round kernel makes the observation),
     /// rescore exactly the dirty objects and assemble the instance from
     /// its standing tables; the kernel adjusts it before the solve.

@@ -16,7 +16,6 @@
 
 use basecache_net::{Catalog, ObjectId};
 use basecache_obs::Recorder;
-use basecache_workload::GeneratedRequest;
 
 use crate::asynch::AsyncRefresher;
 use crate::engine::RoundEngine;
@@ -129,7 +128,6 @@ impl Policy {
         downloaded: &mut Vec<ObjectId>,
     ) {
         let PlanView {
-            requests,
             engine,
             catalog,
             recency,
@@ -137,7 +135,6 @@ impl Policy {
             exclusions,
             scratch,
             refresher,
-            mark,
         } = view;
         // Object ids are distinct, so this order is total and an
         // unstable (allocation-free) sort has one possible result.
@@ -158,18 +155,10 @@ impl Policy {
                 downloaded.extend_from_slice(scratch.downloads());
             }
             Policy::OnDemandLowestRecency { .. } => {
-                // The distinct requested objects whose copy is not fresh
+                // The requested objects whose copy is not fresh
                 // (downloading a fresh one cannot improve anything).
-                for r in requests {
-                    let o = r.object;
-                    if recency[o.index()] < 1.0 && !mark[o.index()] {
-                        mark[o.index()] = true;
-                        downloaded.push(o);
-                    }
-                }
-                for &o in downloaded.iter() {
-                    mark[o.index()] = false;
-                }
+                let requested = scratch.requested();
+                downloaded.extend(requested.filter(|o| recency[o.index()] < 1.0));
                 downloaded.sort_unstable_by(stalest_first);
                 downloaded.truncate(budget as usize);
                 downloaded.sort_unstable();
@@ -226,10 +215,6 @@ impl Policy {
 /// What the round kernel hands [`Policy::plan`]: the round as observed,
 /// and the station's reusable buffers to plan on.
 pub(crate) struct PlanView<'a> {
-    /// The round's request slice — empty on an engine round, whose
-    /// requests stand in the engine's tables and reach the policy as the
-    /// assembled instance.
-    pub requests: &'a [GeneratedRequest],
     /// The engine of an engine round that plans its candidates above a
     /// density cut ([`OnDemandPlanner::solve_candidates`]); `None` when
     /// the assembled instance is the whole one.
@@ -244,12 +229,13 @@ pub(crate) struct PlanView<'a> {
     /// Objects the round must not origin-fetch, ascending — already out
     /// of the assembled instance.
     pub exclusions: &'a [ObjectId],
-    /// Under a planner-carrying policy, the assembled and adjusted
-    /// knapsack instance; the solve's tables and picks either way.
+    /// A batch round's aggregated requests
+    /// ([`PlannerScratch::aggregate`]: the requested objects, ascending
+    /// — none on an engine round, whose requests stand in the engine's
+    /// tables and reach the policy as the assembled instance); under a
+    /// planner-carrying policy, the assembled and adjusted knapsack
+    /// instance; the solve's tables and picks either way.
     pub scratch: &'a mut PlannerScratch,
     /// The round-robin cursor of [`Policy::AsyncRoundRobin`].
     pub refresher: &'a mut AsyncRefresher,
-    /// A per-object mark, all false on entry and on return (dedups the
-    /// request slice).
-    pub mark: &'a mut [bool],
 }

@@ -51,13 +51,13 @@ impl ScoringFunction {
         }
     }
 
-    /// `(Σs, Σs², Σ(1 − s))` over `s = score(x, t)` for every `t` in
+    /// `(Σs, Σ(1 − s))` over `s = score(x, t)` for every `t` in
     /// `targets`, each sum folded from `0.0` in storage order — bit for
-    /// bit what a loop of [`Self::score`] calls accumulating the three
+    /// bit what a loop of [`Self::score`] calls accumulating the two
     /// sums returns, at a fraction of the cost:
     ///
     /// * A fresh copy (`x == 1.0`) meets every target `t ≤ 1`, so every
-    ///   score is exactly `1.0`: the sums are `n`, `n` (`n` additions of
+    ///   score is exactly `1.0`: the sums are `n` (`n` additions of
     ///   `1.0` are exact below 2⁵³) and `+0.0` (`1.0 − 1.0` added to
     ///   `+0.0`), written without visiting a target.
     /// * Otherwise targets are scored `FOLD_CHUNK` at a time into a
@@ -73,19 +73,18 @@ impl ScoringFunction {
     /// # Panics
     ///
     /// Panics unless `x ∈ [0, 1]` when `targets` is non-empty.
-    pub(crate) fn fold(self, x: f64, targets: &[f64]) -> (f64, f64, f64) {
+    pub(crate) fn fold(self, x: f64, targets: &[f64]) -> (f64, f64) {
         if targets.is_empty() {
-            return (0.0, 0.0, 0.0);
+            return (0.0, 0.0);
         }
         assert!(
             (0.0..=1.0).contains(&x),
             "recency x must be in [0, 1], got {x}"
         );
         if x == 1.0 {
-            let n = targets.len() as f64;
-            return (n, n, 0.0);
+            return (targets.len() as f64, 0.0);
         }
-        let (mut sum, mut sq, mut benefit) = (0.0, 0.0, 0.0);
+        let (mut sum, mut benefit) = (0.0, 0.0);
         let mut buf = [0.0; FOLD_CHUNK];
         for chunk in targets.chunks(FOLD_CHUNK) {
             let scores = &mut buf[..chunk.len()];
@@ -96,11 +95,10 @@ impl ScoringFunction {
             }
             for &s in scores.iter() {
                 sum += s;
-                sq += s * s;
                 benefit += 1.0 - s;
             }
         }
-        (sum, sq, benefit)
+        (sum, benefit)
     }
 
     /// The benefit to a client of downloading a fresh copy instead of
@@ -168,22 +166,21 @@ mod tests {
     }
 
     /// The scalar reference the batched fold must reproduce: one
-    /// [`ScoringFunction::score`] call per target, the three sums folded
+    /// [`ScoringFunction::score`] call per target, the two sums folded
     /// in storage order.
-    fn scalar_fold(f: ScoringFunction, x: f64, targets: &[f64]) -> (f64, f64, f64) {
-        let (mut sum, mut sq, mut benefit) = (0.0, 0.0, 0.0);
+    fn scalar_fold(f: ScoringFunction, x: f64, targets: &[f64]) -> (f64, f64) {
+        let (mut sum, mut benefit) = (0.0, 0.0);
         for &t in targets {
             let s = f.score(x, t);
             sum += s;
-            sq += s * s;
             benefit += 1.0 - s;
         }
-        (sum, sq, benefit)
+        (sum, benefit)
     }
 
     #[test]
     fn fold_matches_the_scalar_fold_bit_for_bit() {
-        let bits = |(a, b, c): (f64, f64, f64)| (a.to_bits(), b.to_bits(), c.to_bits());
+        let bits = |(a, b): (f64, f64)| (a.to_bits(), b.to_bits());
         basecache_sim::check::run_cases("score_fold_vs_scalar", 160, |i, rng| {
             // Lengths 0–200 straddle the 64-target chunks; a quarter of
             // the targets are exactly 1.0.

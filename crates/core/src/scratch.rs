@@ -7,17 +7,21 @@
 //! allocations** once the buffers have grown to their working sizes
 //! (see `tests/alloc_free.rs`).
 //!
-//! [`crate::planner::OnDemandPlanner::plan_requests_into`] aggregates the
-//! raw request slice directly (duplicate requests for one object become
-//! one knapsack item with summed profit), skipping the intermediate
-//! [`crate::request::RequestBatch`] while producing the *same* floats:
-//! per-object profits accumulate in arrival order, exactly as the batch
+//! A batch round — a station's, or
+//! [`crate::planner::OnDemandPlanner::plan_requests_into`] — makes one
+//! pass over its raw request slice: duplicate requests for one object
+//! sum into one row — its request count, its knapsack profit and its
+//! served score — skipping the intermediate
+//! [`crate::request::RequestBatch`] while producing the *same* profits:
+//! per-object sums accumulate in arrival order, exactly as the batch
 //! path's do.
 
 use basecache_knapsack::{AdaptiveScratch, DpScratch, Item};
 use basecache_net::{Catalog, ObjectId};
+use basecache_workload::GeneratedRequest;
 
 use crate::error::ConfigError;
+use crate::recency::ScoringFunction;
 
 /// The largest exact-DP table a station may reserve, in bytes (1 GiB).
 /// [`crate::builder::StationBuilder::build`],
@@ -68,13 +72,17 @@ pub(crate) fn check_plan_table(catalog: &Catalog, budget: u64) -> Result<(), Con
 /// budget, no further allocations occur.
 #[derive(Debug, Default)]
 pub struct PlannerScratch {
-    /// Per-object summed download benefit, indexed by object id; all
-    /// zero outside an assemble.
-    pub(crate) per_profit: Vec<f64>,
+    /// Per-object Σ s at the recency each request is served at, indexed
+    /// by object id; all zero outside a round ([`Self::aggregate`]).
+    pub(crate) per_score: Vec<f64>,
     /// Per-object request count, indexed by object id; all zero outside
-    /// an assemble.
+    /// a round.
     pub(crate) per_count: Vec<u32>,
-    /// Knapsack items for the requested objects, object-ascending.
+    /// Knapsack items for the requested objects, object-ascending. While
+    /// a batch aggregates, the per-object profit column instead: object
+    /// `o`'s summed benefit Σ(1 − s) is `items[o]`'s profit until
+    /// [`Self::assemble_requested`] packs the requested ones to the
+    /// front.
     pub(crate) items: Vec<Item>,
     /// Object id of each knapsack item (parallel to `items`).
     pub(crate) objects: Vec<ObjectId>,
@@ -93,6 +101,9 @@ pub struct PlannerScratch {
     pub(crate) downloads: Vec<ObjectId>,
     pub(crate) download_size: u64,
     pub(crate) achieved_value: f64,
+    /// The objects the aggregated batch requested, one bit each in
+    /// object order; empty outside a round ([`Self::drain_requested`]).
+    requested: Vec<u64>,
 }
 
 impl PlannerScratch {
@@ -108,19 +119,110 @@ impl PlannerScratch {
     /// touched: a solve dirties only the rows of the items it sweeps
     /// (the core the adaptive solver's bounds leave undecided).
     pub fn reserve(&mut self, num_objects: usize, budget: u64) {
-        self.per_profit.resize(num_objects, 0.0);
+        self.per_score.resize(num_objects, 0.0);
         self.per_count.resize(num_objects, 0);
         self.items.reserve(num_objects);
         self.objects.reserve(num_objects);
         self.downloads.reserve(num_objects);
-        // The DP tables go last (and their two big tables last among
-        // them). The order decides which heap holes a station's build
-        // leaves for the allocations that follow it; this one keeps the
-        // benchmark's peak-RSS step at pass 36 of a `station-paper` run
-        // and no earlier than pass 38 of a `station-inflight` run, on
-        // every seed from 1 to 10.
+        // The DP tables go last but for the small requested-object
+        // bitset (and their two big tables last among them). The order
+        // decides which heap holes a station's build leaves for the
+        // allocations that follow it; this one keeps the benchmark's
+        // peak-RSS step no earlier than pass 36 of a `station-paper` run
+        // and pass 38 of a `station-inflight` run, on every seed from 1
+        // to 10.
         self.adaptive.reserve(num_objects);
         self.dp.reserve(num_objects, budget);
+        self.requested.resize(num_objects.div_ceil(64), 0);
+    }
+
+    /// A batch round's one pass over its requests. Per requested object
+    /// it sums, in request order, the request count, the knapsack profit
+    /// `Σ(1 − s)` with `s = score(recency[o], target)` against the
+    /// recency the planner sees, and `Σ s'` with `s'` the score at the
+    /// recency the request is served at: `truth` of the object when
+    /// given (an estimator station scores a second time, against the
+    /// true recency), else `s` itself. The profits wait for
+    /// [`Self::assemble_requested`], the counts and served scores for
+    /// [`Self::drain_requested`]. Never inlined: the round's longest
+    /// loop compiles the same wherever it is called from.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a requested object is outside the catalog, a target
+    /// recency is outside `(0, 1]`, or `recency` is shorter than the
+    /// catalog — the same contracts as
+    /// [`crate::request::RequestBatch::push`] and
+    /// [`crate::profit::build_instance`].
+    #[inline(never)]
+    pub(crate) fn aggregate(
+        &mut self,
+        requests: &[GeneratedRequest],
+        catalog: &Catalog,
+        scoring: ScoringFunction,
+        recency: &[f64],
+        truth: Option<&dyn Fn(ObjectId) -> f64>,
+    ) {
+        let n = catalog.len();
+        assert!(
+            recency.len() >= n,
+            "need a recency for every catalog object ({} < {n})",
+            recency.len()
+        );
+        if self.per_count.len() < n {
+            self.reserve(n, 0);
+        }
+        let profit = &mut self.items;
+        profit.clear();
+        profit.resize(n, Item::new(0, 0.0));
+        let (count, score) = (&mut self.per_count[..n], &mut self.per_score[..n]);
+        let requested = &mut self.requested;
+        for r in requests {
+            let o = r.object.index();
+            assert!(o < n, "{} not in catalog", r.object);
+            let s = scoring.score(recency[o], r.target_recency);
+            count[o] += 1;
+            profit[o] = Item::new(0, profit[o].profit() + (1.0 - s));
+            score[o] += match truth {
+                None => s,
+                Some(truth) => scoring.score(truth(r.object), r.target_recency),
+            };
+            requested[o / 64] |= 1 << (o % 64);
+        }
+    }
+
+    /// Assemble the aggregated batch's knapsack instance into
+    /// [`Self::items`]: one item per requested object, object-ascending,
+    /// its profit the object's summed benefit. A request, not the
+    /// profit, decides: a requested object whose profit sums to zero is
+    /// still an item.
+    pub(crate) fn assemble_requested(&mut self, catalog: &Catalog) {
+        self.objects.clear();
+        // In place: the `len`-th requested object's profit sits at or
+        // after slot `len`.
+        for object in requested_objects(&self.requested) {
+            let profit = self.items[object.index()].profit();
+            self.items[self.objects.len()] = Item::new(catalog.size_of(object), profit);
+            self.objects.push(object);
+        }
+        self.items.truncate(self.objects.len());
+    }
+
+    /// The objects the aggregated batch requested, ascending.
+    pub(crate) fn requested(&self) -> impl Iterator<Item = ObjectId> + '_ {
+        requested_objects(&self.requested)
+    }
+
+    /// Hand each requested object, ascending, with its request count and
+    /// Σ served score to `visit`, zeroing its slots and unmarking it: the
+    /// state [`Self::aggregate`] expects.
+    pub(crate) fn drain_requested(&mut self, mut visit: impl FnMut(ObjectId, u64, f64)) {
+        for object in requested_objects(&self.requested) {
+            let o = object.index();
+            let count = std::mem::take(&mut self.per_count[o]);
+            visit(object, count.into(), std::mem::take(&mut self.per_score[o]));
+        }
+        self.requested.fill(0);
     }
 
     /// The knapsack items of the last assembled instance,
@@ -172,6 +274,20 @@ impl PlannerScratch {
     pub fn achieved_value(&self) -> f64 {
         self.achieved_value
     }
+}
+
+/// The objects whose bits are set in `words`, ascending.
+fn requested_objects(words: &[u64]) -> impl Iterator<Item = ObjectId> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        let mut bits = word;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let bit = bits.trailing_zeros();
+                bits &= bits - 1;
+                ObjectId(w as u32 * 64 + bit)
+            })
+        })
+    })
 }
 
 #[cfg(test)]

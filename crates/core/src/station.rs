@@ -13,8 +13,8 @@
 //! 3. plan: assemble the knapsack instance (an engine observes the
 //!    same changed slots), adjust it, solve it;
 //! 4. launch the chosen downloads and refresh the cache;
-//! 5. serve every request, recording the recency and score delivered
-//!    to each client.
+//! 5. serve every requested object, recording the recency and score
+//!    delivered to its clients.
 //!
 //! The oracle's recency of a copy, `1/(1 + lag)`, moves only when the
 //! server updates the object or the station writes its cache. So the
@@ -30,7 +30,9 @@
 //! Two things vary a round, and only where they must. The *request
 //! source* — a flat batch ([`BaseStationSim::step`]) or a
 //! [`RoundEngine`]'s standing tables ([`BaseStationSim::step_engine`])
-//! — decides how the instance is assembled and how requests are served.
+//! — decides how the requests are aggregated per object and assembled
+//! into the instance. Both feed one serve, per object, since every
+//! request a round gets for an object is answered from the same copy.
 //! The *transfer model* — instantaneous (the paper's), or an in-flight
 //! ledger with real durations and single-flight coalescing
 //! ([`crate::builder::StationBuilder::in_flight`]) — is an
@@ -88,12 +90,11 @@ pub struct StationStats {
     pub objects_downloaded: u64,
     /// Total client requests served.
     pub requests_served: u64,
-    /// Distribution of per-request delivered recency. A round sums what
-    /// it serves and folds the sums in once, as it closes.
-    pub recency: Welford,
-    /// Distribution of per-request delivered score, folded in the same
-    /// way.
-    pub score: Welford,
+    /// Per-request delivered recency, as plain sums. A round sums what
+    /// it serves and adds the sums in once, as it closes.
+    pub recency: Sums,
+    /// Per-request delivered score, added in the same way.
+    pub score: Sums,
     /// Distribution of waiting times (in rounds) of requests answered on
     /// arrival of the transfer they rode (in-flight mode only; empty on
     /// the instantaneous path).
@@ -113,12 +114,12 @@ struct FlightState {
     /// Waiters drained from arriving transfers, rebuilt per arrival.
     waiters: Vec<ParkedWaiter>,
     /// `(object, launched_at)` of the transfers that landed at the start
-    /// of this round — the columnar serve's merge input.
+    /// of this round — an engine round's serve merges them in.
     arrived: Vec<(ObjectId, u64)>,
 }
 
 /// Where a round's requests come from. Only the assemble half of the
-/// plan stage and the serve stage look inside.
+/// plan stage and the serve stage's feed look inside.
 enum Source<'a> {
     /// A flat per-tick batch ([`BaseStationSim::step`]).
     Batch(&'a [GeneratedRequest]),
@@ -202,11 +203,11 @@ pub struct BaseStationSim {
     /// module docs), under an estimator refilled every round.
     recency_buf: Vec<f64>,
     downloaded: Vec<ObjectId>,
-    /// Per-object "downloaded this round" mark, all false between
-    /// rounds: the batch serve sets it from `downloaded`, reads it once
-    /// per request, and clears it from `downloaded` again. The plan
-    /// stage lends it to the policy under the same contract.
-    downloaded_mark: Vec<bool>,
+    /// Per-object "requests park" mark, all false between rounds: a
+    /// batch round's serve sets it on the objects whose requests wait on
+    /// a transfer, and the park pass reads it once per request and
+    /// clears it.
+    parked: Vec<bool>,
     /// Objects the planner must not origin-fetch this round (sorted
     /// ascending): a regional L2 tier sets these when another cell
     /// already fetched — or is fetching — the current version, so the
@@ -245,15 +246,15 @@ impl BaseStationSim {
         // first round (and every solve path, including the adaptive
         // pipeline's full-DP fallback) stays off the heap. Budgets past
         // the catalog's total size are equivalent to it (the solvers
-        // clamp the capacity), so the reserve clamps too.
+        // clamp the capacity), so the reserve clamps too. A policy
+        // without a planner still aggregates its batches there.
         let mut scratch = PlannerScratch::new();
-        if let Some(budget) = policy.unit_budget() {
-            scratch.reserve(catalog.len(), budget.min(catalog.total_size()));
-        }
-        // Everything per-object — the cache's tables, the recency column,
-        // the download buffer, the downloaded mark, the change set — is
-        // sized from the catalog here, once: no round grows any of it,
-        // whichever object is first requested when.
+        let budget = policy.unit_budget().unwrap_or(0);
+        scratch.reserve(catalog.len(), budget.min(catalog.total_size()));
+        // Everything per-object — the aggregation columns, the cache's
+        // tables, the recency column, the download buffer, the change
+        // set — is sized from the catalog here, once: no round grows any
+        // of it, whichever object is first requested when.
         let objects = catalog.len();
         let mut cache = CacheStore::unbounded();
         cache.reserve_objects(objects);
@@ -272,7 +273,7 @@ impl BaseStationSim {
             scratch,
             recency_buf: vec![0.0; objects],
             downloaded: Vec::with_capacity(objects),
-            downloaded_mark: vec![false; objects],
+            parked: vec![false; objects],
             plan_exclusions: Vec::new(),
             flight: None,
             changed: ChangeSet::everything(objects),
@@ -396,8 +397,15 @@ impl BaseStationSim {
     /// missed server update; 0.0 when the object is not cached.
     #[inline]
     fn true_recency(&self, id: ObjectId) -> f64 {
-        match self.cache.peek(id) {
-            Some(entry) => recency_for_lag(entry.lag(self.server.version_of(id))),
+        Self::recency_in(&self.cache, &self.server, id)
+    }
+
+    /// [`Self::true_recency`] over the two fields it reads, for the
+    /// stages that borrow the station's other fields beside them.
+    #[inline]
+    fn recency_in(cache: &CacheStore, server: &RemoteServer, id: ObjectId) -> f64 {
+        match cache.peek(id) {
+            Some(entry) => recency_for_lag(entry.lag(server.version_of(id))),
             None => 0.0,
         }
     }
@@ -518,9 +526,11 @@ impl BaseStationSim {
 
     /// Simulate one time unit over the given client requests.
     ///
+    /// The round visits the requests once, aggregating them per object
+    /// (count, knapsack profit, served score), and serves per object.
     /// Allocation-free in steady state under every policy: the recency
-    /// vector, the aggregated request instance, the DP tables, and the
-    /// download list all live in buffers reused across ticks.
+    /// vector, the aggregated requests, the DP tables, and the download
+    /// list all live in buffers reused across ticks.
     ///
     /// In in-flight mode ([`crate::builder::StationBuilder::in_flight`])
     /// downloads are launched onto the ledger instead of landing at
@@ -537,9 +547,8 @@ impl BaseStationSim {
     /// request tables instead of a flat per-tick batch — the
     /// million-request round. The driver mutates the engine between
     /// steps (pushes, retargets, clears) and the engine rescores only
-    /// what changed; the serve stage runs columnar, O(requested
-    /// objects) instead of O(requests), off the engine's per-object
-    /// score sums.
+    /// what changed; the serve stage, per object as on every round,
+    /// adds the engine's per-object score sums.
     ///
     /// Runs the same round kernel as [`Self::step`] — same stages, same
     /// span/round/event/sample structure, so flight recordings of engine
@@ -552,8 +561,8 @@ impl BaseStationSim {
     /// # Panics
     ///
     /// Panics unless the station runs [`Policy::OnDemand`] under
-    /// [`Estimation::Oracle`] — the columnar serve reads the recency
-    /// column the planner observed, which must be the truth — and the
+    /// [`Estimation::Oracle`] — the engine's score sums are against the
+    /// recency the planner observed, which must be the truth — and the
     /// engine's table matches the station's catalog and the planner's
     /// scoring function. The table's length is checked every round, its
     /// sizes on every round that observes the whole recency column (the
@@ -566,8 +575,8 @@ impl BaseStationSim {
         );
         assert!(
             matches!(self.estimation, Estimation::Oracle),
-            "step_engine requires Estimation::Oracle: the columnar serve \
-             reads the recency the planner observed, which must be the truth"
+            "step_engine requires Estimation::Oracle: the engine scores \
+             against the recency the planner observed, which must be the truth"
         );
         assert_eq!(
             engine.num_objects(),
@@ -628,13 +637,7 @@ impl BaseStationSim {
         self.plan(&round, &mut source, ledger, &recency, &mut downloaded);
         self.launch(&mut round, flight.as_mut(), &downloaded);
         let carrying = flight.as_mut().filter(|f| !f.ledger.is_instant());
-        match source {
-            Source::Batch(requests) => {
-                let ledger = carrying.map(|f| &mut f.ledger);
-                self.serve_batch(&mut round, requests, ledger, &mut recency, &downloaded);
-            }
-            Source::Engine(engine) => self.serve_engine(&mut round, engine, carrying, &downloaded),
-        }
+        self.serve(&mut round, source, carrying, &recency, &downloaded);
         let outcome = self.finish_round(round);
 
         drop(step_span);
@@ -669,8 +672,8 @@ impl BaseStationSim {
 
     /// Stage 1 (carrying ledger only): land the transfers launched in
     /// earlier rounds — refresh the cache with what arrived, answer the
-    /// requests parked on each transfer, and note the arrival for the
-    /// columnar serve (an engine round parks nobody: its standing
+    /// requests parked on each transfer, and note the arrival for an
+    /// engine round's serve (an engine round parks nobody: its standing
     /// requests re-serve off the rescored columns).
     fn land_arrivals(&mut self, round: &mut Round<'_>, flight: &mut FlightState) {
         let recorder = round.recorder;
@@ -753,10 +756,11 @@ impl BaseStationSim {
     }
 
     /// Stage 3: choose this round's downloads into `downloaded`,
-    /// ascending. What is the same for every planner-carrying policy
-    /// happens here, once — assemble the knapsack instance from the
-    /// request source, adjust it to what the round may fetch; what to
-    /// fetch, given that, is the policy's answer ([`Policy::plan`]).
+    /// ascending. What is the same for every policy happens here, once
+    /// — aggregate a batch's requests per object, and for a
+    /// planner-carrying policy assemble the knapsack instance from the
+    /// request source and adjust it to what the round may fetch; what
+    /// to fetch, given that, is the policy's answer ([`Policy::plan`]).
     fn plan(
         &mut self,
         round: &Round<'_>,
@@ -769,14 +773,21 @@ impl BaseStationSim {
         let plan_span = Span::enter(recorder, Stage::Plan);
         let policy = self.policy;
         let mut budget = policy.budget();
+        if let Source::Batch(requests) = source {
+            // Served scores are the truth's: only an estimator station,
+            // whose planner sees a belief, scores a second time.
+            let (cache, server) = (&self.cache, &self.server);
+            let truth = |id| Self::recency_in(cache, server, id);
+            let truth: Option<&dyn Fn(ObjectId) -> f64> = match self.estimation {
+                Estimation::Oracle => None,
+                Estimation::Estimator(_) => Some(&truth),
+            };
+            self.scratch
+                .aggregate(requests, &self.catalog, self.scoring, recency, truth);
+        }
         if let Some(planner) = policy.planner() {
             match source {
-                Source::Batch(requests) => planner.assemble_requests_into(
-                    requests,
-                    &self.catalog,
-                    recency,
-                    &mut self.scratch,
-                ),
+                Source::Batch(_) => self.scratch.assemble_requested(&self.catalog),
                 // The engine observes the slots the recency stage
                 // recomputed — or the whole column when it did not see
                 // this station's previous round — and arrivals dirty
@@ -794,12 +805,11 @@ impl BaseStationSim {
             }
             budget = self.adjust_instance(round, ledger, budget);
         }
-        let (requests, engine) = match source {
-            Source::Batch(requests) => (*requests, None),
-            Source::Engine(engine) => (&[][..], ledger.is_none().then_some(&**engine)),
+        let engine = match source {
+            Source::Batch(_) => None,
+            Source::Engine(engine) => ledger.is_none().then_some(&**engine),
         };
         let view = PlanView {
-            requests,
             engine,
             catalog: &self.catalog,
             recency,
@@ -807,7 +817,6 @@ impl BaseStationSim {
             exclusions: &self.plan_exclusions,
             scratch: &mut self.scratch,
             refresher: &mut self.refresher,
-            mark: &mut self.downloaded_mark,
         };
         policy.plan(view, recorder, downloaded);
         debug_assert!(
@@ -948,169 +957,111 @@ impl BaseStationSim {
         }
     }
 
-    /// Stage 5, batch source: answer every request from the (possibly
-    /// just refreshed) cache — except that, under a carrying ledger, a
-    /// request whose object is on the wire at the current version parks
-    /// on that transfer (the naive mode parks too — the comparison is
-    /// about duplicate launches, not serving rules).
-    ///
-    /// The loop probes nothing per request: it reads two per-object
-    /// columns. `recency` arrives holding what the planner saw and is
-    /// turned into the *true* recency served — under the oracle it
-    /// already is the truth everywhere but at this round's downloads,
-    /// which are re-read; an estimator's belief is overwritten in one
-    /// pass. The downloaded mark tells a hit from a fetch.
-    fn serve_batch(
-        &mut self,
-        round: &mut Round<'_>,
-        requests: &[GeneratedRequest],
-        mut ledger: Option<&mut InFlightLedger>,
-        recency: &mut Vec<f64>,
-        downloaded: &[ObjectId],
-    ) {
-        let recorder = round.recorder;
-        let _serve_span = Span::enter(recorder, Stage::Serve);
-        match self.estimation {
-            Estimation::Oracle => {
-                for &id in downloaded {
-                    recency[id.index()] = self.true_recency(id);
-                }
-            }
-            Estimation::Estimator(_) => self.fill_recency(recency),
-        }
-        for &id in downloaded {
-            self.downloaded_mark[id.index()] = true;
-        }
-        // Hits are counted unconditionally: they feed the outcome (and
-        // cluster-level aggregation), not just the recorder, and
-        // outcomes must not depend on observation.
-        // The per-request loop runs on locals — accumulators behind
-        // `round` cost it a tenth of its speed — folded back below.
-        let (observing, tick) = (round.observing, round.tick);
-        let (mut recency_acc, mut score_acc) = (round.recency, round.score);
-        let (mut hits, mut served, mut joined) = (0usize, 0usize, 0usize);
-        for r in requests {
-            let x = recency[r.object.index()];
-            if let Some(ledger) = ledger.as_deref_mut() {
-                if x < 1.0 && ledger.joinable(r.object, self.server.version_of(r.object)) {
-                    let launched_at = ledger.join(r.object, r.target_recency, tick);
-                    if observing {
-                        // `joinable` just matched the server's version.
-                        let version = self.server.version_of(r.object).0;
-                        let joined = round.event(Transition::Joined, r.object, version);
-                        recorder.lifecycle(joined.at_launch(launched_at));
-                    }
-                    if launched_at < tick {
-                        joined += 1;
-                        recorder.incr(Event::FetchesCoalesced);
-                    }
-                    continue;
-                }
-            }
-            let score = self.scoring.score(x, r.target_recency);
-            recency_acc.push(x);
-            score_acc.push(score);
-            if !self.downloaded_mark[r.object.index()] {
-                hits += 1;
-            }
-            served += 1;
-            if observing {
-                round.attribute_staleness(r.object, x, 1);
-                let version = Self::serve_version(&self.cache, &self.server, r.object);
-                recorder.lifecycle(round.event(Transition::Served, r.object, version));
-            }
-        }
-        for &id in downloaded {
-            self.downloaded_mark[id.index()] = false;
-        }
-        (round.recency, round.score) = (recency_acc, score_acc);
-        round.out.cache_hits += hits;
-        round.out.served_immediately += served;
-        round.out.joined += joined;
-        round.out.still_waiting = ledger.map_or(0, |l| l.waiting() as usize);
-    }
-
-    /// Stage 5, engine source: one visit per requested object, adding
-    /// the score sums the engine's rescore cached for it instead of
-    /// rescoring every request, with merge cursors over this round's
-    /// downloads and (under a carrying ledger) this round's arrivals.
-    /// Per object, the whole population is in exactly one state:
+    /// Stage 5: answer the round's requests from the (possibly just
+    /// refreshed) cache, one visit per requested object — every request
+    /// a round gets for an object is answered from the same copy. An
+    /// engine feeds its standing tables
+    /// ([`RoundEngine::for_each_active`]), a batch the rows its plan
+    /// stage aggregated; either way an object comes with its request
+    /// count, the recency it is served at (the truth) and the Σ score of
+    /// its requests there. Merge cursors walk this round's downloads
+    /// and, for an engine under a carrying ledger, its arrivals beside
+    /// the ascending objects. Per object, all its requests are in
+    /// exactly one state:
     ///
     /// * downloaded and landed — served at recency (hence score) 1.0:
     ///   the cache was just refreshed to the current version;
     /// * launched this round, or riding a transfer launched earlier —
-    ///   waiting (the latter coalesced);
-    /// * otherwise served at the recency the planner observed, which
-    ///   under the oracle is the truth — after its wait, when the
-    ///   object's transfer arrived this round.
-    fn serve_engine(
+    ///   waiting (the latter coalesced). The one arm that depends on the
+    ///   source: a standing population counts its requests as waiting
+    ///   and re-serves them in the arrival round; a one-shot batch parks
+    ///   each of them on the transfer ([`Self::park`]);
+    /// * otherwise served at its recency — after its wait, when an
+    ///   engine object's transfer arrived this round (a batch's requests
+    ///   were issued this round, so a copy that landed is a hit).
+    ///
+    /// Each object adds `n · x` and its Σ score to the round's tallies,
+    /// in ascending object order: the tally's one definition, whichever
+    /// the source.
+    fn serve(
         &mut self,
         round: &mut Round<'_>,
-        engine: &RoundEngine,
+        source: Source<'_>,
         carrying: Option<&mut FlightState>,
+        recency: &[f64],
         downloaded: &[ObjectId],
     ) {
         let recorder = round.recorder;
         let _serve_span = Span::enter(recorder, Stage::Serve);
         let (ledger, arrived) = match carrying {
-            Some(flight) => {
-                // Pop order is launch order; the merge needs object order.
-                flight.arrived.sort_unstable();
-                (Some(&flight.ledger), flight.arrived.as_slice())
-            }
-            None => (None, &[][..]),
+            Some(flight) => (Some(&mut flight.ledger), &mut flight.arrived[..]),
+            None => (None, &mut [][..]),
         };
-        let (stats, cache, server) = (&mut self.stats, &self.cache, &self.server);
-        let observing = round.observing;
-        let tick = round.tick;
-        let mut dl = 0usize;
-        let mut ar = 0usize;
-        engine.for_each_active(|a| {
-            while dl < downloaded.len() && downloaded[dl] < a.object {
+        let arrived: &[(ObjectId, u64)] = match source {
+            Source::Engine(_) => {
+                // Pop order is launch order; the merge needs object order.
+                arrived.sort_unstable();
+                arrived
+            }
+            Source::Batch(_) => &[],
+        };
+        let park = matches!(source, Source::Batch(_)) && ledger.is_some();
+        let stats = &mut self.stats;
+        let (cache, server) = (&self.cache, &self.server);
+        let (observing, tick) = (round.observing, round.tick);
+        let flight = ledger.as_deref();
+        let (mut dl, mut ar) = (0usize, 0usize);
+        // Serve one object's requests; true when they are a batch's to
+        // park.
+        let mut visit = |object: ObjectId, x: f64, scores: Sums| -> bool {
+            while dl < downloaded.len() && downloaded[dl] < object {
                 dl += 1;
             }
-            let downloaded_now = dl < downloaded.len() && downloaded[dl] == a.object;
-            while ar < arrived.len() && arrived[ar].0 < a.object {
+            let downloaded_now = dl < downloaded.len() && downloaded[dl] == object;
+            while ar < arrived.len() && arrived[ar].0 < object {
                 ar += 1;
             }
             let mut launched_at = None;
-            while ar < arrived.len() && arrived[ar].0 == a.object {
+            while ar < arrived.len() && arrived[ar].0 == object {
                 launched_at = launched_at.max(Some(arrived[ar].1));
                 ar += 1;
             }
-            let (n, count) = (a.requests, a.requests as usize);
+            let (n, count) = (scores.count, scores.count as usize);
             let observed = observing && n > 0;
             let event = |transition, version: u64| {
-                LifecycleEvent::new(transition, a.object.0, version, tick)
+                LifecycleEvent::new(transition, object.0, version, tick)
                     .times(n.min(u64::from(u32::MAX)) as u32)
             };
-            let cached_version = || Self::serve_version(cache, server, a.object);
-            if downloaded_now && ledger.is_none() {
+            let cached_version = || Self::serve_version(cache, server, object);
+            if downloaded_now && flight.is_none() {
                 round.recency.push_n(1.0, n);
                 round.score.push_n(1.0, n);
                 round.out.served_immediately += count;
                 if observed {
                     recorder.lifecycle(event(Transition::Served, cached_version()));
                 }
-            } else if downloaded_now {
-                round.out.still_waiting += count;
-                if observed {
-                    let version = server.version_of(a.object).0;
-                    recorder.lifecycle(event(Transition::Requested, version));
-                }
-            } else if a.recency < 1.0
-                && ledger.is_some_and(|l| l.joinable(a.object, server.version_of(a.object)))
+            } else if downloaded_now
+                || x < 1.0 && flight.is_some_and(|l| l.joinable(object, server.version_of(object)))
             {
-                recorder.add(Event::FetchesCoalesced, n);
-                round.out.joined += count;
+                if park {
+                    return true;
+                }
                 round.out.still_waiting += count;
-                if observed {
-                    let version = server.version_of(a.object).0;
-                    recorder.lifecycle(event(Transition::Joined, version));
+                let version = server.version_of(object).0;
+                if downloaded_now {
+                    if observed {
+                        recorder.lifecycle(event(Transition::Requested, version));
+                    }
+                } else {
+                    recorder.add(Event::FetchesCoalesced, n);
+                    round.out.joined += count;
+                    if observed {
+                        recorder.lifecycle(event(Transition::Joined, version));
+                    }
                 }
             } else {
-                round.recency.push_n(a.recency, n);
-                round.score.add(&a.scores);
+                round.recency.push_n(x, n);
+                round.score.add(&scores);
                 if let Some(launched_at) = launched_at {
                     let wait = (tick - launched_at) as f64;
                     stats.wait_ticks.push_n(wait, n);
@@ -1135,10 +1086,65 @@ impl BaseStationSim {
                     }
                 }
                 if observing {
-                    round.attribute_staleness(a.object, a.recency, n);
+                    round.attribute_staleness(object, x, n);
                 }
             }
-        });
+            false
+        };
+        match source {
+            Source::Engine(engine) => engine.for_each_active(|a| {
+                visit(a.object, a.recency, a.scores);
+            }),
+            Source::Batch(requests) => {
+                let oracle = matches!(self.estimation, Estimation::Oracle);
+                let parked = &mut self.parked;
+                self.scratch.drain_requested(|object, count, sum| {
+                    // The oracle's column is the truth everywhere the
+                    // serve reads it (a download's slot is not read).
+                    let x = if oracle {
+                        recency[object.index()]
+                    } else {
+                        Self::recency_in(cache, server, object)
+                    };
+                    parked[object.index()] = visit(object, x, Sums { count, sum });
+                });
+                if let Some(ledger) = ledger.filter(|_| park) {
+                    self.park(round, requests, ledger);
+                }
+            }
+        }
+    }
+
+    /// The park pass of a batch round under a carrying ledger: one walk
+    /// of the requests, in request order, that parks each request whose
+    /// object the serve left marked on the object's newest transfer — so
+    /// every transfer's waiters queue in the order their requests came —
+    /// and then clears the marks.
+    fn park(
+        &mut self,
+        round: &mut Round<'_>,
+        requests: &[GeneratedRequest],
+        ledger: &mut InFlightLedger,
+    ) {
+        let tick = round.tick;
+        let mut joined = 0usize;
+        for r in requests {
+            if !self.parked[r.object.index()] {
+                continue;
+            }
+            let launched_at = ledger.join(r.object, r.target_recency, tick);
+            if round.observing {
+                // The serve's `joinable` matched the server's version.
+                let version = self.server.version_of(r.object).0;
+                let joined = round.event(Transition::Joined, r.object, version);
+                round.recorder.lifecycle(joined.at_launch(launched_at));
+            }
+            joined += usize::from(launched_at < tick);
+        }
+        self.parked.fill(false);
+        round.recorder.add(Event::FetchesCoalesced, joined as u64);
+        round.out.joined += joined;
+        round.out.still_waiting = ledger.waiting() as usize;
     }
 
     /// Close the round: derive the served total and the means (`Σ /
@@ -1151,8 +1157,8 @@ impl BaseStationSim {
         outcome.served = outcome.served_immediately + outcome.served_after_wait;
         outcome.average_recency = round.recency.mean().unwrap_or(1.0);
         outcome.average_score = round.score.mean().unwrap_or(1.0);
-        self.stats.recency.merge(&round.recency.welford());
-        self.stats.score.merge(&round.score.welford());
+        self.stats.recency.add(&round.recency);
+        self.stats.score.add(&round.score);
         recorder.add(Event::RequestsServed, outcome.served as u64);
         if round.observing && outcome.served > 0 {
             let hit_ratio = outcome.cache_hits as f64 / outcome.served as f64;
@@ -1321,7 +1327,7 @@ mod tests {
         let st = s.stats();
         assert_eq!(st.requests_served, 3);
         assert_eq!(st.units_downloaded, 2);
-        assert_eq!(st.recency.count(), 3);
+        assert_eq!(st.recency.count, 3);
         s.reset_stats();
         assert_eq!(s.stats().requests_served, 0);
         assert_eq!(s.tick(), 2, "reset keeps the clock");
@@ -1480,18 +1486,22 @@ mod tests {
     }
 
     /// Drive `s` for 240 rounds of random batches with irregular update
-    /// waves, checking every round's serve against the naive loop the
-    /// column-driven one replaced: a cache probe (`true_recency`) and a
-    /// `contains` scan of the download list per request, in request
-    /// order, the round's means the textbook `Σ / n` of what it served
-    /// and the lifetime stats each round's sums folded in. Nothing
-    /// mutates the cache or the server between the serve stage and the
-    /// end of `step`, so probing afterwards reads exactly what the serve
-    /// stage saw.
+    /// waves, checking every round's serve against a reference computed
+    /// per request, independently of the station's columns: a cache
+    /// probe (`true_recency`), a textbook `score` and a `contains` scan
+    /// of the download list per request. The tally's definition is the
+    /// serve's: each object's scores summed in request order, the
+    /// objects' sums — and each object's `n · x` recency — added in
+    /// ascending object order, the round's means the plain `Σ / n` and
+    /// the lifetime stats the rounds' sums added up. Nothing mutates the
+    /// cache or the server between the serve stage and the end of
+    /// `step`, so probing afterwards reads exactly what the serve stage
+    /// saw.
     fn assert_serve_matches_per_request_reference(mut s: BaseStationSim, label: &str) {
         let objects = s.catalog().len() as u32;
         let mut rng = basecache_sim::RngStreams::new(0x5E27E).stream(label);
-        let (mut recency_total, mut score_total) = (Welford::new(), Welford::new());
+        let (mut recency_total, mut score_total) = (0.0, 0.0);
+        let mut served_total = 0u64;
         for round in 0..240u32 {
             if round % 3 == 1 || round % 7 == 0 {
                 s.apply_update_wave();
@@ -1512,21 +1522,24 @@ mod tests {
                 downloaded.windows(2).all(|w| w[0] < w[1]),
                 "{label} round {round}: {downloaded:?} is not ascending"
             );
-            let (mut recency, mut recency_sq) = (0.0, 0.0);
-            let (mut score, mut score_sq) = (0.0, 0.0);
+            let mut per_object = std::collections::BTreeMap::new();
             let mut hits = 0;
             for r in &requests {
                 let x = s.true_recency(r.object);
-                let served_score = s.scoring.score(x, r.target_recency);
-                recency += x;
-                recency_sq += x * x;
-                score += served_score;
-                score_sq += served_score * served_score;
+                let (n, score) = per_object.entry(r.object).or_insert((0u64, 0.0));
+                *n += 1;
+                *score += s.scoring.score(x, r.target_recency);
                 hits += usize::from(!downloaded.contains(&r.object));
             }
+            let (mut recency, mut score) = (0.0, 0.0);
+            for (&object, &(n, object_score)) in &per_object {
+                recency += s.true_recency(object) * n as f64;
+                score += object_score;
+            }
             let n = requests.len() as u64;
-            recency_total.merge(&Welford::from_sums(n, recency, recency_sq));
-            score_total.merge(&Welford::from_sums(n, score, score_sq));
+            recency_total += recency;
+            score_total += score;
+            served_total += n;
             let bits = |sum: f64| if n == 0 { 1.0 } else { sum / n as f64 }.to_bits();
             assert_eq!(
                 out.average_recency.to_bits(),
@@ -1544,12 +1557,18 @@ mod tests {
                 "{label} round {round}"
             );
             assert!(
-                s.downloaded_mark.iter().all(|&marked| !marked),
-                "{label} round {round}: marks must be cleared between rounds"
+                s.scratch.requested().next().is_none()
+                    && s.scratch.per_count.iter().all(|&n| n == 0)
+                    && s.scratch.per_score.iter().all(|&sum| sum == 0.0),
+                "{label} round {round}: the aggregation must be cleared between rounds"
             );
         }
-        assert_eq!(s.stats().recency, recency_total, "{label}");
-        assert_eq!(s.stats().score, score_total, "{label}");
+        let total = |sum| Sums {
+            count: served_total,
+            sum,
+        };
+        assert_eq!(s.stats().recency, total(recency_total), "{label}");
+        assert_eq!(s.stats().score, total(score_total), "{label}");
     }
 
     #[test]

@@ -316,6 +316,35 @@ fn on_demand_steady_state_steps_do_not_allocate() {
         }
     }
 
+    // An estimator station plans on its belief and serves the truth:
+    // its batch aggregation scores every request a second time against
+    // the true recency, and its serve probes each object's copy. Both
+    // run on the buffers the station sized at build, so it is held to
+    // the same bar.
+    let mut estimated = StationBuilder::new(Catalog::from_sizes(&sizes))
+        .on_demand(OnDemandPlanner::paper_default(), 1500)
+        .estimator(Box::new(basecache_core::TtlEstimator::new(3)))
+        .build()
+        .expect("valid configuration");
+    for _ in 0..3 {
+        estimated.step(&requests);
+    }
+    for round in 0..10 {
+        if round % 2 == 0 {
+            estimated.apply_update_wave();
+        }
+        let before = allocation_count();
+        let outcome = estimated.step(&requests);
+        let after = allocation_count();
+        assert_eq!(
+            after - before,
+            0,
+            "estimator round {round}: step() allocated {} time(s)",
+            after - before
+        );
+        assert_eq!(outcome.served, 5000);
+    }
+
     // In-flight mode: multi-round transfers, the single-flight ledger
     // and the waiter pool must also be free once warm. The ledger's
     // transfer ring and free-listed waiter slots grow only while the

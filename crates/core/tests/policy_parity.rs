@@ -165,10 +165,12 @@ fn assert_station_matches_reference(policy: Policy, script: &Script, label: &str
                 "{label} round {round}: plan value"
             );
         }
-        // Served in request order: a fresh copy (recency 1) of what was
-        // fetched, the cached copy as observed otherwise; the round's
-        // average is the plain sum of the scores over their count.
-        let mut score = 0.0;
+        // Served per object: a fresh copy (recency 1) of what was
+        // fetched, the cached copy as observed otherwise. Each request is
+        // scored on its own, its object's scores summed in request order;
+        // the round's average is the objects' sums, added in ascending
+        // object order, over the request count.
+        let mut per_object = std::collections::BTreeMap::new();
         for r in requests {
             let fetched = picks.binary_search(&r.object).is_ok();
             let x = if fetched {
@@ -176,7 +178,11 @@ fn assert_station_matches_reference(policy: Policy, script: &Script, label: &str
             } else {
                 recency[r.object.index()]
             };
-            score += SCORING.score(x, r.target_recency);
+            *per_object.entry(r.object).or_insert(0.0) += SCORING.score(x, r.target_recency);
+        }
+        let mut score = 0.0;
+        for object_score in per_object.values() {
+            score += object_score;
         }
         let average = match requests.len() {
             0 => 1.0,

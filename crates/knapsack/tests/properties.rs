@@ -514,6 +514,36 @@ fn arb_left_out_case(case: u64, rng: &mut StreamRng) -> (Vec<Item>, u64) {
     (items, cap)
 }
 
+/// An instance a cut leaves mostly out: two to eight items at an edge
+/// or up to 10⁴ ulps over it, and 20 to 120 items of one or two units
+/// one to 10⁴ ulps under it, in random order, each in an identical pair
+/// (as in [`arb_left_out_case`]). A cut at the edge leaves out many more
+/// items, and more profit, than it keeps, so the whole instance's
+/// margin is far above the kept part's.
+fn arb_mostly_left_out(rng: &mut StreamRng) -> (Vec<Item>, u64) {
+    let edge = band_edge(rng.random_range(1000u32..=1080) as u16);
+    // Ulps off the edge, log-uniform from 1 to 10⁴.
+    let ulps = |rng: &mut StreamRng| 10f64.powf(rng.random_range(0.0f64..=4.0)).floor();
+    let at =
+        |size: u64, ulps: f64| Item::new(size, edge * (1.0 + ulps * f64::EPSILON) * size as f64);
+    let mut items = Vec::new();
+    for _ in 0..rng.random_range(1..=4u32) {
+        let size = rng.random_range(1u64..=9);
+        let item = at(size, ulps(rng) - 1.0);
+        items.extend([item, item]);
+    }
+    for _ in 0..rng.random_range(10..=60u32) {
+        let size = rng.random_range(1u64..=2);
+        let item = at(size, -ulps(rng));
+        items.extend([item, item]);
+    }
+    for i in (1..items.len()).rev() {
+        items.swap(i, rng.random_range(0..=i));
+    }
+    let total: u64 = items.iter().map(Item::size).sum();
+    (items, rng.random_range(0..=total))
+}
+
 /// The left-out certificate against the full-table DP on the whole
 /// instance. Each case splits an instance at a random density cut —
 /// the items in bands above it handed to the solver, the rest bounded
@@ -523,14 +553,22 @@ fn arb_left_out_case(case: u64, rng: &mut StreamRng) -> (Vec<Item>, u64) {
 /// accepted must return the whole instance's chosen set (as indices
 /// into it) and value bits, tied profits or not. The stream must reach
 /// every outcome: accepted at the first cut with items left out,
-/// accepted at the lowered cut, and the fall-back.
+/// accepted at the lowered cut, accepted leaving out more items than it
+/// kept, and the fall-back.
 #[test]
 fn a_left_out_bound_the_solver_accepts_leaves_the_full_dp_unchanged() {
     let (mut ad, mut dp, mut full) = (AdaptiveScratch::new(), DpScratch::new(), DpScratch::new());
     let mut reached = [0u32; 3];
     let mut first_left_something_out = 0u32;
-    run_cases("left_out_vs_dp", 1024, |case, rng| {
-        let (items, cap) = arb_left_out_case(case, rng);
+    let mut accepted_leaving_most_out = 0u32;
+    // 1 024 cases of the four mixed shapes, then 256 a cut leaves
+    // mostly out.
+    run_cases("left_out_vs_dp", 1280, |case, rng| {
+        let (items, cap) = if case < 1024 {
+            arb_left_out_case(case, rng)
+        } else {
+            arb_mostly_left_out(rng)
+        };
         let want = DpByCapacity.solve_into(&items, cap, &mut full);
         let mut sizes: Vec<u64> = items.iter().map(Item::size).collect();
         sizes.sort_unstable();
@@ -572,6 +610,9 @@ fn a_left_out_bound_the_solver_accepts_leaves_the_full_dp_unchanged() {
                     if stage == 0 && kept.len() < items.len() {
                         first_left_something_out += 1;
                     }
+                    if 2 * kept.len() < items.len() {
+                        accepted_leaving_most_out += 1;
+                    }
                     break;
                 }
                 None => {
@@ -591,6 +632,10 @@ fn a_left_out_bound_the_solver_accepts_leaves_the_full_dp_unchanged() {
         "no first cut left anything out: {reached:?}"
     );
     assert!(reached[1] > 0, "no lowered cut was accepted: {reached:?}");
+    assert!(
+        accepted_leaving_most_out > 0,
+        "no accepted cut left out more items than it kept: {reached:?}"
+    );
     assert!(
         reached[2] > 0,
         "no split fell back to the whole instance: {reached:?}"

@@ -144,8 +144,7 @@ for entry in 'planner/round/adaptive' 'planner/round/adaptive_lifecycle' \
              'planner/massive/build_incremental_zipf/100000' \
              'planner/massive/observe/full/100000' \
              'planner/massive/observe/changed/100000' \
-             'planner/massive/round_incremental/100000' \
-             'planner/massive/solve_only/100000'; do
+             'planner/massive/round_incremental/100000'; do
     grep -q "\"$entry\"" BENCH_planner.json \
         || { echo "error: BENCH_planner.json missing $entry" >&2; exit 1; }
 done
