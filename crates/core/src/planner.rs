@@ -144,9 +144,7 @@ impl OnDemandPlanner {
         recorder: &R,
     ) -> Result<(), Error> {
         check_plan_table(catalog, budget)?;
-        scratch.aggregate(requests, catalog, self.scoring, recency, None);
-        scratch.assemble_requested(catalog);
-        scratch.drain_requested(|_, _, _| {});
+        scratch.assemble_requests(requests, catalog, self.scoring, recency);
         self.solve_assembled(budget, scratch, recorder);
         Ok(())
     }

@@ -136,14 +136,20 @@ impl PlannerScratch {
         self.requested.resize(num_objects.div_ceil(64), 0);
     }
 
+    /// Size only what [`Self::aggregate`] fills when it sums no profit.
+    pub(crate) fn reserve_aggregation(&mut self, num_objects: usize) {
+        self.per_score.resize(num_objects, 0.0);
+        self.per_count.resize(num_objects, 0);
+        self.requested.resize(num_objects.div_ceil(64), 0);
+    }
+
     /// A batch round's one pass over its requests. Per requested object
     /// it sums, in request order, the request count, the knapsack profit
-    /// `Σ(1 − s)` with `s = score(recency[o], target)` against the
-    /// recency the planner sees, and `Σ s'` with `s'` the score at the
-    /// recency the request is served at: `truth` of the object when
-    /// given (an estimator station scores a second time, against the
-    /// true recency), else `s` itself. The profits wait for
-    /// [`Self::assemble_requested`], the counts and served scores for
+    /// `Σ(1 − s)` with `s = score(recency[o], target)` when `profit` asks
+    /// for it (a policy without a planner reads none), and `Σ s'` with
+    /// `s'` the score at the recency the request is served at: `truth`'s
+    /// when given (an estimator station's), else `s`. The profits wait
+    /// for [`Self::assemble_requested`], the rest for
     /// [`Self::drain_requested`]. Never inlined: the round's longest
     /// loop compiles the same wherever it is called from.
     ///
@@ -161,6 +167,7 @@ impl PlannerScratch {
         catalog: &Catalog,
         scoring: ScoringFunction,
         recency: &[f64],
+        profit: bool,
         truth: Option<&dyn Fn(ObjectId) -> f64>,
     ) {
         let n = catalog.len();
@@ -170,11 +177,13 @@ impl PlannerScratch {
             recency.len()
         );
         if self.per_count.len() < n {
-            self.reserve(n, 0);
+            self.reserve_aggregation(n);
         }
-        let profit = &mut self.items;
-        profit.clear();
-        profit.resize(n, Item::new(0, 0.0));
+        let profits = &mut self.items;
+        profits.clear();
+        if profit {
+            profits.resize(n, Item::new(0, 0.0));
+        }
         let (count, score) = (&mut self.per_count[..n], &mut self.per_score[..n]);
         let requested = &mut self.requested;
         for r in requests {
@@ -182,13 +191,29 @@ impl PlannerScratch {
             assert!(o < n, "{} not in catalog", r.object);
             let s = scoring.score(recency[o], r.target_recency);
             count[o] += 1;
-            profit[o] = Item::new(0, profit[o].profit() + (1.0 - s));
+            if profit {
+                profits[o] = Item::new(0, profits[o].profit() + (1.0 - s));
+            }
             score[o] += match truth {
                 None => s,
                 Some(truth) => scoring.score(truth(r.object), r.target_recency),
             };
             requested[o / 64] |= 1 << (o % 64);
         }
+    }
+
+    /// A standalone plan's instance: the batch aggregated and assembled,
+    /// the columns only a serve reads left cleared.
+    pub(crate) fn assemble_requests(
+        &mut self,
+        requests: &[GeneratedRequest],
+        catalog: &Catalog,
+        scoring: ScoringFunction,
+        recency: &[f64],
+    ) {
+        self.aggregate(requests, catalog, scoring, recency, true, None);
+        self.assemble_requested(catalog);
+        self.drain_requested(|_, _, _| {});
     }
 
     /// Assemble the aggregated batch's knapsack instance into

@@ -204,9 +204,9 @@ pub struct BaseStationSim {
     recency_buf: Vec<f64>,
     downloaded: Vec<ObjectId>,
     /// Per-object "requests park" mark, all false between rounds: a
-    /// batch round's serve sets it on the objects whose requests wait on
-    /// a transfer, and the park pass reads it once per request and
-    /// clears it.
+    /// batch round's serve sets it, the park pass reads and clears it.
+    /// A byte an object, not a bit: with a bitset here (or none) the
+    /// benchmark's `station-paper` heap top steps ~1.7 MB at pass 36.
     parked: Vec<bool>,
     /// Objects the planner must not origin-fetch this round (sorted
     /// ascending): a regional L2 tier sets these when another cell
@@ -247,10 +247,12 @@ impl BaseStationSim {
         // pipeline's full-DP fallback) stays off the heap. Budgets past
         // the catalog's total size are equivalent to it (the solvers
         // clamp the capacity), so the reserve clamps too. A policy
-        // without a planner still aggregates its batches there.
+        // without a planner only aggregates its batches there.
         let mut scratch = PlannerScratch::new();
-        let budget = policy.unit_budget().unwrap_or(0);
-        scratch.reserve(catalog.len(), budget.min(catalog.total_size()));
+        match policy.unit_budget() {
+            Some(budget) => scratch.reserve(catalog.len(), budget.min(catalog.total_size())),
+            None => scratch.reserve_aggregation(catalog.len()),
+        }
         // Everything per-object — the aggregation columns, the cache's
         // tables, the recency column, the download buffer, the change
         // set — is sized from the catalog here, once: no round grows any
@@ -413,9 +415,7 @@ impl BaseStationSim {
     /// True current recency of every object's cached copy: decayed once
     /// per missed server update; 0.0 when the object is not cached.
     pub fn recency_vec(&self) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.fill_recency(&mut out);
-        out
+        self.catalog.ids().map(|id| self.true_recency(id)).collect()
     }
 
     /// The recency vector the *planner* sees: the truth under
@@ -426,33 +426,17 @@ impl BaseStationSim {
         out
     }
 
-    /// Fill `out` with [`Self::recency_vec`] without allocating (beyond
-    /// `out`'s own first growth).
-    fn fill_recency(&self, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(self.catalog.ids().map(|id| self.true_recency(id)));
-    }
-
     /// Fill `out` with [`Self::estimated_recency_vec`] without
     /// allocating beyond `out`'s own capacity growth; the round kernel
     /// reuses one buffer across ticks.
     fn estimated_recency_into(&self, out: &mut Vec<f64>) {
-        match &self.estimation {
-            Estimation::Oracle => self.fill_recency(out),
-            Estimation::Estimator(est) => {
-                let now = SimTime::from_ticks(self.tick);
-                out.clear();
-                out.extend(self.catalog.ids().map(|id| match self.cache.peek(id) {
-                    Some(entry) => est.estimate(id, entry, now),
-                    None => 0.0,
-                }));
-            }
-        }
+        out.clear();
+        out.extend(self.catalog.ids().map(|id| self.estimated_recency_of(id)));
     }
 
-    /// One slot of [`Self::estimated_recency_vec`] (the same arms as the
-    /// fill above, so the same float), for callers — the cluster's
-    /// demand probe — that ask about a round's requested objects only.
+    /// One slot of [`Self::estimated_recency_vec`], for callers — the
+    /// cluster's demand probe — that ask about a round's requested
+    /// objects only.
     pub fn estimated_recency_of(&self, id: ObjectId) -> f64 {
         match &self.estimation {
             Estimation::Oracle => self.true_recency(id),
@@ -778,12 +762,12 @@ impl BaseStationSim {
             // whose planner sees a belief, scores a second time.
             let (cache, server) = (&self.cache, &self.server);
             let truth = |id| Self::recency_in(cache, server, id);
-            let truth: Option<&dyn Fn(ObjectId) -> f64> = match self.estimation {
-                Estimation::Oracle => None,
-                Estimation::Estimator(_) => Some(&truth),
-            };
+            let estimator = matches!(self.estimation, Estimation::Estimator(_));
+            let truth = estimator.then_some(&truth as &dyn Fn(ObjectId) -> f64);
+            let profit = policy.planner().is_some();
+            let (catalog, scoring) = (&self.catalog, self.scoring);
             self.scratch
-                .aggregate(requests, &self.catalog, self.scoring, recency, truth);
+                .aggregate(requests, catalog, scoring, recency, profit, truth);
         }
         if let Some(planner) = policy.planner() {
             match source {
@@ -958,31 +942,26 @@ impl BaseStationSim {
     }
 
     /// Stage 5: answer the round's requests from the (possibly just
-    /// refreshed) cache, one visit per requested object — every request
-    /// a round gets for an object is answered from the same copy. An
-    /// engine feeds its standing tables
+    /// refreshed) cache, one visit per requested object, ascending:
+    /// every request a round gets for an object is answered from the
+    /// same copy. An engine feeds its standing tables
     /// ([`RoundEngine::for_each_active`]), a batch the rows its plan
-    /// stage aggregated; either way an object comes with its request
-    /// count, the recency it is served at (the truth) and the Σ score of
-    /// its requests there. Merge cursors walk this round's downloads
-    /// and, for an engine under a carrying ledger, its arrivals beside
-    /// the ascending objects. Per object, all its requests are in
-    /// exactly one state:
+    /// stage aggregated: an object's request count, the recency it is
+    /// served at (the truth) and its requests' Σ score there. Merge
+    /// cursors walk the round's downloads and, for an engine under a
+    /// carrying ledger, its arrivals. All of an object's requests are
+    /// * downloaded and landed — served at 1.0;
+    /// * waiting on a transfer launched this round or earlier (then
+    ///   coalesced) — the one arm that depends on the source: a
+    ///   standing population counts them as waiting, a one-shot batch
+    ///   parks each of them ([`Self::park`]) when its copy is stale; an
+    ///   estimator may launch a current copy, whose requests a batch
+    ///   serves at once, not as hits;
+    /// * or served at their recency: after their wait when an engine
+    ///   object's transfer landed this round, else as hits.
     ///
-    /// * downloaded and landed — served at recency (hence score) 1.0:
-    ///   the cache was just refreshed to the current version;
-    /// * launched this round, or riding a transfer launched earlier —
-    ///   waiting (the latter coalesced). The one arm that depends on the
-    ///   source: a standing population counts its requests as waiting
-    ///   and re-serves them in the arrival round; a one-shot batch parks
-    ///   each of them on the transfer ([`Self::park`]);
-    /// * otherwise served at its recency — after its wait, when an
-    ///   engine object's transfer arrived this round (a batch's requests
-    ///   were issued this round, so a copy that landed is a hit).
-    ///
-    /// Each object adds `n · x` and its Σ score to the round's tallies,
-    /// in ascending object order: the tally's one definition, whichever
-    /// the source.
+    /// Each object adds `n · x` and its Σ score to the round's tallies:
+    /// the tally's one definition, whichever the source.
     fn serve(
         &mut self,
         round: &mut Round<'_>,
@@ -1033,6 +1012,8 @@ impl BaseStationSim {
                     .times(n.min(u64::from(u32::MAX)) as u32)
             };
             let cached_version = || Self::serve_version(cache, server, object);
+            let joins =
+                x < 1.0 && flight.is_some_and(|l| l.joinable(object, server.version_of(object)));
             if downloaded_now && flight.is_none() {
                 round.recency.push_n(1.0, n);
                 round.score.push_n(1.0, n);
@@ -1040,9 +1021,7 @@ impl BaseStationSim {
                 if observed {
                     recorder.lifecycle(event(Transition::Served, cached_version()));
                 }
-            } else if downloaded_now
-                || x < 1.0 && flight.is_some_and(|l| l.joinable(object, server.version_of(object)))
-            {
+            } else if joins || downloaded_now && !park {
                 if park {
                     return true;
                 }
@@ -1079,7 +1058,11 @@ impl BaseStationSim {
                         recorder.lifecycle(served.at_launch(launched_at));
                     }
                 } else {
-                    round.out.cache_hits += count;
+                    // A batch object launched this round whose copy was
+                    // current anyway is served at once, but not a hit.
+                    if !downloaded_now {
+                        round.out.cache_hits += count;
+                    }
                     round.out.served_immediately += count;
                     if observed {
                         recorder.lifecycle(event(Transition::Served, cached_version()));
@@ -1116,10 +1099,9 @@ impl BaseStationSim {
     }
 
     /// The park pass of a batch round under a carrying ledger: one walk
-    /// of the requests, in request order, that parks each request whose
-    /// object the serve left marked on the object's newest transfer — so
-    /// every transfer's waiters queue in the order their requests came —
-    /// and then clears the marks.
+    /// of the requests, in request order, parking each whose object the
+    /// serve left marked on the object's newest transfer (so waiters
+    /// queue in the order their requests came), then clearing the marks.
     fn park(
         &mut self,
         round: &mut Round<'_>,
@@ -1128,10 +1110,7 @@ impl BaseStationSim {
     ) {
         let tick = round.tick;
         let mut joined = 0usize;
-        for r in requests {
-            if !self.parked[r.object.index()] {
-                continue;
-            }
+        for r in requests.iter().filter(|r| self.parked[r.object.index()]) {
             let launched_at = ledger.join(r.object, r.target_recency, tick);
             if round.observing {
                 // The serve's `joinable` matched the server's version.
@@ -1485,23 +1464,45 @@ mod tests {
         assert_eq!(out.average_score, 1.0);
     }
 
+    /// A transfer as [`assert_serve_matches_per_request_reference`]
+    /// follows it: what it fetches, when it lands, and the targets of
+    /// the requests parked on it, in join order.
+    struct ReferenceTransfer {
+        object: ObjectId,
+        version: Version,
+        launched_at: u64,
+        arrives_at: u64,
+        waiters: Vec<f64>,
+    }
+
     /// Drive `s` for 240 rounds of random batches with irregular update
     /// waves, checking every round's serve against a reference computed
     /// per request, independently of the station's columns: a cache
     /// probe (`true_recency`), a textbook `score` and a `contains` scan
-    /// of the download list per request. The tally's definition is the
-    /// serve's: each object's scores summed in request order, the
+    /// of the download list per request. Under a carrying ledger the
+    /// reference keeps its own list of transfers (each round's launches,
+    /// read off the ledger in launch order, with their arrival rounds):
+    /// a request parks, in request order, on its object's newest
+    /// transfer when that fetches the server's version and the copy it
+    /// would be served is stale, and a landed transfer's waiters are
+    /// served, in launch then join order, at the landed version's
+    /// recency. The tally's definition is the serve's: the waiters
+    /// first, then each object's scores summed in request order, the
     /// objects' sums — and each object's `n · x` recency — added in
     /// ascending object order, the round's means the plain `Σ / n` and
     /// the lifetime stats the rounds' sums added up. Nothing mutates the
     /// cache or the server between the serve stage and the end of
     /// `step`, so probing afterwards reads exactly what the serve stage
-    /// saw.
-    fn assert_serve_matches_per_request_reference(mut s: BaseStationSim, label: &str) {
+    /// saw. Returns how many requests were for an object launched in
+    /// their round under a carrying ledger whose copy was current
+    /// anyway (served at once, not parked).
+    fn assert_serve_matches_per_request_reference(mut s: BaseStationSim, label: &str) -> usize {
         let objects = s.catalog().len() as u32;
         let mut rng = basecache_sim::RngStreams::new(0x5E27E).stream(label);
         let (mut recency_total, mut score_total) = (0.0, 0.0);
-        let mut served_total = 0u64;
+        let (mut served_total, mut waited_total, mut joined_total) = (0u64, 0u64, 0u64);
+        let mut transfers = std::collections::VecDeque::<ReferenceTransfer>::new();
+        let mut current_launches = 0;
         for round in 0..240u32 {
             if round % 3 == 1 || round % 7 == 0 {
                 s.apply_update_wave();
@@ -1515,6 +1516,7 @@ mod tests {
                     target_recency: rng.random_range(0.05f64..=1.0),
                 })
                 .collect();
+            let tick = s.tick();
             let out = s.step(&requests);
 
             let downloaded = s.last_downloaded();
@@ -1522,24 +1524,61 @@ mod tests {
                 downloaded.windows(2).all(|w| w[0] < w[1]),
                 "{label} round {round}: {downloaded:?} is not ascending"
             );
+            let (mut recency, mut score) = (0.0, 0.0);
+            let mut waited = 0;
+            while transfers.front().is_some_and(|t| t.arrives_at <= tick) {
+                let t = transfers.pop_front().expect("checked non-empty");
+                let x = recency_for_lag(t.version.lag(s.server().version_of(t.object)));
+                for &target in &t.waiters {
+                    recency += x;
+                    score += s.scoring.score(x, target);
+                    waited += 1;
+                }
+            }
+            let carrying = s.flight_ledger().filter(|l| !l.is_instant());
+            if let Some(ledger) = carrying {
+                ledger.for_each_active(|a| {
+                    if a.launched_at == tick {
+                        transfers.push_back(ReferenceTransfer {
+                            object: a.object,
+                            version: a.version,
+                            launched_at: a.launched_at,
+                            arrives_at: a.arrives_at,
+                            waiters: Vec::new(),
+                        });
+                    }
+                });
+            }
             let mut per_object = std::collections::BTreeMap::new();
-            let mut hits = 0;
+            let (mut hits, mut joined) = (0, 0);
             for r in &requests {
                 let x = s.true_recency(r.object);
+                let current = s.server().version_of(r.object);
+                let newest = transfers.iter_mut().rev().find(|t| t.object == r.object);
+                if let Some(t) = newest.filter(|t| t.version == current && x < 1.0) {
+                    t.waiters.push(r.target_recency);
+                    joined += usize::from(t.launched_at < tick);
+                    continue;
+                }
+                let launched = downloaded.contains(&r.object);
+                current_launches += usize::from(launched && carrying.is_some());
                 let (n, score) = per_object.entry(r.object).or_insert((0u64, 0.0));
                 *n += 1;
                 *score += s.scoring.score(x, r.target_recency);
-                hits += usize::from(!downloaded.contains(&r.object));
+                hits += usize::from(!launched);
             }
-            let (mut recency, mut score) = (0.0, 0.0);
+            let mut immediate = 0;
             for (&object, &(n, object_score)) in &per_object {
                 recency += s.true_recency(object) * n as f64;
                 score += object_score;
+                immediate += n as usize;
             }
-            let n = requests.len() as u64;
+            let n = (waited + immediate) as u64;
             recency_total += recency;
             score_total += score;
             served_total += n;
+            waited_total += waited as u64;
+            joined_total += joined as u64;
             let bits = |sum: f64| if n == 0 { 1.0 } else { sum / n as f64 }.to_bits();
             assert_eq!(
                 out.average_recency.to_bits(),
@@ -1551,16 +1590,34 @@ mod tests {
                 bits(score),
                 "{label} round {round}"
             );
+            let still_waiting = transfers.iter().map(|t| t.waiters.len()).sum::<usize>();
             assert_eq!(
-                (out.served, out.served_immediately, out.cache_hits),
-                (requests.len(), requests.len(), hits),
+                (out.served, out.served_immediately, out.served_after_wait),
+                (waited + immediate, immediate, waited),
                 "{label} round {round}"
             );
+            assert_eq!(
+                (out.cache_hits, out.joined, out.still_waiting),
+                (hits, joined, still_waiting),
+                "{label} round {round}"
+            );
+            // Every transfer carries the requests the reference parked
+            // on it.
+            let mut carried = Vec::new();
+            if let Some(ledger) = carrying {
+                ledger.for_each_active(|a| carried.push((a.object, a.launched_at, a.waiters)));
+            }
+            let expected: Vec<_> = transfers
+                .iter()
+                .map(|t| (t.object, t.launched_at, t.waiters.len()))
+                .collect();
+            assert_eq!(carried, expected, "{label} round {round}");
             assert!(
                 s.scratch.requested().next().is_none()
+                    && !s.parked.contains(&true)
                     && s.scratch.per_count.iter().all(|&n| n == 0)
                     && s.scratch.per_score.iter().all(|&sum| sum == 0.0),
-                "{label} round {round}: the aggregation must be cleared between rounds"
+                "{label} round {round}: the aggregation and the park marks must be cleared"
             );
         }
         let total = |sum| Sums {
@@ -1569,6 +1626,16 @@ mod tests {
         };
         assert_eq!(s.stats().recency, total(recency_total), "{label}");
         assert_eq!(s.stats().score, total(score_total), "{label}");
+        assert_eq!(
+            (
+                s.stats().requests_served,
+                s.stats().waited,
+                s.stats().joined
+            ),
+            (served_total, waited_total, joined_total),
+            "{label}"
+        );
+        current_launches
     }
 
     #[test]
@@ -1597,6 +1664,40 @@ mod tests {
             Policy::AsyncRoundRobin { k_objects: 5 },
         );
         assert_serve_matches_per_request_reference(s, "serve-parity/round-robin");
+    }
+
+    #[test]
+    fn serve_columns_match_per_request_probes_on_a_misled_in_flight_station() {
+        use crate::estimator::TtlEstimator;
+
+        // The TTL ages copies by elapsed time, so the planner launches
+        // copies that are still current; their requests are served at
+        // once, while a stale copy's park on its transfer.
+        let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio);
+        let s = StationBuilder::new(Catalog::from_sizes(&[1, 3, 2, 5, 1, 4, 2, 2, 3, 1, 6, 2]))
+            .on_demand(planner, 7)
+            .estimator(Box::new(TtlEstimator::new(1)))
+            .in_flight(InFlightConfig::coalescing(7))
+            .build()
+            .expect("test configurations are valid");
+        let current = assert_serve_matches_per_request_reference(s, "serve-parity/ttl-in-flight");
+        assert!(
+            current > 0,
+            "no request met a launched copy that was current"
+        );
+    }
+
+    #[test]
+    fn serve_columns_match_per_request_probes_on_a_naive_in_flight_station() {
+        // No single-flight: the planner may launch an object already on
+        // the wire, and its requests park on the newest transfer.
+        let planner = OnDemandPlanner::new(ScoringFunction::Exponential);
+        let s = StationBuilder::new(Catalog::from_sizes(&[2, 1, 3, 1, 2, 4, 1, 2, 5, 1]))
+            .on_demand(planner, 6)
+            .in_flight(InFlightConfig::naive(4))
+            .build()
+            .expect("test configurations are valid");
+        assert_serve_matches_per_request_reference(s, "serve-parity/naive-in-flight");
     }
 
     #[test]

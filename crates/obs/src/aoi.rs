@@ -197,11 +197,10 @@ impl Recorder for AoiRecorder {
                     return;
                 }
                 let age = event.tick.saturating_sub(origin);
-                // A serve group of `count` requests: the distribution's
-                // moments and the top-K weight count every request (the
-                // age its client suffered), so a round reports the same
-                // mean whether it serves per request or per object.
-                st.at_serve.push_n(age as f64, u64::from(event.count));
+                // One observation per (object, round) serve group — the
+                // same granularity the staleness channels use; the top-K
+                // weight still accounts for every request via `count`.
+                st.at_serve.push(age as f64);
                 st.topk
                     .update(event.object, age.saturating_mul(u64::from(event.count)));
                 st.peak_aoi = st.peak_aoi.max(age);

@@ -39,16 +39,6 @@ impl Dist {
         self.max = self.max.max(x);
     }
 
-    /// Record `n` observations of `x` at once — a group of `n` clients
-    /// who got the same value. The count, mean and spread weigh each of
-    /// them; the p95 estimate, updated per call, takes the group once.
-    pub(crate) fn push_n(&mut self, x: f64, n: u64) {
-        self.welford.push_n(x, n);
-        self.p95.push(x);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
     /// Export as a named sample summary, `None` if never pushed.
     pub(crate) fn summary(&self, name: &'static str) -> Option<SampleSnapshot> {
         let count = self.welford.count();
