@@ -1,7 +1,7 @@
 //! The knapsack crate's bench record, `BENCH_knapsack.json`.
 //!
-//! Exact DP (with and without trace) and greedy across instance sizes
-//! and capacities: the exact-vs-approximate planning cost.
+//! Exact DP (with and without trace, on fresh and on warm scratch)
+//! across instance sizes and capacities.
 //!
 //! `knapsack/adaptive/*` times [`AdaptiveSolver`] alone, on warm scratch,
 //! at the two shapes the traced `benchmark/run.sh` rounds hand it: a
@@ -17,9 +17,7 @@ use std::hint::black_box;
 
 use basecache_bench::harness::{bench, write_record, Measurement};
 use basecache_bench::{knapsack_instance, round_shaped_items};
-use basecache_knapsack::{
-    AdaptiveScratch, AdaptiveSolver, DpByCapacity, DpScratch, GreedyDensity, Item, Solver,
-};
+use basecache_knapsack::{AdaptiveScratch, AdaptiveSolver, DpByCapacity, DpScratch, Item, Solver};
 
 fn bench_adaptive(results: &mut Vec<Measurement>) {
     // A station's budget is an eighth of its catalog; the engine's is fixed.
@@ -57,9 +55,6 @@ fn bench_solvers_by_n(results: &mut Vec<Measurement>) {
         let mut scratch = DpScratch::new();
         results.push(bench(&format!("knapsack/by_items/dp_scratch/{n}"), || {
             black_box(DpByCapacity.solve_into(inst.items(), capacity, &mut scratch))
-        }));
-        results.push(bench(&format!("knapsack/by_items/greedy/{n}"), || {
-            black_box(GreedyDensity.solve(&inst, capacity))
         }));
     }
 }

@@ -62,8 +62,6 @@ pub struct MassiveScale {
     pub churn: usize,
     /// Timed samples per measurement (these are whole-round benches).
     pub samples: usize,
-    /// Contiguous id-range shards of the engine's object table.
-    pub shards: usize,
 }
 
 /// The headline scale: 100k objects, 1M requests, 0.5% churn.
@@ -73,7 +71,6 @@ pub const FULL: MassiveScale = MassiveScale {
     budget: 2000,
     churn: 500,
     samples: 5,
-    shards: 16,
 };
 
 /// Reduced scale for `scripts/check.sh` (`massive --smoke`): the same
@@ -84,7 +81,6 @@ pub const SMOKE: MassiveScale = MassiveScale {
     budget: 200,
     churn: 10,
     samples: 3,
-    shards: 4,
 };
 
 /// The headline figures derived from the massive benches.
@@ -123,15 +119,9 @@ fn fixture(scale: &MassiveScale) -> (Catalog, StandingWorkload, Vec<ObjectId>, V
     (catalog, workload, objects, targets, recency)
 }
 
-/// A warm, sharded engine holding the standing population.
-fn build_engine(
-    scale: &MassiveScale,
-    catalog: &Catalog,
-    objects: &[ObjectId],
-    targets: &[f64],
-) -> RoundEngine {
-    let mut engine =
-        RoundEngine::new(catalog, ScoringFunction::InverseRatio).with_shards(scale.shards);
+/// A warm engine holding the standing population.
+fn build_engine(catalog: &Catalog, objects: &[ObjectId], targets: &[f64]) -> RoundEngine {
+    let mut engine = RoundEngine::new(catalog, ScoringFunction::InverseRatio);
     engine.push_columns(objects, targets);
     engine
 }
@@ -170,7 +160,7 @@ impl Rounds {
                 .on_demand(OnDemandPlanner::paper_default(), scale.budget)
                 .build()
                 .expect("valid configuration"),
-            engine: build_engine(scale, catalog, objects, targets),
+            engine: build_engine(catalog, objects, targets),
             updates: RngStreams::new(0x3A55).stream("massive/updates"),
             cursor: 0,
         }
@@ -215,7 +205,7 @@ pub fn bench_massive(scale: &MassiveScale, results: &mut Vec<Measurement>) -> Ma
 
     // --- build_full_rebuild: the pinned reference, every round from
     // scratch. One scratch per engine so instance assembly is warm too.
-    let mut engine = build_engine(scale, &catalog, &objects, &targets);
+    let mut engine = build_engine(&catalog, &objects, &targets);
     let mut scratch = PlannerScratch::new();
     scratch.reserve(catalog.len(), scale.budget);
     let full = bench_n(
@@ -239,7 +229,7 @@ pub fn bench_massive(scale: &MassiveScale, results: &mut Vec<Measurement>) -> Ma
     // *objects* drags in a far larger share of *requests* — the honest
     // hard case).
     let bench_incremental = |name: &str, ops: &[ChurnOp], scratch: &mut PlannerScratch| {
-        let mut engine = build_engine(scale, &catalog, &objects, &targets);
+        let mut engine = build_engine(&catalog, &objects, &targets);
         engine.observe_recency(&recency);
         engine.rescore(); // settle: from here on, only churn is dirty
         let mut cursor = 0usize;
@@ -278,7 +268,7 @@ pub fn bench_massive(scale: &MassiveScale, results: &mut Vec<Measurement>) -> Ma
         moved[object.index()] *= 0.5;
     }
     let bench_observe = |name: &str, listed: bool| {
-        let mut engine = build_engine(scale, &catalog, &objects, &targets);
+        let mut engine = build_engine(&catalog, &objects, &targets);
         engine.observe_recency(&recency);
         engine.rescore();
         let mut flip = false;

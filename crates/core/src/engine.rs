@@ -9,22 +9,22 @@
 //! 1M standing requests) it dominates the round now that the adaptive
 //! solver has made the solve itself cheap.
 //!
-//! The engine replaces per-round reconstruction with four mechanisms:
+//! The engine replaces per-round reconstruction with three mechanisms:
 //!
 //! 1. **Struct-of-arrays tables.** Object state lives in parallel
-//!    columns — size, recency, per-object request targets, profit,
-//!    score tally (whose count is the request count) — sharded into
-//!    contiguous id ranges. The hot loops (rescore, assemble,
-//!    serve) stream over dense arrays instead of chasing a map, and each
-//!    object's work is what it needs: rescore folds a fresh copy's
-//!    targets without visiting them and scores the rest in branch-free
-//!    chunks ([`ScoringFunction`]'s batched fold), assemble reads the
-//!    band column a word of 32 objects at a time and emits only the
-//!    objects that enter, and serve adds the score sums rescore cached
-//!    instead of rescoring every request.
-//! 2. **Incremental instance build.** A per-shard dirty set tracks
-//!    exactly the objects whose inputs changed since the last round:
-//!    recency movement (which is how cache refreshes and server updates
+//!    columns indexed by object id — size, recency, per-object request
+//!    targets, profit, score tally (whose count is the request count).
+//!    The hot loops (rescore, assemble, serve) stream over dense arrays
+//!    in id order instead of chasing a map, and each object's work is
+//!    what it needs: rescore folds a fresh copy's targets without
+//!    visiting them and scores the rest in branch-free chunks
+//!    ([`ScoringFunction`]'s batched fold), assemble reads the band
+//!    column a word of 32 objects at a time and emits only the objects
+//!    that enter, and serve adds the score sums rescore cached instead
+//!    of rescoring every request. A warm round allocates nothing.
+//! 2. **Incremental instance build.** A dirty set tracks exactly the
+//!    objects whose inputs changed since the last round: recency
+//!    movement (which is how cache refreshes and server updates
 //!    manifest), request pushes/clears, and retargets. Only dirty
 //!    objects are rescored; every other column entry carries forward
 //!    **bit-identically** — the fold that produced it would be replayed
@@ -32,11 +32,7 @@
 //!    the engine to a full-rebuild reference path, which the parity
 //!    tests (`tests/engine_parity.rs`) pin against the incremental
 //!    path.
-//! 3. **Shards.** Each shard holds one contiguous id range
-//!    ([`RoundEngine::with_shards`]); rescore and assembly walk them in
-//!    index order. The shard count never changes a result, and a warm
-//!    round allocates nothing.
-//! 4. **A density histogram that picks the candidates.** Each object
+//! 3. **A density histogram that picks the candidates.** Each object
 //!    with positive profit sits in a density band
 //!    ([`basecache_knapsack::density_band`], 16 an octave), and each band
 //!    keeps the size sum and count of its objects; rescore moves every
@@ -92,7 +88,7 @@
 //!
 //! The derived columns are read ([`RoundEngine::assemble_into`],
 //! [`RoundEngine::for_each_active`]) only after [`RoundEngine::rescore`]
-//! has drained every dirty set; debug builds assert it.
+//! has drained the dirty set; debug builds assert it.
 
 use std::collections::BTreeSet;
 
@@ -133,12 +129,31 @@ impl Histogram {
     }
 }
 
-/// One contiguous range of the object table: parallel columns indexed
-/// by `object - base`, plus the shard's slice of the dirty set.
+/// One active (requested) object's columnar serve-time view, yielded by
+/// [`RoundEngine::for_each_active`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ActiveObject {
+    /// The object.
+    pub object: ObjectId,
+    /// Its last observed cache recency.
+    pub recency: f64,
+    /// The tally of `score(recency, target)` over its requests: their
+    /// count (its standing requests) and Σ score.
+    pub scores: Sums,
+    /// Σ `1 − score` over its requests (knapsack profit).
+    pub profit: f64,
+    /// Its size in data units.
+    pub size: u64,
+}
+
+/// Struct-of-arrays object/request table with incremental instance
+/// construction: parallel columns indexed by object id. See the module
+/// docs for the design; see
+/// [`crate::station::BaseStationSim::step_engine`] for the full round
+/// built on top.
 #[derive(Debug)]
-struct Shard {
-    /// First object id in this shard.
-    base: u32,
+pub struct RoundEngine {
+    scoring: ScoringFunction,
     /// Object sizes in data units.
     sizes: Vec<u64>,
     /// Last observed (estimated) cache recency per object.
@@ -155,102 +170,10 @@ struct Shard {
     /// Density band of `profit / size` ([`density_band`]), stored at rescore
     /// beside the profit it is derived from.
     band: Vec<u16>,
-    /// Local indices awaiting rescore, in marking order.
-    dirty: Vec<u32>,
-    /// Dedup flags parallel to the columns.
-    is_dirty: Vec<bool>,
-}
-
-impl Shard {
-    fn new(base: u32, sizes: &[u64]) -> Self {
-        let n = sizes.len();
-        Self {
-            base,
-            sizes: sizes.to_vec(),
-            recency: vec![0.0; n],
-            targets: vec![Vec::new(); n],
-            profit: vec![0.0; n],
-            scores: vec![Sums::new(); n],
-            band: vec![0; n],
-            dirty: Vec::with_capacity(n),
-            is_dirty: vec![false; n],
-        }
-    }
-
-    #[inline]
-    fn mark_dirty(&mut self, local: usize) {
-        if !self.is_dirty[local] {
-            self.is_dirty[local] = true;
-            self.dirty.push(local as u32);
-        }
-    }
-
-    /// Store an observed recency whose bits moved; a requested object
-    /// becomes dirty.
-    #[inline]
-    fn observe(&mut self, local: usize, recency: f64) {
-        if recency.to_bits() != self.recency[local].to_bits() {
-            self.recency[local] = recency;
-            if !self.targets[local].is_empty() {
-                self.mark_dirty(local);
-            }
-        }
-    }
-
-    /// Recompute profit, density band and the score tally for every
-    /// dirty object, folding its targets in storage order (the
-    /// bit-parity contract), and move the object between the
-    /// histogram's bands; then clear the dirty set. Returns the
-    /// requests rescored.
-    fn rescore(&mut self, scoring: ScoringFunction, histogram: &mut Histogram) -> u64 {
-        let mut rescored = 0u64;
-        for &local in &self.dirty {
-            let l = local as usize;
-            let n = self.targets[l].len() as u64;
-            let (sum, profit) = scoring.fold(self.recency[l], &self.targets[l]);
-            self.scores[l] = Sums { count: n, sum };
-            self.profit[l] = profit;
-            let band = density_band(profit, self.sizes[l]);
-            histogram.shift(self.band[l], band, self.sizes[l]);
-            self.band[l] = band;
-            self.is_dirty[l] = false;
-            rescored += n;
-        }
-        self.dirty.clear();
-        rescored
-    }
-}
-
-/// One active (requested) object's columnar serve-time view, yielded by
-/// [`RoundEngine::for_each_active`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ActiveObject {
-    /// The object.
-    pub object: ObjectId,
-    /// Number of standing requests for it.
-    pub requests: u64,
-    /// Its last observed cache recency.
-    pub recency: f64,
-    /// The tally of `score(recency, target)` over its requests: their
-    /// count and Σ score.
-    pub scores: Sums,
-    /// Σ `1 − score` over its requests (knapsack profit).
-    pub profit: f64,
-    /// Its size in data units.
-    pub size: u64,
-}
-
-/// Struct-of-arrays object/request tables with incremental, sharded
-/// instance construction. See the module docs for the
-/// design; see [`crate::station::BaseStationSim::step_engine`] for the
-/// full round built on top.
-#[derive(Debug)]
-pub struct RoundEngine {
-    scoring: ScoringFunction,
-    shards: Vec<Shard>,
-    /// Objects per shard (the last shard may be shorter).
-    shard_size: u32,
-    num_objects: usize,
+    /// Objects awaiting rescore, one bit each (bit `o % 64` of word
+    /// `o / 64`): rescore visits them in id order, so its column reads
+    /// move forward through the table.
+    dirty: Vec<u64>,
     total_requests: u64,
     last_dirty: u64,
     last_rescored: u64,
@@ -269,10 +192,10 @@ pub struct RoundEngine {
 }
 
 impl RoundEngine {
-    /// An engine over `catalog`'s objects, scoring with `scoring`, as a
-    /// single shard.
+    /// An engine over `catalog`'s objects, scoring with `scoring`.
     pub fn new(catalog: &Catalog, scoring: ScoringFunction) -> Self {
         let sizes: Vec<u64> = catalog.ids().map(|id| catalog.size_of(id)).collect();
+        let n = sizes.len();
         // A set, not a sorted copy of `sizes`: a deduplicated copy keeps
         // the whole column's capacity for the engine's lifetime.
         let distinct_sizes: Vec<u64> = sizes
@@ -281,11 +204,15 @@ impl RoundEngine {
             .collect::<BTreeSet<_>>()
             .into_iter()
             .collect();
-        let mut engine = Self {
+        Self {
             scoring,
-            shards: Vec::new(),
-            shard_size: (sizes.len() as u32).max(1),
-            num_objects: sizes.len(),
+            sizes,
+            recency: vec![0.0; n],
+            targets: vec![Vec::new(); n],
+            profit: vec![0.0; n],
+            scores: vec![Sums::new(); n],
+            band: vec![0; n],
+            dirty: vec![0; n.div_ceil(64)],
             total_requests: 0,
             last_dirty: 0,
             last_rescored: 0,
@@ -293,41 +220,20 @@ impl RoundEngine {
             histogram: Histogram::new(),
             distinct_sizes,
             hint: u16::MAX,
-        };
-        engine.build_shards(&sizes, 1);
-        engine
+        }
     }
 
-    /// Re-shard the object table into `shards` contiguous id ranges.
-    /// Sharding never changes results: rescore and assembly walk shards
-    /// in order, objects ascending.
+    /// The engine, unchanged. The table is one set of columns indexed by
+    /// object id, which no shard count splits; the method stays for the
+    /// callers that still name one, the benchmark's engine workload
+    /// among them.
     ///
     /// # Panics
     ///
-    /// Panics if `shards == 0` or requests have already been ingested.
-    pub fn with_shards(mut self, shards: usize) -> Self {
+    /// Panics if `shards == 0`.
+    pub fn with_shards(self, shards: usize) -> Self {
         assert!(shards > 0, "need at least one shard");
-        assert_eq!(self.total_requests, 0, "re-shard before ingesting requests");
-        let sizes: Vec<u64> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.sizes.iter().copied())
-            .collect();
-        self.build_shards(&sizes, shards);
         self
-    }
-
-    fn build_shards(&mut self, sizes: &[u64], shards: usize) {
-        let n = sizes.len();
-        let per = n.div_ceil(shards.min(n.max(1))).max(1);
-        self.shard_size = per as u32;
-        self.observed = None;
-        self.histogram = Histogram::new();
-        self.shards = sizes
-            .chunks(per)
-            .enumerate()
-            .map(|(i, chunk)| Shard::new((i * per) as u32, chunk))
-            .collect();
     }
 
     /// The scoring function profits are computed with.
@@ -337,7 +243,7 @@ impl RoundEngine {
 
     /// Number of objects in the table.
     pub fn num_objects(&self) -> usize {
-        self.num_objects
+        self.sizes.len()
     }
 
     /// Total standing requests across all objects.
@@ -356,11 +262,29 @@ impl RoundEngine {
         self.last_rescored
     }
 
+    /// `object`'s index into the columns.
     #[inline]
-    fn locate(&self, object: ObjectId) -> (usize, usize) {
+    fn slot(&self, object: ObjectId) -> usize {
         let o = object.index();
-        assert!(o < self.num_objects, "{object} not in the object table");
-        (o / self.shard_size as usize, o % self.shard_size as usize)
+        assert!(o < self.sizes.len(), "{object} not in the object table");
+        o
+    }
+
+    #[inline]
+    fn mark_dirty(&mut self, o: usize) {
+        self.dirty[o / 64] |= 1 << (o % 64);
+    }
+
+    /// Store an observed recency whose bits moved; a requested object
+    /// becomes dirty.
+    #[inline]
+    fn observe(&mut self, o: usize, recency: f64) {
+        if recency.to_bits() != self.recency[o].to_bits() {
+            self.recency[o] = recency;
+            if !self.targets[o].is_empty() {
+                self.mark_dirty(o);
+            }
+        }
     }
 
     /// Add one standing request for `object` with the given target
@@ -375,10 +299,9 @@ impl RoundEngine {
             target_recency > 0.0 && target_recency <= 1.0,
             "target recency must be in (0, 1], got {target_recency}"
         );
-        let (s, l) = self.locate(object);
-        let shard = &mut self.shards[s];
-        shard.targets[l].push(target_recency);
-        shard.mark_dirty(l);
+        let o = self.slot(object);
+        self.targets[o].push(target_recency);
+        self.mark_dirty(o);
         self.total_requests += 1;
     }
 
@@ -404,12 +327,10 @@ impl RoundEngine {
     /// refilling to the previous shape does not allocate). Every object
     /// that had requests becomes dirty.
     pub fn clear_requests(&mut self) {
-        for shard in &mut self.shards {
-            for l in 0..shard.targets.len() {
-                if !shard.targets[l].is_empty() {
-                    shard.targets[l].clear();
-                    shard.mark_dirty(l);
-                }
+        for o in 0..self.targets.len() {
+            if !self.targets[o].is_empty() {
+                self.targets[o].clear();
+                self.mark_dirty(o);
             }
         }
         self.total_requests = 0;
@@ -430,21 +351,19 @@ impl RoundEngine {
             target_recency > 0.0 && target_recency <= 1.0,
             "target recency must be in (0, 1], got {target_recency}"
         );
-        let (s, l) = self.locate(object);
-        let shard = &mut self.shards[s];
-        let count = shard.targets[l].len();
+        let o = self.slot(object);
+        let count = self.targets[o].len();
         if count == 0 {
             return false;
         }
-        shard.targets[l][(slot_seed % count as u64) as usize] = target_recency;
-        shard.mark_dirty(l);
+        self.targets[o][(slot_seed % count as u64) as usize] = target_recency;
+        self.mark_dirty(o);
         true
     }
 
     /// The standing request targets for `object`, in storage order.
     pub fn targets_for(&self, object: ObjectId) -> &[f64] {
-        let (s, l) = self.locate(object);
-        &self.shards[s].targets[l]
+        &self.targets[self.slot(object)]
     }
 
     /// Absorb this round's recency vector. An object whose stored
@@ -499,11 +418,10 @@ impl RoundEngine {
             Some(changed) => self.observe_listed(recency, changed),
             None => {
                 assert!(
-                    self.shards.iter().all(|shard| {
-                        let ids = (shard.base..).map(ObjectId);
-                        ids.zip(&shard.sizes)
-                            .all(|(id, &size)| catalog.size_of(id) == size)
-                    }),
+                    (0..)
+                        .map(ObjectId)
+                        .zip(&self.sizes)
+                        .all(|(id, &size)| catalog.size_of(id) == size),
                     "engine table's sizes must match the station's catalog"
                 );
                 self.observe_all(recency);
@@ -514,28 +432,25 @@ impl RoundEngine {
 
     fn observe_all(&mut self, recency: &[f64]) {
         self.assert_covers(recency);
-        for shard in &mut self.shards {
-            let base = shard.base as usize;
-            for l in 0..shard.recency.len() {
-                shard.observe(l, recency[base + l]);
-            }
+        for (o, &r) in recency[..self.sizes.len()].iter().enumerate() {
+            self.observe(o, r);
         }
     }
 
     fn observe_listed(&mut self, recency: &[f64], changed: &[ObjectId]) {
         self.assert_covers(recency);
         for &object in changed {
-            let (s, l) = self.locate(object);
-            self.shards[s].observe(l, recency[object.index()]);
+            let o = self.slot(object);
+            self.observe(o, recency[o]);
         }
     }
 
     fn assert_covers(&self, recency: &[f64]) {
         assert!(
-            recency.len() >= self.num_objects,
+            recency.len() >= self.sizes.len(),
             "need a recency for every object ({} < {})",
             recency.len(),
-            self.num_objects
+            self.sizes.len()
         );
     }
 
@@ -545,22 +460,35 @@ impl RoundEngine {
     /// the parity tests compare the incremental path against.
     pub fn mark_all_dirty(&mut self) {
         self.observed = None;
-        for shard in &mut self.shards {
-            for l in 0..shard.is_dirty.len() {
-                shard.mark_dirty(l);
-            }
+        for o in 0..self.sizes.len() {
+            self.mark_dirty(o);
         }
     }
 
-    /// Rescore every dirty object, shard by shard. Updates
-    /// [`Self::dirty_objects`] and [`Self::rescored_requests`], and the
-    /// density histogram (debug builds check it against a recount).
+    /// Recompute profit, density band and the score tally for every
+    /// dirty object, in id order, folding its targets in storage order
+    /// (the bit-parity contract), and move the object between the
+    /// histogram's bands; then clear the dirty set. Updates
+    /// [`Self::dirty_objects`] and [`Self::rescored_requests`]; debug
+    /// builds check the histogram against a recount.
     pub fn rescore(&mut self) {
         self.last_dirty = 0;
         self.last_rescored = 0;
-        for shard in &mut self.shards {
-            self.last_dirty += shard.dirty.len() as u64;
-            self.last_rescored += shard.rescore(self.scoring, &mut self.histogram);
+        for w in 0..self.dirty.len() {
+            let mut bits = std::mem::take(&mut self.dirty[w]);
+            self.last_dirty += u64::from(bits.count_ones());
+            while bits != 0 {
+                let o = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let n = self.targets[o].len() as u64;
+                let (sum, profit) = self.scoring.fold(self.recency[o], &self.targets[o]);
+                self.scores[o] = Sums { count: n, sum };
+                self.profit[o] = profit;
+                let band = density_band(profit, self.sizes[o]);
+                self.histogram.shift(self.band[o], band, self.sizes[o]);
+                self.band[o] = band;
+                self.last_rescored += n;
+            }
         }
         #[cfg(debug_assertions)]
         self.check_histogram();
@@ -576,19 +504,12 @@ impl RoundEngine {
     fn check_histogram(&self) {
         let mut units = [0u64; BANDS as usize + 1];
         let mut objects = [0u64; BANDS as usize + 1];
-        for shard in &self.shards {
-            for (l, (&profit, &size)) in shard.profit.iter().zip(&shard.sizes).enumerate() {
-                let band = density_band(profit, size);
-                assert_eq!(
-                    shard.band[l],
-                    band,
-                    "object {}'s band",
-                    shard.base + l as u32
-                );
-                if band != 0 {
-                    units[band as usize] += size;
-                    objects[band as usize] += 1;
-                }
+        for (o, (&profit, &size)) in self.profit.iter().zip(&self.sizes).enumerate() {
+            let band = density_band(profit, size);
+            assert_eq!(self.band[o], band, "object {o}'s band");
+            if band != 0 {
+                units[band as usize] += size;
+                objects[band as usize] += 1;
             }
         }
         for band in 0..=usize::from(BANDS) {
@@ -666,13 +587,10 @@ impl RoundEngine {
     pub(crate) fn profit_sum(&self, excluded: &[ObjectId]) -> f64 {
         let mut sum = 0.0;
         let mut excluded = excluded.iter().peekable();
-        for shard in &self.shards {
-            for (l, &profit) in shard.profit.iter().enumerate() {
-                let object = ObjectId(shard.base + l as u32);
-                while excluded.next_if(|&&e| e < object).is_some() {}
-                if excluded.peek() != Some(&&object) {
-                    sum += profit;
-                }
+        for (object, &profit) in (0..).map(ObjectId).zip(&self.profit) {
+            while excluded.next_if(|&&e| e < object).is_some() {}
+            if excluded.peek() != Some(&&object) {
+                sum += profit;
             }
         }
         sum
@@ -708,28 +626,26 @@ impl RoundEngine {
         // are read and emitted.
         items.clear();
         objects.clear();
-        for shard in &self.shards {
-            let mut emit = |l: usize| {
-                items.push(Item::new(shard.sizes[l], shard.profit[l]));
-                objects.push(ObjectId(shard.base + l as u32));
-            };
-            let words = shard.band.chunks_exact(32);
-            let rest = words.remainder();
-            for (w, bands) in words.enumerate() {
-                let mut enter = 0u32;
-                for (j, &band) in bands.iter().enumerate() {
-                    enter |= u32::from(band > cut) << j;
-                }
-                while enter != 0 {
-                    emit(w * 32 + enter.trailing_zeros() as usize);
-                    enter &= enter - 1;
-                }
+        let mut emit = |o: usize| {
+            items.push(Item::new(self.sizes[o], self.profit[o]));
+            objects.push(ObjectId(o as u32));
+        };
+        let words = self.band.chunks_exact(32);
+        let rest = words.remainder();
+        for (w, bands) in words.enumerate() {
+            let mut enter = 0u32;
+            for (j, &band) in bands.iter().enumerate() {
+                enter |= u32::from(band > cut) << j;
             }
-            let tail = shard.band.len() - rest.len();
-            for (j, &band) in rest.iter().enumerate() {
-                if band > cut {
-                    emit(tail + j);
-                }
+            while enter != 0 {
+                emit(w * 32 + enter.trailing_zeros() as usize);
+                enter &= enter - 1;
+            }
+        }
+        let tail = self.band.len() - rest.len();
+        for (j, &band) in rest.iter().enumerate() {
+            if band > cut {
+                emit(tail + j);
             }
         }
     }
@@ -741,20 +657,17 @@ impl RoundEngine {
     /// [`Self::rescore`] (debug builds assert it).
     pub fn for_each_active(&self, mut f: impl FnMut(ActiveObject)) {
         self.debug_assert_rescored();
-        for shard in &self.shards {
-            for (l, &scores) in shard.scores.iter().enumerate() {
-                if scores.count == 0 {
-                    continue;
-                }
-                f(ActiveObject {
-                    object: ObjectId(shard.base + l as u32),
-                    requests: scores.count,
-                    recency: shard.recency[l],
-                    scores,
-                    profit: shard.profit[l],
-                    size: shard.sizes[l],
-                });
+        for (o, &scores) in self.scores.iter().enumerate() {
+            if scores.count == 0 {
+                continue;
             }
+            f(ActiveObject {
+                object: ObjectId(o as u32),
+                recency: self.recency[o],
+                scores,
+                profit: self.profit[o],
+                size: self.sizes[o],
+            });
         }
     }
 
@@ -762,7 +675,7 @@ impl RoundEngine {
     /// [`Self::rescore`] would hand out stale profits and tallies.
     fn debug_assert_rescored(&self) {
         debug_assert!(
-            self.shards.iter().all(|s| s.dirty.is_empty()),
+            self.dirty.iter().all(|&w| w == 0),
             "dirty objects pending: call rescore before reading the derived columns"
         );
     }
@@ -891,13 +804,12 @@ mod tests {
     }
 
     #[test]
-    fn sharding_and_full_rebuild_are_bit_identical_to_single_shard() {
+    fn full_rebuild_is_bit_identical_to_incremental() {
         let sizes: Vec<u64> = (0..97u64).map(|i| 1 + i % 7).collect();
         let catalog = Catalog::from_sizes(&sizes);
         let recency: Vec<f64> = (0..97).map(|i| (i % 13) as f64 / 13.0).collect();
-        let build = |shards: usize, full_rebuild: bool| {
-            let mut e =
-                RoundEngine::new(&catalog, ScoringFunction::Exponential).with_shards(shards);
+        let build = |full_rebuild: bool| {
+            let mut e = RoundEngine::new(&catalog, ScoringFunction::Exponential);
             for k in 0..500u32 {
                 e.push_request(ObjectId(k * 17 % 97), 0.2 + (k % 5) as f64 * 0.2);
             }
@@ -917,11 +829,7 @@ mod tests {
                 score_tallies(&e),
             )
         };
-        let reference = build(1, false);
-        for shards in [2, 5, 16, 97] {
-            assert_eq!(build(shards, false), reference, "{shards} shards");
-            assert_eq!(build(shards, true), reference, "{shards} shards, full");
-        }
+        assert_eq!(build(true), build(false));
     }
 
     #[test]
@@ -967,7 +875,7 @@ mod tests {
     #[test]
     fn a_listed_observe_equals_a_full_observe() {
         let build = || {
-            let mut e = engine(12).with_shards(5);
+            let mut e = engine(12);
             for k in 0..40u32 {
                 e.push_request(ObjectId(k * 7 % 11), 0.1 + (k % 9) as f64 * 0.1);
             }
@@ -1031,12 +939,12 @@ mod tests {
 
     #[test]
     fn for_each_active_walks_objects_ascending_with_counts() {
-        let mut e = engine(6).with_shards(4);
+        let mut e = engine(6);
         e.push_columns(&[ObjectId(4), ObjectId(1), ObjectId(4)], &[1.0, 0.5, 0.25]);
         e.observe_recency(&[0.0; 6]);
         e.rescore();
         let mut seen = Vec::new();
-        e.for_each_active(|a| seen.push((a.object, a.requests)));
+        e.for_each_active(|a| seen.push((a.object, a.scores.count)));
         assert_eq!(seen, vec![(ObjectId(1), 1), (ObjectId(4), 2)]);
     }
 
@@ -1053,7 +961,7 @@ mod tests {
 
     /// Every way the table's inputs move — pushes, clears, retargets,
     /// whole and listed observations (profits falling to zero at a fresh
-    /// copy and coming back), `mark_all_dirty`, any shard count — leaves
+    /// copy and coming back), `mark_all_dirty` — leaves
     /// the density histogram equal to a recount after the rescore.
     #[test]
     fn the_density_histogram_matches_a_recount_after_every_rescore() {
@@ -1061,9 +969,7 @@ mod tests {
             let n = rng.random_range(1..=40usize);
             let sizes: Vec<u64> = (0..n).map(|_| rng.random_range(0u64..=6)).collect();
             let catalog = Catalog::from_sizes(&sizes);
-            let shards = rng.random_range(1..=6usize);
-            let mut e =
-                RoundEngine::new(&catalog, ScoringFunction::Exponential).with_shards(shards);
+            let mut e = RoundEngine::new(&catalog, ScoringFunction::Exponential);
             let mut recency = vec![0.0; n];
             let object =
                 |rng: &mut basecache_sim::StreamRng| ObjectId(rng.random_range(0..n as u32));
@@ -1111,6 +1017,12 @@ mod tests {
     #[should_panic(expected = "target recency")]
     fn push_rejects_invalid_target() {
         engine(1).push_request(ObjectId(0), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one shard")]
+    fn with_shards_rejects_zero() {
+        let _ = engine(1).with_shards(0);
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //! * [`scratch`] — reusable planning buffers: [`PlannerScratch`] makes
 //!   the steady-state round allocation-free, whichever policy plans it.
 //! * [`engine`] — [`RoundEngine`]: struct-of-arrays object/request
-//!   tables with incremental (dirty-set) instance build and sharded
-//!   rescoring, for million-request rounds.
+//!   tables indexed by object id with incremental (dirty-set) instance
+//!   build, for million-request rounds.
 //! * [`asynch`] — the asynchronous round-robin refresh baseline.
 //! * `policy` — [`Policy`]: the download policies behind one seam — a
 //!   budget and a total `plan` over the kernel's assembled instance —

@@ -2,10 +2,10 @@
 //! `step` contract shared by `BaseStationSim::step` and `step_engine`.
 //!
 //! Both round-step surfaces return this superset: the instantaneous
-//! path simply leaves the in-flight fields at their identities (`arrived
-//! == objects_downloaded`, `launched == objects_downloaded`, zero joins,
-//! everything served immediately, nothing still waiting), so the union
-//! costs the fast path nothing.
+//! path simply leaves the in-flight fields at their identities
+//! (`launched == objects_downloaded`, zero joins, everything served
+//! immediately, nothing still waiting), so the union costs the fast
+//! path nothing.
 
 /// What one scheduling round did, returned by both round-step surfaces
 /// ([`crate::BaseStationSim::step`] and
@@ -14,8 +14,8 @@
 pub struct RoundOutcome {
     /// The tick (round number) this outcome describes.
     pub tick: u64,
-    /// Distinct objects whose fresh copies entered the cache this round
-    /// (in-flight mode: transfers that *arrived* this round).
+    /// Fresh copies that entered the cache this round: direct downloads
+    /// and, in in-flight mode, transfers that *arrived* this round.
     pub objects_downloaded: usize,
     /// Data units of those arrivals.
     pub units_downloaded: u64,
@@ -31,9 +31,6 @@ pub struct RoundOutcome {
     /// Served requests answered without a download of their object this
     /// round (the cache absorbed them).
     pub cache_hits: usize,
-    /// Transfers that completed (arrived) this round. Instantaneous
-    /// path: equals `objects_downloaded`.
-    pub arrived: usize,
     /// Transfers launched onto the fixed network this round.
     /// Instantaneous path: equals `objects_downloaded`.
     pub launched: usize,

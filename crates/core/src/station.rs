@@ -646,7 +646,7 @@ impl BaseStationSim {
             est.on_refresh(id, now);
         }
         round.out.units_downloaded += size;
-        round.out.arrived += 1;
+        round.out.objects_downloaded += 1;
         if round.observing {
             round
                 .recorder
@@ -932,7 +932,10 @@ impl BaseStationSim {
         }
         drop(refresh_span);
         let units = round.out.units_downloaded;
-        recorder.add(Event::ObjectsDownloaded, round.out.arrived as u64);
+        recorder.add(
+            Event::ObjectsDownloaded,
+            round.out.objects_downloaded as u64,
+        );
         recorder.add(Event::UnitsDownloaded, units);
         if round.observing {
             if let Some(budget) = self.policy.unit_budget().filter(|&b| b > 0) {
@@ -1132,7 +1135,6 @@ impl BaseStationSim {
     fn finish_round(&mut self, round: Round<'_>) -> RoundOutcome {
         let recorder = round.recorder;
         let mut outcome = round.out;
-        outcome.objects_downloaded = outcome.arrived;
         outcome.served = outcome.served_immediately + outcome.served_after_wait;
         outcome.average_recency = round.recency.mean().unwrap_or(1.0);
         outcome.average_score = round.score.mean().unwrap_or(1.0);
@@ -1145,7 +1147,7 @@ impl BaseStationSim {
         }
 
         self.stats.units_downloaded += outcome.units_downloaded;
-        self.stats.objects_downloaded += outcome.arrived as u64;
+        self.stats.objects_downloaded += outcome.objects_downloaded as u64;
         self.stats.requests_served += outcome.served as u64;
         self.stats.joined += outcome.joined as u64;
 

@@ -527,8 +527,7 @@ fn on_demand_steady_state_steps_do_not_allocate() {
             .build()
             .expect("valid configuration");
         let mut engine =
-            basecache_core::engine::RoundEngine::new(&catalog, ScoringFunction::InverseRatio)
-                .with_shards(4);
+            basecache_core::engine::RoundEngine::new(&catalog, ScoringFunction::InverseRatio);
         engine.push_columns(&objs, &targets);
         let mut reached = [0u32; 3];
         for round in 0..90usize {

@@ -22,7 +22,7 @@ use basecache_workload::GeneratedRequest;
 /// A knapsack instance as a station plans it: items ascending by
 /// object, `objects[i]` the object of `items[i]`.
 #[derive(Debug, Default)]
-pub struct Instance {
+pub(crate) struct Instance {
     pub objects: Vec<ObjectId>,
     pub items: Vec<Item>,
 }
@@ -31,7 +31,7 @@ impl Instance {
     /// The instance a batch round over `requests` plans: one item per
     /// requested object, profit summed over its requests at the
     /// recency the planner saw, minus the `excluded` objects.
-    pub fn of_batch(
+    pub(crate) fn of_batch(
         requests: &[GeneratedRequest],
         catalog: &Catalog,
         recency: &[f64],
@@ -53,7 +53,7 @@ impl Instance {
 
     /// The instance an engine round planned, read back after the step:
     /// every active object with positive profit.
-    pub fn of_engine(engine: &RoundEngine) -> Self {
+    pub(crate) fn of_engine(engine: &RoundEngine) -> Self {
         let mut instance = Self::default();
         engine.for_each_active(|a| {
             if a.profit > 0.0 {
@@ -67,7 +67,7 @@ impl Instance {
 
 /// What the full-table DP picks for an instance.
 #[derive(Debug)]
-pub struct Exact {
+pub(crate) struct Exact {
     /// The chosen objects, ascending.
     pub downloads: Vec<ObjectId>,
     /// Their total size.
@@ -79,7 +79,7 @@ pub struct Exact {
 }
 
 /// Solve `instance` at `budget` with [`DpByCapacity::solve_into`].
-pub fn exact_dp(instance: &Instance, budget: u64) -> Exact {
+pub(crate) fn exact_dp(instance: &Instance, budget: u64) -> Exact {
     let mut dp = DpScratch::new();
     let value = DpByCapacity.solve_into(&instance.items, budget, &mut dp);
     let chosen = dp.chosen();
@@ -95,7 +95,7 @@ pub fn exact_dp(instance: &Instance, budget: u64) -> Exact {
 /// plan's value and the DP cells it swept — and nothing else. It
 /// reports itself disabled, so the station runs its unobserved round.
 #[derive(Debug, Default)]
-pub struct SolveProbe {
+pub(crate) struct SolveProbe {
     value_bits: AtomicU64,
     cells: AtomicU64,
     left_out: AtomicU64,
@@ -104,7 +104,7 @@ pub struct SolveProbe {
 
 impl SolveProbe {
     /// The value and DP cells the last solve reported.
-    pub fn last(&self) -> (f64, u64) {
+    pub(crate) fn last(&self) -> (f64, u64) {
         (
             f64::from_bits(self.value_bits.load(Relaxed)),
             self.cells.load(Relaxed),
@@ -113,7 +113,7 @@ impl SolveProbe {
 
     /// What the last engine round left out of its instance, and how its
     /// certificate went (`Sample::CutCertificate`'s code).
-    pub fn last_cut(&self) -> (u64, u64) {
+    pub(crate) fn last_cut(&self) -> (u64, u64) {
         (self.left_out.load(Relaxed), self.certificate.load(Relaxed))
     }
 }
@@ -150,7 +150,7 @@ impl Recorder for SolveProbe {
 }
 
 /// The [`SolveProbe`] a station was built with.
-pub fn solve_probe(station: &BaseStationSim) -> &SolveProbe {
+pub(crate) fn solve_probe(station: &BaseStationSim) -> &SolveProbe {
     station
         .recorder()
         .as_any()
@@ -160,6 +160,6 @@ pub fn solve_probe(station: &BaseStationSim) -> &SolveProbe {
 
 /// The value and DP cells of the last solve of a station built with a
 /// [`SolveProbe`].
-pub fn last_solve(station: &BaseStationSim) -> (f64, u64) {
+pub(crate) fn last_solve(station: &BaseStationSim) -> (f64, u64) {
     solve_probe(station).last()
 }

@@ -5,15 +5,13 @@
 //!    round) — outcomes, downloads, stats, recorder snapshots and the
 //!    flight-recorder round series, under zero churn, single-object
 //!    churn and 100% churn alike.
-//! 2. Shard count never changes a bit: a 1-shard engine and many-shard
-//!    engines produce the same rounds.
-//! 3. The dirty set actually shrinks the work: low-churn rounds rescore
+//! 2. The dirty set actually shrinks the work: low-churn rounds rescore
 //!    a small fraction of the table.
-//! 4. Every round plans what the paper's full-table DP picks: the
+//! 3. Every round plans what the paper's full-table DP picks: the
 //!    instance the engine holds after a step, read back through
 //!    `for_each_active`, solved by `DpByCapacity`, gives the station's
 //!    downloads, units and plan value bit for bit.
-//! 5. The engine reads only the recency slots its station changed
+//! 4. The engine reads only the recency slots its station changed
 //!    exactly when that is safe: engine rounds interleaved with batch
 //!    rounds, and one engine stepped by two stations in turn, match the
 //!    reference round for round. (The reference's `mark_all_dirty` also
@@ -59,14 +57,13 @@ struct Rig {
 }
 
 impl Rig {
-    fn new(full_rebuild: bool, shards: usize) -> Rig {
+    fn new(full_rebuild: bool) -> Rig {
         let station = StationBuilder::new(catalog())
             .on_demand(OnDemandPlanner::paper_default(), BUDGET)
             .recorder(Box::new(FlightRecorder::new(512, 64, 8)))
             .build()
             .expect("valid configuration");
-        let mut engine =
-            RoundEngine::new(&catalog(), ScoringFunction::InverseRatio).with_shards(shards);
+        let mut engine = RoundEngine::new(&catalog(), ScoringFunction::InverseRatio);
         seed_population(&mut engine);
         Rig {
             station,
@@ -77,11 +74,11 @@ impl Rig {
     }
 
     fn incremental() -> Rig {
-        Rig::new(false, 1)
+        Rig::new(false)
     }
 
     fn reference() -> Rig {
-        Rig::new(true, 1)
+        Rig::new(true)
     }
 
     fn step(&mut self) -> RoundOutcome {
@@ -358,7 +355,7 @@ fn a_batch_round_and_an_engine_round_of_the_same_requests_serve_alike() {
             .expect("valid configuration")
     };
     let (mut batch, mut standing) = (station(), station());
-    let mut engine = RoundEngine::new(&catalog(), ScoringFunction::InverseRatio).with_shards(3);
+    let mut engine = RoundEngine::new(&catalog(), ScoringFunction::InverseRatio);
     let mut rng = RngStreams::new(0xBA7C).stream("engine_parity/batch_vs_engine");
     for round in 0..120u64 {
         if round % 4 == 1 {
@@ -451,22 +448,6 @@ fn assert_engine_round_is_exact_unrecorded(
 ) {
     let exact = exact_dp(&Instance::of_engine(engine), budget);
     assert_eq!(station.last_downloaded(), exact.downloads);
-}
-
-#[test]
-fn shard_count_never_changes_a_bit() {
-    let baseline = {
-        let mut rig = Rig::incremental();
-        let out = drive(&mut rig, 25, single_object_churn);
-        (out, rig)
-    };
-    for shards in [6, OBJECTS] {
-        let mut rig = Rig::new(false, shards);
-        let out = drive(&mut rig, 25, single_object_churn);
-        let label = format!("{shards} shards");
-        assert_eq!(baseline.0, out, "{label}: outcomes diverge");
-        assert_rigs_match(&baseline.1, &rig, &label);
-    }
 }
 
 #[test]
@@ -609,7 +590,7 @@ fn massive_round_is_bit_identical_to_the_exact_dp_station() {
         .recorder(Box::new(FlightRecorder::new(512, 64, 8)))
         .build()
         .expect("valid configuration");
-    let mut engine = RoundEngine::new(&catalog, ScoringFunction::InverseRatio).with_shards(16);
+    let mut engine = RoundEngine::new(&catalog, ScoringFunction::InverseRatio);
     engine.push_columns(&objs, &targets);
 
     let mut dp_cells = 0;
@@ -677,7 +658,7 @@ fn engine_rounds_plan_the_whole_instance_whichever_cut_they_took() {
     };
     let mut station = build(None);
     let mut instant = build(Some(InFlightConfig::coalescing(0)));
-    let mut engine = RoundEngine::new(&catalog, ScoringFunction::InverseRatio).with_shards(4);
+    let mut engine = RoundEngine::new(&catalog, ScoringFunction::InverseRatio);
     engine.push_columns(&objs, &targets);
 
     let mut reached = [0u32; 3];
@@ -830,7 +811,7 @@ mod independent {
             let n = targets.len() as u64;
             let size = rig.station.catalog().size_of(object);
             let tally = tally_bits(Sums { count: n, sum });
-            expected.push((object, n, x.to_bits(), tally, profit.to_bits(), size));
+            expected.push((object, x.to_bits(), tally, profit.to_bits(), size));
             if profit > 0.0 {
                 expected_items.push((size, profit.to_bits()));
             }
@@ -843,14 +824,7 @@ mod independent {
         engine.for_each_active(|a| {
             let tally = tally_bits(a.scores);
             let recency = a.recency.to_bits();
-            active.push((
-                a.object,
-                a.requests,
-                recency,
-                tally,
-                a.profit.to_bits(),
-                a.size,
-            ));
+            active.push((a.object, recency, tally, a.profit.to_bits(), a.size));
         });
         assert_eq!(active, expected, "for_each_active diverges");
         let mut scratch = PlannerScratch::new();

@@ -75,7 +75,7 @@ fn arb_batch(rng: &mut StreamRng) -> Vec<GeneratedRequest> {
 
 /// Every outcome field as raw bits: the last mantissa bit of a score
 /// difference fails the comparison.
-fn outcome_bits(o: &RoundOutcome) -> [u64; 13] {
+fn outcome_bits(o: &RoundOutcome) -> [u64; 12] {
     [
         o.tick,
         o.objects_downloaded as u64,
@@ -84,7 +84,6 @@ fn outcome_bits(o: &RoundOutcome) -> [u64; 13] {
         o.average_score.to_bits(),
         o.served as u64,
         o.cache_hits as u64,
-        o.arrived as u64,
         o.launched as u64,
         o.joined as u64,
         o.served_immediately as u64,
@@ -258,7 +257,7 @@ fn waiters_are_served_on_arrival_with_correct_waits() {
     }
 
     let out = s.step(&[]);
-    assert_eq!(out.arrived, 1);
+    assert_eq!(out.objects_downloaded, 1);
     assert_eq!(out.units_downloaded, 6);
     assert_eq!(out.served_after_wait, 3, "all three waiters released");
     assert_eq!(out.still_waiting, 0);
@@ -307,7 +306,7 @@ fn invalidated_flights_never_serve_joiners_stale() {
     // stale, never passed off as fresh.
     s.step(&[]);
     let out = s.step(&[]);
-    assert_eq!(out.arrived, 1);
+    assert_eq!(out.objects_downloaded, 1);
     assert_eq!(out.served_after_wait, 1);
     assert!(
         out.average_recency < 1.0,
@@ -320,7 +319,7 @@ fn invalidated_flights_never_serve_joiners_stale() {
     s.step(&[]);
     s.step(&[]);
     let out = s.step(&[]);
-    assert_eq!(out.arrived, 1);
+    assert_eq!(out.objects_downloaded, 1);
     assert_eq!(out.served_after_wait, 1);
     assert_eq!(out.average_recency, 1.0, "fresh-flight joiner served fresh");
     assert_eq!(out.still_waiting, 0);
@@ -462,7 +461,7 @@ fn a_transfer_lifecycle_closes_one_span() {
     station.step(&[req(0, 1.0)]);
     station.step(&[req(0, 0.8)]);
     let out = station.step(&[]);
-    assert_eq!((out.arrived, out.served_after_wait), (1, 2));
+    assert_eq!((out.objects_downloaded, out.served_after_wait), (1, 2));
     assert_eq!(station.stats().joined, 1, "round 1's request coalesced");
 
     let sinks = station

@@ -153,7 +153,7 @@ fn run_station(kind: Kind, rng: &mut StreamRng, cover: &mut Coverage) {
             out
         };
         last_was_batch = !engine_round;
-        cover.arrivals += usize::from(kind == Kind::InFlight && out.arrived > 0);
+        cover.arrivals += usize::from(kind == Kind::InFlight && out.objects_downloaded > 0);
     }
 }
 

@@ -17,8 +17,6 @@
 //!   directly. There is one sweep: the bounded one on a reusable
 //!   [`DpScratch`], which [`DpTrace`] wraps; the textbook full-table
 //!   sweep it is pinned against is test support (`tests/reference`).
-//! * [`GreedyDensity`] — profit-density greedy with the classic
-//!   max(greedy, best-single-item) 2-approximation guarantee.
 //! * [`AdaptiveSolver`] — instance reduction (bound-based variable
 //!   fixing) in front of a DP over the surviving core; bit-identical to [`DpByCapacity`] and what every round runs.
 //!   Handed only the dense part of an instance with a [`LeftOut`] bound
@@ -55,7 +53,6 @@ mod band;
 mod dp;
 mod error;
 mod fractional;
-mod greedy;
 mod instance;
 mod scratch;
 mod solution;
@@ -65,7 +62,6 @@ pub use band::{band_edge, cut_below, density_band, BANDS};
 pub use dp::{DpByCapacity, DpTrace};
 pub use error::KnapsackError;
 pub use fractional::{fractional_upper_bound, FractionalSolution};
-pub use greedy::GreedyDensity;
 pub use instance::{Instance, Item};
 pub use scratch::DpScratch;
 pub use solution::Solution;
@@ -74,7 +70,7 @@ pub use solution::Solution;
 ///
 /// Implementations must return a *feasible* solution: the chosen items'
 /// total size never exceeds `capacity`, and each item is chosen at most
-/// once. Exactness/approximation guarantees are per-implementation.
+/// once. Every implementation in this crate is exact.
 pub trait Solver {
     /// Solve `instance` under the given `capacity` (in data units).
     fn solve(&self, instance: &Instance, capacity: u64) -> Solution;
@@ -96,11 +92,7 @@ mod solver_contract_tests {
     use super::*;
 
     fn solvers() -> Vec<Box<dyn Solver>> {
-        vec![
-            Box::new(DpByCapacity),
-            Box::new(GreedyDensity),
-            Box::new(AdaptiveSolver),
-        ]
+        vec![Box::new(DpByCapacity), Box::new(AdaptiveSolver)]
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! Property-based tests pinning the solver hierarchy:
 //! the DP is exact (against brute force); the adaptive reduction is
-//! bit-identical to it; greedy ≥ OPT/2; the fractional relaxation
-//! upper-bounds everything; all outputs feasible.
+//! bit-identical to it; the fractional relaxation upper-bounds
+//! everything; all outputs feasible.
 //!
 //! Runs on the in-tree harness (`basecache_sim::check`).
 
 use basecache_knapsack::{
     band_edge, cut_below, density_band, fractional_upper_bound, AdaptiveScratch, AdaptiveSolver,
-    DpByCapacity, DpScratch, GreedyDensity, Instance, Item, LeftOut, SolveMethod, Solver,
+    DpByCapacity, DpScratch, Instance, Item, LeftOut, SolveMethod, Solver,
 };
 use basecache_sim::check::run_cases;
 use basecache_sim::StreamRng;
@@ -43,22 +43,6 @@ fn dp_matches_brute_force() {
         }
         let dp = DpByCapacity.solve(&inst, cap).total_profit();
         assert!((dp - best).abs() < 1e-6, "dp={dp} brute={best}");
-    });
-}
-
-#[test]
-fn greedy_is_half_approximate_and_feasible() {
-    run_cases("greedy_half", 256, |_, rng| {
-        let inst = arb_instance(rng, 16);
-        let cap = rng.random_range(0u64..=150);
-        let g = GreedyDensity.solve(&inst, cap);
-        g.verify(&inst, cap).unwrap();
-        let opt = DpByCapacity.solve(&inst, cap).total_profit();
-        assert!(
-            g.total_profit() >= opt / 2.0 - 1e-6,
-            "greedy={} opt={opt}",
-            g.total_profit()
-        );
     });
 }
 

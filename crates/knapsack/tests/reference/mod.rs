@@ -8,7 +8,7 @@
 use basecache_knapsack::{Instance, Solution};
 
 /// The full table of [`solve_trace`].
-pub struct PlainTrace {
+pub(crate) struct PlainTrace {
     requested: u64,
     values: Vec<f64>,
     keep: Vec<u64>,
@@ -17,7 +17,7 @@ pub struct PlainTrace {
 }
 
 /// Sweep the whole `n × (min(capacity, total size) + 1)` table.
-pub fn solve_trace(instance: &Instance, capacity: u64) -> PlainTrace {
+pub(crate) fn solve_trace(instance: &Instance, capacity: u64) -> PlainTrace {
     let cap = capacity.min(instance.total_size()) as usize;
     let words = cap / 64 + 1;
     let mut values = vec![0.0_f64; cap + 1];
@@ -63,18 +63,18 @@ pub fn solve_trace(instance: &Instance, capacity: u64) -> PlainTrace {
 #[allow(dead_code)]
 impl PlainTrace {
     /// The capacity the trace was requested for.
-    pub fn capacity(&self) -> u64 {
+    pub(crate) fn capacity(&self) -> u64 {
         self.requested
     }
 
     /// The optimal values for capacities `0..=min(C, total_size)`.
-    pub fn values(&self) -> &[f64] {
+    pub(crate) fn values(&self) -> &[f64] {
         &self.values
     }
 
     /// An optimal item set at capacity `c` (clamped), by walking the
     /// keep bits backwards through the items.
-    pub fn solution_at(&self, instance: &Instance, c: u64) -> Solution {
+    pub(crate) fn solution_at(&self, instance: &Instance, c: u64) -> Solution {
         let mut c = (c as usize).min(self.values.len() - 1);
         let mut chosen = Vec::new();
         for i in (0..self.sizes.len()).rev() {
@@ -87,7 +87,7 @@ impl PlainTrace {
     }
 
     /// `gains[c] = values[c + 1] - values[c]`.
-    pub fn marginal_gains(&self) -> Vec<f64> {
+    pub(crate) fn marginal_gains(&self) -> Vec<f64> {
         self.values.windows(2).map(|w| w[1] - w[0]).collect()
     }
 }

@@ -14,8 +14,8 @@
 //!
 //! * [`core`] (`basecache-core`) — recency model, knapsack mapping,
 //!   on-demand planner, async baseline, base-station simulation.
-//! * [`knapsack`] (`basecache-knapsack`) — exact and approximate 0/1
-//!   knapsack solvers with a full solution-space trace.
+//! * [`knapsack`] (`basecache-knapsack`) — exact 0/1 knapsack solvers
+//!   with a full solution-space trace.
 //! * [`sim`] (`basecache-sim`) — deterministic discrete-event engine.
 //! * [`obs`] (`basecache-obs`) — zero-overhead observability: recorders,
 //!   span timers, snapshot exporters.
@@ -24,7 +24,7 @@
 //! * [`workload`] (`basecache-workload`) — synthetic workloads and
 //!   populations.
 //! * [`cluster`] (`basecache-cluster`) — multi-cell sharding: roaming
-//!   clients, backhaul arbitration, parallel per-cell planning.
+//!   clients, backhaul arbitration, per-cell planning in cell order.
 //!
 //! # Quickstart
 //!
