@@ -11,9 +11,8 @@
 //!    to the pre-L2 cluster, complementing `tests/parity.rs` which pins
 //!    the simulation path itself.
 //! 3. Demand declaration subtracts per-station committed in-flight
-//!    units: zero in-flight (instant transfers) declares bit-identical
-//!    demands to plain stations, and a finite-bandwidth backlog shrinks
-//!    the declaration by exactly the committed units.
+//!    units: a backlog shrinks the declaration by exactly the committed
+//!    units.
 //! 4. The round coordinates per requested object — one aggregation of
 //!    each batch, read by the declaration, the exchange and the tier
 //!    attribution — and equals, round for round, the per-request round
@@ -48,13 +47,12 @@ fn catalog() -> Catalog {
     Catalog::from_sizes(&sizes)
 }
 
-fn station(flight: Option<InFlightConfig>) -> BaseStationSim {
+fn station() -> BaseStationSim {
     let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio);
-    let mut builder = StationBuilder::new(catalog()).on_demand(planner, 0);
-    if let Some(config) = flight {
-        builder = builder.in_flight(config);
-    }
-    builder.build().expect("valid configuration")
+    StationBuilder::new(catalog())
+        .on_demand(planner, 0)
+        .build()
+        .expect("valid configuration")
 }
 
 fn roaming_workload(cells: u32, seed: u64) -> ClusterWorkload {
@@ -70,8 +68,8 @@ fn roaming_workload(cells: u32, seed: u64) -> ClusterWorkload {
     )
 }
 
-fn cluster(cells: u32, seed: u64, budget: u64, flight: Option<InFlightConfig>) -> ClusterSim {
-    let stations: Vec<BaseStationSim> = (0..cells).map(|_| station(flight)).collect();
+fn cluster(cells: u32, seed: u64, budget: u64) -> ClusterSim {
+    let stations: Vec<BaseStationSim> = (0..cells).map(|_| station()).collect();
     ClusterSim::new(
         stations,
         roaming_workload(cells, seed),
@@ -87,8 +85,8 @@ const DRIVE: DriveConfig = DriveConfig {
 
 #[test]
 fn l2_saves_origin_bandwidth_and_keeps_region_single_flight() {
-    let mut off = cluster(8, 99, 400, None);
-    let mut on = cluster(8, 99, 400, None)
+    let mut off = cluster(8, 99, 400);
+    let mut on = cluster(8, 99, 400)
         .with_l2(L2Config {
             intercell_units_per_round: 400,
         })
@@ -138,8 +136,8 @@ fn quality_of_service_does_not_regress_with_l2() {
     // Cheaper bandwidth must not come at the price of staler serves:
     // the L2 tier only installs copies at least as fresh as the local
     // one, so the aggregate score stays at least the baseline's.
-    let mut off = cluster(8, 99, 400, None);
-    let mut on = cluster(8, 99, 400, None).with_l2(L2Config {
+    let mut off = cluster(8, 99, 400);
+    let mut on = cluster(8, 99, 400).with_l2(L2Config {
         intercell_units_per_round: 400,
     });
     let off_rounds = run_rounds(&mut off, DRIVE);
@@ -162,7 +160,7 @@ fn quality_of_service_does_not_regress_with_l2() {
 
 #[test]
 fn disabled_l2_records_no_l2_channels() {
-    let mut off = cluster(4, 7, 200, None).with_recorder(Box::new(FlightRecorder::new(512, 64, 8)));
+    let mut off = cluster(4, 7, 200).with_recorder(Box::new(FlightRecorder::new(512, 64, 8)));
     run_rounds(&mut off, DRIVE);
     let snapshot = off.obs_snapshot();
     for counter in &snapshot.counters {
@@ -182,7 +180,7 @@ fn disabled_l2_records_no_l2_channels() {
 
 #[test]
 fn enabled_l2_records_transfers_and_tier_attribution() {
-    let mut on = cluster(8, 99, 400, None)
+    let mut on = cluster(8, 99, 400)
         .with_l2(L2Config::default())
         .with_recorder(Box::new(FlightRecorder::new(512, 64, 8)));
     run_rounds(&mut on, DRIVE);
@@ -216,31 +214,6 @@ fn enabled_l2_records_transfers_and_tier_attribution() {
     assert_eq!(weight_of("tier#1"), totals[1]);
     assert_eq!(weight_of("tier#2"), totals[2]);
     assert!(tiers.iter().all(|a| a.error == 0), "exact, not estimated");
-}
-
-#[test]
-fn instant_flight_declares_bit_identical_demands_to_plain_stations() {
-    // Satellite degenerate case: with nothing ever in flight (instant
-    // transfers commit zero units), the new committed-units subtraction
-    // must be a no-op — declarations, allocations and outcomes are
-    // bit-identical to plain stations.
-    let mut plain = cluster(4, 21, 200, None);
-    let mut instant = cluster(4, 21, 200, Some(InFlightConfig::coalescing(0)));
-    for tick in 0..30 {
-        if tick > 0 && tick % 5 == 0 {
-            plain.apply_update_wave();
-            instant.apply_update_wave();
-        }
-        let a = plain.step();
-        let b = instant.step();
-        assert_eq!(plain.last_demands(), instant.last_demands(), "tick {tick}");
-        assert_eq!(plain.last_budgets(), instant.last_budgets(), "tick {tick}");
-        assert_eq!(a, b, "tick {tick}: outcomes diverge");
-        for i in 0..4 {
-            let ledger = instant.station(CellId(i)).flight_ledger().expect("flight");
-            assert_eq!(ledger.committed_at(tick), 0, "instant commits nothing");
-        }
-    }
 }
 
 #[test]
@@ -507,7 +480,9 @@ impl Script {
             ttl: (rng.random_range(0..2u32) == 0).then(|| rng.random_range(1..=4u64)),
             flight: match rng.random_range(0..4u32) {
                 0 => None,
-                1 => Some(InFlightConfig::coalescing(0)),
+                // The narrowest link: every transfer of more than a unit
+                // spans rounds.
+                1 => Some(InFlightConfig::coalescing(1)),
                 2 => Some(InFlightConfig::coalescing(rng.random_range(2..=8u64))),
                 _ => Some(InFlightConfig::naive(rng.random_range(2..=8u64))),
             },

@@ -147,8 +147,10 @@ impl StationBuilder {
     /// already on the wire join the in-flight fetch (single-flight,
     /// unless [`InFlightConfig::naive`]), and the planner subtracts
     /// committed bandwidth from each round's budget. Requires the
-    /// on-demand policy; `bandwidth_per_round == 0` means instantaneous
-    /// transfers, bit-identical to a station built without this call.
+    /// on-demand policy and a positive `bandwidth_per_round`. Such a
+    /// station steps batch rounds only
+    /// ([`BaseStationSim::step_engine`] panics on it); the paper's
+    /// instantaneous transfers are a station built without this call.
     pub fn in_flight(mut self, config: InFlightConfig) -> Self {
         self.flight = Some(config);
         self
@@ -169,8 +171,13 @@ impl StationBuilder {
                 return Err(ConfigError::InvalidAdaptiveThreshold { threshold }.into());
             }
         }
-        if self.flight.is_some() && !matches!(policy, Policy::OnDemand { .. }) {
-            return Err(ConfigError::InFlightRequiresOnDemand.into());
+        if let Some(config) = self.flight {
+            if !matches!(policy, Policy::OnDemand { .. }) {
+                return Err(ConfigError::InFlightRequiresOnDemand.into());
+            }
+            if config.bandwidth_per_round == 0 {
+                return Err(ConfigError::ZeroBandwidth.into());
+            }
         }
         if let Some(budget) = policy.unit_budget() {
             check_plan_table(&self.catalog, budget)?;
@@ -286,6 +293,18 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(small.set_download_budget(u64::MAX), Ok(()));
+    }
+
+    #[test]
+    fn a_zero_bandwidth_ledger_is_a_config_error() {
+        for config in [InFlightConfig::coalescing(0), InFlightConfig::naive(0)] {
+            let err = StationBuilder::new(Catalog::uniform_unit(4))
+                .on_demand(OnDemandPlanner::paper_default(), 2)
+                .in_flight(config)
+                .build()
+                .unwrap_err();
+            assert_eq!(err, Error::Config(ConfigError::ZeroBandwidth));
+        }
     }
 
     #[test]

@@ -45,9 +45,7 @@
 //!    one DP ([`basecache_knapsack::LeftOut`]), so the plan is the whole
 //!    instance's; a refusal costs no DP, and the round re-assembles once
 //!    at the cut the certificate asked for, then at cut 0, the whole
-//!    instance. A round whose ledger carries transfers plans the whole
-//!    instance: it amortizes profits over arrival delays, so the
-//!    engine's densities are not that round's.
+//!    instance.
 //!
 //!    Invariant: after every [`RoundEngine::rescore`] each object's band
 //!    is the band of its profit and size, and each band's size sum and

@@ -32,6 +32,10 @@ pub enum ConfigError {
     /// other than [`crate::station::Policy::OnDemand`] — commitment-aware
     /// planning is defined for the knapsack planner only.
     InFlightRequiresOnDemand,
+    /// In-flight transfer modelling over a fixed network of bandwidth 0,
+    /// on which no transfer ever lands. The paper's instantaneous
+    /// transfers are a station without a ledger.
+    ZeroBandwidth,
     /// The exact-DP tables for `items` objects at `capacity` data units
     /// (the budget, clamped to the catalog's total size) would exceed
     /// [`crate::scratch::MAX_PLAN_TABLE_BYTES`]: the pseudo-polynomial
@@ -61,6 +65,9 @@ impl fmt::Display for ConfigError {
             }
             Self::InFlightRequiresOnDemand => {
                 write!(f, "in-flight transfers require the on-demand policy")
+            }
+            Self::ZeroBandwidth => {
+                write!(f, "in-flight transfers require a positive bandwidth")
             }
             Self::PlanTableTooLarge { items, capacity } => {
                 write!(

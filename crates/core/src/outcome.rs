@@ -2,7 +2,7 @@
 //! `step` contract shared by `BaseStationSim::step` and `step_engine`.
 //!
 //! Both round-step surfaces return this superset: the instantaneous
-//! path simply leaves the in-flight fields at their identities
+//! path (every engine round among them) simply leaves the in-flight fields at their identities
 //! (`launched == objects_downloaded`, zero joins, everything served
 //! immediately, nothing still waiting), so the union costs the fast
 //! path nothing.

@@ -284,12 +284,8 @@ impl OnDemandPlanner {
     /// rescore exactly the dirty objects and assemble the instance from
     /// its standing tables; the kernel adjusts it before the solve.
     ///
-    /// With a `budget` the round plans the engine's densities as they
-    /// are, and only the candidates above the engine's first cut for it
-    /// are assembled ([`Self::solve_candidates`] certifies the rest
-    /// out); without one — a round whose profits the kernel will
-    /// amortize over arrival delays, so the engine's densities are not
-    /// the instance's — the whole instance is (cut 0).
+    /// Only the candidates above the engine's first cut for `budget` are
+    /// assembled ([`Self::solve_candidates`] certifies the rest out).
     ///
     /// Emits [`Sample::DirtyObjects`] and [`Sample::RescoredRequests`] so
     /// flight recordings show how much work the dirty-set actually saved.
@@ -301,7 +297,7 @@ impl OnDemandPlanner {
     pub(crate) fn assemble_engine_into<R: Recorder + ?Sized>(
         &self,
         engine: &mut RoundEngine,
-        budget: Option<u64>,
+        budget: u64,
         scratch: &mut PlannerScratch,
         recorder: &R,
     ) {
@@ -313,7 +309,7 @@ impl OnDemandPlanner {
         engine.rescore();
         recorder.sample(Sample::DirtyObjects, engine.dirty_objects() as f64);
         recorder.sample(Sample::RescoredRequests, engine.rescored_requests() as f64);
-        scratch.cut = budget.map_or(0, |budget| engine.first_cut(budget));
+        scratch.cut = engine.first_cut(budget);
         scratch.certificate = 0;
         engine.assemble_above(scratch.cut, scratch);
     }

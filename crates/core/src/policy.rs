@@ -215,9 +215,9 @@ impl Policy {
 /// What the round kernel hands [`Policy::plan`]: the round as observed,
 /// and the station's reusable buffers to plan on.
 pub(crate) struct PlanView<'a> {
-    /// The engine of an engine round that plans its candidates above a
-    /// density cut ([`OnDemandPlanner::solve_candidates`]); `None` when
-    /// the assembled instance is the whole one.
+    /// The engine of an engine round, which plans its candidates above
+    /// a density cut ([`OnDemandPlanner::solve_candidates`]); `None` on
+    /// a batch round, whose assembled instance is the whole one.
     pub engine: Option<&'a RoundEngine>,
     /// The catalog the station serves.
     pub catalog: &'a Catalog,

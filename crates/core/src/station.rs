@@ -34,9 +34,10 @@
 //! into the instance. Both feed one serve, per object, since every
 //! request a round gets for an object is answered from the same copy.
 //! The *transfer model* — instantaneous (the paper's), or an in-flight
-//! ledger with real durations and single-flight coalescing
-//! ([`crate::builder::StationBuilder::in_flight`]) — is an
-//! `Option<FlightState>` the shared stages read.
+//! ledger that carries transfers across rounds, with single-flight
+//! coalescing ([`crate::builder::StationBuilder::in_flight`]) — is an
+//! `Option<FlightState>` the shared stages read. Only batch rounds run
+//! under a ledger.
 //!
 //! The driver (experiment harness or example) owns the clock: it calls
 //! [`BaseStationSim::apply_update_wave`] (or per-object updates) whenever
@@ -47,8 +48,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use basecache_cache::CacheStore;
 use basecache_knapsack::Item;
 use basecache_net::{
-    Arrived, Catalog, ChangeSet, InFlightConfig, InFlightLedger, InvalidationReport, ObjectId,
-    ParkedWaiter, RemoteServer, Version,
+    Catalog, ChangeSet, InFlightConfig, InFlightLedger, InvalidationReport, ObjectId, ParkedWaiter,
+    RemoteServer, Version,
 };
 use basecache_obs::{
     Attr, Event, LifecycleEvent, NullRecorder, Recorder, Sample, Snapshot, Span, Stage, Transition,
@@ -113,9 +114,6 @@ struct FlightState {
     ledger: InFlightLedger,
     /// Waiters drained from arriving transfers, rebuilt per arrival.
     waiters: Vec<ParkedWaiter>,
-    /// `(object, launched_at)` of the transfers that landed at the start
-    /// of this round — an engine round's serve merges them in.
-    arrived: Vec<(ObjectId, u64)>,
 }
 
 /// Where a round's requests come from. Only the assemble half of the
@@ -150,18 +148,6 @@ impl Round<'_> {
     /// A lifecycle event of this round.
     fn event(&self, transition: Transition, object: ObjectId, version: u64) -> LifecycleEvent {
         LifecycleEvent::new(transition, object.0, version, self.tick)
-    }
-
-    /// Pop the next transfer landing this round off `flight`'s ledger,
-    /// appending the requests parked on it to its `waiters`; an
-    /// observed round also sees the arrival's lifecycle event.
-    fn pop_arrival(&self, flight: &mut FlightState) -> Option<Arrived> {
-        let a = flight.ledger.pop_arrival(self.tick, &mut flight.waiters)?;
-        if self.observing {
-            let arrived = self.event(Transition::Arrived, a.object, a.version.0);
-            self.recorder.lifecycle(arrived.at_launch(a.launched_at));
-        }
-        Some(a)
     }
 
     /// Charge the staleness an object's clients were served at, in
@@ -286,11 +272,14 @@ impl BaseStationSim {
     /// builder, which validates that the policy is [`Policy::OnDemand`]).
     pub(crate) fn install_flight(&mut self, config: InFlightConfig) {
         let mut ledger = InFlightLedger::new(config, self.catalog.len());
-        ledger.reserve(self.catalog.len(), 0);
+        // One transfer and one parked request an object, reserved at
+        // build: with the waiter pool grown from empty in the first
+        // rounds instead, the benchmark's `station-inflight` heap top
+        // steps ~1.9 MB at pass 6 on nine seeds of ten, not at pass 39.
+        ledger.reserve(self.catalog.len(), self.catalog.len());
         self.flight = Some(FlightState {
             ledger,
             waiters: Vec::new(),
-            arrived: Vec::new(),
         });
     }
 
@@ -519,10 +508,7 @@ impl BaseStationSim {
     /// In in-flight mode ([`crate::builder::StationBuilder::in_flight`])
     /// downloads are launched onto the ledger instead of landing at
     /// once, and a request whose object is on the wire at the current
-    /// version parks on that transfer until it arrives. With
-    /// `bandwidth_per_round == 0` every transfer lands inside its launch
-    /// round and the round is bit-identical to the instantaneous one
-    /// (pinned by `tests/inflight_invariants.rs`).
+    /// version parks on that transfer until it arrives.
     pub fn step(&mut self, requests: &[GeneratedRequest]) -> RoundOutcome {
         self.round(Source::Batch(requests))
     }
@@ -536,22 +522,21 @@ impl BaseStationSim {
     ///
     /// Runs the same round kernel as [`Self::step`] — same stages, same
     /// span/round/event/sample structure, so flight recordings of engine
-    /// rounds are row-compatible with batch rounds. In in-flight mode
-    /// the requests of an object on the wire count as waiting rather
-    /// than being parked one by one: the population persists, so they
-    /// re-serve columnar in the arrival round. Allocation-free in steady
-    /// state (see `tests/alloc_free.rs`).
+    /// rounds are row-compatible with batch rounds. Allocation-free in
+    /// steady state (see `tests/alloc_free.rs`).
     ///
     /// # Panics
     ///
     /// Panics unless the station runs [`Policy::OnDemand`] under
     /// [`Estimation::Oracle`] — the engine's score sums are against the
-    /// recency the planner observed, which must be the truth — and the
-    /// engine's table matches the station's catalog and the planner's
-    /// scoring function. The table's length is checked every round, its
-    /// sizes on every round that observes the whole recency column (the
-    /// first one with this station, and any after the engine saw
-    /// another round).
+    /// recency the planner observed, which must be the truth — without
+    /// an in-flight ledger ([`crate::builder::StationBuilder::in_flight`]:
+    /// a ledger parks requests, which a standing population cannot), and
+    /// the engine's table matches the station's catalog and the
+    /// planner's scoring function. The table's length is checked every
+    /// round, its sizes on every round that observes the whole recency
+    /// column (the first one with this station, and any after the engine
+    /// saw another round).
     pub fn step_engine(&mut self, engine: &mut RoundEngine) -> RoundOutcome {
         assert!(
             matches!(self.policy, Policy::OnDemand { .. }),
@@ -561,6 +546,10 @@ impl BaseStationSim {
             matches!(self.estimation, Estimation::Oracle),
             "step_engine requires Estimation::Oracle: the engine scores \
              against the recency the planner observed, which must be the truth"
+        );
+        assert!(
+            self.flight.is_none(),
+            "step_engine requires a station without an in-flight ledger"
         );
         assert_eq!(
             engine.num_objects(),
@@ -574,13 +563,6 @@ impl BaseStationSim {
     /// order. What varies is read where it matters — the request source
     /// in the plan stage's assemble half and in the serve stage, the
     /// transfer model (`self.flight`) inside the shared stages.
-    ///
-    /// A ledger only *carries* transfers across rounds when it has a
-    /// bandwidth. An instant one (`bandwidth_per_round == 0`) lands
-    /// every launch inside the refresh stage, so no arrival is pending
-    /// at round start, no request is joinable, the budget loses nothing
-    /// and no profit is amortized: each stage degenerates to the
-    /// ledger-free round, the same float operations in the same order.
     fn round(&mut self, mut source: Source<'_>) -> RoundOutcome {
         // Lift the recorder, the flight state and the round's two
         // buffers out of `self` so the stages can borrow the station
@@ -612,16 +594,20 @@ impl BaseStationSim {
         };
         recorder.sample(Sample::BatchSize, batch_size as f64);
 
-        let mut carrying = flight.as_mut().filter(|f| !f.ledger.is_instant());
-        if let Some(flight) = carrying.as_deref_mut() {
+        if let Some(flight) = flight.as_mut() {
             self.land_arrivals(&mut round, flight);
         }
         self.update_recency(&round, &mut recency);
-        let ledger = carrying.as_deref().map(|f| &f.ledger);
-        self.plan(&round, &mut source, ledger, &recency, &mut downloaded);
-        self.launch(&mut round, flight.as_mut(), &downloaded);
-        let carrying = flight.as_mut().filter(|f| !f.ledger.is_instant());
-        self.serve(&mut round, source, carrying, &recency, &downloaded);
+        let mut ledger = flight.as_mut().map(|f| &mut f.ledger);
+        self.plan(
+            &round,
+            &mut source,
+            ledger.as_deref(),
+            &recency,
+            &mut downloaded,
+        );
+        self.launch(&mut round, ledger.as_deref_mut(), &downloaded);
+        self.serve(&mut round, source, ledger, &recency, &downloaded);
         let outcome = self.finish_round(round);
 
         drop(step_span);
@@ -654,22 +640,22 @@ impl BaseStationSim {
         }
     }
 
-    /// Stage 1 (carrying ledger only): land the transfers launched in
-    /// earlier rounds — refresh the cache with what arrived, answer the
-    /// requests parked on each transfer, and note the arrival for an
-    /// engine round's serve (an engine round parks nobody: its standing
-    /// requests re-serve off the rescored columns).
+    /// Stage 1 (in-flight mode only): land the transfers launched in
+    /// earlier rounds — refresh the cache with what arrived and answer
+    /// the requests parked on each transfer.
     fn land_arrivals(&mut self, round: &mut Round<'_>, flight: &mut FlightState) {
         let recorder = round.recorder;
         let _fetch_span = Span::enter(recorder, Stage::Fetch);
-        flight.arrived.clear();
         loop {
             flight.waiters.clear();
-            let Some(a) = round.pop_arrival(flight) else {
+            let Some(a) = flight.ledger.pop_arrival(round.tick, &mut flight.waiters) else {
                 break;
             };
+            if round.observing {
+                let arrived = round.event(Transition::Arrived, a.object, a.version.0);
+                recorder.lifecycle(arrived.at_launch(a.launched_at));
+            }
             self.refresh_copy(round, a.object, a.size, a.version);
-            flight.arrived.push((a.object, a.launched_at));
             if round.observing {
                 if a.version != self.server.version_of(a.object) {
                     // The copy was invalidated while on the wire.
@@ -774,24 +760,21 @@ impl BaseStationSim {
                 Source::Batch(_) => self.scratch.assemble_requested(&self.catalog),
                 // The engine observes the slots the recency stage
                 // recomputed — or the whole column when it did not see
-                // this station's previous round — and arrivals dirty
-                // themselves there (their bits moved), so the
-                // incremental build pays only for what landed or the
-                // caller touched. A carrying ledger amortizes profits
-                // over arrival delays, so the engine's densities are
-                // not that round's: it plans the whole instance.
+                // this station's previous round — and refreshed copies
+                // dirty themselves there (their bits moved), so the
+                // incremental build pays only for what was refreshed or
+                // the caller touched.
                 Source::Engine(engine) => {
                     let changed = self.changed.listed();
                     engine.observe_round(recency, changed, &self.catalog, self.id, round.tick);
-                    let cut_for = ledger.is_none().then_some(budget);
-                    planner.assemble_engine_into(engine, cut_for, &mut self.scratch, recorder)
+                    planner.assemble_engine_into(engine, budget, &mut self.scratch, recorder)
                 }
             }
             budget = self.adjust_instance(round, ledger, budget);
         }
         let engine = match source {
             Source::Batch(_) => None,
-            Source::Engine(engine) => ledger.is_none().then_some(&**engine),
+            Source::Engine(engine) => Some(&**engine),
         };
         let view = PlanView {
             engine,
@@ -815,9 +798,7 @@ impl BaseStationSim {
             let cut = self.scratch.cut;
             recorder.sample(Sample::LeftOutObjects, engine.left_out_objects(cut) as f64);
             recorder.sample(Sample::CutCertificate, f64::from(self.scratch.certificate));
-            if ledger.is_none() {
-                engine.note_needed_edge(self.scratch.adaptive.needed_edge());
-            }
+            engine.note_needed_edge(self.scratch.adaptive.needed_edge());
         }
         // The column and the engine are current: from here on the
         // change set collects the next round's slots.
@@ -881,19 +862,17 @@ impl BaseStationSim {
 
     /// Stage 4: fetch what the plan chose. Without a ledger a download
     /// lands in the round that chose it (the paper's model); with one
-    /// it is launched onto the wire, and an instant ledger pops it
-    /// straight back in launch (= ascending object) order, replaying the
-    /// direct loop exactly.
+    /// it is launched onto the wire and lands in a later round.
     fn launch(
         &mut self,
         round: &mut Round<'_>,
-        flight: Option<&mut FlightState>,
+        ledger: Option<&mut InFlightLedger>,
         downloaded: &[ObjectId],
     ) {
         let recorder = round.recorder;
         let refresh_span = Span::enter(recorder, Stage::Refresh);
         round.out.launched = downloaded.len();
-        match flight {
+        match ledger {
             None => {
                 for &id in downloaded {
                     let version = self.server.version_of(id);
@@ -905,29 +884,20 @@ impl BaseStationSim {
                     }
                 }
             }
-            Some(flight) => {
+            Some(ledger) => {
                 for &id in downloaded {
-                    if flight.ledger.is_object_active(id) {
+                    if ledger.is_object_active(id) {
                         recorder.incr(Event::DuplicateFetches);
                     }
                     let version = self.server.version_of(id);
                     let size = self.catalog.size_of(id);
-                    flight.ledger.launch(id, version, size, round.tick);
+                    ledger.launch(id, version, size, round.tick);
                     if round.observing {
                         let launched = round.event(Transition::Launched, id, version.0);
                         recorder.lifecycle(launched.at_launch(round.tick));
                     }
                 }
                 recorder.add(Event::FetchesIssued, downloaded.len() as u64);
-                if flight.ledger.is_instant() {
-                    while let Some(a) = round.pop_arrival(flight) {
-                        self.refresh_copy(round, a.object, a.size, a.version);
-                    }
-                    debug_assert!(
-                        flight.waiters.is_empty(),
-                        "instant transfers never park waiters"
-                    );
-                }
             }
         }
         drop(refresh_span);
@@ -950,18 +920,14 @@ impl BaseStationSim {
     /// same copy. An engine feeds its standing tables
     /// ([`RoundEngine::for_each_active`]), a batch the rows its plan
     /// stage aggregated: an object's request count, the recency it is
-    /// served at (the truth) and its requests' Σ score there. Merge
-    /// cursors walk the round's downloads and, for an engine under a
-    /// carrying ledger, its arrivals. All of an object's requests are
-    /// * downloaded and landed — served at 1.0;
-    /// * waiting on a transfer launched this round or earlier (then
-    ///   coalesced) — the one arm that depends on the source: a
-    ///   standing population counts them as waiting, a one-shot batch
-    ///   parks each of them ([`Self::park`]) when its copy is stale; an
-    ///   estimator may launch a current copy, whose requests a batch
-    ///   serves at once, not as hits;
-    /// * or served at their recency: after their wait when an engine
-    ///   object's transfer landed this round, else as hits.
+    /// served at (the truth) and its requests' Σ score there. A merge
+    /// cursor walks the round's downloads. All of an object's requests
+    /// are either
+    /// * stale and joinable on a transfer launched this round or earlier
+    ///   (then coalesced) — parked, each of them, by [`Self::park`]
+    ///   (only a batch round runs under a ledger);
+    /// * or served at their recency — 1.0 for a download without a
+    ///   ledger — as hits unless their object was launched this round.
     ///
     /// Each object adds `n · x` and its Σ score to the round's tallies:
     /// the tally's one definition, whichever the source.
@@ -969,111 +935,49 @@ impl BaseStationSim {
         &mut self,
         round: &mut Round<'_>,
         source: Source<'_>,
-        carrying: Option<&mut FlightState>,
+        ledger: Option<&mut InFlightLedger>,
         recency: &[f64],
         downloaded: &[ObjectId],
     ) {
         let recorder = round.recorder;
         let _serve_span = Span::enter(recorder, Stage::Serve);
-        let (ledger, arrived) = match carrying {
-            Some(flight) => (Some(&mut flight.ledger), &mut flight.arrived[..]),
-            None => (None, &mut [][..]),
-        };
-        let arrived: &[(ObjectId, u64)] = match source {
-            Source::Engine(_) => {
-                // Pop order is launch order; the merge needs object order.
-                arrived.sort_unstable();
-                arrived
-            }
-            Source::Batch(_) => &[],
-        };
-        let park = matches!(source, Source::Batch(_)) && ledger.is_some();
-        let stats = &mut self.stats;
         let (cache, server) = (&self.cache, &self.server);
         let (observing, tick) = (round.observing, round.tick);
         let flight = ledger.as_deref();
-        let (mut dl, mut ar) = (0usize, 0usize);
-        // Serve one object's requests; true when they are a batch's to
-        // park.
+        let mut dl = 0usize;
+        // Serve one object's requests; true when they are to park.
         let mut visit = |object: ObjectId, x: f64, scores: Sums| -> bool {
             while dl < downloaded.len() && downloaded[dl] < object {
                 dl += 1;
             }
             let downloaded_now = dl < downloaded.len() && downloaded[dl] == object;
-            while ar < arrived.len() && arrived[ar].0 < object {
-                ar += 1;
+            if x < 1.0 && flight.is_some_and(|l| l.joinable(object, server.version_of(object))) {
+                return true;
             }
-            let mut launched_at = None;
-            while ar < arrived.len() && arrived[ar].0 == object {
-                launched_at = launched_at.max(Some(arrived[ar].1));
-                ar += 1;
-            }
-            let (n, count) = (scores.count, scores.count as usize);
-            let observed = observing && n > 0;
-            let event = |transition, version: u64| {
-                LifecycleEvent::new(transition, object.0, version, tick)
-                    .times(n.min(u64::from(u32::MAX)) as u32)
-            };
-            let cached_version = || Self::serve_version(cache, server, object);
-            let joins =
-                x < 1.0 && flight.is_some_and(|l| l.joinable(object, server.version_of(object)));
-            if downloaded_now && flight.is_none() {
-                round.recency.push_n(1.0, n);
-                round.score.push_n(1.0, n);
-                round.out.served_immediately += count;
-                if observed {
-                    recorder.lifecycle(event(Transition::Served, cached_version()));
-                }
-            } else if joins || downloaded_now && !park {
-                if park {
-                    return true;
-                }
-                round.out.still_waiting += count;
-                let version = server.version_of(object).0;
-                if downloaded_now {
-                    if observed {
-                        recorder.lifecycle(event(Transition::Requested, version));
-                    }
-                } else {
-                    recorder.add(Event::FetchesCoalesced, n);
-                    round.out.joined += count;
-                    if observed {
-                        recorder.lifecycle(event(Transition::Joined, version));
-                    }
-                }
+            let n = scores.count;
+            // Without a ledger a download landed this round: its
+            // requests are served at 1.0 (`n · 1.0` is `n` exactly).
+            let (x, scores) = if downloaded_now && flight.is_none() {
+                let sum = n as f64;
+                (1.0, Sums { count: n, sum })
             } else {
-                round.recency.push_n(x, n);
-                round.score.add(&scores);
-                if let Some(launched_at) = launched_at {
-                    let wait = (tick - launched_at) as f64;
-                    stats.wait_ticks.push_n(wait, n);
-                    stats.waited += n;
-                    round.out.served_after_wait += count;
-                    recorder.sample(Sample::FetchLatencyTicks, wait);
-                    if observed {
-                        // Standing requests wait from the launch round,
-                        // so the whole wait rides the wire; the serve is
-                        // same-round.
-                        recorder.sample(Sample::WaitQueueingTicks, 0.0);
-                        recorder.sample(Sample::WaitOnWireTicks, wait);
-                        recorder.sample(Sample::WaitServeTicks, 0.0);
-                        let served = event(Transition::ServedFromWait, cached_version());
-                        recorder.lifecycle(served.at_launch(launched_at));
-                    }
-                } else {
-                    // A batch object launched this round whose copy was
-                    // current anyway is served at once, but not a hit.
-                    if !downloaded_now {
-                        round.out.cache_hits += count;
-                    }
-                    round.out.served_immediately += count;
-                    if observed {
-                        recorder.lifecycle(event(Transition::Served, cached_version()));
-                    }
-                }
-                if observing {
-                    round.attribute_staleness(object, x, n);
-                }
+                (x, scores)
+            };
+            round.recency.push_n(x, n);
+            round.score.add(&scores);
+            // An object launched this round is no hit, whether its copy
+            // landed or, launched by an estimator, was current anyway.
+            if !downloaded_now {
+                round.out.cache_hits += n as usize;
+            }
+            round.out.served_immediately += n as usize;
+            if observing && n > 0 {
+                let version = Self::serve_version(cache, server, object);
+                let served = LifecycleEvent::new(Transition::Served, object.0, version, tick);
+                recorder.lifecycle(served.times(n.min(u64::from(u32::MAX)) as u32));
+            }
+            if observing {
+                round.attribute_staleness(object, x, n);
             }
             false
         };
@@ -1094,14 +998,14 @@ impl BaseStationSim {
                     };
                     parked[object.index()] = visit(object, x, Sums { count, sum });
                 });
-                if let Some(ledger) = ledger.filter(|_| park) {
+                if let Some(ledger) = ledger {
                     self.park(round, requests, ledger);
                 }
             }
         }
     }
 
-    /// The park pass of a batch round under a carrying ledger: one walk
+    /// The park pass of a batch round under a ledger: one walk
     /// of the requests, in request order, parking each whose object the
     /// serve left marked on the object's newest transfer (so waiters
     /// queue in the order their requests came), then clearing the marks.
@@ -1481,7 +1385,7 @@ mod tests {
     /// waves, checking every round's serve against a reference computed
     /// per request, independently of the station's columns: a cache
     /// probe (`true_recency`), a textbook `score` and a `contains` scan
-    /// of the download list per request. Under a carrying ledger the
+    /// of the download list per request. Under a ledger the
     /// reference keeps its own list of transfers (each round's launches,
     /// read off the ledger in launch order, with their arrival rounds):
     /// a request parks, in request order, on its object's newest
@@ -1496,7 +1400,7 @@ mod tests {
     /// cache or the server between the serve stage and the end of
     /// `step`, so probing afterwards reads exactly what the serve stage
     /// saw. Returns how many requests were for an object launched in
-    /// their round under a carrying ledger whose copy was current
+    /// their round under a ledger whose copy was current
     /// anyway (served at once, not parked).
     fn assert_serve_matches_per_request_reference(mut s: BaseStationSim, label: &str) -> usize {
         let objects = s.catalog().len() as u32;
@@ -1537,8 +1441,8 @@ mod tests {
                     waited += 1;
                 }
             }
-            let carrying = s.flight_ledger().filter(|l| !l.is_instant());
-            if let Some(ledger) = carrying {
+            let ledger = s.flight_ledger();
+            if let Some(ledger) = ledger {
                 ledger.for_each_active(|a| {
                     if a.launched_at == tick {
                         transfers.push_back(ReferenceTransfer {
@@ -1563,7 +1467,7 @@ mod tests {
                     continue;
                 }
                 let launched = downloaded.contains(&r.object);
-                current_launches += usize::from(launched && carrying.is_some());
+                current_launches += usize::from(launched && ledger.is_some());
                 let (n, score) = per_object.entry(r.object).or_insert((0u64, 0.0));
                 *n += 1;
                 *score += s.scoring.score(x, r.target_recency);
@@ -1606,7 +1510,7 @@ mod tests {
             // Every transfer carries the requests the reference parked
             // on it.
             let mut carried = Vec::new();
-            if let Some(ledger) = carrying {
+            if let Some(ledger) = ledger {
                 ledger.for_each_active(|a| carried.push((a.object, a.launched_at, a.waiters)));
             }
             let expected: Vec<_> = transfers
@@ -1715,6 +1619,21 @@ mod tests {
         // Same length, so the per-round length check passes.
         let other = Catalog::from_sizes(&[3, 2, 1]);
         let mut engine = RoundEngine::new(&other, ScoringFunction::InverseRatio);
+        engine.push_request(ObjectId(0), 1.0);
+        s.step_engine(&mut engine);
+    }
+
+    #[test]
+    #[should_panic(expected = "step_engine requires a station without an in-flight ledger")]
+    fn step_engine_rejects_an_in_flight_station() {
+        let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio);
+        let catalog = Catalog::from_sizes(&[1, 2, 3]);
+        let mut s = StationBuilder::new(catalog.clone())
+            .on_demand(planner, 6)
+            .in_flight(InFlightConfig::coalescing(2))
+            .build()
+            .expect("test configurations are valid");
+        let mut engine = RoundEngine::new(&catalog, ScoringFunction::InverseRatio);
         engine.push_request(ObjectId(0), 1.0);
         s.step_engine(&mut engine);
     }

@@ -29,7 +29,7 @@ use basecache_core::recency::ScoringFunction;
 use basecache_core::station::BaseStationSim;
 use basecache_core::RoundOutcome;
 use basecache_core::StationBuilder;
-use basecache_net::{Catalog, InFlightConfig, ObjectId};
+use basecache_net::{Catalog, ObjectId};
 use basecache_obs::{FlightRecorder, Snapshot};
 use basecache_sim::{RngStreams, SimTime};
 use basecache_workload::{ChurnOp, GeneratedRequest, Popularity, StandingWorkload, TargetRecency};
@@ -616,10 +616,9 @@ fn massive_round_is_bit_identical_to_the_exact_dp_station() {
 /// `engine-massive` shape (scaled down: 3 000 objects of size 1–8,
 /// 30 000 standing requests, a 60-unit budget) reaches all three
 /// outcomes; with it go a round under plan exclusions and a round of a
-/// second station whose in-flight ledger is instant. Every round plans
-/// what the full-table DP picks on the whole instance — every active
-/// object with positive profit, less the exclusions — with the same
-/// units and value bits.
+/// second station. Every round plans what the full-table DP picks on
+/// the whole instance — every active object with positive profit, less
+/// the exclusions — with the same units and value bits.
 #[test]
 fn engine_rounds_plan_the_whole_instance_whichever_cut_they_took() {
     const OBJECTS: usize = 3_000;
@@ -645,19 +644,15 @@ fn engine_rounds_plan_the_whole_instance_whichever_cut_they_took() {
     );
     let mut updates = streams.stream("cut/updates");
 
-    let build = |flight: Option<InFlightConfig>| {
-        let builder = StationBuilder::new(catalog.clone())
+    let build = || {
+        StationBuilder::new(catalog.clone())
             .on_demand(OnDemandPlanner::paper_default(), BUDGET)
-            .recorder(Box::new(SolveProbe::default()));
-        match flight {
-            Some(config) => builder.in_flight(config),
-            None => builder,
-        }
-        .build()
-        .expect("valid configuration")
+            .recorder(Box::new(SolveProbe::default()))
+            .build()
+            .expect("valid configuration")
     };
-    let mut station = build(None);
-    let mut instant = build(Some(InFlightConfig::coalescing(0)));
+    let mut station = build();
+    let mut second = build();
     let mut engine = RoundEngine::new(&catalog, ScoringFunction::InverseRatio);
     engine.push_columns(&objs, &targets);
 
@@ -685,9 +680,9 @@ fn engine_rounds_plan_the_whole_instance_whichever_cut_they_took() {
             Vec::new()
         };
         station.set_plan_exclusions(&excluded);
-        // Round 60 is the instant-ledger station's.
+        // Round 60 is the second station's.
         let stepping = if round == 60 {
-            &mut instant
+            &mut second
         } else {
             &mut station
         };

@@ -9,7 +9,7 @@
 //! These scripts drive every path that moves a copy's recency —
 //! per-object updates (now and then more than a change list holds),
 //! waves, batch and engine rounds on one station,
-//! in-flight arrivals, an estimator station, and a cluster whose
+//! in-flight arrivals (batch rounds), an estimator station, and a cluster whose
 //! regional L2 tier installs copies between rounds — so the debug
 //! assertion sees each of them. Independently of it, every
 //! instantaneous oracle round checks what its planner saw against a
@@ -48,7 +48,8 @@ enum Kind {
     /// rounds, each checked against a full recomputation.
     Instant,
     /// Oracle recency, multi-round transfers: arrivals write the cache
-    /// at the head of the round, before the recency stage.
+    /// at the head of the round, before the recency stage. Batch rounds
+    /// only: an engine round runs without a ledger.
     InFlight,
     /// A TTL estimator plans: the column is refilled every round.
     Estimator,
@@ -123,7 +124,7 @@ fn run_station(kind: Kind, rng: &mut StreamRng, cover: &mut Coverage) {
         }
         // The recency the round's planner must see, recomputed whole.
         let truth = station.recency_vec();
-        let engine_round = kind != Kind::Estimator && rng.random_range(0..3u32) != 0;
+        let engine_round = kind == Kind::Instant && rng.random_range(0..3u32) != 0;
         let out = if engine_round {
             cover.engine_after_batch += usize::from(last_was_batch);
             let out = station.step_engine(&mut engine);

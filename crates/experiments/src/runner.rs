@@ -127,7 +127,7 @@ pub fn drain(station: &mut BaseStationSim) {
         station.flight_ledger().expect("an in-flight station")
     }
     let launched = ledger(station).stats().units_launched;
-    let limit = launched / ledger(station).config().bandwidth_per_round.max(1) + 2;
+    let limit = launched / ledger(station).config().bandwidth_per_round + 2;
     let mut rounds = 0u64;
     while ledger(station).waiting() > 0 {
         station.step(&[]);

@@ -19,7 +19,8 @@
 //!   bounded from below as well. Near `C ≈ total size` this removes
 //!   almost all DP work.
 //!
-//! Each row is one kernel, `sweep_row`, shared by both sweeps: a
+//! Both solves run one row loop, the suffix bound on for the
+//! single-capacity solve only, and each row is one kernel, `sweep_row`: a
 //! 64-cell keep word at a time, it copies the word's source cells out,
 //! stores each cell's larger value unconditionally and writes the
 //! word's keep bits once, from a register — straight-line code the
@@ -255,21 +256,16 @@ impl DpScratch {
         self.phys_end.clear();
         self.sizes.clear();
     }
-}
 
-impl DpByCapacity {
-    /// The full solution-space trace into reusable scratch: the optimal
-    /// value and an optimal item set at every capacity
-    /// `0..=min(capacity, total size)`, read back through
-    /// [`DpScratch::values`], [`DpScratch::solution_indices_at_into`] and
-    /// [`DpScratch::marginal_gains_into`]. No per-call table allocation
-    /// after the first use.
-    pub fn solve_trace_into(&self, items: &[Item], capacity: u64, scratch: &mut DpScratch) {
-        let total: u64 = items.iter().map(|i| i.size()).sum();
-        let effective = capacity.min(total);
-        let eff = usize::try_from(effective).expect("capacity exceeds addressable memory");
-        scratch.begin(items.len(), capacity, effective);
-        let words = scratch.words;
+    /// The DP's rows over `items` at the effective capacity [`Self::begin`]
+    /// set, shared by both solves. With `suffix_bound` (the
+    /// single-capacity solve) each row is bounded from below too, by the
+    /// cells a backtrack from the effective capacity can reach, read off
+    /// `self.suffix`.
+    fn sweep_rows(&mut self, items: &[Item], suffix_bound: bool) {
+        let effective = self.effective;
+        let eff = effective as usize;
+        let words = self.words;
 
         let mut flat = 0.0_f64; // value of the flat region: Σ profit of used items so far
         let mut used_prefix = 0u64; // S_i: total size of used items so far
@@ -278,25 +274,25 @@ impl DpByCapacity {
         for (i, item) in items.iter().enumerate() {
             let size_u = item.size();
             let profit = item.profit();
-            scratch.sizes.push(size_u);
+            self.sizes.push(size_u);
             debug_assert!(profit.is_finite() && profit >= 0.0, "invalid profit");
             if profit <= 0.0 || size_u > effective {
-                scratch.kind.push(RowKind::Skip);
-                scratch.flat_from.push(0);
-                scratch.phys_end.push(0);
+                self.kind.push(RowKind::Skip);
+                self.flat_from.push(0);
+                self.phys_end.push(0);
                 continue;
             }
             if size_u == 0 {
                 // Free profit: take at every capacity. Only the physical
                 // frontier needs the addition; the flat scalar covers the
                 // rest.
-                for v in &mut scratch.values[..=w_prev] {
+                for v in &mut self.values[..=w_prev] {
                     *v += profit;
                 }
                 flat += profit;
-                scratch.kind.push(RowKind::Always);
-                scratch.flat_from.push(0);
-                scratch.phys_end.push(0);
+                self.kind.push(RowKind::Always);
+                self.flat_from.push(0);
+                self.phys_end.push(0);
                 continue;
             }
 
@@ -315,28 +311,52 @@ impl DpByCapacity {
             // Backfill the frontier cells (w_prev, w_new] with the flat
             // value of the previous level; each cell is backfilled at most
             // once across the whole solve.
-            for v in &mut scratch.values[w_prev + 1..=w_new] {
+            for v in &mut self.values[w_prev + 1..=w_new] {
                 *v = flat;
             }
-            // Bounded above by the frontier; `size <= eff` and
-            // `size <= used_prefix`, so the row is never empty.
-            let row = &mut scratch.keep[i * words..(i + 1) * words];
-            sweep_row(&mut scratch.values, row, size, profit, size, w_new);
-            scratch.cells_touched += (w_new - size + 1) as u64;
+            // Bounded above by the frontier. Without the suffix bound the
+            // row starts at `size`, and as `size <= eff` and `size <=
+            // used_prefix` it is never empty; with it, backtracking from
+            // `effective` can only visit cells >= effective - suffix[i+1].
+            let low = if suffix_bound {
+                effective.saturating_sub(self.suffix[i + 1]) as usize
+            } else {
+                0
+            };
+            let sweep_lo = size.max(low);
+            if sweep_lo <= w_new {
+                let row = &mut self.keep[i * words..(i + 1) * words];
+                sweep_row(&mut self.values, row, size, profit, sweep_lo, w_new);
+                self.cells_touched += (w_new - sweep_lo + 1) as u64;
+            }
             flat += profit;
-            scratch.kind.push(RowKind::Mixed);
-            scratch.flat_from.push(if degenerate {
+            self.kind.push(RowKind::Mixed);
+            self.flat_from.push(if degenerate {
                 effective + 1
             } else {
                 used_prefix
             });
-            scratch.phys_end.push(w_new as u64);
+            self.phys_end.push(w_new as u64);
             w_prev = w_new;
         }
         // Cells beyond the final frontier hold the flat optimum.
-        for v in &mut scratch.values[w_prev + 1..=eff] {
+        for v in &mut self.values[w_prev + 1..=eff] {
             *v = flat;
         }
+    }
+}
+
+impl DpByCapacity {
+    /// The full solution-space trace into reusable scratch: the optimal
+    /// value and an optimal item set at every capacity
+    /// `0..=min(capacity, total size)`, read back through
+    /// [`DpScratch::values`], [`DpScratch::solution_indices_at_into`] and
+    /// [`DpScratch::marginal_gains_into`]. No per-call table allocation
+    /// after the first use.
+    pub fn solve_trace_into(&self, items: &[Item], capacity: u64, scratch: &mut DpScratch) {
+        let total: u64 = items.iter().map(|i| i.size()).sum();
+        scratch.begin(items.len(), capacity, capacity.min(total));
+        scratch.sweep_rows(items, false);
         scratch.mode = Mode::Trace;
     }
 
@@ -363,7 +383,6 @@ impl DpByCapacity {
         let effective = capacity.min(total);
         let eff = usize::try_from(effective).expect("capacity exceeds addressable memory");
         scratch.begin(items.len(), capacity, effective);
-        let words = scratch.words;
 
         // Suffix sums of usable item sizes: suffix[i] = Σ_{j>=i} size_j
         // over items that participate in the DP.
@@ -374,65 +393,7 @@ impl DpByCapacity {
             scratch.suffix[i] = scratch.suffix[i + 1] + if usable { items[i].size() } else { 0 };
         }
 
-        let mut flat = 0.0_f64;
-        let mut used_prefix = 0u64;
-        let mut w_prev = 0usize;
-
-        for (i, item) in items.iter().enumerate() {
-            let size_u = item.size();
-            let profit = item.profit();
-            scratch.sizes.push(size_u);
-            debug_assert!(profit.is_finite() && profit >= 0.0, "invalid profit");
-            if profit <= 0.0 || size_u > effective {
-                scratch.kind.push(RowKind::Skip);
-                scratch.flat_from.push(0);
-                scratch.phys_end.push(0);
-                continue;
-            }
-            if size_u == 0 {
-                for v in &mut scratch.values[..=w_prev] {
-                    *v += profit;
-                }
-                flat += profit;
-                scratch.kind.push(RowKind::Always);
-                scratch.flat_from.push(0);
-                scratch.phys_end.push(0);
-                continue;
-            }
-
-            let size = size_u as usize;
-            used_prefix += size_u;
-            // Backtracking from `effective` can only visit cells
-            // >= effective - suffix[i+1] at this row.
-            let low = effective.saturating_sub(scratch.suffix[i + 1]) as usize;
-            let degenerate = flat + profit <= flat;
-            let w_new = if degenerate {
-                eff
-            } else {
-                w_prev.max(eff.min(used_prefix as usize))
-            };
-            for v in &mut scratch.values[w_prev + 1..=w_new] {
-                *v = flat;
-            }
-            let sweep_lo = size.max(low);
-            if sweep_lo <= w_new {
-                let row = &mut scratch.keep[i * words..(i + 1) * words];
-                sweep_row(&mut scratch.values, row, size, profit, sweep_lo, w_new);
-                scratch.cells_touched += (w_new - sweep_lo + 1) as u64;
-            }
-            flat += profit;
-            scratch.kind.push(RowKind::Mixed);
-            scratch.flat_from.push(if degenerate {
-                effective + 1
-            } else {
-                used_prefix
-            });
-            scratch.phys_end.push(w_new as u64);
-            w_prev = w_new;
-        }
-        for v in &mut scratch.values[w_prev + 1..=eff] {
-            *v = flat;
-        }
+        scratch.sweep_rows(items, true);
 
         // Backtrack at the solved capacity only (lower cells were never
         // maintained below their per-row bounds).

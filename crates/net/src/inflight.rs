@@ -33,11 +33,8 @@
 //!   Replaying the same launches and joins replays the same arrivals,
 //!   waiter orders and statistics bit for bit.
 //!
-//! `bandwidth_per_round == 0` means *instant*: transfers arrive in the
-//! round they are launched, nothing commits bandwidth, and the whole
-//! subsystem degenerates to the paper's same-round download model (the
-//! transfer-time-zero parity tests pin this bit-identical to the
-//! instantaneous step path).
+//! The bandwidth is positive: the paper's same-round download model is
+//! a station without a ledger, not a ledger of bandwidth 0.
 //!
 //! Steady-state operation allocates nothing: the transfer queue is a
 //! ring, waiters live in a free-listed pool, and both only grow while
@@ -52,9 +49,7 @@ const NIL: u32 = u32::MAX;
 /// Configuration of an [`InFlightLedger`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InFlightConfig {
-    /// Fixed-network capacity in data units per round. `0` means
-    /// *instant*: transfers arrive in the round they are launched
-    /// (transfer-time zero — the paper's model).
+    /// Fixed-network capacity in data units per round; positive.
     pub bandwidth_per_round: u64,
     /// Single-flight coalescing: when true (the default for real
     /// deployments), launching a duplicate of an in-flight
@@ -218,7 +213,16 @@ pub struct InFlightLedger {
 
 impl InFlightLedger {
     /// A ledger over `num_objects` objects (ids `0..num_objects`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.bandwidth_per_round == 0`: a transfer over a
+    /// link that moves nothing never lands.
     pub fn new(config: InFlightConfig, num_objects: usize) -> Self {
+        assert!(
+            config.bandwidth_per_round > 0,
+            "an in-flight ledger needs a positive bandwidth"
+        );
         Self {
             config,
             transfers: VecDeque::new(),
@@ -254,12 +258,6 @@ impl InFlightLedger {
         self.config
     }
 
-    /// Whether transfers arrive in the round they are launched
-    /// (bandwidth 0 — the paper's model).
-    pub fn is_instant(&self) -> bool {
-        self.config.bandwidth_per_round == 0
-    }
-
     /// Whether single-flight coalescing is on.
     pub fn coalesce(&self) -> bool {
         self.config.coalesce
@@ -274,22 +272,15 @@ impl InFlightLedger {
 
     /// Link units that already-accepted transfers will consume in round
     /// `now` — what the planner subtracts from its round budget before
-    /// commissioning new downloads. Zero when instant or idle.
+    /// commissioning new downloads. Zero when idle.
     pub fn committed_at(&self, now: u64) -> u64 {
-        if self.is_instant() {
-            return 0;
-        }
         self.backlog_at(now).min(self.config.bandwidth_per_round)
     }
 
     /// Rounds until a transfer of `size` launched in round `now` would
-    /// arrive (behind the current backlog). Zero when instant, at least
-    /// one otherwise — the divisor for amortizing a candidate's profit
-    /// over its arrival round.
+    /// arrive (behind the current backlog), at least one — the divisor
+    /// for amortizing a candidate's profit over its arrival round.
     pub fn arrival_delay(&self, size: u64, now: u64) -> u64 {
-        if self.is_instant() {
-            return 0;
-        }
         let queued = self.backlog_at(now) + size;
         queued.div_ceil(self.config.bandwidth_per_round)
     }
@@ -359,7 +350,7 @@ impl InFlightLedger {
 
     /// Launch a transfer of `object` at the server's `version`,
     /// `size > 0` data units, in round `now`. Returns the round it will
-    /// arrive (`now` itself when instant).
+    /// arrive, at least `now + 1`.
     ///
     /// # Panics
     ///
@@ -380,12 +371,8 @@ impl InFlightLedger {
             self.stats.duplicate_launches += 1;
         }
         self.drain_to(now);
-        let arrives_at = if self.is_instant() {
-            now
-        } else {
-            self.backlog += size;
-            now + self.backlog.div_ceil(self.config.bandwidth_per_round)
-        };
+        self.backlog += size;
+        let arrives_at = now + self.backlog.div_ceil(self.config.bandwidth_per_round);
         let seq = self.next_seq;
         self.next_seq += 1;
         self.transfers.push_back(Transfer {
@@ -593,15 +580,9 @@ mod tests {
     }
 
     #[test]
-    fn instant_mode_degenerates_to_same_round_arrivals() {
-        let mut l = ledger(0, true);
-        assert!(l.is_instant());
-        assert_eq!(l.launch(ObjectId(2), Version(0), 1_000, 7), 7);
-        assert_eq!(l.committed_at(7), 0);
-        assert_eq!(l.arrival_delay(1_000, 7), 0);
-        let mut w = Vec::new();
-        let a = l.pop_arrival(7, &mut w).expect("same-round arrival");
-        assert_eq!(a.launched_at, 7);
+    #[should_panic(expected = "an in-flight ledger needs a positive bandwidth")]
+    fn a_zero_bandwidth_ledger_is_refused() {
+        ledger(0, true);
     }
 
     #[test]

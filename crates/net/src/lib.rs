@@ -4,10 +4,10 @@
 //! cell/base-station/client topology.
 //!
 //! The paper's analyses abstract the network to "k object-units may be
-//! downloaded per time unit"; the in-flight ledger degrades to exactly
-//! that at bandwidth 0 (instant transfers), and at a finite bandwidth
-//! gives every download a duration in rounds, which is what the
-//! transfer-time experiments sweep.
+//! downloaded per time unit", each download landing in the time unit
+//! that issued it; the in-flight ledger instead gives every download a
+//! duration in rounds over a fixed network of finite bandwidth, which
+//! is what the transfer-time experiments sweep.
 //!
 //! Layout:
 //!

@@ -34,8 +34,6 @@ pub const NO_TICK: u64 = u64::MAX;
 /// One step in a transfer's (or waiting request's) lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Transition {
-    /// A client asked for the object and could not be served fresh.
-    Requested,
     /// The planner committed budget to downloading the object.
     Planned,
     /// A transfer for `(object, version)` launched onto the network.
@@ -120,8 +118,8 @@ pub struct LifeSpan {
     pub object: u32,
     /// Version the span tracks.
     pub version: u64,
-    /// Tick of the first event (requested or planned), [`NO_TICK`] if
-    /// the span opened at launch.
+    /// Tick of the first event (the plan, say), [`NO_TICK`] if the span
+    /// opened at launch.
     pub opened_tick: u64,
     /// Tick the transfer launched, [`NO_TICK`] if it never did.
     pub launch_tick: u64,
@@ -381,7 +379,7 @@ impl Recorder for LifecycleRecorder {
             span.launch_tick = event.launch_tick;
         }
         match event.transition {
-            Transition::Requested | Transition::Planned => {}
+            Transition::Planned => {}
             Transition::Launched => {
                 span.launch_tick = event.tick;
             }

@@ -57,7 +57,7 @@ struct State {
     /// `(object, version)` pairs currently believed in flight, oldest
     /// first; bounded, evicts silently when full.
     inflight: Vec<(u32, u64)>,
-    /// Cumulative waiters parked (requested or joined onto transfers).
+    /// Cumulative waiters parked (joined onto transfers).
     parked: u64,
     /// Cumulative waiters served off arrived transfers.
     served: u64,
@@ -235,7 +235,7 @@ impl Recorder for InvariantMonitor {
 
     fn lifecycle(&self, event: LifecycleEvent) {
         match event.transition {
-            Transition::Requested | Transition::Joined => {
+            Transition::Joined => {
                 let mut st = self.state.borrow_mut();
                 st.parked = st.parked.saturating_add(u64::from(event.count));
             }

@@ -68,7 +68,7 @@ fn replay(rec: &dyn Recorder, fault: Fault) {
         let base = u64::from(r) * 10;
         rec.begin_round(base);
 
-        rec.lifecycle(LifecycleEvent::new(Transition::Requested, object, 1, base).times(2));
+        rec.lifecycle(LifecycleEvent::new(Transition::Joined, object, 1, base).times(2));
         rec.lifecycle(LifecycleEvent::new(Transition::Planned, object, 1, base));
         let committed = if fault == Fault::Overcommit && r == 2 {
             BUDGET + 40

@@ -43,21 +43,6 @@ impl Welford {
     pub fn std_dev(&self) -> Option<f64> {
         self.variance().map(f64::sqrt)
     }
-
-    /// Fold in `n` identical observations of `x` at once (Chan et al.'s
-    /// parallel update with a zero-variance batch): the same moments as
-    /// `n` pushes of `x`, up to rounding, in O(1); the serve uses this
-    /// to charge a whole object's request population in one call.
-    pub fn push_n(&mut self, x: f64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        let total = self.count + n;
-        let delta = x - self.mean;
-        self.mean += delta * n as f64 / total as f64;
-        self.m2 += delta * delta * self.count as f64 * n as f64 / total as f64;
-        self.count = total;
-    }
 }
 
 /// A tally as plain sums: the count and `Σx` of what was pushed.
@@ -130,27 +115,6 @@ mod tests {
         w.push(3.0);
         assert_eq!(w.mean(), Some(3.0));
         assert!(w.variance().is_none());
-    }
-
-    #[test]
-    fn welford_push_n_equals_repeated_push() {
-        let mut batched = Welford::new();
-        let mut sequential = Welford::new();
-        batched.push(2.5);
-        sequential.push(2.5);
-        batched.push_n(7.0, 4);
-        for _ in 0..4 {
-            sequential.push(7.0);
-        }
-        batched.push_n(0.25, 3);
-        for _ in 0..3 {
-            sequential.push(0.25);
-        }
-        assert_eq!(batched.count(), sequential.count());
-        assert!((batched.mean().unwrap() - sequential.mean().unwrap()).abs() < 1e-12);
-        assert!((batched.variance().unwrap() - sequential.variance().unwrap()).abs() < 1e-12);
-        batched.push_n(9.0, 0);
-        assert_eq!(batched.count(), sequential.count(), "n = 0 is a no-op");
     }
 
     /// Random push / push_n / add streams of values in `[0, 1]`, up to

@@ -800,12 +800,12 @@ mod tests {
         assert!(text.contains("rounds"), "counter tally present: {text}");
     }
 
-    /// One transfer requested at tick 0, launched at 2, arrived at 5
-    /// with three parked waiters served; one request that never
-    /// launched (queue-only span, still open).
+    /// One transfer planned at tick 0, launched at 2, arrived at 5
+    /// with three parked waiters served; one plan that never launched
+    /// (queue-only span, still open).
     fn lifecycle_trace() -> String {
         let rec = LifecycleRecorder::new(8, 32);
-        rec.lifecycle(LifecycleEvent::new(Transition::Requested, 7, 1, 0));
+        rec.lifecycle(LifecycleEvent::new(Transition::Planned, 7, 1, 0));
         rec.lifecycle(LifecycleEvent::new(Transition::Launched, 7, 1, 2).at_launch(2));
         rec.lifecycle(LifecycleEvent::new(Transition::Joined, 7, 1, 3).times(2));
         rec.lifecycle(LifecycleEvent::new(Transition::Arrived, 7, 1, 5).at_launch(2));
@@ -814,7 +814,7 @@ mod tests {
                 .at_launch(2)
                 .times(3),
         );
-        rec.lifecycle(LifecycleEvent::new(Transition::Requested, 9, 4, 1));
+        rec.lifecycle(LifecycleEvent::new(Transition::Planned, 9, 4, 1));
         rec.end_round(6);
         rec.to_chrome_trace()
     }
@@ -844,7 +844,7 @@ mod tests {
         assert_eq!(report.joined, 2);
         assert_eq!(report.served, 3);
         assert_eq!(report.dropped, 0);
-        // obj#7: requested tick 0, launched 2, arrived 5 → 2 ticks
+        // obj#7: planned tick 0, launched 2, arrived 5 → 2 ticks
         // queued + 3 on the wire. obj#9: open from tick 1 to the sweep
         // at its last event (tick 1) → zero-length queueing.
         assert_eq!(report.queueing_us, 2_000.0);
