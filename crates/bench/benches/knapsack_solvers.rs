@@ -8,10 +8,9 @@
 //! station round (~500 items of size 1–20 under an eighth of their total
 //! size; untied and tied) and an engine round (35 000 items of size 1–8,
 //! capacity 1 000; profits tied by the thousand, as the engine's are, and
-//! drawn apart, which takes the two-sided reduction at that scale).
-//! `knapsack/by_capacity/dp_tied_core/1000` times the DP alone at the
-//! core those tied engine rounds leave when bound fixing cannot shrink
-//! it: ~1 200 items of size 1–8 under 1 000 units.
+//! drawn apart). `knapsack/by_capacity/dp_tied_core/1000` times the DP
+//! alone at a large tied core: ~1 200 items of size 1–8 under 1 000
+//! units.
 
 use std::hint::black_box;
 

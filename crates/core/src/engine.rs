@@ -80,8 +80,9 @@
 //! fold each object's targets in storage order, so every per-object
 //! profit and score tally — and with them the assembled instance — agree
 //! bit for bit. Both also equal a plain per-target
-//! [`ScoringFunction::score`] loop bit for bit (the fold's shortcut and
-//! chunks change no rounding); `tests/engine_parity.rs` checks that
+//! [`ScoringFunction::score`] loop bit for bit, its profit rounded to
+//! the grid as [`Item::new`] rounds it (the fold's shortcut and chunks
+//! change no rounding); `tests/engine_parity.rs` checks that
 //! independently after every round of its churn scripts.
 //!
 //! The derived columns are read ([`RoundEngine::assemble_into`],
@@ -90,7 +91,7 @@
 
 use std::collections::BTreeSet;
 
-use basecache_knapsack::{band_edge, cut_below, density_band, Item, LeftOut, BANDS};
+use basecache_knapsack::{band_edge, cut_below, density_band, grid_profit, Item, LeftOut, BANDS};
 use basecache_net::{Catalog, ObjectId};
 use basecache_sim::metrics::Sums;
 
@@ -138,7 +139,8 @@ pub struct ActiveObject {
     /// The tally of `score(recency, target)` over its requests: their
     /// count (its standing requests) and Σ score.
     pub scores: Sums,
-    /// Σ `1 − score` over its requests (knapsack profit).
+    /// Σ `1 − score` over its requests (knapsack profit), on the profit
+    /// grid ([`basecache_knapsack::grid_profit`]).
     pub profit: f64,
     /// Its size in data units.
     pub size: u64,
@@ -158,7 +160,10 @@ pub struct RoundEngine {
     recency: Vec<f64>,
     /// Standing request targets per object, in push order.
     targets: Vec<Vec<f64>>,
-    /// Σ over the object's clients of `1 − score` (knapsack profit).
+    /// Σ over the object's clients of `1 − score` (knapsack profit),
+    /// rounded to the profit grid at rescore: the bands, the histogram,
+    /// [`Self::profit_sum`] and the assembled items all read this one
+    /// number.
     profit: Vec<f64>,
     /// The object's clients' scores as a tally: their count and Σ score,
     /// stored at rescore as the fold returns them, for serve to add. Its
@@ -481,8 +486,8 @@ impl RoundEngine {
                 let n = self.targets[o].len() as u64;
                 let (sum, profit) = self.scoring.fold(self.recency[o], &self.targets[o]);
                 self.scores[o] = Sums { count: n, sum };
-                self.profit[o] = profit;
-                let band = density_band(profit, self.sizes[o]);
+                self.profit[o] = grid_profit(profit);
+                let band = density_band(self.profit[o], self.sizes[o]);
                 self.histogram.shift(self.band[o], band, self.sizes[o]);
                 self.band[o] = band;
                 self.last_rescored += n;
@@ -576,12 +581,12 @@ impl RoundEngine {
     }
 
     /// Σ profit over the positive-profit objects not in `excluded`
-    /// (ascending), folded in ascending object order: the whole
-    /// instance's profit bound, bit for bit the fold over its items.
-    /// The other objects' profit is `+0.0` (a fold of terms `1 − s ≥
-    /// +0.0` from `0.0`), which leaves a non-negative sum's bits as they
-    /// are, so the fold runs over the whole column, skipping only the
-    /// excluded objects.
+    /// (ascending): the whole instance's profit bound. The profits are
+    /// on the grid, so below `2^21` the sum is exact and does not depend
+    /// on the order it is folded in. The other objects' profit is `+0.0`
+    /// (a fold of terms `1 − s ≥ +0.0` from `0.0`, rounded), which adds
+    /// nothing, so the fold runs over the whole column, skipping only
+    /// the excluded objects.
     pub(crate) fn profit_sum(&self, excluded: &[ObjectId]) -> f64 {
         let mut sum = 0.0;
         let mut excluded = excluded.iter().peekable();
@@ -600,10 +605,8 @@ impl RoundEngine {
     ///
     /// Fully satisfied objects (every requesting client already at or
     /// above its target, profit exactly `0.0`) are kept out of the
-    /// instance: they can never earn downlink budget, and at scale tens
-    /// of thousands of bit-equal `0.0` profits would trip the adaptive
-    /// solver's duplicate-profit guard and force the full DP on every
-    /// round. Both engine build paths (incremental and
+    /// instance: they can never earn downlink budget, and every solver
+    /// drops them anyway. Both engine build paths (incremental and
     /// [`Self::mark_all_dirty`] reference) share this filter, so the
     /// bit-parity contract is unaffected.
     pub fn assemble_into(&self, scratch: &mut PlannerScratch) {
@@ -721,8 +724,8 @@ mod tests {
         let scratch = assemble(&e);
         assert_eq!(scratch.objects, vec![ObjectId(1), ObjectId(3)]);
         let s = ScoringFunction::InverseRatio;
-        let profit_1 = 1.0 - s.score(0.4, 0.5);
-        let profit_3 = (1.0 - s.score(0.2, 1.0)) + (1.0 - s.score(0.2, 0.8));
+        let profit_1 = grid_profit(1.0 - s.score(0.4, 0.5));
+        let profit_3 = grid_profit((1.0 - s.score(0.2, 1.0)) + (1.0 - s.score(0.2, 0.8)));
         assert_eq!(scratch.items[0].profit().to_bits(), profit_1.to_bits());
         assert_eq!(scratch.items[1].profit().to_bits(), profit_3.to_bits());
         let (a, b) = (s.score(0.2, 1.0), s.score(0.2, 0.8));
@@ -768,7 +771,7 @@ mod tests {
         let s = ScoringFunction::InverseRatio;
         assert_eq!(
             scratch.items[1].profit().to_bits(),
-            (1.0 - s.score(0.3, 1.0)).to_bits()
+            grid_profit(1.0 - s.score(0.3, 1.0)).to_bits()
         );
     }
 

@@ -146,7 +146,7 @@ pub fn build_instance_from_scores(population: &Table1Population) -> MappedInstan
 #[cfg(test)]
 mod tests {
     use super::*;
-    use basecache_knapsack::{DpByCapacity, Solver};
+    use basecache_knapsack::{grid_profit, DpByCapacity, Solver};
 
     #[test]
     fn profit_sums_per_client_benefits() {
@@ -158,12 +158,16 @@ mod tests {
         batch.push(ObjectId(1), 1.0);
         let mapped = build_instance(&batch, &catalog, &recency, ScoringFunction::InverseRatio);
 
-        // Object 0: two clients, each score 2/3 → profit 2·(1/3).
+        // Object 0: two clients, each score 2/3 → profit 2·(1/3), the
+        // plain fold rounded to the profit grid.
         // Object 1: fresh → profit 0.
         let items = mapped.instance().items();
         assert_eq!(items.len(), 2);
         assert_eq!(items[0].size(), 3);
-        assert!((items[0].profit() - 2.0 / 3.0).abs() < 1e-12);
+        let benefit = 1.0 - ScoringFunction::InverseRatio.score(0.5, 1.0);
+        let profit = grid_profit(benefit + benefit);
+        assert_eq!(items[0].profit().to_bits(), profit.to_bits());
+        assert!((profit - 2.0 / 3.0).abs() < 1e-9);
         assert_eq!(items[1].profit(), 0.0);
         // Base score: 2·(2/3) + 1·1 = 7/3 over 3 clients.
         assert!((mapped.base_score_sum() - 7.0 / 3.0).abs() < 1e-12);

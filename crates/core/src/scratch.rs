@@ -80,9 +80,9 @@ pub struct PlannerScratch {
     pub(crate) per_count: Vec<u32>,
     /// Knapsack items for the requested objects, object-ascending. While
     /// a batch aggregates, the per-object profit column instead: object
-    /// `o`'s summed benefit Σ(1 − s) is `items[o]`'s profit until
-    /// [`Self::assemble_requested`] packs the requested ones to the
-    /// front.
+    /// `o`'s summed benefit Σ(1 − s), not yet on the profit grid, is
+    /// `items[o]`'s profit until [`Self::assemble_requested`] rounds the
+    /// requested ones and packs them to the front.
     pub(crate) items: Vec<Item>,
     /// Object id of each knapsack item (parallel to `items`).
     pub(crate) objects: Vec<ObjectId>,
@@ -182,7 +182,7 @@ impl PlannerScratch {
         let profits = &mut self.items;
         profits.clear();
         if profit {
-            profits.resize(n, Item::new(0, 0.0));
+            profits.resize(n, Item::unrounded(0, 0.0));
         }
         let (count, score) = (&mut self.per_count[..n], &mut self.per_score[..n]);
         let requested = &mut self.requested;
@@ -192,7 +192,7 @@ impl PlannerScratch {
             let s = scoring.score(recency[o], r.target_recency);
             count[o] += 1;
             if profit {
-                profits[o] = Item::new(0, profits[o].profit() + (1.0 - s));
+                profits[o] = Item::unrounded(0, profits[o].profit() + (1.0 - s));
             }
             score[o] += match truth {
                 None => s,
@@ -218,9 +218,9 @@ impl PlannerScratch {
 
     /// Assemble the aggregated batch's knapsack instance into
     /// [`Self::items`]: one item per requested object, object-ascending,
-    /// its profit the object's summed benefit. A request, not the
-    /// profit, decides: a requested object whose profit sums to zero is
-    /// still an item.
+    /// its profit the object's summed benefit, rounded to the profit
+    /// grid once, here. A request, not the profit, decides: a requested
+    /// object whose profit sums to zero is still an item.
     pub(crate) fn assemble_requested(&mut self, catalog: &Catalog) {
         self.objects.clear();
         // In place: the `len`-th requested object's profit sits at or

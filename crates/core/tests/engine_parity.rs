@@ -732,6 +732,7 @@ fn engine_rounds_plan_the_whole_instance_whichever_cut_they_took() {
 mod independent {
     use super::*;
     use basecache_core::scratch::PlannerScratch;
+    use basecache_knapsack::grid_profit;
     use basecache_sim::metrics::Sums;
 
     /// Objects topped up to a fixed request count before every round:
@@ -803,6 +804,8 @@ mod independent {
                 sum += s;
                 profit += 1.0 - s;
             }
+            // The profit as `Item::new` stores it: the plain fold, on the grid.
+            let profit = grid_profit(profit);
             let n = targets.len() as u64;
             let size = rig.station.catalog().size_of(object);
             let tally = tally_bits(Sums { count: n, sum });

@@ -9,41 +9,36 @@
 //! 1. **Classify** — exactly as the DP does: drop zero-profit and
 //!    oversized items, take free (size-0) items, clamp capacity to
 //!    `min(B, Σ usable sizes)`. If every usable item fits, taking all of
-//!    them is the certified optimum and nothing else runs. Otherwise an
-//!    open-addressing probe table over the usable profit bits, stopping
-//!    at the first repeat, sets the one flag the rest branches on.
-//! 2. **Reduce** — one routine, one flag. The ordered density prefix
-//!    and its prefix sums, a greedy / best-single-item lower bound, the
-//!    Dantzig upper bound, then per-item bound fixing: an item whose
-//!    "forced in" bound falls below the lower bound can never be chosen.
-//!    When no two usable profits share their bits the reduction is
-//!    *two-sided*: it also fixes an item *in* when its "forced out"
-//!    bound falls below the lower bound. Under duplicate profit bits
-//!    that is switched off (see *Tie safety*). An empty core is a
-//!    certificate; any other is swept by the bounded DP
-//!    ([`DpByCapacity::solve_into`], on the [`DpScratch`] the caller
-//!    lends) on the core only.
+//!    them is the certified optimum and nothing else runs. Profits
+//!    summing to `2^21` or more, past the range where sums on the
+//!    profit grid are exact, send the instance to the full DP.
+//! 2. **Reduce** — one routine. The ordered density prefix and its
+//!    prefix sums, a greedy / best-single-item lower bound, the Dantzig
+//!    upper bound, then per-item bound fixing: an item whose "forced in"
+//!    bound falls below the lower bound is in no optimum and is fixed
+//!    out; one whose "forced out" bound does is in every optimum and is
+//!    fixed in. An empty core is a certificate; any other is swept by
+//!    the bounded DP ([`DpByCapacity::solve_into`], on the [`DpScratch`]
+//!    the caller lends) on the core only.
 //!
 //! The result is always exact-optimal with the *same canonical
 //! tie-breaking as the full-table DP*: the chosen item set, the achieved
-//! profit (bit-for-bit, because the profit is re-folded in ascending
-//! item order — exactly the order the DP's cell values accumulate in)
-//! and therefore every downstream planner outcome are identical to
-//! [`DpByCapacity::solve_into`] on the unreduced instance. All bound
-//! comparisons carry a conservative floating-point margin; whenever a
-//! decision would land inside the margin, the pipeline declines to
-//! reduce and lets the core DP decide, so rounding can never flip a
-//! fixing decision.
+//! profit bits and therefore every downstream planner outcome are
+//! identical to [`DpByCapacity::solve_into`] on the unreduced instance
+//! (see *Canonical optimum*). All bound comparisons carry a conservative
+//! floating-point margin; whenever a decision would land inside the
+//! margin, the pipeline declines to reduce and lets the core DP decide,
+//! so rounding can never flip a fixing decision.
 //!
 //! **How the order is built.** The reduction's density order (density
 //! descending, index ascending) is an order of plain integer keys, not
 //! of indices under a comparator: `[!density bits, position]`, with
-//! each `profit / size` computed once, in the word buffer the tie check
-//! laid its probe table in. Densities here are finite and sign-positive
-//! (a quotient may underflow to `+0.0`), and on such doubles `to_bits()`
-//! preserves order with equal values having equal bits, so complemented
-//! bits ascending is the value descending; the position makes every key
-//! distinct, so an unstable sort or selection has exactly one result.
+//! each `profit / size` computed once, in one word buffer. Densities
+//! here are finite and sign-positive (a quotient may underflow to
+//! `+0.0`), and on such doubles `to_bits()` preserves order with equal
+//! values having equal bits, so complemented bits ascending is the value
+//! descending; the position makes every key distinct, so an unstable
+//! sort or selection has exactly one result.
 //!
 //! The density order is built only as far as its readers look. Every
 //! bound the reduction computes is a Dantzig bound at capacity `≤ B`
@@ -56,7 +51,8 @@
 //! the same folds in the same order — every bound keeps its bits. An
 //! item past the prefix leaves every break in it when removed: its
 //! `ub_in` is its profit plus the plain Dantzig bound at `B − size`
-//! (computed once per size) and its `ub_out` the global bound. The
+//! (computed once per size) and its `ub_out` the global bound, so it is
+//! never fixed in. The
 //! greedy incumbent continues past the prefix with `rem` units left
 //! (fewer than `s_max`): it takes a leading run of each size class `s`
 //! in density order, at most `⌊rem/s⌋` items long, so greedy over each
@@ -69,23 +65,20 @@
 //! always near the one global break, so each search gallops outward from
 //! it and bisects the bracket instead of bisecting the whole table.
 //!
-//! **Tie safety.** When two usable items carry bit-identical profits,
-//! the full DP resolves the resulting solution ties through the
-//! accumulation order of its table cells — an artifact no shortcut can
-//! reproduce, and one that forcing an item *in* (which reshapes the
-//! accumulation order) disturbs. Removing an item certified to sit in
-//! **no** optimal solution, however, leaves the DP bit-identical even under
-//! ties: along the canonical chosen set's backtrack path every cell
-//! value is achieved by a subset free of the removed item (so those
-//! values are unchanged f64 folds), and each keep-bit comparison pits an
-//! on-path value (unchanged) against an off-path value (which removal
-//! can only lower, `max` over fewer folds), so no strict-`>` decision
-//! flips in either direction. Tied instances are therefore reduced
-//! forced-out-only and the survivors swept at the full effective
-//! capacity. Guard rails: the survivors' total size must still reach
-//! the effective capacity (so the reduced DP clamps to the same table
-//! width as the full sweep) and the pruning must actually remove
-//! something; otherwise the full-instance sweep runs unchanged.
+//! **Canonical optimum.** Every profit is on the grid of `2^-32`
+//! ([`crate::grid_profit`]) and the usable ones sum to less than
+//! `2^21`, so every sum of them is exact: each DP cell holds the exact
+//! optimum of its subproblem, whatever order it was folded in. The
+//! backtrack takes item `i` at capacity `c` when the strict-`>` keep
+//! bit says that every optimum over items `≤ i` within `c` contains it,
+//! so the chosen set is the optimum that, read from the highest index
+//! down, leaves out each item some optimum leaves out — a set the
+//! instance's optima alone define. Fixing out an item in no optimum and
+//! fixing in one in every optimum leave exactly those optima, less the
+//! forced-in items, as the core's at the capacity less their sizes, so
+//! the core DP picks the same set, and its value
+//! ([`AdaptiveScratch::value`]) is their exact sum. DESIGN.md §15 has
+//! the proof sketch.
 //!
 //! **Left-out certificate.** A caller may hand the solver only part of
 //! an instance — the items dense enough to matter — with a bound on the
@@ -103,16 +96,16 @@
 //! Dantzig bound at `B − s` is the handed part's `D(B − s)`; an item of
 //! size `s` and density below the edge is then worth less than
 //! `edge·s`, and the test fixes it out exactly as bound fixing would
-//! have on the whole instance. Removing items that sit in no optimum
-//! leaves the whole instance's DP bit-identical (*Tie safety*), and the
-//! handed part's usable sizes pass `B`, so its table clamps to the same
-//! width: the solve of the part picks the whole instance's set with its
-//! value bits, tied or not. When a size fails the test the solver
-//! refuses — no DP runs — and reports the highest edge every size would
-//! have passed at ([`AdaptiveScratch::needed_edge`], reported by
-//! accepted solves too). A handed part whose usable items all fit, or
-//! whose profits are too far apart to reduce, is refused with an edge
-//! of 0.
+//! have on the whole instance. Items that sit in no optimum leave the
+//! optima as they are, and every sum the whole instance's DP forms is a
+//! feasible set's value, at most the part's optimum and so exact
+//! (*Canonical optimum*): the solve of the part picks the whole
+//! instance's set with its value bits. When a size fails the
+//! test the solver refuses — no DP runs — and reports the highest edge
+//! every size would have passed at ([`AdaptiveScratch::needed_edge`],
+//! reported by accepted solves too). A handed part whose usable items
+//! all fit, or whose profits sum past the exact range, is refused with
+//! an edge of 0.
 //!
 //! **Why there is nothing to tune.** The pipeline once also carried a
 //! branch-and-bound terminal, an expanding-core endgame, a warm-start
@@ -124,11 +117,9 @@
 //! tie), the hint beat the greedy incumbent 0 of 20 988 times (last
 //! round's downloads are fresh, hence absent from this round's
 //! instance), and nothing outside tests set a knob. What the traffic
-//! does use is what remains: the tied path is 100 % of
-//! `station-inflight` and `engine-massive` solves and 94 % of the 47 867
-//! solves behind the golden CSVs. The endgame solved a 64-item window
+//! does use is what remains. The endgame solved a 64-item window
 //! around a large untied core's break item and certified it against
-//! the per-item bounds; once tie-safe pruning landed it ran 0 window
+//! the per-item bounds; once tied cores were pruned too it ran 0 window
 //! solves per solve on `engine-massive` and `station-inflight`, 0.0003
 //! on `cluster-roaming` and 0.021 on `station-paper` (seed 1), where
 //! sweeping those cores whole costs 2 % more DP cells (1 670 → 1 707 a
@@ -139,7 +130,7 @@
 //! `knapsack/adaptive/*` bench shapes are unchanged — and the traced
 //! `station-paper` solve falls from 52 to 37 µs.
 
-use crate::instance::density_key;
+use crate::instance::{density_key, grid_profit, EXACT_SUM};
 use crate::{DpByCapacity, DpScratch, Instance, Item, Solution, Solver};
 
 /// Most units the greedy incumbent may have left after the ordered
@@ -238,10 +229,8 @@ pub struct AdaptiveScratch {
     /// Selection flag per usable position: the greedy incumbent while
     /// reducing, the final selection afterwards.
     sel: Vec<bool>,
-    /// Key workspace, one use after the other: the probe table of the
-    /// duplicate-profit tie check, then the density keys `[density_key,
-    /// usable position]` — those `ord` holds first, in order, the
-    /// unordered rest after them.
+    /// The density keys `[density_key, usable position]`: those `ord`
+    /// holds first, in order, the unordered rest after them.
     keys: Vec<u64>,
     // Density ordering over the usable items.
     /// Usable positions in (density desc, index asc) order: a prefix of
@@ -313,10 +302,9 @@ impl AdaptiveScratch {
         self.core_map.reserve(max_items);
         self.pending.reserve(max_items);
         self.chosen.reserve(max_items);
-        // Three words an item, the most the tie check's probe table
-        // takes; last, so the buffers above keep the heap layout they
-        // had before the keys.
-        self.keys.reserve(3 * max_items);
+        // Two words an item, a density key and a position; last, so the
+        // buffers above keep the heap layout they had before the keys.
+        self.keys.reserve(2 * max_items);
     }
 
     /// Optimal profit of the last solve (bit-identical to the full DP's).
@@ -416,25 +404,18 @@ impl AdaptiveSolver {
         scratch.cells_touched = 0;
 
         let mut total_usable: u64 = 0;
-        let mut flat = 0.0_f64; // running profit sum in item order, as in the DP
-        let mut degenerate = false;
+        let mut flat = 0.0_f64; // Σ profits the DP takes in, exact below `EXACT_SUM`
         for (i, item) in items.iter().enumerate() {
             let (size, profit) = (item.size(), item.profit());
             debug_assert!(profit.is_finite() && profit >= 0.0, "invalid profit");
+            debug_assert_eq!(grid_profit(profit), profit, "profit off the grid");
             if profit <= 0.0 || size > capacity {
                 continue;
             }
+            flat += profit;
             if size == 0 {
-                flat += profit;
                 continue;
             }
-            // The DP falls back to full-width rows when a profit cannot
-            // move the running sum in f64; reduction reasoning is unsafe
-            // at such profit scales, so route the whole instance to it.
-            if flat + profit <= flat {
-                degenerate = true;
-            }
-            flat += profit;
             total_usable += size;
             scratch.usable_idx.push(i as u32);
             scratch.usable_size.push(size);
@@ -443,11 +424,12 @@ impl AdaptiveSolver {
         // Without the reduction nothing bounds what was left out.
         let leaves_out = left_out.edge > 0.0;
         scratch.needed_edge = 0.0;
-        if degenerate {
+        // Past the exact range the DP's pick among equal optima depends
+        // on its fold order, which only the DP itself reproduces.
+        if flat >= EXACT_SUM {
             if leaves_out {
                 return None;
             }
-            // Bit-identical by construction: run the full bounded DP.
             return Some(scratch.full_dp(items, capacity, dp));
         }
         let nu = scratch.usable_idx.len();
@@ -457,21 +439,12 @@ impl AdaptiveSolver {
             if leaves_out {
                 return None;
             }
-            // Every usable item fits. Tie-free even under duplicate
-            // profit bits: all profits are positive, so taking
-            // everything is the unique optimum and the DP would do
-            // exactly that.
+            // Every usable item fits: all profits are positive, so
+            // taking everything is the unique optimum.
             scratch.sel.fill(true);
             return Some(scratch.certify(items));
         }
         // From here on the capacity binds: `capacity < total_usable`.
-
-        // Bit-equal profits make the DP's tie resolution an accumulation
-        // artifact (its strict-`>` keep bit reacts to ulp-level fold-order
-        // noise between equal-value sets) that no shortcut reproduces.
-        // Detect any duplicated profit bits up front and reduce such
-        // instances one-sidedly (module docs, *Tie safety*).
-        let two_sided = !profit_bits_repeat(&scratch.usable_profit, &mut scratch.keys);
 
         // Conservative float margin: any fold of usable profits differs
         // from the real sum by well under this, so bound comparisons that
@@ -479,7 +452,7 @@ impl AdaptiveSolver {
         let margin = flat * f64::EPSILON * (nu as f64 + 4.0) * 8.0;
 
         // ---- Reduce. -------------------------------------------------
-        scratch.reduce(capacity, margin, two_sided);
+        scratch.reduce(capacity, margin);
 
         // ---- Certify what was left out, before any DP. ---------------
         if !scratch.certify_left_out(capacity, left_out) && leaves_out {
@@ -502,25 +475,15 @@ impl AdaptiveSolver {
                 State::ForcedOut => {}
             }
         }
-        let nk = scratch.core_items.len();
-        let declined = if two_sided {
-            // Cannot happen when the fixing logic is sound; if rounding
-            // ever conspired against us, decline to reduce entirely.
-            forced_size > capacity
-        } else {
-            // The tied guard rails: nothing removed, or the reduced
-            // table would clamp narrower than the full one.
-            nk == nu || scratch.core_items.iter().map(Item::size).sum::<u64>() < capacity
-        };
-        if declined {
+        // Cannot happen when the fixing logic is sound; if rounding ever
+        // conspired against us, decline to reduce entirely.
+        if forced_size > capacity {
             return Some(scratch.full_dp(items, capacity, dp));
         }
-        if nk == 0 {
+        if scratch.core_items.is_empty() {
             scratch.select_state(State::ForcedIn);
             return Some(scratch.certify(items));
         }
-        // A tied core has nothing forced in, so it is swept at the full
-        // effective capacity — the width the removal argument needs.
         Some(scratch.core_dp(items, capacity - forced_size, dp))
     }
 }
@@ -529,9 +492,8 @@ impl AdaptiveScratch {
     /// The one reduction routine, run when the capacity binds: the
     /// ordered density prefix and its prefix sums, the greedy /
     /// best-single lower bound, the Dantzig upper bound, then per-item
-    /// bound fixing into `state`. `two_sided` (no duplicate profit bits)
-    /// adds forced-*in* fixing.
-    fn reduce(&mut self, capacity: u64, margin: f64, two_sided: bool) {
+    /// bound fixing, in both directions, into `state`.
+    fn reduce(&mut self, capacity: u64, margin: f64) {
         let m = self.usable_idx.len();
         self.state.clear();
         self.state.resize(m, State::Core);
@@ -589,23 +551,21 @@ impl AdaptiveScratch {
         for r in 0..k {
             let u = self.ord[r] as usize;
             let (s_r, p_r) = (self.usable_size[u], self.usable_profit[u]);
-            // Upper bound over solutions that DO contain item r.
+            // Upper bounds over the solutions that do (`ub_in`) and do
+            // not (`ub_out`) contain item r.
             let ub_in = p_r + self.dantzig_excluding(r, capacity - s_r);
             if ub_in + margin < lb {
                 self.state[u] = State::ForcedOut;
-            } else if two_sided {
-                // Upper bound over solutions that do NOT contain item r.
-                let ub_out = self.dantzig_excluding(r, capacity);
-                if ub_out + margin < lb {
-                    self.state[u] = State::ForcedIn;
-                }
+            } else if self.dantzig_excluding(r, capacity) + margin < lb {
+                self.state[u] = State::ForcedIn;
             }
         }
         // Past the prefix an item's removal leaves the prefix, and every
         // break in it, untouched: `ub_in` is its profit plus the plain
         // Dantzig bound at `capacity - size`, computed once per size
         // (a direct-mapped cache keyed by size; no usable size is 0),
-        // and `ub_out` is the global bound.
+        // and `ub_out` is the global bound, never below the incumbent —
+        // so no item past the prefix is fixed in.
         let mut by_size = [(0u64, 0.0f64); SIZE_SLOTS];
         let (dkeys, _) = self.keys.as_chunks::<2>();
         for &[_, u] in &dkeys[k..] {
@@ -621,8 +581,6 @@ impl AdaptiveScratch {
             }
             if p + slot.1 + margin < lb {
                 self.state[u] = State::ForcedOut;
-            } else if two_sided && ub + margin < lb {
-                self.state[u] = State::ForcedIn;
             }
         }
     }
@@ -976,33 +934,6 @@ fn largest_fitting_prefix(
     lo
 }
 
-/// Whether two of `profits` share their bits, by an open-addressing
-/// probe table laid into `table`: a power of two of slots in
-/// `[1.5n, 3n)`, linear probing from a Fibonacci hash, `0` marking an
-/// empty slot (a usable profit is positive, never `+0.0`). It stops at
-/// the first repeat, which a tied instance meets within a few items.
-fn profit_bits_repeat(profits: &[f64], table: &mut Vec<u64>) -> bool {
-    let slots = (3 * profits.len()).next_power_of_two() / 2;
-    let shift = 64 - slots.trailing_zeros();
-    table.clear();
-    table.resize(slots, 0);
-    for p in profits {
-        let bits = p.to_bits();
-        let mut i = (bits.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize;
-        loop {
-            match table[i] {
-                0 => {
-                    table[i] = bits;
-                    break;
-                }
-                held if held == bits => return true,
-                _ => i = (i + 1) & (slots - 1),
-            }
-        }
-    }
-    false
-}
-
 /// Greedy over the usable `positions` in the order given: select each
 /// item that still fits the `rem` units left.
 fn take_what_fits(
@@ -1168,12 +1099,12 @@ mod tests {
 
     #[test]
     fn degenerate_profit_scales_fall_back_to_the_full_dp() {
-        // The second profit cannot move the running sum in f64.
+        // Profits past the exact range: the second one cannot even move
+        // the first in f64.
         let items = [Item::new(1, 1e18), Item::new(1, 1.0)];
         let mut scratch = AdaptiveScratch::new();
-        // At capacity 0 both items are oversized and nothing degenerate
-        // ever enters the running sum; from capacity 1 the absorbed
-        // profit routes the whole instance to the full DP.
+        // At capacity 0 both items are oversized and nothing enters the
+        // sum; from capacity 1 it routes the instance to the full DP.
         for cap in 1..=2 {
             solve(&items, cap, &mut scratch);
             assert_eq!(scratch.method(), SolveMethod::CoreDp, "cap={cap}");
@@ -1236,8 +1167,8 @@ mod tests {
 
     #[test]
     fn tied_instances_prune_certified_outs() {
-        // The dense group survives with its ties intact for the DP to
-        // resolve.
+        // Tied, the sparse group is fixed out and the dense group, which
+        // no bound can split, is left for the DP to pick from.
         let items = dense_and_sparse_duplicates(0.0);
         let mut scratch = AdaptiveScratch::new();
         solve(&items, 30, &mut scratch);
@@ -1245,32 +1176,21 @@ mod tests {
         assert_eq!(scratch.items_fixed(), 40, "sparse duplicates pruned");
         assert_eq!(scratch.core_size(), 40);
         assert_parity(&items, [0, 1, 15, 30, 39, 40, 41, 100]);
-    }
-
-    #[test]
-    fn a_detied_twin_takes_the_two_sided_reduction() {
-        // The same instance with its profits nudged apart (gaps well
-        // over the float margin) goes through the same reduce routine
-        // with forced-in fixing switched on, which decides every item:
-        // ten dense items and the sparse group are forced out, thirty
-        // dense items forced in.
-        let tied = dense_and_sparse_duplicates(0.0);
+        // With its profits nudged apart (gaps well over the float
+        // margin) the same reduction decides every item: ten dense
+        // items and the sparse group fixed out, thirty dense items in.
         let twin = dense_and_sparse_duplicates(1e-6);
-        let mut scratch = AdaptiveScratch::new();
         solve(&twin, 30, &mut scratch);
         assert_eq!(scratch.method(), SolveMethod::CertifiedGreedy);
         assert_eq!(scratch.items_fixed(), 80);
         assert_eq!(scratch.chosen(), (10..40).collect::<Vec<_>>());
-        let twin_lb = scratch.lower_bound;
-        solve(&tied, 30, &mut scratch);
-        assert!((twin_lb - scratch.lower_bound).abs() < 1e-3);
         assert_parity(&twin, [0, 1, 15, 30, 39, 40, 41, 100]);
     }
 
     #[test]
     fn tied_instances_nothing_prunes_run_the_full_dp() {
-        // Equal densities everywhere: no item is certifiably out, the
-        // guard declines to reduce and the full-instance sweep runs.
+        // Equal densities everywhere: no bound fixes an item either way,
+        // so the DP sweeps every one and picks the lowest indices.
         let items = [Item::new(2, 5.0); 10];
         let mut scratch = AdaptiveScratch::new();
         solve(&items, 7, &mut scratch);
@@ -1330,11 +1250,12 @@ mod tests {
 
     #[test]
     fn sub_margin_profit_gaps_degenerate_to_the_full_core() {
-        // Distinct profit bits whose gaps sit far below the float
-        // margin: no bound comparison can ever be decisive, so the
-        // full-core sweep runs — still bit-identical.
+        // Distinct profits one grid step apart, far below the float
+        // margin at this scale: no bound comparison can ever be
+        // decisive, so the full-core sweep runs — still bit-identical.
+        let step = 1.0 / (1u64 << 32) as f64;
         let items: Vec<Item> = (0..300)
-            .map(|i| Item::new(2, 1.0 + i as f64 * 1e-13))
+            .map(|i| Item::new(2, 1000.0 + i as f64 * step))
             .collect();
         let mut scratch = AdaptiveScratch::new();
         solve(&items, 151, &mut scratch);
@@ -1372,9 +1293,10 @@ mod tests {
     }
 
     /// Sizes and profits picked to stress the key orders: equal
-    /// densities at different sizes, bit-equal profits, subnormal and
-    /// near-`f64::MAX` profits, and sizes above 2^53, where `size as
-    /// f64` rounds — all mixed into seeded random filler.
+    /// densities at different sizes, bit-equal profits, profits below
+    /// the grid (zero once on it) and near `f64::MAX`, and sizes above
+    /// 2^53, where `size as f64` rounds — all mixed into seeded random
+    /// filler.
     fn awkward_items(seed: u64, n: usize) -> Vec<Item> {
         let special = [
             Item::new(2, 4.0),
@@ -1434,7 +1356,7 @@ mod tests {
             // everything fits, which orders every key.
             let mut scratch = loaded(&items);
             let total: u64 = scratch.usable_size.iter().sum();
-            scratch.reduce(total, 0.0, true);
+            scratch.reduce(total, 0.0);
             let got: Vec<usize> = scratch.ord.iter().map(|&u| u as usize).collect();
             assert_ordered_by(
                 &got,
@@ -1449,7 +1371,7 @@ mod tests {
             for cap in [filler / 32, filler / 8] {
                 let usable: Vec<Item> = items.iter().copied().filter(|i| i.size() <= cap).collect();
                 let mut scratch = loaded(&usable);
-                scratch.reduce(cap, 0.0, true);
+                scratch.reduce(cap, 0.0);
                 let density = |u: usize| usable[u].profit() / usable[u].size() as f64;
                 let mut kept: Vec<usize> = (0..usable.len()).collect();
                 kept.sort_by(|&a, &b| by_density_then_index(density)(a, b));
@@ -1481,10 +1403,9 @@ mod tests {
     fn reduced(items: &[Item], capacity: u64, order_all: bool) -> AdaptiveScratch {
         let mut scratch = loaded(items);
         scratch.probe.order_all = order_all;
-        let two_sided = !profit_bits_repeat(&scratch.usable_profit, &mut scratch.keys);
         let flat: f64 = scratch.usable_profit.iter().sum();
         let margin = flat * f64::EPSILON * (items.len() as f64 + 4.0) * 8.0;
-        scratch.reduce(capacity, margin, two_sided);
+        scratch.reduce(capacity, margin);
         scratch
     }
 
@@ -1627,9 +1548,9 @@ mod tests {
         // The shape of an `engine-massive` round: ~35 000 usable items
         // of size 1..=8, most profits small multiples of 0.5 (bit-equal
         // by the thousand), a Zipf head of larger ones, capacity 1 000.
-        // The stats were pinned at the comparator-sorting,
-        // cold-bisecting parent commit: any drift in an order, a break
-        // rank or a fixing decision moves them.
+        // The stats pin what the reduction decides on the grid's
+        // profits: any drift in an order, a break rank or a fixing
+        // decision moves them.
         let mut state = 35_000;
         let items: Vec<Item> = (0..35_000u64)
             .map(|i| {
@@ -1644,38 +1565,38 @@ mod tests {
                 Item::new(size, clients as f64 * benefit)
             })
             .collect();
-        let mut scratch = AdaptiveScratch::new();
-        let value = solve(&items, 1_000, &mut scratch);
-        assert_eq!(scratch.method(), SolveMethod::CoreDp);
-        assert_eq!(scratch.core_size(), 350);
-        assert_eq!(scratch.items_fixed(), 34_650);
-        assert_eq!(scratch.cells_touched(), 2_423);
-        assert_eq!(scratch.chosen().len(), 344);
-        assert_eq!(value.to_bits(), 4678582800158382936);
+        let want = (
+            SolveMethod::CoreDp,
+            12,
+            34_988,
+            57,
+            344,
+            4678582800158382944,
+        );
+        assert_eq!(solve_stats(&items, 1_000), want);
     }
 
-    /// An untied round of `n` items of size `1..=max_size`: Zipf-headed
-    /// client counts times a benefit drawn from 2^62 steps, so no two
-    /// profits share their bits and the reduction is two-sided.
-    fn untied_round(n: u64, max_size: u64, seed: u64) -> Vec<Item> {
+    /// An untied round of `n` items of size `1..=max_size`: client
+    /// counts Zipf-headed at `head` times a benefit drawn from 2^62
+    /// steps, so profits rarely share their bits.
+    fn untied_round(n: u64, max_size: u64, head: u64, seed: u64) -> Vec<Item> {
         let mut state = seed;
-        let items: Vec<Item> = (0..n)
+        (0..n)
             .map(|i| {
                 let size = 1 + lcg(&mut state) % max_size;
-                let clients = 1 + 20 * n / (i + 1) + lcg(&mut state) % 3;
+                let clients = 1 + head / (i + 1) + lcg(&mut state) % 3;
                 let steps = lcg(&mut state) << 31 | lcg(&mut state);
                 let benefit = 0.05 + 0.4 * steps as f64 / (1u64 << 62) as f64;
                 Item::new(size, clients as f64 * benefit)
             })
-            .collect();
-        let profits: Vec<f64> = items.iter().map(Item::profit).collect();
-        assert!(!profit_bits_repeat(&profits, &mut Vec::new()), "tied");
-        items
+            .collect()
     }
 
-    /// The stats the untied tests pin, of one solve of `items` at
-    /// `capacity`: method, core, fixed, cells, chosen count, value bits.
-    fn untied_stats(items: &[Item], capacity: u64) -> (SolveMethod, usize, usize, u64, usize, u64) {
+    /// The stats the `*_repeats_the_pinned_stats` tests pin, of one
+    /// solve of `items` at `capacity`: method, core, fixed, cells,
+    /// chosen count, value bits — the full DP's set and bits.
+    fn solve_stats(items: &[Item], capacity: u64) -> (SolveMethod, usize, usize, u64, usize, u64) {
+        assert_parity(items, [capacity]);
         let mut scratch = AdaptiveScratch::new();
         let value = solve(items, capacity, &mut scratch);
         (
@@ -1691,29 +1612,32 @@ mod tests {
     #[test]
     fn station_scale_untied_reduction_repeats_the_pinned_stats() {
         // A station round's shape: 500 items of size 1..=20 under an
-        // eighth of their total size. The pins are what two-sided
-        // fixing decides here (the same with same-size dominance in
+        // eighth of their total size. The pins are what fixing in
+        // both directions decides here (the same with same-size dominance in
         // front of it, as it once was): a weaker rule moves them.
-        let items = untied_round(500, 20, 500);
+        let items = untied_round(500, 20, 10_000, 500);
         let total: u64 = items.iter().map(Item::size).sum();
-        let stats = untied_stats(&items, total / 8);
-        let want = (SolveMethod::CoreDp, 23, 477, 464, 110, 4667464593015493788);
+        let stats = solve_stats(&items, total / 8);
+        let want = (SolveMethod::CoreDp, 23, 477, 464, 110, 4667464593015494016);
         assert_eq!(stats, want);
     }
 
     #[test]
     fn engine_scale_untied_reduction_repeats_the_pinned_stats() {
         // The engine round's shape with its profits drawn apart: 35 000
-        // items of size 1..=8 under capacity 1 000, pinned as above.
-        let items = untied_round(35_000, 8, 35_000);
-        let stats = untied_stats(&items, 1_000);
+        // items of size 1..=8 under capacity 1 000, a client head of
+        // `engine-massive`'s 500 000 standing requests, pinned as above.
+        // (A head of 20 a item, 700 000, would sum the profits past
+        // 2^21, where the solve is the full DP.)
+        let items = untied_round(35_000, 8, 500_000, 35_000);
+        let stats = solve_stats(&items, 1_000);
         let want = (
             SolveMethod::CoreDp,
             15,
             34_985,
             109,
             341,
-            4698764211502683572,
+            4696838181245745180,
         );
         assert_eq!(stats, want);
     }

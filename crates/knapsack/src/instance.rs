@@ -1,5 +1,29 @@
 use crate::KnapsackError;
 
+/// From this magnitude up one ulp of an `f64` is at least `2^-32`, so
+/// every value is on the profit grid.
+const GRID_FREE: f64 = (1u64 << 20) as f64;
+
+/// Below this, any sum of profits on the grid is exact in `f64`.
+pub(crate) const EXACT_SUM: f64 = (1u64 << 21) as f64;
+
+/// `profit` rounded to the profit grid, the multiples of `2^-32`
+/// (to nearest, ties to even): what [`Item::new`] stores. A sum of such
+/// profits below `2^21` needs at most 53 significant bits, so every
+/// fold of them below that is exact and equal whatever its order.
+/// Values from `2^20` up are already on the grid; a negative or
+/// non-finite `profit` is returned as it is, for [`Instance::new`] to
+/// reject.
+#[inline]
+pub fn grid_profit(profit: f64) -> f64 {
+    if !(0.0..GRID_FREE).contains(&profit) {
+        return profit;
+    }
+    // In `[2^20, 2^21]` one ulp is `2^-32`: the addition rounds to the
+    // grid, and the subtraction is exact.
+    (profit + GRID_FREE) - GRID_FREE
+}
+
 /// A single knapsack item.
 ///
 /// In the paper's mapping an item is a requested object: `size` is the
@@ -13,9 +37,20 @@ pub struct Item {
 }
 
 impl Item {
-    /// Create an item. `profit` is validated lazily by [`Instance::new`].
+    /// Create an item, its profit rounded to the grid of `2^-32`
+    /// ([`grid_profit`]): sums of profits below `2^21` are then exact,
+    /// so the solvers' optima do not depend on the order they fold in.
+    /// `profit` is validated lazily by [`Instance::new`].
     #[inline]
     pub fn new(size: u64, profit: f64) -> Self {
+        Self::unrounded(size, grid_profit(profit))
+    }
+
+    /// An item whose profit is a running sum, not rounded: a buffer
+    /// that accumulates profits in place holds these, and hands each
+    /// sum to [`Item::new`] before any solver reads it.
+    #[inline]
+    pub fn unrounded(size: u64, profit: f64) -> Self {
         Self { size, profit }
     }
 
@@ -175,6 +210,26 @@ mod tests {
         assert_eq!(inst.len(), 2);
         assert_eq!(inst.total_size(), 0);
         assert!((inst.total_profit() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn profits_round_to_the_grid() {
+        let grid = 1.0 / (1u64 << 32) as f64;
+        assert_eq!(Item::new(1, 1.0 / 3.0).profit(), (grid * 1_431_655_765.0));
+        assert_eq!(Item::new(1, 0.4 * grid).profit(), 0.0);
+        assert_eq!(Item::new(1, 1.5 * grid).profit(), 2.0 * grid);
+        assert_eq!(Item::new(1, 2.5 * grid).profit(), 2.0 * grid);
+        let below = (1u64 << 20) as f64 - 0.1;
+        assert_eq!(grid_profit(below) / grid, (below / grid).round_ties_even());
+        for kept in [1e6 + 0.125, 2e6, 1e300, f64::MAX, -0.5, f64::INFINITY] {
+            assert_eq!(grid_profit(kept), kept);
+        }
+        assert!(grid_profit(f64::NAN).is_nan());
+        // Sums below 2^21 are exact: any fold order gives the same bits.
+        let profits: Vec<f64> = (1..=200).map(|i| grid_profit(i as f64 / 7.0)).collect();
+        let up: f64 = profits.iter().sum();
+        let down: f64 = profits.iter().rev().sum();
+        assert_eq!(up.to_bits(), down.to_bits());
     }
 
     #[test]

@@ -27,8 +27,9 @@
 //!
 //! All solvers implement the [`Solver`] trait and produce a verified
 //! [`Solution`]. Profits are `f64` (the paper's profits are sums of
-//! recency benefits in `[0, 1]`); sizes and capacities are integral data
-//! units, as in the paper.
+//! recency benefits in `[0, 1]`) on a grid of `2^-32` ([`grid_profit`]),
+//! where sums below `2^21` are exact; sizes and capacities are integral
+//! data units, as in the paper.
 //!
 //! # Example
 //!
@@ -62,7 +63,7 @@ pub use band::{band_edge, cut_below, density_band, BANDS};
 pub use dp::{DpByCapacity, DpTrace};
 pub use error::KnapsackError;
 pub use fractional::{fractional_upper_bound, FractionalSolution};
-pub use instance::{Instance, Item};
+pub use instance::{grid_profit, Instance, Item};
 pub use scratch::DpScratch;
 pub use solution::Solution;
 

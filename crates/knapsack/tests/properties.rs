@@ -1,5 +1,6 @@
 //! Property-based tests pinning the solver hierarchy:
-//! the DP is exact (against brute force); the adaptive reduction is
+//! the DP is exact (against brute force) and picks the canonical
+//! optimum (against its definition); the adaptive reduction is
 //! bit-identical to it; the fractional relaxation upper-bounds
 //! everything; all outputs feasible.
 //!
@@ -11,6 +12,8 @@ use basecache_knapsack::{
 };
 use basecache_sim::check::run_cases;
 use basecache_sim::StreamRng;
+
+mod reference;
 
 fn arb_instance(rng: &mut StreamRng, max_items: usize) -> Instance {
     let n = rng.random_range(0..=max_items);
@@ -157,9 +160,8 @@ fn adaptive_reduction_survives_named_degenerates() {
     for cap in 0..=6u64 {
         check(&[Item::new(5, 4.5)], cap, "single item");
     }
-    // Bit-equal profit classmates: the duplicate-profit check must
-    // switch the reduction to forced-out-only, leaving the tie
-    // resolution to the DP.
+    // Bit-equal profit classmates: the DP's pick among the tied
+    // optima is the canonical one, which bound fixing keeps.
     check(
         &[
             Item::new(4, 2.0),
@@ -172,31 +174,15 @@ fn adaptive_reduction_survives_named_degenerates() {
     );
 }
 
-/// Lattice-profit parity, folded in from the PR-5 review probe
-/// (`zz_review_probe.rs`, now retired): profits are multiples of 0.1 —
-/// many exact sum ties — with an occasional dominant item forcing
-/// bound-based fixing, and *every* capacity from 1 to the instance's
-/// total size is checked against the full DP. The probe's exact
-/// generator stream is preserved (LCG, seed 12345, 4000 trials), and
-/// instances with bit-equal per-item profits are skipped as before
-/// (they take the one-sided reduction; pinned separately by
-/// `adaptive_reduction_survives_named_degenerates` and
-/// `tied_instances_keep_certified_pruning_bit_identical`).
-///
-/// The probe asserted bit-equality of value *and* chosen set
-/// unconditionally — and failed, because that contract is not the one
-/// the solver makes. Lattice instances contain distinct *subsets*
-/// whose exact profit sums tie (e.g. `0.5 + 0.2` vs `0.7`); the
-/// per-item duplicate-profit guard cannot see those, so the reduction
-/// may legally surface the other optimal witness, and re-folding a
-/// different witness's profits can move the reported value by an ULP.
-/// The contract pinned here is the honest one:
-///
-/// - when the canonical chosen set matches, the value matches bit for
-///   bit (same subset, same ascending fold);
-/// - the values always agree to within fold noise (`1e-9` on a lattice
-///   whose distinct sums are ≥ 0.1 apart — both answers optimal);
-/// - a divergent witness must be feasible and worth the DP optimum.
+/// Lattice-profit parity, folded in from an early review probe:
+/// profits are multiples of 0.1 — many exact sum ties between distinct
+/// subsets (e.g. `0.5 + 0.2` vs `0.7`) — with an occasional dominant
+/// item forcing bound-based fixing, and *every* capacity from 1 to the
+/// instance's total size is checked against the full DP. The probe's
+/// generator stream is preserved (LCG, seed 12345, 4000 trials). On
+/// the profit grid those sums are exact, so the DP's pick among tied
+/// optima is canonical and the reduction returns the same witness with
+/// the same value bits on every case.
 #[test]
 fn lattice_profit_parity_review_probe() {
     fn lcg(state: &mut u64) -> u64 {
@@ -209,7 +195,6 @@ fn lattice_profit_parity_review_probe() {
     let mut core = DpScratch::new();
     let mut dp = DpScratch::new();
     let mut state = 12345u64;
-    let mut witness_ties = 0u32;
     for trial in 0..4000 {
         let n = 3 + (lcg(&mut state) % 12) as usize;
         let items: Vec<Item> = (0..n)
@@ -224,49 +209,15 @@ fn lattice_profit_parity_review_probe() {
                 Item::new(size, profit)
             })
             .collect();
-        let mut bits: Vec<u64> = items.iter().map(|i| i.profit().to_bits()).collect();
-        bits.sort_unstable();
-        if bits.windows(2).any(|w| w[0] == w[1]) {
-            continue;
-        }
         let total: u64 = items.iter().map(|i| i.size()).sum();
         for cap in 1..total {
             let va = AdaptiveSolver.solve_into(&items, cap, &mut ad, &mut core);
             let vd = DpByCapacity.solve_into(&items, cap, &mut dp);
-            assert!(
-                (va - vd).abs() < 1e-9,
-                "trial {trial} cap {cap} ({:?}): values diverge, {va} vs {vd}, on {items:?}",
-                ad.method()
-            );
-            if ad.chosen() == dp.chosen() {
-                assert_eq!(
-                    va.to_bits(),
-                    vd.to_bits(),
-                    "trial {trial} cap {cap} ({:?}): same witness, different value bits, on {items:?}",
-                    ad.method()
-                );
-            } else {
-                // A different witness is legal only on an exact subset
-                // tie: it must fit and be worth the same optimum.
-                witness_ties += 1;
-                let size: u64 = ad.chosen().iter().map(|&i| items[i].size()).sum();
-                let profit: f64 = ad.chosen().iter().map(|&i| items[i].profit()).sum();
-                assert!(
-                    size <= cap,
-                    "trial {trial} cap {cap} ({:?}): infeasible witness on {items:?}",
-                    ad.method()
-                );
-                assert!(
-                    (profit - vd).abs() < 1e-9,
-                    "trial {trial} cap {cap} ({:?}): witness worth {profit}, dp optimum {vd}, on {items:?}",
-                    ad.method()
-                );
-            }
+            let what = format!("trial {trial} cap {cap} ({:?}) on {items:?}", ad.method());
+            assert_eq!(ad.chosen(), dp.chosen(), "{what}: witnesses diverge");
+            assert_eq!(va.to_bits(), vd.to_bits(), "{what}: {va} vs {vd}");
         }
     }
-    // The stream does exercise the tie regime the probe tripped over —
-    // rarely, which is why the probe survived review.
-    assert!(witness_ties > 0, "stream no longer reaches the tie regime");
 }
 
 /// The adaptive solver's scratch, the DP tables it borrows, and the
@@ -307,9 +258,8 @@ fn large_untied_cores_are_bit_identical_to_the_full_dp() {
     let mut parity = Parity::default();
     let mut large_cores = 0u32;
     run_cases("large_core_vs_dp", 96, |_, rng| {
-        // Continuous noise (no duplicate bits) keeps the instance on
-        // the two-sided path, and positive sizes avoid the documented
-        // free-item fold hazard.
+        // Continuous noise keeps the core large, and positive sizes
+        // avoid the documented free-item fold hazard.
         let n = rng.random_range(200..=1000usize);
         let items: Vec<Item> = (0..n)
             .map(|_| {
@@ -365,15 +315,14 @@ fn large_sparse_instances_are_bit_identical_to_the_full_dp() {
     });
 }
 
-/// Duplicate-profit instances take the one-sided reduction; removing only items certified to be in *no* optimal
-/// solution must leave the DP's canonical witness untouched bit for bit
-/// — even though such instances are saturated with exact subset-sum
-/// ties. The stream must reach both tied exits: the pruned core sweep
-/// and the guard's full-instance fallback.
+/// Duplicate-profit instances, saturated with exact subset-sum ties:
+/// fixing items out of every optimum and into every optimum must leave
+/// the DP's canonical witness untouched bit for bit. The stream must
+/// reach a pruned core sweep.
 #[test]
 fn tied_instances_keep_certified_pruning_bit_identical() {
     let mut parity = Parity::default();
-    let (mut pruned, mut fallback) = (0u32, 0u32);
+    let mut pruned = 0u32;
     run_cases("tied_pruning_vs_dp", 128, |_, rng| {
         // Profits drawn from a 5-value pool guarantee duplicate bits.
         let pool: [f64; 5] = std::array::from_fn(|_| rng.random_range(0.1f64..=9.0));
@@ -390,24 +339,16 @@ fn tied_instances_keep_certified_pruning_bit_identical() {
         let cap = rng.random_range(0..=total + 5);
         parity.check(&items, cap, "tied");
         let ad = &parity.ad;
-        if ad.method() == SolveMethod::CoreDp {
-            if ad.items_fixed() > 0 {
-                pruned += 1;
-            } else {
-                fallback += 1;
-            }
+        if ad.method() == SolveMethod::CoreDp && ad.items_fixed() > 0 {
+            pruned += 1;
         }
     });
     assert!(pruned > 0, "no tied instance was pruned");
-    assert!(fallback > 0, "the tied guard never fell back");
 }
 
-/// One instance, two routes through the one reduce routine: tied (half
-/// the profits are bit-equal copies) it is reduced forced-out-only;
-/// with every copy nudged apart by a few ulps-of-the-margin it is
-/// reduced two-sidedly. Both must match the DP on their own instance,
-/// and the two-sided route never fixes fewer items than the one-sided
-/// one could.
+/// One instance tied (half the profits are bit-equal copies) and with
+/// every copy nudged apart by a few ulps-of-the-margin: the one
+/// reduction must match the DP on each.
 #[test]
 fn a_tied_instance_and_its_detied_twin_share_the_reduction() {
     let mut parity = Parity::default();
@@ -428,16 +369,83 @@ fn a_tied_instance_and_its_detied_twin_share_the_reduction() {
         let total: u64 = tied.iter().map(|i| i.size()).sum();
         let cap = rng.random_range(total / 6..=2 * total / 3);
         parity.check(&tied, cap, "tied");
-        let (tied_method, tied_fixed) = (parity.ad.method(), parity.ad.items_fixed());
         parity.check(&twin, cap, "twin");
-        if tied_method == SolveMethod::CoreDp {
-            let twin_fixed = parity.ad.items_fixed();
-            assert!(
-                twin_fixed >= tied_fixed,
-                "two-sided fixing ({twin_fixed}) undercut forced-out-only fixing ({tied_fixed})"
-            );
+    });
+}
+
+/// The canonical optimum, checked against its definition
+/// ([`reference::Subsets::canonical`]) rather than against a DP, on
+/// small instances thick with ties: up to 11 items of size 1–4 whose
+/// profits come from a pool of one to three grid values. The full DP,
+/// the adaptive solve and every solve of the part above a random
+/// density cut that the left-out certificate accepts return exactly
+/// its set, with the bits of the best value. The stream must reach
+/// instances with several optima, and solves of instances with repeated
+/// profits that fix an item in (a certificate with items chosen at a
+/// binding capacity).
+#[test]
+fn every_solver_returns_the_canonical_optimum() {
+    let (mut ad, mut core, mut dp) = (AdaptiveScratch::new(), DpScratch::new(), DpScratch::new());
+    let (mut several_optima, mut fixed_in) = (0u32, 0u32);
+    run_cases("canonical_optimum", 4096, |_, rng| {
+        let pool: Vec<f64> = (0..rng.random_range(1..=3usize))
+            .map(|_| match rng.random_range(0..2u32) {
+                0 => rng.random_range(1..=8u32) as f64 * 0.25,
+                _ => rng.random_range(0.1f64..=3.0),
+            })
+            .collect();
+        let n = rng.random_range(1..=11usize);
+        let items: Vec<Item> = (0..n)
+            .map(|_| {
+                let profit = pool[rng.random_range(0..pool.len())];
+                Item::new(rng.random_range(1u64..=4), profit)
+            })
+            .collect();
+        let total: u64 = items.iter().map(Item::size).sum();
+        let cap = rng.random_range(0..=total);
+        let subsets = reference::Subsets::new(&items);
+        let want = subsets.canonical(cap);
+        let best = subsets.best(n, cap).to_bits();
+        let several = subsets.optima(cap) > 1;
+        several_optima += u32::from(several);
+        let what = format!("cap {cap} on {items:?}");
+
+        let v = DpByCapacity.solve_into(&items, cap, &mut dp);
+        assert_eq!(dp.chosen(), want, "{what}: the DP's set");
+        assert_eq!(v.to_bits(), best, "{what}: the DP's value");
+        let v = AdaptiveSolver.solve_into(&items, cap, &mut ad, &mut core);
+        assert_eq!(ad.chosen(), want, "{what}: the adaptive set");
+        assert_eq!(v.to_bits(), best, "{what}: the adaptive value");
+        let tied = (1..n).any(|i| items[..i].iter().any(|j| j.profit() == items[i].profit()));
+        let usable: u64 = items.iter().map(Item::size).filter(|&s| s <= cap).sum();
+        let certified = ad.method() == SolveMethod::CertifiedGreedy;
+        fixed_in += u32::from(tied && certified && cap < usable && !want.is_empty());
+
+        let bands: Vec<u16> = items
+            .iter()
+            .map(|i| density_band(i.profit(), i.size()))
+            .collect();
+        let cut = bands[rng.random_range(0..n)].saturating_sub(rng.random_range(0..2u32) as u16);
+        let index: Vec<usize> = (0..n).filter(|&i| bands[i] > cut).collect();
+        let kept: Vec<Item> = index.iter().map(|&i| items[i]).collect();
+        let mut sizes: Vec<u64> = items.iter().map(Item::size).collect();
+        sizes.sort_unstable();
+        sizes.dedup();
+        let left_out = LeftOut {
+            edge: band_edge(cut),
+            sizes: &sizes,
+            profit_sum: items.iter().map(Item::profit).sum(),
+            items: n,
+        };
+        if let Some(v) = AdaptiveSolver.solve_leaving_out(&kept, cap, &left_out, &mut ad, &mut core)
+        {
+            let chosen: Vec<usize> = ad.chosen().iter().map(|&i| index[i]).collect();
+            assert_eq!(chosen, want, "{what}, cut {cut}: the part's set");
+            assert_eq!(v.to_bits(), best, "{what}, cut {cut}: the part's value");
         }
     });
+    assert!(several_optima > 0, "no instance had several optima");
+    assert!(fixed_in > 0, "no tied solve fixed an item in");
 }
 
 #[test]
@@ -457,10 +465,9 @@ fn more_capacity_never_hurts() {
 /// left-out item ties a kept one to within rounding; and the same with
 /// a few oversized, very profitable items under a budget below the
 /// largest size. The near-edge items come in identical pairs, so every
-/// part a cut keeps of them has repeated profit bits: the solver then
-/// reduces it forced-out-only, exact on subset-sum ties (module docs of
-/// the adaptive solver, *Tie safety*), and a divergence can only be the
-/// certificate's.
+/// part a cut keeps of them is tied, where the DP's pick is the
+/// canonical optimum (module docs of the adaptive solver) and only the
+/// certificate can make the part's answer differ from the whole's.
 fn arb_left_out_case(case: u64, rng: &mut StreamRng) -> (Vec<Item>, u64) {
     let n = rng.random_range(6..=90usize);
     let max_size = rng.random_range(1u64..=9);
