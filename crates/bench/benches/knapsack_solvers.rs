@@ -8,7 +8,12 @@
 //! station round (~500 items of size 1–20 under an eighth of their total
 //! size; untied and tied) and an engine round (35 000 items of size 1–8,
 //! capacity 1 000; profits tied by the thousand, as the engine's are, and
-//! drawn apart). `knapsack/by_capacity/dp_tied_core/1000` times the DP
+//! drawn apart). `knapsack/adaptive/left_out/35000` times the solve an
+//! engine round runs instead: [`AdaptiveSolver::solve_leaving_out`] on
+//! the tied engine shape's items above a density cut, the rest left out
+//! with their certificate, at the cut an engine round's protocol
+//! accepts (the first, else the one the refusal asked for).
+//! `knapsack/by_capacity/dp_tied_core/1000` times the DP
 //! alone at a large tied core: ~1 200 items of size 1–8 under 1 000
 //! units.
 
@@ -16,7 +21,10 @@ use std::hint::black_box;
 
 use basecache_bench::harness::{bench, write_record, Measurement};
 use basecache_bench::{knapsack_instance, round_shaped_items};
-use basecache_knapsack::{AdaptiveScratch, AdaptiveSolver, DpByCapacity, DpScratch, Item, Solver};
+use basecache_knapsack::{
+    band_edge, cut_below, density_band, AdaptiveScratch, AdaptiveSolver, DpByCapacity, DpScratch,
+    Item, LeftOut, Solver, BANDS,
+};
 
 fn bench_adaptive(results: &mut Vec<Measurement>) {
     // A station's budget is an eighth of its catalog; the engine's is fixed.
@@ -42,6 +50,66 @@ fn bench_adaptive(results: &mut Vec<Measurement>) {
             scratch.method(),
         );
     }
+}
+
+fn bench_left_out(results: &mut Vec<Measurement>) {
+    // The engine's first cut: the highest whose kept bands hold more
+    // than the budget plus the largest size.
+    let items = round_shaped_items(35_000, 8, true, 42);
+    let (budget, sizes) = (1_000, [1, 2, 3, 4, 5, 6, 7, 8]);
+    let bands: Vec<u16> = items
+        .iter()
+        .map(|i| density_band(i.profit(), i.size()))
+        .collect();
+    let mut units = vec![0u64; usize::from(BANDS) + 1];
+    for (item, &band) in items.iter().zip(&bands) {
+        units[usize::from(band)] += item.size();
+    }
+    let mut held = 0;
+    let first = (1..=BANDS)
+        .rev()
+        .find(|&band| {
+            held += units[usize::from(band)];
+            held > budget + 8
+        })
+        .map_or(0, |band| band - 1);
+    let part = |cut: u16| -> (Vec<Item>, LeftOut<'_>) {
+        let kept = items.iter().zip(&bands).filter(|&(_, &band)| band > cut);
+        let edge = band_edge(cut);
+        (
+            kept.map(|(&item, _)| item).collect(),
+            LeftOut {
+                edge,
+                sizes: &sizes,
+            },
+        )
+    };
+    let mut scratch = AdaptiveScratch::new();
+    let mut dp = DpScratch::new();
+    let (mut kept, mut left_out) = part(first);
+    let mut cut = first;
+    if AdaptiveSolver
+        .solve_leaving_out(&kept, budget, &left_out, &mut scratch, &mut dp)
+        .is_none()
+    {
+        cut = cut_below(scratch.needed_edge()).min(first - 1);
+        (kept, left_out) = part(cut);
+    }
+    results.push(bench("knapsack/adaptive/left_out/35000", || {
+        black_box(AdaptiveSolver.solve_leaving_out(&kept, budget, &left_out, &mut scratch, &mut dp))
+    }));
+    let accepted = AdaptiveSolver
+        .solve_leaving_out(&kept, budget, &left_out, &mut scratch, &mut dp)
+        .is_some();
+    println!(
+        "    {} of {} items kept at cut {cut} (first {first}), accepted {accepted}: \
+         core {}, {} fixed, {} DP cells",
+        kept.len(),
+        items.len(),
+        scratch.core_size(),
+        scratch.items_fixed(),
+        scratch.cells_touched(),
+    );
 }
 
 fn bench_solvers_by_n(results: &mut Vec<Measurement>) {
@@ -113,6 +181,7 @@ fn bench_trace_reads(results: &mut Vec<Measurement>) {
 fn main() {
     let mut results = Vec::new();
     bench_adaptive(&mut results);
+    bench_left_out(&mut results);
     bench_solvers_by_n(&mut results);
     bench_dp_by_capacity(&mut results);
     bench_tied_core(&mut results);

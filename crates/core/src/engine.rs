@@ -547,18 +547,12 @@ impl RoundEngine {
     }
 
     /// The bound on what a round assembled at `cut` leaves out, for the
-    /// solver's certificate: densities below the cut's edge, the
-    /// catalog's sizes, and — for the whole instance's float margin —
-    /// the standing request count as its profit sum (an object's profit
-    /// is a fold of at most one per request, each in `[0, 1]`, so every
-    /// fold of the whole instance's profits is at most that count) and
-    /// the positive-profit object count.
+    /// solver's certificate: densities below the cut's edge and the
+    /// catalog's sizes.
     pub(crate) fn left_out(&self, cut: u16) -> LeftOut<'_> {
         LeftOut {
             edge: band_edge(cut),
             sizes: &self.distinct_sizes,
-            profit_sum: self.total_requests as f64,
-            items: self.histogram.objects.iter().sum::<u64>() as usize,
         }
     }
 

@@ -614,22 +614,37 @@ fn on_demand_steady_state_steps_do_not_allocate() {
         assert!(l2_transfers > 0, "the quiet rounds exercised the L2 tier");
     }
 
-    // A large untied core at the solver level: sub-margin profit gaps
-    // defeat every bound, so each solve sweeps the full 300-item core.
-    // Once the scratch has seen the largest shape, re-solving (core
-    // loading and the core DP's tables included) must never touch the
-    // heap.
+    // Large untied cores at the solver level: 300 weakly correlated
+    // items (profit = size + fine noise, the classic hard shape) leave
+    // cores of up to 295 items after bound fixing. Once the scratch has
+    // seen the largest shape, re-solving (core loading and the core DP's
+    // tables included) must never touch the heap.
     {
         use basecache_knapsack::{AdaptiveScratch, AdaptiveSolver, DpScratch, Item};
+        let mut state = 7u64;
+        let mut lcg = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        };
         let items: Vec<Item> = (0..300)
-            .map(|i| Item::new(2, 1.0 + i as f64 * 1e-13))
+            .map(|_| {
+                let size = 1 + lcg() % 40;
+                let noise = (lcg() % (1 << 20)) as f64 / (1u64 << 20) as f64;
+                Item::new(size, size as f64 + noise)
+            })
             .collect();
+        let total: u64 = items.iter().map(Item::size).sum();
         let mut scratch = AdaptiveScratch::new();
         let mut dp = DpScratch::new();
-        let caps = [151u64, 251, 201];
+        let caps = [total / 8, total / 5, total / 3, total / 2];
+        let mut largest = 0;
         for cap in caps {
             AdaptiveSolver.solve_into(&items, cap, &mut scratch, &mut dp);
+            largest = largest.max(scratch.core_size());
         }
+        assert!(largest >= 64, "largest core {largest}");
         for (round, cap) in caps.iter().cycle().take(9).enumerate() {
             let before = allocation_count();
             AdaptiveSolver.solve_into(&items, *cap, &mut scratch, &mut dp);

@@ -17,18 +17,18 @@
 //!    upper bound, then per-item bound fixing: an item whose "forced in"
 //!    bound falls below the lower bound is in no optimum and is fixed
 //!    out; one whose "forced out" bound does is in every optimum and is
-//!    fixed in. An empty core is a certificate; any other is swept by
-//!    the bounded DP ([`DpByCapacity::solve_into`], on the [`DpScratch`]
-//!    the caller lends) on the core only.
+//!    fixed in (a density order the `f64` keys leave out of order sends
+//!    the instance to the full DP instead). An empty core is a
+//!    certificate; any other is swept by the bounded DP
+//!    ([`DpByCapacity::solve_into`], on the [`DpScratch`] the caller
+//!    lends) on the core only.
 //!
 //! The result is always exact-optimal with the *same canonical
 //! tie-breaking as the full-table DP*: the chosen item set, the achieved
 //! profit bits and therefore every downstream planner outcome are
 //! identical to [`DpByCapacity::solve_into`] on the unreduced instance
-//! (see *Canonical optimum*). All bound comparisons carry a conservative
-//! floating-point margin; whenever a decision would land inside the
-//! margin, the pipeline declines to reduce and lets the core DP decide,
-//! so rounding can never flip a fixing decision.
+//! (see *Canonical optimum*). The reduction counts profit in grid
+//! steps, so every bound comparison is decided exactly (*Exact bounds*).
 //!
 //! **How the order is built.** The reduction's density order (density
 //! descending, index ascending) is an order of plain integer keys, not
@@ -80,23 +80,37 @@
 //! ([`AdaptiveScratch::value`]) is their exact sum. DESIGN.md §15 has
 //! the proof sketch.
 //!
+//! **Exact bounds.** A usable profit is a whole number of grid steps
+//! below `2^53`, and so is every sum of them: the reduction holds
+//! profits, prefix sums and incumbents as `u64` steps, and each Dantzig
+//! bound `A + p·rem/s` as its floor (by `u128` arithmetic), which is
+//! below a whole-step incumbent exactly when the bound is. A Dantzig
+//! bound is the LP optimum only along the exact density order, and the
+//! order is one of `f64` keys, where two densities less than an ulp
+//! apart could share a key and go by index. Distinct densities
+//! `P₁/s₁ > P₂/s₂` (`P` in steps) differ by at least `1/(s₁·s₂)`, more
+//! than the `2^-52·P₁/s₁` one key spans unless `P₁·s₂ ≥ 2^52`, so that
+//! takes a profit of `2^20 / s₂` or more; the reduction checks the
+//! neighbours that share a key, by their steps cross-multiplied, and
+//! sends an order that fails to the full DP (DESIGN.md §15). Sizes are
+//! below `2^53`, which any DP table's span is, so they convert exactly.
+//!
 //! **Left-out certificate.** A caller may hand the solver only part of
 //! an instance — the items dense enough to matter — with a bound on the
-//! rest ([`LeftOut`]): every left-out item's density is below an edge,
-//! its size is one of a list, and the whole instance's profit sum and
-//! item count are at most two figures. After the reduction, before any
-//! DP, the solver checks each listed size `s ≤ B` with the test it
-//! applies past its ordered prefix: `edge·s + D(B − s) + margin < lb`,
-//! where `D` is the plain Dantzig bound, `margin` the whole instance's
-//! (from the two figures) and `lb` its own incumbent, improved by the
-//! best single exchange into the units greedy left free (a left-out
-//! item could fill them, so no size below the gap passes until an
-//! incumbent closes it). Every item it was handed is at least as dense
-//! as the edge, and their sizes pass `B`, so the whole instance's
-//! Dantzig bound at `B − s` is the handed part's `D(B − s)`; an item of
-//! size `s` and density below the edge is then worth less than
-//! `edge·s`, and the test fixes it out exactly as bound fixing would
-//! have on the whole instance. Items that sit in no optimum leave the
+//! rest ([`LeftOut`]): every left-out item's density is below an edge
+//! and its size is one of a list. After the reduction, before any DP,
+//! the solver checks each listed size `s ≤ B` with the fixing-out test
+//! it applies past its ordered prefix, for the most a left-out item of
+//! that size can be worth — the largest grid value below `edge·s`:
+//! `most + D(B − s) < lb`, where `D` is the plain Dantzig bound and
+//! `lb` its own incumbent, improved by the best single exchange into
+//! the units greedy left free (a left-out item could fill them, so no
+//! size below the gap passes until an incumbent closes it). Every item
+//! it was handed is at least as dense as the edge, and their sizes pass
+//! `B`, so the whole instance's Dantzig bound at `B − s` is the handed
+//! part's `D(B − s)`, and the test fixes every left-out item of size
+//! `s` out exactly as bound fixing would have on the whole instance
+//! (whose profits are on the grid too). Items that sit in no optimum leave the
 //! optima as they are, and every sum the whole instance's DP forms is a
 //! feasible set's value, at most the part's optimum and so exact
 //! (*Canonical optimum*): the solve of the part picks the whole
@@ -130,7 +144,7 @@
 //! `knapsack/adaptive/*` bench shapes are unchanged — and the traced
 //! `station-paper` solve falls from 52 to 37 µs.
 
-use crate::instance::{density_key, grid_profit, EXACT_SUM};
+use crate::instance::{density_key, grid_profit, EXACT_SUM, GRID_UNITS};
 use crate::{DpByCapacity, DpScratch, Instance, Item, Solution, Solver};
 
 /// Most units the greedy incumbent may have left after the ordered
@@ -153,15 +167,13 @@ const EXCHANGE_SIZES: usize = 32;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LeftOut<'a> {
     /// Every left-out item's density (`profit / size`) is below this
-    /// edge. An edge of `0.0` leaves nothing out: no positive-profit
-    /// item is below it, so the certificate holds without a test.
+    /// edge, exactly: a [`crate::band_edge`], whose five significant
+    /// bits keep `edge · size` exact below `2^48` units. An edge of
+    /// `0.0` leaves nothing out: no positive-profit item is below it, so
+    /// the certificate holds without a test.
     pub edge: f64,
     /// Every size a left-out item may have.
     pub sizes: &'a [u64],
-    /// At least the whole instance's Σ profit, folded in any order.
-    pub profit_sum: f64,
-    /// At least the whole instance's item count.
-    pub items: usize,
 }
 
 impl LeftOut<'_> {
@@ -169,8 +181,6 @@ impl LeftOut<'_> {
     pub const NOTHING: LeftOut<'static> = LeftOut {
         edge: 0.0,
         sizes: &[],
-        profit_sum: 0.0,
-        items: 0,
     };
 }
 
@@ -182,8 +192,8 @@ pub enum SolveMethod {
     /// cores emptied entirely by variable fixing).
     #[default]
     CertifiedGreedy,
-    /// The bounded DP ran on the reduced core (or on the full instance
-    /// where reduction declined).
+    /// The bounded DP ran on the reduced core (or, past the range where
+    /// the reduction is exact, on the full instance).
     CoreDp,
 }
 
@@ -222,8 +232,8 @@ pub struct AdaptiveScratch {
     usable_idx: Vec<u32>,
     /// Size per usable position.
     usable_size: Vec<u64>,
-    /// Profit per usable position.
-    usable_profit: Vec<f64>,
+    /// Profit per usable position, in grid steps.
+    usable_profit: Vec<u64>,
     /// Reduction state per usable position.
     state: Vec<State>,
     /// Selection flag per usable position: the greedy incumbent while
@@ -242,8 +252,9 @@ pub struct AdaptiveScratch {
     brk: usize,
     /// Prefix sums of sizes over `ord` (len `ord.len() + 1`).
     ord_psize: Vec<u64>,
-    /// Prefix sums of profits over `ord` (len `ord.len() + 1`).
-    ord_pprofit: Vec<f64>,
+    /// Prefix sums of profits over `ord` (len `ord.len() + 1`), in grid
+    /// steps.
+    ord_pprofit: Vec<u64>,
     // Core (undecided) items for the terminal DP.
     /// Core items in ascending original order.
     core_items: Vec<Item>,
@@ -260,8 +271,8 @@ pub struct AdaptiveScratch {
     core_size: usize,
     items_fixed: usize,
     cells_touched: u64,
-    lower_bound: f64,
-    upper_bound: f64,
+    /// The reduction's incumbent, in grid steps.
+    lower_bound: u64,
     needed_edge: f64,
     #[cfg(test)]
     probe: Probe,
@@ -325,8 +336,8 @@ impl AdaptiveScratch {
     }
 
     /// Items the DP swept: the undecided core left after reduction and
-    /// variable fixing, every usable item where reduction declined, 0
-    /// when a certificate fired.
+    /// variable fixing, every usable item on the full DP, 0 when a
+    /// certificate fired.
     pub fn core_size(&self) -> usize {
         self.core_size
     }
@@ -419,44 +430,34 @@ impl AdaptiveSolver {
             total_usable += size;
             scratch.usable_idx.push(i as u32);
             scratch.usable_size.push(size);
-            scratch.usable_profit.push(profit);
+            // In grid steps: exact below `EXACT_SUM`, checked before use.
+            scratch.usable_profit.push((profit * GRID_UNITS) as u64);
         }
-        // Without the reduction nothing bounds what was left out.
-        let leaves_out = left_out.edge > 0.0;
         scratch.needed_edge = 0.0;
-        // Past the exact range the DP's pick among equal optima depends
-        // on its fold order, which only the DP itself reproduces.
-        if flat >= EXACT_SUM {
-            if leaves_out {
-                return None;
-            }
-            return Some(scratch.full_dp(items, capacity, dp));
-        }
         let nu = scratch.usable_idx.len();
         scratch.sel.clear();
         scratch.sel.resize(nu, false);
-        if total_usable <= capacity {
-            if leaves_out {
-                return None;
-            }
+
+        // ---- Reduce where the capacity binds, then certify what was
+        // left out, before any DP. --------------------------------------
+        // Past the exact range the DP's pick among equal optima depends
+        // on its fold order, which only the DP itself reproduces; with a
+        // density order that is not exact the bounds are not either.
+        let binds = capacity < total_usable;
+        let exact = flat < EXACT_SUM && (!binds || scratch.reduce(capacity));
+        // Without the reduction's bounds nothing bounds what was left out.
+        let certified = exact && binds && scratch.certify_left_out(capacity, left_out);
+        if left_out.edge > 0.0 && !certified {
+            return None;
+        }
+        if !exact {
+            return Some(scratch.full_dp(items, capacity, dp));
+        }
+        if !binds {
             // Every usable item fits: all profits are positive, so
             // taking everything is the unique optimum.
             scratch.sel.fill(true);
             return Some(scratch.certify(items));
-        }
-        // From here on the capacity binds: `capacity < total_usable`.
-
-        // Conservative float margin: any fold of usable profits differs
-        // from the real sum by well under this, so bound comparisons that
-        // clear it cannot be rounding artifacts.
-        let margin = flat * f64::EPSILON * (nu as f64 + 4.0) * 8.0;
-
-        // ---- Reduce. -------------------------------------------------
-        scratch.reduce(capacity, margin);
-
-        // ---- Certify what was left out, before any DP. ---------------
-        if !scratch.certify_left_out(capacity, left_out) && leaves_out {
-            return None;
         }
 
         // ---- Sweep the core. -----------------------------------------
@@ -468,18 +469,16 @@ impl AdaptiveSolver {
             match scratch.state[u] {
                 State::ForcedIn => forced_size += size,
                 State::Core => {
-                    let profit = scratch.usable_profit[u];
-                    scratch.core_items.push(Item::new(size, profit));
+                    scratch
+                        .core_items
+                        .push(items[scratch.usable_idx[u] as usize]);
                     scratch.core_map.push(u as u32);
                 }
                 State::ForcedOut => {}
             }
         }
-        // Cannot happen when the fixing logic is sound; if rounding ever
-        // conspired against us, decline to reduce entirely.
-        if forced_size > capacity {
-            return Some(scratch.full_dp(items, capacity, dp));
-        }
+        // Forced-in items are in every optimum, so together they fit.
+        debug_assert!(forced_size <= capacity, "fixed in more than fits");
         if scratch.core_items.is_empty() {
             scratch.select_state(State::ForcedIn);
             return Some(scratch.certify(items));
@@ -492,8 +491,10 @@ impl AdaptiveScratch {
     /// The one reduction routine, run when the capacity binds: the
     /// ordered density prefix and its prefix sums, the greedy /
     /// best-single lower bound, the Dantzig upper bound, then per-item
-    /// bound fixing, in both directions, into `state`.
-    fn reduce(&mut self, capacity: u64, margin: f64) {
+    /// bound fixing, in both directions, into `state`. Returns `false`,
+    /// having fixed nothing, when the density order is not exact
+    /// ([`Self::order_is_exact`]).
+    fn reduce(&mut self, capacity: u64) -> bool {
         let m = self.usable_idx.len();
         self.state.clear();
         self.state.resize(m, State::Core);
@@ -504,7 +505,7 @@ impl AdaptiveScratch {
         let (mut total, mut s_max) = (0u64, 0u64);
         for u in 0..m {
             let size = self.usable_size[u];
-            let density = self.usable_profit[u] / size as f64;
+            let density = self.usable_profit[u] as f64 / size as f64;
             self.keys.extend([density_key(density), u as u64]);
             total += size;
             s_max = s_max.max(size);
@@ -517,7 +518,7 @@ impl AdaptiveScratch {
         self.ord_psize.clear();
         self.ord_pprofit.clear();
         self.ord_psize.push(0);
-        self.ord_pprofit.push(0.0);
+        self.ord_pprofit.push(0);
         let stop = capacity.saturating_add(s_max);
         #[cfg(test)]
         let stop = if self.probe.order_all { u64::MAX } else { stop };
@@ -525,28 +526,28 @@ impl AdaptiveScratch {
         // to pass `stop`.
         let block = 2 * u128::from(stop) * m as u128 / u128::from(total.max(1));
         self.order_until(stop, block.min(m as u128) as usize + 1);
+        if !self.order_is_exact() {
+            return false;
+        }
         let k = self.ord.len();
 
-        // Greedy incumbent (density order, take what fits), evaluated by
-        // the ascending-index fold so it compares exactly against DP
-        // values; then the best single item (the classic
-        // 2-approximation fix).
+        // Greedy incumbent (density order, take what fits), then the best
+        // single item (the classic 2-approximation fix).
         let mut remaining = capacity;
         let ord = self.ord.iter().map(|&u| u as usize);
         take_what_fits(&self.usable_size, &mut self.sel, &mut remaining, ord);
         if remaining > 0 && k < m {
             self.greedy_past_prefix(remaining);
         }
-        let mut lb = fold_flags(&self.usable_profit, &self.sel);
-        for &p in &self.usable_profit {
-            if p > lb {
-                lb = p;
-            }
-        }
+        let selected = self
+            .usable_profit
+            .iter()
+            .zip(&self.sel)
+            .filter(|(_, &sel)| sel);
+        let greedy: u64 = selected.map(|(p, _)| p).sum();
+        let lb = greedy.max(self.usable_profit.iter().copied().max().unwrap_or(0));
         self.lower_bound = lb;
-        let (brk, ub) = self.dantzig(0, capacity);
-        self.brk = brk;
-        self.upper_bound = ub;
+        self.brk = self.dantzig(0, capacity).0;
 
         for r in 0..k {
             let u = self.ord[r] as usize;
@@ -554,9 +555,9 @@ impl AdaptiveScratch {
             // Upper bounds over the solutions that do (`ub_in`) and do
             // not (`ub_out`) contain item r.
             let ub_in = p_r + self.dantzig_excluding(r, capacity - s_r);
-            if ub_in + margin < lb {
+            if ub_in < lb {
                 self.state[u] = State::ForcedOut;
-            } else if self.dantzig_excluding(r, capacity) + margin < lb {
+            } else if self.dantzig_excluding(r, capacity) < lb {
                 self.state[u] = State::ForcedIn;
             }
         }
@@ -566,7 +567,7 @@ impl AdaptiveScratch {
         // (a direct-mapped cache keyed by size; no usable size is 0),
         // and `ub_out` is the global bound, never below the incumbent —
         // so no item past the prefix is fixed in.
-        let mut by_size = [(0u64, 0.0f64); SIZE_SLOTS];
+        let mut by_size = [(0u64, 0u64); SIZE_SLOTS];
         let (dkeys, _) = self.keys.as_chunks::<2>();
         for &[_, u] in &dkeys[k..] {
             let u = u as usize;
@@ -579,19 +580,50 @@ impl AdaptiveScratch {
                 }
                 *slot = (s, self.dantzig(self.brk, capacity - s).1);
             }
-            if p + slot.1 + margin < lb {
+            if p + slot.1 < lb {
                 self.state[u] = State::ForcedOut;
             }
         }
+        true
+    }
+
+    /// Whether the ordered prefix is exactly in density order, as every
+    /// Dantzig bound needs (module docs, *Exact bounds*): each two
+    /// neighbours that share a key, and the last ordered item and each
+    /// unordered one that shares its key, are in order by their grid
+    /// steps cross-multiplied. Keys of distinct densities below `2^52`
+    /// steps times size never tie, so only that range can fail.
+    fn order_is_exact(&self) -> bool {
+        let (dkeys, _) = self.keys.as_chunks::<2>();
+        let k = self.ord.len();
+        // Position `u` is at least as dense as position `v`.
+        let denser = |u: u64, v: u64| {
+            let (u, v) = (u as usize, v as usize);
+            u128::from(self.usable_profit[u]) * u128::from(self.usable_size[v])
+                >= u128::from(self.usable_profit[v]) * u128::from(self.usable_size[u])
+        };
+        let mut neighbours = dkeys[..k].windows(2);
+        let ordered = neighbours.all(|w| w[0][0] != w[1][0] || denser(w[0][1], w[1][1]));
+        // The first unordered key is the least of the rest: only when it
+        // ties the last ordered one does the rest hold that key.
+        let [last_key, last] = dkeys[k - 1];
+        let rest = &dkeys[k..];
+        ordered
+            && (rest.first().is_none_or(|r| r[0] != last_key)
+                || rest
+                    .iter()
+                    .all(|&[key, u]| key != last_key || denser(last, u)))
     }
 
     /// The left-out certificate (module docs), run after [`Self::reduce`]
     /// at a binding `capacity`: whether every listed usable size `s`
-    /// passes `edge·s + D(capacity − s) + margin < lb`, with the whole
-    /// instance's margin. Leaves in `needed_edge` the highest edge every
-    /// size passes at. The incumbent `lb` and the bounds are over usable
-    /// items only — an item larger than the capacity is in no solution.
+    /// passes `most + D(capacity − s) < lb`, `most` the largest grid
+    /// value below `edge·s`. Leaves in `needed_edge` the highest edge
+    /// every size passes at, rounded to the nearest `f64`. The incumbent
+    /// `lb` and the bounds are over usable items only — an item larger
+    /// than the capacity is in no solution.
     fn certify_left_out(&mut self, capacity: u64, left_out: &LeftOut<'_>) -> bool {
+        debug_assert_eq!(left_out.edge.to_bits() << 16, 0, "not a band edge");
         // A size-0 left-out item has no density below an edge, and one
         // larger than the capacity is never usable.
         let sizes = left_out.sizes.iter().filter(|&&s| s != 0 && s <= capacity);
@@ -599,16 +631,21 @@ impl AdaptiveScratch {
             self.needed_edge = f64::INFINITY;
             return true;
         }
-        let margin = left_out.profit_sum * f64::EPSILON * (left_out.items as f64 + 4.0) * 8.0;
         let lb = self.lower_bound.max(self.exchange_incumbent(capacity));
         let mut needed = f64::INFINITY;
         let mut holds = true;
         for &s in sizes {
-            let bound = self.dantzig(self.brk, capacity - s).1 + margin;
-            holds &= left_out.edge * s as f64 + bound < lb;
-            needed = needed.min((lb - bound) / s as f64);
+            let bound = self.dantzig(self.brk, capacity - s).1;
+            // The most a left-out item of size `s` is worth: the largest
+            // grid value below `edge·s`, which is exact in `f64` — a band
+            // edge carries five significant bits and a size fewer than 48.
+            let most = ((left_out.edge * s as f64 * GRID_UNITS).ceil() as u64).saturating_sub(1);
+            holds &= most.saturating_add(bound) < lb;
+            // That holds exactly when `edge·s ≤ lb − bound`.
+            let room = lb.saturating_sub(bound) as f64;
+            needed = needed.min(room / s as f64 / GRID_UNITS);
         }
-        self.needed_edge = needed.max(0.0);
+        self.needed_edge = needed;
         holds
     }
 
@@ -619,15 +656,14 @@ impl AdaptiveScratch {
     /// left-out item of that size could fill them: the certificate
     /// cannot pass for sizes below the gap until an incumbent closes
     /// it, and one exchange usually does. Sizes up to
-    /// [`EXCHANGE_SIZES`] take part. The value is a feasible solution's
-    /// — up to the rounding of two additions, far inside any margin —
-    /// or the greedy fold when no exchange gains.
-    fn exchange_incumbent(&self, capacity: u64) -> f64 {
+    /// [`EXCHANGE_SIZES`] take part. The value, in grid steps, is a
+    /// feasible solution's: greedy's when no exchange gains.
+    fn exchange_incumbent(&self, capacity: u64) -> u64 {
         // Per size: the least profitable selected item, the most
         // profitable unselected one.
-        let mut worst_in = [f64::INFINITY; EXCHANGE_SIZES + 1];
-        let mut best_out = [0.0f64; EXCHANGE_SIZES + 1];
-        let (mut used, mut greedy) = (0u64, 0.0);
+        let mut worst_in = [u64::MAX; EXCHANGE_SIZES + 1];
+        let mut best_out = [0u64; EXCHANGE_SIZES + 1];
+        let (mut used, mut greedy) = (0u64, 0u64);
         let usable = self.usable_size.iter().zip(&self.usable_profit);
         for (&selected, (&size, &profit)) in self.sel.iter().zip(usable) {
             let class = usize::try_from(size).map_or(0, |s| s * usize::from(s <= EXCHANGE_SIZES));
@@ -640,11 +676,11 @@ impl AdaptiveScratch {
             }
         }
         let rem = usize::try_from(capacity - used).unwrap_or(usize::MAX);
-        let mut gain = 0.0f64;
+        let mut gain = 0u64;
         for (out, &worst) in worst_in.iter().enumerate().skip(1) {
             let into = &best_out[out + 1..=EXCHANGE_SIZES.min(out.saturating_add(rem))];
             for &best in into {
-                gain = gain.max(best - worst);
+                gain = gain.max(best.saturating_sub(worst));
             }
         }
         greedy + gain
@@ -765,7 +801,8 @@ impl AdaptiveScratch {
         self.finish(items)
     }
 
-    /// Full-instance DP for the instances where reduction declined.
+    /// Full-instance DP for the instances past the range where the
+    /// reduction is exact.
     fn full_dp(&mut self, items: &[Item], capacity: u64, dp: &mut DpScratch) -> f64 {
         let value = DpByCapacity.solve_into(items, capacity, dp);
         self.chosen.clear();
@@ -775,20 +812,16 @@ impl AdaptiveScratch {
         self.method = SolveMethod::CoreDp;
         self.core_size = self.usable_idx.len();
         self.items_fixed = 0;
-        self.lower_bound = value;
-        self.upper_bound = value;
         value
     }
 
     /// The selection in `sel` is optimal by a bound certificate: no DP
-    /// runs, the core is empty and both bounds sit on the optimum.
+    /// runs and the core is empty.
     fn certify(&mut self, items: &[Item]) -> f64 {
         let value = self.finish(items);
         self.method = SolveMethod::CertifiedGreedy;
         self.core_size = 0;
         self.items_fixed = self.usable_idx.len();
-        self.lower_bound = value;
-        self.upper_bound = value;
         value
     }
 
@@ -831,16 +864,16 @@ impl AdaptiveScratch {
     }
 
     /// Dantzig bound at `cap` (at most the solve's capacity) over the
-    /// density order, and its break rank, searched from `hint`. The
-    /// ordered prefix either holds every item or has sizes past the
-    /// capacity, so the break lies inside it.
-    fn dantzig(&self, hint: usize, cap: u64) -> (usize, f64) {
+    /// density order, rounded down to a grid step, and its break rank,
+    /// searched from `hint`. The ordered prefix either holds every item
+    /// or has sizes past the capacity, so the break lies inside it.
+    fn dantzig(&self, hint: usize, cap: u64) -> (usize, u64) {
         let len = self.ord.len();
         let b = largest_fitting_prefix(hint, len, cap, |t| self.ord_psize[t]);
         let rem = cap - self.ord_psize[b];
         let bound = if b < len && rem > 0 {
             let u = self.ord[b] as usize;
-            self.ord_pprofit[b] + self.usable_profit[u] * rem as f64 / self.usable_size[u] as f64
+            self.ord_pprofit[b] + share(self.usable_profit[u], rem, self.usable_size[u])
         } else {
             self.ord_pprofit[b]
         };
@@ -855,7 +888,7 @@ impl AdaptiveScratch {
     /// prefix: unless the prefix holds every item, its sizes pass the
     /// capacity plus the largest size, so the first `len - 1` ranks of
     /// the shortened order already overflow `cap`.
-    fn dantzig_excluding(&self, skip: usize, cap: u64) -> f64 {
+    fn dantzig_excluding(&self, skip: usize, cap: u64) -> u64 {
         let u_skip = self.ord[skip] as usize;
         let (s_skip, p_skip) = (self.usable_size[u_skip], self.usable_profit[u_skip]);
         // Prefix size of the first t items of the sequence-without-skip.
@@ -866,7 +899,7 @@ impl AdaptiveScratch {
                 self.ord_psize[t + 1] - s_skip
             }
         };
-        let pex_profit = |t: usize| -> f64 {
+        let pex_profit = |t: usize| -> u64 {
             if t <= skip {
                 self.ord_pprofit[t]
             } else {
@@ -878,7 +911,7 @@ impl AdaptiveScratch {
         let rem = cap - pex_size(b);
         if b < last && rem > 0 {
             let q = self.ord[if b < skip { b } else { b + 1 }] as usize;
-            pex_profit(b) + self.usable_profit[q] * rem as f64 / self.usable_size[q] as f64
+            pex_profit(b) + share(self.usable_profit[q], rem, self.usable_size[q])
         } else {
             pex_profit(b)
         }
@@ -950,15 +983,11 @@ fn take_what_fits(
     }
 }
 
-/// Fold the selected usable profits in ascending index order.
-fn fold_flags(profits: &[f64], flags: &[bool]) -> f64 {
-    let mut acc = 0.0;
-    for (p, &f) in profits.iter().zip(flags) {
-        if f {
-            acc += p;
-        }
-    }
-    acc
+/// `⌊profit·rem/size⌋`: a break item's share of a Dantzig bound, in
+/// grid steps, rounded down. A bound with it is below a whole-step
+/// incumbent exactly when the unrounded bound is.
+fn share(profit: u64, rem: u64, size: u64) -> u64 {
+    (u128::from(profit) * u128::from(rem) / u128::from(size)) as u64
 }
 
 impl Solver for AdaptiveSolver {
@@ -1054,7 +1083,6 @@ mod tests {
         assert_eq!(scratch.core_size(), 0);
         assert_eq!(scratch.items_fixed(), 2);
         assert_eq!(scratch.cells_touched(), 0);
-        assert_eq!(scratch.lower_bound, scratch.upper_bound);
         assert_parity(&items, [100]);
     }
 
@@ -1176,9 +1204,9 @@ mod tests {
         assert_eq!(scratch.items_fixed(), 40, "sparse duplicates pruned");
         assert_eq!(scratch.core_size(), 40);
         assert_parity(&items, [0, 1, 15, 30, 39, 40, 41, 100]);
-        // With its profits nudged apart (gaps well over the float
-        // margin) the same reduction decides every item: ten dense
-        // items and the sparse group fixed out, thirty dense items in.
+        // With its profits nudged apart the same reduction decides every
+        // item: ten dense items and the sparse group fixed out, thirty
+        // dense items in.
         let twin = dense_and_sparse_duplicates(1e-6);
         solve(&twin, 30, &mut scratch);
         assert_eq!(scratch.method(), SolveMethod::CertifiedGreedy);
@@ -1249,19 +1277,26 @@ mod tests {
     }
 
     #[test]
-    fn sub_margin_profit_gaps_degenerate_to_the_full_core() {
-        // Distinct profits one grid step apart, far below the float
-        // margin at this scale: no bound comparison can ever be
-        // decisive, so the full-core sweep runs — still bit-identical.
-        let step = 1.0 / (1u64 << 32) as f64;
+    fn one_grid_step_profit_gaps_are_decided() {
+        // Distinct profits one grid step apart: the bounds compare in
+        // grid steps, so a gap of one decides every item where the
+        // greedy fills the capacity — still bit-identical. (At an odd
+        // capacity half an item's profit separates the bounds from the
+        // incumbent, and the 300 items stay a core.)
+        let step = 1.0 / GRID_UNITS;
         let items: Vec<Item> = (0..300)
             .map(|i| Item::new(2, 1000.0 + i as f64 * step))
             .collect();
         let mut scratch = AdaptiveScratch::new();
-        solve(&items, 151, &mut scratch);
-        assert_eq!(scratch.method(), SolveMethod::CoreDp);
-        assert_eq!(scratch.core_size(), 300);
-        assert_parity(&items, [31, 151, 320]);
+        for cap in [30, 150, 320] {
+            solve(&items, cap, &mut scratch);
+            assert_eq!(scratch.method(), SolveMethod::CertifiedGreedy, "cap {cap}");
+            assert_eq!(
+                scratch.chosen(),
+                (300 - cap as usize / 2..300).collect::<Vec<_>>()
+            );
+        }
+        assert_parity(&items, [30, 31, 150, 151, 320]);
     }
 
     /// The comparator the density sorts used before the keys: density
@@ -1292,13 +1327,30 @@ mod tests {
         }
     }
 
+    /// Density descending, decided exactly by cross-multiplying grid
+    /// steps, then index ascending.
+    fn by_exact_density_then_index(items: &[Item]) -> impl Fn(usize, usize) -> Ordering + '_ {
+        let steps = |i: usize| u128::from((items[i].profit() * GRID_UNITS) as u64);
+        move |a, b| {
+            let (size_a, size_b) = (u128::from(items[a].size()), u128::from(items[b].size()));
+            (steps(b) * size_a)
+                .cmp(&(steps(a) * size_b))
+                .then(a.cmp(&b))
+        }
+    }
+
     /// Sizes and profits picked to stress the key orders: equal
     /// densities at different sizes, bit-equal profits, profits below
-    /// the grid (zero once on it) and near `f64::MAX`, and sizes above
-    /// 2^53, where `size as f64` rounds — all mixed into seeded random
-    /// filler.
+    /// the grid (zero once on it) and near `f64::MAX`, sizes above 2^53,
+    /// where `size as f64` rounds, and two densities `1/930` of a grid
+    /// step apart at a profit times size just below `2^20`, where
+    /// distinct densities come closest to sharing a key — all mixed into
+    /// seeded random filler.
     fn awkward_items(seed: u64, n: usize) -> Vec<Item> {
+        let step = 1.0 / GRID_UNITS;
         let special = [
+            Item::new(31, 31744.0 + step),
+            Item::new(30, 30720.0 + step),
             Item::new(2, 4.0),
             Item::new(1, 2.0),
             Item::new(4, 8.0),
@@ -1334,11 +1386,10 @@ mod tests {
 
     #[test]
     fn key_orders_match_the_comparator_orders() {
-        let mut partial = 0;
+        let (mut partial, mut shared) = (0, 0);
         for seed in 1..=40 {
             let items = awkward_items(seed, 30 + seed as usize * 7);
             let nu = items.len();
-            let density = |u: usize| items[u].profit() / items[u].size() as f64;
 
             // The crate's density order (free items sort first).
             let mut with_free = items.clone();
@@ -1353,38 +1404,56 @@ mod tests {
             );
 
             // The solver's density order, of a reduction at a capacity
-            // everything fits, which orders every key.
-            let mut scratch = loaded(&items);
-            let total: u64 = scratch.usable_size.iter().sum();
-            scratch.reduce(total, 0.0);
-            let got: Vec<usize> = scratch.ord.iter().map(|&u| u as usize).collect();
-            assert_ordered_by(
-                &got,
-                &(0..nu).collect::<Vec<_>>(),
-                by_density_then_index(density),
-                &format!("density order, seed {seed}"),
-            );
-
-            // Under a binding capacity (the items that fit it usable)
-            // the reduction orders a prefix of the density order only.
+            // everything fits, which orders every key, and under binding
+            // capacities (the items that fit usable), which order a
+            // prefix of it only. On profits summing below 2^21, the
+            // range the solver reduces, the order is a prefix of the
+            // exact density order exactly when the reduction finds it
+            // exact, which it does unless an odd seed's two densities
+            // that share a key are both usable.
+            let mut items: Vec<Item> = items
+                .into_iter()
+                .filter(|i| i.profit() < 32768.0 && i.size() <= 31)
+                .collect();
+            let tie = seed % 2 == 1;
+            if tie {
+                items.extend(shared_key());
+            }
+            let total: u64 = items.iter().map(Item::size).sum();
             let filler: u64 = items.iter().map(Item::size).filter(|&s| s <= 30).sum();
-            for cap in [filler / 32, filler / 8] {
+            for cap in [total, filler / 32, filler / 8] {
                 let usable: Vec<Item> = items.iter().copied().filter(|i| i.size() <= cap).collect();
                 let mut scratch = loaded(&usable);
-                scratch.reduce(cap, 0.0);
-                let density = |u: usize| usable[u].profit() / usable[u].size() as f64;
-                let mut kept: Vec<usize> = (0..usable.len()).collect();
-                kept.sort_by(|&a, &b| by_density_then_index(density)(a, b));
+                let exact = scratch.reduce(cap);
+                let mut want: Vec<usize> = (0..usable.len()).collect();
+                want.sort_by(|&a, &b| by_exact_density_then_index(&usable)(a, b));
                 let got: Vec<usize> = scratch.ord.iter().map(|&u| u as usize).collect();
-                assert_eq!(
-                    got,
-                    kept[..got.len()],
-                    "density prefix, seed {seed} cap {cap}"
-                );
-                partial += usize::from(got.len() < kept.len());
+                let what = format!("seed {seed} cap {cap}");
+                assert_eq!(exact, got == want[..got.len()], "{what}");
+                assert_eq!(exact, !tie || cap < shared_key()[1].size(), "{what}");
+                partial += usize::from(exact && got.len() < want.len());
+                shared += usize::from(!exact && got.len() < want.len());
             }
         }
-        assert!(partial > 0, "no binding capacity left the order partial");
+        assert!(
+            partial > 0,
+            "no binding capacity left an exact order partial"
+        );
+        assert!(
+            shared > 0,
+            "no binding capacity left an inexact order partial"
+        );
+    }
+
+    /// Two densities `2/93` of a grid step apart, `2^47 + 1/3` and
+    /// `2^47 + 11/31` steps a unit, on one key (its `1/32` of a step
+    /// holds both); the sparser one first.
+    fn shared_key() -> [Item; 2] {
+        let step = 1.0 / GRID_UNITS;
+        [
+            Item::new(3, 98304.0 + step),
+            Item::new(31, 1015808.0 + 11.0 * step),
+        ]
     }
 
     /// `items`, every one usable, classified into a fresh scratch.
@@ -1392,7 +1461,8 @@ mod tests {
         let mut scratch = AdaptiveScratch::new();
         scratch.usable_idx.extend(0..items.len() as u32);
         scratch.usable_size.extend(items.iter().map(Item::size));
-        scratch.usable_profit.extend(items.iter().map(Item::profit));
+        let steps = items.iter().map(|i| (i.profit() * GRID_UNITS) as u64);
+        scratch.usable_profit.extend(steps);
         scratch.sel.resize(items.len(), false);
         scratch
     }
@@ -1403,9 +1473,7 @@ mod tests {
     fn reduced(items: &[Item], capacity: u64, order_all: bool) -> AdaptiveScratch {
         let mut scratch = loaded(items);
         scratch.probe.order_all = order_all;
-        let flat: f64 = scratch.usable_profit.iter().sum();
-        let margin = flat * f64::EPSILON * (items.len() as f64 + 4.0) * 8.0;
-        scratch.reduce(capacity, margin);
+        scratch.reduce(capacity);
         scratch
     }
 
@@ -1449,8 +1517,7 @@ mod tests {
                 let what = format!("seed {seed} cap {cap}");
                 assert_eq!(lazy.state, eager.state, "{what}");
                 assert_eq!(lazy.sel, eager.sel, "{what}");
-                assert_eq!(lazy.lower_bound.to_bits(), eager.lower_bound.to_bits());
-                assert_eq!(lazy.upper_bound.to_bits(), eager.upper_bound.to_bits());
+                assert_eq!(lazy.lower_bound, eager.lower_bound, "{what}");
                 assert_eq!(lazy.brk, eager.brk, "{what}");
                 assert!(eager.ord.starts_with(&lazy.ord), "{what}");
                 // K < m: the first rank whose sizes pass the capacity

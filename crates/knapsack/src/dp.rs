@@ -120,7 +120,7 @@ mod tests {
         let trace = DpByCapacity.solve_trace(&inst, 23);
         let vals = trace.values();
         for w in vals.windows(2) {
-            assert!(w[1] >= w[0] - 1e-12, "trace must be non-decreasing");
+            assert!(w[1] >= w[0], "trace must be non-decreasing");
         }
         for c in 0..=23u64 {
             let sol = trace.solution_at(&inst, c);

@@ -7,6 +7,10 @@ const GRID_FREE: f64 = (1u64 << 20) as f64;
 /// Below this, any sum of profits on the grid is exact in `f64`.
 pub(crate) const EXACT_SUM: f64 = (1u64 << 21) as f64;
 
+/// Grid steps (`2^-32`) in one unit of profit: a grid profit below
+/// [`EXACT_SUM`] times this is an exact integer below `2^53`.
+pub(crate) const GRID_UNITS: f64 = (1u64 << 32) as f64;
+
 /// `profit` rounded to the profit grid, the multiples of `2^-32`
 /// (to nearest, ties to even): what [`Item::new`] stores. A sum of such
 /// profits below `2^21` needs at most 53 significant bits, so every

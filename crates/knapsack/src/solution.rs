@@ -17,7 +17,8 @@ impl Solution {
         chosen.sort_unstable();
         let items = instance.items();
         let total_size = chosen.iter().map(|&i| items[i].size()).sum();
-        let total_profit = chosen.iter().map(|&i| items[i].profit()).sum();
+        // From `+0.0`: an empty `f64` sum is `-0.0`, not the DP's `0.0`.
+        let total_profit = chosen.iter().fold(0.0, |acc, &i| acc + items[i].profit());
         Self {
             chosen,
             total_size,

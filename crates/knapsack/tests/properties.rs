@@ -44,8 +44,9 @@ fn dp_matches_brute_force() {
                 best = profit;
             }
         }
+        // Sums of grid profits below 2^21 are exact: the same bits.
         let dp = DpByCapacity.solve(&inst, cap).total_profit();
-        assert!((dp - best).abs() < 1e-6, "dp={dp} brute={best}");
+        assert_eq!(dp.to_bits(), best.to_bits(), "dp={dp} brute={best}");
     });
 }
 
@@ -68,13 +69,13 @@ fn trace_is_monotone_and_achieved() {
         let trace = DpByCapacity.solve_trace(&inst, cap);
         let vals = trace.values();
         for w in vals.windows(2) {
-            assert!(w[1] >= w[0] - 1e-9);
+            assert!(w[1] >= w[0]);
         }
         // Spot check a few capacities: recovered solution achieves value.
         for c in [0, cap / 3, cap / 2, cap] {
             let sol = trace.solution_at(&inst, c);
             sol.verify(&inst, c).unwrap();
-            assert!((sol.total_profit() - trace.value_at(c)).abs() < 1e-6);
+            assert_eq!(sol.total_profit().to_bits(), trace.value_at(c).to_bits());
         }
     });
 }
@@ -346,9 +347,10 @@ fn tied_instances_keep_certified_pruning_bit_identical() {
     assert!(pruned > 0, "no tied instance was pruned");
 }
 
-/// One instance tied (half the profits are bit-equal copies) and with
-/// every copy nudged apart by a few ulps-of-the-margin: the one
-/// reduction must match the DP on each.
+/// One instance tied (half the profits are bit-equal copies) and its
+/// twin with item `i` nudged up by `i·10⁻⁷` (`i` times ~430 grid
+/// steps), which the bounds tell apart: the one reduction must match
+/// the DP on each.
 #[test]
 fn a_tied_instance_and_its_detied_twin_share_the_reduction() {
     let mut parity = Parity::default();
@@ -382,27 +384,57 @@ fn a_tied_instance_and_its_detied_twin_share_the_reduction() {
 /// its set, with the bits of the best value. The stream must reach
 /// instances with several optima, and solves of instances with repeated
 /// profits that fix an item in (a certificate with items chosen at a
-/// binding capacity).
+/// binding capacity). It ends with two pinned instances, cut at their
+/// first item's band: one whose left-out certificate ties its incumbent
+/// (an item one grid step under the edge completes an optimum, which
+/// `≤` in place of the certificate's `<` would let the part's answer
+/// miss), and two densities `2/93` of a grid step apart on one density
+/// key, past the range where keys keep densities apart, which the solve
+/// finds out of order and hands to the full DP.
 #[test]
 fn every_solver_returns_the_canonical_optimum() {
     let (mut ad, mut core, mut dp) = (AdaptiveScratch::new(), DpScratch::new(), DpScratch::new());
     let (mut several_optima, mut fixed_in) = (0u32, 0u32);
-    run_cases("canonical_optimum", 4096, |_, rng| {
-        let pool: Vec<f64> = (0..rng.random_range(1..=3usize))
-            .map(|_| match rng.random_range(0..2u32) {
-                0 => rng.random_range(1..=8u32) as f64 * 0.25,
-                _ => rng.random_range(0.1f64..=3.0),
-            })
-            .collect();
-        let n = rng.random_range(1..=11usize);
-        let items: Vec<Item> = (0..n)
-            .map(|_| {
-                let profit = pool[rng.random_range(0..pool.len())];
-                Item::new(rng.random_range(1u64..=4), profit)
-            })
-            .collect();
-        let total: u64 = items.iter().map(Item::size).sum();
-        let cap = rng.random_range(0..=total);
+    let step = 1.0 / (1u64 << 32) as f64;
+    let pinned = [
+        (
+            vec![
+                Item::new(1, 1.0 - step),
+                Item::new(1, 1.0 + step),
+                Item::new(2, 2.0),
+            ],
+            2,
+        ),
+        (
+            vec![
+                Item::new(3, 98304.0 + step),
+                Item::new(31, 1015808.0 + 11.0 * step),
+                Item::new(2, 5.0),
+            ],
+            33,
+        ),
+    ];
+    run_cases("canonical_optimum", 4096 + 2, |case, rng| {
+        let (items, cap) = match case.checked_sub(4096) {
+            Some(i) => pinned[i as usize].clone(),
+            None => {
+                let pool: Vec<f64> = (0..rng.random_range(1..=3usize))
+                    .map(|_| match rng.random_range(0..2u32) {
+                        0 => rng.random_range(1..=8u32) as f64 * 0.25,
+                        _ => rng.random_range(0.1f64..=3.0),
+                    })
+                    .collect();
+                let items: Vec<Item> = (0..rng.random_range(1..=11usize))
+                    .map(|_| {
+                        let profit = pool[rng.random_range(0..pool.len())];
+                        Item::new(rng.random_range(1u64..=4), profit)
+                    })
+                    .collect();
+                let total: u64 = items.iter().map(Item::size).sum();
+                (items, rng.random_range(0..=total))
+            }
+        };
+        let n = items.len();
         let subsets = reference::Subsets::new(&items);
         let want = subsets.canonical(cap);
         let best = subsets.best(n, cap).to_bits();
@@ -416,6 +448,13 @@ fn every_solver_returns_the_canonical_optimum() {
         let v = AdaptiveSolver.solve_into(&items, cap, &mut ad, &mut core);
         assert_eq!(ad.chosen(), want, "{what}: the adaptive set");
         assert_eq!(v.to_bits(), best, "{what}: the adaptive value");
+        if case == 4096 + 1 {
+            assert_eq!(
+                (ad.core_size(), ad.items_fixed()),
+                (n, 0),
+                "{what}: not the full DP"
+            );
+        }
         let tied = (1..n).any(|i| items[..i].iter().any(|j| j.profit() == items[i].profit()));
         let usable: u64 = items.iter().map(Item::size).filter(|&s| s <= cap).sum();
         let certified = ad.method() == SolveMethod::CertifiedGreedy;
@@ -425,7 +464,10 @@ fn every_solver_returns_the_canonical_optimum() {
             .iter()
             .map(|i| density_band(i.profit(), i.size()))
             .collect();
-        let cut = bands[rng.random_range(0..n)].saturating_sub(rng.random_range(0..2u32) as u16);
+        let cut = match case {
+            4096.. => bands[0],
+            _ => bands[rng.random_range(0..n)].saturating_sub(rng.random_range(0..2u32) as u16),
+        };
         let index: Vec<usize> = (0..n).filter(|&i| bands[i] > cut).collect();
         let kept: Vec<Item> = index.iter().map(|&i| items[i]).collect();
         let mut sizes: Vec<u64> = items.iter().map(Item::size).collect();
@@ -434,8 +476,6 @@ fn every_solver_returns_the_canonical_optimum() {
         let left_out = LeftOut {
             edge: band_edge(cut),
             sizes: &sizes,
-            profit_sum: items.iter().map(Item::profit).sum(),
-            items: n,
         };
         if let Some(v) = AdaptiveSolver.solve_leaving_out(&kept, cap, &left_out, &mut ad, &mut core)
         {
@@ -455,7 +495,7 @@ fn more_capacity_never_hurts() {
         let cap = rng.random_range(0u64..=100);
         let a = DpByCapacity.solve(&inst, cap).total_profit();
         let b = DpByCapacity.solve(&inst, cap + 7).total_profit();
-        assert!(b >= a - 1e-9);
+        assert!(b >= a);
     });
 }
 
@@ -509,8 +549,8 @@ fn arb_left_out_case(case: u64, rng: &mut StreamRng) -> (Vec<Item>, u64) {
 /// or up to 10⁴ ulps over it, and 20 to 120 items of one or two units
 /// one to 10⁴ ulps under it, in random order, each in an identical pair
 /// (as in [`arb_left_out_case`]). A cut at the edge leaves out many more
-/// items, and more profit, than it keeps, so the whole instance's
-/// margin is far above the kept part's.
+/// items, and more profit, than it keeps, and the left-out items come
+/// within a few grid steps of the kept ones they could replace.
 fn arb_mostly_left_out(rng: &mut StreamRng) -> (Vec<Item>, u64) {
     let edge = band_edge(rng.random_range(1000u32..=1080) as u16);
     // Ulps off the edge, log-uniform from 1 to 10⁴.
@@ -564,7 +604,6 @@ fn a_left_out_bound_the_solver_accepts_leaves_the_full_dp_unchanged() {
         let mut sizes: Vec<u64> = items.iter().map(Item::size).collect();
         sizes.sort_unstable();
         sizes.dedup();
-        let profit_sum = items.iter().map(Item::profit).sum::<f64>() * (1.0 + 1e-12);
         let bands: Vec<u16> = items
             .iter()
             .map(|i| density_band(i.profit(), i.size()))
@@ -581,8 +620,6 @@ fn a_left_out_bound_the_solver_accepts_leaves_the_full_dp_unchanged() {
             let left_out = LeftOut {
                 edge: band_edge(cut),
                 sizes: &sizes,
-                profit_sum,
-                items: items.len(),
             };
             let what = format!("cap {cap}, cut {cut}, stage {stage}, {} kept", kept.len());
             match AdaptiveSolver.solve_leaving_out(&kept, cap, &left_out, &mut ad, &mut dp) {

@@ -99,10 +99,12 @@ cargo bench -q -p basecache-bench --no-run
 echo "==> knapsack bench (writes BENCH_knapsack.json)"
 ${pin[@]+"${pin[@]}"} cargo bench -p basecache-bench --bench knapsack_solvers
 # The adaptive solver alone, at the shapes the benchmark's station and
-# engine rounds hand it, and the DP at the core shape of the engine
-# rounds bound fixing cannot shrink.
+# engine rounds hand it, the engine round's solve of the part above its
+# density cut with the left-out certificate, and the DP at the core
+# shape of the engine rounds bound fixing cannot shrink.
 for entry in 'knapsack/adaptive/untied/500' 'knapsack/adaptive/tied/500' \
              'knapsack/adaptive/tied/35000' 'knapsack/adaptive/untied/35000' \
+             'knapsack/adaptive/left_out/35000' \
              'knapsack/by_capacity/dp_tied_core/1000'; do
     grep -q "\"$entry\"" BENCH_knapsack.json \
         || { echo "error: BENCH_knapsack.json missing $entry" >&2; exit 1; }
