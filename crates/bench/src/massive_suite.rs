@@ -10,7 +10,7 @@
 //!   dirty-set tracking.
 //! - `build_incremental` — the same build after realistic churn (~500
 //!   retargets, ≤1% of the table): only dirty objects are rescored,
-//!   untouched entries carry forward bit-identically.
+//!   untouched entries carry forward unchanged.
 //! - `observe/{full,changed}` — one round's recency observation and the
 //!   rescore it triggers, when the recency of 6% of the objects moved
 //!   (the share the benchmark's `engine-massive` workload updates a

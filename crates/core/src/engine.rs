@@ -13,25 +13,25 @@
 //!
 //! 1. **Struct-of-arrays tables.** Object state lives in parallel
 //!    columns indexed by object id — size, recency, per-object request
-//!    targets, profit, score tally (whose count is the request count).
+//!    targets, and the score tally: the request count and Σq, the
+//!    scores in grid steps, off which the profit is read.
 //!    The hot loops (rescore, assemble, serve) stream over dense arrays
 //!    in id order instead of chasing a map, and each object's work is
 //!    what it needs: rescore folds a fresh copy's targets without
 //!    visiting them and scores the rest in branch-free chunks
 //!    ([`ScoringFunction`]'s batched fold), assemble reads the band
 //!    column a word of 32 objects at a time and emits only the objects
-//!    that enter, and serve adds the score sums rescore cached instead
+//!    that enter, and serve adds the tallies rescore cached instead
 //!    of rescoring every request. A warm round allocates nothing.
 //! 2. **Incremental instance build.** A dirty set tracks exactly the
 //!    objects whose inputs changed since the last round: recency
 //!    movement (which is how cache refreshes and server updates
 //!    manifest), request pushes/clears, and retargets. Only dirty
-//!    objects are rescored; every other column entry carries forward
-//!    **bit-identically** — the fold that produced it would be replayed
-//!    over unchanged inputs. [`RoundEngine::mark_all_dirty`] degrades
-//!    the engine to a full-rebuild reference path, which the parity
-//!    tests (`tests/engine_parity.rs`) pin against the incremental
-//!    path.
+//!    objects are rescored; every other tally carries forward, equal
+//!    to what a rescore of its unchanged inputs would give.
+//!    [`RoundEngine::mark_all_dirty`] degrades the engine to a
+//!    full-rebuild reference path, which the parity tests
+//!    (`tests/engine_parity.rs`) pin against the incremental path.
 //! 3. **A density histogram that picks the candidates.** Each object
 //!    with positive profit sits in a density band
 //!    ([`basecache_knapsack::density_band`], 16 an octave), and each band
@@ -49,7 +49,7 @@
 //!
 //!    Invariant: after every [`RoundEngine::rescore`] each object's band
 //!    is the band of its profit and size, and each band's size sum and
-//!    count equal a recount over the profit and size columns (debug
+//!    count equal a recount over the tally and size columns (debug
 //!    builds check it).
 //!
 //! # Invalidation rules
@@ -76,14 +76,14 @@
 //!
 //! # Parity contract
 //!
-//! Incremental vs full-rebuild parity is engine-vs-engine: both paths
-//! fold each object's targets in storage order, so every per-object
-//! profit and score tally — and with them the assembled instance — agree
-//! bit for bit. Both also equal a plain per-target
-//! [`ScoringFunction::score`] loop bit for bit, its profit rounded to
-//! the grid as [`Item::new`] rounds it (the fold's shortcut and chunks
-//! change no rounding); `tests/engine_parity.rs` checks that
-//! independently after every round of its churn scripts.
+//! Each object's tally is an integer sum of grid steps
+//! ([`ScoringFunction::score_steps`]), and its profit
+//! `n · STEPS − Σq` is read off it, so neither depends on the order the
+//! targets are folded in: the incremental and the full-rebuild paths,
+//! and a plain per-target `score_steps` loop in any order, give the same
+//! tallies, profits and assembled instance. `tests/engine_parity.rs`
+//! checks the engine against that plain loop after every round of its
+//! churn scripts.
 //!
 //! The derived columns are read ([`RoundEngine::assemble_into`],
 //! [`RoundEngine::for_each_active`]) only after [`RoundEngine::rescore`]
@@ -91,10 +91,11 @@
 
 use std::collections::BTreeSet;
 
-use basecache_knapsack::{band_edge, cut_below, density_band, grid_profit, Item, LeftOut, BANDS};
+use basecache_knapsack::{band_edge, cut_below, density_band, Item, LeftOut, BANDS};
 use basecache_net::{Catalog, ObjectId};
-use basecache_sim::metrics::Sums;
+use basecache_sim::metrics::{from_steps, Sums};
 
+use crate::profit::benefit_steps;
 use crate::recency::ScoringFunction;
 use crate::scratch::PlannerScratch;
 
@@ -136,11 +137,11 @@ pub struct ActiveObject {
     pub object: ObjectId,
     /// Its last observed cache recency.
     pub recency: f64,
-    /// The tally of `score(recency, target)` over its requests: their
-    /// count (its standing requests) and Σ score.
+    /// The tally of `score_steps(recency, target)` over its requests:
+    /// their count (its standing requests) and Σq.
     pub scores: Sums,
-    /// Σ `1 − score` over its requests (knapsack profit), on the profit
-    /// grid ([`basecache_knapsack::grid_profit`]).
+    /// Σ `1 − score` over its requests (knapsack profit), read off the
+    /// tally: on the profit grid.
     pub profit: f64,
     /// Its size in data units.
     pub size: u64,
@@ -160,18 +161,16 @@ pub struct RoundEngine {
     recency: Vec<f64>,
     /// Standing request targets per object, in push order.
     targets: Vec<Vec<f64>>,
-    /// Σ over the object's clients of `1 − score` (knapsack profit),
-    /// rounded to the profit grid at rescore: the bands, the histogram,
-    /// [`Self::profit_sum`] and the assembled items all read this one
-    /// number.
-    profit: Vec<f64>,
-    /// The object's clients' scores as a tally: their count and Σ score,
-    /// stored at rescore as the fold returns them, for serve to add. Its
-    /// count is the dense request-count column the table walks read
-    /// instead of the 24-byte `Vec` headers.
-    scores: Vec<Sums>,
-    /// Density band of `profit / size` ([`density_band`]), stored at rescore
-    /// beside the profit it is derived from.
+    /// The object's clients' scores as a tally, stored at rescore for
+    /// serve to add: their count, the dense request-count column the
+    /// table walks read instead of the 24-byte `Vec` headers, ...
+    counts: Vec<u64>,
+    /// ... and Σq, the grid steps of their scores. The bands, the
+    /// histogram, [`Self::profit_sum`] and the assembled items read the
+    /// profit off the two ([`Self::profit`]).
+    steps: Vec<u64>,
+    /// Density band of `profit / size` ([`density_band`]), stored at
+    /// rescore beside the tally the profit is read off.
     band: Vec<u16>,
     /// Objects awaiting rescore, one bit each (bit `o % 64` of word
     /// `o / 64`): rescore visits them in id order, so its column reads
@@ -212,8 +211,8 @@ impl RoundEngine {
             sizes,
             recency: vec![0.0; n],
             targets: vec![Vec::new(); n],
-            profit: vec![0.0; n],
-            scores: vec![Sums::new(); n],
+            counts: vec![0; n],
+            steps: vec![0; n],
             band: vec![0; n],
             dirty: vec![0; n.div_ceil(64)],
             total_requests: 0,
@@ -468,10 +467,9 @@ impl RoundEngine {
         }
     }
 
-    /// Recompute profit, density band and the score tally for every
-    /// dirty object, in id order, folding its targets in storage order
-    /// (the bit-parity contract), and move the object between the
-    /// histogram's bands; then clear the dirty set. Updates
+    /// Recompute the score tally and density band of every dirty
+    /// object, in id order, and move the object between the histogram's
+    /// bands; then clear the dirty set. Updates
     /// [`Self::dirty_objects`] and [`Self::rescored_requests`]; debug
     /// builds check the histogram against a recount.
     pub fn rescore(&mut self) {
@@ -483,14 +481,12 @@ impl RoundEngine {
             while bits != 0 {
                 let o = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                let n = self.targets[o].len() as u64;
-                let (sum, profit) = self.scoring.fold(self.recency[o], &self.targets[o]);
-                self.scores[o] = Sums { count: n, sum };
-                self.profit[o] = grid_profit(profit);
-                let band = density_band(self.profit[o], self.sizes[o]);
+                self.counts[o] = self.targets[o].len() as u64;
+                self.steps[o] = self.scoring.fold(self.recency[o], &self.targets[o]);
+                let band = density_band(self.profit(o), self.sizes[o]);
                 self.histogram.shift(self.band[o], band, self.sizes[o]);
                 self.band[o] = band;
-                self.last_rescored += n;
+                self.last_rescored += self.counts[o];
             }
         }
         #[cfg(debug_assertions)]
@@ -498,7 +494,7 @@ impl RoundEngine {
     }
 
     /// The histogram and the band column against a recount from the
-    /// profit and size columns.
+    /// tally and size columns.
     ///
     /// # Panics
     ///
@@ -507,8 +503,8 @@ impl RoundEngine {
     fn check_histogram(&self) {
         let mut units = [0u64; BANDS as usize + 1];
         let mut objects = [0u64; BANDS as usize + 1];
-        for (o, (&profit, &size)) in self.profit.iter().zip(&self.sizes).enumerate() {
-            let band = density_band(profit, size);
+        for (o, &size) in self.sizes.iter().enumerate() {
+            let band = density_band(self.profit(o), size);
             assert_eq!(self.band[o], band, "object {o}'s band");
             if band != 0 {
                 units[band as usize] += size;
@@ -574,23 +570,13 @@ impl RoundEngine {
         self.hint = cut_below(needed_edge);
     }
 
-    /// Σ profit over the positive-profit objects not in `excluded`
-    /// (ascending): the whole instance's profit bound. The profits are
-    /// on the grid, so below `2^21` the sum is exact and does not depend
-    /// on the order it is folded in. The other objects' profit is `+0.0`
-    /// (a fold of terms `1 − s ≥ +0.0` from `0.0`, rounded), which adds
-    /// nothing, so the fold runs over the whole column, skipping only
-    /// the excluded objects.
+    /// Σ profit over the objects not in `excluded` (distinct): the whole
+    /// instance's profit bound, summed exactly in grid steps.
     pub(crate) fn profit_sum(&self, excluded: &[ObjectId]) -> f64 {
-        let mut sum = 0.0;
-        let mut excluded = excluded.iter().peekable();
-        for (object, &profit) in (0..).map(ObjectId).zip(&self.profit) {
-            while excluded.next_if(|&&e| e < object).is_some() {}
-            if excluded.peek() != Some(&&object) {
-                sum += profit;
-            }
-        }
-        sum
+        let steps = |o: usize| benefit_steps(self.counts[o], self.steps[o]);
+        let all: u64 = (0..self.counts.len()).map(steps).sum();
+        let out: u64 = excluded.iter().map(|e| steps(e.index())).sum();
+        from_steps(all - out)
     }
 
     /// Emit the current knapsack instance into `scratch`: one item per
@@ -622,7 +608,7 @@ impl RoundEngine {
         items.clear();
         objects.clear();
         let mut emit = |o: usize| {
-            items.push(Item::new(self.sizes[o], self.profit[o]));
+            items.push(Item::new(self.sizes[o], self.profit(o)));
             objects.push(ObjectId(o as u32));
         };
         let words = self.band.chunks_exact(32);
@@ -652,18 +638,25 @@ impl RoundEngine {
     /// [`Self::rescore`] (debug builds assert it).
     pub fn for_each_active(&self, mut f: impl FnMut(ActiveObject)) {
         self.debug_assert_rescored();
-        for (o, &scores) in self.scores.iter().enumerate() {
-            if scores.count == 0 {
+        for (o, &count) in self.counts.iter().enumerate() {
+            if count == 0 {
                 continue;
             }
+            let sum = self.steps[o].into();
             f(ActiveObject {
                 object: ObjectId(o as u32),
                 recency: self.recency[o],
-                scores,
-                profit: self.profit[o],
+                scores: Sums { count, sum },
+                profit: self.profit(o),
                 size: self.sizes[o],
             });
         }
+    }
+
+    /// Object `o`'s knapsack profit Σ(1 − s), read off its tally exactly.
+    #[inline]
+    fn profit(&self, o: usize) -> f64 {
+        from_steps(benefit_steps(self.counts[o], self.steps[o]))
     }
 
     /// The readers of the derived columns trust them: a skipped
@@ -679,6 +672,7 @@ impl RoundEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use basecache_sim::metrics::STEPS;
 
     fn engine(n: usize) -> RoundEngine {
         RoundEngine::new(&Catalog::uniform_unit(n), ScoringFunction::InverseRatio)
@@ -690,18 +684,10 @@ mod tests {
         scratch
     }
 
-    type TallyBits = (u64, u64);
-
-    /// A score tally as `(count, Σ score bits)`: the fold's own output,
-    /// stored as it came.
-    fn tally_bits(t: Sums) -> TallyBits {
-        (t.count, t.sum.to_bits())
-    }
-
     /// The score tally of every requested object, ascending.
-    fn score_tallies(e: &RoundEngine) -> Vec<TallyBits> {
+    fn score_tallies(e: &RoundEngine) -> Vec<Sums> {
         let mut tallies = Vec::new();
-        e.for_each_active(|a| tallies.push(tally_bits(a.scores)));
+        e.for_each_active(|a| tallies.push(a.scores));
         tallies
     }
 
@@ -718,16 +704,15 @@ mod tests {
         let scratch = assemble(&e);
         assert_eq!(scratch.objects, vec![ObjectId(1), ObjectId(3)]);
         let s = ScoringFunction::InverseRatio;
-        let profit_1 = grid_profit(1.0 - s.score(0.4, 0.5));
-        let profit_3 = grid_profit((1.0 - s.score(0.2, 1.0)) + (1.0 - s.score(0.2, 0.8)));
-        assert_eq!(scratch.items[0].profit().to_bits(), profit_1.to_bits());
-        assert_eq!(scratch.items[1].profit().to_bits(), profit_3.to_bits());
-        let (a, b) = (s.score(0.2, 1.0), s.score(0.2, 0.8));
-        let s_1 = s.score(0.4, 0.5);
-        assert_eq!(
-            score_tallies(&e),
-            vec![(1, s_1.to_bits()), (2, (a + b).to_bits())]
-        );
+        let q_1 = s.score_steps(0.4, 0.5);
+        let q_3 = s.score_steps(0.2, 1.0) + s.score_steps(0.2, 0.8);
+        assert_eq!(scratch.items[0].profit(), from_steps(STEPS - q_1));
+        assert_eq!(scratch.items[1].profit(), from_steps(2 * STEPS - q_3));
+        let tally = |count, steps: u64| Sums {
+            count,
+            sum: steps.into(),
+        };
+        assert_eq!(score_tallies(&e), vec![tally(1, q_1), tally(2, q_3)]);
     }
 
     #[test]
@@ -764,8 +749,8 @@ mod tests {
         let scratch = assemble(&e);
         let s = ScoringFunction::InverseRatio;
         assert_eq!(
-            scratch.items[1].profit().to_bits(),
-            grid_profit(1.0 - s.score(0.3, 1.0)).to_bits()
+            scratch.items[1].profit(),
+            from_steps(STEPS - s.score_steps(0.3, 1.0))
         );
     }
 
@@ -849,15 +834,19 @@ mod tests {
     }
 
     /// Each requested object's id, recency bits, tally and profit bits.
-    type ActiveBits = Vec<(u32, u64, TallyBits, u64)>;
+    type ActiveBits = Vec<(u32, u64, Sums, u64)>;
 
     /// Every table column an observation can move, as bits: each
     /// requested object's recency, tally and profit, and the instance.
     fn observed_state(e: &RoundEngine) -> (ActiveBits, Vec<(u64, u64)>) {
         let mut active = Vec::new();
         e.for_each_active(|a| {
-            let tally = tally_bits(a.scores);
-            active.push((a.object.0, a.recency.to_bits(), tally, a.profit.to_bits()));
+            active.push((
+                a.object.0,
+                a.recency.to_bits(),
+                a.scores,
+                a.profit.to_bits(),
+            ));
         });
         let items = assemble(e)
             .items

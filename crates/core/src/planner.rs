@@ -93,9 +93,9 @@ impl OnDemandPlanner {
     /// [`PlannerScratch::achieved_value`], …) instead of a freshly
     /// allocated [`DownloadPlan`].
     ///
-    /// Float results are bit-identical to the batch path: per-object
-    /// profits accumulate in arrival order, exactly as each object's
-    /// targets do in a [`RequestBatch`].
+    /// Float results are bit-identical to the batch path: each profit is
+    /// read off its object's integer tally of score steps, whatever order
+    /// its requests came in.
     ///
     /// # Errors
     ///

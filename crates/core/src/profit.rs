@@ -8,6 +8,7 @@
 
 use basecache_knapsack::{Instance, Item, Solution};
 use basecache_net::{Catalog, ObjectId};
+use basecache_sim::metrics::{from_steps, STEPS};
 use basecache_workload::Table1Population;
 
 use crate::recency::ScoringFunction;
@@ -65,12 +66,24 @@ impl MappedInstance {
     }
 }
 
+/// The knapsack profit, in grid steps, of an object whose `count`
+/// requests' scores sum to `scores` steps: `Σ (STEPS − q)`, each
+/// client's benefit `1.0 − score` on the grid, read off the tally
+/// exactly.
+#[inline]
+pub(crate) fn benefit_steps(count: u64, scores: u64) -> u64 {
+    count * STEPS - scores
+}
+
 /// Build the knapsack instance for a live request batch.
 ///
 /// `recency[i]` is the current recency `x ∈ [0, 1]` of object `i`'s
 /// cached copy (0 when nothing is cached — every client then gains the
 /// full benefit from a download). Scores are computed per client from
-/// their individual target recencies via `scoring`.
+/// their individual target recencies via `scoring`, in grid steps
+/// ([`ScoringFunction::score_steps`]), and each profit, `n · STEPS −
+/// Σq` steps, is read off its object's tally, so neither depends on the
+/// order the requests came in.
 ///
 /// # Panics
 ///
@@ -90,24 +103,21 @@ pub fn build_instance(
     );
     let mut items = Vec::with_capacity(batch.distinct_objects());
     let mut objects = Vec::with_capacity(batch.distinct_objects());
-    let mut base = 0.0;
+    let mut base = 0u128;
     for (object, targets) in batch.iter() {
         assert!(object.index() < catalog.len(), "{object} not in catalog");
         let x = recency[object.index()];
-        let mut profit = 0.0;
-        for &target in targets {
-            let score = scoring.score(x, target);
-            base += score;
-            profit += 1.0 - score;
-        }
-        items.push(Item::new(catalog.size_of(object), profit));
+        let scores: u64 = targets.iter().map(|&t| scoring.score_steps(x, t)).sum();
+        base += u128::from(scores);
+        let profit = benefit_steps(targets.len() as u64, scores);
+        items.push(Item::new(catalog.size_of(object), from_steps(profit)));
         objects.push(object);
     }
     let instance = Instance::new(items).expect("scores in [0,1] yield valid profits");
     MappedInstance {
         instance,
         objects,
-        base_score_sum: base,
+        base_score_sum: base as f64 / STEPS as f64,
         total_clients: batch.total_requests() as u64,
     }
 }
@@ -146,7 +156,7 @@ pub fn build_instance_from_scores(population: &Table1Population) -> MappedInstan
 #[cfg(test)]
 mod tests {
     use super::*;
-    use basecache_knapsack::{grid_profit, DpByCapacity, Solver};
+    use basecache_knapsack::{DpByCapacity, Solver};
 
     #[test]
     fn profit_sums_per_client_benefits() {
@@ -158,19 +168,20 @@ mod tests {
         batch.push(ObjectId(1), 1.0);
         let mapped = build_instance(&batch, &catalog, &recency, ScoringFunction::InverseRatio);
 
-        // Object 0: two clients, each score 2/3 → profit 2·(1/3), the
-        // plain fold rounded to the profit grid.
+        // Object 0: two clients, each score 2/3 → profit 2·(1/3), each
+        // benefit on the profit grid.
         // Object 1: fresh → profit 0.
         let items = mapped.instance().items();
         assert_eq!(items.len(), 2);
         assert_eq!(items[0].size(), 3);
-        let benefit = 1.0 - ScoringFunction::InverseRatio.score(0.5, 1.0);
-        let profit = grid_profit(benefit + benefit);
+        let q = ScoringFunction::InverseRatio.score_steps(0.5, 1.0);
+        let profit = from_steps(2 * (STEPS - q));
         assert_eq!(items[0].profit().to_bits(), profit.to_bits());
         assert!((profit - 2.0 / 3.0).abs() < 1e-9);
         assert_eq!(items[1].profit(), 0.0);
-        // Base score: 2·(2/3) + 1·1 = 7/3 over 3 clients.
-        assert!((mapped.base_score_sum() - 7.0 / 3.0).abs() < 1e-12);
+        // Base score: 2·(2/3) + 1·1 = 7/3 over 3 clients, on the grid.
+        assert_eq!(mapped.base_score_sum(), from_steps(2 * q + STEPS));
+        assert!((mapped.base_score_sum() - 7.0 / 3.0).abs() < 1e-9);
         assert_eq!(mapped.total_clients(), 3);
     }
 

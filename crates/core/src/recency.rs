@@ -6,7 +6,12 @@
 //! the copy stays cached. A client request carries a target `C ∈ (0, 1]`;
 //! the copy's *score* for that client is `1.0` when `x ≥ C` and decays
 //! towards 0 as `x` falls away from `C`, via one of the paper's scoring
-//! functions. A remotely downloaded copy always scores `1.0`.
+//! functions. A remotely downloaded copy always scores `1.0`. A score
+//! enters every tally, and through its complement every knapsack
+//! profit, as a whole number of `2^-32` grid steps
+//! ([`ScoringFunction::score_steps`]).
+
+use basecache_sim::metrics::{to_steps, STEPS};
 
 /// The client-facing scoring functions of Section 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,21 +56,30 @@ impl ScoringFunction {
         }
     }
 
-    /// `(Σs, Σ(1 − s))` over `s = score(x, t)` for every `t` in
-    /// `targets`, each sum folded from `0.0` in storage order — bit for
-    /// bit what a loop of [`Self::score`] calls accumulating the two
-    /// sums returns, at a fraction of the cost:
+    /// [`Self::score`] in whole grid steps of `2^-32` ([`to_steps`]):
+    /// the one conversion through which a served score enters a tally,
+    /// and through its complement `STEPS − q` a knapsack profit.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::score`].
+    #[inline]
+    pub fn score_steps(self, x: f64, target: f64) -> u64 {
+        to_steps(self.score(x, target))
+    }
+
+    /// Σ [`Self::score_steps`]`(x, t)` over every `t` in `targets`, at a
+    /// fraction of the cost of calling it per target:
     ///
     /// * A fresh copy (`x == 1.0`) meets every target `t ≤ 1`, so every
-    ///   score is exactly `1.0`: the sums are `n` (`n` additions of
-    ///   `1.0` are exact below 2⁵³) and `+0.0` (`1.0 − 1.0` added to
-    ///   `+0.0`), written without visiting a target.
+    ///   score is exactly `1.0`: the sum is `n · STEPS`, written without
+    ///   visiting a target.
     /// * Otherwise targets are scored `FOLD_CHUNK` at a time into a
     ///   stack buffer — every one by the below-target formula, then
     ///   `1.0` selected where `x ≥ t` — with no branch a predictor must
-    ///   learn, and the buffer is folded in order. IEEE division is
-    ///   correctly rounded whether the compiler packs it or not, so
-    ///   each buffered score has [`Self::score`]'s bits.
+    ///   learn. IEEE division is correctly rounded whether the compiler
+    ///   packs it or not, so each buffered score has [`Self::score`]'s
+    ///   bits, and the integer sum is the same in any order.
     ///
     /// Targets are the caller's contract (`(0, 1]`, asserted where they
     /// enter the engine); `x` is checked once.
@@ -73,18 +87,18 @@ impl ScoringFunction {
     /// # Panics
     ///
     /// Panics unless `x ∈ [0, 1]` when `targets` is non-empty.
-    pub(crate) fn fold(self, x: f64, targets: &[f64]) -> (f64, f64) {
+    pub(crate) fn fold(self, x: f64, targets: &[f64]) -> u64 {
         if targets.is_empty() {
-            return (0.0, 0.0);
+            return 0;
         }
         assert!(
             (0.0..=1.0).contains(&x),
             "recency x must be in [0, 1], got {x}"
         );
         if x == 1.0 {
-            return (targets.len() as f64, 0.0);
+            return targets.len() as u64 * STEPS;
         }
-        let (mut sum, mut benefit) = (0.0, 0.0);
+        let mut sum = 0;
         let mut buf = [0.0; FOLD_CHUNK];
         for chunk in targets.chunks(FOLD_CHUNK) {
             let scores = &mut buf[..chunk.len()];
@@ -93,20 +107,9 @@ impl ScoringFunction {
                 ScoringFunction::Exponential => score_chunk(x, chunk, scores, exponential),
                 ScoringFunction::Step => score_chunk(x, chunk, scores, |_| 0.0),
             }
-            for &s in scores.iter() {
-                sum += s;
-                benefit += 1.0 - s;
-            }
+            sum += scores.iter().map(|&s| to_steps(s)).sum::<u64>();
         }
-        (sum, benefit)
-    }
-
-    /// The benefit to a client of downloading a fresh copy instead of
-    /// serving the cached one: `1.0 − score`. This is the paper's
-    /// `benefit(i)`; it "increases as C_i is more recent and when the
-    /// cached object is older".
-    pub fn benefit(self, x: f64, target: f64) -> f64 {
-        1.0 - self.score(x, target)
+        sum
     }
 }
 
@@ -165,22 +168,10 @@ mod tests {
         }
     }
 
-    /// The scalar reference the batched fold must reproduce: one
-    /// [`ScoringFunction::score`] call per target, the two sums folded
-    /// in storage order.
-    fn scalar_fold(f: ScoringFunction, x: f64, targets: &[f64]) -> (f64, f64) {
-        let (mut sum, mut benefit) = (0.0, 0.0);
-        for &t in targets {
-            let s = f.score(x, t);
-            sum += s;
-            benefit += 1.0 - s;
-        }
-        (sum, benefit)
-    }
-
+    /// The batched fold against one [`ScoringFunction::score_steps`]
+    /// call per target.
     #[test]
     fn fold_matches_the_scalar_fold_bit_for_bit() {
-        let bits = |(a, b): (f64, f64)| (a.to_bits(), b.to_bits());
         basecache_sim::check::run_cases("score_fold_vs_scalar", 160, |i, rng| {
             // Lengths 0–200 straddle the 64-target chunks; a quarter of
             // the targets are exactly 1.0.
@@ -202,8 +193,8 @@ mod tests {
                 ScoringFunction::Step,
             ] {
                 assert_eq!(
-                    bits(f.fold(x, &targets)),
-                    bits(scalar_fold(f, x, &targets)),
+                    f.fold(x, &targets),
+                    targets.iter().map(|&t| f.score_steps(x, t)).sum::<u64>(),
                     "{f:?}, x = {x}, {} targets",
                     targets.len()
                 );
@@ -247,24 +238,14 @@ mod tests {
     }
 
     #[test]
-    fn benefit_complements_score() {
-        let f = ScoringFunction::InverseRatio;
-        let x = 0.4;
-        assert!((f.benefit(x, 1.0) + f.score(x, 1.0) - 1.0).abs() < 1e-12);
-        assert_eq!(
-            f.benefit(1.0, 1.0),
-            0.0,
-            "fresh copies leave nothing to gain"
-        );
-    }
-
-    #[test]
     fn benefit_grows_with_demand_and_staleness() {
-        let f = ScoringFunction::InverseRatio;
+        // A client's benefit, in grid steps: what a download adds.
+        let benefit = |x, t| STEPS - ScoringFunction::InverseRatio.score_steps(x, t);
         // Staler cached copy → larger benefit.
-        assert!(f.benefit(0.2, 1.0) > f.benefit(0.6, 1.0));
+        assert!(benefit(0.2, 1.0) > benefit(0.6, 1.0));
         // More demanding client (larger C) → larger benefit at same x.
-        assert!(f.benefit(0.5, 1.0) > f.benefit(0.5, 0.6));
+        assert!(benefit(0.5, 1.0) > benefit(0.5, 0.6));
+        assert_eq!(benefit(1.0, 1.0), 0, "fresh copies leave nothing to gain");
     }
 
     #[test]

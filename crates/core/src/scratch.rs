@@ -10,17 +10,20 @@
 //! A batch round — a station's, or
 //! [`crate::planner::OnDemandPlanner::plan_requests_into`] — makes one
 //! pass over its raw request slice: duplicate requests for one object
-//! sum into one row — its request count, its knapsack profit and its
-//! served score — skipping the intermediate
-//! [`crate::request::RequestBatch`] while producing the *same* profits:
-//! per-object sums accumulate in arrival order, exactly as the batch
-//! path's do.
+//! sum into one row — its request count and its scores' sum in grid
+//! steps — skipping the intermediate [`crate::request::RequestBatch`]
+//! while producing the *same* profits: each profit is read off its
+//! row, and an integer sum does not depend on the order the requests
+//! came in.
 
 use basecache_knapsack::{AdaptiveScratch, DpScratch, Item};
 use basecache_net::{Catalog, ObjectId};
 use basecache_workload::GeneratedRequest;
 
+use basecache_sim::metrics::from_steps;
+
 use crate::error::ConfigError;
+use crate::profit::benefit_steps;
 use crate::recency::ScoringFunction;
 
 /// The largest exact-DP table a station may reserve, in bytes (1 GiB).
@@ -72,17 +75,18 @@ pub(crate) fn check_plan_table(catalog: &Catalog, budget: u64) -> Result<(), Con
 /// budget, no further allocations occur.
 #[derive(Debug, Default)]
 pub struct PlannerScratch {
-    /// Per-object Σ s at the recency each request is served at, indexed
-    /// by object id; all zero outside a round ([`Self::aggregate`]).
-    pub(crate) per_score: Vec<f64>,
+    /// Per-object Σq, the grid steps of the scores at the recency the
+    /// planner sees, indexed by object id; all zero outside a round
+    /// ([`Self::aggregate`]).
+    pub(crate) per_steps: Vec<u64>,
     /// Per-object request count, indexed by object id; all zero outside
     /// a round.
     pub(crate) per_count: Vec<u32>,
-    /// Knapsack items for the requested objects, object-ascending. While
-    /// a batch aggregates, the per-object profit column instead: object
-    /// `o`'s summed benefit Σ(1 − s), not yet on the profit grid, is
-    /// `items[o]`'s profit until [`Self::assemble_requested`] rounds the
-    /// requested ones and packs them to the front.
+    /// Per-object Σq at the true recency, for a station whose planner
+    /// sees an estimator's belief (sized at the station's build); empty
+    /// otherwise, when the served scores are the planned ones.
+    pub(crate) per_truth: Vec<u64>,
+    /// Knapsack items for the requested objects, object-ascending.
     pub(crate) items: Vec<Item>,
     /// Object id of each knapsack item (parallel to `items`).
     pub(crate) objects: Vec<ObjectId>,
@@ -119,7 +123,7 @@ impl PlannerScratch {
     /// touched: a solve dirties only the rows of the items it sweeps
     /// (the core the adaptive solver's bounds leave undecided).
     pub fn reserve(&mut self, num_objects: usize, budget: u64) {
-        self.per_score.resize(num_objects, 0.0);
+        self.per_steps.resize(num_objects, 0);
         self.per_count.resize(num_objects, 0);
         self.items.reserve(num_objects);
         self.objects.reserve(num_objects);
@@ -136,22 +140,22 @@ impl PlannerScratch {
         self.requested.resize(num_objects.div_ceil(64), 0);
     }
 
-    /// Size only what [`Self::aggregate`] fills when it sums no profit.
+    /// Size only what [`Self::aggregate`] fills, for a policy without a
+    /// planner.
     pub(crate) fn reserve_aggregation(&mut self, num_objects: usize) {
-        self.per_score.resize(num_objects, 0.0);
+        self.per_steps.resize(num_objects, 0);
         self.per_count.resize(num_objects, 0);
         self.requested.resize(num_objects.div_ceil(64), 0);
     }
 
     /// A batch round's one pass over its requests. Per requested object
-    /// it sums, in request order, the request count, the knapsack profit
-    /// `Σ(1 − s)` with `s = score(recency[o], target)` when `profit` asks
-    /// for it (a policy without a planner reads none), and `Σ s'` with
-    /// `s'` the score at the recency the request is served at: `truth`'s
-    /// when given (an estimator station's), else `s`. The profits wait
-    /// for [`Self::assemble_requested`], the rest for
-    /// [`Self::drain_requested`]. Never inlined: the round's longest
-    /// loop compiles the same wherever it is called from.
+    /// it sums the request count and Σq, `q = score_steps(recency[o],
+    /// target)`, and — when `truth` gives the recency a request is served
+    /// at (an estimator station's, whose build sized that column) — Σq
+    /// there too. The rows wait for
+    /// [`Self::assemble_requested`] and [`Self::drain_requested`]. Never
+    /// inlined: the round's longest loop compiles the same wherever it
+    /// is called from.
     ///
     /// # Panics
     ///
@@ -167,7 +171,6 @@ impl PlannerScratch {
         catalog: &Catalog,
         scoring: ScoringFunction,
         recency: &[f64],
-        profit: bool,
         truth: Option<&dyn Fn(ObjectId) -> f64>,
     ) {
         let n = catalog.len();
@@ -179,25 +182,16 @@ impl PlannerScratch {
         if self.per_count.len() < n {
             self.reserve_aggregation(n);
         }
-        let profits = &mut self.items;
-        profits.clear();
-        if profit {
-            profits.resize(n, Item::unrounded(0, 0.0));
-        }
-        let (count, score) = (&mut self.per_count[..n], &mut self.per_score[..n]);
+        let (count, steps) = (&mut self.per_count[..n], &mut self.per_steps[..n]);
         let requested = &mut self.requested;
         for r in requests {
             let o = r.object.index();
             assert!(o < n, "{} not in catalog", r.object);
-            let s = scoring.score(recency[o], r.target_recency);
             count[o] += 1;
-            if profit {
-                profits[o] = Item::unrounded(0, profits[o].profit() + (1.0 - s));
+            steps[o] += scoring.score_steps(recency[o], r.target_recency);
+            if let Some(truth) = truth {
+                self.per_truth[o] += scoring.score_steps(truth(r.object), r.target_recency);
             }
-            score[o] += match truth {
-                None => s,
-                Some(truth) => scoring.score(truth(r.object), r.target_recency),
-            };
             requested[o / 64] |= 1 << (o % 64);
         }
     }
@@ -211,26 +205,26 @@ impl PlannerScratch {
         scoring: ScoringFunction,
         recency: &[f64],
     ) {
-        self.aggregate(requests, catalog, scoring, recency, true, None);
+        self.aggregate(requests, catalog, scoring, recency, None);
         self.assemble_requested(catalog);
         self.drain_requested(|_, _, _| {});
     }
 
     /// Assemble the aggregated batch's knapsack instance into
     /// [`Self::items`]: one item per requested object, object-ascending,
-    /// its profit the object's summed benefit, rounded to the profit
-    /// grid once, here. A request, not the profit, decides: a requested
-    /// object whose profit sums to zero is still an item.
+    /// its profit read off the object's row. A request, not the profit,
+    /// decides: a requested object whose profit is zero is still an
+    /// item.
     pub(crate) fn assemble_requested(&mut self, catalog: &Catalog) {
+        self.items.clear();
         self.objects.clear();
-        // In place: the `len`-th requested object's profit sits at or
-        // after slot `len`.
         for object in requested_objects(&self.requested) {
-            let profit = self.items[object.index()].profit();
-            self.items[self.objects.len()] = Item::new(catalog.size_of(object), profit);
+            let o = object.index();
+            let profit = benefit_steps(self.per_count[o].into(), self.per_steps[o]);
+            self.items
+                .push(Item::new(catalog.size_of(object), from_steps(profit)));
             self.objects.push(object);
         }
-        self.items.truncate(self.objects.len());
     }
 
     /// The objects the aggregated batch requested, ascending.
@@ -239,13 +233,18 @@ impl PlannerScratch {
     }
 
     /// Hand each requested object, ascending, with its request count and
-    /// Σ served score to `visit`, zeroing its slots and unmarking it: the
-    /// state [`Self::aggregate`] expects.
-    pub(crate) fn drain_requested(&mut self, mut visit: impl FnMut(ObjectId, u64, f64)) {
+    /// the Σq it is served at — the true one where a column holds it — to
+    /// `visit`, zeroing its slots and unmarking it: the state
+    /// [`Self::aggregate`] expects.
+    pub(crate) fn drain_requested(&mut self, mut visit: impl FnMut(ObjectId, u64, u64)) {
         for object in requested_objects(&self.requested) {
             let o = object.index();
             let count = std::mem::take(&mut self.per_count[o]);
-            visit(object, count.into(), std::mem::take(&mut self.per_score[o]));
+            let mut steps = std::mem::take(&mut self.per_steps[o]);
+            if let Some(truth) = self.per_truth.get_mut(o) {
+                steps = std::mem::take(truth);
+            }
+            visit(object, count.into(), steps);
         }
         self.requested.fill(0);
     }

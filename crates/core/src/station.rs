@@ -54,7 +54,7 @@ use basecache_net::{
 use basecache_obs::{
     Attr, Event, LifecycleEvent, NullRecorder, Recorder, Sample, Snapshot, Span, Stage, Transition,
 };
-use basecache_sim::metrics::{Sums, Welford};
+use basecache_sim::metrics::{to_steps, Sums, STEPS};
 use basecache_sim::SimTime;
 use basecache_workload::GeneratedRequest;
 
@@ -89,19 +89,16 @@ pub struct StationStats {
     /// Total objects downloaded (downloads of the same object on
     /// different ticks count separately).
     pub objects_downloaded: u64,
-    /// Total client requests served.
-    pub requests_served: u64,
-    /// Per-request delivered recency, as plain sums. A round sums what
-    /// it serves and adds the sums in once, as it closes.
+    /// Per-request delivered recency, as an exact tally in grid steps;
+    /// its count is the client requests served. A round tallies what it
+    /// serves and adds the tally in once, as it closes.
     pub recency: Sums,
     /// Per-request delivered score, added in the same way.
     pub score: Sums,
-    /// Distribution of waiting times (in rounds) of requests answered on
+    /// Waiting times, in whole rounds, of the requests answered on
     /// arrival of the transfer they rode (in-flight mode only; empty on
-    /// the instantaneous path).
-    pub wait_ticks: Welford,
-    /// Requests answered after waiting on an in-flight transfer.
-    pub waited: u64,
+    /// the instantaneous path); its count is the requests that waited.
+    pub wait_ticks: Sums,
     /// Requests that rode a transfer launched in an earlier round
     /// instead of triggering their own fetch (single-flight coalescing).
     pub joined: u64,
@@ -134,9 +131,9 @@ struct Round<'r> {
     /// observer pays for.
     observing: bool,
     tick: u64,
-    /// The round's delivered recency and score as plain sums: the
+    /// The round's delivered recency and score as exact tallies: the
     /// outcome reports their means, and [`BaseStationSim::finish_round`]
-    /// folds them into the station-lifetime [`StationStats`] once.
+    /// adds them into the station-lifetime [`StationStats`] once.
     recency: Sums,
     score: Sums,
     /// The outcome under construction: the stages count arrivals,
@@ -238,6 +235,11 @@ impl BaseStationSim {
         match policy.unit_budget() {
             Some(budget) => scratch.reserve(catalog.len(), budget.min(catalog.total_size())),
             None => scratch.reserve_aggregation(catalog.len()),
+        }
+        // An estimator station plans on a belief and serves the truth:
+        // only it sums the served scores in a column of their own.
+        if let Estimation::Estimator(_) = estimation {
+            scratch.per_truth.resize(catalog.len(), 0);
         }
         // Everything per-object — the aggregation columns, the cache's
         // tables, the recency column, the download buffer, the change
@@ -500,7 +502,7 @@ impl BaseStationSim {
     /// Simulate one time unit over the given client requests.
     ///
     /// The round visits the requests once, aggregating them per object
-    /// (count, knapsack profit, served score), and serves per object.
+    /// (request count, Σ score in grid steps), and serves per object.
     /// Allocation-free in steady state under every policy: the recency
     /// vector, the aggregated requests, the DP tables, and the download
     /// list all live in buffers reused across ticks.
@@ -673,15 +675,16 @@ impl BaseStationSim {
             // if the version was invalidated while on the wire, they
             // get (and are scored on) what actually arrived.
             let x = self.true_recency(a.object);
+            let waiters = flight.waiters.len();
+            round.recency.push_n(to_steps(x), waiters as u64);
+            round.out.served_after_wait += waiters;
             for w in &flight.waiters {
-                let score = self.scoring.score(x, w.target_recency);
-                round.recency.push(x);
-                round.score.push(score);
-                let wait = (round.tick - w.issued_at) as f64;
-                self.stats.wait_ticks.push(wait);
-                self.stats.waited += 1;
-                round.out.served_after_wait += 1;
-                recorder.sample(Sample::FetchLatencyTicks, wait);
+                round
+                    .score
+                    .push_n(self.scoring.score_steps(x, w.target_recency), 1);
+                let wait = round.tick - w.issued_at;
+                self.stats.wait_ticks.push_n(wait * STEPS, 1);
+                recorder.sample(Sample::FetchLatencyTicks, wait as f64);
                 if round.observing {
                     // Decompose the wait: ticks spent before the
                     // transfer launched (queueing) vs. riding the
@@ -750,10 +753,9 @@ impl BaseStationSim {
             let truth = |id| Self::recency_in(cache, server, id);
             let estimator = matches!(self.estimation, Estimation::Estimator(_));
             let truth = estimator.then_some(&truth as &dyn Fn(ObjectId) -> f64);
-            let profit = policy.planner().is_some();
             let (catalog, scoring) = (&self.catalog, self.scoring);
             self.scratch
-                .aggregate(requests, catalog, scoring, recency, profit, truth);
+                .aggregate(requests, catalog, scoring, recency, truth);
         }
         if let Some(planner) = policy.planner() {
             match source {
@@ -920,7 +922,7 @@ impl BaseStationSim {
     /// same copy. An engine feeds its standing tables
     /// ([`RoundEngine::for_each_active`]), a batch the rows its plan
     /// stage aggregated: an object's request count, the recency it is
-    /// served at (the truth) and its requests' Σ score there. A merge
+    /// served at (the truth) and its requests' Σq there. A merge
     /// cursor walks the round's downloads. All of an object's requests
     /// are either
     /// * stale and joinable on a transfer launched this round or earlier
@@ -929,8 +931,9 @@ impl BaseStationSim {
     /// * or served at their recency — 1.0 for a download without a
     ///   ledger — as hits unless their object was launched this round.
     ///
-    /// Each object adds `n · x` and its Σ score to the round's tallies:
-    /// the tally's one definition, whichever the source.
+    /// Each object adds `n` recencies `x` and its Σq to the round's
+    /// tallies, exact integers in grid steps: the tally's one
+    /// definition, whichever the source.
     fn serve(
         &mut self,
         round: &mut Round<'_>,
@@ -956,14 +959,14 @@ impl BaseStationSim {
             }
             let n = scores.count;
             // Without a ledger a download landed this round: its
-            // requests are served at 1.0 (`n · 1.0` is `n` exactly).
+            // requests are served at 1.0.
             let (x, scores) = if downloaded_now && flight.is_none() {
-                let sum = n as f64;
+                let sum = u128::from(n * STEPS);
                 (1.0, Sums { count: n, sum })
             } else {
                 (x, scores)
             };
-            round.recency.push_n(x, n);
+            round.recency.push_n(to_steps(x), n);
             round.score.add(&scores);
             // An object launched this round is no hit, whether its copy
             // landed or, launched by an estimator, was current anyway.
@@ -988,7 +991,7 @@ impl BaseStationSim {
             Source::Batch(requests) => {
                 let oracle = matches!(self.estimation, Estimation::Oracle);
                 let parked = &mut self.parked;
-                self.scratch.drain_requested(|object, count, sum| {
+                self.scratch.drain_requested(|object, count, steps| {
                     // The oracle's column is the truth everywhere the
                     // serve reads it (a download's slot is not read).
                     let x = if oracle {
@@ -996,6 +999,7 @@ impl BaseStationSim {
                     } else {
                         Self::recency_in(cache, server, object)
                     };
+                    let sum = steps.into();
                     parked[object.index()] = visit(object, x, Sums { count, sum });
                 });
                 if let Some(ledger) = ledger {
@@ -1052,7 +1056,6 @@ impl BaseStationSim {
 
         self.stats.units_downloaded += outcome.units_downloaded;
         self.stats.objects_downloaded += outcome.objects_downloaded as u64;
-        self.stats.requests_served += outcome.served as u64;
         self.stats.joined += outcome.joined as u64;
 
         recorder.sample(Sample::AverageRecency, outcome.average_recency);
@@ -1210,11 +1213,11 @@ mod tests {
         s.step(&[req(0), req(1)]);
         s.step(&[req(0)]);
         let st = s.stats();
-        assert_eq!(st.requests_served, 3);
+        assert_eq!(st.score.count, 3);
         assert_eq!(st.units_downloaded, 2);
         assert_eq!(st.recency.count, 3);
         s.reset_stats();
-        assert_eq!(s.stats().requests_served, 0);
+        assert_eq!(s.stats().score.count, 0);
         assert_eq!(s.tick(), 2, "reset keeps the clock");
     }
 
@@ -1392,11 +1395,11 @@ mod tests {
     /// transfer when that fetches the server's version and the copy it
     /// would be served is stale, and a landed transfer's waiters are
     /// served, in launch then join order, at the landed version's
-    /// recency. The tally's definition is the serve's: the waiters
-    /// first, then each object's scores summed in request order, the
-    /// objects' sums — and each object's `n · x` recency — added in
-    /// ascending object order, the round's means the plain `Σ / n` and
-    /// the lifetime stats the rounds' sums added up. Nothing mutates the
+    /// recency. The tallies are every served request's recency and score
+    /// in grid steps, summed here request by request — the serve sums
+    /// them per object, and an integer sum is the same in any order —
+    /// the round's means theirs, and the lifetime stats the rounds'
+    /// tallies added up. Nothing mutates the
     /// cache or the server between the serve stage and the end of
     /// `step`, so probing afterwards reads exactly what the serve stage
     /// saw. Returns how many requests were for an object launched in
@@ -1405,8 +1408,8 @@ mod tests {
     fn assert_serve_matches_per_request_reference(mut s: BaseStationSim, label: &str) -> usize {
         let objects = s.catalog().len() as u32;
         let mut rng = basecache_sim::RngStreams::new(0x5E27E).stream(label);
-        let (mut recency_total, mut score_total) = (0.0, 0.0);
-        let (mut served_total, mut waited_total, mut joined_total) = (0u64, 0u64, 0u64);
+        let (mut recency_total, mut score_total) = (Sums::new(), Sums::new());
+        let (mut waited_total, mut joined_total) = (0u64, 0u64);
         let mut transfers = std::collections::VecDeque::<ReferenceTransfer>::new();
         let mut current_launches = 0;
         for round in 0..240u32 {
@@ -1430,14 +1433,17 @@ mod tests {
                 downloaded.windows(2).all(|w| w[0] < w[1]),
                 "{label} round {round}: {downloaded:?} is not ascending"
             );
-            let (mut recency, mut score) = (0.0, 0.0);
+            let (mut recency, mut score) = (Sums::new(), Sums::new());
+            let mut serve = |x: f64, target: f64| {
+                recency.push_n(to_steps(x), 1);
+                score.push_n(s.scoring.score_steps(x, target), 1);
+            };
             let mut waited = 0;
             while transfers.front().is_some_and(|t| t.arrives_at <= tick) {
                 let t = transfers.pop_front().expect("checked non-empty");
                 let x = recency_for_lag(t.version.lag(s.server().version_of(t.object)));
                 for &target in &t.waiters {
-                    recency += x;
-                    score += s.scoring.score(x, target);
+                    serve(x, target);
                     waited += 1;
                 }
             }
@@ -1455,7 +1461,6 @@ mod tests {
                     }
                 });
             }
-            let mut per_object = std::collections::BTreeMap::new();
             let (mut hits, mut joined) = (0, 0);
             for r in &requests {
                 let x = s.true_recency(r.object);
@@ -1468,34 +1473,17 @@ mod tests {
                 }
                 let launched = downloaded.contains(&r.object);
                 current_launches += usize::from(launched && ledger.is_some());
-                let (n, score) = per_object.entry(r.object).or_insert((0u64, 0.0));
-                *n += 1;
-                *score += s.scoring.score(x, r.target_recency);
+                serve(x, r.target_recency);
                 hits += usize::from(!launched);
             }
-            let mut immediate = 0;
-            for (&object, &(n, object_score)) in &per_object {
-                recency += s.true_recency(object) * n as f64;
-                score += object_score;
-                immediate += n as usize;
-            }
-            let n = (waited + immediate) as u64;
-            recency_total += recency;
-            score_total += score;
-            served_total += n;
+            let immediate = score.count as usize - waited;
+            recency_total.add(&recency);
+            score_total.add(&score);
             waited_total += waited as u64;
             joined_total += joined as u64;
-            let bits = |sum: f64| if n == 0 { 1.0 } else { sum / n as f64 }.to_bits();
-            assert_eq!(
-                out.average_recency.to_bits(),
-                bits(recency),
-                "{label} round {round}"
-            );
-            assert_eq!(
-                out.average_score.to_bits(),
-                bits(score),
-                "{label} round {round}"
-            );
+            let mean = |tally: Sums| tally.mean().unwrap_or(1.0).to_bits();
+            let means = (out.average_recency.to_bits(), out.average_score.to_bits());
+            assert_eq!(means, (mean(recency), mean(score)), "{label} round {round}");
             let still_waiting = transfers.iter().map(|t| t.waiters.len()).sum::<usize>();
             assert_eq!(
                 (out.served, out.served_immediately, out.served_after_wait),
@@ -1522,23 +1510,16 @@ mod tests {
                 s.scratch.requested().next().is_none()
                     && !s.parked.contains(&true)
                     && s.scratch.per_count.iter().all(|&n| n == 0)
-                    && s.scratch.per_score.iter().all(|&sum| sum == 0.0),
+                    && s.scratch.per_steps.iter().all(|&q| q == 0)
+                    && s.scratch.per_truth.iter().all(|&q| q == 0),
                 "{label} round {round}: the aggregation and the park marks must be cleared"
             );
         }
-        let total = |sum| Sums {
-            count: served_total,
-            sum,
-        };
-        assert_eq!(s.stats().recency, total(recency_total), "{label}");
-        assert_eq!(s.stats().score, total(score_total), "{label}");
+        assert_eq!(s.stats().recency, recency_total, "{label}");
+        assert_eq!(s.stats().score, score_total, "{label}");
         assert_eq!(
-            (
-                s.stats().requests_served,
-                s.stats().waited,
-                s.stats().joined
-            ),
-            (served_total, waited_total, joined_total),
+            (s.stats().wait_ticks.count, s.stats().joined),
+            (waited_total, joined_total),
             "{label}"
         );
         current_launches
@@ -1657,10 +1638,8 @@ mod tests {
             },
         );
         let out = s.step(&[req(0)]);
-        // Not cached and nothing downloaded: x = 0 → exp(-1).
-        assert_eq!(
-            out.average_score,
-            ScoringFunction::Exponential.score(0.0, 1.0)
-        );
+        // Not cached and nothing downloaded: x = 0 → exp(-1), on the grid.
+        let q = ScoringFunction::Exponential.score_steps(0.0, 1.0);
+        assert_eq!(out.average_score, basecache_sim::metrics::from_steps(q));
     }
 }

@@ -341,11 +341,11 @@ fn engine_rounds_between_batch_rounds_match_full_rebuild() {
 }
 
 /// The two request sources serve alike: a batch round and an engine
-/// round holding the same requests — pushed in batch order into an
-/// engine cleared before every round — on twin on-demand oracle
-/// stations plan the same downloads and report the same served count,
-/// cache hits and, bit for bit, average score and recency, round after
-/// round of random batches, update waves and per-object updates.
+/// round holding the same requests — pushed in reverse batch order into
+/// an engine cleared before every round, since no tally depends on the
+/// order — on twin on-demand oracle stations plan the same downloads
+/// and report the same outcome, means bit for bit, round after round of
+/// random batches, update waves and per-object updates.
 #[test]
 fn a_batch_round_and_an_engine_round_of_the_same_requests_serve_alike() {
     let station = || {
@@ -375,7 +375,7 @@ fn a_batch_round_and_an_engine_round_of_the_same_requests_serve_alike() {
             })
             .collect();
         engine.clear_requests();
-        for r in &requests {
+        for r in requests.iter().rev() {
             engine.push_request(r.object, r.target_recency);
         }
         let from_batch = batch.step(&requests);
@@ -386,15 +386,8 @@ fn a_batch_round_and_an_engine_round_of_the_same_requests_serve_alike() {
             standing.last_downloaded(),
             "{what}"
         );
-        let view = |o: &RoundOutcome| {
-            (
-                o.served,
-                o.cache_hits,
-                o.average_score.to_bits(),
-                o.average_recency.to_bits(),
-            )
-        };
-        assert_eq!(view(&from_batch), view(&from_engine), "{what}");
+        // The means are non-negative, so equal values are equal bits.
+        assert_eq!(from_batch, from_engine, "{what}");
     }
     assert_eq!(batch.stats(), standing.stats());
 }
@@ -727,13 +720,13 @@ fn engine_rounds_plan_the_whole_instance_whichever_cut_they_took() {
 /// in that fold would pass them. Here, after every round of each churn
 /// script, each active object's request count, score tally and profit —
 /// and the assembled instance — are re-derived from `targets_for` and
-/// the recency the round observed with a plain per-target
-/// [`ScoringFunction::score`] loop, and bit-compared.
+/// the recency the round observed with plain per-target
+/// [`ScoringFunction::score_steps`] sums, taken backwards (an integer
+/// sum is the same in any order), and compared exactly.
 mod independent {
     use super::*;
     use basecache_core::scratch::PlannerScratch;
-    use basecache_knapsack::grid_profit;
-    use basecache_sim::metrics::Sums;
+    use basecache_sim::metrics::{from_steps, Sums, STEPS};
 
     /// Objects topped up to a fixed request count before every round:
     /// one fills a 64-target chunk exactly, one spills a target into the
@@ -770,13 +763,6 @@ mod independent {
         }
     }
 
-    type Tally = (u64, u64);
-
-    /// A score tally as `(count, Σ score bits)`.
-    fn tally_bits(t: Sums) -> Tally {
-        (t.count, t.sum.to_bits())
-    }
-
     /// How often the rounds exercised the cases a shortcut could get
     /// wrong: a heavy object scored against a stale copy, and a stale
     /// copy whose recency equals one of its targets.
@@ -798,17 +784,15 @@ mod independent {
             if targets.is_empty() {
                 continue;
             }
-            let (mut sum, mut profit) = (0.0, 0.0);
-            for &t in targets {
-                let s = scoring.score(x, t);
-                sum += s;
-                profit += 1.0 - s;
-            }
-            // The profit as `Item::new` stores it: the plain fold, on the grid.
-            let profit = grid_profit(profit);
-            let n = targets.len() as u64;
+            let steps = |t: &f64| scoring.score_steps(x, *t);
+            let sum: u64 = targets.iter().rev().map(steps).sum();
+            let profit = from_steps(targets.iter().rev().map(|t| STEPS - steps(t)).sum());
             let size = rig.station.catalog().size_of(object);
-            let tally = tally_bits(Sums { count: n, sum });
+            let count = targets.len() as u64;
+            let tally = Sums {
+                count,
+                sum: sum.into(),
+            };
             expected.push((object, x.to_bits(), tally, profit.to_bits(), size));
             if profit > 0.0 {
                 expected_items.push((size, profit.to_bits()));
@@ -820,9 +804,8 @@ mod independent {
         }
         let mut active = Vec::new();
         engine.for_each_active(|a| {
-            let tally = tally_bits(a.scores);
             let recency = a.recency.to_bits();
-            active.push((a.object, recency, tally, a.profit.to_bits(), a.size));
+            active.push((a.object, recency, a.scores, a.profit.to_bits(), a.size));
         });
         assert_eq!(active, expected, "for_each_active diverges");
         let mut scratch = PlannerScratch::new();

@@ -113,7 +113,6 @@ fn waiters_are_served_on_arrival_with_correct_waits() {
     assert_eq!(out.average_score, 1.0);
 
     let stats = s.stats();
-    assert_eq!(stats.waited, 3);
     assert_eq!(stats.joined, 2);
     // Waits 3, 2, 1 rounds → mean 2.
     assert_eq!(stats.wait_ticks.count(), 3);
@@ -212,10 +211,10 @@ fn check_conservation(seed: u64, config: InFlightConfig) {
     }
     assert_eq!(issued, served, "every request served exactly once");
     let stats = s.stats();
-    assert_eq!(stats.requests_served, served);
+    assert_eq!(stats.score.count, served);
     assert_eq!(
         s.flight_ledger().unwrap().stats().waiters_served,
-        stats.waited,
+        stats.wait_ticks.count,
         "ledger and station agree on waiter count"
     );
 }

@@ -21,6 +21,7 @@ use basecache_core::{Policy, RequestBatch, StationBuilder};
 use basecache_knapsack::{DpByCapacity, DpScratch};
 use basecache_net::{Catalog, ObjectId};
 use basecache_sim::check::run_cases;
+use basecache_sim::metrics::Sums;
 use basecache_sim::StreamRng;
 use basecache_workload::GeneratedRequest;
 
@@ -165,12 +166,12 @@ fn assert_station_matches_reference(policy: Policy, script: &Script, label: &str
                 "{label} round {round}: plan value"
             );
         }
-        // Served per object: a fresh copy (recency 1) of what was
-        // fetched, the cached copy as observed otherwise. Each request is
-        // scored on its own, its object's scores summed in request order;
-        // the round's average is the objects' sums, added in ascending
-        // object order, over the request count.
-        let mut per_object = std::collections::BTreeMap::new();
+        // Served: a fresh copy (recency 1) of what was fetched, the
+        // cached copy as observed otherwise. Each request is scored on
+        // its own, in grid steps, and tallied in request order: the
+        // station tallies per object, and an integer sum is the same in
+        // any order.
+        let mut score = Sums::new();
         for r in requests {
             let fetched = picks.binary_search(&r.object).is_ok();
             let x = if fetched {
@@ -178,19 +179,11 @@ fn assert_station_matches_reference(policy: Policy, script: &Script, label: &str
             } else {
                 recency[r.object.index()]
             };
-            *per_object.entry(r.object).or_insert(0.0) += SCORING.score(x, r.target_recency);
+            score.push_n(SCORING.score_steps(x, r.target_recency), 1);
         }
-        let mut score = 0.0;
-        for object_score in per_object.values() {
-            score += object_score;
-        }
-        let average = match requests.len() {
-            0 => 1.0,
-            n => score / n as f64,
-        };
         assert_eq!(
             outcome.average_score.to_bits(),
-            average.to_bits(),
+            score.mean().unwrap_or(1.0).to_bits(),
             "{label} round {round}"
         );
     }

@@ -54,8 +54,8 @@ fn aggregated_exact_dp_plan_is_bit_identical_to_batch_path() {
             plan.download_size(),
             "round {round}"
         );
-        // Bit-for-bit, not tolerance: the aggregation runs the same float
-        // additions in the same order as the batch path.
+        // Bit-for-bit, not tolerance: both read each profit off the same
+        // integer tally of score steps.
         assert_eq!(
             scratch.achieved_value(),
             plan.achieved_value(),

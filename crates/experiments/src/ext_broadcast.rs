@@ -95,8 +95,7 @@ fn pull_mean_delay(params: &Params, theta: f64) -> f64 {
     drive(&mut station, &trace, 5, 0, |_, _| {});
     drain(&mut station);
     let stats = station.stats();
-    stats.wait_ticks.mean().unwrap_or(0.0) * stats.waited as f64
-        / stats.requests_served.max(1) as f64
+    stats.wait_ticks.total() / stats.score.count.max(1) as f64
 }
 
 /// Run the comparison: mean access delay vs demand skew for flat

@@ -80,7 +80,7 @@ fn run_point(params: &Params, trace: &RequestTrace, bandwidth: u64) -> [f64; 3] 
     [
         stats.wait_ticks.mean().unwrap_or(0.0),
         stats.score.mean().unwrap_or(1.0),
-        stats.waited as f64 / stats.requests_served.max(1) as f64,
+        stats.wait_ticks.count as f64 / stats.score.count.max(1) as f64,
     ]
 }
 

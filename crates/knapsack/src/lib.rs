@@ -27,7 +27,8 @@
 //!
 //! All solvers implement the [`Solver`] trait and produce a verified
 //! [`Solution`]. Profits are `f64` (the paper's profits are sums of
-//! recency benefits in `[0, 1]`) on a grid of `2^-32` ([`grid_profit`]),
+//! recency benefits in `[0, 1]`) on a grid of `2^-32` ([`grid_profit`],
+//! the grid of `basecache_sim::metrics`),
 //! where sums below `2^21` are exact; sizes and capacities are integral
 //! data units, as in the paper.
 //!
@@ -105,6 +106,8 @@ mod solver_contract_tests {
             assert_eq!(sol.total_profit(), 0.0, "{}", s.name());
             assert!(sol.chosen_indices().is_empty(), "{}", s.name());
         }
+        // Both empty sums are `+0.0`, not Rust's empty-`f64`-sum `-0.0`.
+        assert_eq!(inst.total_profit().to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!   from a single master seed with SplitMix64, so adding a stream never
 //!   perturbs the draws of any other stream.
 //! * [`metrics`] — the Welford mean/variance accumulator every
-//!   experiment reports through, and the plain sums a
-//!   per-request tally adds up before folding into one.
+//!   experiment reports through, and the exact tally of values counted
+//!   in `2^-32` grid steps that a round's requests add up.
 //! * [`P2Quantile`] — streaming quantile estimation (p95 waits) in O(1)
 //!   space.
 //! * [`check`] — the seeded property-case runner the workspace's

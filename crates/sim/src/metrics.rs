@@ -1,5 +1,6 @@
 //! The Welford mean/variance accumulator shared by every experiment,
-//! and the plain sums a round's tallies add into.
+//! the grid of `2^-32` steps tallies and knapsack profits are counted
+//! in, and the exact sums a round's tallies add into.
 
 /// Streaming mean/variance via Welford's algorithm — numerically stable
 /// for the long accumulations the recency experiments perform.
@@ -45,20 +46,38 @@ impl Welford {
     }
 }
 
-/// A tally as plain sums: the count and `Σx` of what was pushed.
-///
-/// Each update is two independent adds and no division, so a loop
-/// pushing one value per request is not held up by a chain of dependent
-/// divisions the way a [`Welford`] fold is. The mean is `Σx / count`,
-/// read once. Summing in a fixed order makes the result deterministic,
-/// and for values in `[0, 1]` (recency, score) its rounding error is at
-/// most `count · ε` relative.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+/// Grid steps in one unit: a tally counts its values, and a knapsack
+/// its profits, in whole multiples of `2^-32`, so every sum of them is an
+/// integer, exact and the same whatever order it is taken in.
+pub const STEPS: u64 = 1 << 32;
+
+/// `x ∈ [0, 2^20]` in whole grid steps, rounded to nearest, ties to even.
+/// In `[2^20, 2^21]` one ulp of an `f64` is one step, so adding `2^20`
+/// rounds `x` to the grid, and the sum's bits less those of `2^20` count
+/// its steps: one add, no libm call.
+#[inline]
+pub fn to_steps(x: f64) -> u64 {
+    const OFFSET: f64 = (1u64 << 20) as f64;
+    (x + OFFSET).to_bits() - OFFSET.to_bits()
+}
+
+/// `steps` grid steps in units: exact below `2^53` steps.
+#[inline]
+pub fn from_steps(steps: u64) -> f64 {
+    steps as f64 / STEPS as f64
+}
+
+/// A tally in grid steps: the count of what was pushed and its sum, each
+/// value rounded to the grid once ([`to_steps`]). The sum is an integer,
+/// so a tally does not depend on the order its values came in, and a
+/// `u128` does not wrap: a million requests a round at score 1.0 add
+/// `2^52` steps a round.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Sums {
     /// Number of observations.
     pub count: u64,
-    /// Their sum.
-    pub sum: f64,
+    /// Their sum, in grid steps.
+    pub sum: u128,
 }
 
 impl Sums {
@@ -67,16 +86,10 @@ impl Sums {
         Self::default()
     }
 
-    /// Add one observation.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        self.sum += x;
-    }
-
-    /// Add `n` identical observations of `x` at once.
-    pub fn push_n(&mut self, x: f64, n: u64) {
+    /// Add `n` observations of `steps` grid steps each.
+    pub fn push_n(&mut self, steps: u64, n: u64) {
         self.count += n;
-        self.sum += x * n as f64;
+        self.sum += u128::from(steps) * u128::from(n);
     }
 
     /// Add another tally's observations.
@@ -85,9 +98,19 @@ impl Sums {
         self.sum += other.sum;
     }
 
+    /// Number of observations.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// The sum in units.
+    pub fn total(&self) -> f64 {
+        self.sum as f64 / STEPS as f64
+    }
+
     /// Sample mean, or `None` before any observation.
     pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum / self.count as f64)
+        (self.count > 0).then(|| self.total() / self.count as f64)
     }
 }
 
@@ -117,59 +140,18 @@ mod tests {
         assert!(w.variance().is_none());
     }
 
-    /// Random push / push_n / add streams of values in `[0, 1]`, up to
-    /// 10⁵ observations: the plain sums report the mean a per-push
-    /// [`Welford`] fed the same observations does, to within rounding.
-    #[test]
-    fn sums_agree_with_a_per_push_welford() {
-        crate::check::run_cases("sums_vs_welford", 48, |_, rng| {
-            let len = 10f64.powf(rng.random_range(0.0f64..=5.0)) as u64;
-            let (mut sums, mut reference) = (Sums::new(), Welford::new());
-            while sums.count < len {
-                let room = len - sums.count;
-                let x = rng.random_range(0.0f64..=1.0);
-                match rng.random_range(0..3u32) {
-                    0 => {
-                        sums.push(x);
-                        reference.push(x);
-                    }
-                    1 => {
-                        let n = rng.random_range(0..=room.min(64));
-                        sums.push_n(x, n);
-                        (0..n).for_each(|_| reference.push(x));
-                    }
-                    _ => {
-                        let mut other = Sums::new();
-                        for _ in 0..rng.random_range(0..=room.min(512)) {
-                            let y = rng.random_range(0.0f64..=1.0);
-                            other.push(y);
-                            reference.push(y);
-                        }
-                        sums.add(&other);
-                    }
-                }
-            }
-            assert_eq!(sums.count, reference.count());
-            let (mean, expected) = (sums.mean().unwrap(), reference.mean().unwrap());
-            assert!(
-                (mean - expected).abs() <= 1e-12 * expected.abs().max(f64::MIN_POSITIVE),
-                "mean {mean} vs {expected} over {len}"
-            );
-        });
-    }
-
     #[test]
     fn sums_exact_cases() {
         assert!(Sums::new().mean().is_none());
         let (mut pushed, mut batched) = (Sums::new(), Sums::new());
         for _ in 0..1_000 {
-            pushed.push(1.0);
+            pushed.push_n(STEPS, 1);
         }
-        batched.push_n(1.0, 600);
-        batched.push_n(1.0, 0);
+        batched.push_n(STEPS, 600);
+        batched.push_n(STEPS, 0);
         batched.add(&Sums {
             count: 400,
-            sum: 400.0,
+            sum: 400 * u128::from(STEPS),
         });
         assert_eq!(pushed, batched);
         assert_eq!(
@@ -177,5 +159,20 @@ mod tests {
             Some(1.0),
             "n copies of 1.0 average exactly 1.0"
         );
+        assert_eq!((pushed.count(), pushed.total()), (1_000, 1_000.0));
+    }
+
+    #[test]
+    fn values_round_to_the_grid() {
+        let step = 1.0 / STEPS as f64;
+        assert_eq!(to_steps(0.0), 0);
+        assert_eq!(to_steps(1.0), STEPS);
+        assert_eq!(to_steps(1.0 / 3.0), 1_431_655_765);
+        assert_eq!(to_steps(0.4 * step), 0);
+        assert_eq!((to_steps(1.5 * step), to_steps(2.5 * step)), (2, 2));
+        let top = (1u64 << 20) as f64;
+        assert_eq!(to_steps(top), 1 << 52);
+        assert_eq!(from_steps(to_steps(0.75)), 0.75);
+        assert_eq!(to_steps(from_steps(1_431_655_765)), 1_431_655_765);
     }
 }

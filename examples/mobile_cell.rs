@@ -103,7 +103,7 @@ fn main() {
     let stats = station.stats();
     let ledger = station.flight_ledger().expect("in-flight station");
     println!("simulated {} ({} events)", sched.now(), sched.processed());
-    println!("clients served:        {}", stats.requests_served);
+    println!("clients served:        {}", stats.score.count);
     println!(
         "average client score:  {:.4}",
         stats.score.mean().unwrap_or(1.0)
@@ -121,7 +121,7 @@ fn main() {
     println!(
         "mean wait of parked:   {:.2} rounds over {} requests ({} still waiting)",
         stats.wait_ticks.mean().unwrap_or(0.0),
-        stats.waited,
+        stats.wait_ticks.count,
         ledger.waiting()
     );
     println!(

@@ -82,7 +82,16 @@ echo "==> benchmark verify pass (smoke scale, all four workloads)"
 # Traced and untraced passes must agree on the outcome digest, the
 # invariant monitor must stay silent and the exact-DP re-plans must
 # match; run.sh exits non-zero otherwise.
-bash benchmark/run.sh --smoke --verify | grep -E '^(workload |outcome_digest)'
+# Its build rewrites the tracked benchmark/Cargo.lock whenever the crates'
+# dependency graph moved; the file is put back, pass or fail, so the gate
+# leaves the tree as it found it.
+bench_lock=$(mktemp)
+cp benchmark/Cargo.lock "$bench_lock"
+status=0
+bash benchmark/run.sh --smoke --verify | grep -E '^(workload |outcome_digest)' || status=$?
+cp "$bench_lock" benchmark/Cargo.lock
+rm -f "$bench_lock"
+[ "$status" -eq 0 ] || exit "$status"
 
 # The committed ledgers are pinned runs: a bench process that migrates
 # between cores reads ~1.5x higher, so the benches run on CPU 1 where

@@ -36,8 +36,7 @@ fn warmed_pull_cache_beats_broadcast_on_access_delay() {
     drive(&mut station, &trace, 0, 0, |_, _| {});
     drain(&mut station);
     let stats = station.stats();
-    let total_wait = stats.wait_ticks.mean().unwrap_or(0.0) * stats.waited as f64;
-    let pull_delay = total_wait / stats.requests_served as f64;
+    let pull_delay = stats.wait_ticks.total() / stats.score.count as f64;
     assert!(
         pull_delay < broadcast_wait / 5.0,
         "pull mean delay {pull_delay} vs broadcast {broadcast_wait}"
