@@ -22,8 +22,9 @@
 //! - `round_incremental` — the headline: a complete
 //!   [`BaseStationSim::step_engine`] round (churn, server updates,
 //!   recency observation, incremental rescore, adaptive solve, refresh,
-//!   columnar serve), from which the `requests_per_second` figure in
-//!   `BENCH_planner.json` is derived. Timed on a fixed schedule of
+//!   serve off the engine's running totals), from which the
+//!   `requests_per_second` figure in `BENCH_planner.json` is derived.
+//!   Timed on a fixed schedule of
 //!   rounds (the same ones on every build), each sample the mean of
 //!   `ROUNDS_PER_SAMPLE` consecutive rounds. The round's solve is in
 //!   it; a traced benchmark run reports it alone
@@ -293,8 +294,10 @@ pub fn bench_massive(scale: &MassiveScale, results: &mut Vec<Measurement>) -> Ma
 
     // --- round_incremental: the complete station round — churn, a
     // handful of server-side updates, the oracle recency of the objects
-    // they and the last round's downloads changed, incremental rescore, adaptive solve, refresh and columnar serve
-    // of the whole standing population. Rounds differ several-fold in
+    // they and the last round's downloads changed, incremental rescore,
+    // adaptive solve, refresh, and the serve of the whole standing
+    // population off the engine's running totals, a term per download
+    // (the round is unobserved). Rounds differ several-fold in
     // cost (a wave of stale popular objects makes a hard solve), so
     // every build times the same ones.
     let mut rounds = Rounds::new(scale, &catalog, &objects, &targets);

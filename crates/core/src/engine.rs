@@ -9,20 +9,19 @@
 //! 1M standing requests) it dominates the round now that the adaptive
 //! solver has made the solve itself cheap.
 //!
-//! The engine replaces per-round reconstruction with three mechanisms:
+//! The engine replaces per-round reconstruction with four mechanisms:
 //!
 //! 1. **Struct-of-arrays tables.** Object state lives in parallel
 //!    columns indexed by object id — size, recency, per-object request
 //!    targets, and the score tally: the request count and Σq, the
 //!    scores in grid steps, off which the profit is read.
-//!    The hot loops (rescore, assemble, serve) stream over dense arrays
+//!    The hot loops (rescore, assemble) stream over dense arrays
 //!    in id order instead of chasing a map, and each object's work is
 //!    what it needs: rescore folds a fresh copy's targets without
 //!    visiting them and scores the rest in branch-free chunks
-//!    ([`ScoringFunction`]'s batched fold), assemble reads the band
+//!    ([`ScoringFunction`]'s batched fold), and assemble reads the band
 //!    column a word of 32 objects at a time and emits only the objects
-//!    that enter, and serve adds the tallies rescore cached instead
-//!    of rescoring every request. A warm round allocates nothing.
+//!    that enter. A warm round allocates nothing.
 //! 2. **Incremental instance build.** A dirty set tracks exactly the
 //!    objects whose inputs changed since the last round: recency
 //!    movement (which is how cache refreshes and server updates
@@ -51,6 +50,20 @@
 //!    is the band of its profit and size, and each band's size sum and
 //!    count equal a recount over the tally and size columns (debug
 //!    builds check it).
+//! 4. **Running totals that serve the round.** Beside the columns the
+//!    engine keeps three sums in grid steps: Σ count and Σ Σq, moved by
+//!    rescore for each dirty object's tally, and Σ recency over the
+//!    standing requests, moved by each push and clear and by each
+//!    observation that changes a requested object's recency — so they
+//!    cost O(changes) too. An integer sum does not depend on the order
+//!    it is taken in, so the sums equal a recount (debug builds check it
+//!    after every rescore), and a round's serve tallies are the sums
+//!    plus a correction per download ([`RoundEngine::serve_totals`]): an
+//!    unobserved engine round serves in O(downloads), not O(active
+//!    objects). Only an observed round, which reports every object it
+//!    serves, walks the table ([`RoundEngine::for_each_active`]). The
+//!    recency sum cannot move at rescore instead: an observation
+//!    overwrites the recency first, and rescore sees only the new one.
 //!
 //! # Invalidation rules
 //!
@@ -86,14 +99,15 @@
 //! churn scripts.
 //!
 //! The derived columns are read ([`RoundEngine::assemble_into`],
-//! [`RoundEngine::for_each_active`]) only after [`RoundEngine::rescore`]
-//! has drained the dirty set; debug builds assert it.
+//! [`RoundEngine::for_each_active`], [`RoundEngine::serve_totals`]) only
+//! after [`RoundEngine::rescore`] has drained the dirty set; debug builds
+//! assert it.
 
 use std::collections::BTreeSet;
 
 use basecache_knapsack::{band_edge, cut_below, density_band, Item, LeftOut, BANDS};
 use basecache_net::{Catalog, ObjectId};
-use basecache_sim::metrics::{from_steps, Sums};
+use basecache_sim::metrics::{from_steps, to_steps, Sums, STEPS};
 
 use crate::profit::benefit_steps;
 use crate::recency::ScoringFunction;
@@ -147,6 +161,18 @@ pub struct ActiveObject {
     pub size: u64,
 }
 
+/// The tallies a round serves from a [`RoundEngine`]'s table
+/// ([`RoundEngine::serve_totals`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ServeTotals {
+    /// The served recencies: one value per request, in grid steps.
+    pub recency: Sums,
+    /// The served scores: one value per request, in grid steps.
+    pub score: Sums,
+    /// Requests on downloaded objects: served, but not cache hits.
+    pub fetched: u64,
+}
+
 /// Struct-of-arrays object/request table with incremental instance
 /// construction: parallel columns indexed by object id. See the module
 /// docs for the design; see
@@ -166,12 +192,22 @@ pub struct RoundEngine {
     /// table walks read instead of the 24-byte `Vec` headers, ...
     counts: Vec<u64>,
     /// ... and Σq, the grid steps of their scores. The bands, the
-    /// histogram, [`Self::profit_sum`] and the assembled items read the
-    /// profit off the two ([`Self::profit`]).
+    /// histogram and the assembled items read the profit off the two
+    /// ([`Self::profit`]).
     steps: Vec<u64>,
     /// Density band of `profit / size` ([`density_band`]), stored at
     /// rescore beside the tally the profit is read off.
     band: Vec<u16>,
+    /// The tally columns summed: Σ `counts` and Σ `steps`, the whole
+    /// table's score tally, moved by every rescore ...
+    tallied: Sums,
+    /// ... and the recency tally's sum: Σ `to_steps(recency[o])` over
+    /// the standing requests, moved by every push, clear and observation
+    /// that changes a requested object's recency, so that once rescore
+    /// has run it is Σ `counts[o] · to_steps(recency[o])`.
+    /// [`Self::serve_totals`] and [`Self::profit_sum`] read the three
+    /// instead of the table.
+    recency_steps: u128,
     /// Objects awaiting rescore, one bit each (bit `o % 64` of word
     /// `o / 64`): rescore visits them in id order, so its column reads
     /// move forward through the table.
@@ -214,6 +250,8 @@ impl RoundEngine {
             counts: vec![0; n],
             steps: vec![0; n],
             band: vec![0; n],
+            tallied: Sums::new(),
+            recency_steps: 0,
             dirty: vec![0; n.div_ceil(64)],
             total_requests: 0,
             last_dirty: 0,
@@ -278,14 +316,18 @@ impl RoundEngine {
     }
 
     /// Store an observed recency whose bits moved; a requested object
-    /// becomes dirty.
+    /// becomes dirty, and its standing requests move the recency sum
+    /// from the old recency to the new.
     #[inline]
     fn observe(&mut self, o: usize, recency: f64) {
         if recency.to_bits() != self.recency[o].to_bits() {
-            self.recency[o] = recency;
-            if !self.targets[o].is_empty() {
+            let n = self.targets[o].len() as u128;
+            if n != 0 {
+                self.recency_steps -= n * u128::from(to_steps(self.recency[o]));
+                self.recency_steps += n * u128::from(to_steps(recency));
                 self.mark_dirty(o);
             }
+            self.recency[o] = recency;
         }
     }
 
@@ -303,6 +345,7 @@ impl RoundEngine {
         );
         let o = self.slot(object);
         self.targets[o].push(target_recency);
+        self.recency_steps += u128::from(to_steps(self.recency[o]));
         self.mark_dirty(o);
         self.total_requests += 1;
     }
@@ -336,6 +379,7 @@ impl RoundEngine {
             }
         }
         self.total_requests = 0;
+        self.recency_steps = 0;
     }
 
     /// Replace one of `object`'s standing request targets in place —
@@ -469,28 +513,58 @@ impl RoundEngine {
 
     /// Recompute the score tally and density band of every dirty
     /// object, in id order, and move the object between the histogram's
-    /// bands; then clear the dirty set. Updates
-    /// [`Self::dirty_objects`] and [`Self::rescored_requests`]; debug
-    /// builds check the histogram against a recount.
+    /// bands and its old tally out of the running sums, its new one in;
+    /// then clear the dirty set. Updates [`Self::dirty_objects`] and
+    /// [`Self::rescored_requests`]; debug builds check the histogram and
+    /// the sums against a recount.
     pub fn rescore(&mut self) {
         self.last_dirty = 0;
         self.last_rescored = 0;
+        let mut tallied = self.tallied;
         for w in 0..self.dirty.len() {
             let mut bits = std::mem::take(&mut self.dirty[w]);
             self.last_dirty += u64::from(bits.count_ones());
             while bits != 0 {
                 let o = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
+                let (count, steps) = (self.counts[o], self.steps[o]);
                 self.counts[o] = self.targets[o].len() as u64;
                 self.steps[o] = self.scoring.fold(self.recency[o], &self.targets[o]);
+                tallied.count = tallied.count - count + self.counts[o];
+                tallied.sum = tallied.sum - u128::from(steps) + u128::from(self.steps[o]);
                 let band = density_band(self.profit(o), self.sizes[o]);
                 self.histogram.shift(self.band[o], band, self.sizes[o]);
                 self.band[o] = band;
                 self.last_rescored += self.counts[o];
             }
         }
+        self.tallied = tallied;
         #[cfg(debug_assertions)]
-        self.check_histogram();
+        {
+            self.check_histogram();
+            self.check_totals();
+        }
+    }
+
+    /// The running sums against a recount from the tally and recency
+    /// columns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a sum differs.
+    #[cfg(any(debug_assertions, test))]
+    fn check_totals(&self) {
+        let mut tallied = Sums::new();
+        let mut recency_steps = 0u128;
+        for (o, &count) in self.counts.iter().enumerate() {
+            tallied.add(&Sums {
+                count,
+                sum: self.steps[o].into(),
+            });
+            recency_steps += u128::from(count) * u128::from(to_steps(self.recency[o]));
+        }
+        assert_eq!(self.tallied, tallied, "the score tally's running sums");
+        assert_eq!(self.recency_steps, recency_steps, "the recency sum");
     }
 
     /// The histogram and the band column against a recount from the
@@ -571,12 +645,46 @@ impl RoundEngine {
     }
 
     /// Σ profit over the objects not in `excluded` (distinct): the whole
-    /// instance's profit bound, summed exactly in grid steps.
+    /// instance's profit bound, exact in grid steps — `N · STEPS − Σq`
+    /// off the running sums, less the excluded objects' profits.
     pub(crate) fn profit_sum(&self, excluded: &[ObjectId]) -> f64 {
-        let steps = |o: usize| benefit_steps(self.counts[o], self.steps[o]);
-        let all: u64 = (0..self.counts.len()).map(steps).sum();
-        let out: u64 = excluded.iter().map(|e| steps(e.index())).sum();
-        from_steps(all - out)
+        let benefit = |o: usize| u128::from(benefit_steps(self.counts[o], self.steps[o]));
+        let all = u128::from(self.tallied.count) * u128::from(STEPS) - self.tallied.sum;
+        let out: u128 = excluded.iter().map(|e| benefit(e.index())).sum();
+        // `from_steps`, exact below 2^53 steps.
+        (all - out) as f64 / STEPS as f64
+    }
+
+    /// What an instantaneous round that `downloaded` (distinct) serves
+    /// from the table, off the running sums: every tallied request,
+    /// served at its object's recency, or at 1.0 when a download of its
+    /// object landed this round. O(downloads); equal to the tallies of a
+    /// [`Self::for_each_active`] walk that serves each object so. Call
+    /// after [`Self::rescore`] (debug builds assert it).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a downloaded object is not in the table.
+    pub fn serve_totals(&self, downloaded: &[ObjectId]) -> ServeTotals {
+        self.debug_assert_rescored();
+        let mut totals = ServeTotals {
+            recency: Sums {
+                count: self.tallied.count,
+                sum: self.recency_steps,
+            },
+            score: self.tallied,
+            fetched: 0,
+        };
+        for &object in downloaded {
+            let o = self.slot(object);
+            let n = self.counts[o];
+            // A landed copy serves at 1.0: each request gains its
+            // benefit on the score side, `1 − x` on the recency side.
+            totals.score.sum += u128::from(benefit_steps(n, self.steps[o]));
+            totals.recency.sum += u128::from(n) * u128::from(STEPS - to_steps(self.recency[o]));
+            totals.fetched += n;
+        }
+        totals
     }
 
     /// Emit the current knapsack instance into `scratch`: one item per
@@ -632,10 +740,11 @@ impl RoundEngine {
     }
 
     /// Visit every requested object in ascending id order with its
-    /// columnar serve-time view. The station's per-object serve runs on
-    /// this for an engine round: O(requested objects), not O(requests).
-    /// Call after
-    /// [`Self::rescore`] (debug builds assert it).
+    /// columnar serve-time view: O(requested objects), not O(requests).
+    /// The station's serve walks it only on an observed engine round,
+    /// which reports each object; an unobserved one reads
+    /// [`Self::serve_totals`]. Call after [`Self::rescore`] (debug
+    /// builds assert it).
     pub fn for_each_active(&self, mut f: impl FnMut(ActiveObject)) {
         self.debug_assert_rescored();
         for (o, &count) in self.counts.iter().enumerate() {
@@ -672,7 +781,6 @@ impl RoundEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use basecache_sim::metrics::STEPS;
 
     fn engine(n: usize) -> RoundEngine {
         RoundEngine::new(&Catalog::uniform_unit(n), ScoringFunction::InverseRatio)
@@ -921,6 +1029,74 @@ mod tests {
         assert_eq!(seen(&mut e), [0.5; 4]);
     }
 
+    /// Serve totals with nothing downloaded: the tallies of every
+    /// requested object at its recency.
+    fn totals(e: &RoundEngine) -> (Sums, Sums) {
+        let t = e.serve_totals(&[]);
+        (t.recency, t.score)
+    }
+
+    #[test]
+    fn a_cleared_object_observed_before_its_rescore_leaves_the_totals() {
+        let s = ScoringFunction::InverseRatio;
+        let mut e = engine(3);
+        e.push_columns(&[ObjectId(0), ObjectId(0), ObjectId(2)], &[1.0, 0.5, 0.8]);
+        e.observe_recency(&[0.25, 0.0, 0.5]);
+        e.rescore();
+        let tally = |n, steps| Sums {
+            count: n,
+            sum: u128::from(steps),
+        };
+        let q_0 = s.score_steps(0.25, 1.0) + s.score_steps(0.25, 0.5);
+        let q_2 = s.score_steps(0.5, 0.8);
+        let recency = 2 * to_steps(0.25) + to_steps(0.5);
+        assert_eq!(totals(&e), (tally(3, recency), tally(3, q_0 + q_2)));
+        // Cleared, object 0's two requests leave the recency sum at the
+        // clear, while its tally still holds them: an observation that
+        // moves its recency before the rescore must move neither, and
+        // the rescore then takes the tally out.
+        e.clear_requests();
+        e.push_request(ObjectId(2), 1.0);
+        e.observe_recency(&[0.75, 0.0, 0.5]);
+        e.rescore();
+        e.check_totals();
+        let q_2 = s.score_steps(0.5, 1.0);
+        assert_eq!(totals(&e), (tally(1, to_steps(0.5)), tally(1, q_2)));
+        // Requested again, it is priced at the recency it now has.
+        e.push_request(ObjectId(0), 1.0);
+        e.rescore();
+        let q_0 = s.score_steps(0.75, 1.0);
+        let recency = to_steps(0.75) + to_steps(0.5);
+        assert_eq!(totals(&e), (tally(2, recency), tally(2, q_0 + q_2)));
+    }
+
+    #[test]
+    fn serve_totals_serve_a_download_at_one() {
+        let s = ScoringFunction::InverseRatio;
+        let mut e = engine(4);
+        e.push_columns(&[1, 1, 3].map(ObjectId), &[1.0, 0.5, 0.8]);
+        e.observe_recency(&[0.0, 0.25, 0.0, 0.5]);
+        e.rescore();
+        let t = e.serve_totals(&[ObjectId(0), ObjectId(1)]);
+        let recency = 2 * STEPS + to_steps(0.5);
+        let score = 2 * STEPS + s.score_steps(0.5, 0.8);
+        assert_eq!(
+            t.recency,
+            Sums {
+                count: 3,
+                sum: recency.into()
+            }
+        );
+        assert_eq!(
+            t.score,
+            Sums {
+                count: 3,
+                sum: score.into()
+            }
+        );
+        assert_eq!(t.fetched, 2, "object 1's two requests; object 0 has none");
+    }
+
     #[test]
     fn for_each_active_walks_objects_ascending_with_counts() {
         let mut e = engine(6);
@@ -945,8 +1121,9 @@ mod tests {
 
     /// Every way the table's inputs move — pushes, clears, retargets,
     /// whole and listed observations (profits falling to zero at a fresh
-    /// copy and coming back), `mark_all_dirty` — leaves
-    /// the density histogram equal to a recount after the rescore.
+    /// copy and coming back), `mark_all_dirty` — leaves the density
+    /// histogram and the running sums equal to a recount after the
+    /// rescore.
     #[test]
     fn the_density_histogram_matches_a_recount_after_every_rescore() {
         basecache_sim::check::run_cases("engine/histogram", 96, |case, rng| {
@@ -993,6 +1170,7 @@ mod tests {
                 }
                 e.rescore();
                 e.check_histogram();
+                e.check_totals();
             }
         });
     }

@@ -85,7 +85,7 @@ pub mod station;
 
 pub use asynch::AsyncRefresher;
 pub use builder::StationBuilder;
-pub use engine::{ActiveObject, RoundEngine};
+pub use engine::{ActiveObject, RoundEngine, ServeTotals};
 pub use error::{ConfigError, Error};
 pub use estimator::{RateEstimator, RecencyEstimator, ReportEstimator, TtlEstimator};
 pub use outcome::RoundOutcome;

@@ -82,10 +82,11 @@ pub struct PlannerScratch {
     /// Per-object request count, indexed by object id; all zero outside
     /// a round.
     pub(crate) per_count: Vec<u32>,
-    /// Per-object Σq at the true recency, for a station whose planner
-    /// sees an estimator's belief (sized at the station's build); empty
+    /// Per object, for a station whose planner sees an estimator's
+    /// belief (sized at the station's build): the true recency, probed
+    /// at the object's first request of the round, and Σq there. Empty
     /// otherwise, when the served scores are the planned ones.
-    pub(crate) per_truth: Vec<u64>,
+    pub(crate) per_truth: Vec<(f64, u64)>,
     /// Knapsack items for the requested objects, object-ascending.
     pub(crate) items: Vec<Item>,
     /// Object id of each knapsack item (parallel to `items`).
@@ -150,9 +151,11 @@ impl PlannerScratch {
 
     /// A batch round's one pass over its requests. Per requested object
     /// it sums the request count and Σq, `q = score_steps(recency[o],
-    /// target)`, and — when `truth` gives the recency a request is served
-    /// at (an estimator station's, whose build sized that column) — Σq
-    /// there too. The rows wait for
+    /// target)`, and — when `truth` gives the recency an object's
+    /// requests are served at (an estimator station's, whose build sized
+    /// that column) — Σq there too, probing `truth` once per object: the
+    /// cache and the server do not move while a round plans. The rows
+    /// wait for
     /// [`Self::assemble_requested`] and [`Self::drain_requested`]. Never
     /// inlined: the round's longest loop compiles the same wherever it
     /// is called from.
@@ -190,7 +193,11 @@ impl PlannerScratch {
             count[o] += 1;
             steps[o] += scoring.score_steps(recency[o], r.target_recency);
             if let Some(truth) = truth {
-                self.per_truth[o] += scoring.score_steps(truth(r.object), r.target_recency);
+                let (x, served) = &mut self.per_truth[o];
+                if count[o] == 1 {
+                    *x = truth(r.object);
+                }
+                *served += scoring.score_steps(*x, r.target_recency);
             }
             requested[o / 64] |= 1 << (o % 64);
         }
@@ -241,7 +248,7 @@ impl PlannerScratch {
             let o = object.index();
             let count = std::mem::take(&mut self.per_count[o]);
             let mut steps = std::mem::take(&mut self.per_steps[o]);
-            if let Some(truth) = self.per_truth.get_mut(o) {
+            if let Some((_, truth)) = self.per_truth.get_mut(o) {
                 steps = std::mem::take(truth);
             }
             visit(object, count.into(), steps);
@@ -325,6 +332,45 @@ mod tests {
             .filter(|_| rng.random_range(0..3u32) == 0)
             .map(ObjectId)
             .collect()
+    }
+
+    #[test]
+    fn the_truth_is_probed_once_per_requested_object() {
+        let catalog = Catalog::uniform_unit(6);
+        let scoring = ScoringFunction::InverseRatio;
+        let recency = [0.5; 6];
+        let truth_of = |id: ObjectId| 0.125 * f64::from(id.0);
+        let requests: Vec<GeneratedRequest> = [4, 1, 4, 4, 0, 1]
+            .iter()
+            .zip([1.0, 0.5, 0.25, 0.75, 0.5, 1.0])
+            .map(|(&o, target_recency)| GeneratedRequest {
+                object: ObjectId(o),
+                target_recency,
+            })
+            .collect();
+        let mut scratch = PlannerScratch::new();
+        scratch.per_truth.resize(catalog.len(), (0.0, 0));
+        for _ in 0..2 {
+            let probes = std::cell::RefCell::new(Vec::new());
+            let truth = |id: ObjectId| {
+                probes.borrow_mut().push(id);
+                truth_of(id)
+            };
+            scratch.aggregate(&requests, &catalog, scoring, &recency, Some(&truth));
+            let mut probed = probes.take();
+            probed.sort();
+            assert_eq!(probed, [0, 1, 4].map(ObjectId), "one probe per object");
+            // The served Σq is the per-request probes' sum.
+            let mut served = Vec::new();
+            scratch.drain_requested(|o, n, steps| served.push((o, n, steps)));
+            let q = |o: u32, target| scoring.score_steps(truth_of(ObjectId(o)), target);
+            let expected = [
+                (ObjectId(0), 1, q(0, 0.5)),
+                (ObjectId(1), 2, q(1, 0.5) + q(1, 1.0)),
+                (ObjectId(4), 3, q(4, 1.0) + q(4, 0.25) + q(4, 0.75)),
+            ];
+            assert_eq!(served, expected);
+        }
     }
 
     #[test]

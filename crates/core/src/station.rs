@@ -32,7 +32,9 @@
 //! [`RoundEngine`]'s standing tables ([`BaseStationSim::step_engine`])
 //! — decides how the requests are aggregated per object and assembled
 //! into the instance. Both feed one serve, per object, since every
-//! request a round gets for an object is answered from the same copy.
+//! request a round gets for an object is answered from the same copy;
+//! an unobserved engine round, which reports no object, adds the
+//! engine's running totals instead of visiting its table.
 //! The *transfer model* — instantaneous (the paper's), or an in-flight
 //! ledger that carries transfers across rounds, with single-flight
 //! coalescing ([`crate::builder::StationBuilder::in_flight`]) — is an
@@ -239,7 +241,7 @@ impl BaseStationSim {
         // An estimator station plans on a belief and serves the truth:
         // only it sums the served scores in a column of their own.
         if let Estimation::Estimator(_) = estimation {
-            scratch.per_truth.resize(catalog.len(), 0);
+            scratch.per_truth.resize(catalog.len(), (0.0, 0));
         }
         // Everything per-object — the aggregation columns, the cache's
         // tables, the recency column, the download buffer, the change
@@ -519,8 +521,9 @@ impl BaseStationSim {
     /// request tables instead of a flat per-tick batch — the
     /// million-request round. The driver mutates the engine between
     /// steps (pushes, retargets, clears) and the engine rescores only
-    /// what changed; the serve stage, per object as on every round,
-    /// adds the engine's per-object score sums.
+    /// what changed, moving its running serve totals with it; the serve
+    /// stage adds those totals, corrected per download, and visits the
+    /// active objects one by one only when the recorder observes.
     ///
     /// Runs the same round kernel as [`Self::step`] — same stages, same
     /// span/round/event/sample structure, so flight recordings of engine
@@ -923,8 +926,11 @@ impl BaseStationSim {
     /// ([`RoundEngine::for_each_active`]), a batch the rows its plan
     /// stage aggregated: an object's request count, the recency it is
     /// served at (the truth) and its requests' Σq there. A merge
-    /// cursor walks the round's downloads. All of an object's requests
-    /// are either
+    /// cursor walks the round's downloads. An unobserved engine round,
+    /// which reports no object, visits none: it adds the engine's
+    /// running totals ([`RoundEngine::serve_totals`]), O(downloads), and
+    /// an observed one's walk must reach the same tallies (debug builds
+    /// check). All of an object's requests are either
     /// * stale and joinable on a transfer launched this round or earlier
     ///   (then coalesced) — parked, each of them, by [`Self::park`]
     ///   (only a batch round runs under a ledger);
@@ -946,6 +952,26 @@ impl BaseStationSim {
         let _serve_span = Span::enter(recorder, Stage::Serve);
         let (cache, server) = (&self.cache, &self.server);
         let (observing, tick) = (round.observing, round.tick);
+        // An engine round's tallies once served: every request, those on
+        // a download served at 1.0 and not counted as hits. An unobserved
+        // round takes them and returns; an observed one walks, and only
+        // debug builds compare.
+        let totals = match &source {
+            Source::Engine(engine) if !observing || cfg!(debug_assertions) => {
+                let t = engine.serve_totals(downloaded);
+                let (mut recency, mut score, mut out) = (round.recency, round.score, round.out);
+                recency.add(&t.recency);
+                score.add(&t.score);
+                out.served_immediately += t.score.count as usize;
+                out.cache_hits += (t.score.count - t.fetched) as usize;
+                if !observing {
+                    (round.recency, round.score, round.out) = (recency, score, out);
+                    return;
+                }
+                Some((recency, score, out))
+            }
+            _ => None,
+        };
         let flight = ledger.as_deref();
         let mut dl = 0usize;
         // Serve one object's requests; true when they are to park.
@@ -985,9 +1011,16 @@ impl BaseStationSim {
             false
         };
         match source {
-            Source::Engine(engine) => engine.for_each_active(|a| {
-                visit(a.object, a.recency, a.scores);
-            }),
+            Source::Engine(engine) => {
+                engine.for_each_active(|a| {
+                    visit(a.object, a.recency, a.scores);
+                });
+                debug_assert_eq!(
+                    totals,
+                    Some((round.recency, round.score, round.out)),
+                    "round {tick}: the serve walk's tallies differ from the engine's totals"
+                );
+            }
             Source::Batch(requests) => {
                 let oracle = matches!(self.estimation, Estimation::Oracle);
                 let parked = &mut self.parked;
@@ -1511,7 +1544,7 @@ mod tests {
                     && !s.parked.contains(&true)
                     && s.scratch.per_count.iter().all(|&n| n == 0)
                     && s.scratch.per_steps.iter().all(|&q| q == 0)
-                    && s.scratch.per_truth.iter().all(|&q| q == 0),
+                    && s.scratch.per_truth.iter().all(|&(_, q)| q == 0),
                 "{label} round {round}: the aggregation and the park marks must be cleared"
             );
         }

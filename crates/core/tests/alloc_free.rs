@@ -424,8 +424,9 @@ fn on_demand_steady_state_steps_do_not_allocate() {
     // The incremental round engine is held to the same bar: once the
     // SoA tables, dirty set and solver scratch are warm, a full engine
     // round — churn applied via in-place retargets, per-object server
-    // updates, incremental rescore, solve, refresh, columnar serve —
-    // never touches the heap, under each recorder.
+    // updates, incremental rescore, solve, refresh, serve (off the
+    // running totals unobserved, a table walk observed) — never touches
+    // the heap, under each recorder.
     for (label, recorder_kind) in [
         ("engine/null", "null"),
         ("engine/flight", "flight"),

@@ -17,20 +17,26 @@
 //!    reference round for round. (The reference's `mark_all_dirty` also
 //!    makes its engine read the whole recency vector, so a slot the
 //!    incremental rig's list misses cannot go unnoticed on both sides.)
+//! 5. The engine's running serve totals are its table's: after every
+//!    round, `serve_totals` equals the tallies of a `for_each_active`
+//!    walk that serves each object as the round did, and an unobserved
+//!    station, which serves off the totals, returns the same outcomes
+//!    and stats as an observed one, which walks.
 //!
 //! "Identical" means the deterministic observables; wall-clock span
 //! timings are stripped before comparison.
 
 mod common;
 
-use basecache_core::engine::RoundEngine;
+use basecache_core::engine::{RoundEngine, ServeTotals};
 use basecache_core::planner::OnDemandPlanner;
 use basecache_core::recency::ScoringFunction;
 use basecache_core::station::BaseStationSim;
 use basecache_core::RoundOutcome;
 use basecache_core::StationBuilder;
 use basecache_net::{Catalog, ObjectId};
-use basecache_obs::{FlightRecorder, Snapshot};
+use basecache_obs::{FlightRecorder, NullRecorder, Recorder, Snapshot};
+use basecache_sim::metrics::{to_steps, Sums, STEPS};
 use basecache_sim::{RngStreams, SimTime};
 use basecache_workload::{ChurnOp, GeneratedRequest, Popularity, StandingWorkload, TargetRecency};
 
@@ -47,8 +53,9 @@ fn catalog() -> Catalog {
 
 /// A station + engine pair; `full_rebuild` rigs degrade the engine to
 /// the reference path by marking everything dirty before each round.
-/// Every step is checked against the exact DP; `dp_cells` sums the
-/// cells its full solves swept.
+/// Every step's serve totals are checked against a table walk, and an
+/// observed rig's step against the exact DP; `dp_cells` sums the cells
+/// its full solves swept.
 struct Rig {
     station: BaseStationSim,
     engine: RoundEngine,
@@ -57,10 +64,10 @@ struct Rig {
 }
 
 impl Rig {
-    fn new(full_rebuild: bool) -> Rig {
+    fn new(full_rebuild: bool, recorder: Box<dyn Recorder>) -> Rig {
         let station = StationBuilder::new(catalog())
             .on_demand(OnDemandPlanner::paper_default(), BUDGET)
-            .recorder(Box::new(FlightRecorder::new(512, 64, 8)))
+            .recorder(recorder)
             .build()
             .expect("valid configuration");
         let mut engine = RoundEngine::new(&catalog(), ScoringFunction::InverseRatio);
@@ -73,12 +80,22 @@ impl Rig {
         }
     }
 
+    fn flight_recorder() -> Box<dyn Recorder> {
+        Box::new(FlightRecorder::new(512, 64, 8))
+    }
+
     fn incremental() -> Rig {
-        Rig::new(false)
+        Rig::new(false, Rig::flight_recorder())
     }
 
     fn reference() -> Rig {
-        Rig::new(true)
+        Rig::new(true, Rig::flight_recorder())
+    }
+
+    /// An incremental rig whose recorder is disabled: its rounds serve
+    /// off the engine's totals.
+    fn unobserved() -> Rig {
+        Rig::new(false, Box::new(NullRecorder))
     }
 
     fn step(&mut self) -> RoundOutcome {
@@ -86,9 +103,59 @@ impl Rig {
             self.engine.mark_all_dirty();
         }
         let out = self.station.step_engine(&mut self.engine);
-        self.dp_cells += assert_engine_round_is_exact(&self.station, &self.engine, &out, BUDGET);
+        assert_serve_totals_match_a_walk(&self.station, &self.engine, &out);
+        if self.station.recorder().enabled() {
+            self.dp_cells +=
+                assert_engine_round_is_exact(&self.station, &self.engine, &out, BUDGET);
+        }
         out
     }
+}
+
+/// The round `station` just stepped on `engine`, served again by a walk
+/// of the engine's table: each active object's requests at its recency,
+/// or at 1.0 when the round downloaded it. The engine's totals and the
+/// round's outcome must both be the walk's.
+fn assert_serve_totals_match_a_walk(
+    station: &BaseStationSim,
+    engine: &RoundEngine,
+    out: &RoundOutcome,
+) {
+    let downloaded = station.last_downloaded();
+    let mut walk = ServeTotals {
+        recency: Sums::new(),
+        score: Sums::new(),
+        fetched: 0,
+    };
+    engine.for_each_active(|a| {
+        let n = a.scores.count;
+        if downloaded.contains(&a.object) {
+            walk.recency.push_n(STEPS, n);
+            walk.score.push_n(STEPS, n);
+            walk.fetched += n;
+        } else {
+            walk.recency.push_n(to_steps(a.recency), n);
+            walk.score.add(&a.scores);
+        }
+    });
+    let tick = out.tick;
+    assert_eq!(
+        engine.serve_totals(downloaded),
+        walk,
+        "round {tick}: serve totals"
+    );
+    let served = walk.score.count as usize;
+    assert_eq!(
+        (out.served, out.served_immediately, out.cache_hits),
+        (served, served, served - walk.fetched as usize),
+        "round {tick}: served and hits"
+    );
+    let mean = |tally: Sums| tally.mean().unwrap_or(1.0).to_bits();
+    assert_eq!(
+        (out.average_recency.to_bits(), out.average_score.to_bits()),
+        (mean(walk.recency), mean(walk.score)),
+        "round {tick}: means"
+    );
 }
 
 /// The round `station` just stepped on `engine` against the exact DP
@@ -282,6 +349,42 @@ fn full_churn(round: u64, rig: &mut Rig) {
         rig.engine.push_request(
             ObjectId((k * 13 + round as u32) % OBJECTS as u32),
             [1.0, 0.8, 0.6, 0.4][(k as u64 + round) as usize % 4],
+        );
+    }
+}
+
+/// A churn script and its name.
+type Script = (&'static str, fn(u64, &mut Rig));
+
+/// The churn scripts above, for the checks that run every one.
+const SCRIPTS: [Script; 3] = [
+    ("zero churn", zero_churn),
+    ("single-object churn", single_object_churn),
+    ("full churn", full_churn),
+];
+
+/// The serve's two paths: one churn script steps a station that observes
+/// its rounds (and walks the table) and one that does not (and serves
+/// off the engine's totals). Every outcome and the stats must agree.
+#[test]
+fn observed_and_unobserved_engine_rounds_serve_alike() {
+    for (label, mutate) in SCRIPTS {
+        let mut observed = Rig::incremental();
+        let mut unobserved = Rig::unobserved();
+        for round in 0..30 {
+            mutate(round, &mut observed);
+            mutate(round, &mut unobserved);
+            let (a, b) = (observed.step(), unobserved.step());
+            assert_eq!(a, b, "{label} round {round}: outcomes diverge");
+            assert_eq!(
+                observed.station.stats(),
+                unobserved.station.stats(),
+                "{label} round {round}: stats diverge"
+            );
+        }
+        assert!(
+            unobserved.station.stats().objects_downloaded > 0,
+            "{label}: nothing was downloaded"
         );
     }
 }
@@ -818,21 +921,14 @@ mod independent {
         assert_eq!(items, expected_items, "assembled instance diverges");
     }
 
-    type Script = (&'static str, fn(u64, &mut Rig));
-
     #[test]
     fn engine_sums_match_a_plain_score_loop_under_every_churn_script() {
-        let scripts: [Script; 3] = [
-            ("zero churn", zero_churn),
-            ("single-object churn", single_object_churn),
-            ("full churn", full_churn),
-        ];
         for scoring in [
             ScoringFunction::InverseRatio,
             ScoringFunction::Exponential,
             ScoringFunction::Step,
         ] {
-            for (label, mutate) in scripts {
+            for (label, mutate) in SCRIPTS {
                 let mut rig = rig(scoring);
                 let mut cover = Coverage::default();
                 for round in 0..24 {
@@ -952,10 +1048,18 @@ mod properties {
             let script = arb_script(rng);
             let mut incremental = Rig::incremental();
             let mut reference = Rig::reference();
+            let mut unobserved = Rig::unobserved();
             let a = replay(&mut incremental, &script);
             let b = replay(&mut reference, &script);
             assert_eq!(a, b, "case {i}: outcomes diverge");
             assert_rigs_match(&incremental, &reference, &format!("case {i}"));
+            let c = replay(&mut unobserved, &script);
+            assert_eq!(a, c, "case {i}: the unobserved rig's outcomes diverge");
+            assert_eq!(
+                incremental.station.stats(),
+                unobserved.station.stats(),
+                "case {i}: the unobserved rig's stats diverge"
+            );
         });
     }
 }

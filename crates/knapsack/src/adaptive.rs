@@ -90,10 +90,12 @@
 //! apart could share a key and go by index. Distinct densities
 //! `P₁/s₁ > P₂/s₂` (`P` in steps) differ by at least `1/(s₁·s₂)`, more
 //! than the `2^-52·P₁/s₁` one key spans unless `P₁·s₂ ≥ 2^52`, so that
-//! takes a profit of `2^20 / s₂` or more; the reduction checks the
+//! takes a profit of `2^20 / s₂` or more. When the largest profit in
+//! steps times the largest size reaches `2^52`, the reduction checks the
 //! neighbours that share a key, by their steps cross-multiplied, and
-//! sends an order that fails to the full DP (DESIGN.md §15). Sizes are
-//! below `2^53`, which any DP table's span is, so they convert exactly.
+//! sends an order that fails to the full DP (DESIGN.md §15); below it
+//! keys are tied only by equal densities. Sizes are below `2^53`, which
+//! any DP table's span is, so they convert exactly.
 //!
 //! **Left-out certificate.** A caller may hand the solver only part of
 //! an instance — the items dense enough to matter — with a bound on the
@@ -493,22 +495,26 @@ impl AdaptiveScratch {
     /// best-single lower bound, the Dantzig upper bound, then per-item
     /// bound fixing, in both directions, into `state`. Returns `false`,
     /// having fixed nothing, when the density order is not exact
-    /// ([`Self::order_is_exact`]).
+    /// ([`Self::order_is_exact`]), which only an instance whose largest
+    /// profit in steps times its largest size reaches `2^52` needs
+    /// checking for.
     fn reduce(&mut self, capacity: u64) -> bool {
         let m = self.usable_idx.len();
         self.state.clear();
         self.state.resize(m, State::Core);
 
         // Density keys (density desc, index asc; module docs, *How the
-        // order is built*), and the total and largest size.
+        // order is built*), the total and largest size, and the largest
+        // profit.
         self.keys.clear();
-        let (mut total, mut s_max) = (0u64, 0u64);
+        let (mut total, mut s_max, mut p_max) = (0u64, 0u64, 0u64);
         for u in 0..m {
-            let size = self.usable_size[u];
-            let density = self.usable_profit[u] as f64 / size as f64;
+            let (size, profit) = (self.usable_size[u], self.usable_profit[u]);
+            let density = profit as f64 / size as f64;
             self.keys.extend([density_key(density), u as u64]);
             total += size;
             s_max = s_max.max(size);
+            p_max = p_max.max(profit);
         }
         // Every bound below is a Dantzig bound at a capacity of at most
         // `capacity` with at most one item removed, so its break falls
@@ -526,7 +532,10 @@ impl AdaptiveScratch {
         // to pass `stop`.
         let block = 2 * u128::from(stop) * m as u128 / u128::from(total.max(1));
         self.order_until(stop, block.min(m as u128) as usize + 1);
-        if !self.order_is_exact() {
+        // Below `2^52` no two distinct densities share a key (module
+        // docs, *Exact bounds*): keys order them exactly.
+        let keys_may_tie = u128::from(p_max) * u128::from(s_max) >= 1 << 52;
+        if keys_may_tie && !self.order_is_exact() {
             return false;
         }
         let k = self.ord.len();

@@ -88,10 +88,15 @@ echo "==> benchmark verify pass (smoke scale, all four workloads)"
 bench_lock=$(mktemp)
 cp benchmark/Cargo.lock "$bench_lock"
 status=0
-bash benchmark/run.sh --smoke --verify | grep -E '^(workload |outcome_digest)' || status=$?
+smoke=$(bash benchmark/run.sh --smoke --verify) || status=$?
 cp "$bench_lock" benchmark/Cargo.lock
 rm -f "$bench_lock"
-[ "$status" -eq 0 ] || exit "$status"
+[ "$status" -eq 0 ] || { printf '%s\n' "$smoke"; exit "$status"; }
+# Each workload's digest must be the one scripts/smoke_digests.txt pins.
+digests=$(printf '%s\n' "$smoke" | awk '/^workload /{w=$2} /^outcome_digest/{print w, $2}')
+printf '%s\n' "$digests"
+diff <(grep -v '^#' scripts/smoke_digests.txt) <(printf '%s\n' "$digests") \
+    || { echo "error: smoke digests differ from scripts/smoke_digests.txt" >&2; exit 1; }
 
 # The committed ledgers are pinned runs: a bench process that migrates
 # between cores reads ~1.5x higher, so the benches run on CPU 1 where
